@@ -20,10 +20,10 @@
 //! amplification** is its passes over that optimum; making it 1 is
 //! exactly HaTen2-DRI's §III-B4 job-integration saving, so the table
 //! below is the paper's qualitative claim turned into a checkable
-//! inequality. `crates/bench` measures the runtime counterpart from
-//! [`haten2_mapreduce::Dfs::durable_dataset_io`] and the spill gauges,
-//! and `BENCH_blockstore.json` records both so the symbolic floor and
-//! the measured traffic can be cross-checked.
+//! inequality. The `durable-scan` benchmark workload measures the runtime
+//! counterpart from [`haten2_mapreduce::Dfs::durable_dataset_io`] and the
+//! spill gauges, and checks `mapreduce.dfs.read_amplification` against
+//! this floor on every sample.
 
 use haten2_core::{plan_for, Decomp, Ix4, Variant};
 use haten2_mapreduce::{encode_records, SymExpr};

@@ -197,8 +197,9 @@ impl Report {
              compulsory-miss optimum; *read amplification* is the \
              pipeline's passes over it — the quantity HaTen2-DRI's job \
              integration (§III-B4) drives to the minimum. \
-             `BENCH_blockstore.json` records the measured durable traffic \
-             for cross-checking.",
+             The `durable-scan` benchmark workload measures the durable \
+             traffic as `mapreduce.dfs.read_amplification` for \
+             cross-checking.",
             tensor_record_bytes(),
             tensor_record_bytes(),
             tensor_record_bytes()

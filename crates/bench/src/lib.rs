@@ -2,10 +2,11 @@
 //! paper's evaluation (§IV).
 //!
 //! Each experiment is a library function returning an [`ExpTable`] so that
-//! the `haten2-exp` binary, the Criterion benches, and the integration
-//! tests all run the same code. Scales are configurable: experiments
-//! default to a laptop-sized analogue of the paper's cluster sweep (the
-//! scale mapping is documented per experiment in `EXPERIMENTS.md`).
+//! the `haten2-exp` binary and the integration tests run the same code.
+//! Scales are configurable: experiments default to a laptop-sized analogue
+//! of the paper's cluster sweep (the scale mapping is documented per
+//! experiment in `EXPERIMENTS.md`). Wall-clock performance is not measured
+//! here: the repo's one perf harness is `benchmark/` (see `BENCHMARK.json`).
 //!
 //! | Paper item | Function |
 //! |------------|----------|
@@ -29,7 +30,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod experiments;
-pub mod seed_engine;
 pub mod table;
 
 pub use table::ExpTable;

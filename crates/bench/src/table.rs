@@ -193,12 +193,12 @@ mod tests {
 
     #[test]
     fn save_csv_writes_file() {
-        let dir = std::env::temp_dir().join("haten2_csv_test");
+        let dir = std::env::temp_dir().join(format!("haten2_csv_test-{}", std::process::id()));
         let mut t = ExpTable::new("Demo CSV", &["x"]);
         t.push_row(vec!["1".into()]);
         let path = t.save_csv(&dir).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "x\n1\n");
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

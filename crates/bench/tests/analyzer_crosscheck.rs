@@ -383,6 +383,40 @@ fn measured_critical_paths_match_symbolic_depths() {
             "parafac {variant}: every job ran inside the batch"
         );
     }
+
+    // DESIGN.md §7's claim: the Naive-Tucker sweep at Q = R = 8 is 16 jobs
+    // at depth 2, so on 8 simulated threads the DAG schedule is at least
+    // 2x shorter than one-job-at-a-time. `BatchReport`'s simulated fields
+    // are the same in both scheduler modes and on any host.
+    let x = generic_tensor([24; 3], 800, &mut rng);
+    let bt = generic_mat(8, 24, &mut rng);
+    let ct = generic_mat(8, 24, &mut rng);
+    let cluster = Cluster::new(ClusterConfig {
+        threads: 8,
+        ..ClusterConfig::with_machines(2)
+    });
+    project(
+        &cluster,
+        Variant::Naive,
+        &x,
+        0,
+        &bt,
+        &ct,
+        &ProjectOptions::default(),
+    )
+    .unwrap();
+    let reports = cluster.batch_reports();
+    assert_eq!(reports.len(), 1, "naive sweep: one batch");
+    let r = &reports[0];
+    assert_eq!((r.jobs, r.critical_path_len), (16, 2));
+    let sim_speedup = r.sim_sequential_s / r.sim_makespan_s;
+    assert!(
+        sim_speedup >= 2.0,
+        "naive sweep: simulated DAG speedup {sim_speedup:.2}x below 2x \
+         (sequential {:.4}s, makespan {:.4}s)",
+        r.sim_sequential_s,
+        r.sim_makespan_s
+    );
 }
 
 #[test]

@@ -45,7 +45,7 @@ fn unknown_experiment_is_rejected() {
 
 #[test]
 fn csv_flag_writes_files() {
-    let dir = std::env::temp_dir().join("haten2_exp_cli_csv");
+    let dir = std::env::temp_dir().join(format!("haten2_exp_cli_csv-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let out = exp().args(["table2", "--csv"]).arg(&dir).output().unwrap();
     assert!(
@@ -57,7 +57,7 @@ fn csv_flag_writes_files() {
     assert_eq!(files.len(), 1);
     let content = std::fs::read_to_string(files[0].as_ref().unwrap().path()).unwrap();
     assert!(content.starts_with("Method,"));
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

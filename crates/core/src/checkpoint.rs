@@ -379,10 +379,16 @@ mod tests {
         CooTensor3::from_entries(dims, entries).unwrap()
     }
 
-    fn tmp_prefix(name: &str) -> String {
-        let dir = std::env::temp_dir().join("haten2_ckpt_tests");
+    /// A fresh pid-unique directory for one test and a checkpoint prefix
+    /// inside it, so neither a concurrent checkout nor a stale sweep marker
+    /// can be seen. The test removes the directory when it is done.
+    fn tmp_prefix(name: &str) -> (std::path::PathBuf, String) {
+        let dir =
+            std::env::temp_dir().join(format!("haten2_ckpt_tests-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name).display().to_string()
+        let prefix = dir.join(name).display().to_string();
+        (dir, prefix)
     }
 
     #[test]
@@ -395,13 +401,14 @@ mod tests {
             ..AlsOptions::with_variant(Variant::Dri)
         };
         let res = parafac_als(&cluster, &x, 2, &opts).unwrap();
-        let prefix = tmp_prefix("cp");
+        let (dir, prefix) = tmp_prefix("cp");
         save_parafac(&res, &prefix).unwrap();
         let (lambda, factors) = load_parafac(&prefix).unwrap();
         assert_eq!(lambda.len(), 2);
         for (orig, loaded) in res.factors.iter().zip(&factors) {
             assert!(orig.approx_eq(loaded, 1e-12));
         }
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -414,7 +421,7 @@ mod tests {
             ..AlsOptions::with_variant(Variant::Dri)
         };
         let first = parafac_als(&cluster, &x, 3, &opts).unwrap();
-        let prefix = tmp_prefix("resume");
+        let (dir, prefix) = tmp_prefix("resume");
         save_parafac(&first, &prefix).unwrap();
 
         let more = AlsOptions {
@@ -435,6 +442,7 @@ mod tests {
         for w in resumed.fits.windows(2) {
             assert!(w[1] >= w[0] - 1e-6);
         }
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -447,7 +455,7 @@ mod tests {
             ..AlsOptions::with_variant(Variant::Dri)
         };
         let res = tucker_als(&cluster, &x, [2, 3, 2], &opts).unwrap();
-        let prefix = tmp_prefix("tk");
+        let (dir, prefix) = tmp_prefix("tk");
         save_tucker(&res, &prefix).unwrap();
         let (core, factors) = load_tucker(&prefix).unwrap();
         assert_eq!(core.dims(), [2, 3, 2]);
@@ -455,6 +463,7 @@ mod tests {
         for (orig, loaded) in res.factors.iter().zip(&factors) {
             assert!(orig.approx_eq(loaded, 1e-12));
         }
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -467,7 +476,7 @@ mod tests {
             ..AlsOptions::with_variant(Variant::Dri)
         };
         let first = tucker_als(&cluster, &x, [2, 2, 2], &opts).unwrap();
-        let prefix = tmp_prefix("tk_resume");
+        let (dir, prefix) = tmp_prefix("tk_resume");
         save_tucker(&first, &prefix).unwrap();
         let resumed = resume_tucker(&cluster, &x, &prefix, &opts).unwrap();
         // Warm start: the first resumed core norm is at least the
@@ -478,20 +487,7 @@ mod tests {
             resumed.core_norms[0],
             first.core_norms.last().unwrap()
         );
-    }
-
-    /// Remove every checkpoint file a previous test run may have left.
-    fn clear_checkpoint(prefix: &str) {
-        for suffix in [
-            "A.mat",
-            "B.mat",
-            "C.mat",
-            "lambda.txt",
-            "core.tns",
-            "sweep.txt",
-        ] {
-            let _ = std::fs::remove_file(format!("{prefix}.{suffix}"));
-        }
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     fn crashing_cluster(kill_at_job: usize) -> Cluster {
@@ -526,8 +522,7 @@ mod tests {
         .unwrap();
         let per_sweep = probe.metrics().total_jobs();
 
-        let prefix = tmp_prefix("crash_resume_pf");
-        clear_checkpoint(&prefix);
+        let (dir, prefix) = tmp_prefix("crash_resume_pf");
         let opts = AlsOptions {
             checkpoint_prefix: Some(prefix.clone()),
             ..base
@@ -549,7 +544,7 @@ mod tests {
             resumed.factors, clean.factors,
             "factors must be bit-identical"
         );
-        clear_checkpoint(&prefix);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -581,8 +576,7 @@ mod tests {
         .unwrap();
         let per_sweep = probe.metrics().total_jobs();
 
-        let prefix = tmp_prefix("crash_resume_tk");
-        clear_checkpoint(&prefix);
+        let (dir, prefix) = tmp_prefix("crash_resume_tk");
         let opts = AlsOptions {
             checkpoint_prefix: Some(prefix.clone()),
             ..base
@@ -606,7 +600,7 @@ mod tests {
             "factors must be bit-identical"
         );
         assert_eq!(resumed.core, clean.core, "core must be bit-identical");
-        clear_checkpoint(&prefix);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

@@ -256,13 +256,13 @@ John\tns:music.record-label.artist\tApple_Records
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("haten2_triples_test");
+        let dir = std::env::temp_dir().join(format!("haten2_triples_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("kb.tsv");
         std::fs::write(&path, SAMPLE).unwrap();
         let kb = load_triples(&path, TripleOrder::Spo).unwrap();
         assert_eq!(kb.triples.len(), 5);
-        std::fs::remove_file(&path).ok();
         assert!(load_triples(dir.join("missing.tsv"), TripleOrder::Spo).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -96,13 +96,13 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("haten2_matio_test");
+        let dir = std::env::temp_dir().join(format!("haten2_matio_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("a.mat");
         let m = Mat::identity(3);
         save_mat(&m, &path).unwrap();
         let back = load_mat(&path).unwrap();
         assert!(back.approx_eq(&m, 0.0));
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

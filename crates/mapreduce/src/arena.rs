@@ -72,13 +72,6 @@ impl<K, V> ColumnBuffer<K, V> {
         self.keys.is_empty()
     }
 
-    /// Arena high-water proxy: bytes currently reserved by both columns.
-    /// Capacity (not length) so reallocation growth is visible.
-    pub(crate) fn alloc_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<K>()
-            + self.vals.capacity() * std::mem::size_of::<V>()
-    }
-
     /// Consume into `(key, value)` pairs, in order. Used only at the API
     /// boundary where callers expect row-major output.
     pub(crate) fn into_pairs(self) -> impl Iterator<Item = (K, V)> {
@@ -436,13 +429,5 @@ mod tests {
         let group = GroupValues::new(&mut cursors, &key, &[0, 1, 0], 1);
         assert_eq!(group.collect::<Vec<_>>(), vec![30]);
         assert!(cursors.iter().all(|c| c.peek_key().is_none()));
-    }
-
-    #[test]
-    fn alloc_bytes_tracks_capacity() {
-        let buf: ColumnBuffer<u64, f64> = ColumnBuffer::with_capacity(16);
-        assert_eq!(buf.alloc_bytes(), 16 * 8 + 16 * 8);
-        let empty: ColumnBuffer<u64, f64> = ColumnBuffer::new();
-        assert_eq!(empty.alloc_bytes(), 0);
     }
 }

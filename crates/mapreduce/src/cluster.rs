@@ -5,7 +5,6 @@ use crate::fault::FaultPlan;
 use crate::metrics::{BatchReport, JobMetrics, RunMetrics};
 use crate::pool::WorkerPool;
 use crate::rewrite::RewritePolicy;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -166,7 +165,6 @@ pub struct Cluster {
     batch_reports: Mutex<Vec<BatchReport>>,
     pool: OnceLock<WorkerPool>,
     epoch: Instant,
-    alloc_proxy_bytes: AtomicUsize,
     #[cfg(feature = "race-detect")]
     races: Mutex<Vec<crate::race::RaceReport>>,
 }
@@ -205,7 +203,6 @@ impl Cluster {
             batch_reports: Mutex::new(Vec::new()),
             pool: OnceLock::new(),
             epoch: Instant::now(),
-            alloc_proxy_bytes: AtomicUsize::new(0),
             #[cfg(feature = "race-detect")]
             races: Mutex::new(Vec::new()),
         })
@@ -328,22 +325,6 @@ impl Cluster {
             .lock()
             .expect("race reports lock poisoned")
             .clone()
-    }
-
-    /// Charge arena-buffer reservations to the allocation high-water
-    /// proxy; called once per job with the task-summed total.
-    pub(crate) fn charge_alloc_proxy(&self, bytes: usize) {
-        self.alloc_proxy_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Cumulative allocation high-water proxy: bytes reserved by every
-    /// job's columnar map/reduce buffers at peak fill, summed over all
-    /// jobs run so far. Observability only — like
-    /// [`Cluster::batch_reports`], this lives outside [`Cluster::metrics`]
-    /// because it reflects host memory behaviour (capacities, growth
-    /// doubling), not the simulated cluster's bit-identical counters.
-    pub fn alloc_proxy_bytes(&self) -> usize {
-        self.alloc_proxy_bytes.load(Ordering::Relaxed)
     }
 }
 

@@ -170,9 +170,6 @@ struct MapTaskResult<KM, VM> {
     input_bytes: usize,
     output_records: usize,
     output_bytes: usize,
-    /// Arena high-water proxy: bytes reserved by this task's column
-    /// buffers at peak fill. Observability only (never in [`JobMetrics`]).
-    alloc_bytes: usize,
 }
 
 /// FNV-1a. The partitioner only needs a stable, well-mixed hash, not a
@@ -263,10 +260,6 @@ pub fn key_slice<K: Hash>(key: &K, slices: usize) -> usize {
 /// classic signature) or streamed ([`run_job_streaming`]). The merge loop
 /// itself is shared and never materializes a group.
 pub(crate) trait Reduce<KM: Ord, VM, KO, VO>: Sync {
-    /// Whether each group is collected into one owned `Vec` (charged to
-    /// the allocation high-water proxy).
-    const MATERIALIZES: bool;
-
     /// Consume one key group. `values` streams the group in run (= map
     /// task) order; any values left unconsumed are drained by the caller.
     fn reduce(&self, key: &KM, values: &mut GroupValues<'_, KM, VM>, emit: &mut dyn FnMut(KO, VO));
@@ -280,8 +273,6 @@ impl<KM: Ord, VM, KO, VO, F> Reduce<KM, VM, KO, VO> for VecReduce<F>
 where
     F: Fn(&KM, Vec<VM>, &mut dyn FnMut(KO, VO)) + Sync,
 {
-    const MATERIALIZES: bool = true;
-
     fn reduce(&self, key: &KM, values: &mut GroupValues<'_, KM, VM>, emit: &mut dyn FnMut(KO, VO)) {
         let mut vals = Vec::with_capacity(values.len());
         vals.extend(&mut *values);
@@ -296,8 +287,6 @@ impl<KM: Ord, VM, KO, VO, F> Reduce<KM, VM, KO, VO> for StreamReduce<F>
 where
     F: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
 {
-    const MATERIALIZES: bool = false;
-
     fn reduce(&self, key: &KM, values: &mut GroupValues<'_, KM, VM>, emit: &mut dyn FnMut(KO, VO)) {
         (self.0)(key, values, emit)
     }
@@ -524,10 +513,8 @@ where
             }
             let mut output_records = 0usize;
             let mut output_bytes = 0usize;
-            let mut alloc_bytes = 0usize;
             let mut runs = Vec::new();
             for (p, slot) in buckets.iter_mut().enumerate() {
-                alloc_bytes += slot.alloc_bytes();
                 // Empty cells never reach the shuffle: a tiny job on a wide
                 // cluster fills a handful of its `tasks × reducers` buckets,
                 // and sealing/moving the empty rest was a measurable per-job
@@ -561,7 +548,6 @@ where
                 input_bytes,
                 output_records,
                 output_bytes,
-                alloc_bytes,
             }
         };
 
@@ -610,7 +596,6 @@ where
         name: spec.name.clone(),
         ..Default::default()
     };
-    let mut alloc_proxy_bytes = 0usize;
     // Lazily grown: partitions a job never emits into (common for tiny
     // jobs on wide clusters) must not pay an `actual_tasks`-sized alloc.
     let mut partition_runs: Vec<Vec<ColumnRun<KM, VM>>> =
@@ -624,7 +609,6 @@ where
         metrics.map_input_bytes += r.input_bytes;
         metrics.map_output_records += r.output_records;
         metrics.map_output_bytes += r.output_bytes;
-        alloc_proxy_bytes += r.alloc_bytes;
         if let (Some(s), Some(plan)) = (&sched, &cfg.fault_plan) {
             s.map[t].account_map(
                 plan,
@@ -656,7 +640,6 @@ where
         output_records: usize,
         output_bytes: usize,
         max_group_bytes: usize,
-        alloc_bytes: usize,
     }
 
     // Group one partition's sorted runs by k-way merge. Equal keys drain
@@ -677,7 +660,6 @@ where
         let mut output_records = 0usize;
         let mut output_bytes = 0usize;
         let mut max_group_bytes = 0usize;
-        let mut alloc_bytes = 0usize;
         // Per-run prefix counts of the current group, reused across groups;
         // they both size the group and drive its cursor-backed iterator.
         let mut counts: Vec<u32> = Vec::with_capacity(cursors.len());
@@ -739,10 +721,6 @@ where
             }
             max_group_bytes = max_group_bytes.max(group_bytes);
             groups += 1;
-            if R::MATERIALIZES {
-                // The Vec-signature boundary collects the group once.
-                alloc_bytes += n_vals * std::mem::size_of::<VM>();
-            }
             let mut group = GroupValues::new(&mut cursors, &key, &counts, n_vals);
             let mut emit = |k: KO, v: VO| {
                 output_records += 1;
@@ -754,14 +732,12 @@ where
             // the next group starts at a clean cursor position.
             group.for_each(drop);
         }
-        alloc_bytes += out.alloc_bytes();
         Ok(ReduceTaskResult {
             output: out,
             groups,
             output_records,
             output_bytes,
             max_group_bytes,
-            alloc_bytes,
         })
     };
 
@@ -852,7 +828,6 @@ where
         metrics.reduce_output_records += r.output_records;
         metrics.reduce_output_bytes += r.output_bytes;
         metrics.max_group_bytes = metrics.max_group_bytes.max(r.max_group_bytes);
-        alloc_proxy_bytes += r.alloc_bytes;
         output.extend(r.output.into_pairs());
     }
 
@@ -863,7 +838,6 @@ where
         metrics.workers_blacklisted = s.workers_blacklisted;
     }
 
-    cluster.charge_alloc_proxy(alloc_proxy_bytes);
     metrics.wall_time_s = started.elapsed().as_secs_f64();
     metrics.started_s = started_s;
     metrics.finished_s = started_s + metrics.wall_time_s;

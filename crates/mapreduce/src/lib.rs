@@ -96,8 +96,8 @@ pub use size::EstimateSize;
 
 /// Whether the dynamic race detector is compiled into this build of the
 /// engine. Debug tooling (the chaos sweep) turns it on; measured builds
-/// must not — the engine benchmark asserts this at startup so the
-/// detector's cost can never leak into `BENCH_engine.json`.
+/// must not — the benchmark (`benchmark/`) asserts this at startup so the
+/// detector's cost can never leak into a measured number.
 #[must_use]
 pub const fn race_detector_compiled() -> bool {
     cfg!(feature = "race-detect")

@@ -261,7 +261,7 @@ pub struct BatchReport {
     pub worker_busy_s: Vec<f64>,
     /// Largest single reduce-side key group (bytes) over the batch's jobs
     /// — the straggler proxy the `heavy-key-split` rewrite targets,
-    /// surfaced here so skew benches can report it next to makespan.
+    /// surfaced here so the benchmark can report it next to makespan.
     pub heaviest_group_bytes: usize,
 }
 

@@ -250,7 +250,15 @@ fn worker_loop(shared: &Shared) {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock. A worker checks it while
+        // holding that lock and keeps the lock until it is parked, so the
+        // store cannot land between its check and its wait — where the
+        // wake-up below would be lost and the join would never return.
+        // A poisoned lock is still held by the guard inside the error.
+        {
+            let _queue = self.shared.queue.lock();
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         for handle in self.handles.drain(..) {
             // A worker can only panic if a job's panic escaped catch_unwind,

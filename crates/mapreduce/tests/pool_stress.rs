@@ -129,3 +129,18 @@ fn cluster_runs_many_jobs_on_one_pool_at_max_threads() {
     }
     assert_eq!(cluster.metrics().total_jobs(), 300);
 }
+
+#[test]
+fn dropping_a_pool_right_after_a_broadcast_does_not_hang() {
+    // Drop races the worker's return to its parked state: the shutdown
+    // wake-up must not fall between the worker's flag check and its wait.
+    // A lost wake-up shows up here as a hang in the join.
+    for round in 0..20_000 {
+        let pool = WorkerPool::new(1);
+        let hits = AtomicUsize::new(0);
+        pool.broadcast(2, &|_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 2, "round {round}");
+    }
+}

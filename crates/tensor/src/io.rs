@@ -197,13 +197,13 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("haten2_io_test");
+        let dir = std::env::temp_dir().join(format!("haten2_io_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.tns");
         let t = sample();
         save_coo3(&t, &path).unwrap();
         let back = load_coo3(&path).unwrap();
         assert_eq!(back.nnz(), t.nnz());
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

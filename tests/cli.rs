@@ -12,8 +12,10 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_haten2-cli"))
 }
 
+/// A fresh pid-unique directory; the test removes it when it is done.
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("haten2_cli_tests").join(name);
+    let dir = std::env::temp_dir().join(format!("haten2_cli_tests-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -78,6 +80,7 @@ fn generate_stats_decompose_roundtrip() {
     }
     let lambda = std::fs::read_to_string(format!("{}.lambda.txt", prefix.display())).unwrap();
     assert_eq!(lambda.trim().lines().count(), 3);
+    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
@@ -119,6 +122,7 @@ fn decompose_tucker_writes_core() {
     let core = haten2::tensor::io::load_coo3(format!("{}.core.tns", prefix.display())).unwrap();
     assert!(core.nnz() > 0);
     assert!(core.dims()[0] <= 2 && core.dims()[1] <= 3);
+    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
@@ -194,6 +198,7 @@ fn generate_kb_and_nonneg_and_complete() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("EM-ALS completion"));
+    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
@@ -235,6 +240,7 @@ fn convert_triples_to_tensor() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
@@ -321,4 +327,5 @@ fn variant_selection_works() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown variant"));
+    std::fs::remove_dir_all(dir).unwrap();
 }

@@ -96,12 +96,12 @@ fn distributed_tucker_matches_baseline_bit_for_bit() {
 fn tensor_io_roundtrip_through_decomposition() {
     // Write a tensor to disk, read it back, decompose both; identical runs.
     let x = random_tensor(&RandomTensorConfig::cubic(8, 60, 6));
-    let dir = std::env::temp_dir().join("haten2_e2e");
+    let dir = std::env::temp_dir().join(format!("haten2_e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("x.tns");
     haten2::tensor::io::save_coo3(&x, &path).unwrap();
     let y = haten2::tensor::io::load_coo3(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).unwrap();
 
     // Dims may shrink on load (inferred); decompose the loaded tensor and
     // the original restricted to the same dims.

@@ -88,13 +88,13 @@ fn completion_pipeline_through_cli_formats() {
     // more sweeps than worth spending in a test).
     assert!(em.fit() > 0.95, "fit = {}", em.fit());
 
-    let dir = std::env::temp_dir().join("haten2_ext_test");
+    let dir = std::env::temp_dir().join(format!("haten2_ext_test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("A.mat");
     haten2::linalg::save_mat(&em.factors[0], &path).unwrap();
     let back = haten2::linalg::load_mat(&path).unwrap();
     assert!(back.approx_eq(&em.factors[0], 1e-12));
-    std::fs::remove_file(path).ok();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
