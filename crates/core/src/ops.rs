@@ -381,7 +381,10 @@ pub fn pairwise_merge_job(
         &input,
         |_, rec: &MergeVal, emit| emit(rec.i, rec.clone()),
         |i, vals, emit| {
-            let mut by_jkr: HashMap<(u64, u64, u64), f64> = HashMap::new();
+            // Lookup-only join map (accumulation order follows `vals`),
+            // pre-sized for a group that is half T'' rows: a heavy
+            // power-law group otherwise rehashes ~17 times while it grows.
+            let mut by_jkr: HashMap<(u64, u64, u64), f64> = HashMap::with_capacity(vals.len() / 2);
             for v in &vals {
                 if v.side == 1 {
                     *by_jkr.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v;
@@ -487,7 +490,7 @@ pub fn pairwise_merge_split_job(
         },
         |i, vals, emit| {
             // Identical to pairwise_merge_job's reducer.
-            let mut by_jkr: HashMap<(u64, u64, u64), f64> = HashMap::new();
+            let mut by_jkr: HashMap<(u64, u64, u64), f64> = HashMap::with_capacity(vals.len() / 2);
             for v in &vals {
                 if v.side == 1 {
                     *by_jkr.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v;

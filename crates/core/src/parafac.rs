@@ -554,6 +554,31 @@ mod tests {
     }
 
     #[test]
+    fn dag_grants_dri_the_whole_pool_and_runs_dnn_inline() {
+        // The scheduler splits the pool per dependency level: DRI's
+        // IMHP → PairwiseMerge chain is two levels of one job, DNN's R
+        // independent 4-job chains are four levels R wide.
+        let threads = 4;
+        let x = random_coo([12, 5, 4], 80, 95);
+        let mut rng = StdRng::seed_from_u64(96);
+        let b = Mat::random(5, threads, &mut rng);
+        let c = Mat::random(4, threads, &mut rng);
+        for (variant, jobs, executors) in [(Variant::Dri, 2, threads), (Variant::Dnn, 16, 1)] {
+            let mut cfg = ClusterConfig::with_machines(4);
+            cfg.threads = threads;
+            let cluster = Cluster::new(cfg);
+            mttkrp(&cluster, variant, &x, 0, &b, &c).unwrap();
+            let granted: Vec<usize> = cluster
+                .metrics()
+                .jobs
+                .iter()
+                .map(|j| j.task_executors)
+                .collect();
+            assert_eq!(granted, vec![executors; jobs], "{variant}");
+        }
+    }
+
+    #[test]
     fn auto_policy_rewrites_only_under_skew() {
         use haten2_mapreduce::RewritePolicy;
         let r_dim = 2;

@@ -35,7 +35,7 @@ use crate::metrics::JobMetrics;
 use crate::size::{slice_est_bytes, EstimateSize};
 use crate::MrError;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -88,13 +88,14 @@ pub trait JobSite {
 
     /// How many pool executors this job's internal task broadcasts may
     /// use, given the cluster's configured `threads`. A bare [`Cluster`]
-    /// grants all of them; a scheduler batch running several jobs
-    /// concurrently divides the pool between in-flight jobs, so nested
-    /// broadcasts stop contending for the same workers — and on hosts
-    /// with fewer cores than concurrent jobs each job's tasks collapse to
-    /// inline execution with zero queue traffic. Purely a performance
-    /// knob: task results are independent of executor count by
-    /// construction.
+    /// grants all of them. A DAG batch divides the pool between the jobs
+    /// that share this job's *dependency depth* — the ones that can be in
+    /// flight together — so a job alone at its depth (every job of a
+    /// chain, the merge of a fan-in) keeps the whole pool, while the jobs
+    /// of a level at least `threads` wide run their tasks inline with zero
+    /// queue traffic. Recorded as [`JobMetrics::task_executors`]. Purely a
+    /// performance decision: task results are independent of executor
+    /// count by construction.
     fn task_parallelism(&self, threads: usize) -> usize {
         threads
     }
@@ -592,8 +593,10 @@ where
     // ---- Shuffle ---------------------------------------------------------
     // Zero-copy: each map task's per-partition runs move wholesale to
     // their reducer; accounting uses the runs' precomputed aggregates.
+    let map_done = Instant::now();
     let mut metrics = JobMetrics {
         name: spec.name.clone(),
+        task_executors: threads,
         ..Default::default()
     };
     // Lazily grown: partitions a job never emits into (common for tiny
@@ -634,6 +637,7 @@ where
     }
 
     // ---- Reduce phase ----------------------------------------------------
+    let shuffle_done = Instant::now();
     struct ReduceTaskResult<KO, VO> {
         output: ColumnBuffer<KO, VO>,
         groups: usize,
@@ -649,9 +653,10 @@ where
     // from the runs' key columns, then hands the reducer a cursor-backed
     // iterator — only `Vec`-signature reducers collect it. `Err(Some(e))`
     // is this partition's own failure; `Err(None)` means it aborted
-    // because another partition already failed.
-    let reduce_partition = |runs: Vec<ColumnRun<KM, VM>>,
-                            failed: &AtomicBool|
+    // because a smaller-index partition already failed.
+    let reduce_partition = |p: usize,
+                            runs: Vec<ColumnRun<KM, VM>>,
+                            first_failed: &AtomicUsize|
      -> Result<ReduceTaskResult<KO, VO>, Option<MrError>> {
         let mut cursors: Vec<RunCursor<KM, VM>> =
             runs.into_iter().map(ColumnRun::into_cursor).collect();
@@ -664,7 +669,7 @@ where
         // they both size the group and drive its cursor-backed iterator.
         let mut counts: Vec<u32> = Vec::with_capacity(cursors.len());
         loop {
-            if failed.load(Ordering::Relaxed) {
+            if first_failed.load(Ordering::Relaxed) < p {
                 return Err(None);
             }
             // Smallest key at the head of any run starts the next group.
@@ -753,38 +758,47 @@ where
         (0..num_reducers).map(|_| Mutex::new(None)).collect();
 
     let part_counter = AtomicUsize::new(0);
-    // On concurrent failures the one with the smallest partition index
-    // wins, matching what a sequential executor would report first.
+    // The job reports the failure of the smallest failing partition —
+    // exactly what a sequential scan reports first. `first_failed` is the
+    // smallest partition index known to have failed (`usize::MAX`: none).
+    // A partition is abandoned only when a *smaller* one failed, so the
+    // smallest failing partition always runs to its own first failing
+    // group and the reported error does not depend on executor count.
+    // Relaxed: the index only lets larger partitions stop early (a stale
+    // read costs wasted work, never a different result); the error itself
+    // travels through the `failure` mutex.
     let failure: Mutex<Option<(usize, MrError)>> = Mutex::new(None);
-    let failed = AtomicBool::new(false);
+    let first_failed = AtomicUsize::new(usize::MAX);
+    let fail = |p: usize, err: MrError| {
+        let mut slot = failure.lock().expect("failure slot poisoned");
+        if slot.as_ref().is_none_or(|(fp, _)| p < *fp) {
+            *slot = Some((p, err));
+        }
+        first_failed.fetch_min(p, Ordering::Relaxed);
+    };
 
     cluster
         .pool()
         .broadcast(threads.min(num_reducers), &|_executor| loop {
-            if failed.load(Ordering::Relaxed) {
-                break;
-            }
+            // Claims only grow, so once a smaller partition failed this
+            // executor has nothing left worth reducing.
             let p = part_counter.fetch_add(1, Ordering::Relaxed);
-            if p >= num_reducers {
+            if p >= num_reducers || first_failed.load(Ordering::Relaxed) < p {
                 break;
             }
             // Scheduled reduce-task budget exhaustion surfaces exactly like
             // any other per-partition failure: smallest partition wins.
             if let Some(f) = sched.as_ref().map(|s| &s.reduce[p]) {
                 if f.exhausted {
-                    let mut slot = failure.lock().expect("failure slot poisoned");
-                    if slot.as_ref().is_none_or(|(fp, _)| p < *fp) {
-                        *slot = Some((
-                            p,
-                            MrError::TaskFailed {
-                                job: spec.name.clone(),
-                                phase: "reduce",
-                                task: p,
-                                attempts: f.failed_attempts,
-                            },
-                        ));
-                    }
-                    failed.store(true, Ordering::Relaxed);
+                    fail(
+                        p,
+                        MrError::TaskFailed {
+                            job: spec.name.clone(),
+                            phase: "reduce",
+                            task: p,
+                            attempts: f.failed_attempts,
+                        },
+                    );
                     break;
                 }
             }
@@ -793,7 +807,7 @@ where
                 .expect("partition cell poisoned")
                 .take()
                 .expect("partition visited once");
-            match reduce_partition(runs, &failed) {
+            match reduce_partition(p, runs, &first_failed) {
                 Ok(result) => {
                     let prev = reduce_slots[p]
                         .lock()
@@ -802,11 +816,7 @@ where
                     assert!(prev.is_none(), "partition reduced once");
                 }
                 Err(Some(err)) => {
-                    let mut slot = failure.lock().expect("failure slot poisoned");
-                    if slot.as_ref().is_none_or(|(fp, _)| p < *fp) {
-                        *slot = Some((p, err));
-                    }
-                    failed.store(true, Ordering::Relaxed);
+                    fail(p, err);
                     break;
                 }
                 Err(None) => break,
@@ -818,6 +828,7 @@ where
     }
 
     // Assemble output and metrics in partition order — deterministic.
+    let reduce_done = Instant::now();
     let mut output = Vec::new();
     for slot in reduce_slots {
         let r = slot
@@ -838,7 +849,13 @@ where
         metrics.workers_blacklisted = s.workers_blacklisted;
     }
 
-    metrics.wall_time_s = started.elapsed().as_secs_f64();
+    let finished = Instant::now();
+    let secs = |from: Instant, to: Instant| to.duration_since(from).as_secs_f64();
+    metrics.map_s = secs(started, map_done);
+    metrics.shuffle_s = secs(map_done, shuffle_done);
+    metrics.reduce_s = secs(shuffle_done, reduce_done);
+    metrics.assemble_s = secs(reduce_done, finished);
+    metrics.wall_time_s = secs(started, finished);
     metrics.started_s = started_s;
     metrics.finished_s = started_s + metrics.wall_time_s;
     metrics.sim_time_s = CostModel::job_time_s(cfg, &metrics);

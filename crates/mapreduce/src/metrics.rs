@@ -62,6 +62,45 @@ pub struct JobMetrics {
     pub started_s: f64,
     /// Host time the job finished, in seconds since the cluster's epoch.
     pub finished_s: f64,
+    /// Pool executors the job's map and reduce broadcasts were granted
+    /// ([`crate::job::JobSite::task_parallelism`]): the cluster's `threads`
+    /// on a bare cluster or a sequential batch, the scheduler's per-level
+    /// split inside a DAG batch. Host-side, like the timings below.
+    pub task_executors: usize,
+    /// Host seconds from job start to the end of the map phase (plan
+    /// lookup, fault-schedule expansion, map tasks incl. seal and sort).
+    /// The four phase timers partition `wall_time_s`.
+    pub map_s: f64,
+    /// Host seconds moving sealed runs to their partitions.
+    pub shuffle_s: f64,
+    /// Host seconds in the reduce phase (k-way merge and reduce tasks).
+    pub reduce_s: f64,
+    /// Host seconds assembling the output in partition order.
+    pub assemble_s: f64,
+}
+
+impl JobMetrics {
+    /// This job's metrics with every host-side field zeroed: the timeline
+    /// stamps, the per-phase timers and the executor grant. Host
+    /// scheduling decides those, so they are the only fields allowed to
+    /// differ between executors, scheduler modes and thread counts — the
+    /// one definition of "excluded from bit-identity" every equivalence
+    /// test compares through. The reference executor leaves
+    /// `task_executors` and the phase timers at 0.
+    #[must_use]
+    pub fn without_host_time(&self) -> JobMetrics {
+        JobMetrics {
+            wall_time_s: 0.0,
+            started_s: 0.0,
+            finished_s: 0.0,
+            task_executors: 0,
+            map_s: 0.0,
+            shuffle_s: 0.0,
+            reduce_s: 0.0,
+            assemble_s: 0.0,
+            ..self.clone()
+        }
+    }
 }
 
 /// Metrics for a sequence of jobs (one decomposition, one experiment, …).
@@ -371,6 +410,22 @@ mod tests {
         run.push(job("a", 1, 0.1));
         assert_eq!(run.wall_s(), 0.0);
         assert_eq!(run.peak_concurrency(), 0);
+    }
+
+    #[test]
+    fn without_host_time_zeroes_exactly_the_host_fields() {
+        let m = JobMetrics {
+            wall_time_s: 0.4,
+            started_s: 1.0,
+            finished_s: 1.4,
+            task_executors: 4,
+            map_s: 0.1,
+            shuffle_s: 0.1,
+            reduce_s: 0.1,
+            assemble_s: 0.1,
+            ..job("j", 7, 1.5)
+        };
+        assert_eq!(m.without_host_time(), job("j", 7, 1.5));
     }
 
     #[test]

@@ -53,6 +53,14 @@
 //! least one per dependency chain, which is exactly the width of the
 //! registered pipelines' DAGs.
 //!
+//! **Pool split.** Scheduler workers and the jobs' own map/reduce tasks
+//! share one pool. [`Batch::run`] splits it statically per *dependency
+//! level* ([`level_split`]): a job alone at its depth keeps every
+//! executor, a level at least `threads` wide runs its jobs' tasks inline,
+//! and no more scheduler workers start than the widest level holds — a
+//! chain drains on the caller alone. The grant is recorded as
+//! [`JobMetrics::task_executors`]; it never reaches a result.
+//!
 //! **Dispatch order.** Ready jobs are popped
 //! longest-processing-time-first by estimated cost
 //! ([`Batch::set_cost_hint`], with a bytes-fed-in fallback from finished
@@ -120,9 +128,9 @@ pub struct JobCtx<'c> {
     ran: &'c AtomicBool,
     metrics: &'c OnceLock<JobMetrics>,
     preds: &'c [usize],
-    /// Intra-job task parallelism granted to this job, fixed when the
-    /// batch starts: the pool split between the batch's scheduler workers.
-    intra_threads: usize,
+    /// Pool executors granted to this job's task broadcasts, fixed when
+    /// the batch starts (see [`level_split`]).
+    task_executors: usize,
     /// The batch's dynamic race detector.
     #[cfg(feature = "race-detect")]
     detector: &'c Arc<crate::race::Detector>,
@@ -221,13 +229,13 @@ impl JobSite for JobCtx<'_> {
     }
 
     fn task_parallelism(&self, threads: usize) -> usize {
-        // Split the pool between the batch's scheduler workers, decided
-        // once up front: with as many DAG workers as threads, each job
-        // runs its tasks inline on its worker — zero nested-broadcast
-        // queue traffic. Purely a performance decision (results are
-        // independent of executor count); sequential batches keep full
-        // intra-job parallelism.
-        self.intra_threads.min(threads).max(1)
+        // The batch's static per-level split (`level_split`): a job alone
+        // at its dependency depth keeps the whole pool, a level at least
+        // `threads` wide runs every job's tasks inline on its scheduler
+        // worker with zero nested-broadcast queue traffic. Purely a
+        // performance decision (results are independent of executor
+        // count); sequential batches keep full intra-job parallelism.
+        self.task_executors.min(threads).max(1)
     }
 }
 
@@ -508,6 +516,7 @@ impl<'a> Batch<'a> {
             });
         }
         let preds = self.dependencies();
+        let depth = depths(&preds);
         let base = cluster.jobs_run();
         let ran: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
         let metrics: Vec<OnceLock<JobMetrics>> = (0..n).map(|_| OnceLock::new()).collect();
@@ -515,13 +524,14 @@ impl<'a> Batch<'a> {
         let jobs = &self.jobs;
         // Intra-job parallelism is fixed per batch: a sequential batch
         // gives each job the whole pool (one job in flight at a time); a
-        // DAG batch splits the pool evenly between its scheduler workers,
-        // so a full-width batch runs every job's tasks inline with no
-        // nested broadcasts at all.
+        // DAG batch splits the pool between the jobs of each dependency
+        // level, so a chain keeps the whole pool at every step and a
+        // full-width wave runs every job's tasks inline with no nested
+        // broadcasts at all.
         let threads = cluster.config().threads.max(1);
-        let intra_threads = match cluster.config().scheduler {
-            SchedulerMode::Sequential => threads,
-            SchedulerMode::Dag => (threads / threads.min(n)).max(1),
+        let (task_executors, dag_workers) = match cluster.config().scheduler {
+            SchedulerMode::Sequential => (vec![threads; n], 1),
+            SchedulerMode::Dag => level_split(&depth, threads),
         };
 
         // Dynamic race detection: every job registers its transitive
@@ -546,7 +556,7 @@ impl<'a> Batch<'a> {
             ran: &ran[j],
             metrics: &metrics[j],
             preds: &preds[j],
-            intra_threads,
+            task_executors: task_executors[j],
             #[cfg(feature = "race-detect")]
             detector: &detector,
             #[cfg(feature = "race-detect")]
@@ -642,6 +652,7 @@ impl<'a> Batch<'a> {
             }
             SchedulerMode::Dag => self.run_dag(
                 cluster,
+                dag_workers,
                 &preds,
                 &metrics,
                 &statuses,
@@ -670,12 +681,7 @@ impl<'a> Batch<'a> {
                 ),
             }
         }
-        let report = batch_report(
-            &cur.committed,
-            &preds,
-            cluster.config().threads.max(1),
-            worker_busy_s,
-        );
+        let report = batch_report(&cur.committed, &preds, &depth, threads, worker_busy_s);
         cluster.record_batch(report.clone());
         Ok(BatchResults { report })
     }
@@ -695,11 +701,19 @@ impl<'a> Batch<'a> {
     /// plain FIFO order. LPT only reorders *execution*; commit order (and
     /// therefore every output and metric) is unchanged.
     ///
+    /// `workers` is the widest dependency level capped at the configured
+    /// threads ([`level_split`]): a chain-shaped batch drains on one
+    /// worker — a `broadcast(1)`, inline on the caller with no pool
+    /// traffic — which leaves every pool thread to the jobs' own task
+    /// broadcasts.
+    ///
     /// Returns per-worker busy seconds (time spent inside `execute`),
     /// indexed by pool broadcast slot.
+    #[allow(clippy::too_many_arguments)]
     fn run_dag(
         &self,
         cluster: &Cluster,
+        workers: usize,
         preds: &[Vec<usize>],
         metrics: &[OnceLock<JobMetrics>],
         statuses: &[OnceLock<Status>],
@@ -731,7 +745,7 @@ impl<'a> Batch<'a> {
         // Worker count never affects results — on a single-core host the
         // whole DAG drains inline on the caller with zero pool traffic.
         let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let workers = cluster.config().threads.max(1).min(n).min(host);
+        let workers = workers.min(host);
         let busy: Vec<Mutex<f64>> = (0..workers).map(|_| Mutex::new(0.0f64)).collect();
         cluster.pool().broadcast(workers, &|executor| loop {
             let next = lpt_pick(&mut ready.lock().expect("ready queue poisoned"), &est_cost);
@@ -808,26 +822,58 @@ fn base_set(names: &[String]) -> Vec<String> {
     out
 }
 
+/// Dependency depth of every job: 1 for a job with no predecessors, else
+/// one more than its deepest predecessor. Submission order is topological
+/// (dependency edges only point backwards), so a single pass suffices.
+fn depths(preds: &[Vec<usize>]) -> Vec<usize> {
+    let mut depth = vec![0usize; preds.len()];
+    for (j, ps) in preds.iter().enumerate() {
+        depth[j] = 1 + ps.iter().map(|&p| depth[p]).max().unwrap_or(0);
+    }
+    depth
+}
+
+/// The DAG scheduler's static split of `threads` pool executors, computed
+/// once per batch from the dependency depths: the task executors granted
+/// to each job, and the number of scheduler workers to start.
+///
+/// Jobs at the same depth are the ones that can be in flight together, so
+/// a job at a level holding `w` jobs gets `threads / min(threads, w)`
+/// executors (never below 1, for `threads >= 1`), and the scheduler needs
+/// no more workers than the widest level. The batch's job *count* never enters: a two-job chain
+/// is two levels of one job, so both jobs keep the whole pool instead of
+/// running with every task inline on one thread while the others idle.
+/// Jobs of different depths can still overlap (a slow level-1 job next to
+/// a fast sibling's dependent), which only over-asks: the pool's broadcast
+/// is help-first and tasks are claimed from an atomic counter, so an
+/// executor that arrives late finds no work.
+fn level_split(depth: &[usize], threads: usize) -> (Vec<usize>, usize) {
+    let mut width = vec![0usize; depth.iter().max().map_or(0, |d| d + 1)];
+    for &d in depth {
+        width[d] += 1;
+    }
+    let executors = depth
+        .iter()
+        .map(|&d| threads / threads.min(width[d]))
+        .collect();
+    let workers = threads.min(width.iter().copied().max().unwrap_or(1));
+    (executors, workers)
+}
+
 /// Concurrency accounting over the committed jobs of one batch.
 fn batch_report(
     committed: &RunMetrics,
     preds: &[Vec<usize>],
+    depth: &[usize],
     slots: usize,
     worker_busy_s: Vec<f64>,
 ) -> BatchReport {
     let n = committed.jobs.len();
-    // Longest dependency chain, in jobs and in host seconds.
-    let mut depth = vec![0usize; n];
+    // Longest dependency chain in host seconds.
     let mut path_s = vec![0.0f64; n];
     for j in 0..n {
-        let mut best_depth = 0;
-        let mut best_s = 0.0f64;
-        for &p in &preds[j] {
-            best_depth = best_depth.max(depth[p]);
-            best_s = best_s.max(path_s[p]);
-        }
-        depth[j] = best_depth + 1;
-        path_s[j] = best_s + committed.jobs[j].wall_time_s;
+        let longest = preds[j].iter().map(|&p| path_s[p]).fold(0.0, f64::max);
+        path_s[j] = longest + committed.jobs[j].wall_time_s;
     }
     BatchReport {
         jobs: n,
@@ -933,7 +979,7 @@ mod tests {
     #[test]
     fn dag_and_sequential_are_bit_identical() {
         let input: Vec<(u64, f64)> = (0..64).map(|i| (i, i as f64)).collect();
-        type ModeOutcome = (Vec<Vec<(u64, f64)>>, RunMetrics);
+        type ModeOutcome = (Vec<Vec<(u64, f64)>>, Vec<JobMetrics>);
         let mut all: Vec<ModeOutcome> = Vec::new();
         let mut sims: Vec<(f64, f64)> = Vec::new();
         for mode in [SchedulerMode::Sequential, SchedulerMode::Dag] {
@@ -955,24 +1001,91 @@ mod tests {
             ));
             let outs: Vec<Vec<(u64, f64)>> =
                 handles.into_iter().map(|h| h.take().unwrap()).collect();
-            let mut m = c.metrics();
-            for j in &mut m.jobs {
-                j.wall_time_s = 0.0;
-                j.started_s = 0.0;
-                j.finished_s = 0.0;
-                j.sim_time_s = 0.0;
-            }
+            let jobs = c.metrics().jobs;
+            let m: Vec<JobMetrics> = jobs.iter().map(JobMetrics::without_host_time).collect();
             all.push((outs, m));
         }
         assert_eq!(all[0].0, all[1].0, "outputs differ across modes");
         assert_eq!(all[0].1, all[1].1, "metrics differ across modes");
         assert_eq!(sims[0], sims[1], "simulated schedule differs across modes");
         // Commit order is submission order in both modes.
-        let names: Vec<&str> = all[1].1.jobs.iter().map(|j| j.name.as_str()).collect();
+        let names: Vec<&str> = all[1].1.iter().map(|j| j.name.as_str()).collect();
         assert_eq!(
             names,
             ["scale0", "rescale0", "scale1", "rescale1", "scale2", "rescale2"]
         );
+    }
+
+    /// `level_split` over the dependency edges `preds`, at `threads`.
+    fn split(preds: &[&[usize]], threads: usize) -> (Vec<usize>, usize) {
+        let preds: Vec<Vec<usize>> = preds.iter().map(|p| p.to_vec()).collect();
+        level_split(&depths(&preds), threads)
+    }
+
+    #[test]
+    fn level_split_gives_a_chain_the_whole_pool_on_one_worker() {
+        // DRI's IMHP → PairwiseMerge, and any longer chain: every level
+        // holds one job, whatever the batch's job count.
+        assert_eq!(split(&[&[], &[0]], 2), (vec![2, 2], 1));
+        assert_eq!(split(&[&[], &[0], &[1], &[2]], 4), (vec![4; 4], 1));
+        // A single-job batch is a one-job chain.
+        assert_eq!(split(&[&[]], 4), (vec![4], 1));
+        assert_eq!(split(&[&[]], 1), (vec![1], 1));
+    }
+
+    #[test]
+    fn level_split_runs_a_wide_wave_inline() {
+        // 300 independent jobs, and R = 4 independent 2-job chains (Naive,
+        // DNN): every level is at least `threads` wide.
+        assert_eq!(split(&vec![&[][..]; 300], 2), (vec![1; 300], 2));
+        let chains: [&[usize]; 8] = [&[], &[0], &[], &[2], &[], &[4], &[], &[6]];
+        assert_eq!(split(&chains, 4), (vec![1; 8], 4));
+        // A level narrower than the pool shares it evenly, rounding down.
+        assert_eq!(split(&[&[], &[]], 4), (vec![2, 2], 2));
+        assert_eq!(split(&[&[], &[], &[]], 8), (vec![2, 2, 2], 3));
+    }
+
+    #[test]
+    fn level_split_fan_in_fan_out_and_diamond() {
+        // Fan-in (DRN): R Hadamard jobs, then one merge reading them all.
+        assert_eq!(
+            split(&[&[], &[], &[], &[], &[0, 1, 2, 3]], 4),
+            (vec![1, 1, 1, 1, 4], 4)
+        );
+        // Fan-out and back in (`heavy-key-split`): IMHP → M splits →
+        // mergeparts. The single-job levels get the full pool.
+        assert_eq!(
+            split(&[&[], &[0], &[0], &[0], &[0], &[1, 2, 3, 4]], 4),
+            (vec![4, 1, 1, 1, 1, 4], 4)
+        );
+        // Diamond: the two-job middle level halves the pool.
+        assert_eq!(split(&[&[], &[0], &[0], &[1, 2]], 4), (vec![4, 2, 2, 4], 2));
+        // Depth is the *longest* path: a job reading levels 1 and 2 sits
+        // on level 3, alone.
+        assert_eq!(split(&[&[], &[0], &[0, 1]], 4), (vec![4, 4, 4], 1));
+    }
+
+    #[test]
+    fn level_split_commits_task_executors_per_level() {
+        let input: Vec<(u64, f64)> = (0..64).map(|i| (i, i as f64)).collect();
+        let executors = |mode, chains: usize| -> Vec<usize> {
+            let c = cluster(mode);
+            let mut batch = Batch::new();
+            for col in 0..chains {
+                let _ = submit_chain(&mut batch, &input, col);
+            }
+            batch.run(&c).unwrap();
+            let jobs = c.metrics().jobs;
+            jobs.iter().map(|j| j.task_executors).collect()
+        };
+        // One 2-job chain on `threads = 4`: both jobs keep the whole pool.
+        assert_eq!(executors(SchedulerMode::Dag, 1), [4, 4]);
+        // Four chains make both levels 4 wide: tasks stay inline.
+        assert_eq!(executors(SchedulerMode::Dag, 4), [1; 8]);
+        // Two chains share the pool per level.
+        assert_eq!(executors(SchedulerMode::Dag, 2), [2; 4]);
+        // Sequential mode is unchanged: every job gets `threads`.
+        assert_eq!(executors(SchedulerMode::Sequential, 4), [4; 8]);
     }
 
     #[test]

@@ -46,11 +46,8 @@ fn geometry() -> impl Strategy<Value = (usize, usize, usize)> {
 
 /// Non-host-time metrics of the first (only) job run on a cluster.
 fn job_metrics(c: &Cluster) -> JobMetrics {
-    let mut m = c.metrics().jobs.first().cloned().unwrap_or_default();
-    m.wall_time_s = 0.0;
-    m.started_s = 0.0;
-    m.finished_s = 0.0;
-    m
+    let first = c.metrics().jobs.first().cloned().unwrap_or_default();
+    first.without_host_time()
 }
 
 fn wc_mapper(_id: &u64, words: &Vec<u64>, emit: &mut dyn FnMut(u64, u64)) {

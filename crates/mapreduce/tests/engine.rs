@@ -78,6 +78,17 @@ fn results_independent_of_thread_count() {
             None => reference = Some(out),
             Some(r) => assert_eq!(&out, r, "threads={threads}"),
         }
+        // Host-side fields: a bare cluster grants the job every thread,
+        // and the four phase timers partition its wall time.
+        let job = &cluster.metrics().jobs[0];
+        assert_eq!(job.task_executors, threads);
+        let phases = job.map_s + job.shuffle_s + job.reduce_s + job.assemble_s;
+        assert!(
+            (phases - job.wall_time_s).abs() <= 1e-9,
+            "phases {phases} vs wall {}",
+            job.wall_time_s
+        );
+        assert!(job.map_s > 0.0 && job.reduce_s > 0.0, "threads={threads}");
     }
 }
 

@@ -103,11 +103,8 @@ fn word_count(
     } else {
         run_job(&cluster, JobSpec::named("wc"), input, mapper, reducer)
     };
-    let mut m = cluster.metrics().jobs.first().cloned().unwrap_or_default();
-    m.wall_time_s = 0.0;
-    m.started_s = 0.0;
-    m.finished_s = 0.0;
-    (out, m)
+    let first = cluster.metrics().jobs.first().cloned().unwrap_or_default();
+    (out, first.without_host_time())
 }
 
 proptest! {
@@ -242,17 +239,8 @@ fn sched_cluster(mode: SchedulerMode, threads: usize, plan: Option<FaultPlan>) -
 /// fields allowed to differ between scheduler modes (host scheduling
 /// decides them; every simulated counter must stay bit-identical).
 fn normalized_jobs(cluster: &Cluster) -> Vec<JobMetrics> {
-    cluster
-        .metrics()
-        .jobs
-        .into_iter()
-        .map(|mut m| {
-            m.wall_time_s = 0.0;
-            m.started_s = 0.0;
-            m.finished_s = 0.0;
-            m
-        })
-        .collect()
+    let jobs = cluster.metrics().jobs;
+    jobs.iter().map(JobMetrics::without_host_time).collect()
 }
 
 /// Batch structure (job count, measured critical-path length) per batch.

@@ -72,6 +72,39 @@ fn deep_nesting_reuses_the_same_pool() {
 }
 
 #[test]
+fn inline_scheduler_loop_nests_full_pool_broadcasts() {
+    // The shape a chain-shaped DAG batch runs in: the scheduler loop is a
+    // `broadcast(1)` — inline on the caller, nothing queued — and each
+    // "job" inside it broadcasts its tasks to the full pool twice (map,
+    // then reduce), claiming them from an atomic counter. Every task must
+    // run exactly once and no round may hang.
+    let pool = WorkerPool::new(MAX_WORKERS);
+    const TASKS: usize = 40;
+    for round in 0..200 {
+        let runs: Vec<AtomicUsize> = (0..2 * TASKS).map(|_| AtomicUsize::new(0)).collect();
+        let scheduler_runs = AtomicUsize::new(0);
+        pool.broadcast(1, &|executor| {
+            assert_eq!(executor, 0);
+            scheduler_runs.fetch_add(1, Ordering::Relaxed);
+            for phase in 0..2 {
+                let next = AtomicUsize::new(0);
+                pool.broadcast(MAX_WORKERS + 1, &|_| loop {
+                    let t = next.fetch_add(1, Ordering::Relaxed);
+                    if t >= TASKS {
+                        break;
+                    }
+                    runs[phase * TASKS + t].fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        });
+        assert_eq!(scheduler_runs.load(Ordering::Relaxed), 1, "round {round}");
+        for (t, n) in runs.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Relaxed), 1, "round {round} task {t}");
+        }
+    }
+}
+
+#[test]
 fn panics_interleaved_with_work_leave_pool_usable() {
     let pool = WorkerPool::new(MAX_WORKERS);
     for round in 0..200 {
