@@ -2,14 +2,15 @@
 //! consumed, never clobbered while live, and never written for nothing.
 //!
 //! The pass walks a [`JobGraph`]'s templates in execution order at
-//! *template* granularity: the instances of one template (e.g. the `Q`
-//! Hadamard jobs `tucker-dnn-had-b{}`) all append to the same dataset and
-//! count as a single write event. Driver-provided inputs are modelled as a
-//! write by the pseudo-producer [`DRIVER`] that happens before the first
-//! job.
+//! *template* and *dataset* granularity: the instances of one template
+//! (e.g. the `Q` Hadamard jobs `tucker-dnn-had-b{}`, each writing its own
+//! shard `t_prime#{}`) all write the same dataset and count as a single
+//! write event, and a read of any shard is a read of the dataset.
+//! Driver-provided inputs are modelled as a write by the pseudo-producer
+//! [`DRIVER`] that happens before the first job.
 
 use crate::Violation;
-use haten2_mapreduce::JobGraph;
+use haten2_mapreduce::{dataset_base, JobGraph};
 use std::collections::HashMap;
 
 /// Pseudo-producer name for datasets that exist before the first job
@@ -46,7 +47,7 @@ pub fn check_dataflow(graph: &JobGraph) -> Vec<Violation> {
 
     for job in &graph.jobs {
         for ds in &job.reads {
-            match state.get_mut(ds) {
+            match state.get_mut(dataset_base(ds)) {
                 Some(s) => s.read_since_write = true,
                 None => violations.push(Violation::DanglingRead {
                     job: job.name.clone(),
@@ -54,18 +55,18 @@ pub fn check_dataflow(graph: &JobGraph) -> Vec<Violation> {
                 }),
             }
         }
-        for ds in &job.writes {
+        for ds in job.writes.iter().map(|ds| dataset_base(ds)) {
             if let Some(s) = state.get(ds) {
                 if !s.read_since_write {
                     violations.push(Violation::LostWrite {
                         job: job.name.clone(),
-                        dataset: ds.clone(),
+                        dataset: ds.to_string(),
                         prior_job: s.last_writer.clone(),
                     });
                 }
             }
             state.insert(
-                ds.clone(),
+                ds.to_string(),
                 DatasetState {
                     last_writer: job.name.clone(),
                     read_since_write: false,

@@ -315,12 +315,11 @@ pub fn full_json(report: &Report) -> String {
         }
         let _ = write!(
             out,
-            "{{\"graph\":\"{}\",\"certified\":{},\"jobs_checked\":{},\"templates_matched\":{},\"templates_total\":{}}}",
+            "{{\"graph\":\"{}\",\"certified\":{},\"jobs_checked\":{},\"rewritten_jobs_checked\":{}}}",
             esc(&c.graph),
             c.certified(),
             c.jobs_checked,
-            c.templates_matched,
-            c.templates_total
+            c.rewritten_jobs_checked
         );
     }
     out.push_str("],");

@@ -4,8 +4,8 @@
 //! variant, the maximum intermediate data of any MapReduce job, the total
 //! number of jobs per iteration, and how often the (billion-scale) input
 //! tensor is re-read. This crate checks those claims against the
-//! declarative [`JobGraph`]s the pipelines register in
-//! `haten2_core::plan`, without executing anything:
+//! [`JobGraph`]s `haten2_core::plan` registers — the same values its
+//! submitter executes — without executing anything:
 //!
 //! * **Dataflow pass** ([`dataflow::check_dataflow`]) — every dataset is
 //!   produced before it is consumed, never overwritten while live, and
@@ -41,21 +41,21 @@
 //!   symbolic worst-case recovery bound `k · max(chains)` printed next to
 //!   the paper's job counts.
 //! * **Determinism pass** ([`determinism::check_determinism`]) — scans
-//!   the map/reduce closures the real pipelines submit (via
+//!   the map/reduce closures of the pipelines' kernels (via
 //!   `haten2-srcscan`) for UDF impurity: unordered `HashMap`/`HashSet`
 //!   iteration feeding emits, wall-clock reads, thread-id dependence, and
 //!   float reductions not declared commutative-associative in plan
 //!   metadata (each declaration is property-checked by a generated
 //!   proptest per reducer).
-//! * **Races pass** ([`races::check_races`]) — infers the dataset names
-//!   each submitted closure actually touches (via `haten2-srcscan`
-//!   effect inference, including `#shard` patterns), proves inferred ⊆
-//!   declared per batch, expands every registered graph at a witness
-//!   environment, and certifies that no two jobs unordered by declared
-//!   dependencies conflict — plus an adversarial-schedule replay showing
-//!   every topological order commutes with the submission-order oracle.
-//!   The `race-detect` feature of the engine is the dynamic counterpart;
-//!   the chaos harness cross-validates the two.
+//! * **Races pass** ([`races::check_races`]) — the pipelines' submitter
+//!   declares exactly what a graph expands to and gives a job nothing its
+//!   declared reads do not name, so the pass expands every registered
+//!   graph, and every certified rewrite of one, at a witness environment
+//!   and certifies that no two jobs unordered by declared dependencies
+//!   conflict — plus an adversarial-schedule replay showing every
+//!   topological order commutes with the submission-order oracle. The
+//!   `race-detect` feature of the engine is the dynamic counterpart; the
+//!   chaos harness cross-validates the two.
 //! * **Lint pass** — source-level rules (forbidden APIs, undocumented
 //!   `unsafe`, `unwrap` in library code) live in the `xtask` package
 //!   (`cargo xtask lint`), layered on the same `haten2-srcscan` scanner:
@@ -91,7 +91,7 @@ pub use dataflow::check_dataflow;
 pub use determinism::{check_determinism, check_plan_consistency, DeterminismReport};
 pub use fixture::{load_plan_fixture, run_plan_fixture, PlanFixture};
 pub use io::{durable_io_table, tensor_record_bytes, DurableIoRow};
-pub use races::{check_races, race_certified, GraphRaceCert, RaceCertReport};
+pub use races::{check_races, race_certified, GraphRaceCert};
 pub use recovery::{certify, Certification, RecoveryBound};
 pub use report::{verify_paper_table, Report, RowVerdict};
 pub use rewrite::{certify_rewrite, HeavyKeySplit, PlanRewrite, RewriteCert, REWRITE_RULES};

@@ -28,7 +28,7 @@
 //!    producer chain; the report prints it next to the paper's job counts.
 
 use crate::Violation;
-use haten2_mapreduce::{JobGraph, RecoverySpec, SymExpr, MAX_RECOVERY_DEPTH};
+use haten2_mapreduce::{dataset_base, JobGraph, RecoverySpec, SymExpr, MAX_RECOVERY_DEPTH};
 use std::collections::BTreeMap;
 
 /// The symbolic worst-case recovery cost of one certified plan.
@@ -83,7 +83,9 @@ fn chain_depth(
     ds: &str,
     memo: &mut BTreeMap<String, Walk>,
 ) -> Result<usize, Box<Violation>> {
-    if graph.inputs.iter().any(|d| d == ds) {
+    // Lineage is per dataset: losing any shard re-runs its producer.
+    let ds = dataset_base(ds);
+    if graph.is_input(ds) {
         return Ok(0);
     }
     match memo.get(ds) {
@@ -137,7 +139,7 @@ fn chain_cost(graph: &JobGraph, ds: &str) -> SymExpr {
         c => c.clone() * producer.records.clone(),
     };
     for r in &producer.reads {
-        if !graph.inputs.iter().any(|d| d == r) {
+        if !graph.is_input(r) {
             cost = cost + chain_cost(graph, r);
         }
     }
@@ -195,10 +197,13 @@ pub fn certify(graph: &JobGraph, spec: &RecoverySpec) -> Certification {
     // before the driver consumes it; its re-derivation chain bounds
     // recovery the same way. Datasets some job reads were already walked
     // above (with better blame attribution), so only true outputs remain.
-    let read_somewhere: std::collections::BTreeSet<&String> =
-        graph.jobs.iter().flat_map(|j| j.reads.iter()).collect();
+    let read_somewhere: std::collections::BTreeSet<&str> = graph
+        .jobs
+        .iter()
+        .flat_map(|j| j.reads.iter().map(|r| dataset_base(r)))
+        .collect();
     for ds in graph.produced_datasets() {
-        if read_somewhere.contains(&ds) {
+        if read_somewhere.contains(ds.as_str()) {
             continue;
         }
         match chain_depth(graph, spec, &ds, &mut memo) {

@@ -13,12 +13,10 @@
 //! 1. **dataflow sanity** — the rewritten graph goes back through
 //!    [`crate::dataflow::check_dataflow`]; any wiring defect (dangling
 //!    read, lost write, unused dataset) rejects the rewrite;
-//! 2. **race-freedom** — the rewritten templates are expanded into
-//!    per-instance [`EffectModel`]s (plan declarations are taken as both
-//!    declared and inferred effects: the rewrite output has no source
-//!    text to scan yet, so it is held to its own declarations) and run
-//!    through the same pairwise rules and adversarial serializability
-//!    replay as [`crate::races`];
+//! 2. **race-freedom** — the rewritten graph is expanded into
+//!    per-instance [`EffectModel`]s ([`plan_models`]) and run through the
+//!    same pairwise rules and adversarial serializability replay as
+//!    [`crate::races`];
 //! 3. **volume non-inflation** — the rewritten graph's
 //!    [`JobGraph::shuffle_bytes`] must stay within the rewrite's declared
 //!    factor of the original on every regime environment, so a "heavy
@@ -36,6 +34,7 @@
 
 use crate::races::serializability_check;
 use crate::{dataflow, Violation};
+use haten2_mapreduce::rewrite::heavy_key_split_target;
 use haten2_mapreduce::{Env, JobGraph};
 use haten2_srcscan::effects::{check_model, EffectModel};
 
@@ -94,35 +93,23 @@ impl RewriteCert {
     }
 }
 
-/// Expand a graph's templates into per-instance effect models at `env`,
-/// taking the plan's declared reads/writes as both declared and inferred
-/// effects (a rewrite output has no source text to scan). `{}` in a
-/// name/dataset is substituted with the instance index for multi-instance
-/// templates and kept as a shard wildcard for single-instance ones.
+/// The batch program `graph` expands to at `env`: one effect model per job
+/// instance, in submission order, with exactly the `(name, reads, writes)`
+/// the pipelines' submitter declares for it ([`JobGraph::expand`]). The
+/// declarations stand for the effects too: the submitter hands a job the
+/// shards its declared reads name and nothing else.
 pub fn plan_models(graph: &JobGraph, env: &Env) -> Vec<EffectModel> {
-    let mut models = Vec::new();
-    for t in &graph.jobs {
-        let count = t.count.eval(env);
-        for i in 0..count {
-            let subst = |s: &str| {
-                if count > 1 {
-                    s.replace("{}", &i.to_string())
-                } else {
-                    s.to_string()
-                }
-            };
-            let reads: Vec<String> = t.reads.iter().map(|d| subst(d)).collect();
-            let writes: Vec<String> = t.writes.iter().map(|d| subst(d)).collect();
-            models.push(EffectModel {
-                name: subst(&t.name),
-                declared_reads: reads.clone(),
-                declared_writes: writes.clone(),
-                inferred_reads: reads,
-                inferred_writes: writes,
-            });
-        }
-    }
-    models
+    graph
+        .expand(env)
+        .into_iter()
+        .map(|inst| EffectModel {
+            name: inst.name,
+            declared_reads: inst.reads.clone(),
+            declared_writes: inst.writes.clone(),
+            inferred_reads: inst.reads,
+            inferred_writes: inst.writes,
+        })
+        .collect()
 }
 
 /// Re-check a rewrite's output graph from scratch: dataflow sanity,
@@ -227,18 +214,12 @@ pub fn certify_rewrite(rewrite: &dyn PlanRewrite, graph: &JobGraph, envs: &[Env]
 ///
 /// The transform itself lives in
 /// [`haten2_mapreduce::rewrite::heavy_key_split`] and is shared with the
-/// runtime: the pipelines submit the *same* rewritten graph this certifier
-/// checks (gated through `haten2_core::certified_rewrite_for`), so the
-/// executed graph cannot drift from the certified one.
+/// runtime: `haten2_core::plan::run_pipeline` executes the *same*
+/// rewritten graph this certifier checks (gated through
+/// `haten2_core::certified_rewrite_for`), so the executed graph cannot
+/// drift from the certified one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HeavyKeySplit;
-
-/// Index of the job [`HeavyKeySplit`] targets: the last single-instance
-/// comm-assoc job that writes a graph output. Delegates to the shared
-/// runtime transform's target selection.
-fn split_target(graph: &JobGraph) -> Option<usize> {
-    haten2_mapreduce::rewrite::heavy_key_split_target(graph)
-}
 
 impl PlanRewrite for HeavyKeySplit {
     fn name(&self) -> &str {
@@ -275,7 +256,7 @@ impl PlanRewrite for HeavyKeySplitNoCombine {
 
     fn apply(&self, graph: &JobGraph) -> JobGraph {
         let mut out = HeavyKeySplit.apply(graph);
-        let Some(at) = split_target(graph) else {
+        let Some(at) = heavy_key_split_target(graph) else {
             return out;
         };
         // Restore the pre-split per-instance cost on the split job: M
@@ -303,10 +284,10 @@ impl PlanRewrite for HeavyKeySplitTypoMerge {
 
     fn apply(&self, graph: &JobGraph) -> JobGraph {
         let mut out = HeavyKeySplit.apply(graph);
-        let Some(at) = split_target(graph) else {
+        let Some(at) = heavy_key_split_target(graph) else {
             return out;
         };
-        out.jobs[at + 1].reads = vec![format!("{}__parts#{{}}", graph.jobs[at].writes[0])];
+        out.jobs[at + 1].reads = vec![format!("{}__parts", graph.jobs[at].writes[0])];
         out
     }
 }
@@ -499,8 +480,8 @@ mod tests {
         let rw = HeavyKeySplit.apply(&g);
         let env = haten2_core::env_for([4, 5, 6], 20, 2, 3, 4);
         let models = plan_models(&rw, &env);
-        // M = 4 split instances with concrete shards + the merge keeping
-        // its wildcard read.
+        // M = 4 split instances with concrete shards + the merge reading
+        // every one of them.
         let splits: Vec<&EffectModel> = models
             .iter()
             .filter(|m| m.name.starts_with("tucker-dri-crossmerge-split"))
@@ -511,7 +492,7 @@ mod tests {
             .iter()
             .find(|m| m.name == "tucker-dri-crossmerge-mergeparts")
             .unwrap();
-        assert_eq!(merge.declared_reads, ["y__part#{}"]);
+        assert_eq!(merge.declared_reads, ["y__part"]);
         assert!(check_model(&models).is_empty());
     }
 }

@@ -6,7 +6,7 @@
 
 use super::experiment_cluster;
 use crate::ExpTable;
-use haten2_core::{parafac, tucker, Variant};
+use haten2_core::{env_for, parafac, plan_for, tucker, Decomp, Variant};
 use haten2_data::random::{random_tensor, RandomTensorConfig};
 use haten2_linalg::Mat;
 use haten2_tensor::ops::ttm;
@@ -52,6 +52,13 @@ pub fn table2_methods() -> ExpTable {
     t
 }
 
+/// The "Total Jobs" column of Tables III/IV, read off the registered plan.
+fn planned_jobs(decomp: Decomp, variant: Variant, q: usize, r: usize) -> u128 {
+    plan_for(decomp, variant)
+        .total_jobs()
+        .eval(&env_for([0; 3], 0, q, r, 1))
+}
+
 /// Table III: Tucker cost summary — measured max intermediate records and
 /// job counts per variant, against the analytic formulas.
 pub fn table3_tucker_costs(i_dim: u64, nnz: usize, q: usize, r: usize) -> ExpTable {
@@ -69,7 +76,7 @@ pub fn table3_tucker_costs(i_dim: u64, nnz: usize, q: usize, r: usize) -> ExpTab
             Variant::Drn | Variant::Dri => format!("nnz*(Q+R) = {}", n * (q + r)),
         }
     };
-    let analytic_jobs = |v: Variant| tucker::expected_jobs(v, q, r);
+    let analytic_jobs = |v: Variant| planned_jobs(Decomp::Tucker, v, q, r);
 
     let mut t = ExpTable::new(
         format!("Table III: Tucker costs for X x2 Bt x3 Ct (nnz={n}, I={i_dim}, Q={q}, R={r})"),
@@ -155,7 +162,7 @@ pub fn table4_parafac_costs(i_dim: u64, nnz: usize, r: usize) -> ExpTable {
             inter,
             analytic_inter(v),
             jobs,
-            parafac::expected_jobs(v, r).to_string(),
+            planned_jobs(Decomp::Parafac, v, r, r).to_string(),
         ]);
     }
     t

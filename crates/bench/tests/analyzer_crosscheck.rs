@@ -4,12 +4,12 @@
 //! For random `(dims, rank, nnz)` in generic position (strictly positive
 //! tensor values and factors, so no product cancels), every job the
 //! runtime pipelines submit is compared against the expanded `JobGraph`:
-//! same job names, and per job either *exactly* the predicted map-output
-//! records and shuffle bytes (jobs marked `exact` — all of DRI) or at
-//! most the predicted upper bound. This pins the paper-table verification
-//! of `haten2-analyze` to the real engine: if a pipeline or a record
-//! type drifts, the static table silently verifying the wrong thing is
-//! impossible — this test fails instead.
+//! same job names in the same order, and per job either *exactly* the
+//! predicted map-output records and shuffle bytes (jobs marked `exact` —
+//! all of DRI) or at most the predicted upper bound. This pins the
+//! paper-table verification of `haten2-analyze` to the real engine: if a
+//! kernel or a record type drifts, the static table silently verifying
+//! the wrong thing is impossible — this test fails instead.
 
 // Test code: `unwrap` is the assertion (allowed by the workspace clippy
 // policy only here).
@@ -48,25 +48,23 @@ fn generic_mat(rows: usize, cols: usize, rng: &mut StdRng) -> Mat {
     Mat::from_rows(&data).unwrap()
 }
 
-/// Compare predicted instances against metered jobs: equal name multisets;
-/// exact jobs match records and shuffle bytes exactly, bounded jobs never
-/// exceed the prediction. (Sorted by name because the PARAFAC Naive/DNN
-/// drivers interleave their per-column jobs.)
+/// Compare predicted instances against metered jobs: the same names in
+/// the same order (`expand` yields submission order, which is commit
+/// order); exact jobs match records and shuffle bytes exactly, bounded jobs
+/// never exceed the prediction.
 fn crosscheck(
     label: &str,
-    mut predicted: Vec<JobInstance>,
+    predicted: Vec<JobInstance>,
     metered: &haten2_mapreduce::RunMetrics,
 ) -> Result<(), TestCaseError> {
-    let mut actual: Vec<&haten2_mapreduce::JobMetrics> = metered.jobs.iter().collect();
-    predicted.sort_by(|a, b| a.name.cmp(&b.name));
-    actual.sort_by(|a, b| a.name.cmp(&b.name));
+    let actual = &metered.jobs;
     prop_assert_eq!(
         predicted.iter().map(|p| p.name.clone()).collect::<Vec<_>>(),
         actual.iter().map(|j| j.name.clone()).collect::<Vec<_>>(),
         "{}: job names",
         label
     );
-    for (p, j) in predicted.iter().zip(&actual) {
+    for (p, j) in predicted.iter().zip(actual) {
         if p.exact {
             prop_assert_eq!(
                 p.records,

@@ -8,15 +8,17 @@
 //! job joining them on the target-mode index — exactly two jobs per mode
 //! regardless of rank, matching the DRI row of Table IV.
 //!
-//! The two jobs are submitted as one (graphless) [`Batch`]: there is no
-//! registered [`haten2_mapreduce::JobGraph`] for the generic N-way
-//! pipeline, so the batch skips template validation and the jobs keep
-//! their explicit [`JobSpec::with_map_emit_hint`] overrides — the
-//! documented escape hatch when no plan IR exists to derive hints from.
+//! A two-job chain has nothing to schedule, so the two jobs run one after
+//! the other straight on the [`Cluster`], the second consuming the first's
+//! output by value. There is no registered
+//! [`haten2_mapreduce::JobGraph`] for the generic N-way pipeline, so the
+//! jobs keep their explicit [`JobSpec::with_map_emit_hint`] overrides —
+//! the documented escape hatch when no plan IR exists to derive hints
+//! from.
 
 use crate::{CoreError, Result};
 use haten2_linalg::{pinv, Mat};
-use haten2_mapreduce::{run_job, Batch, Cluster, EstimateSize, JobSite, JobSpec, RunMetrics};
+use haten2_mapreduce::{run_job, Cluster, EstimateSize, JobSite, JobSpec, RunMetrics};
 use haten2_tensor::DynTensor;
 
 /// Expanded record from the N-way IMHP job: `((side, full index, column),
@@ -143,6 +145,15 @@ fn nway_imhp(
     Ok(out)
 }
 
+/// The expanded records as the merge jobs' map input, taken by value: the
+/// index vectors move, they are not cloned.
+fn nway_merge_input(expanded: Vec<ExpandedRecord>) -> Vec<((), NMergeVal)> {
+    expanded
+        .into_iter()
+        .map(|((side, ix, r), v)| ((), NMergeVal { side, ix, r, v }))
+        .collect()
+}
+
 /// Distributed N-way MTTKRP for `mode`, DRI style (2 jobs).
 ///
 /// `factors` supplies the factor matrix of every mode (the target one is
@@ -179,68 +190,41 @@ pub fn nway_mttkrp(cluster: &Cluster, x: &DynTensor, mode: usize, factors: &[&Ma
         }
     }
 
-    // One two-job chain (IMHP → PairwiseMerge), submitted as a graphless
-    // batch — concurrent per-mode invocations share the scheduler path.
+    // IMHP, then PairwiseMerge over its output.
     let sides = others.len() as u8;
-    let mut batch = Batch::new();
-    let expanded = batch.submit(
-        format!("nway-imhp-mode{mode}"),
-        vec!["x".into()],
-        vec!["expanded".into()],
-        {
-            let others = &others;
-            move |ctx| nway_imhp(ctx, x, others, factors, mode)
-        },
-    )?;
-    let merged = batch.submit(
-        format!("nway-pairwisemerge-mode{mode}"),
-        vec!["expanded".into()],
-        vec!["y".into()],
-        {
-            let expanded = expanded.clone();
-            move |ctx| {
-                let merge_input: Vec<((), NMergeVal)> = ctx
-                    .get(&expanded)?
-                    .iter()
-                    .cloned()
-                    .map(|((side, ix, r), v)| ((), NMergeVal { side, ix, r, v }))
-                    .collect();
-                run_job(
-                    ctx,
-                    JobSpec::named(format!("nway-pairwisemerge-mode{mode}")).with_map_emit_hint(1),
-                    &merge_input,
-                    move |_, rec: &NMergeVal, emit| emit(rec.ix[mode], rec.clone()),
-                    move |i, vals, emit| {
-                        use std::collections::BTreeMap;
-                        // Join on (full index, r): all sides must be present.
-                        // Ordered maps throughout — both are iterated on the
-                        // way to emits.
-                        let mut groups: BTreeMap<(&[u64], u64), (u8, f64)> = BTreeMap::new();
-                        for v in &vals {
-                            let e = groups.entry((v.ix.as_slice(), v.r)).or_insert((0, 1.0));
-                            e.0 += 1;
-                            e.1 *= v.v;
-                        }
-                        let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
-                        for ((_, r), (count, prod)) in groups {
-                            if count == sides {
-                                *acc.entry(r).or_insert(0.0) += prod;
-                            }
-                        }
-                        for (r, y) in acc {
-                            if y != 0.0 {
-                                emit((*i, r), y);
-                            }
-                        }
-                    },
-                )
+    let merge_input = nway_merge_input(nway_imhp(cluster, x, &others, factors, mode)?);
+    let merged = run_job(
+        cluster,
+        JobSpec::named(format!("nway-pairwisemerge-mode{mode}")).with_map_emit_hint(1),
+        &merge_input,
+        move |_, rec: &NMergeVal, emit| emit(rec.ix[mode], rec.clone()),
+        move |i, vals, emit| {
+            use std::collections::BTreeMap;
+            // Join on (full index, r): all sides must be present.
+            // Ordered maps throughout — both are iterated on the
+            // way to emits.
+            let mut groups: BTreeMap<(&[u64], u64), (u8, f64)> = BTreeMap::new();
+            for v in &vals {
+                let e = groups.entry((v.ix.as_slice(), v.r)).or_insert((0, 1.0));
+                e.0 += 1;
+                e.1 *= v.v;
+            }
+            let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
+            for ((_, r), (count, prod)) in groups {
+                if count == sides {
+                    *acc.entry(r).or_insert(0.0) += prod;
+                }
+            }
+            for (r, y) in acc {
+                if y != 0.0 {
+                    emit((*i, r), y);
+                }
             }
         },
     )?;
-    batch.run(cluster)?;
 
     let mut m = Mat::zeros(x.dims()[mode] as usize, rank);
-    for ((i, r), v) in merged.take()? {
+    for ((i, r), v) in merged {
         m.add_at(i as usize, r as usize, v);
     }
     Ok(m)
@@ -392,101 +376,74 @@ pub fn nway_tucker_project(
         }
     }
 
-    // One two-job chain (IMHP → CrossMerge; per-side column counts may
-    // differ), submitted as a graphless batch.
+    // IMHP, then CrossMerge over its output (per-side column counts may
+    // differ).
     let sides = others.len();
-    let mut batch = Batch::new();
-    let expanded = batch.submit(
-        format!("nway-imhp-mode{mode}"),
-        vec!["x".into()],
-        vec!["expanded".into()],
-        {
-            let others = &others;
-            move |ctx| nway_imhp(ctx, x, others, factors, mode)
-        },
-    )?;
-    let merged = batch.submit(
-        format!("nway-crossmerge-mode{mode}"),
-        vec!["expanded".into()],
-        vec!["y".into()],
-        {
-            let expanded = expanded.clone();
-            move |ctx| {
-                let merge_input: Vec<((), NMergeVal)> = ctx
-                    .get(&expanded)?
-                    .iter()
-                    .cloned()
-                    .map(|((side, ix, r), v)| ((), NMergeVal { side, ix, r, v }))
-                    .collect();
-                run_job(
-                    ctx,
-                    JobSpec::named(format!("nway-crossmerge-mode{mode}")).with_map_emit_hint(1),
-                    &merge_input,
-                    move |_, rec: &NMergeVal, emit| emit(rec.ix[mode], rec.clone()),
-                    move |i, vals, emit| {
-                        use std::collections::BTreeMap;
-                        // Group by side, then by full base index (ordered — iterated
-                        // into emits below).
-                        let mut by_side: Vec<SideIndex> =
-                            (0..sides).map(|_| SideIndex::new()).collect();
-                        for v in &vals {
-                            by_side[v.side as usize]
-                                .entry(v.ix.as_slice())
-                                .or_default()
-                                .push((v.r, v.v));
+    let merge_input = nway_merge_input(nway_imhp(cluster, x, &others, factors, mode)?);
+    let merged = run_job(
+        cluster,
+        JobSpec::named(format!("nway-crossmerge-mode{mode}")).with_map_emit_hint(1),
+        &merge_input,
+        move |_, rec: &NMergeVal, emit| emit(rec.ix[mode], rec.clone()),
+        move |i, vals, emit| {
+            use std::collections::BTreeMap;
+            // Group by side, then by full base index (ordered — iterated
+            // into emits below).
+            let mut by_side: Vec<SideIndex> = (0..sides).map(|_| SideIndex::new()).collect();
+            for v in &vals {
+                by_side[v.side as usize]
+                    .entry(v.ix.as_slice())
+                    .or_default()
+                    .push((v.r, v.v));
+            }
+            let mut acc: BTreeMap<Vec<u64>, f64> = BTreeMap::new();
+            for (base, list0) in &by_side[0] {
+                // All sides must cover this base (they do on supp(X)).
+                let mut lists: Vec<&Vec<(u64, f64)>> = Vec::with_capacity(sides);
+                lists.push(list0);
+                let mut complete = true;
+                for side_map in by_side.iter().skip(1) {
+                    match side_map.get(base) {
+                        Some(l) => lists.push(l),
+                        None => {
+                            complete = false;
+                            break;
                         }
-                        let mut acc: BTreeMap<Vec<u64>, f64> = BTreeMap::new();
-                        for (base, list0) in &by_side[0] {
-                            // All sides must cover this base (they do on supp(X)).
-                            let mut lists: Vec<&Vec<(u64, f64)>> = Vec::with_capacity(sides);
-                            lists.push(list0);
-                            let mut complete = true;
-                            for side_map in by_side.iter().skip(1) {
-                                match side_map.get(base) {
-                                    Some(l) => lists.push(l),
-                                    None => {
-                                        complete = false;
-                                        break;
-                                    }
-                                }
-                            }
-                            if !complete {
-                                continue;
-                            }
-                            // Cartesian product of the per-side (column, value) lists.
-                            let mut combos: Vec<(Vec<u64>, f64)> = vec![(Vec::new(), 1.0)];
-                            for l in lists {
-                                let mut next = Vec::with_capacity(combos.len() * l.len());
-                                for (q, p) in &combos {
-                                    for &(r, v) in l.iter() {
-                                        let mut q2 = q.clone();
-                                        q2.push(r);
-                                        next.push((q2, p * v));
-                                    }
-                                }
-                                combos = next;
-                            }
-                            for (q, p) in combos {
-                                *acc.entry(q).or_insert(0.0) += p;
-                            }
+                    }
+                }
+                if !complete {
+                    continue;
+                }
+                // Cartesian product of the per-side (column, value) lists.
+                let mut combos: Vec<(Vec<u64>, f64)> = vec![(Vec::new(), 1.0)];
+                for l in lists {
+                    let mut next = Vec::with_capacity(combos.len() * l.len());
+                    for (q, p) in &combos {
+                        for &(r, v) in l.iter() {
+                            let mut q2 = q.clone();
+                            q2.push(r);
+                            next.push((q2, p * v));
                         }
-                        for (q, y) in acc {
-                            if y != 0.0 {
-                                emit((*i, q), y);
-                            }
-                        }
-                    },
-                )
+                    }
+                    combos = next;
+                }
+                for (q, p) in combos {
+                    *acc.entry(q).or_insert(0.0) += p;
+                }
+            }
+            for (q, y) in acc {
+                if y != 0.0 {
+                    emit((*i, q), y);
+                }
             }
         },
     )?;
-    batch.run(cluster)?;
 
     let mut dims = vec![x.dims()[mode]];
     dims.extend(others.iter().map(|&m| factors[m].cols() as u64));
     let mut y = DynTensor::new(dims);
     let mut idx = Vec::with_capacity(n);
-    for ((i, q), v) in merged.take()? {
+    for ((i, q), v) in merged {
         idx.clear();
         idx.push(i);
         idx.extend_from_slice(&q);

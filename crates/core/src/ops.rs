@@ -19,28 +19,46 @@
 //! Mode positions refer to slots of [`Ix4`]; 3-way tensors keep slot 3 = 0,
 //! and the Hadamard expansions write the factor-column index into slot 3.
 //!
-//! Every function takes a [`JobSite`] — either a [`Cluster`] directly (ad
-//! hoc runs, unit tests) or a [`haten2_mapreduce::JobCtx`] when the job is
-//! submitted as part of a scheduled [`haten2_mapreduce::Batch`], which is
-//! how the ALS drivers run them. Map-emit hints are no longer hard-coded
-//! here: inside a batch the scheduler derives them from the plan IR's
-//! symbolic emit expressions ([`haten2_mapreduce::JobGraph::emit_hint`]),
-//! so the sizing can never drift from the cost model. A
-//! [`JobSpec::with_map_emit_hint`] call still overrides the derivation —
-//! see [`crate::nway`] for graphless jobs that use the override.
+//! These are the kernels [`crate::plan`] attaches to the templates of the
+//! eight pipeline graphs; its one submitter is the only caller outside
+//! tests. Every function takes a [`JobSite`] — a
+//! [`haten2_mapreduce::JobCtx`] when the submitter runs it inside a
+//! scheduled [`haten2_mapreduce::Batch`], or a [`Cluster`] directly (unit
+//! tests, ad hoc runs). Inside a batch the scheduler derives map-emit
+//! hints from the plan IR's symbolic emit expressions
+//! ([`haten2_mapreduce::JobGraph::emit_hint`]), so the sizing cannot drift
+//! from the cost model; a [`JobSpec::with_map_emit_hint`] call overrides
+//! the derivation — see [`crate::nway`], whose jobs have no graph.
+//!
+//! A tensor-valued input is a [`Shards`] list: the slices a dataset was
+//! written in, in shard order, borrowed from whoever produced them. A
+//! kernel reads them in that order as if concatenated, without the copy.
 //!
 //! [`JobSite`]: haten2_mapreduce::JobSite
 //! [`Cluster`]: haten2_mapreduce::Cluster
 
-use crate::records::{HadVal, ImhpRec, ImhpVal, Ix4, MergeVal, NaiveVal, TvRec};
+use crate::records::{shards_len, HadVal, ImhpRec, ImhpVal, Ix4, MergeVal, NaiveVal, TvRec};
 use haten2_linalg::Mat;
 use haten2_mapreduce::{
     key_slice, run_job, run_job_streaming, EstimateSize, JobSite, JobSpec, MrError, Result,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 /// Tensor records in the canonical `(Ix4, f64)` form.
 pub type TensorRecords = Vec<(Ix4, f64)>;
+
+/// One dataset as a job reads it: its shards, in shard order.
+pub type Shards<'a> = &'a [&'a [(Ix4, f64)]];
+
+/// `shards` as one slice, for the kernels whose map input *is* the
+/// dataset: borrowed when there is a single shard, concatenated otherwise.
+fn flat<'a>(shards: Shards<'a>) -> Cow<'a, [(Ix4, f64)]> {
+    match shards {
+        [one] => Cow::Borrowed(one),
+        many => Cow::Owned(many.concat()),
+    }
+}
 
 #[inline]
 fn slot(ix: &Ix4, pos: usize) -> u64 {
@@ -54,7 +72,7 @@ fn slot(ix: &Ix4, pos: usize) -> u64 {
 }
 
 #[inline]
-fn with_slot(mut ix: Ix4, pos: usize, v: u64) -> Ix4 {
+pub(crate) fn with_slot(mut ix: Ix4, pos: usize, v: u64) -> Ix4 {
     match pos {
         0 => ix.0 = v,
         1 => ix.1 = v,
@@ -74,7 +92,7 @@ fn with_slot(mut ix: Ix4, pos: usize, v: u64) -> Ix4 {
 pub fn hadamard_vec_job(
     site: &impl JobSite,
     name: &str,
-    entries: &[(Ix4, f64)],
+    entries: Shards<'_>,
     join_pos: usize,
     v: &[f64],
     tag_slot3: Option<u64>,
@@ -124,10 +142,11 @@ pub fn hadamard_vec_job(
 pub fn collapse_job(
     site: &impl JobSite,
     name: &str,
-    entries: &[(Ix4, f64)],
+    entries: Shards<'_>,
     drop_pos: usize,
     use_combiner: bool,
 ) -> Result<Vec<(Ix4, f64)>> {
+    let entries = flat(entries);
     let combiner = |_: &Ix4, vals: Vec<f64>| vec![vals.iter().sum::<f64>()];
     let spec = if use_combiner {
         JobSpec::named(name.to_string()).with_combiner(&combiner)
@@ -137,7 +156,7 @@ pub fn collapse_job(
     let out = run_job_streaming(
         site,
         spec,
-        entries,
+        &entries,
         move |ix: &Ix4, val: &f64, emit| emit(with_slot(*ix, drop_pos, 0), *val),
         |ix, vals, emit| {
             let s: f64 = vals.sum::<f64>();
@@ -163,7 +182,7 @@ pub fn collapse_job(
 pub fn naive_ttv_job(
     site: &impl JobSite,
     name: &str,
-    entries: &[(Ix4, f64)],
+    entries: Shards<'_>,
     dims: [u64; 4],
     contract_pos: usize,
     v: &[f64],
@@ -176,7 +195,7 @@ pub fn naive_ttv_job(
     let broadcast_records = fibers.saturating_mul(v.len() as u128);
     let est_record_bytes = (NaiveVal::Coef(0, 0.0).est_bytes() + 24 + 8) as u128;
     let est_bytes = broadcast_records
-        .saturating_add(entries.len() as u128)
+        .saturating_add(shards_len(entries) as u128)
         .saturating_mul(est_record_bytes);
     if let Some(cap) = site.cluster().config().cluster_capacity_bytes {
         if est_bytes > cap as u128 {
@@ -250,14 +269,18 @@ pub fn naive_ttv_job(
 pub fn imhp_job(
     site: &impl JobSite,
     name: &str,
-    entries: &[(Ix4, f64)],
+    entries: Shards<'_>,
     bt: &Mat,
     ct: &Mat,
 ) -> Result<(TensorRecords, TensorRecords)> {
-    let mut input: Vec<((), ImhpRec)> = entries
-        .iter()
-        .map(|&(ix, v)| ((), ImhpRec::Ent(ix, v)))
-        .collect();
+    let mut input: Vec<((), ImhpRec)> =
+        Vec::with_capacity(shards_len(entries) + bt.cols() + ct.cols());
+    input.extend(
+        entries
+            .iter()
+            .flat_map(|shard| shard.iter())
+            .map(|&(ix, v)| ((), ImhpRec::Ent(ix, v))),
+    );
     for j in 0..bt.cols() {
         let col: Vec<f64> = (0..bt.rows()).map(|q| bt.get(q, j)).collect();
         input.push(((), ImhpRec::Row(0, j as u64, col)));
@@ -315,6 +338,19 @@ pub fn imhp_job(
     Ok((t_prime, t_dprime))
 }
 
+/// Which reduce keys a merge job takes: `(slice, slices)` keeps the
+/// target-mode indices whose [`key_slice`] of `slices` equals `slice`, and
+/// `None` keeps all. A sliced job is one split instance of the
+/// `heavy-key-split` rewrite: it maps the **full** merge input and runs the
+/// unmodified reduce on its slice's whole key groups, which is what lets
+/// [`merge_parts_job`] reassemble the unsliced output bit for bit.
+pub type KeySlice = Option<(usize, usize)>;
+
+#[inline]
+fn in_slice(key: u64, slice: KeySlice) -> bool {
+    slice.is_none_or(|(s, slices)| key_slice(&key, slices) == s)
+}
+
 /// `CrossMerge(T', T'')₍₀₎` (Definition 3) as one job: produces
 /// `Y(i, q, r) = Σ_{j,k} T'(i,j,k,q)·T''(i,j,k,r)` as records
 /// `((i, q, r, 0), y)`.
@@ -324,15 +360,20 @@ pub fn imhp_job(
 pub fn cross_merge_job(
     site: &impl JobSite,
     name: &str,
-    t_prime: &[(Ix4, f64)],
-    t_dprime: &[(Ix4, f64)],
+    t_prime: Shards<'_>,
+    t_dprime: Shards<'_>,
+    slice: KeySlice,
 ) -> Result<Vec<(Ix4, f64)>> {
     let input = merge_input(t_prime, t_dprime);
     let out = run_job(
         site,
         JobSpec::named(name.to_string()),
         &input,
-        |_, rec: &MergeVal, emit| emit(rec.i, rec.clone()),
+        move |_, rec: &MergeVal, emit| {
+            if in_slice(rec.i, slice) {
+                emit(rec.i, rec.clone());
+            }
+        },
         |i, vals, emit| {
             // Group T'' by (j, k) -> [(r, v)].
             let mut by_jk: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
@@ -371,15 +412,20 @@ pub fn cross_merge_job(
 pub fn pairwise_merge_job(
     site: &impl JobSite,
     name: &str,
-    t_prime: &[(Ix4, f64)],
-    t_dprime: &[(Ix4, f64)],
+    t_prime: Shards<'_>,
+    t_dprime: Shards<'_>,
+    slice: KeySlice,
 ) -> Result<Vec<(Ix4, f64)>> {
     let input = merge_input(t_prime, t_dprime);
     let out = run_job(
         site,
         JobSpec::named(name.to_string()),
         &input,
-        |_, rec: &MergeVal, emit| emit(rec.i, rec.clone()),
+        move |_, rec: &MergeVal, emit| {
+            if in_slice(rec.i, slice) {
+                emit(rec.i, rec.clone());
+            }
+        },
         |i, vals, emit| {
             // Lookup-only join map (accumulation order follows `vals`),
             // pre-sized for a group that is half T'' rows: a heavy
@@ -409,128 +455,24 @@ pub fn pairwise_merge_job(
     Ok(out)
 }
 
-/// One split instance of the `heavy-key-split` two-phase rewrite of
-/// [`cross_merge_job`]: maps the **full** merge input but emits only the
-/// records whose target-mode index hashes to `slice` (of `slices`,
-/// assigned by [`key_slice`] — the same FNV-1a the shuffle partitioner
-/// uses), then runs the unmodified cross-merge reduce on those whole key
-/// groups. Because slices are whole groups, every group is still reduced
-/// in one piece with the same value order as the unrewritten job, so the
-/// `…__part#slice` shards concatenated in slice order reassemble
-/// (via [`merge_parts_job`]) to the bit-identical unrewritten output.
-pub fn cross_merge_split_job(
-    site: &impl JobSite,
-    name: &str,
-    t_prime: &[(Ix4, f64)],
-    t_dprime: &[(Ix4, f64)],
-    slice: usize,
-    slices: usize,
-) -> Result<Vec<(Ix4, f64)>> {
-    let input = merge_input(t_prime, t_dprime);
-    let out = run_job(
-        site,
-        JobSpec::named(name.to_string()),
-        &input,
-        move |_, rec: &MergeVal, emit| {
-            if key_slice(&rec.i, slices) == slice {
-                emit(rec.i, rec.clone());
-            }
-        },
-        |i, vals, emit| {
-            // Identical to cross_merge_job's reducer: whole-group
-            // reduction keeps f64 accumulation order, and with it
-            // bit-identity.
-            let mut by_jk: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
-            for v in &vals {
-                if v.side == 1 {
-                    by_jk.entry((v.j, v.k)).or_default().push((v.d, v.v));
-                }
-            }
-            // BTreeMap: iterated into emits below (see cross_merge_job).
-            let mut acc: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-            for v in &vals {
-                if v.side == 0 {
-                    if let Some(rs) = by_jk.get(&(v.j, v.k)) {
-                        for &(r, w) in rs {
-                            *acc.entry((v.d, r)).or_insert(0.0) += v.v * w;
-                        }
-                    }
-                }
-            }
-            for ((q, r), y) in acc {
-                if y != 0.0 {
-                    emit((*i, q, r, 0u64), y);
-                }
-            }
-        },
-    )?;
-    Ok(out)
-}
-
-/// One split instance of the `heavy-key-split` rewrite of
-/// [`pairwise_merge_job`] — see [`cross_merge_split_job`] for the slicing
-/// and bit-identity argument.
-pub fn pairwise_merge_split_job(
-    site: &impl JobSite,
-    name: &str,
-    t_prime: &[(Ix4, f64)],
-    t_dprime: &[(Ix4, f64)],
-    slice: usize,
-    slices: usize,
-) -> Result<Vec<(Ix4, f64)>> {
-    let input = merge_input(t_prime, t_dprime);
-    let out = run_job(
-        site,
-        JobSpec::named(name.to_string()),
-        &input,
-        move |_, rec: &MergeVal, emit| {
-            if key_slice(&rec.i, slices) == slice {
-                emit(rec.i, rec.clone());
-            }
-        },
-        |i, vals, emit| {
-            // Identical to pairwise_merge_job's reducer.
-            let mut by_jkr: HashMap<(u64, u64, u64), f64> = HashMap::with_capacity(vals.len() / 2);
-            for v in &vals {
-                if v.side == 1 {
-                    *by_jkr.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v;
-                }
-            }
-            // BTreeMap: iterated into emits below (see cross_merge_job).
-            let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
-            for v in &vals {
-                if v.side == 0 {
-                    if let Some(&w) = by_jkr.get(&(v.j, v.k, v.d)) {
-                        *acc.entry(v.d).or_insert(0.0) += v.v * w;
-                    }
-                }
-            }
-            for (r, y) in acc {
-                if y != 0.0 {
-                    emit((*i, r, 0u64, 0u64), y);
-                }
-            }
-        },
-    )?;
-    Ok(out)
-}
-
 /// The `mergeparts` reassembly pass of the `heavy-key-split` rewrite:
-/// re-keys the concatenated per-slice partials on the target-mode index
-/// and re-emits every record **in arrival order**. All records of one
-/// reduce key live in exactly one slice (the hash assigns whole groups),
-/// arrive contiguous in that slice's emission order, and leave the same
-/// way; with the same partitioner and key ordering as the original merge,
-/// the reassembled dataset is byte-for-byte the unrewritten job's output.
+/// re-keys the per-slice partials, read in slice order, on the target-mode
+/// index and re-emits every record **in arrival order**. All records of
+/// one reduce key live in exactly one slice (the hash assigns whole
+/// groups), arrive contiguous in that slice's emission order, and leave
+/// the same way; with the same partitioner and key ordering as the
+/// original merge, the reassembled dataset is byte-for-byte the
+/// unrewritten job's output.
 pub fn merge_parts_job(
     site: &impl JobSite,
     name: &str,
-    parts: &[(Ix4, f64)],
+    parts: Shards<'_>,
 ) -> Result<Vec<(Ix4, f64)>> {
+    let parts = flat(parts);
     let out = run_job(
         site,
         JobSpec::named(name.to_string()),
-        parts,
+        &parts,
         |ix: &Ix4, v: &f64, emit| emit(ix.0, (*ix, *v)),
         |_, vals, emit| {
             for (ix, v) in vals {
@@ -600,33 +542,22 @@ pub fn model_inner_product_job(
     Ok(out.into_iter().map(|(_, v)| v).sum())
 }
 
-fn merge_input(t_prime: &[(Ix4, f64)], t_dprime: &[(Ix4, f64)]) -> Vec<((), MergeVal)> {
-    let mut input = Vec::with_capacity(t_prime.len() + t_dprime.len());
-    for &(ix, v) in t_prime {
-        input.push((
-            (),
-            MergeVal {
-                side: 0,
-                i: ix.0,
-                j: ix.1,
-                k: ix.2,
-                d: ix.3,
-                v,
-            },
-        ));
-    }
-    for &(ix, v) in t_dprime {
-        input.push((
-            (),
-            MergeVal {
-                side: 1,
-                i: ix.0,
-                j: ix.1,
-                k: ix.2,
-                d: ix.3,
-                v,
-            },
-        ));
+fn merge_input(t_prime: Shards<'_>, t_dprime: Shards<'_>) -> Vec<((), MergeVal)> {
+    let mut input = Vec::with_capacity(shards_len(t_prime) + shards_len(t_dprime));
+    for (side, shards) in [(0, t_prime), (1, t_dprime)] {
+        for &(ix, v) in shards.iter().flat_map(|shard| shard.iter()) {
+            input.push((
+                (),
+                MergeVal {
+                    side,
+                    i: ix.0,
+                    j: ix.1,
+                    k: ix.2,
+                    d: ix.3,
+                    v,
+                },
+            ));
+        }
     }
     input
 }

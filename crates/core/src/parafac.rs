@@ -3,9 +3,10 @@
 //!
 //! For target mode 0 this is `Y = X₍₁₎ (C ⊙ B) ∈ ℝ^{I×R}` — lines 3/5/7 of
 //! PARAFAC-ALS (Algorithm 1). Costs per variant (Table IV); the per-rank
-//! chains are mutually independent, so each variant is submitted as one
-//! scheduled [`Batch`] whose *critical path* bounds latency on an idle
-//! cluster ([`haten2_mapreduce::JobGraph::critical_path_jobs`]):
+//! chains are mutually independent, so each variant's graph
+//! ([`crate::plan::pipeline_for`]) is submitted as one scheduled batch
+//! whose *critical path* bounds latency on an idle cluster
+//! ([`haten2_mapreduce::JobGraph::critical_path_jobs`]):
 //!
 //! | Variant | Max intermediate | Jobs   | Critical path |
 //! |---------|------------------|--------|---------------|
@@ -15,15 +16,10 @@
 //! | DRI     | `2·nnz·R`        | `2`    | `2`           |
 
 use crate::canon::canonicalize;
-use crate::ops::{
-    collapse_job, hadamard_vec_job, imhp_job, merge_parts_job, naive_ttv_job, pairwise_merge_job,
-    pairwise_merge_split_job,
-};
-use crate::plan::{certified_rewrite_for, plan_for, Decomp};
-use crate::records::{tensor_records, Ix4};
+use crate::plan::{pipeline_for, run_pipeline, Bindings, Decomp};
 use crate::{CoreError, Result, Variant};
 use haten2_linalg::Mat;
-use haten2_mapreduce::{Batch, Cluster, KeyFreqSketch};
+use haten2_mapreduce::Cluster;
 use haten2_tensor::CooTensor3;
 
 /// Compute the MTTKRP `M ← X₍ₙ₎ (F₂ ⊙ F₁)` for target mode `n` using the
@@ -77,8 +73,7 @@ pub fn mttkrp(
     }
     let (xc, _perm) = canonicalize(x, mode);
     let d = xc.dims();
-    let (d0, d1, d2) = (d[0], d[1], d[2]);
-    if f1.rows() != d1 as usize || f2.rows() != d2 as usize {
+    if f1.rows() != d[1] as usize || f2.rows() != d[2] as usize {
         return Err(CoreError::InvalidArgument(format!(
             "mttkrp: factors are {}x{} and {}x{} for canonical dims {d:?}",
             f1.rows(),
@@ -87,311 +82,22 @@ pub fn mttkrp(
             f2.cols()
         )));
     }
-    let r_dim = f1.cols();
-    let x_records = tensor_records(&xc);
-    let mut m = Mat::zeros(d0 as usize, r_dim);
-    let graph = plan_for(Decomp::Parafac, variant);
-
-    // Skew-aware runtime rewrite — see [`crate::tucker::project`]: sketch
-    // the final merge's reduce-key frequencies, and when the cluster's
-    // rewrite policy fires, submit the analyzer-certified
-    // `heavy-key-split` plan (bit-identical outputs, concurrent splits
-    // instead of one straggling merge). Naive/DNN have no certification
-    // record and never rewrite.
-    let mut sketch = KeyFreqSketch::new(cluster.config().machines.max(1));
-    for (ix, _) in &x_records {
-        sketch.observe(&ix.0);
-    }
-    let rewritten = cluster
-        .config()
-        .rewrite
-        .should_rewrite(&sketch)
-        .then(|| certified_rewrite_for(&graph, "heavy-key-split"))
-        .flatten();
-    let rewrite = rewritten.is_some();
-    let graph = rewritten.unwrap_or(graph);
-
-    match variant {
-        Variant::Naive => {
-            // Algorithm 4: T_r = X ×̄₂ b_r, then Y_r = T_r ×̄₃ c_r. The R
-            // two-job chains are mutually independent — one batch,
-            // critical path 2. Submission stays interleaved per rank (the
-            // sequential execution order, which keys the fault schedule).
-            let dims4 = [d0, d1, d2, 1];
-            let mut batch = Batch::with_graph(&graph);
-            let mut ys = Vec::with_capacity(r_dim);
-            for r in 0..r_dim {
-                let b_col = f1.col(r);
-                let c_col = f2.col(r);
-                let name_x = format!("parafac-naive-xb{r}");
-                let t_r =
-                    batch.submit(name_x.clone(), vec!["x".into()], vec![format!("t#{r}")], {
-                        let x_records = &x_records;
-                        move |ctx| naive_ttv_job(ctx, &name_x, x_records, dims4, 1, &b_col)
-                    })?;
-                let name_t = format!("parafac-naive-tc{r}");
-                ys.push(batch.submit(
-                    name_t.clone(),
-                    vec![format!("t#{r}")],
-                    vec![format!("y#{r}")],
-                    move |ctx| {
-                        naive_ttv_job(ctx, &name_t, ctx.get(&t_r)?, [d0, 1, d2, 1], 2, &c_col)
-                    },
-                )?);
-            }
-            batch.run(cluster)?;
-            for (r, h) in ys.into_iter().enumerate() {
-                accumulate_column(&mut m, &h.take()?, r);
-            }
-        }
-        Variant::Dnn => {
-            // Algorithm 6: per rank, Hadamard + Collapse twice — R
-            // independent four-job chains, critical path 4.
-            let mut batch = Batch::with_graph(&graph);
-            let mut ys = Vec::with_capacity(r_dim);
-            for r in 0..r_dim {
-                let b_col = f1.col(r);
-                let c_col = f2.col(r);
-                let name_hb = format!("parafac-dnn-had-b{r}");
-                let h1 = batch.submit(
-                    name_hb.clone(),
-                    vec!["x".into()],
-                    vec![format!("h_b#{r}")],
-                    {
-                        let x_records = &x_records;
-                        move |ctx| hadamard_vec_job(ctx, &name_hb, x_records, 1, &b_col, None)
-                    },
-                )?;
-                let name_cj = format!("parafac-dnn-col-j{r}");
-                let t_r = batch.submit(
-                    name_cj.clone(),
-                    vec![format!("h_b#{r}")],
-                    vec![format!("t#{r}")],
-                    move |ctx| collapse_job(ctx, &name_cj, ctx.get(&h1)?, 1, false),
-                )?;
-                let name_hc = format!("parafac-dnn-had-c{r}");
-                let h2 = batch.submit(
-                    name_hc.clone(),
-                    vec![format!("t#{r}")],
-                    vec![format!("h_c#{r}")],
-                    move |ctx| hadamard_vec_job(ctx, &name_hc, ctx.get(&t_r)?, 2, &c_col, None),
-                )?;
-                let name_ck = format!("parafac-dnn-col-k{r}");
-                ys.push(batch.submit(
-                    name_ck.clone(),
-                    vec![format!("h_c#{r}")],
-                    vec![format!("y#{r}")],
-                    move |ctx| collapse_job(ctx, &name_ck, ctx.get(&h2)?, 2, false),
-                )?);
-            }
-            batch.run(cluster)?;
-            for (r, h) in ys.into_iter().enumerate() {
-                accumulate_column(&mut m, &h.take()?, r);
-            }
-        }
-        Variant::Drn => {
-            // Algorithm 8: R Hadamard expansions per side (all independent),
-            // one PairwiseMerge — critical path 2.
-            let bin_records = tensor_records(&xc.bin());
-            let mut batch = Batch::with_graph(&graph);
-            let mut tp = Vec::with_capacity(r_dim);
-            for r in 0..r_dim {
-                let name = format!("parafac-drn-had-b{r}");
-                let b_col = f1.col(r);
-                tp.push(batch.submit(
-                    name.clone(),
-                    vec!["x".into()],
-                    vec![format!("t_prime#{r}")],
-                    {
-                        let x_records = &x_records;
-                        move |ctx| {
-                            hadamard_vec_job(ctx, &name, x_records, 1, &b_col, Some(r as u64))
-                        }
-                    },
-                )?);
-            }
-            let mut tdp = Vec::with_capacity(r_dim);
-            for r in 0..r_dim {
-                let name = format!("parafac-drn-had-c{r}");
-                let c_col = f2.col(r);
-                tdp.push(batch.submit(
-                    name.clone(),
-                    vec!["x_bin".into()],
-                    vec![format!("t_dprime#{r}")],
-                    {
-                        let bin_records = &bin_records;
-                        move |ctx| {
-                            hadamard_vec_job(ctx, &name, bin_records, 2, &c_col, Some(r as u64))
-                        }
-                    },
-                )?);
-            }
-            let y = if rewrite {
-                // Two-phase aggregation: per-slice splits cost-hinted with
-                // the sketch's slice counts, then mergeparts.
-                let msl = sketch.width();
-                let mut split_parts = Vec::with_capacity(msl);
-                for s in 0..msl {
-                    let name = format!("parafac-drn-pairwisemerge-split{s}");
-                    let tp = tp.clone();
-                    let tdp = tdp.clone();
-                    let split_h = batch.submit(
-                        name.clone(),
-                        vec!["t_prime".into(), "t_dprime".into()],
-                        vec![format!("y__part#{s}")],
-                        move |ctx| {
-                            let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tp {
-                                t_prime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tdp {
-                                t_dprime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            pairwise_merge_split_job(ctx, &name, &t_prime, &t_dprime, s, msl)
-                        },
-                    )?;
-                    batch.set_cost_hint(&split_h, sketch.bucket(s) as f64);
-                    split_parts.push(split_h);
-                }
-                batch.submit(
-                    "parafac-drn-pairwisemerge-mergeparts",
-                    vec!["y__part".into()],
-                    vec!["y".into()],
-                    {
-                        let split_parts = split_parts.clone();
-                        move |ctx| {
-                            let mut all: Vec<(Ix4, f64)> = Vec::new();
-                            for ph in &split_parts {
-                                all.extend(ctx.get(ph)?.iter().copied());
-                            }
-                            merge_parts_job(ctx, "parafac-drn-pairwisemerge-mergeparts", &all)
-                        }
-                    },
-                )?
-            } else {
-                batch.submit(
-                    "parafac-drn-pairwisemerge",
-                    vec!["t_prime".into(), "t_dprime".into()],
-                    vec!["y".into()],
-                    {
-                        let tp = tp.clone();
-                        let tdp = tdp.clone();
-                        move |ctx| {
-                            let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tp {
-                                t_prime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tdp {
-                                t_dprime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            pairwise_merge_job(
-                                ctx,
-                                "parafac-drn-pairwisemerge",
-                                &t_prime,
-                                &t_dprime,
-                            )
-                        }
-                    },
-                )?
-            };
-            batch.run(cluster)?;
-            accumulate_pairs(&mut m, &y.take()?);
-        }
-        Variant::Dri => {
-            // Algorithm 10: IMHP + PairwiseMerge (Q = R in PARAFAC).
-            let bt = f1.transpose();
-            let ct = f2.transpose();
-            let mut batch = Batch::with_graph(&graph);
-            let imhp = batch.submit(
-                "parafac-dri-imhp",
-                vec!["x".into()],
-                vec!["t_prime".into(), "t_dprime".into()],
-                {
-                    let x_records = &x_records;
-                    let bt = &bt;
-                    let ct = &ct;
-                    move |ctx| imhp_job(ctx, "parafac-dri-imhp", x_records, bt, ct)
-                },
-            )?;
-            let y = if rewrite {
-                let msl = sketch.width();
-                let mut split_parts = Vec::with_capacity(msl);
-                for s in 0..msl {
-                    let name = format!("parafac-dri-pairwisemerge-split{s}");
-                    let imhp = imhp.clone();
-                    let split_h = batch.submit(
-                        name.clone(),
-                        vec!["t_prime".into(), "t_dprime".into()],
-                        vec![format!("y__part#{s}")],
-                        move |ctx| {
-                            let (t_prime, t_dprime) = ctx.get(&imhp)?;
-                            pairwise_merge_split_job(ctx, &name, t_prime, t_dprime, s, msl)
-                        },
-                    )?;
-                    batch.set_cost_hint(&split_h, sketch.bucket(s) as f64);
-                    split_parts.push(split_h);
-                }
-                batch.submit(
-                    "parafac-dri-pairwisemerge-mergeparts",
-                    vec!["y__part".into()],
-                    vec!["y".into()],
-                    {
-                        let split_parts = split_parts.clone();
-                        move |ctx| {
-                            let mut all: Vec<(Ix4, f64)> = Vec::new();
-                            for ph in &split_parts {
-                                all.extend(ctx.get(ph)?.iter().copied());
-                            }
-                            merge_parts_job(ctx, "parafac-dri-pairwisemerge-mergeparts", &all)
-                        }
-                    },
-                )?
-            } else {
-                batch.submit(
-                    "parafac-dri-pairwisemerge",
-                    vec!["t_prime".into(), "t_dprime".into()],
-                    vec!["y".into()],
-                    {
-                        let imhp = imhp.clone();
-                        move |ctx| {
-                            let (t_prime, t_dprime) = ctx.get(&imhp)?;
-                            pairwise_merge_job(ctx, "parafac-dri-pairwisemerge", t_prime, t_dprime)
-                        }
-                    },
-                )?
-            };
-            batch.run(cluster)?;
-            accumulate_pairs(&mut m, &y.take()?);
-        }
-    }
-    Ok(m)
-}
-
-/// Scatter records `((x0, 0, 0, 0), v)` into column `r` of `m`.
-fn accumulate_column(m: &mut Mat, records: &[(Ix4, f64)], r: usize) {
-    for &(ix, v) in records {
-        m.add_at(ix.0 as usize, r, v);
-    }
-}
-
-/// Scatter PairwiseMerge records `((x0, r, 0, 0), v)` into `m`.
-fn accumulate_pairs(m: &mut Mat, records: &[(Ix4, f64)]) {
-    for &(ix, v) in records {
+    // Every variant's `y` is `((i, r, 0, 0), v)`.
+    let y = run_pipeline(
+        cluster,
+        &pipeline_for(Decomp::Parafac, variant),
+        &Bindings {
+            x: &xc,
+            u1: &f1.transpose(),
+            u2: &f2.transpose(),
+            use_combiner: false,
+        },
+    )?;
+    let mut m = Mat::zeros(d[0] as usize, f1.cols());
+    for (ix, v) in y {
         m.add_at(ix.0 as usize, ix.1 as usize, v);
     }
-}
-
-/// Number of MapReduce jobs [`mttkrp`] submits — the "Total Jobs" column of
-/// Table IV.
-pub fn expected_jobs(variant: Variant, r: usize) -> usize {
-    match variant {
-        Variant::Naive => 2 * r,
-        Variant::Dnn => 4 * r,
-        Variant::Drn => 2 * r + 1,
-        Variant::Dri => 2,
-    }
+    Ok(m)
 }
 
 #[cfg(test)]
@@ -472,14 +178,16 @@ mod tests {
         let r_dim = 3;
         let b = Mat::random(4, r_dim, &mut rng);
         let c = Mat::random(4, r_dim, &mut rng);
-        for variant in Variant::ALL {
+        // The "Total Jobs" column of Table IV.
+        for (variant, jobs) in [
+            (Variant::Naive, 2 * r_dim),
+            (Variant::Dnn, 4 * r_dim),
+            (Variant::Drn, 2 * r_dim + 1),
+            (Variant::Dri, 2),
+        ] {
             let cluster = Cluster::new(ClusterConfig::with_machines(2));
             mttkrp(&cluster, variant, &x, 0, &b, &c).unwrap();
-            assert_eq!(
-                cluster.metrics().total_jobs(),
-                expected_jobs(variant, r_dim),
-                "{variant}"
-            );
+            assert_eq!(cluster.metrics().total_jobs(), jobs, "{variant}");
         }
     }
 

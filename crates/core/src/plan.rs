@@ -1,15 +1,26 @@
-//! Declarative plans for the eight HaTen2 pipelines.
+//! The eight HaTen2 pipelines: one table, one submitter.
 //!
-//! Each (decomposition × variant) pipeline registers a
-//! [`JobGraph`] describing exactly what its driver in [`crate::tucker`] /
-//! [`crate::parafac`] submits at runtime: the job templates in execution
-//! order (with the same names the metered [`haten2_mapreduce::Cluster`]
-//! records), the datasets flowing between them, and symbolic per-job
-//! intermediate-data expressions over `(nnz, I, J, K, Q, R)`.
+//! Tables III/IV of the paper are eight pipelines that differ only in
+//! which of six job kinds they chain. [`pipeline_for`] is that table: each
+//! (decomposition × variant) is a [`JobGraph`] whose every template is
+//! declared once, next to the [`Kernel`] its instances run — the job
+//! names the metered [`Cluster`] records, the datasets flowing between
+//! them (per-instance shards included), the submission order, and
+//! symbolic per-job intermediate-data expressions over
+//! `(nnz, I, J, K, Q, R)`. [`run_pipeline`] executes the table: it expands
+//! the graph for the call's `Q`/`R` and submits every instance through the
+//! one `Batch::submit` site in library code, reading each instance's
+//! `name`, `reads` and `writes` off the graph and resolving its inputs
+//! from those declared reads and nothing else. A job therefore cannot
+//! touch a dataset it did not declare, and a `heavy-key-split` run cannot
+//! submit anything but the certified rewrite of the graph it was about to
+//! run: both are unrepresentable rather than linted.
 //!
-//! The `haten2-analyze` crate consumes these graphs to verify the paper's
-//! Tables III/IV statically; `haten2-bench` cross-checks the expanded
-//! predictions against metered runs (exactly, for the DRI pipelines).
+//! The `haten2-analyze` crate consumes the same graphs ([`plan_for`]) to
+//! verify the paper's tables statically and to certify each graph — and
+//! each certified rewrite of it — race-free; `haten2-bench` cross-checks
+//! the expanded predictions against metered runs (exactly, for the DRI
+//! pipelines).
 //!
 //! **Conventions.** Dimensions are the *canonical* orientation of
 //! [`crate::canon::canonicalize`]: `I` is the target-mode dimension, `J`
@@ -26,11 +37,20 @@
 //! exact; bounds appear only downstream of a `Collapse`, whose output
 //! support (`distinct (i,k) pairs`) is data-dependent.
 
-use crate::records::{HadVal, ImhpVal, MergeVal, NaiveVal};
-use crate::Variant;
-use haten2_mapreduce::{
-    Env, EstimateSize, JobGraph, PlanJob, RecoverySpec, SymExpr, RECORD_FRAMING_BYTES,
+use crate::ops::{
+    collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, merge_parts_job, naive_ttv_job,
+    pairwise_merge_job, with_slot, KeySlice, Shards, TensorRecords,
 };
+use crate::records::{tensor_records, HadVal, ImhpVal, Ix4, MergeVal, NaiveVal};
+use crate::Variant;
+use haten2_linalg::Mat;
+use haten2_mapreduce::rewrite::heavy_key_split_target;
+use haten2_mapreduce::{
+    dataset_base, datasets_overlap, Batch, Cluster, ClusterConfig, Env, EstimateSize, JobCtx,
+    JobGraph, JobHandle, JobInstance, KeyFreqSketch, MrError, PlanJob, RecoverySpec, SymExpr,
+    RECORD_FRAMING_BYTES,
+};
+use haten2_tensor::CooTensor3;
 
 /// Which decomposition a plan describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,282 +188,599 @@ fn c(v: u64) -> SymExpr {
     SymExpr::c(v)
 }
 
-/// IMHP job template shared by both DRI pipelines: reads the tensor once,
-/// writes both expanded sides. Emits 2 records per nonzero plus one row
-/// record per column of each factor; `q_len`/`r_len` are the row lengths
-/// (Q and R for Tucker, R and R for PARAFAC).
-fn imhp_job(name: &str, q_len: SymExpr, r_len: SymExpr) -> PlanJob {
+// ---- Kernels: what a template's instances run ------------------------------
+
+/// Which transposed factor feeds a per-column template. Instance `i`
+/// multiplies by row `i`, joining on the canonical mode the factor
+/// belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// `u1 ∈ ℝ^{Q×J}`, joined on slot 1.
+    U1,
+    /// `u2 ∈ ℝ^{R×K}`, joined on slot 2.
+    U2,
+}
+
+impl Side {
+    fn slot(self) -> usize {
+        match self {
+            Side::U1 => 1,
+            Side::U2 => 2,
+        }
+    }
+
+    fn row<'a>(self, bound: &Bindings<'a>, instance: usize) -> &'a [f64] {
+        match self {
+            Side::U1 => bound.u1.row(instance),
+            Side::U2 => bound.u2.row(instance),
+        }
+    }
+}
+
+/// How a job's output indices are rewritten before the dataset is
+/// published, so that shards read together line up as one tensor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Relabel {
+    /// Publish the kernel's indices as they are.
+    Keep,
+    /// Write the instance's own index into this slot: the per-column
+    /// results stack along it.
+    ShardTo(usize),
+    /// Move slot 3 (the factor-column tag of the Hadamard that fed this
+    /// job) into this slot, freeing slot 3 for the next tag.
+    TagTo(usize),
+}
+
+impl Relabel {
+    fn apply(self, records: &mut [(Ix4, f64)], instance: usize) {
+        for (ix, _) in records {
+            *ix = match self {
+                Relabel::Keep => return,
+                Relabel::ShardTo(slot) => with_slot(*ix, slot, instance as u64),
+                Relabel::TagTo(slot) => with_slot((ix.0, ix.1, ix.2, 0), slot, ix.3),
+            };
+        }
+    }
+}
+
+/// The MapReduce job a template's instances run: one of the operations of
+/// [`crate::ops`], with the few parameters that tell two uses of it apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// [`naive_ttv_job`]: contract the slot of the side against its row.
+    /// Slot 1 of the tensor read is as wide as the shards read: the
+    /// per-column results of an earlier stage stack along it.
+    NaiveTtv(Side),
+    /// [`hadamard_vec_job`]: join the slot of the side with its row; `true`
+    /// tags slot 3 of every output record with the instance index.
+    HadamardVec(Side, bool),
+    /// [`collapse_job`] over this slot.
+    Collapse(usize),
+    /// [`imhp_job`]: both Hadamard expansions in one pass over `x`; writes
+    /// two datasets.
+    Imhp,
+    /// [`cross_merge_job`] of its two reads.
+    CrossMerge,
+    /// [`pairwise_merge_job`] of its two reads.
+    PairwiseMerge,
+    /// [`merge_parts_job`]: reassembly of a key-sliced merge's shards.
+    MergeParts,
+}
+
+impl Kernel {
+    /// Name of the operation — what the template's [`PlanJob::op`] says,
+    /// and the site the determinism pass knows its reducer by.
+    pub fn op(self) -> &'static str {
+        match self {
+            Kernel::NaiveTtv(_) => "naive_ttv_job",
+            Kernel::HadamardVec(..) => "hadamard_vec_job",
+            Kernel::Collapse(_) => "collapse_job",
+            Kernel::Imhp => "imhp_job",
+            Kernel::CrossMerge => "cross_merge_job",
+            Kernel::PairwiseMerge => "pairwise_merge_job",
+            Kernel::MergeParts => "merge_parts_job",
+        }
+    }
+
+    /// Run instance `i`, named `name`, on `inputs` (one shard list per
+    /// declared read, in declared order); returns one record set per
+    /// declared write.
+    fn run(
+        self,
+        ctx: &JobCtx<'_>,
+        name: &str,
+        i: usize,
+        inputs: &[Shards<'_>],
+        slice: KeySlice,
+        bound: &Bindings<'_>,
+    ) -> haten2_mapreduce::Result<Vec<TensorRecords>> {
+        Ok(match (self, inputs) {
+            (Kernel::NaiveTtv(side), [entries]) => {
+                let [d0, _, d2] = bound.x.dims();
+                let dims = [d0, entries.len() as u64, d2, 1];
+                let row = side.row(bound, i);
+                vec![naive_ttv_job(ctx, name, entries, dims, side.slot(), row)?]
+            }
+            (Kernel::HadamardVec(side, tag), [entries]) => {
+                let (row, tag) = (side.row(bound, i), tag.then_some(i as u64));
+                vec![hadamard_vec_job(ctx, name, entries, side.slot(), row, tag)?]
+            }
+            (Kernel::Collapse(drop), [entries]) => {
+                vec![collapse_job(ctx, name, entries, drop, bound.use_combiner)?]
+            }
+            (Kernel::Imhp, [entries]) => {
+                let (t_prime, t_dprime) = imhp_job(ctx, name, entries, bound.u1, bound.u2)?;
+                vec![t_prime, t_dprime]
+            }
+            (Kernel::CrossMerge, [t_prime, t_dprime]) => {
+                vec![cross_merge_job(ctx, name, t_prime, t_dprime, slice)?]
+            }
+            (Kernel::PairwiseMerge, [t_prime, t_dprime]) => {
+                vec![pairwise_merge_job(ctx, name, t_prime, t_dprime, slice)?]
+            }
+            (Kernel::MergeParts, [parts]) => vec![merge_parts_job(ctx, name, parts)?],
+            (kernel, inputs) => {
+                let detail = format!("{} cannot run on {} input(s)", kernel.op(), inputs.len());
+                return Err(violation(name, detail));
+            }
+        })
+    }
+}
+
+// ---- Templates: one constructor per kernel ---------------------------------
+//
+// Each declares, once, what every use of a kernel shares: its `op`, whether
+// its reducer is commutative-associative ([`COMM_ASSOC_REDUCERS`]), and its
+// cost as a function of the records one instance reads (`input`).
+
+/// A job template and the kernel its instances run.
+type Template = (PlanJob, Kernel);
+
+/// `count` instances of `kernel`, each emitting `records`.
+fn template(
+    name: &str,
+    count: SymExpr,
+    kernel: Kernel,
+    reads: &[&str],
+    writes: &[&str],
+    (records, bytes): (SymExpr, SymExpr),
+) -> Template {
+    let mut job = PlanJob::new(name).repeat(count).op(kernel.op());
+    job.reads = reads.iter().map(|d| d.to_string()).collect();
+    job.writes = writes.iter().map(|d| d.to_string()).collect();
+    job.comm_assoc = is_comm_assoc_site(kernel.op());
+    (job.emits(records, bytes), kernel)
+}
+
+/// Broadcast product with each row of `side`: every coefficient of the row
+/// is shuffled to all `fibers` of the tensor read — the paper's
+/// `nnz + I·J·K` blowup.
+fn naive_ttv(
+    name: &str,
+    count: SymExpr,
+    side: Side,
+    (reads, input): (&str, SymExpr),
+    fibers: SymExpr,
+    writes: &str,
+) -> Template {
+    let records = input + fibers;
+    let cost = (records.clone(), c(naive_bytes()) * records);
+    template(
+        name,
+        count,
+        Kernel::NaiveTtv(side),
+        &[reads],
+        &[writes],
+        cost,
+    )
+}
+
+/// `*̄` with each row of `side`, optionally tagging slot 3: one record per
+/// entry read plus one per coefficient of the row.
+fn hadamard(
+    name: &str,
+    count: SymExpr,
+    side: Side,
+    tag: bool,
+    (reads, input): (&str, SymExpr),
+    writes: &str,
+) -> Template {
+    let row = match side {
+        Side::U1 => dj(),
+        Side::U2 => dk(),
+    };
+    let bytes = c(had_ent_bytes()) * input.clone() + c(had_coef_bytes()) * row.clone();
+    let kernel = Kernel::HadamardVec(side, tag);
+    template(
+        name,
+        count,
+        kernel,
+        &[reads],
+        &[writes],
+        (input + row, bytes),
+    )
+}
+
+/// `Collapse` over slot `drop`: one record per entry read.
+fn collapse(
+    name: &str,
+    count: SymExpr,
+    drop: usize,
+    (reads, input): (&str, SymExpr),
+    writes: &str,
+) -> Template {
+    let cost = (input.clone(), c(collapse_bytes()) * input);
+    template(
+        name,
+        count,
+        Kernel::Collapse(drop),
+        &[reads],
+        &[writes],
+        cost,
+    )
+}
+
+/// IMHP: reads the tensor once, writes both expanded sides. Emits 2 records
+/// per nonzero plus one row record per column of each factor;
+/// `q_len`/`r_len` are the row lengths (Q and R for Tucker, R and R for
+/// PARAFAC).
+fn imhp(name: &str, q_len: SymExpr, r_len: SymExpr) -> Template {
     let records = c(2) * n() + dj() + dk();
     let bytes = c(2 * imhp_ent_bytes()) * n()
         + (c(imhp_row_base_bytes()) + c(imhp_row_elem_bytes()) * q_len) * dj()
         + (c(imhp_row_base_bytes()) + c(imhp_row_elem_bytes()) * r_len) * dk();
-    PlanJob::new(name)
-        .reads(["x"])
-        .writes(["t_prime", "t_dprime"])
-        .op("imhp_job")
-        .emits(records, bytes)
+    let writes = ["t_prime", "t_dprime"];
+    template(name, c(1), Kernel::Imhp, &["x"], &writes, (records, bytes))
 }
 
-/// The registered plan for one (decomposition × variant) pipeline.
-///
-/// Job names, order, counts, and dataset wiring mirror the runtime
-/// drivers exactly; the cross-check tests in `haten2-bench` fail if they
-/// drift.
-pub fn plan_for(decomp: Decomp, variant: Variant) -> JobGraph {
-    match (decomp, variant) {
-        // -- Tucker (Algorithms 3, 5, 7, 9; Table III) ---------------------
-        (Decomp::Tucker, Variant::Naive) => JobGraph::new("tucker-naive", [])
-            .big_input("x")
-            .output("y")
-            .job(
-                // Broadcast n-mode vector product per column of B: every
-                // coefficient of the length-J vector is shuffled to all
-                // I·K fibers — the paper's nnz + I·J·K blowup.
-                PlanJob::new("tucker-naive-xv-b{}")
-                    .repeat(q())
-                    .reads(["x"])
-                    .writes(["t"])
-                    .op("naive_ttv_job")
-                    .comm_assoc()
-                    .emits(
-                        n() + di() * dj() * dk(),
-                        c(naive_bytes()) * (n() + di() * dj() * dk()),
-                    ),
-            )
-            .job(
-                PlanJob::new("tucker-naive-tv-c{}")
-                    .repeat(r())
-                    .reads(["t"])
-                    .writes(["y"])
-                    .op("naive_ttv_job")
-                    .comm_assoc()
-                    .emits(
-                        n() * q() + di() * q() * dk(),
-                        c(naive_bytes()) * (n() * q() + di() * q() * dk()),
-                    )
-                    // |T| = Q · (distinct (i,k) pairs) ≤ Q·nnz.
-                    .upper_bound(),
-            ),
-        (Decomp::Tucker, Variant::Dnn) => JobGraph::new("tucker-dnn", [])
-            .big_input("x")
-            .output("y")
-            .job(
-                PlanJob::new("tucker-dnn-had-b{}")
-                    .repeat(q())
-                    .reads(["x"])
-                    .writes(["t_prime"])
-                    .op("hadamard_vec_job")
-                    .emits(
-                        n() + dj(),
-                        c(had_ent_bytes()) * n() + c(had_coef_bytes()) * dj(),
-                    ),
-            )
-            .job(
-                PlanJob::new("tucker-dnn-collapse-j")
-                    .reads(["t_prime"])
-                    .writes(["t"])
-                    .op("collapse_job")
-                    .comm_assoc()
-                    .emits(n() * q(), c(collapse_bytes()) * n() * q()),
-            )
-            .job(
-                PlanJob::new("tucker-dnn-had-c{}")
-                    .repeat(r())
-                    .reads(["t"])
-                    .writes(["y_prime"])
-                    .op("hadamard_vec_job")
-                    .emits(
-                        n() * q() + dk(),
-                        c(had_ent_bytes()) * n() * q() + c(had_coef_bytes()) * dk(),
-                    )
-                    .upper_bound(),
-            )
-            .job(
-                // The nnz·Q·R blowup that makes DNN the intermediate-data
-                // worst case of the decoupled variants (Table III row 2).
-                PlanJob::new("tucker-dnn-collapse-k")
-                    .reads(["y_prime"])
-                    .writes(["y"])
-                    .op("collapse_job")
-                    .comm_assoc()
-                    .emits(n() * q() * r(), c(collapse_bytes()) * n() * q() * r())
-                    .upper_bound(),
-            ),
-        (Decomp::Tucker, Variant::Drn) => JobGraph::new("tucker-drn", [])
-            .big_input("x")
-            .big_input("x_bin")
-            .output("y")
-            .job(
-                PlanJob::new("tucker-drn-had-b{}")
-                    .repeat(q())
-                    .reads(["x"])
-                    .writes(["t_prime"])
-                    .op("hadamard_vec_job")
-                    .emits(
-                        n() + dj(),
-                        c(had_ent_bytes()) * n() + c(had_coef_bytes()) * dj(),
-                    ),
-            )
-            .job(
-                PlanJob::new("tucker-drn-had-c{}")
-                    .repeat(r())
-                    .reads(["x_bin"])
-                    .writes(["t_dprime"])
-                    .op("hadamard_vec_job")
-                    .emits(
-                        n() + dk(),
-                        c(had_ent_bytes()) * n() + c(had_coef_bytes()) * dk(),
-                    ),
-            )
-            .job(
-                PlanJob::new("tucker-drn-crossmerge")
-                    .reads(["t_prime", "t_dprime"])
-                    .writes(["y"])
-                    .op("cross_merge_job")
-                    .comm_assoc()
-                    .emits(n() * (q() + r()), c(merge_bytes()) * n() * (q() + r())),
-            ),
-        (Decomp::Tucker, Variant::Dri) => JobGraph::new("tucker-dri", [])
-            .big_input("x")
-            .output("y")
-            .job(imhp_job("tucker-dri-imhp", q(), r()))
-            .job(
-                PlanJob::new("tucker-dri-crossmerge")
-                    .reads(["t_prime", "t_dprime"])
-                    .writes(["y"])
-                    .op("cross_merge_job")
-                    .comm_assoc()
-                    .emits(n() * (q() + r()), c(merge_bytes()) * n() * (q() + r())),
-            ),
+/// The final merge of `T'` and `T''` on the target-mode index: CrossMerge
+/// shuffles every record of both sides, PairwiseMerge `nnz·R` per side.
+fn merge(name: &str, kernel: Kernel) -> Template {
+    let cost = match kernel {
+        Kernel::CrossMerge => (n() * (q() + r()), c(merge_bytes()) * n() * (q() + r())),
+        Kernel::PairwiseMerge => (c(2) * n() * r(), c(2 * merge_bytes()) * n() * r()),
+        other => unreachable!("{} merges nothing", other.op()),
+    };
+    template(name, c(1), kernel, &["t_prime", "t_dprime"], &["y"], cost)
+}
 
-        // -- PARAFAC (Algorithms 4, 6, 8, 10; Table IV) --------------------
-        (Decomp::Parafac, Variant::Naive) => JobGraph::new("parafac-naive", [])
-            .big_input("x")
-            .output("y")
-            .job(
-                PlanJob::new("parafac-naive-xb{}")
-                    .repeat(r())
-                    .reads(["x"])
-                    .writes(["t"])
-                    .op("naive_ttv_job")
-                    .comm_assoc()
-                    .emits(
-                        n() + di() * dj() * dk(),
-                        c(naive_bytes()) * (n() + di() * dj() * dk()),
-                    ),
-            )
-            .job(
-                PlanJob::new("parafac-naive-tc{}")
-                    .repeat(r())
-                    .reads(["t"])
-                    .writes(["y"])
-                    .op("naive_ttv_job")
-                    .comm_assoc()
-                    .emits(n() + di() * dk(), c(naive_bytes()) * (n() + di() * dk()))
-                    // |T_r| = distinct (i,k) pairs ≤ nnz.
-                    .upper_bound(),
-            ),
-        (Decomp::Parafac, Variant::Dnn) => JobGraph::new("parafac-dnn", [])
-            .big_input("x")
-            .output("y")
-            .job(
-                PlanJob::new("parafac-dnn-had-b{}")
-                    .repeat(r())
-                    .reads(["x"])
-                    .writes(["h_b"])
-                    .op("hadamard_vec_job")
-                    .emits(
-                        n() + dj(),
-                        c(had_ent_bytes()) * n() + c(had_coef_bytes()) * dj(),
-                    ),
-            )
-            .job(
-                PlanJob::new("parafac-dnn-col-j{}")
-                    .repeat(r())
-                    .reads(["h_b"])
-                    .writes(["t"])
-                    .op("collapse_job")
-                    .comm_assoc()
-                    .emits(n(), c(collapse_bytes()) * n()),
-            )
-            .job(
-                PlanJob::new("parafac-dnn-had-c{}")
-                    .repeat(r())
-                    .reads(["t"])
-                    .writes(["h_c"])
-                    .op("hadamard_vec_job")
-                    .emits(
-                        n() + dk(),
-                        c(had_ent_bytes()) * n() + c(had_coef_bytes()) * dk(),
-                    )
-                    .upper_bound(),
-            )
-            .job(
-                PlanJob::new("parafac-dnn-col-k{}")
-                    .repeat(r())
-                    .reads(["h_c"])
-                    .writes(["y"])
-                    .op("collapse_job")
-                    .comm_assoc()
-                    .emits(n(), c(collapse_bytes()) * n())
-                    .upper_bound(),
-            ),
-        (Decomp::Parafac, Variant::Drn) => JobGraph::new("parafac-drn", [])
-            .big_input("x")
-            .big_input("x_bin")
-            .output("y")
-            .job(
-                PlanJob::new("parafac-drn-had-b{}")
-                    .repeat(r())
-                    .reads(["x"])
-                    .writes(["t_prime"])
-                    .op("hadamard_vec_job")
-                    .emits(
-                        n() + dj(),
-                        c(had_ent_bytes()) * n() + c(had_coef_bytes()) * dj(),
-                    ),
-            )
-            .job(
-                PlanJob::new("parafac-drn-had-c{}")
-                    .repeat(r())
-                    .reads(["x_bin"])
-                    .writes(["t_dprime"])
-                    .op("hadamard_vec_job")
-                    .emits(
-                        n() + dk(),
-                        c(had_ent_bytes()) * n() + c(had_coef_bytes()) * dk(),
-                    ),
-            )
-            .job(
-                PlanJob::new("parafac-drn-pairwisemerge")
-                    .reads(["t_prime", "t_dprime"])
-                    .writes(["y"])
-                    .op("pairwise_merge_job")
-                    .comm_assoc()
-                    .emits(c(2) * n() * r(), c(2 * merge_bytes()) * n() * r()),
-            ),
-        (Decomp::Parafac, Variant::Dri) => JobGraph::new("parafac-dri", [])
-            .big_input("x")
-            .output("y")
-            .job(imhp_job("parafac-dri-imhp", r(), r()))
-            .job(
-                PlanJob::new("parafac-dri-pairwisemerge")
-                    .reads(["t_prime", "t_dprime"])
-                    .writes(["y"])
-                    .op("pairwise_merge_job")
-                    .comm_assoc()
-                    .emits(c(2) * n() * r(), c(2 * merge_bytes()) * n() * r()),
-            ),
+/// One pipeline: its [`JobGraph`] — what the analyzer certifies and the
+/// scheduler validates against — plus, per template, what its instances
+/// run and how they publish it.
+#[derive(Debug, Clone)]
+pub struct Pipeline {
+    /// The declarative description.
+    pub graph: JobGraph,
+    /// `steps[i]` runs `graph.jobs[i]`.
+    steps: Vec<(Kernel, Relabel)>,
+}
+
+impl Pipeline {
+    /// A pipeline over the bound datasets `inputs` — `x`, and `x_bin` for
+    /// `bin(x)` — writing `y`.
+    fn new(name: &str, inputs: &[&str]) -> Self {
+        let graph = JobGraph::new(name, []).output("y");
+        Pipeline {
+            graph: inputs.iter().fold(graph, |g, input| g.big_input(input)),
+            steps: Vec::new(),
+        }
+    }
+
+    /// Submit one rank's whole chain before the next rank's.
+    fn rank_major(mut self) -> Self {
+        self.graph.rank_major = true;
+        self
+    }
+
+    fn job(mut self, (job, kernel): Template, relabel: Relabel) -> Self {
+        self.graph.jobs.push(job);
+        self.steps.push((kernel, relabel));
+        self
+    }
+
+    /// The last job's costs are worst-case bounds, not generic-position
+    /// exact: it reads a dataset whose support is data-dependent.
+    fn upper_bound(mut self) -> Self {
+        if let Some(job) = self.graph.jobs.last_mut() {
+            job.exact = false;
+        }
+        self
+    }
+
+    /// This pipeline under the certified `heavy-key-split`, or `None` when
+    /// no certification record covers it. The graph is
+    /// [`certified_rewrite_for`]'s output, untouched: the target template's
+    /// place is taken by its key-sliced split — the same kernel, the slice
+    /// is read off the node — followed by the reassembly.
+    fn split_heavy_keys(&self) -> Option<Pipeline> {
+        let graph = certified_rewrite_for(&self.graph, "heavy-key-split")?;
+        let at = heavy_key_split_target(&self.graph)?;
+        let mut steps = self.steps.clone();
+        steps.insert(at + 1, (Kernel::MergeParts, Relabel::Keep));
+        Some(Pipeline { graph, steps })
     }
 }
 
+/// The registered pipeline for one (decomposition × variant): Algorithms
+/// 3–10 of the paper, as data. A row is a template — name, instances,
+/// kernel parameters, `(reads, records that is per instance)`, `writes` —
+/// and how its output is relabelled.
+#[rustfmt::skip]
+pub fn pipeline_for(decomp: Decomp, variant: Variant) -> Pipeline {
+    use Kernel::{CrossMerge, PairwiseMerge};
+    use Relabel::{Keep, ShardTo, TagTo};
+    use Side::{U1, U2};
+    let ijk = || di() * dj() * dk();
+    match (decomp, variant) {
+        // -- Tucker (Algorithms 3, 5, 7, 9; Table III) ---------------------
+        // The Q per-column results stack along slot 1 into T, the R along
+        // slot 2 into Y; |T| = Q · (distinct (i,k) pairs) ≤ Q·nnz.
+        (Decomp::Tucker, Variant::Naive) => Pipeline::new("tucker-naive", &["x"])
+            .job(naive_ttv("tucker-naive-xv-b{}", q(), U1, ("x", n()), ijk(), "t#{}"), ShardTo(1))
+            .job(naive_ttv("tucker-naive-tv-c{}", r(), U2, ("t", n() * q()), di() * q() * dk(),
+                           "y#{}"), ShardTo(2))
+            .upper_bound(),
+        // T(i, 0, k, q): q moves into slot 1, so slot 3 is free for r. The
+        // last Collapse is the nnz·Q·R blowup that makes DNN the
+        // intermediate-data worst case of the decoupled variants.
+        (Decomp::Tucker, Variant::Dnn) => Pipeline::new("tucker-dnn", &["x"])
+            .job(hadamard("tucker-dnn-had-b{}", q(), U1, true, ("x", n()), "t_prime#{}"), Keep)
+            .job(collapse("tucker-dnn-collapse-j", c(1), 1, ("t_prime", n() * q()), "t"), TagTo(1))
+            .job(hadamard("tucker-dnn-had-c{}", r(), U2, true, ("t", n() * q()), "y_prime#{}"),
+                 Keep)
+            .upper_bound()
+            .job(collapse("tucker-dnn-collapse-k", c(1), 2, ("y_prime", n() * q() * r()), "y"),
+                 TagTo(2))
+            .upper_bound(),
+        (Decomp::Tucker, Variant::Drn) => Pipeline::new("tucker-drn", &["x", "x_bin"])
+            .job(hadamard("tucker-drn-had-b{}", q(), U1, true, ("x", n()), "t_prime#{}"), Keep)
+            .job(hadamard("tucker-drn-had-c{}", r(), U2, true, ("x_bin", n()), "t_dprime#{}"), Keep)
+            .job(merge("tucker-drn-crossmerge", CrossMerge), Keep),
+        (Decomp::Tucker, Variant::Dri) => Pipeline::new("tucker-dri", &["x"])
+            .job(imhp("tucker-dri-imhp", q(), r()), Keep)
+            .job(merge("tucker-dri-crossmerge", CrossMerge), Keep),
+
+        // -- PARAFAC (Algorithms 4, 6, 8, 10; Table IV) --------------------
+        // Naive and DNN run R independent per-rank chains, one rank's whole
+        // chain submitted before the next rank's; the rank lands in slot 1
+        // of the final shard, so every variant's `y` is `((i, r, 0, 0), v)`.
+        // |T_r| = distinct (i,k) pairs ≤ nnz.
+        (Decomp::Parafac, Variant::Naive) => Pipeline::new("parafac-naive", &["x"]).rank_major()
+            .job(naive_ttv("parafac-naive-xb{}", r(), U1, ("x", n()), ijk(), "t#{}"), Keep)
+            .job(naive_ttv("parafac-naive-tc{}", r(), U2, ("t#{}", n()), di() * dk(), "y#{}"),
+                 ShardTo(1))
+            .upper_bound(),
+        (Decomp::Parafac, Variant::Dnn) => Pipeline::new("parafac-dnn", &["x"]).rank_major()
+            .job(hadamard("parafac-dnn-had-b{}", r(), U1, false, ("x", n()), "h_b#{}"), Keep)
+            .job(collapse("parafac-dnn-col-j{}", r(), 1, ("h_b#{}", n()), "t#{}"), Keep)
+            .job(hadamard("parafac-dnn-had-c{}", r(), U2, false, ("t#{}", n()), "h_c#{}"), Keep)
+            .upper_bound()
+            .job(collapse("parafac-dnn-col-k{}", r(), 2, ("h_c#{}", n()), "y#{}"), ShardTo(1))
+            .upper_bound(),
+        (Decomp::Parafac, Variant::Drn) => Pipeline::new("parafac-drn", &["x", "x_bin"])
+            .job(hadamard("parafac-drn-had-b{}", r(), U1, true, ("x", n()), "t_prime#{}"), Keep)
+            .job(hadamard("parafac-drn-had-c{}", r(), U2, true, ("x_bin", n()), "t_dprime#{}"),
+                 Keep)
+            .job(merge("parafac-drn-pairwisemerge", PairwiseMerge), Keep),
+        (Decomp::Parafac, Variant::Dri) => Pipeline::new("parafac-dri", &["x"])
+            .job(imhp("parafac-dri-imhp", r(), r()), Keep)
+            .job(merge("parafac-dri-pairwisemerge", PairwiseMerge), Keep),
+    }
+}
+
+/// The registered plan for one (decomposition × variant) pipeline: the
+/// graph [`run_pipeline`] executes, for the analyzer and the cross-checks.
+pub fn plan_for(decomp: Decomp, variant: Variant) -> JobGraph {
+    pipeline_for(decomp, variant).graph
+}
+
+// ---- The submitter -----------------------------------------------------------
+
+/// What one call binds a pipeline's symbols to.
+pub struct Bindings<'a> {
+    /// The tensor in canonical orientation (target mode first): dataset
+    /// `x`, with `bin(x)` as dataset `x_bin` for the graphs that read it.
+    pub x: &'a CooTensor3,
+    /// Transposed factor of canonical mode 1, `Q × J`.
+    pub u1: &'a Mat,
+    /// Transposed factor of canonical mode 2, `R × K`.
+    pub u2: &'a Mat,
+    /// Map-side combiner in Collapse jobs (an ablation; the paper's cost
+    /// model assumes none).
+    pub use_combiner: bool,
+}
+
+/// What one job leaves behind: a record set per declared write.
+type Written = Vec<TensorRecords>;
+
+/// Where one shard of a declared read comes from.
+enum Source<'a> {
+    /// A dataset bound before the first job.
+    Bound(&'a [(Ix4, f64)]),
+    /// Declared write `.1` of an earlier job.
+    Written(JobHandle<Written>, usize),
+}
+
+impl Source<'_> {
+    fn records(&self, ctx: &JobCtx<'_>) -> haten2_mapreduce::Result<&[(Ix4, f64)]> {
+        Ok(match self {
+            Source::Bound(records) => records,
+            Source::Written(handle, at) => &ctx.get(handle)?[*at],
+        })
+    }
+}
+
+fn violation(job: &str, detail: String) -> MrError {
+    MrError::PlanViolation {
+        job: job.to_string(),
+        detail,
+    }
+}
+
+/// The sketch of the final merge's reduce keys (the canonical target-mode
+/// indices, bucketed by the hash slice a split instance would own) — built
+/// only when the cluster's rewrite policy will look at it.
+fn merge_key_sketch(config: &ClusterConfig, x: &[(Ix4, f64)]) -> Option<KeyFreqSketch> {
+    config.rewrite.wants_sketch().then(|| {
+        let mut sketch = KeyFreqSketch::new(config.machines);
+        for (ix, _) in x {
+            sketch.observe(&ix.0);
+        }
+        sketch
+    })
+}
+
+/// Submit every instance `pipeline` expands to under `env`, in the graph's
+/// submission order, through the one `submit` site library code has. An
+/// instance's inputs are the shards its declared reads overlap — a dataset
+/// in `datasets`, or the declared writes of jobs submitted before it, in
+/// submission order — under the same overlap rule the scheduler orders
+/// jobs by. Returns the jobs that write the pipeline's output.
+fn submit<'a>(
+    batch: &mut Batch<'a>,
+    pipeline: &Pipeline,
+    env: &Env,
+    bound: &'a Bindings<'a>,
+    datasets: &[(&str, &'a [(Ix4, f64)])],
+    sketch: Option<&KeyFreqSketch>,
+) -> haten2_mapreduce::Result<Vec<(JobInstance, JobHandle<Written>)>> {
+    let mut submitted: Vec<(JobInstance, JobHandle<Written>)> = Vec::new();
+    for inst in pipeline.graph.expand(env) {
+        let job = &pipeline.graph.jobs[inst.template];
+        // A rewrite the kernel table did not follow stops here.
+        let step = pipeline.steps.get(inst.template);
+        let Some(&(kernel, relabel)) = step.filter(|(k, _)| job.op.as_deref() == Some(k.op()))
+        else {
+            return Err(violation(&inst.name, format!("no kernel for {:?}", job.op)));
+        };
+        let mut sources: Vec<Vec<Source<'a>>> = Vec::with_capacity(inst.reads.len());
+        for read in &inst.reads {
+            let shards: Vec<Source<'a>> = match datasets.iter().find(|(name, _)| name == read) {
+                Some(&(_, records)) => vec![Source::Bound(records)],
+                None => submitted
+                    .iter()
+                    .flat_map(|(earlier, handle)| {
+                        let overlapping =
+                            |(_, write): &(usize, &String)| datasets_overlap(write, read);
+                        let written = earlier.writes.iter().enumerate().filter(overlapping);
+                        written.map(|(at, _)| Source::Written(handle.clone(), at))
+                    })
+                    .collect(),
+            };
+            if shards.is_empty() {
+                let detail = format!("reads '{read}', which nothing bound or earlier writes");
+                return Err(violation(&inst.name, detail));
+            }
+            sources.push(shards);
+        }
+        let slice: KeySlice = job.key_sliced.then_some((inst.index, inst.count));
+        let (name, index) = (inst.name.clone(), inst.index);
+        let run = move |ctx: &JobCtx<'_>| {
+            let mut inputs: Vec<Vec<&[(Ix4, f64)]>> = Vec::with_capacity(sources.len());
+            for shards in &sources {
+                inputs.push(
+                    shards
+                        .iter()
+                        .map(|s| s.records(ctx))
+                        .collect::<Result<_, _>>()?,
+                );
+            }
+            let inputs: Vec<Shards<'_>> = inputs.iter().map(Vec::as_slice).collect();
+            let mut written = kernel.run(ctx, &name, index, &inputs, slice, bound)?;
+            for records in &mut written {
+                relabel.apply(records, index);
+            }
+            Ok(written)
+        };
+        let handle = batch.submit(
+            inst.name.clone(),
+            inst.reads.clone(),
+            inst.writes.clone(),
+            run,
+        )?;
+        // Longest-processing-time-first needs to know which slice owns the
+        // heavy keys; the sketch bucketed them by the same hash.
+        if let (true, Some(sketch)) = (job.key_sliced, sketch) {
+            batch.set_cost_hint(&handle, sketch.bucket(inst.index) as f64);
+        }
+        submitted.push((inst, handle));
+    }
+    // Only the output's handles leave: every intermediate is now owned by
+    // the closures that read it, and goes when the last of them has run.
+    let outputs = &pipeline.graph.outputs;
+    let is_output = |write: &String| outputs.iter().any(|o| o == dataset_base(write));
+    submitted.retain(|(inst, _)| inst.writes.iter().any(is_output));
+    Ok(submitted)
+}
+
+/// Execute `pipeline` on `cluster` with its symbols bound to `bound`, and
+/// return the records of its output dataset, shards concatenated in
+/// submission order.
+///
+/// When the cluster's [`haten2_mapreduce::RewritePolicy`] fires, what runs is the pipeline's
+/// certified `heavy-key-split` ([`certified_rewrite_for`]) — bit-identical
+/// outputs, but the straggling merge becomes `machines` concurrent split
+/// jobs. The policy is consulted once; pipelines without a certification
+/// record (Naive/DNN) never rewrite.
+pub fn run_pipeline(
+    cluster: &Cluster,
+    pipeline: &Pipeline,
+    bound: &Bindings<'_>,
+) -> crate::Result<TensorRecords> {
+    let config = cluster.config();
+    let machines = config.machines.max(1);
+    let x = tensor_records(bound.x);
+    let x_bin = pipeline
+        .graph
+        .is_input("x_bin")
+        .then(|| tensor_records(&bound.x.bin()));
+    let mut datasets = vec![("x", x.as_slice())];
+    datasets.extend(x_bin.as_deref().map(|records| ("x_bin", records)));
+
+    let sketch = merge_key_sketch(config, &x);
+    let split = sketch
+        .as_ref()
+        .filter(|sketch| config.rewrite.should_rewrite(sketch))
+        .and_then(|_| pipeline.split_heavy_keys());
+    let pipeline = split.as_ref().unwrap_or(pipeline);
+    let (q, r) = (bound.u1.rows(), bound.u2.rows());
+    let env = env_for(bound.x.dims(), x.len(), q, r, machines);
+
+    let mut batch = Batch::with_graph(&pipeline.graph);
+    let submitted = submit(
+        &mut batch,
+        pipeline,
+        &env,
+        bound,
+        &datasets,
+        sketch.as_ref(),
+    )?;
+    batch.run(cluster)?;
+
+    let outputs = &pipeline.graph.outputs;
+    let mut y = Vec::new();
+    for (inst, handle) in submitted {
+        for (write, mut records) in inst.writes.iter().zip(handle.take()?) {
+            if outputs.iter().any(|o| o == dataset_base(write)) {
+                y.append(&mut records);
+            }
+        }
+    }
+    Ok(y)
+}
+
 /// The static recovery contract of one pipeline: every graph-produced
-/// dataset is covered by a lineage recipe (the drivers register one per
-/// intermediate when run through [`crate::tucker`]/[`crate::parafac`] with
-/// recovery enabled), and iterative (ALS) invocations checkpoint after
-/// every sweep — [`crate::als::AlsOptions::checkpoint_every`] defaults to
-/// 1, which is exactly the policy published here. The recoverability pass
-/// in `haten2-analyze` certifies this spec against the [`plan_for`] graph.
+/// dataset is declared covered by a lineage recipe, and iterative (ALS)
+/// invocations checkpoint after every sweep. The recoverability pass in
+/// `haten2-analyze` certifies this spec against the [`plan_for`] graph.
+///
+/// It is a contract, not a description of [`run_pipeline`]: the
+/// pipelines keep their intermediates in job handles and register no
+/// lineage recipe. What the contract promises is exercised where datasets
+/// do live on the DFS — `haten2_mapreduce::run_job_dfs_recovering`'s tests
+/// re-derive lost datasets through registered recipes, and the
+/// checkpointed ALS drivers ([`crate::checkpoint`]) write the per-sweep
+/// checkpoints.
 pub fn recovery_for(decomp: Decomp, variant: Variant, sweeps: usize) -> RecoverySpec {
     let graph = plan_for(decomp, variant);
     let mut spec = RecoverySpec::new();
@@ -546,16 +883,6 @@ pub const COMM_ASSOC_REDUCERS: &[ReducerAnnotation] = &[
         reduce: sum_fold,
     },
     ReducerAnnotation {
-        site: "cross_merge_split_job",
-        summary: "per-slice partial of the CrossMerge fold (heavy-key-split phase 1)",
-        reduce: sum_fold,
-    },
-    ReducerAnnotation {
-        site: "pairwise_merge_split_job",
-        summary: "per-slice partial of the PairwiseMerge fold (heavy-key-split phase 1)",
-        reduce: sum_fold,
-    },
-    ReducerAnnotation {
         site: "model_inner_product_job",
         summary: "partial inner products ⟨X, X̂⟩ per target-mode slice",
         reduce: sum_fold,
@@ -599,13 +926,15 @@ pub const CERTIFIED_REWRITES: &[(&str, &str)] = &[
     ("parafac-dri", "heavy-key-split"),
 ];
 
-/// Apply a certified rewrite to `graph` at submission time. Returns the
-/// rewritten graph only when `(graph.name, rewrite)` has a certification
-/// record in [`CERTIFIED_REWRITES`]; `None` means the rewrite is not
-/// certified for this pipeline and the caller must submit the original
-/// plan. This is the **only** sanctioned path from a pipeline to a
-/// rewritten graph — the `no-uncertified-rewrite` source lint rejects
-/// direct calls to the raw transform outside the certification machinery.
+/// Apply a certified rewrite to `graph`. Returns the rewritten graph only
+/// when `(graph.name, rewrite)` has a certification record in
+/// [`CERTIFIED_REWRITES`]; `None` means the rewrite is not certified for
+/// this pipeline and the original plan runs. This is the **only** path
+/// from a pipeline to a rewritten graph: [`run_pipeline`] applies it to
+/// the graph it is about to execute, the analyzer's races pass certifies
+/// its output for every registered graph, and the
+/// `no-uncertified-rewrite` source lint rejects direct calls to the raw
+/// transform outside the certification machinery.
 pub fn certified_rewrite_for(graph: &JobGraph, rewrite: &str) -> Option<JobGraph> {
     let certified = CERTIFIED_REWRITES
         .iter()
@@ -622,7 +951,6 @@ pub fn certified_rewrite_for(graph: &JobGraph, rewrite: &str) -> Option<JobGraph
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parafac, tucker};
 
     fn sample_envs() -> Vec<Env> {
         let mut envs = Vec::new();
@@ -644,22 +972,20 @@ mod tests {
 
     #[test]
     fn job_counts_agree_with_driver_formulas() {
+        // The "Total Jobs" columns of Tables III and IV, written out.
         for env in sample_envs() {
-            let (qv, rv) = (env.rank_q as usize, env.rank_r as usize);
-            for variant in Variant::ALL {
+            let (qv, rv) = (env.rank_q as u128, env.rank_r as u128);
+            for (variant, tucker, parafac) in [
+                (Variant::Naive, qv + rv, 2 * rv),
+                (Variant::Dnn, qv + rv + 2, 4 * rv),
+                (Variant::Drn, qv + rv + 1, 2 * rv + 1),
+                (Variant::Dri, 2, 2),
+            ] {
                 let g = plan_for(Decomp::Tucker, variant);
-                assert_eq!(
-                    g.total_jobs().eval(&env),
-                    tucker::expected_jobs(variant, qv, rv) as u128,
-                    "tucker {variant}"
-                );
-                let g = plan_for(Decomp::Parafac, variant);
+                assert_eq!(g.total_jobs().eval(&env), tucker, "tucker {variant}");
                 // PARAFAC plans use R for the rank.
-                assert_eq!(
-                    g.total_jobs().eval(&env),
-                    parafac::expected_jobs(variant, rv) as u128,
-                    "parafac {variant}"
-                );
+                let g = plan_for(Decomp::Parafac, variant);
+                assert_eq!(g.total_jobs().eval(&env), parafac, "parafac {variant}");
             }
         }
     }
@@ -776,31 +1102,125 @@ mod tests {
         }
     }
 
+    fn sample_tensor() -> CooTensor3 {
+        use haten2_tensor::Entry3;
+        let entries = (0..24u64)
+            .map(|e| Entry3::new(e % 4, (e * 7) % 5, (e * 3) % 6, 1.0 + e as f64))
+            .collect();
+        CooTensor3::from_entries([4, 5, 6], entries).unwrap()
+    }
+
+    /// What `submit` declares to a batch for `pipeline` at Q = `q`, R = 3:
+    /// one `name reads writes` line per job.
+    fn declared(pipeline: &Pipeline, q: usize) -> haten2_mapreduce::Result<Vec<String>> {
+        let x = sample_tensor();
+        let (records, bin) = (tensor_records(&x), tensor_records(&x.bin()));
+        let datasets = [("x", records.as_slice()), ("x_bin", bin.as_slice())];
+        let bound = Bindings {
+            x: &x,
+            u1: &Mat::zeros(q, 5),
+            u2: &Mat::zeros(3, 6),
+            use_combiner: false,
+        };
+        let env = env_for(x.dims(), x.nnz(), q, 3, 4);
+        let mut batch = Batch::with_graph(&pipeline.graph);
+        let kept = submit(&mut batch, pipeline, &env, &bound, &datasets, None)?;
+        // Holding an intermediate's handle past submission would keep it
+        // alive for the whole batch (`peak_rss_mib`).
+        let writes = kept.iter().flat_map(|(inst, _)| &inst.writes);
+        assert!(writes.into_iter().all(|w| dataset_base(w) == "y"));
+        let line = |(name, reads, writes)| format!("{name} {reads:?} {writes:?}");
+        Ok(batch.declared().into_iter().map(line).collect())
+    }
+
+    #[test]
+    fn submitter_declares_exactly_the_program_the_analyzer_certifies() {
+        // For every registered pipeline and every certified rewrite of
+        // one: what reaches `Batch::submit` is, job for job, the
+        // `(name, reads, writes)` program the races pass certifies.
+        for decomp in Decomp::ALL {
+            let q = match decomp {
+                Decomp::Tucker => 2,
+                Decomp::Parafac => 3,
+            };
+            for variant in Variant::ALL {
+                let registered = pipeline_for(decomp, variant);
+                let split = registered.split_heavy_keys();
+                for pipeline in std::iter::once(registered).chain(split) {
+                    let env = env_for([4, 5, 6], 24, q, 3, 4);
+                    let certified: Vec<String> =
+                        haten2_analyze::rewrite::plan_models(&pipeline.graph, &env)
+                            .into_iter()
+                            .map(|m| {
+                                assert_eq!(m.inferred_reads, m.declared_reads);
+                                assert_eq!(m.inferred_writes, m.declared_writes);
+                                format!("{} {:?} {:?}", m.name, m.declared_reads, m.declared_writes)
+                            })
+                            .collect();
+                    assert!(!certified.is_empty());
+                    let submitted = declared(&pipeline, q).unwrap();
+                    assert_eq!(submitted, certified, "{}", pipeline.graph.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_read_nothing_declares_written_is_refused_at_submission() {
+        // Inputs come from declared reads and nothing else: a template
+        // whose read no bound dataset and no earlier write covers cannot
+        // be given data some other way.
+        let mut pipeline = pipeline_for(Decomp::Tucker, Variant::Dri);
+        pipeline.graph.jobs[1].reads[0] = "t_typo".to_string();
+        let err = declared(&pipeline, 2).unwrap_err();
+        assert!(
+            matches!(&err, MrError::PlanViolation { job, detail }
+                if job == "tucker-dri-crossmerge" && detail.contains("t_typo")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_sketch_is_built_only_for_a_policy_that_reads_it() {
+        use haten2_mapreduce::RewritePolicy;
+        let records = tensor_records(&sample_tensor());
+        let config = |rewrite| ClusterConfig {
+            rewrite,
+            ..ClusterConfig::with_machines(4)
+        };
+        // `Off` — the default, and what the benchmark runs — answers
+        // without a sketch, so the O(nnz) hashing pass must not happen.
+        assert_eq!(ClusterConfig::default().rewrite, RewritePolicy::Off);
+        assert!(merge_key_sketch(&config(RewritePolicy::Off), &records).is_none());
+        let auto = RewritePolicy::Auto {
+            skew_threshold: 2.0,
+        };
+        for policy in [RewritePolicy::Always, auto] {
+            let sketch = merge_key_sketch(&config(policy), &records).expect("policy reads it");
+            assert_eq!((sketch.width(), sketch.total()), (4, records.len() as u64));
+        }
+    }
+
     #[test]
     fn certified_rewrite_gate_admits_only_recorded_pairs() {
-        // Every recorded pair rewrites its graph into split + mergeparts…
-        for &(graph_name, rewrite) in CERTIFIED_REWRITES {
-            let (decomp, variant) = match graph_name {
-                "tucker-drn" => (Decomp::Tucker, Variant::Drn),
-                "tucker-dri" => (Decomp::Tucker, Variant::Dri),
-                "parafac-drn" => (Decomp::Parafac, Variant::Drn),
-                "parafac-dri" => (Decomp::Parafac, Variant::Dri),
-                other => panic!("unmapped certification record '{other}'"),
-            };
-            let g = plan_for(decomp, variant);
-            let rw = certified_rewrite_for(&g, rewrite)
-                .unwrap_or_else(|| panic!("{graph_name}: certified rewrite refused"));
-            assert_eq!(rw.jobs.len(), g.jobs.len() + 1, "{graph_name}");
-            assert!(
-                rw.jobs.iter().any(|j| j.name.ends_with("-mergeparts")),
-                "{graph_name}"
-            );
+        for decomp in Decomp::ALL {
+            for variant in Variant::ALL {
+                let g = plan_for(decomp, variant);
+                let recorded = CERTIFIED_REWRITES.contains(&(g.name.as_str(), "heavy-key-split"));
+                assert_eq!(recorded, matches!(variant, Variant::Drn | Variant::Dri));
+                match certified_rewrite_for(&g, "heavy-key-split") {
+                    // A recorded pair rewrites its graph into split + mergeparts…
+                    Some(rw) => {
+                        assert!(recorded, "{}", g.name);
+                        assert_eq!(rw.jobs.len(), g.jobs.len() + 1, "{}", g.name);
+                        assert!(rw.jobs.iter().any(|j| j.name.ends_with("-mergeparts")));
+                    }
+                    // …and an unrecorded pair is refused, whatever the graph shape.
+                    None => assert!(!recorded, "{}", g.name),
+                }
+                assert!(certified_rewrite_for(&g, "no-such-rewrite").is_none());
+            }
         }
-        // …and unrecorded pairs are refused, whatever the graph shape.
-        let naive = plan_for(Decomp::Tucker, Variant::Naive);
-        assert!(certified_rewrite_for(&naive, "heavy-key-split").is_none());
-        let dri = plan_for(Decomp::Tucker, Variant::Dri);
-        assert!(certified_rewrite_for(&dri, "no-such-rewrite").is_none());
     }
 
     #[test]

@@ -138,12 +138,21 @@ pub fn tensor_records(t: &CooTensor3) -> Vec<(Ix4, f64)> {
         .collect()
 }
 
-/// Wrap tensor records plus one vector as [`TvRec`] job input.
-pub fn tv_input(entries: &[(Ix4, f64)], v: &[f64]) -> Vec<((), TvRec)> {
-    let mut input: Vec<((), TvRec)> = entries
-        .iter()
-        .map(|&(ix, val)| ((), TvRec::Ent(ix, val)))
-        .collect();
+/// Total records across the shards of one dataset.
+pub(crate) fn shards_len(shards: &[&[(Ix4, f64)]]) -> usize {
+    shards.iter().map(|shard| shard.len()).sum()
+}
+
+/// Wrap tensor records (the shards of one dataset, in order) plus one
+/// vector as [`TvRec`] job input.
+pub fn tv_input(entries: &[&[(Ix4, f64)]], v: &[f64]) -> Vec<((), TvRec)> {
+    let mut input: Vec<((), TvRec)> = Vec::with_capacity(shards_len(entries) + v.len());
+    input.extend(
+        entries
+            .iter()
+            .flat_map(|shard| shard.iter())
+            .map(|&(ix, val)| ((), TvRec::Ent(ix, val))),
+    );
     input.extend(
         v.iter()
             .enumerate()
@@ -191,7 +200,7 @@ mod tests {
 
     #[test]
     fn tv_input_skips_zero_coefs() {
-        let input = tv_input(&[((0, 0, 0, 0), 1.0)], &[0.0, 2.0, 0.0]);
+        let input = tv_input(&[&[((0, 0, 0, 0), 1.0)]], &[0.0, 2.0, 0.0]);
         assert_eq!(input.len(), 2);
         assert!(matches!(input[1].1, TvRec::Coef(1, c) if c == 2.0));
     }

@@ -6,9 +6,10 @@
 //! `Y = X ×₂ Bᵀ ×₃ Cᵀ ∈ ℝ^{I×Q×R}` — exactly lines 3/5/7 of Tucker-ALS
 //! (Algorithm 2). The four variants trade intermediate data and job count as
 //! summarized in Table III; the per-column jobs within a stage are mutually
-//! independent, so each variant is submitted as one scheduled
-//! [`Batch`] whose *critical path* is what bounds latency on an idle
-//! cluster ([`haten2_mapreduce::JobGraph::critical_path_jobs`]):
+//! independent, so each variant's graph ([`crate::plan::pipeline_for`]) is
+//! submitted as one scheduled batch whose *critical path* is what bounds
+//! latency on an idle cluster
+//! ([`haten2_mapreduce::JobGraph::critical_path_jobs`]):
 //!
 //! | Variant | Max intermediate | Jobs    | Critical path |
 //! |---------|------------------|---------|---------------|
@@ -18,17 +19,11 @@
 //! | DRI     | `nnz·(Q+R)`      | `2`     | `2`           |
 
 use crate::canon::canonicalize;
-use crate::ops::{
-    collapse_job, cross_merge_job, cross_merge_split_job, hadamard_vec_job, imhp_job,
-    merge_parts_job, naive_ttv_job,
-};
-use crate::plan::{certified_rewrite_for, plan_for, Decomp};
-use crate::records::{tensor_records, Ix4};
+use crate::plan::{pipeline_for, run_pipeline, Bindings, Decomp};
 use crate::{CoreError, Result, Variant};
 use haten2_linalg::Mat;
-use haten2_mapreduce::{Batch, Cluster, KeyFreqSketch};
+use haten2_mapreduce::Cluster;
 use haten2_tensor::{CooTensor3, Entry3};
-use std::sync::{Arc, OnceLock};
 
 /// Options for [`project`].
 #[derive(Debug, Clone, Default)]
@@ -87,8 +82,7 @@ pub fn project(
     }
     let (xc, perm) = canonicalize(x, mode);
     let d = xc.dims();
-    let (d0, d1, d2) = (d[0], d[1], d[2]);
-    if u1.cols() != d1 as usize || u2.cols() != d2 as usize {
+    if u1.cols() != d[1] as usize || u2.cols() != d[2] as usize {
         return Err(CoreError::InvalidArgument(format!(
             "project: factors are {}x{} and {}x{} for canonical dims {d:?} (perm {perm:?})",
             u1.rows(),
@@ -97,343 +91,23 @@ pub fn project(
             u2.cols()
         )));
     }
-    let q_dim = u1.rows() as u64;
-    let r_dim = u2.rows() as u64;
-    let x_records = tensor_records(&xc);
-    let graph = plan_for(Decomp::Tucker, variant);
-
-    // Skew-aware runtime rewrite: one O(nnz) map-side pass sketches the
-    // frequency of the final merge's reduce keys (the canonical
-    // target-mode indices) per hash slice; when the cluster's
-    // [`haten2_mapreduce::RewritePolicy`] fires, the analyzer-certified
-    // `heavy-key-split` plan is submitted instead — bit-identical outputs,
-    // but the straggling merge becomes `machines` concurrent split jobs.
-    // Pipelines without a certification record (Naive/DNN) never rewrite.
-    let mut sketch = KeyFreqSketch::new(cluster.config().machines.max(1));
-    for (ix, _) in &x_records {
-        sketch.observe(&ix.0);
-    }
-    let rewritten = cluster
-        .config()
-        .rewrite
-        .should_rewrite(&sketch)
-        .then(|| certified_rewrite_for(&graph, "heavy-key-split"))
-        .flatten();
-    let rewrite = rewritten.is_some();
-    let graph = rewritten.unwrap_or(graph);
-
-    let y_records: Vec<(Ix4, f64)> = match variant {
-        Variant::Naive => {
-            // Algorithm 3: Q broadcast products with B's rows (mutually
-            // independent per-column jobs), then R with C's, each reading
-            // the merged T — one batch, critical path 2.
-            let dims4 = [d0, d1, d2, 1];
-            let t_dims = [d0, q_dim, d2, 1];
-            let mut batch = Batch::with_graph(&graph);
-            let mut parts = Vec::with_capacity(u1.rows());
-            for q in 0..u1.rows() {
-                let name = format!("tucker-naive-xv-b{q}");
-                let x_records = &x_records;
-                let row = u1.row(q);
-                parts.push(batch.submit(
-                    name.clone(),
-                    vec!["x".into()],
-                    vec![format!("t#{q}")],
-                    move |ctx| naive_ttv_job(ctx, &name, x_records, dims4, 1, row),
-                )?);
-            }
-            // Whichever tv job runs first stacks the Q results along slot 1;
-            // the others reuse the memoized merge.
-            let merged_t: Arc<OnceLock<Vec<(Ix4, f64)>>> = Arc::new(OnceLock::new());
-            let mut ys = Vec::with_capacity(u2.rows());
-            for r in 0..u2.rows() {
-                let name = format!("tucker-naive-tv-c{r}");
-                let row = u2.row(r);
-                let parts = parts.clone();
-                let merged_t = Arc::clone(&merged_t);
-                ys.push(batch.submit(
-                    name.clone(),
-                    vec!["t".into()],
-                    vec![format!("y#{r}")],
-                    move |ctx| {
-                        let mut stacked = Vec::with_capacity(parts.len());
-                        for h in &parts {
-                            stacked.push(ctx.get(h)?);
-                        }
-                        let t = merged_t.get_or_init(|| {
-                            let mut t_records: Vec<(Ix4, f64)> = Vec::new();
-                            for (q, out) in stacked.iter().enumerate() {
-                                t_records.extend(
-                                    out.iter().map(|&(ix, v)| ((ix.0, q as u64, ix.2, 0), v)),
-                                );
-                            }
-                            t_records
-                        });
-                        naive_ttv_job(ctx, &name, t, t_dims, 2, row)
-                    },
-                )?);
-            }
-            batch.run(cluster)?;
-            let mut y = Vec::new();
-            for (r, h) in ys.into_iter().enumerate() {
-                y.extend(
-                    h.take()?
-                        .into_iter()
-                        .map(|(ix, v)| ((ix.0, ix.1, r as u64, 0), v)),
-                );
-            }
-            y
-        }
-        Variant::Dnn => {
-            // Algorithm 5: Hadamard per column, Collapse, repeat, Collapse —
-            // one batch, critical path 4.
-            let use_combiner = opts.use_combiner;
-            let mut batch = Batch::with_graph(&graph);
-            let mut hb = Vec::with_capacity(u1.rows());
-            for q in 0..u1.rows() {
-                let name = format!("tucker-dnn-had-b{q}");
-                let x_records = &x_records;
-                let row = u1.row(q);
-                hb.push(batch.submit(
-                    name.clone(),
-                    vec!["x".into()],
-                    vec![format!("t_prime#{q}")],
-                    move |ctx| hadamard_vec_job(ctx, &name, x_records, 1, row, Some(q as u64)),
-                )?);
-            }
-            let t = batch.submit(
-                "tucker-dnn-collapse-j",
-                vec!["t_prime".into()],
-                vec!["t".into()],
-                {
-                    let hb = hb.clone();
-                    move |ctx| {
-                        let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                        for h in &hb {
-                            t_prime.extend(ctx.get(h)?.iter().copied());
-                        }
-                        let t =
-                            collapse_job(ctx, "tucker-dnn-collapse-j", &t_prime, 1, use_combiner)?;
-                        // T(x0, 0, k, q): move q into slot 1 so slot 3 is
-                        // free for r.
-                        Ok(t.into_iter()
-                            .map(|(ix, v)| ((ix.0, ix.3, ix.2, 0), v))
-                            .collect::<Vec<(Ix4, f64)>>())
-                    }
-                },
-            )?;
-            let mut hc = Vec::with_capacity(u2.rows());
-            for r in 0..u2.rows() {
-                let name = format!("tucker-dnn-had-c{r}");
-                let row = u2.row(r);
-                let t = t.clone();
-                hc.push(batch.submit(
-                    name.clone(),
-                    vec!["t".into()],
-                    vec![format!("y_prime#{r}")],
-                    move |ctx| hadamard_vec_job(ctx, &name, ctx.get(&t)?, 2, row, Some(r as u64)),
-                )?);
-            }
-            let y = batch.submit(
-                "tucker-dnn-collapse-k",
-                vec!["y_prime".into()],
-                vec!["y".into()],
-                {
-                    let hc = hc.clone();
-                    move |ctx| {
-                        let mut y_prime: Vec<(Ix4, f64)> = Vec::new();
-                        for h in &hc {
-                            y_prime.extend(ctx.get(h)?.iter().copied());
-                        }
-                        collapse_job(ctx, "tucker-dnn-collapse-k", &y_prime, 2, use_combiner)
-                    }
-                },
-            )?;
-            batch.run(cluster)?;
-            // Y(x0, q, 0, r) -> (x0, q, r, 0)
-            y.take()?
-                .into_iter()
-                .map(|(ix, v)| ((ix.0, ix.1, ix.3, 0), v))
-                .collect()
-        }
-        Variant::Drn => {
-            // Algorithm 7: independent Hadamard expansions, then CrossMerge —
-            // one batch, critical path 2.
-            let bin_records = tensor_records(&xc.bin());
-            let mut batch = Batch::with_graph(&graph);
-            let mut tp = Vec::with_capacity(u1.rows());
-            for q in 0..u1.rows() {
-                let name = format!("tucker-drn-had-b{q}");
-                let x_records = &x_records;
-                let row = u1.row(q);
-                tp.push(batch.submit(
-                    name.clone(),
-                    vec!["x".into()],
-                    vec![format!("t_prime#{q}")],
-                    move |ctx| hadamard_vec_job(ctx, &name, x_records, 1, row, Some(q as u64)),
-                )?);
-            }
-            let mut tdp = Vec::with_capacity(u2.rows());
-            for r in 0..u2.rows() {
-                let name = format!("tucker-drn-had-c{r}");
-                let bin_records = &bin_records;
-                let row = u2.row(r);
-                tdp.push(batch.submit(
-                    name.clone(),
-                    vec!["x_bin".into()],
-                    vec![format!("t_dprime#{r}")],
-                    move |ctx| hadamard_vec_job(ctx, &name, bin_records, 2, row, Some(r as u64)),
-                )?);
-            }
-            let y = if rewrite {
-                // Two-phase aggregation: M per-slice splits of the
-                // crossmerge (each cost-hinted with its slice's sketched
-                // record count for LPT dispatch), then mergeparts.
-                let m = sketch.width();
-                let mut split_parts = Vec::with_capacity(m);
-                for s in 0..m {
-                    let name = format!("tucker-drn-crossmerge-split{s}");
-                    let tp = tp.clone();
-                    let tdp = tdp.clone();
-                    let split_h = batch.submit(
-                        name.clone(),
-                        vec!["t_prime".into(), "t_dprime".into()],
-                        vec![format!("y__part#{s}")],
-                        move |ctx| {
-                            let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tp {
-                                t_prime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tdp {
-                                t_dprime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            cross_merge_split_job(ctx, &name, &t_prime, &t_dprime, s, m)
-                        },
-                    )?;
-                    batch.set_cost_hint(&split_h, sketch.bucket(s) as f64);
-                    split_parts.push(split_h);
-                }
-                batch.submit(
-                    "tucker-drn-crossmerge-mergeparts",
-                    vec!["y__part".into()],
-                    vec!["y".into()],
-                    {
-                        let split_parts = split_parts.clone();
-                        move |ctx| {
-                            let mut all: Vec<(Ix4, f64)> = Vec::new();
-                            for ph in &split_parts {
-                                all.extend(ctx.get(ph)?.iter().copied());
-                            }
-                            merge_parts_job(ctx, "tucker-drn-crossmerge-mergeparts", &all)
-                        }
-                    },
-                )?
-            } else {
-                batch.submit(
-                    "tucker-drn-crossmerge",
-                    vec!["t_prime".into(), "t_dprime".into()],
-                    vec!["y".into()],
-                    {
-                        let tp = tp.clone();
-                        let tdp = tdp.clone();
-                        move |ctx| {
-                            let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tp {
-                                t_prime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tdp {
-                                t_dprime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            cross_merge_job(ctx, "tucker-drn-crossmerge", &t_prime, &t_dprime)
-                        }
-                    },
-                )?
-            };
-            batch.run(cluster)?;
-            y.take()?
-        }
-        Variant::Dri => {
-            // Algorithm 9: one IMHP job + one CrossMerge job.
-            let mut batch = Batch::with_graph(&graph);
-            let imhp = batch.submit(
-                "tucker-dri-imhp",
-                vec!["x".into()],
-                vec!["t_prime".into(), "t_dprime".into()],
-                {
-                    let x_records = &x_records;
-                    move |ctx| imhp_job(ctx, "tucker-dri-imhp", x_records, u1, u2)
-                },
-            )?;
-            let y = if rewrite {
-                let m = sketch.width();
-                let mut split_parts = Vec::with_capacity(m);
-                for s in 0..m {
-                    let name = format!("tucker-dri-crossmerge-split{s}");
-                    let imhp = imhp.clone();
-                    let split_h = batch.submit(
-                        name.clone(),
-                        vec!["t_prime".into(), "t_dprime".into()],
-                        vec![format!("y__part#{s}")],
-                        move |ctx| {
-                            let (t_prime, t_dprime) = ctx.get(&imhp)?;
-                            cross_merge_split_job(ctx, &name, t_prime, t_dprime, s, m)
-                        },
-                    )?;
-                    batch.set_cost_hint(&split_h, sketch.bucket(s) as f64);
-                    split_parts.push(split_h);
-                }
-                batch.submit(
-                    "tucker-dri-crossmerge-mergeparts",
-                    vec!["y__part".into()],
-                    vec!["y".into()],
-                    {
-                        let split_parts = split_parts.clone();
-                        move |ctx| {
-                            let mut all: Vec<(Ix4, f64)> = Vec::new();
-                            for ph in &split_parts {
-                                all.extend(ctx.get(ph)?.iter().copied());
-                            }
-                            merge_parts_job(ctx, "tucker-dri-crossmerge-mergeparts", &all)
-                        }
-                    },
-                )?
-            } else {
-                batch.submit(
-                    "tucker-dri-crossmerge",
-                    vec!["t_prime".into(), "t_dprime".into()],
-                    vec!["y".into()],
-                    {
-                        let imhp = imhp.clone();
-                        move |ctx| {
-                            let (t_prime, t_dprime) = ctx.get(&imhp)?;
-                            cross_merge_job(ctx, "tucker-dri-crossmerge", t_prime, t_dprime)
-                        }
-                    },
-                )?
-            };
-            batch.run(cluster)?;
-            y.take()?
-        }
-    };
-
-    let entries: Vec<Entry3> = y_records
+    // Every variant's `y` is `((i, q, r, 0), v)`.
+    let y = run_pipeline(
+        cluster,
+        &pipeline_for(Decomp::Tucker, variant),
+        &Bindings {
+            x: &xc,
+            u1,
+            u2,
+            use_combiner: opts.use_combiner,
+        },
+    )?;
+    let entries: Vec<Entry3> = y
         .into_iter()
         .map(|(ix, v)| Entry3::new(ix.0, ix.1, ix.2, v))
         .collect();
-    Ok(CooTensor3::from_entries([d0, q_dim, r_dim], entries)?)
-}
-
-/// Number of MapReduce jobs [`project`] submits for a given variant and
-/// core sizes — the "Total Jobs" column of Table III.
-pub fn expected_jobs(variant: Variant, q: usize, r: usize) -> usize {
-    match variant {
-        Variant::Naive => q + r,
-        Variant::Dnn => q + r + 2,
-        Variant::Drn => q + r + 1,
-        Variant::Dri => 2,
-    }
+    let dims = [d[0], u1.rows() as u64, u2.rows() as u64];
+    Ok(CooTensor3::from_entries(dims, entries)?)
 }
 
 #[cfg(test)]
@@ -530,7 +204,13 @@ mod tests {
         let (q, r) = (2usize, 3usize);
         let u1 = Mat::random(q, 4, &mut rng);
         let u2 = Mat::random(r, 4, &mut rng);
-        for variant in Variant::ALL {
+        // The "Total Jobs" column of Table III.
+        for (variant, jobs) in [
+            (Variant::Naive, q + r),
+            (Variant::Dnn, q + r + 2),
+            (Variant::Drn, q + r + 1),
+            (Variant::Dri, 2),
+        ] {
             let cluster = Cluster::new(ClusterConfig::with_machines(2));
             project(
                 &cluster,
@@ -542,11 +222,7 @@ mod tests {
                 &ProjectOptions::default(),
             )
             .unwrap();
-            assert_eq!(
-                cluster.metrics().total_jobs(),
-                expected_jobs(variant, q, r),
-                "{variant}"
-            );
+            assert_eq!(cluster.metrics().total_jobs(), jobs, "{variant}");
         }
     }
 

@@ -41,7 +41,7 @@ fn hadamard_vec_job_matches_reference() {
     let x = sample(1);
     let mut rng = StdRng::seed_from_u64(2);
     let v: Vec<f64> = (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let out = hadamard_vec_job(&cluster(), "t", &tensor_records(&x), 1, &v, None).unwrap();
+    let out = hadamard_vec_job(&cluster(), "t", &[&tensor_records(&x)], 1, &v, None).unwrap();
     let want = reference::mode_hadamard_vec(&x, 1, &v).unwrap();
     assert_eq!(out.len(), want.nnz());
     for (ix, val) in out {
@@ -53,14 +53,14 @@ fn hadamard_vec_job_matches_reference() {
 fn hadamard_vec_job_tags_slot3() {
     let x = sample(3);
     let v = vec![1.0; 6];
-    let out = hadamard_vec_job(&cluster(), "t", &tensor_records(&x), 1, &v, Some(7)).unwrap();
+    let out = hadamard_vec_job(&cluster(), "t", &[&tensor_records(&x)], 1, &v, Some(7)).unwrap();
     assert!(out.iter().all(|(ix, _)| ix.3 == 7));
 }
 
 #[test]
 fn collapse_job_matches_reference() {
     let x = sample(4);
-    let out = collapse_job(&cluster(), "t", &tensor_records(&x), 1, false).unwrap();
+    let out = collapse_job(&cluster(), "t", &[&tensor_records(&x)], 1, false).unwrap();
     let want = reference::collapse(&x, 1).unwrap();
     assert_eq!(out.len(), want.nnz());
     for (ix, val) in out {
@@ -72,8 +72,8 @@ fn collapse_job_matches_reference() {
 fn collapse_job_combiner_equivalent() {
     let x = sample(5);
     let records = tensor_records(&x);
-    let mut a = collapse_job(&cluster(), "t", &records, 2, false).unwrap();
-    let mut b = collapse_job(&cluster(), "t", &records, 2, true).unwrap();
+    let mut a = collapse_job(&cluster(), "t", &[&records], 2, false).unwrap();
+    let mut b = collapse_job(&cluster(), "t", &[&records], 2, true).unwrap();
     a.sort_by_key(|x| x.0);
     b.sort_by_key(|x| x.0);
     assert_eq!(a.len(), b.len());
@@ -89,7 +89,7 @@ fn naive_ttv_job_matches_reference() {
     let mut rng = StdRng::seed_from_u64(7);
     let v: Vec<f64> = (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let dims4 = [5, 6, 4, 1];
-    let out = naive_ttv_job(&cluster(), "t", &tensor_records(&x), dims4, 1, &v).unwrap();
+    let out = naive_ttv_job(&cluster(), "t", &[&tensor_records(&x)], dims4, 1, &v).unwrap();
     let want = reference::ttv(&x, 1, &v).unwrap();
     let got: HashMap<(u64, u64, u64), f64> = out
         .into_iter()
@@ -114,7 +114,7 @@ fn imhp_job_produces_both_expansions() {
     let mut rng = StdRng::seed_from_u64(9);
     let bt = Mat::random(3, 6, &mut rng); // Q x J
     let ct = Mat::random(2, 4, &mut rng); // R x K
-    let (tp, tdp) = imhp_job(&cluster(), "t", &tensor_records(&x), &bt, &ct).unwrap();
+    let (tp, tdp) = imhp_job(&cluster(), "t", &[&tensor_records(&x)], &bt, &ct).unwrap();
     // T' = X *₂ Bᵀ (values multiplied), T'' = bin(X) *₃ Cᵀ (coefs only).
     let want_tp = reference::mode_hadamard_mat(&x, 1, &bt).unwrap();
     let want_tdp = reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap();
@@ -129,7 +129,7 @@ fn imhp_job_produces_both_expansions() {
     // Exactly one job ran.
     // (Cluster is fresh per call in this test harness, so re-run and count.)
     let c = cluster();
-    imhp_job(&c, "count", &tensor_records(&x), &bt, &ct).unwrap();
+    imhp_job(&c, "count", &[&tensor_records(&x)], &bt, &ct).unwrap();
     assert_eq!(c.metrics().total_jobs(), 1);
 }
 
@@ -140,8 +140,8 @@ fn cross_merge_job_matches_reference() {
     let bt = Mat::random(3, 6, &mut rng);
     let ct = Mat::random(2, 4, &mut rng);
     let c = cluster();
-    let (tp, tdp) = imhp_job(&c, "imhp", &tensor_records(&x), &bt, &ct).unwrap();
-    let merged = cross_merge_job(&c, "merge", &tp, &tdp).unwrap();
+    let (tp, tdp) = imhp_job(&c, "imhp", &[&tensor_records(&x)], &bt, &ct).unwrap();
+    let merged = cross_merge_job(&c, "merge", &[&tp], &[&tdp], None).unwrap();
     let want = reference::cross_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -161,8 +161,8 @@ fn pairwise_merge_job_matches_reference() {
     let bt = Mat::random(r, 6, &mut rng);
     let ct = Mat::random(r, 4, &mut rng);
     let c = cluster();
-    let (tp, tdp) = imhp_job(&c, "imhp", &tensor_records(&x), &bt, &ct).unwrap();
-    let merged = pairwise_merge_job(&c, "merge", &tp, &tdp).unwrap();
+    let (tp, tdp) = imhp_job(&c, "imhp", &[&tensor_records(&x)], &bt, &ct).unwrap();
+    let merged = pairwise_merge_job(&c, "merge", &[&tp], &[&tdp], None).unwrap();
     let want = reference::pairwise_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -216,16 +216,16 @@ fn merge_jobs_shuffle_exactly_table_costs() {
     let bt = Mat::random(q, 6, &mut rng);
     let ct = Mat::random(r, 4, &mut rng);
     let c = cluster();
-    let (tp, tdp) = imhp_job(&c, "imhp", &tensor_records(&x), &bt, &ct).unwrap();
+    let (tp, tdp) = imhp_job(&c, "imhp", &[&tensor_records(&x)], &bt, &ct).unwrap();
     let mark = c.jobs_run();
-    cross_merge_job(&c, "cross", &tp, &tdp).unwrap();
+    cross_merge_job(&c, "cross", &[&tp], &[&tdp], None).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, x.nnz() * (q + r));
 
     let bt = Mat::random(r, 6, &mut rng);
-    let (tp2, tdp2) = imhp_job(&c, "imhp2", &tensor_records(&x), &bt, &ct).unwrap();
+    let (tp2, tdp2) = imhp_job(&c, "imhp2", &[&tensor_records(&x)], &bt, &ct).unwrap();
     let mark = c.jobs_run();
-    pairwise_merge_job(&c, "pair", &tp2, &tdp2).unwrap();
+    pairwise_merge_job(&c, "pair", &[&tp2], &[&tdp2], None).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, 2 * x.nnz() * r);
 }

@@ -8,7 +8,7 @@
 
 use haten2_core::parafac::mttkrp;
 use haten2_core::tucker::{project, ProjectOptions};
-use haten2_core::Variant;
+use haten2_core::{env_for, plan_for, Decomp, Variant};
 use haten2_linalg::Mat;
 use haten2_mapreduce::{Cluster, ClusterConfig};
 use haten2_tensor::ops::{mttkrp_dense, ttm};
@@ -104,11 +104,10 @@ proptest! {
             let cfg = ClusterConfig { threads, ..ClusterConfig::with_machines(machines) };
             let cluster = Cluster::new(cfg);
             mttkrp(&cluster, variant, &t, 0, &f1, &f2).unwrap();
-            prop_assert_eq!(
-                cluster.metrics().total_jobs(),
-                haten2_core::parafac::expected_jobs(variant, r),
-                "{}", variant
-            );
+            let planned = plan_for(Decomp::Parafac, variant)
+                .total_jobs()
+                .eval(&env_for(t.dims(), t.nnz(), r, r, machines));
+            prop_assert_eq!(cluster.metrics().total_jobs() as u128, planned, "{}", variant);
         }
     }
 

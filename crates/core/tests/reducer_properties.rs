@@ -78,9 +78,7 @@ comm_assoc_properties! {
     naive_ttv_fold_is_comm_assoc => "naive_ttv_job",
     collapse_fold_is_comm_assoc => "collapse_job",
     cross_merge_fold_is_comm_assoc => "cross_merge_job",
-    cross_merge_split_fold_is_comm_assoc => "cross_merge_split_job",
     pairwise_merge_fold_is_comm_assoc => "pairwise_merge_job",
-    pairwise_merge_split_fold_is_comm_assoc => "pairwise_merge_split_job",
     model_inner_product_fold_is_comm_assoc => "model_inner_product_job",
     nway_pairwisemerge_fold_is_comm_assoc => "nway-pairwisemerge-mode{}",
     nway_crossmerge_fold_is_comm_assoc => "nway-crossmerge-mode{}",

@@ -1,0 +1,104 @@
+//! Property tests: a key-sliced merge is the merge.
+//!
+//! The `heavy-key-split` rewrite runs the *unmodified* merge kernel once
+//! per hash slice of the reduce keys (`KeySlice`) and reassembles the
+//! slices with `merge_parts_job`. For any slice count, the slices — read
+//! in slice order, as the reassembly reads them — must reproduce the
+//! unsliced kernel's output bit for bit, and each record must sit in the
+//! slice its key hashes to. The same goes for reading an input as several
+//! shards instead of one.
+
+#![allow(clippy::unwrap_used)]
+
+use haten2_core::ops::{
+    cross_merge_job, imhp_job, merge_parts_job, pairwise_merge_job, KeySlice, Shards, TensorRecords,
+};
+use haten2_core::records::tensor_records;
+use haten2_core::Ix4;
+use haten2_linalg::Mat;
+use haten2_mapreduce::{key_slice, Cluster, ClusterConfig};
+use haten2_tensor::{CooTensor3, Entry3};
+use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+type Merge =
+    fn(&Cluster, Shards<'_>, Shards<'_>, KeySlice) -> haten2_mapreduce::Result<TensorRecords>;
+
+fn bits(records: &[(Ix4, f64)]) -> Vec<(Ix4, u64)> {
+    records.iter().map(|&(ix, v)| (ix, v.to_bits())).collect()
+}
+
+/// A tensor with few target-mode indices (heavy reduce groups) and values
+/// whose products round, so a reordered fold shows in the low bits.
+fn skewed_tensor() -> impl Strategy<Value = CooTensor3> {
+    (2u64..9, 10usize..80, any::<u64>()).prop_map(|(i_dim, n, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let entries = (0..n)
+            .map(|_| {
+                Entry3::new(
+                    rng.gen_range(0..i_dim),
+                    rng.gen_range(0..6),
+                    rng.gen_range(0..5),
+                    rng.gen_range(-2.0..2.0f64),
+                )
+            })
+            .collect();
+        CooTensor3::from_entries([i_dim, 6, 5], entries).unwrap()
+    })
+}
+
+fn check(merge: Merge, x: &CooTensor3, slices: usize, machines: usize, seed: u64) {
+    let cluster = Cluster::new(ClusterConfig::with_machines(machines));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let bt = Mat::random(3, 6, &mut rng);
+    let ct = Mat::random(3, 5, &mut rng);
+    let (t_prime, t_dprime) = imhp_job(&cluster, "imhp", &[&tensor_records(x)], &bt, &ct).unwrap();
+    let whole = merge(&cluster, &[&t_prime], &[&t_dprime], None).unwrap();
+
+    let parts: Vec<TensorRecords> = (0..slices)
+        .map(|s| merge(&cluster, &[&t_prime], &[&t_dprime], Some((s, slices))).unwrap())
+        .collect();
+    for (s, part) in parts.iter().enumerate() {
+        for (ix, _) in part {
+            assert_eq!(key_slice(&ix.0, slices), s, "record {ix:?} in slice {s}");
+        }
+    }
+    let in_slice_order: Vec<&[_]> = parts.iter().map(Vec::as_slice).collect();
+    let reassembled = merge_parts_job(&cluster, "mergeparts", &in_slice_order).unwrap();
+    assert_eq!(bits(&reassembled), bits(&whole), "{slices} slices");
+
+    // Shards are read in order, as if concatenated.
+    let (a, b) = t_prime.split_at(t_prime.len() / 2);
+    let sharded = merge(&cluster, &[a, b], &[&t_dprime], None).unwrap();
+    assert_eq!(bits(&sharded), bits(&whole), "two-shard T'");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn sliced_cross_merge_reassembles_to_the_unsliced_bits(
+        x in skewed_tensor(),
+        slices in 1usize..8,
+        machines in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        check(
+            |c, tp, tdp, slice| cross_merge_job(c, "crossmerge", tp, tdp, slice),
+            &x, slices, machines, seed,
+        );
+    }
+
+    #[test]
+    fn sliced_pairwise_merge_reassembles_to_the_unsliced_bits(
+        x in skewed_tensor(),
+        slices in 1usize..8,
+        machines in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        check(
+            |c, tp, tdp, slice| pairwise_merge_job(c, "pairwisemerge", tp, tdp, slice),
+            &x, slices, machines, seed,
+        );
+    }
+}

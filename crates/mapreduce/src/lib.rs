@@ -85,7 +85,9 @@ pub use lineage::{Lineage, MAX_RECOVERY_DEPTH};
 pub use metrics::{BatchReport, JobMetrics, RunMetrics};
 pub use persist::{decode_records, encode_records, Persist};
 pub use pipeline::{run_job_dfs, run_job_dfs_recovering};
-pub use plan::{CheckpointPolicy, Env, JobGraph, JobInstance, PlanJob, RecoverySpec, SymExpr, Var};
+pub use plan::{
+    dataset_base, CheckpointPolicy, Env, JobGraph, JobInstance, PlanJob, RecoverySpec, SymExpr, Var,
+};
 pub use pool::WorkerPool;
 #[cfg(feature = "race-detect")]
 pub use race::RaceReport;

@@ -14,16 +14,25 @@
 //!   how many instances run per pipeline invocation, and symbolic
 //!   per-instance map-output records/bytes (exact in generic position, or
 //!   an upper bound — see [`PlanJob::exact`]).
-//! * [`JobGraph`] — an ordered list of templates plus the datasets that
-//!   exist before the first job runs. `haten2-analyze` checks dataflow
-//!   well-formedness and derives the graph's cost bounds; [`
-//!   JobGraph::expand`] instantiates the templates for a concrete
-//!   [`Env`] so predictions can be compared against metered runs.
+//! * [`JobGraph`] — an ordered list of templates, the datasets that exist
+//!   before the first job runs, and the order instances are submitted in
+//!   ([`JobGraph::rank_major`]). `haten2-analyze` checks dataflow well-formedness
+//!   and derives the graph's cost bounds; [`JobGraph::expand`]
+//!   instantiates the templates for a concrete [`Env`] into exactly the
+//!   `(name, reads, writes)` sequence a run submits.
 //!
-//! The IR deliberately knows nothing about mappers or reducers: it is the
-//! *contract* a pipeline publishes, not an executable form. The real
-//! pipelines in `haten2-core` register one graph per (decomposition ×
-//! variant) and the analyzer holds them to the paper's table.
+//! **Dataset names.** A template's reads and writes are dataset names,
+//! optionally sharded per instance: a write `t#{}` means instance `i`
+//! writes its own shard `t#i`; a read `t#{}` means instance `i` reads
+//! only shard `t#i`, while a read of plain `t` reads every shard. Every
+//! pass that asks "which template produces this dataset" compares *base*
+//! names ([`dataset_base`]), as the scheduler's batch validation does.
+//!
+//! The IR knows nothing about mappers or reducers, but it says everything
+//! else a submitter needs. The pipelines in `haten2-core` register one
+//! graph per (decomposition × variant), attach a kernel to each template,
+//! and execute the graph itself: the value the analyzer certifies is the
+//! value that runs.
 
 use std::fmt;
 use std::ops::{Add, Div, Mul};
@@ -495,18 +504,21 @@ impl SymExpr {
 
 /// One job template of a pipeline: dataset wiring plus symbolic costs.
 ///
-/// `name` may contain a single `{}` placeholder; [`JobGraph::expand`]
-/// replaces it with the instance index (matching how the runtime pipelines
-/// name their per-column jobs, e.g. `tucker-naive-xv-b{q}`).
+/// `name`, and the shard suffix of a read or write (`t#{}`), may contain a
+/// `{}` placeholder; [`JobGraph::expand`] replaces it with the instance
+/// index (e.g. `tucker-naive-xv-b{}` writing `t#{}` becomes
+/// `tucker-naive-xv-b3` writing `t#3`).
 #[derive(Debug, Clone)]
 pub struct PlanJob {
-    /// Job name template (`{}` = instance index when `count > 1`).
+    /// Job name template (`{}` = instance index).
     pub name: String,
     /// Instances run per pipeline invocation.
     pub count: SymExpr,
-    /// Datasets read by each instance.
+    /// Datasets read by each instance: `t` is every shard of `t`, `t#{}`
+    /// only the shard with the instance's own index.
     pub reads: Vec<String>,
-    /// Datasets written (appended to) by each instance.
+    /// Datasets written by each instance: `t#{}` is a private shard per
+    /// instance; instances that all write plain `t` are serialized.
     pub writes: Vec<String>,
     /// Per-instance map-output records (the paper's "intermediate data").
     pub records: SymExpr,
@@ -526,6 +538,11 @@ pub struct PlanJob {
     /// pipeline's reducer-annotation registry, which generates a property
     /// test per annotated reducer.
     pub comm_assoc: bool,
+    /// Whether each of the `count` instances runs `op` over only the
+    /// reduce keys whose hash slice ([`crate::job::key_slice`] of `count`)
+    /// equals its instance index — the split phase of
+    /// [`crate::rewrite::heavy_key_split`].
+    pub key_sliced: bool,
 }
 
 impl PlanJob {
@@ -542,6 +559,7 @@ impl PlanJob {
             exact: true,
             op: None,
             comm_assoc: false,
+            key_sliced: false,
         }
     }
 
@@ -638,8 +656,18 @@ impl RecoverySpec {
 /// One expanded job instance for a concrete [`Env`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobInstance {
+    /// Index of the template in [`JobGraph::jobs`].
+    pub template: usize,
+    /// Instance index within the template (what `{}` stands for).
+    pub index: usize,
+    /// Instances the template expands to under the same [`Env`].
+    pub count: usize,
     /// Concrete job name (placeholder substituted).
     pub name: String,
+    /// Concrete datasets read (`t`, or the single shard `t#3`).
+    pub reads: Vec<String>,
+    /// Concrete datasets written.
+    pub writes: Vec<String>,
     /// Predicted map-output records.
     pub records: u128,
     /// Predicted map-output (= shuffle) bytes.
@@ -663,6 +691,14 @@ pub struct JobGraph {
     pub outputs: Vec<String>,
     /// Job templates in execution order.
     pub jobs: Vec<PlanJob>,
+    /// Submission order of the instances: template-major (every instance
+    /// of the first template, then every instance of the second, …) or,
+    /// when set, rank-major (instance 0 of every template, then instance 1
+    /// of every template, …: one rank's whole chain before the next
+    /// rank's). Submission order is the commit order, keys the fault
+    /// schedule and is what the simulated makespan list-schedules, so it is
+    /// part of what a pipeline publishes.
+    pub rank_major: bool,
 }
 
 impl JobGraph {
@@ -674,6 +710,7 @@ impl JobGraph {
             big_inputs: Vec::new(),
             outputs: Vec::new(),
             jobs: Vec::new(),
+            rank_major: false,
         }
     }
 
@@ -759,7 +796,7 @@ impl JobGraph {
                 let touches = j
                     .reads
                     .iter()
-                    .filter(|d| self.big_inputs.contains(d))
+                    .filter(|d| self.big_inputs.iter().any(|b| b == dataset_base(d)))
                     .count() as u64;
                 if touches == 0 {
                     None
@@ -782,35 +819,41 @@ impl JobGraph {
     /// The full job template that writes `dataset` (costs included) — what
     /// the recoverability pass charges when the dataset must be re-derived.
     pub fn producer_job(&self, dataset: &str) -> Option<&PlanJob> {
+        let base = dataset_base(dataset);
         self.jobs
             .iter()
-            .find(|j| j.writes.iter().any(|w| w == dataset))
+            .find(|j| j.writes.iter().any(|w| dataset_base(w) == base))
     }
 
-    /// Every dataset produced by some job of this graph, in first-writer
-    /// order (no duplicates) — the set a complete [`RecoverySpec`] covers.
+    /// Whether `dataset` (any shard of it) is a driver-provided input.
+    pub fn is_input(&self, dataset: &str) -> bool {
+        let base = dataset_base(dataset);
+        self.inputs.iter().any(|d| d == base)
+    }
+
+    /// Base name of every dataset produced by some job of this graph, in
+    /// first-writer order (no duplicates) — the set a complete
+    /// [`RecoverySpec`] covers.
     pub fn produced_datasets(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
-        for j in &self.jobs {
-            for w in &j.writes {
-                if !out.iter().any(|d| d == w) {
-                    out.push(w.clone());
-                }
+        for w in self.jobs.iter().flat_map(|j| &j.writes) {
+            let base = dataset_base(w);
+            if !out.iter().any(|d| d == base) {
+                out.push(base.to_string());
             }
         }
         out
     }
 
-    /// Every dataset some job reads that is *not* a driver-provided input,
-    /// in first-reader order — exactly the reads that depend on lineage
-    /// for recovery.
+    /// Base name of every dataset some job reads that is *not* a
+    /// driver-provided input, in first-reader order — exactly the reads
+    /// that depend on lineage for recovery.
     pub fn intermediate_reads(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
-        for j in &self.jobs {
-            for r in &j.reads {
-                if !self.inputs.iter().any(|d| d == r) && !out.iter().any(|d| d == r) {
-                    out.push(r.clone());
-                }
+        for r in self.jobs.iter().flat_map(|j| &j.reads) {
+            let base = dataset_base(r);
+            if !self.is_input(base) && !out.iter().any(|d| d == base) {
+                out.push(base.to_string());
             }
         }
         out
@@ -876,10 +919,12 @@ impl JobGraph {
         for i in 0..self.jobs.len() {
             let mut longest_pred = 0;
             for (k, d) in depth.iter().enumerate().take(i) {
-                let feeds = self.jobs[k]
-                    .writes
-                    .iter()
-                    .any(|w| self.jobs[i].reads.contains(w));
+                let feeds = self.jobs[k].writes.iter().any(|w| {
+                    self.jobs[i]
+                        .reads
+                        .iter()
+                        .any(|r| dataset_base(r) == dataset_base(w))
+                });
                 if feeds {
                     longest_pred = longest_pred.max(*d);
                 }
@@ -889,32 +934,52 @@ impl JobGraph {
         SymExpr::Const(depth.into_iter().max().unwrap_or(0))
     }
 
-    /// Instantiate every template under `env`, in template order. A
+    /// Instantiate every template under `env`, in submission order
+    /// ([`JobGraph::rank_major`]): the concrete `(name, reads, writes)` of
+    /// each job a run of this graph submits, plus its predicted costs. A
     /// template whose `count` evaluates to more than 1 must carry a `{}`
     /// placeholder in its name.
     pub fn expand(&self, env: &Env) -> Vec<JobInstance> {
-        let mut out = Vec::new();
-        for j in &self.jobs {
-            let n = j.count.eval(env);
-            let records = j.records.eval(env);
-            let bytes = j.bytes.eval(env);
-            for i in 0..n {
-                let name = if j.name.contains("{}") {
-                    j.name.replacen("{}", &i.to_string(), 1)
-                } else {
-                    debug_assert!(n == 1, "multi-instance template '{}' needs {{}}", j.name);
-                    j.name.clone()
-                };
-                out.push(JobInstance {
-                    name,
-                    records,
-                    bytes,
-                    exact: j.exact,
-                });
+        let count = |j: &PlanJob| usize::try_from(j.count.eval(env)).unwrap_or(usize::MAX);
+        let counts: Vec<usize> = self.jobs.iter().map(count).collect();
+        let ranks = 0..counts.iter().copied().max().unwrap_or(0);
+        let templates = 0..self.jobs.len();
+        let order: Vec<(usize, usize)> = if self.rank_major {
+            let per_rank = |i| templates.clone().map(move |t| (t, i));
+            ranks.flat_map(per_rank).collect()
+        } else {
+            let per_template = |t| ranks.clone().map(move |i| (t, i));
+            templates.flat_map(per_template).collect()
+        };
+        let instance = |(template, index): (usize, usize)| {
+            let j = &self.jobs[template];
+            debug_assert!(
+                counts[template] == 1 || j.name.contains("{}"),
+                "multi-instance template '{}' needs {{}}",
+                j.name
+            );
+            let at = index.to_string();
+            let subst = |names: &[String]| names.iter().map(|d| d.replace("{}", &at)).collect();
+            JobInstance {
+                template,
+                index,
+                count: counts[template],
+                name: j.name.replacen("{}", &at, 1),
+                reads: subst(&j.reads),
+                writes: subst(&j.writes),
+                records: j.records.eval(env),
+                bytes: j.bytes.eval(env),
+                exact: j.exact,
             }
-        }
-        out
+        };
+        let exists = |&(t, i): &(usize, usize)| i < counts[t];
+        order.into_iter().filter(exists).map(instance).collect()
     }
+}
+
+/// A dataset name without its `#shard` suffix.
+pub fn dataset_base(name: &str) -> &str {
+    name.split_once('#').map_or(name, |(base, _)| base)
 }
 
 /// Does `template` (possibly containing one `{}` placeholder) match the
@@ -1213,6 +1278,37 @@ mod tests {
             JobGraph::new("empty", ["x"]).critical_path_jobs(),
             SymExpr::Const(0)
         );
+    }
+
+    #[test]
+    fn expand_substitutes_shards_and_honours_submit_order() {
+        let per_rank = |name: &str| PlanJob::new(name).repeat(SymExpr::rank_q());
+        let mut g = JobGraph::new("demo", ["x"])
+            .job(per_rank("a{}").reads(["x"]).writes(["t#{}"]))
+            .job(per_rank("b{}").reads(["t#{}"]).writes(["y#{}"]))
+            .job(PlanJob::new("c").reads(["y"]).writes(["z"]));
+        let names = |g: &JobGraph| -> Vec<String> {
+            g.expand(&env()).into_iter().map(|i| i.name).collect()
+        };
+        assert_eq!(names(&g), ["a0", "a1", "b0", "b1", "c"]);
+        let b1 = &g.expand(&env())[3];
+        assert_eq!((b1.template, b1.index, b1.count), (1, 1, 2));
+        assert_eq!(
+            (&b1.reads, &b1.writes),
+            (&vec!["t#1".into()], &vec!["y#1".into()])
+        );
+
+        // Producers, lineage sets and depth are questions about datasets,
+        // whatever shard a template names.
+        assert_eq!(g.producer_of("t"), Some("a{}"));
+        assert_eq!(g.producer_of("t#1"), Some("a{}"));
+        assert_eq!(g.producer_of("x"), None);
+        assert_eq!(g.produced_datasets(), ["t", "y", "z"]);
+        assert_eq!(g.intermediate_reads(), ["t", "y"]);
+        assert_eq!(g.critical_path_jobs(), SymExpr::Const(3));
+
+        g.rank_major = true;
+        assert_eq!(names(&g), ["a0", "b0", "c", "a1", "b1"]);
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! (dataflow sanity, race-freedom, volume non-inflation); this module
 //! holds the **shared transform** so the graph the runtime submits is the
 //! very graph the analyzer certified — the analyzer's `HeavyKeySplit`
-//! delegates here, and the pipelines submit [`heavy_key_split`]'s output,
-//! so "executed graph" and "certified graph" cannot drift.
+//! delegates here, and the pipelines' submitter executes
+//! [`heavy_key_split`]'s output, so "executed graph" and "certified graph"
+//! cannot drift.
 //!
 //! [`heavy_key_split`] is the classic two-phase aggregation for skewed
 //! reduce keys: the pipeline's final single-instance comm-assoc merge is
-//! split into `M` per-slice jobs — each one reads the same inputs but
-//! reduces only the keys in its hash slice, writing a private `…_part#i`
-//! shard — followed by a cheap `mergeparts` pass that reassembles the
-//! output dataset. Slices are whole key groups (assigned by the same
+//! split into `M` per-slice jobs — each one runs the merge's own
+//! operation over the same inputs but reduces only the keys in its hash
+//! slice ([`PlanJob::key_sliced`]), writing a private `…__part#i` shard —
+//! followed by a cheap `mergeparts` pass that reassembles the output
+//! dataset. Slices are whole key groups (assigned by the same
 //! FNV-1a hash the shuffle partitioner uses, [`crate::job::key_slice`]),
 //! so every group is still reduced in one piece, in the same value order
 //! as the unrewritten job: the reassembled output is **bit-identical** to
@@ -44,41 +46,33 @@ pub fn heavy_key_split_target(graph: &JobGraph) -> Option<usize> {
 fn split_jobs(target: &PlanJob) -> (PlanJob, PlanJob) {
     let m = SymExpr::machines();
     let part = format!("{}__part", target.writes[0]);
-    let part_shard = format!("{part}#{{}}");
-    // Each split instance pre-combines its hash slice map-side and
-    // shuffles records/M of them; floor division makes the cost an upper
-    // bound, not generic-position exact.
-    let split = PlanJob::new(format!("{}-split{{}}", target.name))
+    // Each split instance runs the target's own operation over its hash
+    // slice of the keys and shuffles records/M of them; floor division
+    // makes the cost an upper bound, not generic-position exact.
+    let mut split = PlanJob::new(format!("{}-split{{}}", target.name))
         .repeat(m.clone())
         .emits(
             target.records.clone() / m.clone(),
             target.bytes.clone() / m.clone(),
         )
         .upper_bound();
-    let mut split = if let Some(op) = &target.op {
-        split.op(op)
-    } else {
-        split
-    };
-    split.reads = target.reads.clone();
-    split.writes = vec![part_shard.clone()];
+    split.key_sliced = true;
+    split.op = target.op.clone();
     split.comm_assoc = target.comm_assoc;
-    // The merge re-shuffles the M pre-combined partials — the second
-    // phase of the aggregation, and the entire declared inflation.
-    let merge = PlanJob::new(format!("{}-mergeparts", target.name))
+    split.reads = target.reads.clone();
+    split.writes = vec![format!("{part}#{{}}")];
+    // The merge re-shuffles the M partials of every slice — the second
+    // phase of the aggregation, and the entire declared inflation. It
+    // folds nothing: records leave in arrival order.
+    let mut merge = PlanJob::new(format!("{}-mergeparts", target.name))
+        .op("merge_parts_job")
         .emits(
             m.clone() * (target.records.clone() / m.clone()),
             m.clone() * (target.bytes.clone() / m),
         )
         .upper_bound();
-    let mut merge = if let Some(op) = &target.op {
-        merge.op(op)
-    } else {
-        merge
-    };
-    merge.reads = vec![part_shard];
+    merge.reads = vec![part];
     merge.writes = target.writes.clone();
-    merge.comm_assoc = target.comm_assoc;
     (split, merge)
 }
 
@@ -166,10 +160,11 @@ impl KeyFreqSketch {
 /// When the pipelines apply a certified rewrite at submission time.
 ///
 /// `Off` is the default: job counts and plans stay exactly what Tables
-/// III/IV publish. `Auto` is the production setting — the pipelines build
-/// a [`KeyFreqSketch`] over the target-mode indices of the input tensor
-/// (the reduce keys of the final merge) and rewrite only when its
-/// [`KeyFreqSketch::skew_ratio`] reaches the threshold.
+/// III/IV publish, and no sketch is built. `Auto` is the production
+/// setting — the pipelines' submitter builds a [`KeyFreqSketch`] over the
+/// target-mode indices of the input tensor (the reduce keys of the final
+/// merge) and rewrites only when its [`KeyFreqSketch::skew_ratio`] reaches
+/// the threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RewritePolicy {
     /// Never rewrite (the paper-faithful default).
@@ -186,6 +181,14 @@ pub enum RewritePolicy {
 }
 
 impl RewritePolicy {
+    /// Whether this policy ever reads a sketch: `Auto` to decide, `Always`
+    /// for the split jobs' cost hints. Under `Off` building one is an
+    /// `O(nnz)` pass nobody looks at.
+    #[must_use]
+    pub fn wants_sketch(&self) -> bool {
+        !matches!(self, RewritePolicy::Off)
+    }
+
     /// Whether a pipeline should submit the rewritten plan, given the
     /// map-side key-frequency sketch of the merge's reduce keys.
     #[must_use]
@@ -237,8 +240,12 @@ mod tests {
         // Split instances write per-slice shards; mergeparts reassembles
         // the original output.
         assert_eq!(rw.jobs[1].writes, ["y__part#{}"]);
-        assert_eq!(rw.jobs[2].reads, ["y__part#{}"]);
+        assert!(rw.jobs[1].key_sliced);
+        assert_eq!(rw.jobs[1].op, g.jobs[1].op);
+        assert_eq!(rw.jobs[2].reads, ["y__part"]);
         assert_eq!(rw.jobs[2].writes, ["y"]);
+        // The reassembly is no fold, so a rewritten graph has no target.
+        assert_eq!(heavy_key_split_target(&rw), None);
     }
 
     #[test]
@@ -274,7 +281,9 @@ mod tests {
         assert!(skewed.skew_ratio() > 4.0, "{}", skewed.skew_ratio());
 
         assert!(!RewritePolicy::Off.should_rewrite(&skewed));
+        assert!(!RewritePolicy::Off.wants_sketch());
         assert!(RewritePolicy::Always.should_rewrite(&uniform));
+        assert!(RewritePolicy::Always.wants_sketch());
         let auto = RewritePolicy::Auto {
             skew_threshold: 3.0,
         };

@@ -4,9 +4,11 @@
 //! HaTen2's cost model counts *jobs* because Hadoop's JobTracker admits
 //! them one at a time — but the Naive/DNN/DRN variants issue `Q+R`
 //! (Tucker) and `2R`/`4R` (PARAFAC) per-column jobs per sweep that are
-//! mutually independent. A [`Batch`] lets a pipeline submit those jobs
-//! with declared dataset read/write sets; [`Batch::run`] builds the
-//! dependency DAG, validates it against the pipeline's static
+//! mutually independent. A [`Batch`] holds those jobs with declared
+//! dataset read/write sets — the HaTen2 pipelines' declarations are read
+//! off their [`JobGraph`] by one submitter (`haten2_core::plan`), so what
+//! is declared is what the analyzer certified; [`Batch::run`] builds the
+//! dependency DAG, validates it against that
 //! [`JobGraph`], and dispatches any job whose inputs are available onto
 //! the cluster's shared [`crate::pool::WorkerPool`], interleaving map and
 //! reduce tasks from concurrent jobs. The paper's "number of jobs" column
@@ -75,7 +77,7 @@
 use crate::cluster::{Cluster, SchedulerMode};
 use crate::job::JobSite;
 use crate::metrics::{BatchReport, JobMetrics, RunMetrics};
-use crate::plan::JobGraph;
+use crate::plan::{dataset_base, JobGraph};
 use crate::MrError;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -339,8 +341,8 @@ impl Default for Batch<'_> {
 }
 
 impl<'a> Batch<'a> {
-    /// An unvalidated batch (for pipelines without a registered
-    /// [`JobGraph`], e.g. the generic n-way driver).
+    /// An unvalidated batch, for jobs no registered [`JobGraph`]
+    /// describes (tests, the benchmark's probes).
     pub fn new() -> Self {
         Batch {
             graph: None,
@@ -368,6 +370,15 @@ impl<'a> Batch<'a> {
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
+    }
+
+    /// The declared `(name, reads, writes)` of every submitted job, in
+    /// submission order — everything the scheduler will order them by.
+    pub fn declared(&self) -> Vec<(&str, &[String], &[String])> {
+        self.jobs
+            .iter()
+            .map(|j| (j.name.as_str(), j.reads.as_slice(), j.writes.as_slice()))
+            .collect()
     }
 
     /// Submit one job: its concrete name (checked against the `run_job`
@@ -423,11 +434,12 @@ impl<'a> Batch<'a> {
 
     /// Attach a dispatch cost hint to a submitted job: an estimate of its
     /// relative execution cost, in any unit consistent within the batch
-    /// (the skew-aware pipelines use the [`crate::rewrite::KeyFreqSketch`]
-    /// per-slice record counts). The DAG scheduler pops ready jobs
-    /// largest-estimate-first — longest-processing-time-first list
-    /// scheduling — so a heavy hash slice starts before its lighter
-    /// siblings instead of straggling at the tail. Unhinted jobs fall back
+    /// (the pipelines' submitter hints each key-sliced split instance with
+    /// its [`crate::rewrite::KeyFreqSketch`] slice count). The DAG
+    /// scheduler pops ready jobs largest-estimate-first —
+    /// longest-processing-time-first list scheduling — so a heavy hash
+    /// slice starts before its lighter siblings instead of straggling at
+    /// the tail. Unhinted jobs fall back
     /// to a bytes-fed-in proxy from already-finished predecessors. Hints
     /// reorder *execution* only; commit order stays submission order, so
     /// outputs and metrics remain bit-identical to Sequential mode.
@@ -816,7 +828,7 @@ fn split_shard(name: &str) -> (&str, Option<&str>) {
 
 /// Shard-stripped, deduplicated, sorted dataset names.
 fn base_set(names: &[String]) -> Vec<String> {
-    let mut out: Vec<String> = names.iter().map(|n| split_shard(n).0.to_string()).collect();
+    let mut out: Vec<String> = names.iter().map(|n| dataset_base(n).to_string()).collect();
     out.sort();
     out.dedup();
     out

@@ -1,126 +1,30 @@
-//! Effect inference for DAG-scheduler `Batch::submit` sites.
+//! Effect rules for batches of jobs with declared dataset read/write sets.
 //!
-//! The scheduler trusts each job's *hand-declared* dataset read/write sets;
-//! `JobCtx::get` only spot-checks them at runtime. This module closes the
-//! gap statically: it extracts from each `batch.submit(name, reads, writes,
-//! closure)` call site the datasets the closure *actually* touches —
-//! `ctx.get(&handle)` accesses resolved through handle bindings back to the
-//! producing site's declared writes, plus direct `dfs.get/put/delete`
-//! calls — and checks three rules over the result:
+//! The DAG scheduler orders the jobs of a batch only by their *declared*
+//! reads and writes. These rules say when a batch program — a list of
+//! [`EffectModel`]s in submission order — can race under that scheduler:
 //!
-//! * **undeclared-effect** — an inferred read or write not covered by the
-//!   site's declared set (the access the runtime spot-check may miss when
-//!   the dependency edge happens to order the jobs anyway).
-//! * **unordered-conflict** — two sites of the same batch whose *effective*
-//!   (declared ∪ inferred) sets conflict (write/write or read/write) while
-//!   no declared-dependency path orders them.
-//! * **over-declared-read** — a declared read of an intermediate dataset the
-//!   closure never actually consumes (warning: stale declarations rot the
-//!   dependency graph and over-serialize the schedule).
+//! * **undeclared-effect** — a job reads or writes a dataset its
+//!   declaration does not cover; the scheduler cannot order what it cannot
+//!   see.
+//! * **unordered-conflict** — two jobs whose *effective* (declared ∪
+//!   actual) sets conflict (write/write or read/write) while no
+//!   declared-dependency path orders them; the DAG scheduler may run them
+//!   concurrently.
+//! * **over-declared-read** — a declared read of an intermediate dataset
+//!   the job never consumes; stale declarations over-serialize the
+//!   schedule and hide real wiring mistakes.
 //!
-//! Dataset names are compared symbolically: `#shard` suffixes with `{}`
-//! holes (normalized loop indices) act as wildcards, mirroring the
-//! scheduler's base-name overlap rule. The same checks are exposed over a
-//! pure in-memory model ([`check_model`]) so the analyzer's demo scenarios
-//! and the mutation proptests can exercise them without source text.
-
-use crate::{
-    find_calls, is_suppressed, line_of, matching_close, normalize_template, split_top_level,
-    SourceText,
-};
-use std::path::{Path, PathBuf};
-
-/// The effect-inference rule ids and their rationale, in reporting order.
-pub const EFFECT_RULES: &[(&str, &str)] = &[
-    (
-        "undeclared-effect",
-        "the closure reads or writes a dataset its submit declaration does not \
-         cover; the scheduler cannot order what it cannot see",
-    ),
-    (
-        "unordered-conflict",
-        "two jobs of the same batch touch a conflicting dataset with no \
-         declared-dependency path between them; the DAG scheduler may run \
-         them concurrently",
-    ),
-    (
-        "over-declared-read",
-        "a declared read of an intermediate dataset the closure never \
-         consumes; stale declarations over-serialize the schedule and hide \
-         real wiring mistakes",
-    ),
-];
-
-/// An inferred read, with whether its `{}` shard holes are co-indexed with
-/// the reading site's own loop instance (a single handle bound in the same
-/// loop iteration) or range over *all* instances (a vector of handles).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InferredRead {
-    /// Normalized dataset template, e.g. `t#{}`.
-    pub dataset: String,
-    /// `true`: holes substitute the reader's instance index; `false`: the
-    /// holes are wildcards over every producer instance.
-    pub correlated: bool,
-}
-
-/// One `batch.submit(..)` call site with its declared and inferred effects.
-#[derive(Debug, Clone)]
-pub struct SubmitSite {
-    /// File the site lives in.
-    pub file: PathBuf,
-    /// 1-based line of the `.submit` token.
-    pub line: usize,
-    /// Normalized job-name template (`{…}` → `{}`).
-    pub name: String,
-    /// Code offset of the owning batch constructor — sites sharing it were
-    /// submitted to the same `Batch` and are checked pairwise.
-    pub batch_at: usize,
-    /// Declared read templates (second argument).
-    pub declared_reads: Vec<String>,
-    /// Declared write templates (third argument).
-    pub declared_writes: Vec<String>,
-    /// Reads inferred from the closure body.
-    pub inferred_reads: Vec<InferredRead>,
-    /// Writes inferred from direct DFS calls in the closure body.
-    pub inferred_writes: Vec<String>,
-}
-
-/// One effect-rule finding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EffectFinding {
-    /// File the finding is in.
-    pub file: PathBuf,
-    /// 1-based line it anchors to (the submit site; for pair rules, the
-    /// later site of the pair).
-    pub line: usize,
-    /// Rule id (one of [`EFFECT_RULES`]).
-    pub rule: &'static str,
-    /// Offending job-name template.
-    pub job: String,
-    /// The other job of a pair rule.
-    pub other: Option<String>,
-    /// The dataset at fault.
-    pub dataset: String,
-    /// Human-readable diagnostic.
-    pub message: String,
-}
-
-impl std::fmt::Display for EffectFinding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] job `{}`",
-            self.file.display(),
-            self.line,
-            self.rule,
-            self.job
-        )?;
-        if let Some(o) = &self.other {
-            write!(f, " vs `{o}`")?;
-        }
-        write!(f, " dataset `{}`: {}", self.dataset, self.message)
-    }
-}
+//! Dataset names are compared symbolically: a `#shard` suffix that is a
+//! `{}` hole is a wildcard over shard indices, mirroring the scheduler's
+//! base-name overlap rule.
+//!
+//! The pipelines of `haten2-core` cannot break the first rule — their one
+//! submitter resolves a job's inputs from its declared reads and nothing
+//! else — so the analyzer feeds [`check_model`] models expanded from the
+//! plan graphs themselves, and from every certified rewrite of them. The
+//! mutation proptests of `haten2-mapreduce` (`tests/race_detect.rs`) feed
+//! it hand-built batch programs and hold it to the dynamic race detector.
 
 /// Split `base#shard`; `None` shard means the whole dataset.
 fn split_shard_sym(name: &str) -> (&str, Option<&str>) {
@@ -144,410 +48,11 @@ pub fn sym_overlap(a: &str, b: &str) -> bool {
     }
 }
 
-/// True when `c` can appear in an identifier.
-fn ident_byte(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_'
-}
-
-/// Every *method* call `.method(` in the code view, as
-/// `(name_start, args_region)` — the counterpart of [`find_calls`], which
-/// deliberately rejects method calls.
-pub fn find_method_calls(code: &str, method: &str) -> Vec<(usize, (usize, usize))> {
-    let mut out = Vec::new();
-    let b = code.as_bytes();
-    let mut search = 0usize;
-    while let Some(off) = code[search..].find(method) {
-        let at = search + off;
-        search = at + method.len();
-        // Walk back over whitespace: the previous token must be `.`.
-        let mut k = at;
-        while k > 0 && (b[k - 1] == b' ' || b[k - 1] == b'\n' || b[k - 1] == b'\t') {
-            k -= 1;
-        }
-        if k == 0 || b[k - 1] != b'.' {
-            continue;
-        }
-        let after = at + method.len();
-        if after < b.len() && ident_byte(b[after]) {
-            continue;
-        }
-        let mut j = after;
-        while j < b.len() && (b[j] == b' ' || b[j] == b'\n' || b[j] == b'\t') {
-            j += 1;
-        }
-        if j < b.len() && b[j] == b'(' {
-            if let Some(close) = matching_close(code, j) {
-                out.push((at, (j + 1, close)));
-            }
-        }
-    }
-    out
-}
-
-/// The identifier receiving a method call whose name starts at `name_at`
-/// (walk back over whitespace and the `.`, then read the identifier).
-fn receiver_ident(code: &str, name_at: usize) -> Option<String> {
-    let b = code.as_bytes();
-    let mut k = name_at;
-    while k > 0 && (b[k - 1] == b' ' || b[k - 1] == b'\n' || b[k - 1] == b'\t') {
-        k -= 1;
-    }
-    if k == 0 || b[k - 1] != b'.' {
-        return None;
-    }
-    let mut e = k - 1;
-    while e > 0 && (b[e - 1] == b' ' || b[e - 1] == b'\n' || b[e - 1] == b'\t') {
-        e -= 1;
-    }
-    let end = e;
-    while e > 0 && ident_byte(b[e - 1]) {
-        e -= 1;
-    }
-    if e == end {
-        return None;
-    }
-    Some(code[e..end].to_string())
-}
-
-/// All string literals starting inside `region`, quotes stripped and
-/// `{…}` holes normalized.
-fn literals_in(st: &SourceText, region: (usize, usize)) -> Vec<String> {
-    st.strings
-        .iter()
-        .filter(|(s, _)| *s >= region.0 && *s < region.1)
-        .map(|&(s, e)| {
-            let lit = st.raw[s..e]
-                .trim_start_matches('b')
-                .trim_start_matches('r')
-                .trim_matches('#')
-                .trim_matches('"');
-            normalize_template(lit)
-        })
-        .collect()
-}
-
-/// Leading identifier of a code-view region (trimmed).
-fn leading_ident(code: &str, region: (usize, usize)) -> Option<String> {
-    let text = code[region.0..region.1].trim_start();
-    let name: String = text
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    if name.is_empty() {
-        None
-    } else {
-        Some(name)
-    }
-}
-
-/// Resolve a submit-name argument: a direct string literal, or an
-/// identifier traced back to its last `let <ident> = format!(…)` binding
-/// before the call.
-fn resolve_name(st: &SourceText, piece: (usize, usize), call_at: usize) -> Option<String> {
-    if let Some(lit) = st.first_string_in(piece) {
-        return Some(normalize_template(lit));
-    }
-    let ident = leading_ident(&st.code, piece)?;
-    let pat = format!("let {ident}");
-    let b = st.code.as_bytes();
-    let mut found = None;
-    let mut search = 0usize;
-    while let Some(off) = st.code[search..call_at].find(&pat) {
-        let at = search + off;
-        search = at + pat.len();
-        let after = at + pat.len();
-        if after < b.len() && ident_byte(b[after]) {
-            continue;
-        }
-        found = Some(at);
-    }
-    let at = found?;
-    let stmt_end = st.code[at..]
-        .find(';')
-        .map(|o| at + o)
-        .unwrap_or(st.code.len());
-    st.first_string_in((at, stmt_end)).map(normalize_template)
-}
-
-/// How a submit call's return value is bound.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Binding {
-    Let(String),
-    Push(String),
-    None,
-}
-
-/// The binding of a submit expression: look at the statement prefix before
-/// the receiver for `let <ident> =` or `<vec>.push(`.
-fn binding_before(code: &str, recv_start: usize) -> Binding {
-    let stmt_start = code[..recv_start]
-        .rfind([';', '{', '}'])
-        .map(|p| p + 1)
-        .unwrap_or(0);
-    let prefix = &code[stmt_start..recv_start];
-    if let Some(push_at) = prefix.rfind(".push(") {
-        let b = prefix.as_bytes();
-        let mut e = push_at;
-        while e > 0 && ident_byte(b[e - 1]) {
-            e -= 1;
-        }
-        if e < push_at {
-            return Binding::Push(prefix[e..push_at].to_string());
-        }
-    }
-    if let Some(let_at) = prefix.rfind("let ") {
-        let mut rest = prefix[let_at + 4..].trim_start();
-        if let Some(r) = rest.strip_prefix("mut ") {
-            rest = r.trim_start();
-        }
-        let name: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if !name.is_empty() {
-            return Binding::Let(name);
-        }
-    }
-    Binding::None
-}
-
-/// Vector an identifier iterates over inside `body`
-/// (`for <ident> in &<vec>` and friends), if any. `before` is the offset
-/// of the use inside `body`: with two loops reusing the same variable
-/// name, the binding in scope is the nearest header *preceding* the use.
-fn loop_source(body: &str, ident: &str, before: usize) -> Option<String> {
-    let pat = format!("for {ident} in ");
-    let mut at = None;
-    let mut search = 0usize;
-    while let Some(off) = body[search..before.min(body.len())].find(&pat) {
-        at = Some(search + off);
-        search = search + off + pat.len();
-    }
-    let at = at.or_else(|| body.find(&pat))?;
-    let rest = body[at + pat.len()..]
-        .trim_start()
-        .trim_start_matches('&')
-        .trim_start_matches("mut ");
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    if name.is_empty() {
-        None
-    } else {
-        Some(name)
-    }
-}
-
-/// Byte offset where the file's `#[cfg(test)]` region starts.
-fn test_cutoff(raw: &str) -> usize {
-    raw.lines()
-        .scan(0usize, |off, l| {
-            let at = *off;
-            *off += l.len() + 1;
-            Some((at, l))
-        })
-        .find(|(_, l)| l.trim_start().starts_with("#[cfg(test)]"))
-        .map(|(at, _)| at)
-        .unwrap_or(raw.len())
-}
-
-/// Extract every `batch.submit(..)` site of one source file with its
-/// declared sets and the effects inferred from the closure body.
-pub fn scan_submit_sites(path: &Path, raw: &str) -> Vec<SubmitSite> {
-    let st = SourceText::parse(raw);
-    let cutoff = test_cutoff(raw);
-
-    // Batch constructors, for grouping sites into batches.
-    let mut batch_origins: Vec<usize> = Vec::new();
-    for pat in ["Batch::new", "Batch::with_graph"] {
-        for (at, _) in find_calls(&st.code, pat) {
-            batch_origins.push(at);
-        }
-    }
-    batch_origins.sort_unstable();
-
-    // First pass: structure of every site.
-    struct RawSite {
-        site: SubmitSite,
-        closure: (usize, usize),
-        binding: Binding,
-    }
-    let mut raws: Vec<RawSite> = Vec::new();
-    for (at, args) in find_method_calls(&st.code, "submit") {
-        if at >= cutoff {
-            continue;
-        }
-        let pieces = split_top_level(&st.code, args);
-        if pieces.len() < 4 {
-            continue;
-        }
-        let Some(name) = resolve_name(&st, pieces[0], at) else {
-            continue;
-        };
-        let batch_at = batch_origins
-            .iter()
-            .rev()
-            .find(|&&o| o < at)
-            .copied()
-            .unwrap_or(0);
-        // Receiver start (for statement-prefix binding detection).
-        let b = st.code.as_bytes();
-        let mut k = at;
-        while k > 0 && (b[k - 1] == b' ' || b[k - 1] == b'\n' || b[k - 1] == b'\t') {
-            k -= 1;
-        }
-        let dot = k.saturating_sub(1);
-        let mut e = dot;
-        while e > 0 && ident_byte(b[e - 1]) {
-            e -= 1;
-        }
-        raws.push(RawSite {
-            site: SubmitSite {
-                file: path.to_path_buf(),
-                line: line_of(&st.raw, at),
-                name,
-                batch_at,
-                declared_reads: literals_in(&st, pieces[1]),
-                declared_writes: literals_in(&st, pieces[2]),
-                inferred_reads: Vec::new(),
-                inferred_writes: Vec::new(),
-            },
-            closure: (pieces[3].0, args.1),
-            binding: binding_before(&st.code, e),
-        });
-    }
-
-    // Producer maps: handle/vec identifier → declared writes of the site(s)
-    // bound to it. Same-name rebindings (`let t = t.clone()`) resolve to
-    // the original because shadowing reuses the identifier.
-    use std::collections::HashMap;
-    let mut handle_writes: HashMap<String, Vec<String>> = HashMap::new();
-    let mut vec_writes: HashMap<String, Vec<String>> = HashMap::new();
-    for r in &raws {
-        match &r.binding {
-            Binding::Let(id) => {
-                handle_writes
-                    .entry(id.clone())
-                    .or_default()
-                    .extend(r.site.declared_writes.iter().cloned());
-            }
-            Binding::Push(id) => {
-                vec_writes
-                    .entry(id.clone())
-                    .or_default()
-                    .extend(r.site.declared_writes.iter().cloned());
-            }
-            Binding::None => {}
-        }
-    }
-    let dedup = |v: &mut Vec<String>| {
-        v.sort();
-        v.dedup();
-    };
-    for v in handle_writes.values_mut() {
-        dedup(v);
-    }
-    for v in vec_writes.values_mut() {
-        dedup(v);
-    }
-
-    // Second pass: infer effects from each closure body.
-    let get_calls = {
-        let mut g = find_method_calls(&st.code, "get");
-        g.extend(find_method_calls(&st.code, "get_raced"));
-        g
-    };
-    let put_calls = {
-        let mut p = find_method_calls(&st.code, "put");
-        p.extend(find_method_calls(&st.code, "put_shared"));
-        p
-    };
-    let delete_calls = find_method_calls(&st.code, "delete");
-    for r in &mut raws {
-        let (cs, ce) = r.closure;
-        let body = &st.code[cs..ce];
-        for &(m_at, args) in &get_calls {
-            if m_at < cs || m_at >= ce {
-                continue;
-            }
-            let Some(recv) = receiver_ident(&st.code, m_at) else {
-                continue;
-            };
-            if recv == "ctx" {
-                let Some(arg) = leading_ident(
-                    &st.code,
-                    (
-                        // Skip a leading `&`.
-                        st.code[args.0..args.1]
-                            .find(|c: char| c != '&' && !c.is_whitespace())
-                            .map(|o| args.0 + o)
-                            .unwrap_or(args.0),
-                        args.1,
-                    ),
-                ) else {
-                    continue;
-                };
-                let (writes, correlated) = if let Some(w) = handle_writes.get(&arg) {
-                    (Some(w), true)
-                } else if let Some(w) = vec_writes.get(&arg) {
-                    (Some(w), false)
-                } else if let Some(vec_id) = loop_source(body, &arg, m_at - cs) {
-                    (vec_writes.get(&vec_id), false)
-                } else {
-                    (None, false)
-                };
-                if let Some(w) = writes {
-                    for d in w {
-                        let ir = InferredRead {
-                            dataset: d.clone(),
-                            correlated,
-                        };
-                        if !r.site.inferred_reads.contains(&ir) {
-                            r.site.inferred_reads.push(ir);
-                        }
-                    }
-                }
-            } else if recv.ends_with("dfs") {
-                if let Some(lit) = st.first_string_in(args) {
-                    let ir = InferredRead {
-                        dataset: normalize_template(lit),
-                        correlated: false,
-                    };
-                    if !r.site.inferred_reads.contains(&ir) {
-                        r.site.inferred_reads.push(ir);
-                    }
-                }
-            }
-        }
-        for calls in [&put_calls, &delete_calls] {
-            for &(m_at, args) in calls.iter() {
-                if m_at < cs || m_at >= ce {
-                    continue;
-                }
-                let is_dfs = receiver_ident(&st.code, m_at).is_some_and(|r| r.ends_with("dfs"));
-                if !is_dfs {
-                    continue;
-                }
-                if let Some(lit) = st.first_string_in(args) {
-                    let d = normalize_template(lit);
-                    if !r.site.inferred_writes.contains(&d) {
-                        r.site.inferred_writes.push(d);
-                    }
-                }
-            }
-        }
-    }
-
-    raws.into_iter().map(|r| r.site).collect()
-}
-
 // ---------------------------------------------------------------------------
-// Model-level checking (shared by the source pass, the analyzer's demo
-// scenarios, and the mutation proptests)
+// The rules
 // ---------------------------------------------------------------------------
 
-/// A job's effect sets, detached from source text.
+/// What a job declares it touches, and what it actually touches.
 #[derive(Debug, Clone, Default)]
 pub struct EffectModel {
     /// Job name.
@@ -562,11 +67,12 @@ pub struct EffectModel {
     pub inferred_writes: Vec<String>,
 }
 
-/// One model-level finding; `job_index` points into the checked slice (for
-/// pair rules, the *later* job).
+/// One finding; `job_index` points into the checked slice (for pair
+/// rules, the *later* job).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelFinding {
-    /// Rule id (one of [`EFFECT_RULES`]).
+    /// Rule id: `undeclared-effect`, `unordered-conflict` or
+    /// `over-declared-read`.
     pub rule: &'static str,
     /// Index of the offending job in the checked slice.
     pub job_index: usize,
@@ -712,164 +218,9 @@ pub fn check_model(jobs: &[EffectModel]) -> Vec<ModelFinding> {
     findings
 }
 
-/// Run the effect rules over one source file, honouring
-/// `// lint:allow(<rule>)` suppressions on the finding's or the preceding
-/// line.
-pub fn check_effects(path: &Path, raw: &str) -> (Vec<EffectFinding>, Vec<SubmitSite>) {
-    let sites = scan_submit_sites(path, raw);
-    let raw_lines: Vec<&str> = raw.lines().collect();
-    let mut findings = Vec::new();
-
-    // Group by owning batch, preserving submission order.
-    let mut origins: Vec<usize> = sites.iter().map(|s| s.batch_at).collect();
-    origins.sort_unstable();
-    origins.dedup();
-    for origin in origins {
-        let group: Vec<&SubmitSite> = sites.iter().filter(|s| s.batch_at == origin).collect();
-        let models: Vec<EffectModel> = group
-            .iter()
-            .map(|s| EffectModel {
-                name: s.name.clone(),
-                declared_reads: s.declared_reads.clone(),
-                declared_writes: s.declared_writes.clone(),
-                inferred_reads: s.inferred_reads.iter().map(|r| r.dataset.clone()).collect(),
-                inferred_writes: s.inferred_writes.clone(),
-            })
-            .collect();
-        for mf in check_model(&models) {
-            let line = group[mf.job_index].line;
-            if is_suppressed(&raw_lines, line - 1, mf.rule) {
-                continue;
-            }
-            let message = EFFECT_RULES
-                .iter()
-                .find(|(id, _)| *id == mf.rule)
-                .map(|(_, m)| *m)
-                .unwrap_or("");
-            findings.push(EffectFinding {
-                file: path.to_path_buf(),
-                line,
-                rule: mf.rule,
-                job: mf.job,
-                other: mf.other,
-                dataset: mf.dataset,
-                message: message.to_string(),
-            });
-        }
-    }
-    (findings, sites)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const CLEAN: &str = r#"
-fn clean_pipeline() {
-    let mut batch = Batch::with_graph(&graph);
-    let mut parts = Vec::new();
-    for q in 0..qd {
-        let name = format!("demo-xv-b{q}");
-        parts.push(batch.submit(
-            name.clone(),
-            vec!["x".into()],
-            vec![format!("t#{q}")],
-            move |ctx| work(ctx, &name),
-        )?);
-    }
-    let y = batch.submit(
-        "demo-merge",
-        vec!["t".into()],
-        vec!["y".into()],
-        {
-            let parts = parts.clone();
-            move |ctx| {
-                let mut all = Vec::new();
-                for h in &parts {
-                    all.push(ctx.get(h)?);
-                }
-                merge(ctx, all)
-            }
-        },
-    )?;
-}
-"#;
-
-    #[test]
-    fn clean_pipeline_has_no_findings() {
-        let (findings, sites) = check_effects(Path::new("mem.rs"), CLEAN);
-        assert!(findings.is_empty(), "{findings:?}");
-        assert_eq!(sites.len(), 2);
-        assert_eq!(sites[0].name, "demo-xv-b{}");
-        assert_eq!(sites[0].declared_writes, vec!["t#{}".to_string()]);
-        assert_eq!(
-            sites[1].inferred_reads,
-            vec![InferredRead {
-                dataset: "t#{}".into(),
-                correlated: false
-            }]
-        );
-    }
-
-    #[test]
-    fn undeclared_read_is_flagged() {
-        let src = r#"
-fn sneaky() {
-    let mut batch = Batch::new();
-    let a = batch.submit("job-a", vec![], vec!["t".into()], |ctx| make(ctx))?;
-    let b = batch.submit("job-b", vec![], vec!["y".into()], move |ctx| ctx.get(&a))?;
-}
-"#;
-        let (findings, _) = check_effects(Path::new("mem.rs"), src);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == "undeclared-effect" && f.job == "job-b" && f.dataset == "t"),
-            "{findings:?}"
-        );
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == "unordered-conflict" && f.other.as_deref() == Some("job-b")),
-            "{findings:?}"
-        );
-    }
-
-    #[test]
-    fn separate_batches_do_not_conflict() {
-        let src = r#"
-fn two_batches() {
-    let mut batch = Batch::new();
-    let a = batch.submit("one-a", vec!["x".into()], vec!["t".into()], |ctx| f(ctx))?;
-    batch.run(cluster)?;
-    let mut batch2 = Batch::new();
-    let b = batch2.submit("two-a", vec!["x".into()], vec!["t".into()], |ctx| f(ctx))?;
-}
-"#;
-        let (findings, sites) = check_effects(Path::new("mem.rs"), src);
-        assert_eq!(sites.len(), 2);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn direct_dfs_write_is_an_inferred_effect() {
-        let src = r#"
-fn side_channel() {
-    let mut batch = Batch::new();
-    let a = batch.submit("dfs-a", vec![], vec!["t".into()], |ctx| {
-        dfs.put("scratch", data)
-    })?;
-}
-"#;
-        let (findings, sites) = check_effects(Path::new("mem.rs"), src);
-        assert_eq!(sites[0].inferred_writes, vec!["scratch".to_string()]);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == "undeclared-effect" && f.dataset == "scratch"),
-            "{findings:?}"
-        );
-    }
 
     #[test]
     fn shard_wildcards_overlap_symbolically() {
@@ -910,19 +261,5 @@ fn side_channel() {
         let findings = check_model(&mutated);
         assert!(findings.iter().any(|f| f.rule == "undeclared-effect"));
         assert!(findings.iter().any(|f| f.rule == "unordered-conflict"));
-    }
-
-    #[test]
-    fn suppression_markers_are_honoured() {
-        let src = r#"
-fn hushed() {
-    let mut batch = Batch::new();
-    let a = batch.submit("h-a", vec![], vec!["t".into()], |ctx| make(ctx))?;
-    // lint:allow(undeclared-effect) lint:allow(unordered-conflict) — deliberate
-    let b = batch.submit("h-b", vec![], vec!["y".into()], move |ctx| ctx.get(&a))?;
-}
-"#;
-        let (findings, _) = check_effects(Path::new("mem.rs"), src);
-        assert!(findings.is_empty(), "{findings:?}");
     }
 }

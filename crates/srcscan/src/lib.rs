@@ -26,6 +26,11 @@
 //!   metadata).
 //! * [`rs_files`], [`workspace_root`], [`is_suppressed`] — the shared
 //!   walking and suppression conventions.
+//!
+//! [`effects`] is the odd one out: it scans nothing. It holds the effect
+//! rules for batches of jobs with declared read/write sets, here because
+//! both the analyzer and the engine's race-detection tests import them
+//! and this is the one crate below both.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

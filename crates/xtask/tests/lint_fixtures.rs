@@ -1,10 +1,11 @@
-//! The known-bad corpus: one fixture per lint and UDF-purity rule, each
-//! tripping its rule exactly once — so a rule that stops firing (or
-//! starts double-reporting) fails here, not in review.
+//! The known-bad corpus: one fixture per lint, UDF-purity and plan rule,
+//! each tripping its rule exactly once — so a rule that stops firing (or
+//! starts double-reporting) fails here, not in review. (The race rules
+//! take batch programs, not files; their known-bad cases are the seeded
+//! mutants of `haten2_analyze::races::run_race_rejections`.)
 
 #![allow(clippy::unwrap_used)]
 
-use haten2_srcscan::effects::{check_effects, EFFECT_RULES};
 use haten2_srcscan::{scan_udf_purity, PURITY_RULES};
 use std::path::PathBuf;
 use xtask::{lint_file, RULES};
@@ -38,13 +39,6 @@ const PURITY_FIXTURES: &[(&str, &str)] = &[
         "unannotated_float_reduction.rs",
         "unannotated-float-reduction",
     ),
-];
-
-/// Fixtures exercised through the effect-inference race rules.
-const EFFECT_FIXTURES: &[(&str, &str)] = &[
-    ("undeclared_effect.rs", "undeclared-effect"),
-    ("unordered_conflict.rs", "unordered-conflict"),
-    ("over_declared_read.rs", "over-declared-read"),
 ];
 
 /// `.plan` fixtures exercised through the communication/rewrite passes
@@ -90,23 +84,6 @@ fn each_purity_fixture_fires_its_rule_exactly_once() {
 }
 
 #[test]
-fn each_effect_fixture_fires_its_rule_exactly_once() {
-    for (file, rule) in EFFECT_FIXTURES {
-        let path = fixture(file);
-        let raw = std::fs::read_to_string(&path).unwrap();
-        let (findings, sites) = check_effects(&path, &raw);
-        assert!(sites.len() >= 2, "{file}: expected a multi-job batch");
-        let fired: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
-        assert_eq!(
-            findings.len(),
-            1,
-            "{file}: expected 1 finding, got {fired:?}"
-        );
-        assert_eq!(findings[0].rule, *rule, "{file}: fired {fired:?}");
-    }
-}
-
-#[test]
 fn each_plan_fixture_fires_its_rule_exactly_once() {
     for (file, rule) in PLAN_FIXTURES {
         let path = fixture(file);
@@ -125,19 +102,6 @@ fn each_plan_fixture_fires_its_rule_exactly_once() {
         );
         assert_eq!(violations[0].kind(), *rule, "{file}: fired {fired:?}");
     }
-}
-
-#[test]
-fn effect_findings_name_the_racing_pair_and_dataset() {
-    // The unordered-conflict diagnostic must carry enough to act on:
-    // both job names and the shared dataset.
-    let path = fixture("unordered_conflict.rs");
-    let raw = std::fs::read_to_string(&path).unwrap();
-    let (findings, _) = check_effects(&path, &raw);
-    assert_eq!(findings.len(), 1);
-    assert_eq!(findings[0].job, "left");
-    assert_eq!(findings[0].other.as_deref(), Some("right"));
-    assert_eq!(findings[0].dataset, "t");
 }
 
 #[test]
@@ -170,13 +134,6 @@ fn every_rule_has_a_fixture() {
             "purity rule '{id}' has no known-bad fixture"
         );
     }
-    let effect_covered: Vec<&str> = EFFECT_FIXTURES.iter().map(|(_, r)| *r).collect();
-    for (id, _) in EFFECT_RULES {
-        assert!(
-            effect_covered.contains(id),
-            "effect rule '{id}' has no known-bad fixture"
-        );
-    }
     let plan_covered: Vec<&str> = PLAN_FIXTURES.iter().map(|(_, r)| *r).collect();
     for (id, _) in haten2_analyze::COMM_RULES
         .iter()
@@ -190,7 +147,6 @@ fn every_rule_has_a_fixture() {
     for (file, _) in LINT_FIXTURES
         .iter()
         .chain(PURITY_FIXTURES)
-        .chain(EFFECT_FIXTURES)
         .chain(PLAN_FIXTURES)
     {
         assert!(fixture(file).exists(), "missing fixture {file}");
