@@ -146,7 +146,6 @@ pub fn tucker_als_baseline_met(
             let y_mat = y_canon.matricize(0)?;
             let sub_opts = SubspaceOptions {
                 seed: seed ^ ((sweep as u64) << 8 | mode as u64),
-                ..Default::default()
             };
             factors[mode] = leading_left_singular_vectors(&y_mat, core_dims[mode], &sub_opts)?;
             if mode == 2 {

@@ -50,7 +50,7 @@ pub struct AlsOptions {
     pub checkpoint_every: usize,
     /// Absolute index of the first sweep this call runs (non-zero when
     /// resuming from a checkpoint). Keeps sweep-seeded randomness — the
-    /// Tucker subspace-iteration seeds — aligned with the uninterrupted
+    /// Tucker singular-vector kernel's seeds — aligned with the uninterrupted
     /// run, which is what makes resumed results bit-identical.
     pub first_sweep: usize,
 }
@@ -302,8 +302,8 @@ pub struct TuckerResult {
 ///
 /// Each sweep recomputes, for every mode, the projection of `X` onto the
 /// other two factors (distributed, per the configured variant) and takes
-/// the leading left singular vectors of its matricization (driver-side
-/// subspace iteration over the sparse matricized operator — never
+/// the leading left singular vectors of its matricization (driver-side,
+/// from the small Gram matrix of the sparse matricized operator — never
 /// densified). Terminates when `‖G‖` stops increasing.
 pub fn tucker_als(
     cluster: &Cluster,
@@ -394,7 +394,6 @@ pub fn tucker_als_with_init(
             let abs_sweep = (opts.first_sweep + sweep) as u64;
             let sub_opts = SubspaceOptions {
                 seed: opts.seed ^ (abs_sweep << 8 | mode as u64),
-                ..Default::default()
             };
             factors[mode] = leading_left_singular_vectors(&y_mat, core_dims[mode], &sub_opts)?;
             if mode == 2 {

@@ -248,8 +248,8 @@ pub fn parafac_als_checkpointed(
 /// Crash-resumable Tucker-ALS; the Tucker counterpart of
 /// [`parafac_als_checkpointed`]. Resume seeds the mode-1/mode-2 factors
 /// from the checkpoint and offsets `first_sweep` so the sweep-seeded
-/// subspace iterations replay identically — the resumed decomposition is
-/// bit-identical to the uninterrupted one.
+/// singular-vector kernel calls replay identically — the resumed
+/// decomposition is bit-identical to the uninterrupted one.
 pub fn tucker_als_checkpointed(
     cluster: &Cluster,
     x: &CooTensor3,

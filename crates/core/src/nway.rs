@@ -471,8 +471,8 @@ pub struct NwayTuckerResult {
 
 /// N-way Tucker-ALS (HOOI) on the DRI kernels — the paper's N-way Tucker
 /// formulation (§II-B2) run through the §III framework: per mode, one
-/// N-way `IMHP` job and one N-way `CrossMerge` job, then a driver-side
-/// subspace iteration on the sparse matricized projection.
+/// N-way `IMHP` job and one N-way `CrossMerge` job, then the driver-side
+/// singular-vector kernel on the sparse matricized projection.
 pub fn nway_tucker_als(
     cluster: &Cluster,
     x: &DynTensor,
@@ -536,7 +536,6 @@ pub fn nway_tucker_als(
             let y_mat = y.matricize(0).map_err(CoreError::Tensor)?;
             let sub_opts = haten2_linalg::SubspaceOptions {
                 seed: seed ^ ((sweep as u64) << 8 | mode as u64),
-                ..Default::default()
             };
             factors[mode] =
                 haten2_linalg::leading_left_singular_vectors(&y_mat, core_dims[mode], &sub_opts)

@@ -12,10 +12,10 @@
 //!
 //! Everything here is implemented from scratch (no external linear-algebra
 //! crates): Householder QR, a cyclic Jacobi symmetric eigensolver, an SVD for
-//! small/medium matrices built on the Gram-matrix eigendecomposition, and a
-//! blocked subspace (orthogonal) iteration that extracts leading singular
-//! vectors of tall sparse-multipliable operators without ever forming the
-//! full Gram matrix.
+//! small/medium matrices built on the Gram-matrix eigendecomposition, and
+//! the same route for tall-skinny abstract operators: leading singular
+//! vectors from the small `n × n` Gram matrix in two passes over the
+//! operator, never forming the tall `m × m` one and never iterating.
 //!
 //! Conventions: all matrices are row-major [`Mat`] with `f64` entries.
 //! Dimensions follow the paper's notation where practical (`I×R` factors,

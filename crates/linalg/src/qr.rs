@@ -1,7 +1,8 @@
 //! Householder QR decomposition.
 //!
-//! Used by the subspace iteration in Tucker-ALS to re-orthonormalize the
-//! iterate block, and as a general building block. Only the *thin* form
+//! Used by Tucker-ALS to orthonormalize `Y·V_p` (the last step of
+//! [`crate::subspace`]) and its random initial factors, and as a general
+//! building block. Only the *thin* form
 //! (`Q ∈ ℝ^{m×n}`, `R ∈ ℝ^{n×n}` for `m ≥ n`) is ever needed here.
 
 use crate::{LinalgError, Mat, Result};

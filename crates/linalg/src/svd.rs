@@ -3,9 +3,13 @@
 //! Built on the Gram-matrix eigendecomposition: for `a ∈ ℝ^{m×n}` with small
 //! `min(m, n)`, eigendecompose the smaller Gram matrix and recover the other
 //! side's singular vectors by multiplication. Accuracy degrades as σ²
-//! squares the condition number, which is acceptable here — HaTen2 only
-//! needs singular vectors of well-separated leading subspaces and the
-//! pseudoinverse of tiny Gram matrices with an explicit rank cutoff.
+//! squares the condition number, which is acceptable here — this routine
+//! serves the pseudoinverse of tiny Gram matrices with an explicit rank
+//! cutoff. It returns *all* `min(m, n)` vectors of a dense matrix, scaled
+//! by `Σ⁻¹`; Tucker's factor update wants the leading `p` of an abstract
+//! operator, orthonormal to rounding, and uses
+//! [`crate::subspace::leading_left_singular_vectors`] — the same Gram
+//! route, finished with a QR instead.
 
 use crate::eigen::sym_eigen;
 use crate::{Mat, Result};

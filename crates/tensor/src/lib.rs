@@ -10,8 +10,8 @@
 //! * [`DenseTensor3`]: small dense tensors (core tensor `G`, reference
 //!   results),
 //! * [`SparseMat`]: sparse matricizations `X₍ₙ₎` usable as abstract linear
-//!   operators ([`haten2_linalg::LinOp`]) so Tucker's SVD step never
-//!   densifies,
+//!   operators ([`haten2_linalg::LinOp`]: products and the small Gram
+//!   matrix `X₍ₙ₎ᵀX₍ₙ₎`) so Tucker's SVD step never densifies,
 //! * reference (single-machine, dense-output) implementations of every
 //!   operation the paper defines — `×̄ₙ` (n-mode vector product), `×ₙ`
 //!   (n-mode matrix product), `*̄ₙ` (n-mode vector Hadamard product, Def. 1),

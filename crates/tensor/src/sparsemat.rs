@@ -1,26 +1,21 @@
-//! Sparse matrices in triplet + CSR form, used for matricized tensors.
+//! Sparse matrices as sorted triples, used for matricized tensors.
 //!
 //! The Tucker-ALS factor update needs the leading left singular vectors of
-//! `Y₍₁₎`, a tall sparse matrix. [`SparseMat`] implements
-//! [`haten2_linalg::LinOp`] so the subspace iteration can multiply by it and
-//! its transpose without densifying — mirroring how HaTen2 never
-//! materializes dense intermediates.
+//! `Y₍₁₎`, a tall sparse matrix with few columns. [`SparseMat`] implements
+//! [`haten2_linalg::LinOp`] so the singular-vector kernel can take its
+//! small Gram matrix `YᵀY` and multiply by it without densifying —
+//! mirroring how HaTen2 never materializes dense intermediates.
 
 use crate::{Result, TensorError};
 use haten2_linalg::{LinOp, LinalgError, Mat};
 
-/// A sparse `rows × cols` matrix stored as sorted triples with a CSR-style
-/// row index for fast row-major traversal.
+/// A sparse `rows × cols` matrix stored as triples sorted row-major.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseMat {
     rows: u64,
     cols: u64,
     /// Sorted by (row, col); duplicates merged.
     triples: Vec<(u64, u64, f64)>,
-    /// row_ptr[r]..row_ptr[r+1] indexes `triples` for row r — only rows that
-    /// appear; mapping from row id to dense position kept implicit by
-    /// requiring u64 rows to fit usize for the operator application.
-    row_ptr: Vec<usize>,
 }
 
 impl SparseMat {
@@ -44,13 +39,10 @@ impl SparseMat {
             }
         }
         merged.retain(|&(_, _, v)| v != 0.0);
-
-        let row_ptr = build_row_ptr(rows, &merged);
         Ok(SparseMat {
             rows,
             cols,
             triples: merged,
-            row_ptr,
         })
     }
 
@@ -87,48 +79,6 @@ impl SparseMat {
         }
         Ok(m)
     }
-
-    /// Gram matrix `SᵀS` as a dense `cols × cols` matrix. Only valid when
-    /// `cols` is small (e.g. a matricized `I × QR` intermediate).
-    pub fn gram_dense(&self) -> Result<Mat> {
-        let c = self.cols as usize;
-        let mut g = Mat::zeros(c, c);
-        // Group by row and take outer products of each sparse row.
-        let mut start = 0;
-        while start < self.triples.len() {
-            let row = self.triples[start].0;
-            let mut end = start;
-            while end < self.triples.len() && self.triples[end].0 == row {
-                end += 1;
-            }
-            for a in start..end {
-                let (_, ca, va) = self.triples[a];
-                for b in start..end {
-                    let (_, cb, vb) = self.triples[b];
-                    g.add_at(ca as usize, cb as usize, va * vb);
-                }
-            }
-            start = end;
-        }
-        Ok(g)
-    }
-}
-
-fn build_row_ptr(rows: u64, sorted: &[(u64, u64, f64)]) -> Vec<usize> {
-    // Sparse row pointer over populated rows only: store (start) offsets by
-    // scanning; dense row_ptr would be O(rows) memory which can be huge.
-    // We instead store boundaries of row groups: positions where row changes.
-    let mut ptr = Vec::new();
-    let mut last_row = None;
-    for (pos, &(r, _, _)) in sorted.iter().enumerate() {
-        if last_row != Some(r) {
-            ptr.push(pos);
-            last_row = Some(r);
-        }
-    }
-    ptr.push(sorted.len());
-    let _ = rows;
-    ptr
 }
 
 impl LinOp for SparseMat {
@@ -182,6 +132,29 @@ impl LinOp for SparseMat {
             }
         }
         Ok(out)
+    }
+
+    /// `SᵀS` as a dense `cols × cols` matrix, by one pass of outer products
+    /// of the sparse rows: `O(Σ_rows nnz(row)²) ≤ O(nnz · cols)`.
+    fn gram(&self) -> haten2_linalg::Result<Mat> {
+        let n = self.cols as usize;
+        let mut g = Mat::zeros(n, n);
+        // Columns ascend within a row, so this fills the upper triangle.
+        for row in self.triples.chunk_by(|a, b| a.0 == b.0) {
+            for (at, &(_, ca, va)) in row.iter().enumerate() {
+                let dst = g.row_mut(ca as usize);
+                for &(_, cb, vb) in &row[at..] {
+                    dst[cb as usize] += va * vb;
+                }
+            }
+        }
+        for a in 0..n {
+            for b in 0..a {
+                let upper = g.get(b, a);
+                g.set(a, b, upper);
+            }
+        }
+        Ok(g)
     }
 }
 
@@ -248,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn gram_dense_matches_dense_gram() {
+    fn gram_matches_dense_gram() {
         let mut rng = StdRng::seed_from_u64(10);
         let mut triples = Vec::new();
         for _ in 0..40 {
@@ -259,14 +232,15 @@ mod tests {
             ));
         }
         let s = SparseMat::from_triples(12, 4, triples).unwrap();
-        let g = s.gram_dense().unwrap();
+        let g = s.gram().unwrap();
         let d = s.to_dense().unwrap().gram();
         assert!(g.approx_eq(&d, 1e-12));
     }
 
     #[test]
-    fn subspace_iteration_on_sparse_operator() {
-        // The whole point: extract singular vectors without densifying.
+    fn singular_vectors_of_sparse_operator() {
+        // The whole point: extract singular vectors without densifying,
+        // and get the ones the dense route gets.
         let mut rng = StdRng::seed_from_u64(11);
         let mut triples = Vec::new();
         for r in 0..40u64 {
@@ -275,9 +249,12 @@ mod tests {
             }
         }
         let s = SparseMat::from_triples(40, 6, triples).unwrap();
-        let u = leading_left_singular_vectors(&s, 2, &SubspaceOptions::default()).unwrap();
+        let opts = SubspaceOptions::default();
+        let u = leading_left_singular_vectors(&s, 2, &opts).unwrap();
         assert_eq!(u.shape(), (40, 2));
-        assert!(u.gram().approx_eq(&Mat::identity(2), 1e-8));
+        assert!(u.gram().approx_eq(&Mat::identity(2), 1e-12));
+        let dense = leading_left_singular_vectors(&s.to_dense().unwrap(), 2, &opts).unwrap();
+        assert!(u.approx_eq(&dense, 1e-12));
     }
 
     #[test]

@@ -4,9 +4,12 @@
 #
 # The default lane is stable-only and hermetic: it runs the GATES table
 # below top to bottom and stops at the first failure. `cargo test -q`
-# covers the whole workspace (root `default-members`); the one perf row is
-# the repo's benchmark (`BENCHMARK.json`) in its quick mode, whose samples
-# check themselves against the Sequential oracle and `haten2-baseline`.
+# covers the whole workspace (root `default-members`); the two perf rows are
+# the repo's benchmark (`BENCHMARK.json`) in its quick mode: `run`, whose
+# samples check themselves against the Sequential oracle and
+# `haten2-baseline`, and `trace`, whose re-assembled sweeps (the one caller
+# of the library kernels outside the drivers) must stay bit-identical to
+# the drivers' own.
 #
 # `--sanitize` runs the dynamic-analysis lane instead: ThreadSanitizer over
 # the concurrency tests (worker pool, arena, DAG scheduler and its per-level
@@ -71,6 +74,7 @@ GATES=(
     "lint allows (every lint:allow carries a justification)|cargo xtask lint --list-allows"
     "benchmark tests (incl. BENCHMARK.json == code)|cargo test --offline --manifest-path benchmark/Cargo.toml -q"
     "perf smoke (four workloads, self-checked samples)|cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --quick --out $smoke_out/run.json"
+    "traced pass smoke (re-assembled sweeps bit-identical to the drivers, shares sum to one)|cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- trace --quick --out $smoke_out/trace.json"
 )
 for gate in "${GATES[@]}"; do
     echo "==> ${gate%%|*}: ${gate#*|}"

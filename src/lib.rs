@@ -39,7 +39,7 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`haten2_linalg`]    | hand-rolled dense linear algebra (QR, Jacobi eigen, SVD, pinv, subspace iteration) |
+//! | [`haten2_linalg`]    | hand-rolled dense linear algebra (QR, Jacobi eigen, SVD, pinv, tall-skinny singular vectors) |
 //! | [`haten2_tensor`]    | sparse COO tensors, reference tensor ops, matricization, I/O |
 //! | [`haten2_mapreduce`] | the cluster-simulated MapReduce engine with intermediate-data accounting |
 //! | [`haten2_core`]      | the HaTen2 algorithms: Naive/DNN/DRN/DRI kernels + ALS drivers + N-way |
