@@ -8,12 +8,16 @@
 //! assumption checkable:
 //!
 //! * **Source scan** — every closure passed to the engine's job runners
-//!   (`run_job`, `run_job_dfs`, `run_job_dfs_recovering`) in
-//!   `crates/mapreduce/src/pipeline.rs` and the `crates/core` pipelines is
-//!   scanned by [`haten2_srcscan::scan_udf_purity`] for nondeterminism
-//!   sources: unordered `HashMap`/`HashSet` iteration feeding emits,
-//!   wall-clock reads, thread-id dependence, and float reductions not
-//!   declared commutative-associative in the plan metadata.
+//!   (`run_job`, `run_job_streaming`, `run_job_collect`, `run_job_dfs`,
+//!   `run_job_dfs_recovering`) in `crates/mapreduce/src/pipeline.rs` and
+//!   the `crates/core` pipelines is scanned by
+//!   [`haten2_srcscan::scan_udf_purity`] for nondeterminism sources:
+//!   unordered `HashMap`/`HashSet` iteration feeding emits, wall-clock
+//!   reads, thread-id dependence, and float reductions not declared
+//!   commutative-associative in the plan metadata. The scan finds closures
+//!   by runner *name*, so a kernel calling a runner it does not know
+//!   would leave it silently: the tests hold the sites it reports to
+//!   every annotated reducer and every op a registered graph can run.
 //! * **Plan consistency** — every [`haten2_mapreduce::PlanJob`] whose `op`
 //!   appears in [`haten2_core::COMM_ASSOC_REDUCERS`] must carry the
 //!   `comm_assoc` flag and vice versa, so the annotation the scanner
@@ -139,6 +143,8 @@ pub fn check_plan_consistency() -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use haten2_core::{certified_rewrite_for, COMM_ASSOC_REDUCERS};
+    use std::collections::BTreeSet;
 
     #[test]
     fn real_pipelines_are_clean() {
@@ -149,16 +155,30 @@ mod tests {
             report.violations
         );
         // The scan must actually see the pipelines (engine pipeline layer
-        // + core modules), and find the annotated reducers.
+        // + core modules): every annotated reducer, and every op a
+        // registered graph or a certified rewrite of one can run. A kernel
+        // that moved to a runner the scanner does not know shows up here
+        // as a missing site, not as a clean report.
         assert!(report.files_scanned >= 5, "{} files", report.files_scanned);
+        let mut expected: BTreeSet<String> = COMM_ASSOC_REDUCERS
+            .iter()
+            .map(|a| a.site.to_string())
+            .collect();
+        for decomp in Decomp::ALL {
+            for variant in Variant::ALL {
+                let registered = plan_for(decomp, variant);
+                let split = certified_rewrite_for(&registered, "heavy-key-split");
+                for graph in std::iter::once(registered).chain(split) {
+                    expected.extend(graph.jobs.into_iter().filter_map(|job| job.op));
+                }
+            }
+        }
+        assert!(expected.contains("merge_parts_job"), "{expected:?}");
+        let seen: BTreeSet<String> = report.reducers.iter().map(|r| r.site.clone()).collect();
+        let missing: Vec<&String> = expected.difference(&seen).collect();
         assert!(
-            report.reducers.iter().any(|r| r.site == "collapse_job"),
-            "reducer sites seen: {:?}",
-            report
-                .reducers
-                .iter()
-                .map(|r| r.site.clone())
-                .collect::<Vec<_>>()
+            missing.is_empty(),
+            "reducer sites the scan no longer sees: {missing:?} (seen: {seen:?})"
         );
     }
 

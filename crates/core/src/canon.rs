@@ -8,7 +8,7 @@
 //! (`Y(x₀, q, r)` / `M(x₀, r)`) are already in caller coordinates because
 //! slot 0 *is* the target mode.
 
-use haten2_tensor::{CooTensor3, Entry3};
+use haten2_tensor::CooTensor3;
 
 /// Permute `t` so that `target` becomes mode 0 and the other two modes
 /// follow in ascending original order. Returns the permuted tensor and the
@@ -20,20 +20,14 @@ pub fn canonicalize(t: &CooTensor3, target: usize) -> (CooTensor3, [usize; 3]) {
     if perm == [0, 1, 2] {
         return (t.clone(), perm);
     }
-    let d = t.dims();
-    let dims = [d[perm[0]], d[perm[1]], d[perm[2]]];
-    let entries: Vec<Entry3> = t
-        .entries()
-        .iter()
-        .map(|e| Entry3::new(e.index(perm[0]), e.index(perm[1]), e.index(perm[2]), e.v))
-        .collect();
-    let canon = CooTensor3::from_entries(dims, entries).expect("permutation preserves bounds");
+    let canon = t.permute(perm).expect("permutation preserves bounds");
     (canon, perm)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use haten2_tensor::Entry3;
 
     fn sample() -> CooTensor3 {
         CooTensor3::from_entries(

@@ -31,33 +31,166 @@
 //! the derivation — see [`crate::nway`], whose jobs have no graph.
 //!
 //! A tensor-valued input is a [`Shards`] list: the slices a dataset was
-//! written in, in shard order, borrowed from whoever produced them. A
-//! kernel reads them in that order as if concatenated, without the copy.
+//! written in, in shard order, borrowed from whoever produced them. Every
+//! kernel reads them where they lie, through one [`MapInput`] (`Feed`)
+//! that builds each input record on the stack — no kernel copies a
+//! dataset to make its job's input. [`imhp_job`] is the other half of the
+//! hand-off: its reducers write `T'` and `T''` as the per-partition shards
+//! the merge's mappers then read, so a record of the paper's `nnz·(Q+R)`
+//! intermediate data is written once and never moved.
 //!
 //! [`JobSite`]: haten2_mapreduce::JobSite
 //! [`Cluster`]: haten2_mapreduce::Cluster
 
 use crate::records::{shards_len, HadVal, ImhpRec, ImhpVal, Ix4, MergeVal, NaiveVal, TvRec};
 use haten2_linalg::Mat;
+use haten2_mapreduce::size::slice_est_bytes;
 use haten2_mapreduce::{
-    key_slice, run_job, run_job_streaming, EstimateSize, JobSite, JobSpec, MrError, Result,
+    concat_partitions, key_slice, run_job_collect, Collect, EstimateSize, JobSite, JobSpec,
+    MapInput, MrError, Result,
 };
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// Tensor records in the canonical `(Ix4, f64)` form.
 pub type TensorRecords = Vec<(Ix4, f64)>;
 
-/// One dataset as a job reads it: its shards, in shard order.
-pub type Shards<'a> = &'a [&'a [(Ix4, f64)]];
+/// One shard of a dataset: the records one task wrote, where it left them.
+type Shard<'a> = &'a [(Ix4, f64)];
 
-/// `shards` as one slice, for the kernels whose map input *is* the
-/// dataset: borrowed when there is a single shard, concatenated otherwise.
-fn flat<'a>(shards: Shards<'a>) -> Cow<'a, [(Ix4, f64)]> {
-    match shards {
-        [one] => Cow::Borrowed(one),
-        many => Cow::Owned(many.concat()),
+/// One dataset as a job reads it: its shards, in shard order.
+pub type Shards<'a> = &'a [Shard<'a>];
+
+/// The one way a kernel feeds its job: tensor datasets read where their
+/// producers left them, then the job's small side.
+///
+/// `parts` are the shards of the datasets read, in presentation order,
+/// each under the tag of its dataset. A stored `(Ix4, f64)` is presented
+/// to the mapper as the record `wrap(tag, ix, v)`, built on the stack and
+/// priced at `record_bytes` — the wire size of the record *presented*,
+/// which is what `map_input_bytes` has always charged. `tail` follows: the
+/// factor rows or vector coefficients the job joins against, gathered up
+/// front because they are `O(J + K)`, not `O(nnz)`.
+struct Feed<'a, K, V, W> {
+    parts: Vec<(u8, Shard<'a>)>,
+    /// Records in `parts`.
+    in_place: usize,
+    record_bytes: usize,
+    wrap: W,
+    tail: Vec<(K, V)>,
+}
+
+impl<'a, K, V, W: Fn(u8, &Ix4, f64) -> (K, V)> Feed<'a, K, V, W> {
+    /// `datasets` in presentation order, each `(tag, shards)`.
+    fn new(
+        datasets: &[(u8, &[Shard<'a>])],
+        record_bytes: usize,
+        wrap: W,
+        tail: Vec<(K, V)>,
+    ) -> Self {
+        let parts: Vec<_> = datasets
+            .iter()
+            .flat_map(|&(tag, shards)| shards.iter().map(move |&shard| (tag, shard)))
+            .collect();
+        Feed {
+            in_place: parts.iter().map(|(_, shard)| shard.len()).sum(),
+            parts,
+            record_bytes,
+            wrap,
+            tail,
+        }
     }
+}
+
+impl<K, V, W> MapInput for Feed<'_, K, V, W>
+where
+    K: EstimateSize + Sync,
+    V: EstimateSize + Sync,
+    W: Fn(u8, &Ix4, f64) -> (K, V) + Sync,
+{
+    type Key = K;
+    type Val = V;
+
+    fn len(&self) -> usize {
+        self.in_place + self.tail.len()
+    }
+
+    fn est_bytes(&self, range: Range<usize>) -> usize {
+        let in_place = range.end.min(self.in_place).saturating_sub(range.start);
+        let tail_at = |record: usize| record.saturating_sub(self.in_place);
+        let tail = &self.tail[tail_at(range.start)..tail_at(range.end)];
+        in_place * self.record_bytes + slice_est_bytes(tail)
+    }
+
+    #[inline]
+    fn for_each<F: FnMut(&K, &V)>(&self, range: Range<usize>, mut f: F) {
+        // Records still to skip, then still to present, as the walk moves
+        // through the shards and on into the tail.
+        let (mut skip, mut left) = (range.start, range.len());
+        for &(tag, shard) in &self.parts {
+            if left == 0 {
+                return;
+            }
+            if skip >= shard.len() {
+                skip -= shard.len();
+                continue;
+            }
+            let take = left.min(shard.len() - skip);
+            for (ix, v) in &shard[skip..skip + take] {
+                let (key, val) = (self.wrap)(tag, ix, *v);
+                f(&key, &val);
+            }
+            left -= take;
+            skip = 0;
+        }
+        for (key, val) in &self.tail[skip..skip + left] {
+            f(key, val);
+        }
+    }
+}
+
+/// A dataset as its own job input: every record presented as it is stored.
+fn stored_feed<'a>(
+    entries: Shards<'a>,
+) -> Feed<'a, Ix4, f64, impl Fn(u8, &Ix4, f64) -> (Ix4, f64) + Sync> {
+    let record_bytes = <(Ix4, f64)>::FIXED_BYTES.expect("a tensor record is fixed-size");
+    Feed::new(
+        &[(0, entries)],
+        record_bytes,
+        |_, ix, v| (*ix, v),
+        Vec::new(),
+    )
+}
+
+/// The input of a Hadamard / naive n-mode product job: the tensor entries
+/// in place as [`TvRec::Ent`], then the nonzero elements of the vector.
+fn tv_feed<'a>(
+    entries: Shards<'a>,
+    v: &[f64],
+) -> Feed<'a, (), TvRec, impl Fn(u8, &Ix4, f64) -> ((), TvRec) + Sync> {
+    let coefs = v.iter().enumerate().filter(|(_, &c)| c != 0.0);
+    Feed::new(
+        &[(0, entries)],
+        TvRec::Ent((0, 0, 0, 0), 0.0).est_bytes(),
+        |_, ix, val| ((), TvRec::Ent(*ix, val)),
+        coefs
+            .map(|(i, &c)| ((), TvRec::Coef(i as u64, c)))
+            .collect(),
+    )
+}
+
+/// The input of a job joining tensor entries with factor rows: the
+/// entries in place as [`ImhpRec::Ent`], then the `rows`.
+fn rows_feed<'a>(
+    entries: Shards<'a>,
+    rows: Vec<((), ImhpRec)>,
+) -> Feed<'a, (), ImhpRec, impl Fn(u8, &Ix4, f64) -> ((), ImhpRec) + Sync> {
+    Feed::new(
+        &[(0, entries)],
+        ImhpRec::Ent((0, 0, 0, 0), 0.0).est_bytes(),
+        |_, ix, v| ((), ImhpRec::Ent(*ix, v)),
+        rows,
+    )
 }
 
 #[inline]
@@ -97,8 +230,8 @@ pub fn hadamard_vec_job(
     v: &[f64],
     tag_slot3: Option<u64>,
 ) -> Result<Vec<(Ix4, f64)>> {
-    let input = crate::records::tv_input(entries, v);
-    let out = run_job(
+    let input = tv_feed(entries, v);
+    let out = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
         &input,
@@ -106,7 +239,10 @@ pub fn hadamard_vec_job(
             TvRec::Ent(ix, val) => emit(slot(ix, join_pos), HadVal::Ent(*ix, *val)),
             TvRec::Coef(i, c) => emit(*i, HadVal::Coef(*c)),
         },
+        // The coefficient is presented after the entries, so it is the
+        // last value of its group: the group is held, not streamed.
         move |_, vals, emit| {
+            let vals: Vec<HadVal> = vals.collect();
             let mut coef = None;
             for v in &vals {
                 if let HadVal::Coef(c) = v {
@@ -128,7 +264,7 @@ pub fn hadamard_vec_job(
             }
         },
     )?;
-    Ok(out)
+    Ok(concat_partitions(out))
 }
 
 /// `Collapse(X)ₚₒₛ` (Definition 2) as one job: zero out slot `drop_pos` and
@@ -146,17 +282,17 @@ pub fn collapse_job(
     drop_pos: usize,
     use_combiner: bool,
 ) -> Result<Vec<(Ix4, f64)>> {
-    let entries = flat(entries);
+    let input = stored_feed(entries);
     let combiner = |_: &Ix4, vals: Vec<f64>| vec![vals.iter().sum::<f64>()];
     let spec = if use_combiner {
         JobSpec::named(name.to_string()).with_combiner(&combiner)
     } else {
         JobSpec::named(name.to_string())
     };
-    let out = run_job_streaming(
+    let out = run_job_collect(
         site,
         spec,
-        &entries,
+        &input,
         move |ix: &Ix4, val: &f64, emit| emit(with_slot(*ix, drop_pos, 0), *val),
         |ix, vals, emit| {
             let s: f64 = vals.sum::<f64>();
@@ -165,7 +301,7 @@ pub fn collapse_job(
             }
         },
     )?;
-    Ok(out)
+    Ok(concat_partitions(out))
 }
 
 /// The naive broadcast n-mode vector product (§III-B1): contract slot
@@ -207,12 +343,12 @@ pub fn naive_ttv_job(
         }
     }
 
-    let input = crate::records::tv_input(entries, v);
+    let input = tv_feed(entries, v);
     // Enumerate the cross product of the non-contracted dims for broadcast.
     let other_pos: Vec<usize> = (0..4).filter(|&p| p != contract_pos).collect();
     let other_dims: Vec<u64> = other_pos.iter().map(|&p| dims[p].max(1)).collect();
 
-    let out = run_job(
+    let out = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
         &input,
@@ -237,6 +373,7 @@ pub fn naive_ttv_job(
             }
         },
         |key, vals, emit| {
+            let vals: Vec<NaiveVal> = vals.collect();
             let mut coefs: HashMap<u64, f64> = HashMap::new();
             for v in &vals {
                 if let NaiveVal::Coef(i, c) = v {
@@ -258,7 +395,30 @@ pub fn naive_ttv_job(
             }
         },
     )?;
-    Ok(out)
+    Ok(concat_partitions(out))
+}
+
+/// The factor rows one side of an IMHP-style join reads: row `idx` of the
+/// `d × n` transposed factor `t` is column `idx`, gathered.
+fn factor_rows(side: u8, t: &Mat) -> impl Iterator<Item = ((), ImhpRec)> + '_ {
+    (0..t.cols()).map(move |idx| {
+        let col: Vec<f64> = (0..t.rows()).map(|d| t.get(d, idx)).collect();
+        ((), ImhpRec::Row(side, idx as u64, col))
+    })
+}
+
+/// IMHP's record writer: a reduce task's output, split into the two
+/// datasets by the `side` byte of the emitted key as it is written. What
+/// the engine counts and sizes is still the `((side, ix), v)` record the
+/// reducer emitted.
+#[derive(Default)]
+struct BySide([TensorRecords; 2]);
+
+impl Collect<(u8, Ix4), f64> for BySide {
+    #[inline]
+    fn collect(&mut self, (side, ix): (u8, Ix4), v: f64) {
+        self.0[usize::from(side)].push((ix, v));
+    }
 }
 
 /// The integrated n-mode matrix Hadamard products `IMHP(X, B, C)`
@@ -266,31 +426,24 @@ pub fn naive_ttv_job(
 /// `T'[i,j,k,q] = X[i,j,k]·Bᵀ[q,j]` and `T''[i,j,k,r] = Cᵀ[r,k]` on the
 /// support of `X` (the `bin(X)` side of Lemmas 1–2). `bt ∈ ℝ^{Q×d₁}`,
 /// `ct ∈ ℝ^{R×d₂}` in canonical orientation.
+///
+/// Each dataset comes back as the shards its reduce tasks wrote, one per
+/// partition in partition order (some may be empty) — on Hadoop, the
+/// job's part files. Read in that order they are the dataset; the merges
+/// read them in place.
 pub fn imhp_job(
     site: &impl JobSite,
     name: &str,
     entries: Shards<'_>,
     bt: &Mat,
     ct: &Mat,
-) -> Result<(TensorRecords, TensorRecords)> {
-    let mut input: Vec<((), ImhpRec)> =
-        Vec::with_capacity(shards_len(entries) + bt.cols() + ct.cols());
-    input.extend(
-        entries
-            .iter()
-            .flat_map(|shard| shard.iter())
-            .map(|&(ix, v)| ((), ImhpRec::Ent(ix, v))),
+) -> Result<(Vec<TensorRecords>, Vec<TensorRecords>)> {
+    let input = rows_feed(
+        entries,
+        factor_rows(0, bt).chain(factor_rows(1, ct)).collect(),
     );
-    for j in 0..bt.cols() {
-        let col: Vec<f64> = (0..bt.rows()).map(|q| bt.get(q, j)).collect();
-        input.push(((), ImhpRec::Row(0, j as u64, col)));
-    }
-    for k in 0..ct.cols() {
-        let col: Vec<f64> = (0..ct.rows()).map(|r| ct.get(r, k)).collect();
-        input.push(((), ImhpRec::Row(1, k as u64, col)));
-    }
 
-    let out = run_job(
+    let out: Vec<BySide> = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
         &input,
@@ -301,8 +454,11 @@ pub fn imhp_job(
             }
             ImhpRec::Row(side, idx, row) => emit((*side, *idx), ImhpVal::Row(row.clone())),
         },
+        // The factor row is presented after the entries, so it is the last
+        // value of its group: the group is held, not streamed.
         |key, vals, emit| {
             let (side, _) = *key;
+            let vals: Vec<ImhpVal> = vals.collect();
             let mut row: Option<&Vec<f64>> = None;
             for v in &vals {
                 if let ImhpVal::Row(r) = v {
@@ -325,17 +481,7 @@ pub fn imhp_job(
             }
         },
     )?;
-
-    let mut t_prime = Vec::new();
-    let mut t_dprime = Vec::new();
-    for ((side, ix), v) in out {
-        if side == 0 {
-            t_prime.push((ix, v));
-        } else {
-            t_dprime.push((ix, v));
-        }
-    }
-    Ok((t_prime, t_dprime))
+    Ok(out.into_iter().map(|BySide([tp, tdp])| (tp, tdp)).unzip())
 }
 
 /// Which reduce keys a merge job takes: `(slice, slices)` keeps the
@@ -351,12 +497,102 @@ fn in_slice(key: u64, slice: KeySlice) -> bool {
     slice.is_none_or(|(s, slices)| key_slice(&key, slices) == s)
 }
 
+/// The input of a merge job: `T''` **first**, then `T'`, each stored
+/// `((i, j, k, d), v)` presented in place as `(i, MergeVal)` and priced at
+/// the [`MergeVal`] alone, as the key-less `((), MergeVal)` input record
+/// always was.
+///
+/// The order is the contract the merge reducers rest on. A key group's
+/// values reach a reducer in input order restricted to the key (the
+/// engine's `(map task, emission)` order), so every group arrives with its
+/// `T''` values before its `T'` values and the reducer can fill its lookup
+/// table from the first and probe it with the second as they stream past.
+/// This is the reduce-side join's secondary-sort idiom, with the engine's
+/// value order standing in for the sort.
+fn merge_feed<'a>(
+    t_prime: Shards<'a>,
+    t_dprime: Shards<'a>,
+) -> Feed<'a, u64, MergeVal, impl Fn(u8, &Ix4, f64) -> (u64, MergeVal) + Sync> {
+    let wrap = |side, &(i, j, k, d): &Ix4, v| (i, MergeVal { side, j, k, d, v });
+    let record_bytes = MergeVal::FIXED_BYTES.expect("MergeVal is fixed-size");
+    Feed::new(
+        &[(1, t_dprime), (0, t_prime)],
+        record_bytes,
+        wrap,
+        Vec::new(),
+    )
+}
+
+/// What a merge reducer says when its group is not `T''` then `T'`.
+const SIDES_OUT_OF_ORDER: &str =
+    "a T'' value after a T' value: the merge input must present T'' first";
+
+/// One CrossMerge reduce group, streamed: the `T''` values fill the
+/// `(j, k) → [(r, v)]` table, each `T'` value probes it. Both `+=` chains
+/// run in the order the values arrive, so the sums are those of the
+/// dataset order.
+fn cross_merge_fold(i: u64, vals: impl Iterator<Item = MergeVal>, emit: &mut dyn FnMut(Ix4, f64)) {
+    let mut vals = vals.peekable();
+    let mut by_jk: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
+    while let Some(v) = vals.next_if(|v| v.side == 1) {
+        by_jk.entry((v.j, v.k)).or_default().push((v.d, v.v));
+    }
+    // BTreeMap, not HashMap: the accumulator is *iterated* into emits, so
+    // its order must not depend on hasher state (the determinism pass
+    // rejects unordered iteration feeding emits).
+    let mut acc: BTreeMap<(u64, u64), f64> = BTreeMap::new();
+    for v in vals {
+        assert!(v.side == 0, "CrossMerge group {i}: {SIDES_OUT_OF_ORDER}");
+        if let Some(rs) = by_jk.get(&(v.j, v.k)) {
+            for &(r, w) in rs {
+                *acc.entry((v.d, r)).or_insert(0.0) += v.v * w;
+            }
+        }
+    }
+    for ((q, r), y) in acc {
+        if y != 0.0 {
+            emit((i, q, r, 0u64), y);
+        }
+    }
+}
+
+/// One PairwiseMerge reduce group, streamed like [`cross_merge_fold`]:
+/// `T''` fills the `(j, k, r) → v` table, `T'` probes it.
+fn pairwise_merge_fold(
+    i: u64,
+    vals: impl ExactSizeIterator<Item = MergeVal>,
+    emit: &mut dyn FnMut(Ix4, f64),
+) {
+    // Lookup-only join map, pre-sized for a group that is half T'' rows:
+    // a heavy power-law group otherwise rehashes ~17 times while it grows.
+    let mut by_jkr: HashMap<(u64, u64, u64), f64> = HashMap::with_capacity(vals.len() / 2);
+    let mut vals = vals.peekable();
+    while let Some(v) = vals.next_if(|v| v.side == 1) {
+        *by_jkr.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v;
+    }
+    // BTreeMap: iterated into emits below (see cross_merge_fold).
+    let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
+    for v in vals {
+        assert!(v.side == 0, "PairwiseMerge group {i}: {SIDES_OUT_OF_ORDER}");
+        if let Some(&w) = by_jkr.get(&(v.j, v.k, v.d)) {
+            *acc.entry(v.d).or_insert(0.0) += v.v * w;
+        }
+    }
+    for (r, y) in acc {
+        if y != 0.0 {
+            emit((i, r, 0u64, 0u64), y);
+        }
+    }
+}
+
 /// `CrossMerge(T', T'')₍₀₎` (Definition 3) as one job: produces
 /// `Y(i, q, r) = Σ_{j,k} T'(i,j,k,q)·T''(i,j,k,r)` as records
 /// `((i, q, r, 0), y)`.
 ///
 /// Keys on the target-mode index `i`, so the shuffle volume is
-/// `nnz·(Q+R)` — the Table III cost of HaTen2-DRN/DRI.
+/// `nnz·(Q+R)` — the Table III cost of HaTen2-DRN/DRI. Both datasets are
+/// read in place, shard by shard ([`merge_feed`]); under `heavy-key-split`
+/// every split instance maps this same view.
 pub fn cross_merge_job(
     site: &impl JobSite,
     name: &str,
@@ -364,51 +600,25 @@ pub fn cross_merge_job(
     t_dprime: Shards<'_>,
     slice: KeySlice,
 ) -> Result<Vec<(Ix4, f64)>> {
-    let input = merge_input(t_prime, t_dprime);
-    let out = run_job(
+    let input = merge_feed(t_prime, t_dprime);
+    let out = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
         &input,
-        move |_, rec: &MergeVal, emit| {
-            if in_slice(rec.i, slice) {
-                emit(rec.i, rec.clone());
+        move |i: &u64, rec: &MergeVal, emit| {
+            if in_slice(*i, slice) {
+                emit(*i, rec.clone());
             }
         },
-        |i, vals, emit| {
-            // Group T'' by (j, k) -> [(r, v)].
-            let mut by_jk: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
-            for v in &vals {
-                if v.side == 1 {
-                    by_jk.entry((v.j, v.k)).or_default().push((v.d, v.v));
-                }
-            }
-            // BTreeMap, not HashMap: the accumulator is *iterated* into
-            // emits, so its order must not depend on hasher state (the
-            // determinism pass rejects unordered iteration feeding emits).
-            let mut acc: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-            for v in &vals {
-                if v.side == 0 {
-                    if let Some(rs) = by_jk.get(&(v.j, v.k)) {
-                        for &(r, w) in rs {
-                            *acc.entry((v.d, r)).or_insert(0.0) += v.v * w;
-                        }
-                    }
-                }
-            }
-            for ((q, r), y) in acc {
-                if y != 0.0 {
-                    emit((*i, q, r, 0u64), y);
-                }
-            }
-        },
+        |i, vals, emit| cross_merge_fold(*i, vals, emit),
     )?;
-    Ok(out)
+    Ok(concat_partitions(out))
 }
 
 /// `PairwiseMerge(T', T'')₍₀₎` (Definition 4) as one job: produces
 /// `Y(i, r) = Σ_{j,k} T'(i,j,k,r)·T''(i,j,k,r)` as records
 /// `((i, r, 0, 0), y)`. Shuffle volume `2·nnz·R` — the Table IV cost of
-/// HaTen2-PARAFAC-DRN/DRI.
+/// HaTen2-PARAFAC-DRN/DRI. Reads its inputs as [`cross_merge_job`] does.
 pub fn pairwise_merge_job(
     site: &impl JobSite,
     name: &str,
@@ -416,43 +626,19 @@ pub fn pairwise_merge_job(
     t_dprime: Shards<'_>,
     slice: KeySlice,
 ) -> Result<Vec<(Ix4, f64)>> {
-    let input = merge_input(t_prime, t_dprime);
-    let out = run_job(
+    let input = merge_feed(t_prime, t_dprime);
+    let out = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
         &input,
-        move |_, rec: &MergeVal, emit| {
-            if in_slice(rec.i, slice) {
-                emit(rec.i, rec.clone());
+        move |i: &u64, rec: &MergeVal, emit| {
+            if in_slice(*i, slice) {
+                emit(*i, rec.clone());
             }
         },
-        |i, vals, emit| {
-            // Lookup-only join map (accumulation order follows `vals`),
-            // pre-sized for a group that is half T'' rows: a heavy
-            // power-law group otherwise rehashes ~17 times while it grows.
-            let mut by_jkr: HashMap<(u64, u64, u64), f64> = HashMap::with_capacity(vals.len() / 2);
-            for v in &vals {
-                if v.side == 1 {
-                    *by_jkr.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v;
-                }
-            }
-            // BTreeMap: iterated into emits below (see cross_merge_job).
-            let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
-            for v in &vals {
-                if v.side == 0 {
-                    if let Some(&w) = by_jkr.get(&(v.j, v.k, v.d)) {
-                        *acc.entry(v.d).or_insert(0.0) += v.v * w;
-                    }
-                }
-            }
-            for (r, y) in acc {
-                if y != 0.0 {
-                    emit((*i, r, 0u64, 0u64), y);
-                }
-            }
-        },
+        |i, vals, emit| pairwise_merge_fold(*i, vals, emit),
     )?;
-    Ok(out)
+    Ok(concat_partitions(out))
 }
 
 /// The `mergeparts` reassembly pass of the `heavy-key-split` rewrite:
@@ -468,11 +654,11 @@ pub fn merge_parts_job(
     name: &str,
     parts: Shards<'_>,
 ) -> Result<Vec<(Ix4, f64)>> {
-    let parts = flat(parts);
-    let out = run_job(
+    let input = stored_feed(parts);
+    let out = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
-        &parts,
+        &input,
         |ix: &Ix4, v: &f64, emit| emit(ix.0, (*ix, *v)),
         |_, vals, emit| {
             for (ix, v) in vals {
@@ -480,7 +666,7 @@ pub fn merge_parts_job(
             }
         },
     )?;
-    Ok(out)
+    Ok(concat_partitions(out))
 }
 
 /// Distributed model inner product `⟨X, X̂⟩` for a PARAFAC model
@@ -500,12 +686,10 @@ pub fn model_inner_product_job(
 ) -> Result<f64> {
     let (a, b, c) = (factors[0], factors[1], factors[2]);
     let rank = a.cols();
-    let mut input: Vec<((), ImhpRec)> =
-        x.iter().map(|&(ix, v)| ((), ImhpRec::Ent(ix, v))).collect();
-    for i in 0..a.rows() {
-        input.push(((), ImhpRec::Row(0, i as u64, a.row(i).to_vec())));
-    }
-    let out = run_job(
+    let a_rows = (0..a.rows()).map(|i| ((), ImhpRec::Row(0, i as u64, a.row(i).to_vec())));
+    let x = [x.as_slice()];
+    let input = rows_feed(&x, a_rows.collect());
+    let out: Vec<Vec<(u8, f64)>> = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
         &input,
@@ -514,6 +698,7 @@ pub fn model_inner_product_job(
             ImhpRec::Row(_, i, row) => emit(*i, ImhpVal::Row(row.clone())),
         },
         move |_, vals, emit| {
+            let vals: Vec<ImhpVal> = vals.collect();
             let mut a_row: Option<&Vec<f64>> = None;
             for v in &vals {
                 if let ImhpVal::Row(r) = v {
@@ -539,25 +724,134 @@ pub fn model_inner_product_job(
             }
         },
     )?;
-    Ok(out.into_iter().map(|(_, v)| v).sum())
+    Ok(out.into_iter().flatten().map(|(_, v)| v).sum())
 }
 
-fn merge_input(t_prime: Shards<'_>, t_dprime: Shards<'_>) -> Vec<((), MergeVal)> {
-    let mut input = Vec::with_capacity(shards_len(t_prime) + shards_len(t_dprime));
-    for (side, shards) in [(0, t_prime), (1, t_dprime)] {
-        for &(ix, v) in shards.iter().flat_map(|shard| shard.iter()) {
-            input.push((
-                (),
-                MergeVal {
-                    side,
-                    i: ix.0,
-                    j: ix.1,
-                    k: ix.2,
-                    d: ix.3,
-                    v,
-                },
-            ));
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn presented<I: MapInput>(input: &I, range: Range<usize>) -> Vec<(I::Key, I::Val)>
+    where
+        I::Key: Clone,
+        I::Val: Clone,
+    {
+        let mut seen = Vec::new();
+        input.for_each(range, |k, v| seen.push((k.clone(), v.clone())));
+        seen
+    }
+
+    #[test]
+    fn tv_feed_skips_zero_coefs() {
+        let input = tv_feed(&[&[((0, 0, 0, 0), 1.0)]], &[0.0, 2.0, 0.0]);
+        assert_eq!(input.len(), 2);
+        let records = presented(&input, 0..2);
+        assert_eq!(records[0].1, TvRec::Ent((0, 0, 0, 0), 1.0));
+        assert_eq!(records[1].1, TvRec::Coef(1, 2.0));
+    }
+
+    #[test]
+    fn feed_presents_and_prices_any_range_like_the_concatenation() {
+        // Two datasets in shards of uneven length (one empty), then a tail
+        // of variable-size records: every range must present and price
+        // exactly what the materialised `Vec` of the same records would.
+        let a: Vec<(Ix4, f64)> = (0..5).map(|n| ((n, 1, 2, 3), n as f64)).collect();
+        let b: Vec<(Ix4, f64)> = (0..4).map(|n| ((n, 4, 5, 6), -(n as f64))).collect();
+        let a_shards: [&[(Ix4, f64)]; 3] = [&a[..2], &[], &a[2..]];
+        let b_shards: [&[(Ix4, f64)]; 2] = [&b[..3], &b[3..]];
+        let wrap = |side: u8, ix: &Ix4, v: f64| ((), ImhpRec::Row(side, ix.0, vec![v]));
+        let tail: Vec<((), ImhpRec)> = (0..3)
+            .map(|n| ((), ImhpRec::Row(9, n, vec![0.5; n as usize])))
+            .collect();
+        let record_bytes = wrap(0, &(0, 0, 0, 0), 0.0).1.est_bytes();
+        let feed = Feed::new(
+            &[(1, &b_shards), (0, &a_shards)],
+            record_bytes,
+            wrap,
+            tail.clone(),
+        );
+
+        let mut flat: Vec<((), ImhpRec)> = Vec::new();
+        flat.extend(b.iter().map(|(ix, v)| wrap(1, ix, *v)));
+        flat.extend(a.iter().map(|(ix, v)| wrap(0, ix, *v)));
+        flat.extend(tail);
+        assert_eq!(feed.len(), flat.len());
+        for start in 0..=flat.len() {
+            for end in start..=flat.len() {
+                assert_eq!(
+                    presented(&feed, start..end),
+                    flat[start..end],
+                    "{start}..{end}"
+                );
+                assert_eq!(
+                    feed.est_bytes(start..end),
+                    MapInput::est_bytes(flat.as_slice(), start..end),
+                    "{start}..{end}"
+                );
+            }
         }
     }
-    input
+
+    fn merge_val(side: u8, (j, k, d): (u64, u64, u64), v: f64) -> MergeVal {
+        MergeVal { side, j, k, d, v }
+    }
+
+    type Fold = fn(u64, std::vec::IntoIter<MergeVal>, &mut dyn FnMut(Ix4, f64));
+    const FOLDS: [Fold; 2] = [
+        |i, vals, emit| cross_merge_fold(i, vals, emit),
+        |i, vals, emit| pairwise_merge_fold(i, vals, emit),
+    ];
+
+    fn fold(fold: Fold, vals: Vec<MergeVal>) -> Vec<(Ix4, f64)> {
+        let mut out = Vec::new();
+        fold(7, vals.into_iter(), &mut |ix, y| out.push((ix, y)));
+        out
+    }
+
+    #[test]
+    fn merge_folds_join_a_dprime_then_prime_stream() {
+        let group = vec![
+            merge_val(1, (2, 3, 0), 0.5),
+            merge_val(1, (2, 4, 0), 0.25),
+            merge_val(0, (2, 3, 0), 4.0),
+            merge_val(0, (2, 4, 0), 8.0),
+            merge_val(0, (9, 9, 0), 1.0),
+        ];
+        assert_eq!(fold(FOLDS[0], group.clone()), [((7, 0, 0, 0), 4.0)]);
+        assert_eq!(fold(FOLDS[1], group), [((7, 0, 0, 0), 4.0)]);
+    }
+
+    #[test]
+    fn a_merge_group_with_one_side_emits_nothing() {
+        for f in FOLDS {
+            for side in [0, 1] {
+                let one_sided = (0..4).map(|n| merge_val(side, (n, n, 0), 1.0)).collect();
+                assert_eq!(fold(f, one_sided), []);
+            }
+            assert_eq!(fold(f, Vec::new()), []);
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "CrossMerge group 7: a T'' value after a T' value: the merge input must present T'' first"
+    )]
+    fn cross_merge_refuses_a_prime_before_dprime_stream() {
+        let vals = vec![merge_val(0, (1, 1, 0), 1.0), merge_val(1, (1, 1, 0), 1.0)];
+        fold(FOLDS[0], vals);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "PairwiseMerge group 7: a T'' value after a T' value: the merge input must present T'' first"
+    )]
+    fn pairwise_merge_refuses_a_prime_before_dprime_stream() {
+        // Out of order only after a well-formed prefix.
+        let vals = vec![
+            merge_val(1, (1, 1, 0), 1.0),
+            merge_val(0, (1, 1, 0), 1.0),
+            merge_val(1, (2, 2, 0), 1.0),
+        ];
+        fold(FOLDS[1], vals);
+    }
 }

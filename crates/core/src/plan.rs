@@ -154,7 +154,6 @@ pub fn imhp_row_elem_bytes() -> u64 {
 pub fn merge_bytes() -> u64 {
     8 + MergeVal {
         side: 0,
-        i: 0,
         j: 0,
         k: 0,
         d: 0,
@@ -232,6 +231,7 @@ pub enum Relabel {
 }
 
 impl Relabel {
+    /// Relabel one shard of a published dataset in place.
     fn apply(self, records: &mut [(Ix4, f64)], instance: usize) {
         for (ix, _) in records {
             *ix = match self {
@@ -249,7 +249,9 @@ impl Relabel {
 pub enum Kernel {
     /// [`naive_ttv_job`]: contract the slot of the side against its row.
     /// Slot 1 of the tensor read is as wide as the shards read: the
-    /// per-column results of an earlier stage stack along it.
+    /// per-column results of an earlier stage stack along it, one shard
+    /// per instance (only [`Kernel::Imhp`] writes a dataset in more than
+    /// one shard, and nothing per-column reads it).
     NaiveTtv(Side),
     /// [`hadamard_vec_job`]: join the slot of the side with its row; `true`
     /// tags slot 3 of every output record with the instance index.
@@ -257,7 +259,7 @@ pub enum Kernel {
     /// [`collapse_job`] over this slot.
     Collapse(usize),
     /// [`imhp_job`]: both Hadamard expansions in one pass over `x`; writes
-    /// two datasets.
+    /// two datasets, each as the shards its reduce tasks wrote.
     Imhp,
     /// [`cross_merge_job`] of its two reads.
     CrossMerge,
@@ -283,7 +285,7 @@ impl Kernel {
     }
 
     /// Run instance `i`, named `name`, on `inputs` (one shard list per
-    /// declared read, in declared order); returns one record set per
+    /// declared read, in declared order); returns one shard list per
     /// declared write.
     fn run(
         self,
@@ -293,32 +295,33 @@ impl Kernel {
         inputs: &[Shards<'_>],
         slice: KeySlice,
         bound: &Bindings<'_>,
-    ) -> haten2_mapreduce::Result<Vec<TensorRecords>> {
+    ) -> haten2_mapreduce::Result<Written> {
+        let one_shard = |records: TensorRecords| vec![vec![records]];
         Ok(match (self, inputs) {
             (Kernel::NaiveTtv(side), [entries]) => {
                 let [d0, _, d2] = bound.x.dims();
                 let dims = [d0, entries.len() as u64, d2, 1];
                 let row = side.row(bound, i);
-                vec![naive_ttv_job(ctx, name, entries, dims, side.slot(), row)?]
+                one_shard(naive_ttv_job(ctx, name, entries, dims, side.slot(), row)?)
             }
             (Kernel::HadamardVec(side, tag), [entries]) => {
                 let (row, tag) = (side.row(bound, i), tag.then_some(i as u64));
-                vec![hadamard_vec_job(ctx, name, entries, side.slot(), row, tag)?]
+                one_shard(hadamard_vec_job(ctx, name, entries, side.slot(), row, tag)?)
             }
             (Kernel::Collapse(drop), [entries]) => {
-                vec![collapse_job(ctx, name, entries, drop, bound.use_combiner)?]
+                one_shard(collapse_job(ctx, name, entries, drop, bound.use_combiner)?)
             }
             (Kernel::Imhp, [entries]) => {
                 let (t_prime, t_dprime) = imhp_job(ctx, name, entries, bound.u1, bound.u2)?;
                 vec![t_prime, t_dprime]
             }
             (Kernel::CrossMerge, [t_prime, t_dprime]) => {
-                vec![cross_merge_job(ctx, name, t_prime, t_dprime, slice)?]
+                one_shard(cross_merge_job(ctx, name, t_prime, t_dprime, slice)?)
             }
             (Kernel::PairwiseMerge, [t_prime, t_dprime]) => {
-                vec![pairwise_merge_job(ctx, name, t_prime, t_dprime, slice)?]
+                one_shard(pairwise_merge_job(ctx, name, t_prime, t_dprime, slice)?)
             }
-            (Kernel::MergeParts, [parts]) => vec![merge_parts_job(ctx, name, parts)?],
+            (Kernel::MergeParts, [parts]) => one_shard(merge_parts_job(ctx, name, parts)?),
             (kernel, inputs) => {
                 let detail = format!("{} cannot run on {} input(s)", kernel.op(), inputs.len());
                 return Err(violation(name, detail));
@@ -590,10 +593,11 @@ pub struct Bindings<'a> {
     pub use_combiner: bool,
 }
 
-/// What one job leaves behind: a record set per declared write.
-type Written = Vec<TensorRecords>;
+/// What one job leaves behind: per declared write, the shards it was
+/// written in — one, except for IMHP's per-partition output.
+type Written = Vec<Vec<TensorRecords>>;
 
-/// Where one shard of a declared read comes from.
+/// Where some shards of a declared read come from.
 enum Source<'a> {
     /// A dataset bound before the first job.
     Bound(&'a [(Ix4, f64)]),
@@ -602,11 +606,19 @@ enum Source<'a> {
 }
 
 impl Source<'_> {
-    fn records(&self, ctx: &JobCtx<'_>) -> haten2_mapreduce::Result<&[(Ix4, f64)]> {
-        Ok(match self {
-            Source::Bound(records) => records,
-            Source::Written(handle, at) => &ctx.get(handle)?[*at],
-        })
+    /// Append this source's shards, in order, borrowed where they are.
+    fn shards<'s>(
+        &'s self,
+        ctx: &'s JobCtx<'_>,
+        into: &mut Vec<&'s [(Ix4, f64)]>,
+    ) -> haten2_mapreduce::Result<()> {
+        match self {
+            Source::Bound(records) => into.push(records),
+            Source::Written(handle, at) => {
+                into.extend(ctx.get(handle)?[*at].iter().map(Vec::as_slice));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -633,9 +645,10 @@ fn merge_key_sketch(config: &ClusterConfig, x: &[(Ix4, f64)]) -> Option<KeyFreqS
 /// Submit every instance `pipeline` expands to under `env`, in the graph's
 /// submission order, through the one `submit` site library code has. An
 /// instance's inputs are the shards its declared reads overlap — a dataset
-/// in `datasets`, or the declared writes of jobs submitted before it, in
-/// submission order — under the same overlap rule the scheduler orders
-/// jobs by. Returns the jobs that write the pipeline's output.
+/// in `datasets`, or every shard of the declared writes of jobs submitted
+/// before it, in submission order — under the same overlap rule the
+/// scheduler orders jobs by. Returns the jobs that write the pipeline's
+/// output.
 fn submit<'a>(
     batch: &mut Batch<'a>,
     pipeline: &Pipeline,
@@ -677,17 +690,16 @@ fn submit<'a>(
         let (name, index) = (inst.name.clone(), inst.index);
         let run = move |ctx: &JobCtx<'_>| {
             let mut inputs: Vec<Vec<&[(Ix4, f64)]>> = Vec::with_capacity(sources.len());
-            for shards in &sources {
-                inputs.push(
-                    shards
-                        .iter()
-                        .map(|s| s.records(ctx))
-                        .collect::<Result<_, _>>()?,
-                );
+            for read in &sources {
+                let mut shards = Vec::with_capacity(read.len());
+                for source in read {
+                    source.shards(ctx, &mut shards)?;
+                }
+                inputs.push(shards);
             }
             let inputs: Vec<Shards<'_>> = inputs.iter().map(Vec::as_slice).collect();
             let mut written = kernel.run(ctx, &name, index, &inputs, slice, bound)?;
-            for records in &mut written {
+            for records in written.iter_mut().flatten() {
                 relabel.apply(records, index);
             }
             Ok(written)
@@ -714,8 +726,14 @@ fn submit<'a>(
 }
 
 /// Execute `pipeline` on `cluster` with its symbols bound to `bound`, and
-/// return the records of its output dataset, shards concatenated in
+/// return the records of its output dataset, its shards appended in
 /// submission order.
+///
+/// Between two jobs a dataset stays where it was written: a job publishes,
+/// per declared write, the shards its kernel wrote (IMHP's reduce tasks
+/// write one per partition), and a kernel reading the dataset borrows
+/// every shard of every write its declared read overlaps and maps them in
+/// place.
 ///
 /// When the cluster's [`haten2_mapreduce::RewritePolicy`] fires, what runs is the pipeline's
 /// certified `heavy-key-split` ([`certified_rewrite_for`]) — bit-identical
@@ -760,9 +778,11 @@ pub fn run_pipeline(
     let outputs = &pipeline.graph.outputs;
     let mut y = Vec::new();
     for (inst, handle) in submitted {
-        for (write, mut records) in inst.writes.iter().zip(handle.take()?) {
+        for (write, shards) in inst.writes.iter().zip(handle.take()?) {
             if outputs.iter().any(|o| o == dataset_base(write)) {
-                y.append(&mut records);
+                for mut records in shards {
+                    y.append(&mut records);
+                }
             }
         }
     }

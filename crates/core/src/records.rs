@@ -105,13 +105,13 @@ impl EstimateSize for ImhpVal {
 }
 
 /// Merge-side value: one expanded entry from `T'` (`side` 0, slot-3 = q) or
-/// `T''` (`side` 1, slot-3 = r), carrying `(j, k, slot3, value)`.
+/// `T''` (`side` 1, slot-3 = r), carrying `(j, k, slot3, value)`. The
+/// target-mode index is the record's key, in the map input and in the
+/// shuffle alike, and is not repeated here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergeVal {
     /// 0 = `T'` (B side), 1 = `T''` (C side).
     pub side: u8,
-    /// Target-mode index (the merge key).
-    pub i: u64,
     /// Mode-1 index.
     pub j: u64,
     /// Mode-2 index.
@@ -123,9 +123,11 @@ pub struct MergeVal {
 }
 
 impl EstimateSize for MergeVal {
+    // side + j + k + d + v. Declared fixed so the two largest jobs' input
+    // splits and reduce groups are sized in O(1), not record by record.
+    const FIXED_BYTES: Option<usize> = Some(1 + 8 + 8 + 8 + 8);
+
     fn est_bytes(&self) -> usize {
-        // side + j + k + d + v; the i index travels in the shuffle key, so it
-        // is not double-counted here.
         1 + 8 + 8 + 8 + 8
     }
 }
@@ -143,25 +145,6 @@ pub(crate) fn shards_len(shards: &[&[(Ix4, f64)]]) -> usize {
     shards.iter().map(|shard| shard.len()).sum()
 }
 
-/// Wrap tensor records (the shards of one dataset, in order) plus one
-/// vector as [`TvRec`] job input.
-pub fn tv_input(entries: &[&[(Ix4, f64)]], v: &[f64]) -> Vec<((), TvRec)> {
-    let mut input: Vec<((), TvRec)> = Vec::with_capacity(shards_len(entries) + v.len());
-    input.extend(
-        entries
-            .iter()
-            .flat_map(|shard| shard.iter())
-            .map(|&(ix, val)| ((), TvRec::Ent(ix, val))),
-    );
-    input.extend(
-        v.iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0.0)
-            .map(|(i, &c)| ((), TvRec::Coef(i as u64, c))),
-    );
-    input
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,18 +155,18 @@ mod tests {
         assert!(TvRec::Ent((0, 0, 0, 0), 1.0).est_bytes() >= 40);
         assert!(TvRec::Coef(0, 1.0).est_bytes() >= 17);
         assert!(ImhpRec::Row(0, 1, vec![1.0; 10]).est_bytes() >= 80);
-        assert_eq!(
-            MergeVal {
-                side: 0,
-                i: 0,
-                j: 0,
-                k: 0,
-                d: 0,
-                v: 0.0
-            }
-            .est_bytes(),
-            33
-        );
+        let merge = MergeVal {
+            side: 0,
+            j: 0,
+            k: 0,
+            d: 0,
+            v: 0.0,
+        };
+        assert_eq!(merge.est_bytes(), 33);
+        assert_eq!(MergeVal::FIXED_BYTES, Some(33));
+        // The key rides beside the value in every shuffle bucket; the
+        // value does not carry a second copy of it.
+        assert_eq!(std::mem::size_of::<MergeVal>(), 40);
     }
 
     #[test]
@@ -196,12 +179,5 @@ mod tests {
         let recs = tensor_records(&t);
         assert_eq!(recs.len(), 2);
         assert!(recs.contains(&((0, 1, 0, 0), 2.0)));
-    }
-
-    #[test]
-    fn tv_input_skips_zero_coefs() {
-        let input = tv_input(&[&[((0, 0, 0, 0), 1.0)]], &[0.0, 2.0, 0.0]);
-        assert_eq!(input.len(), 2);
-        assert!(matches!(input[1].1, TvRec::Coef(1, c) if c == 2.0));
     }
 }

@@ -7,9 +7,10 @@
 
 use haten2_core::ops::{
     collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, model_inner_product_job,
-    naive_ttv_job, pairwise_merge_job,
+    naive_ttv_job, pairwise_merge_job, TensorRecords,
 };
 use haten2_core::records::tensor_records;
+use haten2_core::Ix4;
 use haten2_linalg::Mat;
 use haten2_mapreduce::{Cluster, ClusterConfig};
 use haten2_tensor::ops as reference;
@@ -19,6 +20,11 @@ use std::collections::HashMap;
 
 fn cluster() -> Cluster {
     Cluster::new(ClusterConfig::with_machines(3))
+}
+
+/// A dataset as IMHP's reduce tasks wrote it, borrowed for a merge to read.
+fn shards(written: &[TensorRecords]) -> Vec<&[(Ix4, f64)]> {
+    written.iter().map(Vec::as_slice).collect()
 }
 
 fn sample(seed: u64) -> CooTensor3 {
@@ -115,6 +121,10 @@ fn imhp_job_produces_both_expansions() {
     let bt = Mat::random(3, 6, &mut rng); // Q x J
     let ct = Mat::random(2, 4, &mut rng); // R x K
     let (tp, tdp) = imhp_job(&cluster(), "t", &[&tensor_records(&x)], &bt, &ct).unwrap();
+    // One shard per reduce partition; read in order they are the dataset.
+    assert_eq!(tp.len(), cluster().config().num_reducers());
+    assert_eq!(tdp.len(), tp.len());
+    let (tp, tdp) = (tp.concat(), tdp.concat());
     // T' = X *₂ Bᵀ (values multiplied), T'' = bin(X) *₃ Cᵀ (coefs only).
     let want_tp = reference::mode_hadamard_mat(&x, 1, &bt).unwrap();
     let want_tdp = reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap();
@@ -141,7 +151,7 @@ fn cross_merge_job_matches_reference() {
     let ct = Mat::random(2, 4, &mut rng);
     let c = cluster();
     let (tp, tdp) = imhp_job(&c, "imhp", &[&tensor_records(&x)], &bt, &ct).unwrap();
-    let merged = cross_merge_job(&c, "merge", &[&tp], &[&tdp], None).unwrap();
+    let merged = cross_merge_job(&c, "merge", &shards(&tp), &shards(&tdp), None).unwrap();
     let want = reference::cross_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -162,7 +172,7 @@ fn pairwise_merge_job_matches_reference() {
     let ct = Mat::random(r, 4, &mut rng);
     let c = cluster();
     let (tp, tdp) = imhp_job(&c, "imhp", &[&tensor_records(&x)], &bt, &ct).unwrap();
-    let merged = pairwise_merge_job(&c, "merge", &[&tp], &[&tdp], None).unwrap();
+    let merged = pairwise_merge_job(&c, "merge", &shards(&tp), &shards(&tdp), None).unwrap();
     let want = reference::pairwise_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -218,14 +228,14 @@ fn merge_jobs_shuffle_exactly_table_costs() {
     let c = cluster();
     let (tp, tdp) = imhp_job(&c, "imhp", &[&tensor_records(&x)], &bt, &ct).unwrap();
     let mark = c.jobs_run();
-    cross_merge_job(&c, "cross", &[&tp], &[&tdp], None).unwrap();
+    cross_merge_job(&c, "cross", &shards(&tp), &shards(&tdp), None).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, x.nnz() * (q + r));
 
     let bt = Mat::random(r, 6, &mut rng);
     let (tp2, tdp2) = imhp_job(&c, "imhp2", &[&tensor_records(&x)], &bt, &ct).unwrap();
     let mark = c.jobs_run();
-    pairwise_merge_job(&c, "pair", &[&tp2], &[&tdp2], None).unwrap();
+    pairwise_merge_job(&c, "pair", &shards(&tp2), &shards(&tdp2), None).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, 2 * x.nnz() * r);
 }

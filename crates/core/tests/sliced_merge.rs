@@ -5,8 +5,9 @@
 //! slices with `merge_parts_job`. For any slice count, the slices — read
 //! in slice order, as the reassembly reads them — must reproduce the
 //! unsliced kernel's output bit for bit, and each record must sit in the
-//! slice its key hashes to. The same goes for reading an input as several
-//! shards instead of one.
+//! slice its key hashes to. The same goes for reading an input as the
+//! many shards IMHP's reduce tasks wrote instead of as one: same records,
+//! same metrics, sliced or not.
 
 #![allow(clippy::unwrap_used)]
 
@@ -16,7 +17,7 @@ use haten2_core::ops::{
 use haten2_core::records::tensor_records;
 use haten2_core::Ix4;
 use haten2_linalg::Mat;
-use haten2_mapreduce::{key_slice, Cluster, ClusterConfig};
+use haten2_mapreduce::{key_slice, Cluster, ClusterConfig, JobMetrics};
 use haten2_tensor::{CooTensor3, Entry3};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -47,16 +48,52 @@ fn skewed_tensor() -> impl Strategy<Value = CooTensor3> {
     })
 }
 
+/// `merge` on `cluster`, with the metrics of the job it ran.
+fn metered(
+    merge: Merge,
+    cluster: &Cluster,
+    t_prime: Shards<'_>,
+    t_dprime: Shards<'_>,
+    slice: KeySlice,
+) -> (TensorRecords, JobMetrics) {
+    let mark = cluster.jobs_run();
+    let records = merge(cluster, t_prime, t_dprime, slice).unwrap();
+    let job = cluster.metrics_since(mark).jobs.remove(0);
+    (records, job.without_host_time())
+}
+
 fn check(merge: Merge, x: &CooTensor3, slices: usize, machines: usize, seed: u64) {
     let cluster = Cluster::new(ClusterConfig::with_machines(machines));
     let mut rng = StdRng::seed_from_u64(seed);
     let bt = Mat::random(3, 6, &mut rng);
     let ct = Mat::random(3, 5, &mut rng);
-    let (t_prime, t_dprime) = imhp_job(&cluster, "imhp", &[&tensor_records(x)], &bt, &ct).unwrap();
-    let whole = merge(&cluster, &[&t_prime], &[&t_dprime], None).unwrap();
+    let (tp_written, tdp_written) =
+        imhp_job(&cluster, "imhp", &[&tensor_records(x)], &bt, &ct).unwrap();
+    let (t_prime, t_dprime) = (tp_written.concat(), tdp_written.concat());
+    let (whole, whole_metrics) = metered(merge, &cluster, &[&t_prime], &[&t_dprime], None);
+
+    // The shards as IMHP wrote them, one per reduce partition (their
+    // boundaries fall anywhere relative to the merge's map tasks), read
+    // in place: the same job as over one concatenated shard per side.
+    let tp_shards: Vec<&[_]> = tp_written.iter().map(Vec::as_slice).collect();
+    let tdp_shards: Vec<&[_]> = tdp_written.iter().map(Vec::as_slice).collect();
+    let (sharded, sharded_metrics) = metered(merge, &cluster, &tp_shards, &tdp_shards, None);
+    assert_eq!(bits(&sharded), bits(&whole), "as-written shards");
+    assert_eq!(sharded_metrics, whole_metrics, "as-written shards");
 
     let parts: Vec<TensorRecords> = (0..slices)
-        .map(|s| merge(&cluster, &[&t_prime], &[&t_dprime], Some((s, slices))).unwrap())
+        .map(|s| {
+            let slice = Some((s, slices));
+            let (part, metrics) = metered(merge, &cluster, &[&t_prime], &[&t_dprime], slice);
+            let sharded = metered(merge, &cluster, &tp_shards, &tdp_shards, slice);
+            assert_eq!(
+                bits(&sharded.0),
+                bits(&part),
+                "slice {s}, as-written shards"
+            );
+            assert_eq!(sharded.1, metrics, "slice {s}, as-written shards");
+            part
+        })
         .collect();
     for (s, part) in parts.iter().enumerate() {
         for (ix, _) in part {
@@ -67,9 +104,9 @@ fn check(merge: Merge, x: &CooTensor3, slices: usize, machines: usize, seed: u64
     let reassembled = merge_parts_job(&cluster, "mergeparts", &in_slice_order).unwrap();
     assert_eq!(bits(&reassembled), bits(&whole), "{slices} slices");
 
-    // Shards are read in order, as if concatenated.
+    // Shards are read in order, as if concatenated, wherever they are cut.
     let (a, b) = t_prime.split_at(t_prime.len() / 2);
-    let sharded = merge(&cluster, &[a, b], &[&t_dprime], None).unwrap();
+    let sharded = merge(&cluster, &[a, &[], b], &[&t_dprime], None).unwrap();
     assert_eq!(bits(&sharded), bits(&whole), "two-shard T'");
 }
 

@@ -6,8 +6,9 @@
 //! `Vec<V>`. This module replaces all three with columnar storage:
 //!
 //! * [`ColumnBuffer`] — keys and values in two contiguous arenas. Map
-//!   emit appends to both columns; nothing else in the engine pushes
-//!   per-record tuples (enforced by the `no-per-record-alloc` lint).
+//!   emit appends to both columns; nothing else in the engine's map and
+//!   shuffle path pushes per-record tuples (enforced by the
+//!   `no-per-record-alloc` lint).
 //! * Sorting computes a `u32` index permutation over the key column
 //!   ([`sort_permutation`]) and applies it to both columns in place with
 //!   cycle-following swaps ([`apply_permutation`]) — the comparison loop
@@ -15,6 +16,10 @@
 //! * [`ColumnRun`] — a sealed, immutable sorted run. The shuffle moves
 //!   these wholesale; reducers open them as [`RunCursor`]s and stream
 //!   each key group through [`GroupValues`] without materializing it.
+//! * [`Collect`] — where a reduce task writes what its reducer emits. The
+//!   row-major `Vec<(K, V)>` callers of [`crate::job::run_job`] expect is
+//!   one collector; a job whose output feeds another job supplies its own
+//!   and writes the next job's input shards directly.
 //!
 //! Byte accounting is column-wise: `slice_est_bytes(keys) +
 //! slice_est_bytes(vals)` equals the seed's tuple-wise sum exactly
@@ -26,7 +31,7 @@ use crate::size::{slice_est_bytes, EstimateSize};
 use crate::RECORD_FRAMING_BYTES as FRAMING_BYTES;
 
 /// A growable pair of key/value columns — the SoA replacement for
-/// `Vec<(K, V)>` in map emit, shuffle, and reduce-output paths.
+/// `Vec<(K, V)>` in the map-emit and shuffle paths.
 pub(crate) struct ColumnBuffer<K, V> {
     keys: Vec<K>,
     vals: Vec<V>,
@@ -71,11 +76,27 @@ impl<K, V> ColumnBuffer<K, V> {
     pub(crate) fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
+}
 
-    /// Consume into `(key, value)` pairs, in order. Used only at the API
-    /// boundary where callers expect row-major output.
-    pub(crate) fn into_pairs(self) -> impl Iterator<Item = (K, V)> {
-        self.keys.into_iter().zip(self.vals)
+/// Where a reduce task writes its records — the engine's counterpart of
+/// Hadoop's `RecordWriter`. Every reduce task owns one collector, created
+/// by `Default`; each record its reducer emits is handed over after the
+/// engine has counted and sized it, in emission order. A job returns its
+/// collectors one per partition, in partition order
+/// ([`crate::job::run_job_collect`]), so a collector that stores records
+/// the way the next job reads them makes the hand-off copy-free.
+pub trait Collect<K, V>: Default + Send {
+    /// Take ownership of one emitted record.
+    fn collect(&mut self, key: K, val: V);
+}
+
+/// Row-major output, used only at the API boundary where callers expect
+/// `(key, value)` pairs: one tuple push per *output* record, never on the
+/// map-emit or shuffle path.
+impl<K: Send, V: Send> Collect<K, V> for Vec<(K, V)> {
+    #[inline]
+    fn collect(&mut self, key: K, val: V) {
+        self.push((key, val));
     }
 }
 
@@ -340,7 +361,7 @@ mod tests {
             buf.push(k, (k, i));
         }
         buf.sort_stable();
-        let sorted: Vec<_> = buf.into_pairs().collect();
+        let sorted: Vec<_> = buf.keys.into_iter().zip(buf.vals).collect();
         let mut expect: Vec<(u64, (u64, u64))> =
             records.iter().map(|&(k, i)| (k, (k, i))).collect();
         expect.sort_by_key(|a| a.0);
@@ -399,7 +420,7 @@ mod tests {
         }
         let combiner: Combiner<'_, u64, u64> = &|_, vals| vec![vals.iter().sum::<u64>()];
         buf.combine(combiner);
-        let out: Vec<_> = buf.into_pairs().collect();
+        let out: Vec<_> = buf.keys.into_iter().zip(buf.vals).collect();
         assert_eq!(out, vec![(1, 3), (2, 5), (3, 3)]);
     }
 

@@ -16,12 +16,33 @@
 //! [`crate::arena::ColumnRun`]s — the shuffle moves column `Vec`s, never
 //! records, and its byte accounting is aggregated per bucket rather than
 //! per record. Reducers merge their partition's sorted runs instead of
-//! re-sorting, streaming each key group through
-//! [`GroupValues`] so a group is never materialized unless the reducer's
-//! API shape requires it ([`run_job`]'s classic `Vec<VM>` signature
-//! collects at the boundary; [`run_job_streaming`] never does). Output is
-//! returned in partition order with ties resolved by map-task index, so
-//! results and metrics are bit-identical across runs and thread counts.
+//! re-sorting, streaming each key group through [`GroupValues`] so a group
+//! is never materialized unless the reducer's API shape requires it
+//! ([`run_job`]'s classic `Vec<VM>` signature collects at the boundary;
+//! [`run_job_streaming`] and [`run_job_collect`] never do).
+//!
+//! **The two ends of a job** are traits, as they are on Hadoop. A map task
+//! reads its records through a [`MapInput`] (`InputFormat`): a slice of
+//! `(key, value)` pairs is one, and so is any view that builds each record
+//! on the stack from data laid out otherwise — the input also prices its
+//! own records, so `map_input_bytes` is a property of the records
+//! presented, not of the memory behind them. A reduce task writes what its
+//! reducer emits into a [`Collect`] (`RecordWriter`) it owns, after the
+//! engine has counted and sized the record. [`run_job_collect`] is the
+//! general entry over both and returns the collectors one per partition;
+//! [`run_job`] and [`run_job_streaming`] are that executor with a slice
+//! input and the row-major `Vec` collector, flattened in partition order.
+//! A job whose collectors hold records the way the next job's input reads
+//! them hands its output over without copying a record.
+//!
+//! **Order contract.** Output is in partition order, each partition's key
+//! groups in key order. A key group's values reach the reducer in
+//! (map task, emission) order; map tasks split the input into contiguous
+//! ranges, so that is *input order restricted to the key*. Reduce-side
+//! joins may rely on it the way Hadoop jobs rely on a secondary sort: an
+//! input that presents one dataset before another delivers every group
+//! with that dataset's values first. Ties are resolved by map-task index,
+//! so results and metrics are bit-identical across runs and thread counts.
 //!
 //! Metric accounting is batched and thread-local throughout: map and
 //! reduce tasks accumulate their counters in task-owned results that are
@@ -35,11 +56,12 @@ use crate::metrics::JobMetrics;
 use crate::size::{slice_est_bytes, EstimateSize};
 use crate::MrError;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-pub use crate::arena::GroupValues;
+pub use crate::arena::{Collect, GroupValues};
 
 /// Per-record framing overhead (key length + value length prefixes), bytes.
 /// Public because the static plan analyzer reconstructs the engine's byte
@@ -256,40 +278,75 @@ pub fn key_slice<K: Hash>(key: &K, slices: usize) -> usize {
     partition_of(key, slices)
 }
 
-/// How reduce-side key groups are delivered to the user's reducer: either
-/// collected into an owned `Vec` at the engine boundary ([`run_job`]'s
-/// classic signature) or streamed ([`run_job_streaming`]). The merge loop
-/// itself is shared and never materializes a group.
-pub(crate) trait Reduce<KM: Ord, VM, KO, VO>: Sync {
-    /// Consume one key group. `values` streams the group in run (= map
-    /// task) order; any values left unconsumed are drained by the caller.
-    fn reduce(&self, key: &KM, values: &mut GroupValues<'_, KM, VM>, emit: &mut dyn FnMut(KO, VO));
+/// Where a map task reads its records — the engine's counterpart of
+/// Hadoop's `InputFormat`. The engine splits `0..len()` into contiguous
+/// ranges, one per map task, and asks the input to price and to present
+/// each range; a scheduled failed attempt presents its range again.
+///
+/// A slice of `(key, value)` pairs is the plain implementation. A view
+/// that builds each record on the stack from data stored otherwise (the
+/// shards an earlier job's reducers wrote, say) spares the job a copy of
+/// its input — which is why the input prices its own records: wire bytes
+/// belong to the record presented, not to the memory behind it.
+pub trait MapInput: Sync {
+    /// Key type of the records presented.
+    type Key;
+    /// Value type of the records presented.
+    type Val;
+
+    /// Records in the input.
+    fn len(&self) -> usize;
+
+    /// Whether the input holds no records.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Estimated wire bytes of the records in `range`, framing excluded.
+    fn est_bytes(&self, range: Range<usize>) -> usize;
+
+    /// Present the records in `range`, in order. Generic over the closure
+    /// so the per-record call is monomorphised into the map loop.
+    fn for_each<F: FnMut(&Self::Key, &Self::Val)>(&self, range: Range<usize>, f: F);
 }
 
-/// Adapter giving classic reducers (`Fn(&K, Vec<V>, emit)`) the streamed
-/// group as an owned `Vec`, sized exactly once.
-struct VecReduce<F>(F);
+impl<KI: Sync + EstimateSize, VI: Sync + EstimateSize> MapInput for [(KI, VI)] {
+    type Key = KI;
+    type Val = VI;
 
-impl<KM: Ord, VM, KO, VO, F> Reduce<KM, VM, KO, VO> for VecReduce<F>
-where
-    F: Fn(&KM, Vec<VM>, &mut dyn FnMut(KO, VO)) + Sync,
-{
-    fn reduce(&self, key: &KM, values: &mut GroupValues<'_, KM, VM>, emit: &mut dyn FnMut(KO, VO)) {
-        let mut vals = Vec::with_capacity(values.len());
-        vals.extend(&mut *values);
-        (self.0)(key, vals, emit)
+    fn len(&self) -> usize {
+        <[(KI, VI)]>::len(self)
+    }
+
+    /// O(1) for fixed-size record types, per `slice_est_bytes`.
+    fn est_bytes(&self, range: Range<usize>) -> usize {
+        slice_est_bytes(&self[range])
+    }
+
+    #[inline]
+    fn for_each<F: FnMut(&KI, &VI)>(&self, range: Range<usize>, mut f: F) {
+        for (k, v) in &self[range] {
+            f(k, v);
+        }
     }
 }
 
-/// Pass-through for streaming reducers.
-struct StreamReduce<F>(F);
-
-impl<KM: Ord, VM, KO, VO, F> Reduce<KM, VM, KO, VO> for StreamReduce<F>
-where
-    F: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
-{
-    fn reduce(&self, key: &KM, values: &mut GroupValues<'_, KM, VM>, emit: &mut dyn FnMut(KO, VO)) {
-        (self.0)(key, values, emit)
+/// The reduce output of a row-major job as callers of [`run_job`] expect
+/// it: the partitions' records in partition order. A lone non-empty
+/// partition is moved; otherwise the records are appended into one
+/// exactly-sized `Vec`.
+pub fn concat_partitions<T>(mut partitions: Vec<Vec<T>>) -> Vec<T> {
+    let mut non_empty = partitions.iter_mut().filter(|p| !p.is_empty());
+    match (non_empty.next(), non_empty.next()) {
+        (None, _) => Vec::new(),
+        (Some(only), None) => std::mem::take(only),
+        _ => {
+            let mut all = Vec::with_capacity(partitions.iter().map(Vec::len).sum());
+            for mut partition in partitions {
+                all.append(&mut partition);
+            }
+            all
+        }
     }
 }
 
@@ -355,7 +412,14 @@ where
     M: Fn(&KI, &VI, &mut dyn FnMut(KM, VM)) + Sync,
     R: Fn(&KM, Vec<VM>, &mut dyn FnMut(KO, VO)) + Sync,
 {
-    run_job_inner(site, spec, input, mapper, VecReduce(reducer))
+    // The streamed group as an owned `Vec`, sized exactly once.
+    let collecting =
+        |key: &KM, values: &mut GroupValues<'_, KM, VM>, emit: &mut dyn FnMut(KO, VO)| {
+            let mut vals = Vec::with_capacity(values.len());
+            vals.extend(values);
+            reducer(key, vals, emit)
+        };
+    run_job_inner(site, spec, input, mapper, collecting, concat_partitions)
 }
 
 /// Like [`run_job`], but each key group's values are *streamed* to the
@@ -405,25 +469,114 @@ where
     M: Fn(&KI, &VI, &mut dyn FnMut(KM, VM)) + Sync,
     R: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
 {
-    run_job_inner(site, spec, input, mapper, StreamReduce(reducer))
+    run_job_inner(site, spec, input, mapper, reducer, concat_partitions)
 }
 
-fn run_job_inner<KI, VI, KM, VM, KO, VO, M, R>(
+/// The general entry: [`run_job_streaming`] over any [`MapInput`], with
+/// each reduce task writing into its own [`Collect`]. Returns the
+/// collectors, one per reduce partition in partition order — for the
+/// `Vec<(KO, VO)>` collector, [`concat_partitions`] of the result is
+/// exactly what [`run_job_streaming`] returns for the same records.
+/// Semantics, metrics and failure rules are those of the other two entry
+/// points: all three are one executor.
+///
+/// This is what lets one job's reducers write the shards the next job's
+/// mappers read in place. Below, a job splits its output by parity as it
+/// is written, and a second job sums the even half without anything in
+/// between having copied a record:
+///
+/// ```
+/// use haten2_mapreduce::{
+///     run_job_collect, Cluster, ClusterConfig, Collect, JobSpec, MapInput,
+/// };
+/// use std::ops::Range;
+///
+/// #[derive(Default)]
+/// struct ByParity([Vec<u64>; 2]);
+/// impl Collect<u64, u64> for ByParity {
+///     fn collect(&mut self, key: u64, val: u64) {
+///         self.0[(key % 2) as usize].push(val);
+///     }
+/// }
+///
+/// /// The even halves of every partition, read where the reducers left them.
+/// struct Evens<'a>(&'a [ByParity]);
+/// impl MapInput for Evens<'_> {
+///     type Key = ();
+///     type Val = u64;
+///     fn len(&self) -> usize {
+///         self.0.iter().map(|p| p.0[0].len()).sum()
+///     }
+///     fn est_bytes(&self, range: Range<usize>) -> usize {
+///         8 * range.len()
+///     }
+///     fn for_each<F: FnMut(&(), &u64)>(&self, range: Range<usize>, mut f: F) {
+///         let records = self.0.iter().flat_map(|p| &p.0[0]);
+///         records.skip(range.start).take(range.len()).for_each(|v| f(&(), v));
+///     }
+/// }
+///
+/// let cluster = Cluster::new(ClusterConfig::with_machines(3));
+/// let input: Vec<(u64, u64)> = (0..10).map(|k| (k, 10 * k)).collect();
+/// let written: Vec<ByParity> = run_job_collect(
+///     &cluster,
+///     JobSpec::named("split"),
+///     input.as_slice(),
+///     |k, v, emit| emit(*k, *v),
+///     |k, vals, emit| emit(*k, vals.sum::<u64>()),
+/// )
+/// .unwrap();
+/// let sums: Vec<Vec<((), u64)>> = run_job_collect(
+///     &cluster,
+///     JobSpec::named("sum-evens"),
+///     &Evens(&written),
+///     |_, v, emit| emit((), *v),
+///     |_, vals, emit| emit((), vals.sum::<u64>()),
+/// )
+/// .unwrap();
+/// assert_eq!(sums.concat(), vec![((), 0 + 20 + 40 + 60 + 80)]);
+/// assert_eq!(cluster.metrics().jobs[1].map_input_records, 5);
+/// ```
+pub fn run_job_collect<I, KM, VM, KO, VO, M, R, C>(
     site: &impl JobSite,
     spec: JobSpec<'_, KM, VM>,
-    input: &[(KI, VI)],
+    input: &I,
     mapper: M,
     reducer: R,
-) -> crate::Result<Vec<(KO, VO)>>
+) -> crate::Result<Vec<C>>
 where
-    KI: Sync + EstimateSize,
-    VI: Sync + EstimateSize,
+    I: MapInput + ?Sized,
     KM: Clone + Ord + Hash + Send + EstimateSize,
     VM: Send + EstimateSize,
-    KO: Send + EstimateSize,
-    VO: Send + EstimateSize,
-    M: Fn(&KI, &VI, &mut dyn FnMut(KM, VM)) + Sync,
-    R: Reduce<KM, VM, KO, VO>,
+    KO: EstimateSize,
+    VO: EstimateSize,
+    M: Fn(&I::Key, &I::Val, &mut dyn FnMut(KM, VM)) + Sync,
+    R: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
+    C: Collect<KO, VO>,
+{
+    run_job_inner(site, spec, input, mapper, reducer, |partitions| partitions)
+}
+
+/// The one executor. `assemble` turns the per-partition collectors into
+/// the caller's output inside the job's timed section, so `assemble_s` and
+/// the job's wall time cover it.
+fn run_job_inner<I, KM, VM, KO, VO, M, R, C, T>(
+    site: &impl JobSite,
+    spec: JobSpec<'_, KM, VM>,
+    input: &I,
+    mapper: M,
+    reducer: R,
+    assemble: impl FnOnce(Vec<C>) -> T,
+) -> crate::Result<T>
+where
+    I: MapInput + ?Sized,
+    KM: Clone + Ord + Hash + Send + EstimateSize,
+    VM: Send + EstimateSize,
+    KO: EstimateSize,
+    VO: EstimateSize,
+    M: Fn(&I::Key, &I::Val, &mut dyn FnMut(KM, VM)) + Sync,
+    R: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
+    C: Collect<KO, VO>,
 {
     site.before_run(&spec.name)?;
     let mut spec = spec;
@@ -440,9 +593,11 @@ where
     let threads = site.task_parallelism(cfg.threads.max(1)).max(1);
 
     // ---- Map phase -------------------------------------------------------
-    let split_len = input.len().div_ceil(num_map_tasks).max(1);
-    let splits: Vec<&[(KI, VI)]> = input.chunks(split_len).collect();
-    let actual_tasks = splits.len();
+    // Contiguous ranges of `split_len` records, the last one short; zero
+    // records make zero tasks.
+    let records = input.len();
+    let split_len = records.div_ceil(num_map_tasks).max(1);
+    let actual_tasks = records.div_ceil(split_len);
 
     // Expand the fault schedule up front: a pure function of the plan and
     // the job's geometry, so recovery decisions (and their metrics) are
@@ -477,7 +632,7 @@ where
     // moved into the shuffle either way.
     let run_map_task =
         |task_id: usize, scratch: &mut Vec<ColumnBuffer<KM, VM>>| -> MapTaskResult<KM, VM> {
-            let split = splits[task_id];
+            let split = task_id * split_len..records.min((task_id + 1) * split_len);
             let bucket_capacity = spec.map_emit_hint.map_or(0, |per_record| {
                 (split.len() * per_record).div_ceil(num_reducers)
             });
@@ -499,18 +654,16 @@ where
                 scratch.resize_with(num_reducers, ColumnBuffer::new);
                 scratch
             };
-            // Batch input accounting (O(1) for fixed-size record types) —
-            // identical sum to a per-record walk, per `slice_est_bytes`.
-            let input_bytes = slice_est_bytes(split) + split.len() * FRAMING_BYTES;
+            // Batch input accounting: the input prices its own records
+            // (O(1) for fixed-size record types).
+            let input_bytes = input.est_bytes(split.clone()) + split.len() * FRAMING_BYTES;
             {
                 let partitioner = Partitioner::new(num_reducers);
                 let mut emit = |k: KM, v: VM| {
                     let p = partitioner.partition_of(&k);
                     buckets[p].push(k, v);
                 };
-                for (k, v) in split {
-                    mapper(k, v, &mut emit);
-                }
+                input.for_each(split.clone(), |k, v| mapper(k, v, &mut emit));
             }
             let mut output_records = 0usize;
             let mut output_bytes = 0usize;
@@ -638,8 +791,8 @@ where
 
     // ---- Reduce phase ----------------------------------------------------
     let shuffle_done = Instant::now();
-    struct ReduceTaskResult<KO, VO> {
-        output: ColumnBuffer<KO, VO>,
+    struct ReduceTaskResult<C> {
+        output: C,
         groups: usize,
         output_records: usize,
         output_bytes: usize,
@@ -657,10 +810,10 @@ where
     let reduce_partition = |p: usize,
                             runs: Vec<ColumnRun<KM, VM>>,
                             first_failed: &AtomicUsize|
-     -> Result<ReduceTaskResult<KO, VO>, Option<MrError>> {
+     -> Result<ReduceTaskResult<C>, Option<MrError>> {
         let mut cursors: Vec<RunCursor<KM, VM>> =
             runs.into_iter().map(ColumnRun::into_cursor).collect();
-        let mut out: ColumnBuffer<KO, VO> = ColumnBuffer::new();
+        let mut out = C::default();
         let mut groups = 0usize;
         let mut output_records = 0usize;
         let mut output_bytes = 0usize;
@@ -730,9 +883,9 @@ where
             let mut emit = |k: KO, v: VO| {
                 output_records += 1;
                 output_bytes += k.est_bytes() + v.est_bytes() + FRAMING_BYTES;
-                out.push(k, v);
+                out.collect(k, v);
             };
-            reducer.reduce(&key, &mut group, &mut emit);
+            reducer(&key, &mut group, &mut emit);
             // A streaming reducer may stop early; drain the remainder so
             // the next group starts at a clean cursor position.
             group.for_each(drop);
@@ -754,7 +907,7 @@ where
         .into_iter()
         .map(|p| Mutex::new(Some(p)))
         .collect();
-    let reduce_slots: Vec<Mutex<Option<ReduceTaskResult<KO, VO>>>> =
+    let reduce_slots: Vec<Mutex<Option<ReduceTaskResult<C>>>> =
         (0..num_reducers).map(|_| Mutex::new(None)).collect();
 
     let part_counter = AtomicUsize::new(0);
@@ -827,9 +980,11 @@ where
         return Err(err);
     }
 
-    // Assemble output and metrics in partition order — deterministic.
+    // Assemble output and metrics in partition order — deterministic. The
+    // collectors are moved, not read: what a reduce task wrote is what the
+    // caller gets.
     let reduce_done = Instant::now();
-    let mut output = Vec::new();
+    let mut partitions = Vec::with_capacity(num_reducers);
     for slot in reduce_slots {
         let r = slot
             .into_inner()
@@ -839,8 +994,9 @@ where
         metrics.reduce_output_records += r.output_records;
         metrics.reduce_output_bytes += r.output_bytes;
         metrics.max_group_bytes = metrics.max_group_bytes.max(r.max_group_bytes);
-        output.extend(r.output.into_pairs());
+        partitions.push(r.output);
     }
+    let output = assemble(partitions);
 
     if let (Some(s), Some(plan)) = (&sched, &cfg.fault_plan) {
         for f in &s.reduce {

@@ -73,13 +73,14 @@ pub mod rewrite;
 pub mod sched;
 pub mod size;
 
-pub use arena::GroupValues;
+pub use arena::{Collect, GroupValues};
 pub use cluster::{Cluster, ClusterConfig, CostModel, SchedulerMode};
 pub use dfs::{Block, Dfs, DfsBackend, DurableConfig, SpillStats};
 pub use fault::{FaultPlan, JobFaultSchedule, RetryPolicy, TaskFaults};
 pub use haten2_blockstore::Codec;
 pub use job::{
-    key_slice, run_job, run_job_streaming, Combiner, JobSite, JobSpec, RECORD_FRAMING_BYTES,
+    concat_partitions, key_slice, run_job, run_job_collect, run_job_streaming, Combiner, JobSite,
+    JobSpec, MapInput, RECORD_FRAMING_BYTES,
 };
 pub use lineage::{Lineage, MAX_RECOVERY_DEPTH};
 pub use metrics::{BatchReport, JobMetrics, RunMetrics};

@@ -7,14 +7,19 @@
 //! same order* as the sequential reference executor, and record the same
 //! [`JobMetrics`] (every field except the host-time ones). The streaming
 //! and `Vec`-signature boundaries must also agree with each other, even
-//! when a streaming reducer stops early and leaves values undrained.
+//! when a streaming reducer stops early and leaves values undrained. The
+//! general entry ([`run_job_collect`]) is tied to them here — a sharded
+//! [`MapInput`] against the slice of the same records — rather than
+//! given a mirror of its own in the reference executor.
 
 use haten2_mapreduce::{
-    run_job, run_job_reference, run_job_reference_streaming, run_job_streaming, Cluster,
-    ClusterConfig, JobMetrics, JobSpec,
+    concat_partitions, run_job, run_job_collect, run_job_reference, run_job_reference_streaming,
+    run_job_streaming, Cluster, ClusterConfig, EstimateSize, FaultPlan, JobMetrics, JobSpec,
+    MapInput,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// Uniform word-count corpus: small vocabulary so keys collide across
 /// map tasks and partitions.
@@ -251,5 +256,117 @@ proptest! {
         let reference = run_job_reference(&rc, JobSpec::named("wc"), &input, wc_mapper, reducer);
         prop_assert_eq!(engine, reference);
         prop_assert_eq!(job_metrics(&ec), job_metrics(&rc));
+    }
+}
+
+/// The corpus cut into shards at arbitrary record offsets, read in place.
+struct Sharded<'a>(Vec<&'a [(u64, Vec<u64>)]>);
+
+impl MapInput for Sharded<'_> {
+    type Key = u64;
+    type Val = Vec<u64>;
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|shard| shard.len()).sum()
+    }
+
+    fn est_bytes(&self, range: Range<usize>) -> usize {
+        let mut bytes = 0;
+        self.for_each(range, |k, v| bytes += k.est_bytes() + v.est_bytes());
+        bytes
+    }
+
+    fn for_each<F: FnMut(&u64, &Vec<u64>)>(&self, range: Range<usize>, mut f: F) {
+        let records = self.0.iter().flat_map(|shard| shard.iter());
+        for (k, v) in records.skip(range.start).take(range.len()) {
+            f(k, v);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The general entry reads its input where it lies: over shards cut
+    /// anywhere — not where the map tasks' ranges fall — with the `Vec`
+    /// collector, it is `run_job_streaming` over the concatenation: the
+    /// same records in the same order once flattened, the same metrics,
+    /// one executor or four, with or without scheduled faults (a failed
+    /// map attempt re-reads its range).
+    #[test]
+    fn general_entry_over_unaligned_shards_is_streaming_over_the_concatenation(
+        input in skewed_corpus(),
+        cuts in vec(0usize..60, 0..6),
+        (machines, _, reducers) in geometry(),
+        fault_seed in proptest::option::of(any::<u64>()),
+    ) {
+        // `cuts` → shard boundaries; repeated cuts give empty shards in
+        // the middle, none gives the one-shard case, an empty corpus the
+        // zero-record one.
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(input.len())).collect();
+        bounds.sort_unstable();
+        bounds.insert(0, 0);
+        bounds.push(input.len());
+        let shards = Sharded(bounds.windows(2).map(|w| &input[w[0]..w[1]]).collect());
+        prop_assert_eq!(shards.len(), input.len());
+
+        let reducer = |word: &u64,
+                       vals: &mut haten2_mapreduce::GroupValues<'_, u64, u64>,
+                       emit: &mut dyn FnMut(u64, u64)| {
+            emit(*word, vals.sum());
+        };
+        for threads in [1, 4] {
+            let mut cfg = config(machines, threads, reducers);
+            cfg.fault_plan = fault_seed.map(FaultPlan::seeded);
+            let whole_cluster = Cluster::new(cfg.clone());
+            let whole = run_job_streaming(
+                &whole_cluster, JobSpec::named("wc"), &input, wc_mapper, reducer,
+            );
+            let sharded_cluster = Cluster::new(cfg);
+            let sharded: haten2_mapreduce::Result<Vec<Vec<(u64, u64)>>> = run_job_collect(
+                &sharded_cluster, JobSpec::named("wc"), &shards, wc_mapper, reducer,
+            );
+            if let Ok(partitions) = &sharded {
+                prop_assert_eq!(partitions.len(), reducers);
+            }
+            prop_assert_eq!(sharded.map(concat_partitions), whole);
+            prop_assert_eq!(job_metrics(&sharded_cluster), job_metrics(&whole_cluster));
+        }
+    }
+}
+
+#[test]
+fn general_entry_degenerate_shard_lists() {
+    // No shard at all, only empty shards, and a single shard: zero
+    // records make zero map tasks, one shard is the slice.
+    let input: Vec<(u64, Vec<u64>)> = (0..7).map(|k| (k, vec![k % 3, 1])).collect();
+    let reducer = |word: &u64,
+                   vals: &mut haten2_mapreduce::GroupValues<'_, u64, u64>,
+                   emit: &mut dyn FnMut(u64, u64)| {
+        emit(*word, vals.sum());
+    };
+    for shards in [vec![], vec![&input[..0], &input[..0]], vec![&input[..]]] {
+        let records: Vec<_> = shards.concat();
+        let whole_cluster = Cluster::new(config(3, 2, 4));
+        let whole = run_job_streaming(
+            &whole_cluster,
+            JobSpec::named("wc"),
+            &records,
+            wc_mapper,
+            reducer,
+        );
+        let sharded_cluster = Cluster::new(config(3, 2, 4));
+        let sharded: haten2_mapreduce::Result<Vec<Vec<(u64, u64)>>> = run_job_collect(
+            &sharded_cluster,
+            JobSpec::named("wc"),
+            &Sharded(shards),
+            wc_mapper,
+            reducer,
+        );
+        assert_eq!(sharded.as_ref().map(Vec::len), Ok(4), "one per partition");
+        assert_eq!(sharded.map(concat_partitions), whole);
+        assert_eq!(job_metrics(&sharded_cluster), job_metrics(&whole_cluster));
+        let read = job_metrics(&whole_cluster).map_input_records;
+        assert_eq!(read, records.len());
     }
 }

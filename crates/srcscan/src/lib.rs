@@ -333,6 +333,46 @@ pub fn enclosing_fn_name(code: &str, pos: usize) -> Option<String> {
     best
 }
 
+/// Every `fn` with a body in the code view, as `(name, body_region)` where
+/// `body_region` is the byte range *between* the body's braces.
+fn fn_bodies(code: &str) -> Vec<(String, (usize, usize))> {
+    let b = code.as_bytes();
+    let mut out = Vec::new();
+    let mut search = 0usize;
+    while let Some(off) = code[search..].find("fn ") {
+        let at = search + off;
+        search = at + 3;
+        if at > 0 && is_ident_byte(b[at - 1]) {
+            continue;
+        }
+        let name: String = code[at + 3..]
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+            .collect();
+        if name.is_empty() {
+            continue;
+        }
+        // The body opens at the first `{` outside the signature's
+        // parentheses; a `;` there instead is a bodiless declaration.
+        let mut depth = 0i64;
+        for (j, &c) in b.iter().enumerate().skip(at + 3 + name.len()) {
+            match c {
+                b'(' | b'[' => depth += 1,
+                b')' | b']' => depth -= 1,
+                b';' if depth == 0 => break,
+                b'{' if depth == 0 => {
+                    if let Some(close) = matching_close(code, j) {
+                        out.push((name, (j + 1, close)));
+                    }
+                    break;
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
 /// Whether a finding of `rule` on line `idx` (0-based) is suppressed by a
 /// `// lint:allow(<rule>)` marker on the same or the preceding raw line.
 pub fn is_suppressed(raw_lines: &[&str], idx: usize, rule: &str) -> bool {
@@ -455,10 +495,15 @@ pub struct ReducerSite {
     pub has_float_reduction: bool,
 }
 
-/// The job runners whose closure arguments the purity pass inspects.
+/// The job runners whose closure arguments the purity pass inspects:
+/// every public entry of the engine that takes a mapper and a reducer. A
+/// runner missing here takes its call sites out of the scan without a
+/// sound, so `haten2-analyze` asserts that every registered kernel and
+/// every annotated reducer is among the sites the scan reports.
 const JOB_RUNNERS: &[&str] = &[
     "run_job",
     "run_job_streaming",
+    "run_job_collect",
     "run_job_dfs",
     "run_job_dfs_recovering",
 ];
@@ -597,6 +642,11 @@ pub fn normalize_template(name: &str) -> String {
 /// `|_| false`). Returns the findings plus every reducer site seen, so
 /// callers can cross-check annotation coverage.
 ///
+/// A closure that hands its work to a function defined in the same file
+/// (`|k, vals, emit| fold(*k, vals, emit)`) is scanned through that
+/// function's body as well, one call deep: factoring a reducer's fold out
+/// so it can be unit-tested must not take it out of the scan.
+///
 /// Scanning stops at the file's `#[cfg(test)]` region (tests may use
 /// whatever they like), and `// lint:allow(<rule>)` on the same or the
 /// preceding line suppresses a finding.
@@ -641,6 +691,7 @@ pub fn scan_udf_purity(
         });
     };
 
+    let local_fns = fn_bodies(&st.code[..test_cutoff]);
     for runner in JOB_RUNNERS {
         for (call_start, args) in find_calls(&st.code, runner) {
             if call_start >= test_cutoff {
@@ -655,39 +706,47 @@ pub fn scan_udf_purity(
                     t.starts_with('|') || t.starts_with("move ")
                 })
                 .collect();
-            for (ci, &(s, e)) in closures.iter().enumerate() {
-                let body = &st.code[s..e];
+            for (ci, &closure) in closures.iter().enumerate() {
                 let is_reducer = ci + 1 == closures.len() && closures.len() >= 2;
-                let emits = body.contains("emit");
-
-                if emits {
-                    for name in unordered_decls(body) {
-                        if let Some(at) = iterates(body, &name) {
-                            push(&mut findings, s + at, "no-unordered-iteration", &site);
+                // The closure, then the same-file functions it calls.
+                let callees = local_fns
+                    .iter()
+                    .filter(|(name, _)| {
+                        !find_calls(&st.code[closure.0..closure.1], name).is_empty()
+                    })
+                    .map(|&(_, body)| body);
+                let mut float_at = None;
+                for (s, e) in std::iter::once(closure).chain(callees) {
+                    let body = &st.code[s..e];
+                    if body.contains("emit") {
+                        for name in unordered_decls(body) {
+                            if let Some(at) = iterates(body, &name) {
+                                push(&mut findings, s + at, "no-unordered-iteration", &site);
+                            }
                         }
                     }
-                }
-                for tok in ["SystemTime", "Instant"] {
-                    if let Some(at) = contains_token(body, tok) {
-                        push(&mut findings, s + at, "no-wall-clock", &site);
+                    for tok in ["SystemTime", "Instant"] {
+                        if let Some(at) = contains_token(body, tok) {
+                            push(&mut findings, s + at, "no-wall-clock", &site);
+                        }
                     }
-                }
-                for pat in ["thread::current", "ThreadId"] {
-                    if let Some(at) = body.find(pat) {
-                        push(&mut findings, s + at, "no-thread-id", &site);
+                    for pat in ["thread::current", "ThreadId"] {
+                        if let Some(at) = body.find(pat) {
+                            push(&mut findings, s + at, "no-thread-id", &site);
+                        }
                     }
+                    float_at = float_at.or(float_reduction_at(body).map(|at| s + at));
                 }
                 if is_reducer {
-                    let float_at = float_reduction_at(body);
                     reducers.push(ReducerSite {
                         file: path.to_path_buf(),
-                        line: line_of(&st.raw, s),
+                        line: line_of(&st.raw, closure.0),
                         site: site.clone(),
                         has_float_reduction: float_at.is_some(),
                     });
                     if let Some(at) = float_at {
                         if !is_comm_assoc(&site) {
-                            push(&mut findings, s + at, "unannotated-float-reduction", &site);
+                            push(&mut findings, at, "unannotated-float-reduction", &site);
                         }
                     }
                 }
@@ -803,6 +862,64 @@ mod tests {
         assert_eq!(reducers.len(), 1);
         assert_eq!(reducers[0].site, "good_reduce");
         assert!(!reducers[0].has_float_reduction);
+    }
+
+    #[test]
+    fn purity_follows_a_closure_into_the_local_function_it_calls() {
+        // The reducer's fold is factored out (so it can be unit-tested);
+        // what it does is still what the reducer does.
+        let src = r#"
+fn fold(k: u64, vals: impl Iterator<Item = f64>, emit: &mut dyn FnMut(u64, f64)) {
+    let mut acc: HashMap<u64, f64> = HashMap::new();
+    for v in vals { *acc.entry(k).or_insert(0.0) += v; }
+    for (k2, v2) in acc { emit(k2, v2); }
+}
+fn elsewhere(x: f64) -> f64 { let mut y = 0.0; y += x; y }
+fn delegating() {
+    run_job_collect(
+        c,
+        JobSpec::named("delegating"),
+        &input,
+        |k, v, emit| emit(k, v),
+        |k, vals, emit| fold(*k, vals, emit),
+    );
+}
+fn plain() {
+    run_job_collect(c, JobSpec::named("plain"), &input, |k, v, emit| emit(k, v), |k, vals, emit| {
+        for v in vals { emit(*k, v); }
+    });
+}
+"#;
+        let (findings, reducers) = scan_udf_purity(Path::new("mem.rs"), src, &|_| false);
+        let rules_at = |site: &str| -> Vec<(&str, usize)> {
+            let at_site = findings.iter().filter(|f| f.site == site);
+            at_site.map(|f| (f.rule, f.line)).collect()
+        };
+        assert_eq!(
+            rules_at("delegating"),
+            [
+                ("no-unordered-iteration", 5),
+                ("unannotated-float-reduction", 4)
+            ]
+        );
+        // A function the closure does not call is not its business.
+        assert_eq!(rules_at("plain"), []);
+        let seen: Vec<_> = reducers
+            .iter()
+            .map(|r| (r.site.as_str(), r.has_float_reduction))
+            .collect();
+        assert_eq!(seen, [("delegating", true), ("plain", false)]);
+    }
+
+    #[test]
+    fn fn_bodies_skip_declarations_and_find_generic_signatures() {
+        let src = "trait T { fn decl(&self) -> (u8, u8); }\n\
+                   fn g<F: Fn(u8) -> [u8; 2]>(f: F) -> impl Iterator<Item = (u8, u8)> where F: Copy { body() }";
+        let st = SourceText::parse(src);
+        let found = fn_bodies(&st.code);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].0, "g");
+        assert_eq!(st.code[found[0].1 .0..found[0].1 .1].trim(), "body()");
     }
 
     #[test]

@@ -256,6 +256,12 @@ impl CooTensor3 {
 
     /// Permute modes: output mode `p` takes input mode `perm[p]`.
     /// `perm` must be a permutation of `{0, 1, 2}`.
+    ///
+    /// The result is the tensor [`CooTensor3::from_entries`] builds from the
+    /// permuted entries, entry for entry and bit for bit, without hashing
+    /// every coordinate to get there: the entries are stably sorted and
+    /// coordinates left coinciding by [`CooTensor3::push_unchecked`] are
+    /// summed in stored order, the order `from_entries` adds them in.
     pub fn permute(&self, perm: [usize; 3]) -> Result<CooTensor3> {
         let mut seen = [false; 3];
         for &p in &perm {
@@ -268,12 +274,34 @@ impl CooTensor3 {
         }
         let d = self.dims;
         let dims = [d[perm[0]], d[perm[1]], d[perm[2]]];
-        let entries = self
-            .entries
-            .iter()
-            .map(|e| Entry3::new(e.index(perm[0]), e.index(perm[1]), e.index(perm[2]), e.v))
-            .collect();
-        CooTensor3::from_entries(dims, entries)
+        let mut entries = Vec::with_capacity(self.entries.len());
+        for e in &self.entries {
+            let (i, j, k) = (e.index(perm[0]), e.index(perm[1]), e.index(perm[2]));
+            if i >= dims[0] || j >= dims[1] || k >= dims[2] {
+                return Err(TensorError::IndexOutOfBounds {
+                    index: format!("({i}, {j}, {k})"),
+                    dims: format!("{dims:?}"),
+                });
+            }
+            entries.push(Entry3::new(i, j, k, e.v));
+        }
+        entries.sort_by_key(|e| (e.i, e.j, e.k));
+        // Fold each run of equal coordinates into its first entry, then
+        // drop what summed to zero. (`from_entries` starts each sum from
+        // `0.0`, which differs only for a `-0.0` that is dropped either
+        // way.)
+        let mut merged: Vec<Entry3> = Vec::with_capacity(entries.len());
+        for e in entries {
+            match merged.last_mut() {
+                Some(last) if (last.i, last.j, last.k) == (e.i, e.j, e.k) => last.v += e.v,
+                _ => merged.push(e),
+            }
+        }
+        merged.retain(|e| e.v != 0.0);
+        Ok(CooTensor3 {
+            dims,
+            entries: merged,
+        })
     }
 
     /// Elementwise sum of two same-shaped sparse tensors.
@@ -467,6 +495,84 @@ mod tests {
         assert_eq!(back, t);
         assert!(t.permute([0, 0, 1]).is_err());
         assert!(t.permute([0, 1, 5]).is_err());
+    }
+
+    #[test]
+    fn permute_is_the_from_entries_route_entry_for_entry() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let bits = |t: &CooTensor3| -> Vec<(u64, u64, u64, u64)> {
+            let entries = t.entries().iter();
+            entries.map(|e| (e.i, e.j, e.k, e.v.to_bits())).collect()
+        };
+        for case in 0..60 {
+            // Small dims, so `push_unchecked` leaves coinciding
+            // coordinates; values on a coarse grid, so some of those sum
+            // to exactly zero, others round differently in another order.
+            let dims = [
+                rng.gen_range(1..5),
+                rng.gen_range(1..6),
+                rng.gen_range(1..4),
+            ];
+            let mut t = CooTensor3::new(dims);
+            for _ in 0..rng.gen_range(0..120) {
+                let v = match rng.gen_range(0..4) {
+                    0 => f64::from(rng.gen_range(-2i32..3)),
+                    1 => -0.0,
+                    _ => rng.gen_range(-1.0..1.0f64) / 3.0,
+                };
+                let (i, j, k) = (
+                    rng.gen_range(0..dims[0]),
+                    rng.gen_range(0..dims[1]),
+                    rng.gen_range(0..dims[2]),
+                );
+                t.push_unchecked(Entry3::new(i, j, k, v));
+            }
+            for perm in [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0],
+            ] {
+                let mapped = t.entries().iter().map(|e| {
+                    Entry3::new(e.index(perm[0]), e.index(perm[1]), e.index(perm[2]), e.v)
+                });
+                let d = t.dims();
+                let want = CooTensor3::from_entries(
+                    [d[perm[0]], d[perm[1]], d[perm[2]]],
+                    mapped.collect(),
+                )
+                .unwrap();
+                let got = t.permute(perm).unwrap();
+                assert_eq!(got.dims(), want.dims(), "case {case} {perm:?}");
+                assert_eq!(bits(&got), bits(&want), "case {case} {perm:?}");
+            }
+        }
+        // The cases above must have exercised both folds.
+        let mut dup = CooTensor3::new([2, 2, 2]);
+        for v in [1.5, -1.5, 2.0, 0.25] {
+            dup.push_unchecked(Entry3::new(1, 0, 1, v));
+        }
+        dup.push_unchecked(Entry3::new(0, 1, 0, 4.0));
+        dup.push_unchecked(Entry3::new(0, 1, 0, -4.0));
+        let p = dup.permute([2, 1, 0]).unwrap();
+        assert_eq!(p.entries(), [Entry3::new(1, 0, 1, 2.25)]);
+    }
+
+    #[test]
+    fn permute_rejects_a_stored_entry_outside_the_dims() {
+        // `push_unchecked` only debug-asserts its bounds; a tensor built
+        // past them in a release build is refused as `from_entries` would.
+        let t = CooTensor3 {
+            dims: [2, 2, 2],
+            entries: vec![Entry3::new(0, 5, 0, 1.0)],
+        };
+        assert!(matches!(
+            t.permute([1, 0, 2]),
+            Err(TensorError::IndexOutOfBounds { .. })
+        ));
     }
 
     #[test]
