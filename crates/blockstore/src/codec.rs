@@ -15,11 +15,12 @@
 //! ```
 //!
 //! and decoding is a strict inverse: the decoder consumes chunks until the
-//! input is exhausted and fails loudly on any truncation or overrun. A
-//! block's codec is recorded per manifest entry, so stores with different
-//! settings interoperate and a block that does not shrink is stored `Raw`
-//! (see [`encode_auto`]).
+//! input is exhausted and fails loudly on any truncation or overrun. The
+//! codec is chosen per block and recorded in the dataset's block directory
+//! (see [`crate::block`]), so stores with different settings interoperate
+//! and a block that does not shrink is stored `Raw` (see [`encode_auto`]).
 
+use std::borrow::Cow;
 use std::io;
 
 /// How a stored payload is encoded on disk.
@@ -134,77 +135,120 @@ pub fn zero_rle_encode(raw: &[u8]) -> Vec<u8> {
 }
 
 /// Decode a zero-run-length stream; `raw_len` is the expected decoded
-/// length (known from the manifest) and any mismatch is an error.
+/// length (known from the block directory) and any mismatch is an error.
 pub fn zero_rle_decode(encoded: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(raw_len);
+    let mut out = Vec::new();
+    zero_rle_decode_into(encoded, raw_len, &mut out)?;
+    Ok(out)
+}
+
+/// Widest literal or zero run the decoder writes as one fixed-width store.
+const WIDE: usize = 16;
+
+/// [`zero_rle_decode`] into a caller-owned buffer, so a reader decoding
+/// block after block reuses one allocation. `out` is overwritten and left
+/// exactly `raw_len` long on success.
+pub fn zero_rle_decode_into(encoded: &[u8], raw_len: usize, out: &mut Vec<u8>) -> io::Result<()> {
+    // Every byte below `raw_len` is written by the loop, so what a reused
+    // buffer still holds from the last block need not be cleared.
+    out.truncate(raw_len);
+    out.resize(raw_len, 0);
+    let overrun = || {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "compressed block decodes past its declared length",
+        )
+    };
     let mut pos = 0usize;
+    let mut at = 0usize;
     while pos < encoded.len() {
+        // Index-heavy records decode to millions of literals and runs a
+        // few bytes long. One that fits in `WIDE` is written as a whole
+        // `WIDE`-byte store when source and target have the room: the
+        // bytes past its end belong to later chunks, which overwrite them
+        // (the stream must cover `raw_len` exactly, checked below).
         let lit = usize::try_from(read_varint(encoded, &mut pos)?)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "literal length overflow"))?;
-        let Some(literal) = encoded.get(pos..pos + lit) else {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "truncated literal in compressed block",
-            ));
-        };
-        out.extend_from_slice(literal);
+        if lit <= WIDE && at + WIDE <= raw_len && pos + WIDE <= encoded.len() {
+            out[at..at + WIDE].copy_from_slice(&encoded[pos..pos + WIDE]);
+        } else {
+            let literal = pos
+                .checked_add(lit)
+                .and_then(|end| encoded.get(pos..end))
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "truncated literal in compressed block",
+                    )
+                })?;
+            out.get_mut(at..at + lit)
+                .ok_or_else(overrun)?
+                .copy_from_slice(literal);
+        }
         pos += lit;
+        at += lit;
         let zeros = usize::try_from(read_varint(encoded, &mut pos)?)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "zero run overflow"))?;
-        if out.len() + zeros > raw_len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "compressed block decodes past its declared length",
-            ));
+        let end = at
+            .checked_add(zeros)
+            .filter(|&end| end <= raw_len)
+            .ok_or_else(overrun)?;
+        if zeros <= WIDE && at + WIDE <= raw_len {
+            out[at..at + WIDE].fill(0);
+        } else {
+            out[at..end].fill(0);
         }
-        out.resize(out.len() + zeros, 0);
+        at = end;
     }
-    if out.len() != raw_len {
+    if at != raw_len {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!(
-                "compressed block decoded to {} bytes, manifest declares {raw_len}",
-                out.len()
-            ),
+            format!("compressed block decoded to {at} bytes, directory declares {raw_len}"),
         ));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Encode `raw` with `preferred`, falling back to [`Codec::Raw`] when the
 /// encoding does not shrink the payload. Returns the codec actually used
-/// (recorded in the manifest) and the stored bytes.
+/// (recorded in the block directory) and the stored bytes — the caller's
+/// own bytes, borrowed, when the block is stored raw.
 #[must_use]
-pub fn encode_auto(preferred: Codec, raw: &[u8]) -> (Codec, Vec<u8>) {
-    match preferred {
-        Codec::Raw => (Codec::Raw, raw.to_vec()),
-        Codec::ZeroRle => {
-            let enc = zero_rle_encode(raw);
-            if enc.len() < raw.len() {
-                (Codec::ZeroRle, enc)
-            } else {
-                (Codec::Raw, raw.to_vec())
-            }
+pub fn encode_auto(preferred: Codec, raw: &[u8]) -> (Codec, Cow<'_, [u8]>) {
+    if preferred == Codec::ZeroRle {
+        let enc = zero_rle_encode(raw);
+        if enc.len() < raw.len() {
+            return (Codec::ZeroRle, Cow::Owned(enc));
         }
     }
+    (Codec::Raw, Cow::Borrowed(raw))
 }
 
-/// Decode stored bytes with the manifest-recorded codec.
-pub fn decode(codec: Codec, stored: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
+/// Decode stored bytes with the directory-recorded codec. A raw block is
+/// returned as is (no copy); a compressed one is decoded into `scratch`.
+pub fn decode<'a>(
+    codec: Codec,
+    stored: &'a [u8],
+    raw_len: usize,
+    scratch: &'a mut Vec<u8>,
+) -> io::Result<&'a [u8]> {
     match codec {
         Codec::Raw => {
             if stored.len() != raw_len {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
-                        "raw block is {} bytes, manifest declares {raw_len}",
+                        "raw block is {} bytes, directory declares {raw_len}",
                         stored.len()
                     ),
                 ));
             }
-            Ok(stored.to_vec())
+            Ok(stored)
         }
-        Codec::ZeroRle => zero_rle_decode(stored, raw_len),
+        Codec::ZeroRle => {
+            zero_rle_decode_into(stored, raw_len, scratch)?;
+            Ok(scratch)
+        }
     }
 }
 
@@ -218,6 +262,13 @@ mod tests {
         let enc = zero_rle_encode(raw);
         let dec = zero_rle_decode(&enc, raw.len()).unwrap();
         assert_eq!(dec, raw);
+        // A reused buffer, longer or shorter than the block and full of
+        // another block's bytes, decodes to the same thing.
+        for stale in [raw.len() + 40, raw.len() / 2] {
+            let mut out = vec![0xA5u8; stale];
+            zero_rle_decode_into(&enc, raw.len(), &mut out).unwrap();
+            assert_eq!(out, raw);
+        }
     }
 
     #[test]
@@ -251,6 +302,24 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_around_the_wide_store_width() {
+        // Literals and runs of every length near `WIDE`, at the start, in
+        // the middle and flush against the end of the block.
+        for lit in [1, WIDE - 1, WIDE, WIDE + 1, 3 * WIDE] {
+            for run in [MIN_ZERO_RUN, WIDE - 1, WIDE, WIDE + 1, 3 * WIDE] {
+                let mut raw = Vec::new();
+                for rep in 0..4 {
+                    raw.extend(std::iter::repeat_n(0x11 * (rep + 1) as u8, lit));
+                    raw.extend(std::iter::repeat_n(0u8, run));
+                }
+                roundtrip(&raw);
+                raw.push(7); // ends on a one-byte literal
+                roundtrip(&raw);
+            }
+        }
+    }
+
+    #[test]
     fn index_heavy_payloads_shrink() {
         // A stand-in for ((u64,u64,u64,u64), f64) tensor records with small
         // indices: most bytes are zero.
@@ -277,7 +346,7 @@ mod tests {
         let raw: Vec<u8> = (0..256).map(|i| (i % 255 + 1) as u8).collect();
         let (codec, stored) = encode_auto(Codec::ZeroRle, &raw);
         assert_eq!(codec, Codec::Raw);
-        assert_eq!(stored, raw);
+        assert!(matches!(stored, Cow::Borrowed(b) if b == raw));
     }
 
     #[test]
@@ -298,7 +367,7 @@ mod tests {
         let enc = zero_rle_encode(&raw);
         assert!(zero_rle_decode(&enc, 31).is_err());
         assert!(zero_rle_decode(&enc, 33).is_err());
-        assert!(decode(Codec::Raw, &raw, 31).is_err());
+        assert!(decode(Codec::Raw, &raw, 31, &mut Vec::new()).is_err());
     }
 
     #[test]

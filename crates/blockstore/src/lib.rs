@@ -7,24 +7,31 @@
 //! storage layer of that story against the local filesystem:
 //!
 //! * **Segments** ([`segment`]) — append-only data files
-//!   (`seg-NNNNNN.dat`). A dataset's payload is one contiguous extent in
-//!   a segment; readers fetch it with a positional read (`pread`), so the
+//!   (`seg-NNNNNN.dat`). A dataset is one contiguous extent in a segment;
+//!   readers fetch pieces of it with positional reads (`pread`), so the
 //!   OS page cache serves hot extents without any user-level buffer
 //!   management — the mmap-style access path of an HDFS `DataNode`.
+//! * **Blocks** ([`block`]) — the HDFS block. An extent is a block
+//!   directory followed by blocks of ~256 KiB of whole records, each encoded
+//!   and checksummed on its own, so a dataset is read (and prepared for
+//!   writing) block by block on as many threads as the caller has, through
+//!   block-sized buffers rather than dataset-sized ones.
 //! * **Manifest** ([`manifest`]) — a versioned, checksummed append-only
-//!   log mapping dataset name → (segment, offset, length, codec, type
-//!   tag, checksum). Replaying the log reconstructs the namespace after
-//!   a crash or restart; a torn tail (a crash mid-append) is detected by
-//!   the per-entry checksum and truncated away. This is the `NameNode`'s
-//!   edit log, scaled to one machine.
+//!   log mapping dataset name → (segment, offset, length, block count,
+//!   type tag, directory checksum). Replaying the log reconstructs the
+//!   namespace after a crash or restart; a torn tail (a crash mid-append)
+//!   is detected by the per-entry checksum and truncated away. This is
+//!   the `NameNode`'s edit log, scaled to one machine. Integrity chains
+//!   downward: manifest frame → block directory → block.
 //! * **Codec** ([`codec`]) — optional per-block compression. Sparse
 //!   tensor payloads are index-heavy (`u64` slots whose high bytes are
 //!   almost always zero), so a byte-level zero-run codec already removes
 //!   most of the wire volume without burning CPU on entropy coding.
-//! * **Store** ([`store`]) — the façade tying the two together:
-//!   `put`/`get`/`delete` of named byte blobs with crash-consistent
-//!   durability (segment extent is fsynced before the manifest entry
-//!   that references it commits).
+//! * **Store** ([`store`]) — the façade tying them together:
+//!   `put_blocks`/`directory`/`read_block` of named datasets (and
+//!   `put`/`get` of byte blobs over the same blocks) plus `delete`, with
+//!   crash-consistent durability (segment extent is fsynced before the
+//!   manifest entry that references it commits).
 //! * **Local FS façade** ([`localfs`]) — atomic, fsynced small-file
 //!   writes for the checkpoint layer, so *all* file I/O of the engine
 //!   crates is confined to this crate (the `no-direct-fs` lint enforces
@@ -37,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+pub mod block;
 pub mod checksum;
 pub mod codec;
 pub mod localfs;
@@ -44,7 +52,10 @@ pub mod manifest;
 pub mod segment;
 pub mod store;
 
-pub use checksum::fnv1a64;
+pub use block::{BlockBuf, BlockEntry, EncodedBlock};
+pub use checksum::{fnv1a64, fnv1a64_lanes};
 pub use codec::Codec;
 pub use manifest::{BlobMeta, Manifest, ManifestEntry};
-pub use store::{BlockStore, DatasetIo, StoreOptions, StoreStats, StoredBlob};
+pub use store::{
+    BlockDirectory, BlockStore, DatasetIo, StoreOptions, StoreStats, StoredBlob, BLOCK_TARGET_BYTES,
+};

@@ -1,7 +1,8 @@
 //! Versioned, checksummed manifest log.
 //!
 //! The manifest is the store's namespace: an append-only log of `put` and
-//! `delete` records mapping dataset names to segment extents. Replaying
+//! `delete` records mapping dataset names to segment extents (each extent
+//! a block directory followed by its blocks, see [`crate::block`]). Replaying
 //! the log from the top reconstructs the live name → extent index after a
 //! restart — the single-machine analogue of an HDFS `NameNode` replaying
 //! its edit log.
@@ -26,7 +27,6 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::checksum::fnv1a64;
-use crate::codec::Codec;
 
 /// Name of the manifest log inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.log";
@@ -41,22 +41,24 @@ pub struct BlobMeta {
     /// `"((u64,u64,u64,u64),f64)"`), checked on read so a dataset is never
     /// decoded as the wrong record type after a restart.
     pub type_tag: String,
-    /// Codec the payload was stored with.
-    pub codec: Codec,
-    /// Segment file the payload lives in.
+    /// Number of blocks in the extent; its first `blocks` directory rows
+    /// describe them.
+    pub blocks: u64,
+    /// Segment file the extent lives in.
     pub segment: u32,
     /// Byte offset of the extent inside the segment.
     pub offset: u64,
-    /// On-disk (post-codec) extent length.
+    /// On-disk extent length: the directory plus every (post-codec) block.
     pub stored_len: u64,
-    /// Decoded payload length.
+    /// Decoded payload length, summed over the blocks.
     pub raw_len: u64,
     /// In-memory size estimate of the dataset (`EstimateSize` bytes);
     /// persisted because it cannot be recomputed from encoded bytes.
     pub est_bytes: u64,
     /// Number of records in the dataset.
     pub records: u64,
-    /// FNV-1a digest of the on-disk (stored) extent bytes.
+    /// FNV-1a digest of the extent's block directory, whose rows carry
+    /// each block's own digest.
     pub payload_checksum: u64,
 }
 
@@ -129,7 +131,7 @@ fn encode_body(entry: &ManifestEntry) -> io::Result<Vec<u8>> {
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "type tag too long"))?;
         put_u16(&mut body, tag_len);
         body.extend_from_slice(meta.type_tag.as_bytes());
-        body.push(meta.codec.tag());
+        put_u64(&mut body, meta.blocks);
         put_u32(&mut body, meta.segment);
         put_u64(&mut body, meta.offset);
         put_u64(&mut body, meta.stored_len);
@@ -155,10 +157,9 @@ fn decode_body(body: &[u8]) -> io::Result<ManifestEntry> {
         KIND_PUT => {
             let tag_len = c.u16()? as usize;
             let type_tag = c.str(tag_len)?;
-            let codec = Codec::from_tag(c.u8()?)?;
             Some(BlobMeta {
                 type_tag,
-                codec,
+                blocks: c.u64()?,
                 segment: c.u32()?,
                 offset: c.u64()?,
                 stored_len: c.u64()?,
@@ -355,7 +356,7 @@ mod tests {
     fn meta(segment: u32, offset: u64) -> BlobMeta {
         BlobMeta {
             type_tag: "((u64,u64,u64,u64),f64)".to_string(),
-            codec: Codec::ZeroRle,
+            blocks: 2,
             segment,
             offset,
             stored_len: 100,

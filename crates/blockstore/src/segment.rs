@@ -1,11 +1,12 @@
 //! Append-only segment files.
 //!
 //! A segment is a plain data file `seg-NNNNNN.dat` that only ever grows;
-//! a stored blob is one contiguous extent `(segment, offset, len)` inside
-//! one segment. The writer appends to the newest segment and rotates to a
-//! fresh file once it crosses the configured size, so no file grows
-//! unboundedly and old segments become immutable — the single-machine
-//! analogue of HDFS blocks on a `DataNode`.
+//! a stored dataset is one contiguous extent `(segment, offset, len)`
+//! inside one segment — its block directory followed by its blocks. The
+//! writer appends to the newest segment and rotates to a fresh file once
+//! it crosses the configured size, so no file grows unboundedly and old
+//! segments become immutable — the single-machine analogue of a
+//! `DataNode`'s block files.
 //!
 //! Reads are positional (`pread`-style): a shared, cached read handle per
 //! segment plus `read_at` at the recorded offset. There is no user-level
@@ -71,16 +72,20 @@ impl SegmentWriter {
         })
     }
 
-    /// Append `bytes` and return the extent `(segment, offset)` it landed
-    /// at. The data is not durable until [`SegmentWriter::sync`] returns.
-    pub fn append(&mut self, bytes: &[u8]) -> io::Result<(u32, u64)> {
-        if self.len > 0 && self.len.saturating_add(bytes.len() as u64) > self.rotate_at {
+    /// Append `parts` back to back as one extent — never split across a
+    /// rotation — and return the `(segment, offset)` it starts at. The data
+    /// is not durable until [`SegmentWriter::sync`] returns.
+    pub fn append(&mut self, parts: &[&[u8]]) -> io::Result<(u32, u64)> {
+        let extent_len: u64 = parts.iter().map(|p| p.len() as u64).sum();
+        if self.len > 0 && self.len.saturating_add(extent_len) > self.rotate_at {
             self.rotate()?;
         }
         let offset = self.len;
-        io::Write::write_all(&mut self.file, bytes)?;
-        self.len += bytes.len() as u64;
         self.synced = false;
+        for part in parts {
+            io::Write::write_all(&mut self.file, part)?;
+            self.len += part.len() as u64;
+        }
         Ok((self.id, offset))
     }
 
@@ -149,14 +154,9 @@ impl SegmentReader {
         Ok(file)
     }
 
-    /// Read exactly `len` bytes at `offset` in `segment`.
-    pub fn read(&self, segment: u32, offset: u64, len: u64) -> io::Result<Vec<u8>> {
-        let file = self.handle(segment)?;
-        let len_usize = usize::try_from(len)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "extent length overflow"))?;
-        let mut buf = vec![0u8; len_usize];
-        read_exact_at(&file, &mut buf, offset)?;
-        Ok(buf)
+    /// Fill `buf` from `offset` in `segment`; a short read is an error.
+    pub fn read_exact_at(&self, segment: u32, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        read_exact_at(&*self.handle(segment)?, buf, offset)
     }
 
     /// Drop cached read handles (e.g. after segments are removed).
@@ -195,6 +195,12 @@ mod tests {
         dir
     }
 
+    fn read(r: &SegmentReader, segment: u32, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        let mut buf = vec![0u8; len];
+        r.read_exact_at(segment, offset, &mut buf)?;
+        Ok(buf)
+    }
+
     #[test]
     fn file_name_roundtrip() {
         assert_eq!(segment_file_name(7), "seg-000007.dat");
@@ -208,14 +214,14 @@ mod tests {
     fn append_read_roundtrip() {
         let dir = tmpdir("roundtrip");
         let mut w = SegmentWriter::open(&dir, 1 << 20).unwrap();
-        let (s0, o0) = w.append(b"hello").unwrap();
-        let (s1, o1) = w.append(b"world!").unwrap();
+        let (s0, o0) = w.append(&[b"hello"]).unwrap();
+        let (s1, o1) = w.append(&[b"wor", b"", b"ld!"]).unwrap();
         w.sync().unwrap();
         assert_eq!((s0, o0), (0, 0));
         assert_eq!((s1, o1), (0, 5));
         let r = SegmentReader::new(&dir);
-        assert_eq!(r.read(s0, o0, 5).unwrap(), b"hello");
-        assert_eq!(r.read(s1, o1, 6).unwrap(), b"world!");
+        assert_eq!(read(&r, s0, o0, 5).unwrap(), b"hello");
+        assert_eq!(read(&r, s1, o1, 6).unwrap(), b"world!");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -223,15 +229,15 @@ mod tests {
     fn rotation_creates_new_segments() {
         let dir = tmpdir("rotate");
         let mut w = SegmentWriter::open(&dir, 10).unwrap();
-        let (s0, _) = w.append(&[1u8; 8]).unwrap();
-        let (s1, o1) = w.append(&[2u8; 8]).unwrap();
-        let (s2, o2) = w.append(&[3u8; 64]).unwrap(); // oversized blob still fits alone
+        let (s0, _) = w.append(&[&[1u8; 8]]).unwrap();
+        let (s1, o1) = w.append(&[&[2u8; 8]]).unwrap();
+        let (s2, o2) = w.append(&[&[3u8; 64]]).unwrap(); // oversized blob still fits alone
         w.sync().unwrap();
         assert_eq!(s0, 0);
         assert_eq!((s1, o1), (1, 0));
         assert_eq!((s2, o2), (2, 0));
         let r = SegmentReader::new(&dir);
-        assert_eq!(r.read(s2, o2, 64).unwrap(), vec![3u8; 64]);
+        assert_eq!(read(&r, s2, o2, 64).unwrap(), vec![3u8; 64]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -240,19 +246,19 @@ mod tests {
         let dir = tmpdir("reopen");
         {
             let mut w = SegmentWriter::open(&dir, 10).unwrap();
-            w.append(&[1u8; 8]).unwrap();
-            w.append(&[2u8; 8]).unwrap(); // rotates to segment 1
+            w.append(&[&[1u8; 8]]).unwrap();
+            w.append(&[&[2u8; 8]]).unwrap(); // rotates to segment 1
             w.sync().unwrap();
         }
         let mut w = SegmentWriter::open(&dir, 10).unwrap();
         assert_eq!(w.current_segment(), 1);
         assert_eq!(w.current_len(), 8);
-        let (s, o) = w.append(&[9u8; 2]).unwrap();
+        let (s, o) = w.append(&[&[9u8; 2]]).unwrap();
         w.sync().unwrap();
         // 8 + 2 = 10 <= rotate_at, so it stays in segment 1.
         assert_eq!((s, o), (1, 8));
         let r = SegmentReader::new(&dir);
-        assert_eq!(r.read(1, 8, 2).unwrap(), vec![9u8; 2]);
+        assert_eq!(read(&r, 1, 8, 2).unwrap(), vec![9u8; 2]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -260,11 +266,11 @@ mod tests {
     fn short_read_is_an_error() {
         let dir = tmpdir("short");
         let mut w = SegmentWriter::open(&dir, 1 << 20).unwrap();
-        w.append(b"abc").unwrap();
+        w.append(&[b"abc"]).unwrap();
         w.sync().unwrap();
         let r = SegmentReader::new(&dir);
-        assert!(r.read(0, 1, 10).is_err());
-        assert!(r.read(3, 0, 1).is_err()); // no such segment
+        assert!(read(&r, 0, 1, 10).is_err());
+        assert!(read(&r, 3, 0, 1).is_err()); // no such segment
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

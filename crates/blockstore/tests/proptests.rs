@@ -1,10 +1,169 @@
-//! Property tests: codec round-trips and store recovery over random data.
+//! Property tests: codec round-trips and store recovery over random data,
+//! and the block layout's round-trip and corruption behaviour at every
+//! block of a many-block extent.
 
 #![allow(clippy::unwrap_used)]
 
 use haten2_blockstore::codec::{decode, encode_auto, zero_rle_decode, zero_rle_encode};
-use haten2_blockstore::{BlockStore, Codec, StoreOptions};
+use haten2_blockstore::segment::segment_file_name;
+use haten2_blockstore::{BlobMeta, BlockBuf, BlockStore, Codec, StoreOptions, BLOCK_TARGET_BYTES};
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("haten2-blocks-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn open(dir: &Path) -> BlockStore {
+    BlockStore::open(StoreOptions::new(dir)).unwrap()
+}
+
+/// Index-heavy bytes (compress) with an incompressible stretch in the
+/// middle, so a many-block blob has blocks of both codecs.
+fn mixed_payload(len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| {
+            let dense = (len / 4..3 * (len / 4)).contains(&i);
+            if dense || i % 8 == 0 {
+                (i % 251 + 1) as u8
+            } else {
+                0
+            }
+        })
+        .collect()
+}
+
+/// Rewrite the store's one segment file through `edit`.
+fn edit_segment(dir: &Path, meta: &BlobMeta, edit: impl FnOnce(&mut Vec<u8>)) {
+    let seg = dir.join(segment_file_name(meta.segment));
+    let mut bytes = std::fs::read(&seg).unwrap();
+    edit(&mut bytes);
+    std::fs::write(&seg, &bytes).unwrap();
+}
+
+#[test]
+fn blobs_of_every_block_count_roundtrip() {
+    let dir = tmp_dir("sizes");
+    let sizes = [
+        0,
+        1,
+        BLOCK_TARGET_BYTES - 1,
+        BLOCK_TARGET_BYTES,
+        BLOCK_TARGET_BYTES + 1,
+        3 * BLOCK_TARGET_BYTES + 17,
+    ];
+    {
+        let store = open(&dir);
+        for len in sizes {
+            let payload = mixed_payload(len);
+            let meta = store
+                .put(&format!("b{len}"), "u8", &payload, len as u64, len as u64)
+                .unwrap();
+            assert_eq!(meta.blocks, len.div_ceil(BLOCK_TARGET_BYTES) as u64);
+            assert_eq!(meta.raw_len, len as u64);
+            assert_eq!(meta.records, len as u64, "record shares sum to the total");
+        }
+    }
+    // Blocks written by one process are read by the next.
+    let store = open(&dir);
+    for len in sizes {
+        let blob = store.get(&format!("b{len}")).unwrap().unwrap();
+        assert_eq!(blob.bytes, mixed_payload(len), "len {len}");
+    }
+    // One get meters the payload once, whatever its block count; the
+    // directory is stored bytes but not payload.
+    let last = sizes[sizes.len() - 1];
+    let io = store.dataset_io();
+    assert_eq!(io[&format!("b{last}")].bytes_read, last as u64);
+    assert_eq!(io[&format!("b{last}")].reads, 1);
+    assert_eq!(store.stats().gets, sizes.len() as u64);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn blocks_are_readable_independently_and_in_any_order() {
+    let dir = tmp_dir("anyorder");
+    let store = open(&dir);
+    let payload = mixed_payload(4 * BLOCK_TARGET_BYTES + 5);
+    let meta = store.put("x", "u8", &payload, 7, 7).unwrap();
+    let directory = store.directory("x", meta).unwrap();
+    let codecs: Vec<Codec> = directory.entries().iter().map(|e| e.codec).collect();
+    assert!(codecs.contains(&Codec::Raw) && codecs.contains(&Codec::ZeroRle));
+    let mut buf = BlockBuf::default();
+    for index in (0..directory.entries().len()).rev() {
+        let start = index * BLOCK_TARGET_BYTES;
+        let end = (start + BLOCK_TARGET_BYTES).min(payload.len());
+        let raw = store.read_block(&directory, index, &mut buf).unwrap();
+        assert_eq!(raw, &payload[start..end], "block {index}");
+    }
+    // Driving blocks by hand meters nothing until the read is reported.
+    assert_eq!(store.stats().gets, 0);
+    store.record_read(&directory);
+    assert_eq!(store.stats().gets, 1);
+    assert_eq!(store.stats().raw_bytes_read, payload.len() as u64);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_flipped_byte_in_any_block_or_the_directory_is_detected() {
+    let dir = tmp_dir("flip");
+    let payload = mixed_payload(3 * BLOCK_TARGET_BYTES + 100);
+    let meta = open(&dir).put("x", "u8", &payload, 1, 1).unwrap();
+    let directory = open(&dir).directory("x", meta.clone()).unwrap();
+    let dir_len = (meta.stored_len
+        - directory
+            .entries()
+            .iter()
+            .map(|e| e.stored_len)
+            .sum::<u64>()) as usize;
+    // One victim byte in the directory, then first/middle/last of every
+    // block.
+    let base = meta.offset as usize;
+    let mut victims = vec![("directory".to_string(), base + dir_len / 2)];
+    let mut at = base + dir_len;
+    for (i, e) in directory.entries().iter().enumerate() {
+        let len = e.stored_len as usize;
+        for off in [0, len / 2, len - 1] {
+            victims.push((format!("block {i}"), at + off));
+        }
+        at += len;
+    }
+    assert_eq!(victims.len(), 1 + 3 * 4);
+    for (what, victim) in victims {
+        edit_segment(&dir, &meta, |bytes| bytes[victim] ^= 0x40);
+        let err = match open(&dir).get("x") {
+            Err(err) => err,
+            Ok(blob) => panic!("{what}: served {:?} bytes", blob.map(|b| b.bytes.len())),
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        assert!(err.to_string().contains("'x'"), "{what}: {err}");
+        edit_segment(&dir, &meta, |bytes| bytes[victim] ^= 0x40);
+    }
+    // Restored bit for bit: readable again.
+    assert_eq!(open(&dir).get("x").unwrap().unwrap().bytes, payload);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_extent_truncated_at_any_block_boundary_is_an_error() {
+    let dir = tmp_dir("truncate");
+    let payload = mixed_payload(3 * BLOCK_TARGET_BYTES + 100);
+    let meta = open(&dir).put("x", "u8", &payload, 1, 1).unwrap();
+    let directory = open(&dir).directory("x", meta.clone()).unwrap();
+    let mut cut = (meta.offset + meta.stored_len) as usize;
+    for e in directory.entries().iter().rev() {
+        // Drop the last remaining block, then the one before it, …
+        cut -= e.stored_len as usize;
+        edit_segment(&dir, &meta, |bytes| bytes.truncate(cut));
+        assert!(open(&dir).get("x").is_err(), "cut at {cut}");
+    }
+    // … and finally the directory itself.
+    edit_segment(&dir, &meta, |bytes| bytes.truncate(meta.offset as usize));
+    assert!(open(&dir).get("x").is_err());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
 
 proptest! {
     #[test]
@@ -24,7 +183,8 @@ proptest! {
             raw.extend(std::iter::repeat_n(0u8, pad));
         }
         let (codec, stored) = encode_auto(Codec::ZeroRle, &raw);
-        prop_assert_eq!(decode(codec, &stored, raw.len()).unwrap(), raw);
+        let mut scratch = Vec::new();
+        prop_assert_eq!(decode(codec, &stored, raw.len(), &mut scratch).unwrap(), &raw[..]);
     }
 
     #[test]

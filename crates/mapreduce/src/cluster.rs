@@ -3,9 +3,9 @@
 use crate::dfs::{Dfs, DfsBackend};
 use crate::fault::FaultPlan;
 use crate::metrics::{BatchReport, JobMetrics, RunMetrics};
-use crate::pool::WorkerPool;
+use crate::pool::{SharedPool, WorkerPool};
 use crate::rewrite::RewritePolicy;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How [`crate::sched::Batch::run`] executes the jobs of a batch.
@@ -163,7 +163,7 @@ pub struct Cluster {
     dfs: Dfs,
     metrics: Mutex<RunMetrics>,
     batch_reports: Mutex<Vec<BatchReport>>,
-    pool: OnceLock<WorkerPool>,
+    pool: Arc<SharedPool>,
     epoch: Instant,
     #[cfg(feature = "race-detect")]
     races: Mutex<Vec<crate::race::RaceReport>>,
@@ -195,13 +195,15 @@ impl Cluster {
             }
             other => other.clone(),
         };
-        let dfs = Dfs::from_backend(&backend, config.dfs_capacity_bytes)?;
+        let pool = Arc::new(SharedPool::new(config.threads));
+        let mut dfs = Dfs::from_backend(&backend, config.dfs_capacity_bytes)?;
+        dfs.pool = Some(Arc::clone(&pool));
         Ok(Cluster {
             config,
             dfs,
             metrics: Mutex::new(RunMetrics::default()),
             batch_reports: Mutex::new(Vec::new()),
-            pool: OnceLock::new(),
+            pool,
             epoch: Instant::now(),
             #[cfg(feature = "race-detect")]
             races: Mutex::new(Vec::new()),
@@ -227,13 +229,13 @@ impl Cluster {
         &self.dfs
     }
 
-    /// The persistent worker pool backing this cluster's jobs, created on
-    /// first use. The pool holds `threads - 1` threads because the thread
-    /// submitting a job always participates as an executor; with
-    /// `threads <= 1` the pool is empty and jobs run inline.
+    /// The persistent worker pool backing this cluster's jobs — and its
+    /// DFS's block-parallel spills and reloads — created on first use. The
+    /// pool holds `threads - 1` threads because the thread submitting a
+    /// job always participates as an executor; with `threads <= 1` the
+    /// pool is empty and jobs run inline.
     pub fn pool(&self) -> &WorkerPool {
-        self.pool
-            .get_or_init(|| WorkerPool::new(self.config.threads.saturating_sub(1)))
+        self.pool.get()
     }
 
     /// Record a finished job's metrics.

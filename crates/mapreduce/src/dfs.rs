@@ -19,22 +19,30 @@
 //!   later reads reload them from the store through the page cache. A
 //!   restarted process reopens the same directory and finds every
 //!   committed dataset again — the property the chaos harness's
-//!   kill-and-reexec scenario asserts.
+//!   kill-and-reexec scenario asserts. A dataset goes to the store as HDFS
+//!   blocks — runs of whole records, ~256 KiB raw each, compressed and
+//!   checksummed one by one — and both directions work a block at a time
+//!   on every executor of the owning cluster's pool: a reload `pread`s,
+//!   verifies, decodes and parses each block straight into the records it
+//!   returns, never holding the dataset's bytes.
 //!
 //! Both backends enforce the same aggregate capacity: a `put` that would
 //! push live bytes past `capacity_bytes` fails with the typed
 //! [`crate::MrError::SpillCapacityExceeded`] on either backend, so budget
 //! property tests can hold the two to identical behaviour.
 
-use crate::persist::{decode_records, encode_records, Persist};
+use crate::persist::Persist;
+use crate::pool::SharedPool;
 use crate::size::{slice_est_bytes, EstimateSize};
-use haten2_blockstore::{BlockStore, Codec, StoreOptions};
+use haten2_blockstore::{
+    BlockBuf, BlockDirectory, BlockStore, Codec, EncodedBlock, StoreOptions, BLOCK_TARGET_BYTES,
+};
 use std::any::Any;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::sync::RwLock;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Which storage backend a [`Dfs`] (and therefore a cluster) runs on.
 #[derive(Debug, Clone, Default)]
@@ -52,8 +60,9 @@ pub enum DfsBackend {
 pub struct DurableConfig {
     /// Directory holding the block store (segments + manifest).
     pub dir: PathBuf,
-    /// Preferred per-block codec (falls back to raw per block when the
-    /// encoding does not shrink).
+    /// Preferred codec of the ~256 KiB record-aligned blocks a dataset is
+    /// stored as; each block falls back to raw on its own when the
+    /// encoding does not shrink it (every `f64` factor block does).
     pub codec: Codec,
     /// Resident-cache budget in estimated bytes: when the sum of
     /// in-memory dataset copies exceeds this, LRU datasets are spilled
@@ -258,6 +267,9 @@ pub struct Dfs {
     /// Logical clock stamped onto datasets at access time (LRU order).
     clock: AtomicU64,
     durable: Option<DurableState>,
+    /// The owning cluster's pool, which block-parallel spills and reloads
+    /// run on; a `Dfs` built on its own has none and works inline.
+    pub(crate) pool: Option<Arc<SharedPool>>,
 }
 
 impl Dfs {
@@ -318,6 +330,7 @@ impl Dfs {
                 reload_events: AtomicUsize::new(0),
                 reloaded_bytes: AtomicUsize::new(0),
             }),
+            pool: None,
         })
     }
 
@@ -351,6 +364,14 @@ impl Dfs {
         #[cfg(feature = "race-detect")]
         crate::race::ambient_write(name);
         let bytes = slice_est_bytes(&records);
+        // Encode before taking the namespace lock: the pool broadcast
+        // inside helps drain other jobs' queued tasks while it waits, and
+        // one of those reading this DFS under our write lock would
+        // deadlock.
+        let blocks = self
+            .durable
+            .as_ref()
+            .map(|d| self.encode_blocks(&d.store, &records));
         let mut guard = self.datasets.write().expect("dfs lock poisoned");
 
         // Capacity is checked on live bytes *after* replacement: putting a
@@ -371,16 +392,9 @@ impl Dfs {
         // Durable write-through: the store commits (segment fsync, then
         // manifest append) before the namespace switches generations, so a
         // crash mid-put leaves the previous generation intact.
-        if let Some(d) = &self.durable {
-            let raw = encode_records(records.as_slice());
+        if let (Some(d), Some(blocks)) = (&self.durable, blocks) {
             d.store
-                .put(
-                    name,
-                    &T::type_tag(),
-                    &raw,
-                    records.len() as u64,
-                    bytes as u64,
-                )
+                .put_blocks(name, &T::type_tag(), &blocks, bytes as u64)
                 .map_err(|e| storage_error(name, "put", &e))?;
         }
 
@@ -400,6 +414,69 @@ impl Dfs {
         self.live_bytes.store(live_after, Ordering::Relaxed);
         self.enforce_budget(&mut guard, name);
         Ok(bytes)
+    }
+
+    /// Run `task` over `blocks` block indices cut into one contiguous range
+    /// per executor of the cluster's pool (at most `ClusterConfig.threads`,
+    /// at most one per block), and return the results in block order.
+    /// Without a pool, with one thread or with one block this is a plain
+    /// call on the caller; the work done is the same either way.
+    fn per_block_range<R: Send>(
+        &self,
+        blocks: usize,
+        task: &(dyn Fn(Range<usize>) -> R + Sync),
+    ) -> Vec<R> {
+        let threads = self.pool.as_ref().map_or(1, |p| p.threads());
+        let ranges = threads.min(blocks).max(1);
+        let slots: Vec<Mutex<Option<R>>> = (0..ranges).map(|_| Mutex::new(None)).collect();
+        // Ranges are claimed, not assigned: an executor the pool could not
+        // start (its worker is inside another job) costs nothing, the
+        // others take its range.
+        let next = AtomicUsize::new(0);
+        let drain = |_executor: usize| loop {
+            let r = next.fetch_add(1, Ordering::Relaxed);
+            if r >= ranges {
+                break;
+            }
+            let result = task(blocks * r / ranges..blocks * (r + 1) / ranges);
+            *slots[r].lock().expect("range slot poisoned") = Some(result);
+        };
+        match &self.pool {
+            Some(pool) if ranges > 1 => pool.get().broadcast(ranges, &drain),
+            _ => drain(0),
+        }
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("range slot poisoned")
+                    .expect("every range is claimed before the broadcast returns")
+            })
+            .collect()
+    }
+
+    /// Serialize, compress and checksum `records` as the blocks the store
+    /// will append.
+    fn encode_blocks<T>(&self, store: &BlockStore, records: &[T]) -> Vec<EncodedBlock<'static>>
+    where
+        T: EstimateSize + Persist + Sync,
+    {
+        let cuts = block_cuts(records);
+        let encode_range = |range: Range<usize>| {
+            let mut raw = Vec::with_capacity(BLOCK_TARGET_BYTES);
+            let mut encoded = Vec::with_capacity(range.len());
+            for b in range {
+                let block = &records[cuts[b]..cuts[b + 1]];
+                raw.clear();
+                for record in block {
+                    record.write_record(&mut raw);
+                }
+                encoded.push(store.encode_block(&raw, block.len() as u64).into_owned());
+            }
+            encoded
+        };
+        let ranges = self.per_block_range(cuts.len() - 1, &encode_range);
+        ranges.into_iter().flatten().collect()
     }
 
     /// Spill least-recently-used resident datasets until the resident set
@@ -527,25 +604,22 @@ impl Dfs {
             // A spilled entry can only exist on the durable backend.
             return Ok(None);
         };
-        let Some(blob) = d
-            .store
-            .get(name)
-            .map_err(|e| storage_error(name, "get", &e))?
-        else {
+        let Some(meta) = d.store.meta(name) else {
             return Ok(None);
         };
-        if blob.meta.type_tag != T::type_tag() {
-            // Same semantics as a wrong-type downcast in memory mode.
+        if meta.type_tag != T::type_tag() {
+            // Same semantics as a wrong-type downcast in memory mode: the
+            // manifest answers the probe, no segment is read.
             return Ok(None);
         }
-        let records =
-            decode_records::<T>(&blob.bytes).map_err(|detail| crate::MrError::StorageFailed {
-                dataset: name.to_string(),
-                op: "decode",
-                detail,
-            })?;
+        let dir = d
+            .store
+            .directory(name, meta)
+            .map_err(|e| storage_error(name, "get", &e))?;
+        let records = self.decode_blocks::<T>(&d.store, name, &dir)?;
+        d.store.record_read(&dir);
         let typed = Arc::new(records);
-        let est = usize::try_from(blob.meta.est_bytes).unwrap_or(usize::MAX);
+        let est = usize::try_from(dir.meta().est_bytes).unwrap_or(usize::MAX);
         d.reload_events.fetch_add(1, Ordering::Relaxed);
         d.reloaded_bytes.fetch_add(est, Ordering::Relaxed);
 
@@ -573,6 +647,83 @@ impl Dfs {
         drop(guard);
         self.bytes_read.fetch_add(metered, Ordering::Relaxed);
         Ok(Some(typed))
+    }
+
+    /// Read every block of `dir` and parse it into records, a contiguous
+    /// range of blocks per executor. Each executor reads into its own two
+    /// block-sized buffers and pushes records into a `Vec` sized from the
+    /// directory's record counts; the first range's `Vec` has room for the
+    /// whole dataset and the others are appended to it, so the result does
+    /// not depend on how many executors there were.
+    fn decode_blocks<T>(
+        &self,
+        store: &BlockStore,
+        name: &str,
+        dir: &BlockDirectory,
+    ) -> crate::Result<Vec<T>>
+    where
+        T: Persist + Send,
+    {
+        let malformed = |detail: String| crate::MrError::StorageFailed {
+            dataset: name.to_string(),
+            op: "decode",
+            detail,
+        };
+        let entries = dir.entries();
+        // Bound the reservation by the data: a record of a sized type
+        // occupies at least one wire byte.
+        let sized = std::mem::size_of::<T>() > 0;
+        if let Some(b) = (entries.iter()).position(|e| sized && e.records > e.raw_len) {
+            return Err(malformed(format!(
+                "block {b} declares {} records in {} bytes",
+                entries[b].records, entries[b].raw_len
+            )));
+        }
+        let records_in = |range: Range<usize>| {
+            let records: u64 = entries[range].iter().map(|e| e.records).sum();
+            usize::try_from(records).unwrap_or(usize::MAX)
+        };
+        let total = records_in(0..entries.len());
+        let decode_range = |range: Range<usize>| -> crate::Result<Vec<T>> {
+            let capacity = if range.start == 0 {
+                total
+            } else {
+                records_in(range.clone())
+            };
+            let mut out = Vec::with_capacity(capacity);
+            let mut buf = BlockBuf::default();
+            for b in range {
+                let raw = store
+                    .read_block(dir, b, &mut buf)
+                    .map_err(|e| storage_error(name, "get", &e))?;
+                let mut pos = 0usize;
+                for _ in 0..entries[b].records {
+                    let record = T::read_record(raw, &mut pos).ok_or_else(|| {
+                        malformed(format!(
+                            "malformed {} record at byte {pos} of block {b}",
+                            T::type_tag()
+                        ))
+                    })?;
+                    out.push(record);
+                }
+                if pos != raw.len() {
+                    return Err(malformed(format!(
+                        "block {b} holds {} bytes past its {} records",
+                        raw.len() - pos,
+                        entries[b].records
+                    )));
+                }
+            }
+            Ok(out)
+        };
+        let mut ranges = self
+            .per_block_range(entries.len(), &decode_range)
+            .into_iter();
+        let mut records = ranges.next().expect("at least one range")?;
+        for range in ranges {
+            records.append(&mut range?);
+        }
+        Ok(records)
     }
 
     /// Fetch a dataset by name. Returns `None` when missing, when the
@@ -731,6 +882,35 @@ impl Dfs {
     ) -> Option<std::collections::BTreeMap<String, haten2_blockstore::DatasetIo>> {
         self.durable.as_ref().map(|d| d.store.dataset_io())
     }
+}
+
+/// Where `records` is cut into blocks: `cuts[b]..cuts[b + 1]` is block
+/// `b`, a run of whole records closed by the first one that takes its
+/// estimated wire bytes to [`BLOCK_TARGET_BYTES`] (so a record larger than
+/// the target still fits, in a larger block). Depends on the records only
+/// — never on the thread count — so a dataset has one on-disk form.
+fn block_cuts<T: EstimateSize>(records: &[T]) -> Vec<usize> {
+    let mut cuts = vec![0];
+    match T::FIXED_BYTES {
+        Some(width) => {
+            let per_block = (BLOCK_TARGET_BYTES / width.max(1)).max(1);
+            cuts.extend((per_block..records.len()).step_by(per_block));
+        }
+        None => {
+            let mut block_bytes = 0usize;
+            for (i, record) in records.iter().enumerate() {
+                if block_bytes >= BLOCK_TARGET_BYTES {
+                    cuts.push(i);
+                    block_bytes = 0;
+                }
+                block_bytes += record.est_bytes();
+            }
+        }
+    }
+    if !records.is_empty() {
+        cuts.push(records.len());
+    }
+    cuts
 }
 
 fn storage_error(dataset: &str, op: &'static str, e: &std::io::Error) -> crate::MrError {
@@ -1223,6 +1403,58 @@ mod tests {
         assert_eq!(stats.puts, 1);
         assert_eq!(stats.gets, 2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wrong_type_probe_of_a_spilled_dataset_is_not_a_disk_read() {
+        let dir = tmpdir("probe");
+        let cfg = DurableConfig::new(&dir).memory_budget(0); // everything spills
+        let dfs = Dfs::durable(&cfg, None).unwrap();
+        dfs.put("t", vec![((1u64, 2u64, 3u64, 0u64), 1.5f64); 50])
+            .unwrap();
+        let before = (
+            dfs.durable_dataset_io().unwrap(),
+            dfs.store_stats().unwrap(),
+            dfs.spill_stats(),
+            dfs.total_bytes_read(),
+            dfs.reads_of("t"),
+        );
+        assert!(dfs.get::<u8>("t").is_none());
+        assert!(dfs.get_required::<(u64, f64)>("job", "t").is_err());
+        let after = (
+            dfs.durable_dataset_io().unwrap(),
+            dfs.store_stats().unwrap(),
+            dfs.spill_stats(),
+            dfs.total_bytes_read(),
+            dfs.reads_of("t"),
+        );
+        assert_eq!(before, after);
+        // The right type still reads, and is metered.
+        assert_eq!(
+            dfs.get::<((u64, u64, u64, u64), f64)>("t").unwrap().len(),
+            50
+        );
+        assert_eq!(dfs.store_stats().unwrap().gets, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn block_cuts_fall_on_record_boundaries_near_the_target() {
+        // Fixed width: arithmetic.
+        let per_block = BLOCK_TARGET_BYTES / 8;
+        assert_eq!(block_cuts::<u64>(&[]), vec![0]);
+        assert_eq!(block_cuts(&vec![0u64; per_block]), vec![0, per_block]);
+        assert_eq!(
+            block_cuts(&vec![0u64; 2 * per_block + 1]),
+            vec![0, per_block, 2 * per_block, 2 * per_block + 1]
+        );
+        assert_eq!(block_cuts(&[(); 5]), vec![0, 5]);
+        // Variable width: a block closes at the first record that takes it
+        // to the target, however far past — an oversized record too.
+        let small = "x".repeat(BLOCK_TARGET_BYTES / 2 - 4); // est = target / 2
+        let giant = "y".repeat(3 * BLOCK_TARGET_BYTES);
+        let records = vec![small.clone(), small.clone(), small.clone(), giant, small];
+        assert_eq!(block_cuts(&records), vec![0, 2, 4, 5]);
     }
 
     #[test]

@@ -33,7 +33,9 @@ pub trait Persist: Sized {
 /// Encode a record slice into one contiguous byte payload.
 #[must_use]
 pub fn encode_records<T: Persist>(records: &[T]) -> Vec<u8> {
-    let mut out = Vec::new();
+    // Exact for the fixed-width numeric tuples this workload is made of
+    // (their wire form is as wide as they are in memory, padding aside).
+    let mut out = Vec::with_capacity(std::mem::size_of_val(records));
     for r in records {
         r.write_record(&mut out);
     }
@@ -43,7 +45,9 @@ pub fn encode_records<T: Persist>(records: &[T]) -> Vec<u8> {
 /// Decode a payload produced by [`encode_records`]. Fails on truncation,
 /// malformed records, or trailing bytes.
 pub fn decode_records<T: Persist>(bytes: &[u8]) -> Result<Vec<T>, String> {
-    let mut out = Vec::new();
+    // Exact for fixed-width tuples, and never a reservation larger than
+    // the payload itself, so a corrupt payload cannot inflate it.
+    let mut out = Vec::with_capacity(bytes.len() / std::mem::size_of::<T>().max(1));
     let mut pos = 0usize;
     while pos < bytes.len() {
         let before = pos;

@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -224,6 +224,39 @@ impl WorkerPool {
         if let Some(payload) = worker_panic {
             resume_unwind(payload);
         }
+    }
+}
+
+/// The pool of one cluster, spawned on first use and shared (`Arc`) by the
+/// [`crate::Cluster`] and its [`crate::Dfs`]: jobs and block-parallel
+/// dataset I/O draw on the same `threads`, never on more.
+#[derive(Debug)]
+pub(crate) struct SharedPool {
+    threads: usize,
+    pool: OnceLock<WorkerPool>,
+}
+
+impl SharedPool {
+    /// A pool serving `threads` executors, the caller included; nothing is
+    /// spawned yet.
+    pub(crate) fn new(threads: usize) -> Self {
+        SharedPool {
+            threads,
+            pool: OnceLock::new(),
+        }
+    }
+
+    /// Executors a full-width broadcast on this pool runs.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads.max(1)
+    }
+
+    /// The pool itself: `threads - 1` workers, because the broadcasting
+    /// thread always participates; with `threads <= 1` it is empty and
+    /// broadcasts run inline.
+    pub(crate) fn get(&self) -> &WorkerPool {
+        self.pool
+            .get_or_init(|| WorkerPool::new(self.threads.saturating_sub(1)))
     }
 }
 

@@ -2,14 +2,25 @@
 //! observationally equivalent to the in-memory backend — same data, same
 //! typed errors, same capacity arithmetic — for every input we can throw
 //! at it. Durability may change *where* bytes live, never behaviour.
+//!
+//! The second half holds the durable backend's block layout to the same
+//! standard: datasets of every block count and record shape reload bit
+//! for bit, a damaged block or directory is a typed error naming the
+//! dataset, and neither the records nor a single counter depend on how
+//! many threads decoded the blocks (the `reload_*` tests run under TSan in
+//! `scripts/check.sh --sanitize`).
 
 #![allow(clippy::unwrap_used)]
 
+use haten2_blockstore::segment::segment_file_name;
+use haten2_blockstore::{BlockStore, StoreOptions, BLOCK_TARGET_BYTES};
 use haten2_mapreduce::{
-    run_job_dfs, Cluster, ClusterConfig, Dfs, DfsBackend, DurableConfig, JobSpec, MrError,
+    run_job, run_job_dfs, Cluster, ClusterConfig, Dfs, DfsBackend, DurableConfig, EstimateSize,
+    JobSpec, MrError, Persist,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Barrier;
 
 fn tmp_dir(tag: u64) -> PathBuf {
     std::env::temp_dir().join(format!("haten2-backend-eq-{tag}-{}", std::process::id()))
@@ -129,4 +140,283 @@ proptest! {
         drop(dur);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("haten2-blocks-eq-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A durable cluster that keeps nothing resident, so every get reloads.
+fn spilling_cluster(dir: &Path, threads: usize) -> Cluster {
+    Cluster::new(ClusterConfig {
+        threads,
+        dfs: DfsBackend::Durable(DurableConfig::new(dir).memory_budget(0)),
+        ..ClusterConfig::with_machines(2)
+    })
+}
+
+/// How many 16-byte [`tensor_like`] records fill four and a half blocks.
+const FIVE_BLOCKS: u64 = (BLOCK_TARGET_BYTES / 16 * 9 / 2) as u64;
+
+/// Index-heavy records whose middle third is incompressible, so a
+/// many-block dataset has blocks of both codecs.
+fn tensor_like(n: u64) -> Vec<(u64, f64)> {
+    (0..n)
+        .map(|i| {
+            let dense = (n / 3..2 * n / 3).contains(&i);
+            let key = if dense {
+                i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
+            } else {
+                i % 977
+            };
+            (
+                key,
+                f64::from_bits(key.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 2),
+            )
+        })
+        .collect()
+}
+
+/// Put on both backends, reopen the durable one (a dataset of zero
+/// estimated bytes is never spilled, but after a restart nothing is
+/// resident), reload from segments, compare; returns the dataset's block
+/// count as the store recorded it.
+fn roundtrip<T>(tag: &str, records: Vec<T>) -> u64
+where
+    T: EstimateSize + Persist + Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static,
+{
+    let dir = fresh_dir(tag);
+    let mem = Dfs::new();
+    let dur = durable_dfs(&dir, None, Some(0));
+    assert_eq!(
+        mem.put("r", records.clone()).unwrap(),
+        dur.put("r", records.clone()).unwrap()
+    );
+    drop(dur);
+    let dur = durable_dfs(&dir, None, Some(0));
+    let back = dur.get::<T>("r").unwrap();
+    assert_eq!(*back, *mem.get::<T>("r").unwrap(), "{tag}");
+    assert_eq!(
+        dur.spill_stats().reload_events,
+        1,
+        "{tag}: served from segments"
+    );
+    drop(dur);
+    let store = BlockStore::open(StoreOptions::new(&dir)).unwrap();
+    let meta = store.meta("r").unwrap();
+    assert_eq!(meta.records, records.len() as u64, "{tag}");
+    std::fs::remove_dir_all(&dir).unwrap();
+    meta.blocks
+}
+
+#[test]
+fn datasets_of_every_block_count_and_record_shape_roundtrip() {
+    let per_block = (BLOCK_TARGET_BYTES / 8) as u64;
+    assert_eq!(roundtrip::<u64>("empty", vec![]), 0);
+    assert_eq!(roundtrip("one", vec![(7u64, -0.0f64)]), 1);
+    assert_eq!(roundtrip("exact", (0..per_block).collect::<Vec<u64>>()), 1);
+    assert_eq!(
+        roundtrip("exact+1", (0..=per_block).collect::<Vec<u64>>()),
+        2
+    );
+    assert_eq!(roundtrip("many", tensor_like(FIVE_BLOCKS)), 5);
+    // Variable-width records: a block ends where a record ends.
+    let strings: Vec<String> = (0..3000u32)
+        .map(|i| format!("{i:04}-").repeat(1 + (i as usize * 37) % 400))
+        .collect();
+    let string_bytes: usize = strings.iter().map(EstimateSize::est_bytes).sum();
+    let blocks = roundtrip("strings", strings);
+    assert!(blocks >= 2 && blocks as usize <= string_bytes / BLOCK_TARGET_BYTES + 1);
+    let vecs: Vec<Vec<u64>> = (0..2000u64).map(|i| (0..i % 300).collect()).collect();
+    assert!(roundtrip("vecs", vecs) >= 2);
+    // A record larger than the block target gets a block to itself.
+    let giant: Vec<u64> = (0..(BLOCK_TARGET_BYTES as u64 / 4)).collect();
+    assert_eq!(
+        roundtrip("giant", vec![vec![1u64], giant.clone(), vec![2], giant]),
+        2
+    );
+    assert_eq!(
+        roundtrip("options", vec![Some((1u64, "a".to_string())), None]),
+        1
+    );
+    // Zero-width records have no bytes to cut at; their count survives.
+    assert_eq!(roundtrip("units", vec![(); 1000]), 1);
+}
+
+/// One way to damage a segment file.
+#[derive(Debug)]
+enum Damage {
+    /// Flip one bit of the byte at this offset.
+    Flip(usize),
+    /// Cut the file off at this offset.
+    Truncate(usize),
+}
+
+/// Damage the one segment of `dir` in each of the ways given, one at a
+/// time, and check every read of dataset `t` fails as a storage error
+/// naming it.
+fn assert_damage_is_detected(dir: &Path, damage: &[(String, Damage)]) {
+    let seg = dir.join(segment_file_name(0));
+    let pristine = std::fs::read(&seg).unwrap();
+    for (what, damage) in damage {
+        let mut bytes = pristine.clone();
+        match *damage {
+            Damage::Flip(at) => bytes[at] ^= 0x01,
+            Damage::Truncate(at) => bytes.truncate(at),
+        }
+        std::fs::write(&seg, &bytes).unwrap();
+        for threads in [1, 3] {
+            let cluster = spilling_cluster(dir, threads);
+            match cluster.dfs().get_required::<(u64, f64)>("job", "t") {
+                Err(MrError::StorageFailed { dataset, .. }) => assert_eq!(dataset, "t", "{what}"),
+                other => panic!("{what} ({threads} threads): {:?}", other.map(|r| r.len())),
+            }
+            assert!(cluster.dfs().get::<(u64, f64)>("t").is_none(), "{what}");
+            let stats = cluster.dfs().store_stats().unwrap();
+            assert_eq!(
+                (stats.gets, stats.raw_bytes_read),
+                (0, 0),
+                "{what}: a failed read is not metered"
+            );
+        }
+    }
+    std::fs::write(&seg, &pristine).unwrap();
+}
+
+#[test]
+fn damage_to_any_block_or_the_directory_is_a_storage_error_naming_the_dataset() {
+    let dir = fresh_dir("damage");
+    let records = tensor_like(FIVE_BLOCKS);
+    spilling_cluster(&dir, 1)
+        .dfs()
+        .put("t", records.clone())
+        .unwrap();
+    let store = BlockStore::open(StoreOptions::new(&dir)).unwrap();
+    let meta = store.meta("t").unwrap();
+    let directory = store.directory("t", meta.clone()).unwrap();
+    drop(store);
+    let stored: Vec<usize> = (directory.entries().iter())
+        .map(|e| e.stored_len as usize)
+        .collect();
+    assert_eq!(stored.len(), 5);
+    let base = meta.offset as usize;
+    let dir_len = meta.stored_len as usize - stored.iter().sum::<usize>();
+
+    let mut damage = vec![
+        ("directory, first byte".to_string(), Damage::Flip(base)),
+        (
+            "directory, last byte".to_string(),
+            Damage::Flip(base + dir_len - 1),
+        ),
+    ];
+    let mut at = base + dir_len;
+    for (b, len) in stored.iter().enumerate() {
+        for off in [0, len / 2, len - 1] {
+            damage.push((format!("block {b} + {off}"), Damage::Flip(at + off)));
+        }
+        // The extent ends here: this block and all after it are gone.
+        damage.push((format!("cut before block {b}"), Damage::Truncate(at)));
+        at += len;
+    }
+    assert_damage_is_detected(&dir, &damage);
+
+    // Undamaged again, the same bytes serve the records.
+    let cluster = spilling_cluster(&dir, 3);
+    assert_eq!(*cluster.dfs().get::<(u64, f64)>("t").unwrap(), records);
+    drop(cluster);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn reload_is_identical_at_one_two_and_four_threads() {
+    let records = tensor_like(4 * FIVE_BLOCKS);
+    let run = |threads: usize| {
+        let dir = fresh_dir(&format!("threads{threads}"));
+        let cluster = spilling_cluster(&dir, threads);
+        cluster.dfs().put("t", records.clone()).unwrap();
+        cluster.dfs().put("one-block", vec![1u64, 2, 3]).unwrap();
+        for _ in 0..3 {
+            assert_eq!(*cluster.dfs().get::<(u64, f64)>("t").unwrap(), records);
+        }
+        assert_eq!(
+            *cluster.dfs().get::<u64>("one-block").unwrap(),
+            vec![1, 2, 3]
+        );
+        let dfs = cluster.dfs();
+        let counters = (
+            dfs.store_stats().unwrap(),
+            dfs.durable_dataset_io().unwrap(),
+            dfs.spill_stats(),
+            dfs.total_bytes_read(),
+        );
+        drop(cluster);
+        std::fs::remove_dir_all(&dir).unwrap();
+        counters
+    };
+    let one = run(1);
+    assert_eq!(one.0.gets, 4);
+    assert_eq!(
+        one.1["t"].bytes_read,
+        3 * 16 * 4 * FIVE_BLOCKS,
+        "payload only, no directory"
+    );
+    assert_eq!(one, run(2));
+    assert_eq!(one, run(4));
+}
+
+#[test]
+fn reload_of_one_spilled_dataset_from_two_threads_at_once() {
+    let dir = fresh_dir("concurrent");
+    let records = tensor_like(4 * FIVE_BLOCKS);
+    let cluster = spilling_cluster(&dir, 2);
+    cluster.dfs().put("t", records.clone()).unwrap();
+    let start = Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let reader = || {
+            s.spawn(|| {
+                start.wait();
+                cluster.dfs().get_required::<(u64, f64)>("reader", "t")
+            })
+        };
+        let (a, b) = (reader(), reader());
+        (a.join().unwrap().unwrap(), b.join().unwrap().unwrap())
+    });
+    assert_eq!(*a, records);
+    assert_eq!(*b, records);
+    assert_eq!(cluster.dfs().reads_of("t"), Some(2));
+    assert_eq!(cluster.dfs().store_stats().unwrap().gets, 2);
+    drop(cluster);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn reload_from_inside_a_running_job_nests_in_the_pool() {
+    let dir = fresh_dir("nested");
+    let records = tensor_like(4 * FIVE_BLOCKS);
+    let cluster = spilling_cluster(&dir, 4);
+    cluster.dfs().put("t", records.clone()).unwrap();
+    let want: u64 = records.iter().fold(0, |h, r| h.wrapping_mul(31) ^ r.0);
+    // Four map tasks on a four-executor pool, each reloading the
+    // many-block dataset: every reload's broadcast is issued from inside
+    // another broadcast.
+    let probes: Vec<(u64, u64)> = (0..4).map(|i| (i, i)).collect();
+    let out = run_job(
+        &cluster,
+        JobSpec::named("probe"),
+        &probes,
+        |k: &u64, _: &u64, emit| {
+            let t = cluster.dfs().get_required::<(u64, f64)>("probe", "t");
+            let digest = t.map(|t| t.iter().fold(0u64, |h, r| h.wrapping_mul(31) ^ r.0));
+            emit(*k, digest.unwrap_or(0));
+        },
+        |k, digests, emit| emit(*k, digests[0]),
+    )
+    .unwrap();
+    assert_eq!(out.len(), 4);
+    assert!(out.iter().all(|&(_, digest)| digest == want));
+    assert_eq!(cluster.dfs().store_stats().unwrap().gets, 4);
+    drop(cluster);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -129,3 +129,44 @@ fn deleted_datasets_stay_deleted_across_restart() {
     drop(cluster);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn blocks_written_by_one_process_are_read_by_the_next() {
+    let dir = tmp_dir("blocks");
+    // ~5 MiB of fixed-width records and ~3 MiB of variable-width ones:
+    // several record-aligned blocks each.
+    let tensor: Vec<((u64, u64, u64, u64), f64)> = (0..130_000u64)
+        .map(|i| ((i % 4099, i % 577, i % 13, 0), i as f64 * 0.25 - 7.0))
+        .collect();
+    let rows: Vec<(u64, Vec<f64>)> = (0..4_000u64)
+        .map(|i| (i, (0..i % 200).map(|j| (i * j) as f64).collect()))
+        .collect();
+    let with_threads = |threads: usize| {
+        Cluster::new(ClusterConfig {
+            threads,
+            dfs: DfsBackend::Durable(DurableConfig::new(&dir)),
+            ..ClusterConfig::with_machines(3)
+        })
+    };
+    {
+        let writer = with_threads(3);
+        writer.dfs().put("tensor", tensor.clone()).unwrap();
+        writer.dfs().put("rows", rows.clone()).unwrap();
+    }
+    // The reader has another thread count: the layout on disk is the
+    // writer's records', not the writer's pool's.
+    for threads in [1, 4] {
+        let reader = with_threads(threads);
+        assert_eq!(reader.dfs().spill_stats().reload_events, 0);
+        let dfs = reader.dfs();
+        assert_eq!(
+            *dfs.get::<((u64, u64, u64, u64), f64)>("tensor").unwrap(),
+            tensor
+        );
+        assert_eq!(*dfs.get::<(u64, Vec<f64>)>("rows").unwrap(), rows);
+        assert_eq!(reader.dfs().spill_stats().reload_events, 2);
+        let io = reader.dfs().durable_dataset_io().unwrap();
+        assert_eq!(io["tensor"].bytes_read, 40 * 130_000);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -13,8 +13,9 @@
 #
 # `--sanitize` runs the dynamic-analysis lane instead: ThreadSanitizer over
 # the concurrency tests (worker pool, arena, DAG scheduler and its per-level
-# pool split, parallel-reduce failure, and the eight pipelines end to end
-# through the one submitter) and Miri over the arena's unsafe core. Both
+# pool split, parallel-reduce failure, the durable DFS's block-parallel
+# reload — concurrent and nested in a job — and the eight pipelines end to
+# end through the one submitter) and Miri over the arena's unsafe core. Both
 # need nightly tooling; each step is skipped with a notice when its
 # toolchain component is absent, so the lane degrades gracefully on
 # stable-only hosts.
@@ -28,20 +29,22 @@ if [[ "${1:-}" == "--sanitize" ]]; then
     fi
     host="$(rustc -vV | sed -n 's/^host: //p')"
     if rustup component list --toolchain nightly 2>/dev/null | grep -q 'rust-src.*(installed)'; then
-        echo "==> TSan: pool/arena/sched/parallel-reduce/pipeline tests (suppressions: scripts/tsan.supp)"
+        echo "==> TSan: pool/arena/sched/parallel-reduce/reload/pipeline tests (suppressions: scripts/tsan.supp)"
         # TSan only instruments our code unless std is rebuilt; harness-internal
         # reports are filtered by the documented suppressions file. The
         # filters are test-name substrings: `level_split` is the per-level
         # pool split (full-pool task broadcasts nested in the scheduler
         # loop; `pool` picks up its pool-stress form), `parallel_reduce`
-        # the `first_failed` atomic of the reduce phase.
+        # the `first_failed` atomic of the reduce phase, `reload` the
+        # durable DFS decoding a spilled dataset's blocks on the shared
+        # pool (thread counts 1/2/4, two readers at once, nested in a job).
         tsan() {
             RUSTFLAGS="-Zsanitizer=thread" \
             TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp" \
             cargo +nightly test -Zbuild-std --target "$host" "$@"
         }
         tsan -p haten2-mapreduce --features race-detect -- pool arena sched race \
-            level_split parallel_reduce
+            level_split parallel_reduce reload
         # Every pipeline (and both sliced merges) under both scheduler
         # modes, with the bit-identity digests still asserted.
         tsan -p haten2-core --test golden_pipelines --test sliced_merge
