@@ -14,11 +14,13 @@
 //! mirroring how the Hadoop implementation kept these on the master; the
 //! optional distributed fit job runs cluster-direct, outside any batch.
 
+use crate::ops::model_inner_product_job;
+use crate::records::tensor_records;
 use crate::tucker::ProjectOptions;
 use crate::{parafac, tucker, CoreError, Result, Variant};
 use haten2_linalg::{leading_left_singular_vectors, pinv, thin_qr, Mat, SubspaceOptions};
 use haten2_mapreduce::{Cluster, RunMetrics};
-use haten2_tensor::{CooTensor3, DenseTensor3};
+use haten2_tensor::{CooTensor3, DenseTensor3, SparseMat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -188,66 +190,112 @@ pub fn parafac_als_with_init(
             Mat::random(dims[2] as usize, rank, &mut rng),
         ]
     });
+    let (lambda, fits, iterations) = parafac_sweeps(
+        &mut factors,
+        x.fro_norm_sq(),
+        (opts.max_iters, opts.tol),
+        |mode, factors| {
+            let (f1, f2) = others_of(factors, mode);
+            parafac::mttkrp(cluster, opts.variant, x, mode, f1, f2)
+        },
+        // ⟨X, X̂⟩ recomputed as a MapReduce job when configured.
+        |factors, lambda| {
+            let job = opts.distributed_fit.then(|| {
+                let (x_records, abc) = (tensor_records(x), [&factors[0], &factors[1], &factors[2]]);
+                model_inner_product_job(cluster, "parafac-fit", &x_records, abc, lambda)
+            });
+            Ok(job.transpose()?)
+        },
+        |sweep, lambda, factors| {
+            let abc = factors.try_into().expect("three factors");
+            crate::checkpoint::maybe_save_parafac(cluster, opts, sweep, lambda, abc)
+        },
+    )?;
+
+    Ok(ParafacResult {
+        lambda,
+        factors,
+        fits,
+        iterations,
+        metrics: cluster.metrics_since(mark),
+    })
+}
+
+/// The factors of the two modes other than `mode`, ascending.
+fn others_of(factors: &[Mat], mode: usize) -> (&Mat, &Mat) {
+    let other = |nth: usize| &factors[nth + usize::from(nth >= mode)];
+    (other(0), other(1))
+}
+
+/// The PARAFAC-ALS loop (Algorithm 1) over any number of modes: the one
+/// body behind [`parafac_als_with_init`] and [`crate::nway::nway_parafac_als`].
+///
+/// The front owns what differs between them. `factors` are its starting
+/// factors, updated in place; `mttkrp(mode, factors)` is its kernel call.
+/// `model_inner(factors, λ)` may supply `⟨X, X̂⟩` from elsewhere (the
+/// distributed fit) — `None` takes it from the sweep's last MTTKRP, which
+/// is free. `sweep_done(sweep, λ, factors)` runs after a sweep's fit is
+/// recorded and before convergence is tested (checkpointing). Returns
+/// `(λ, fits, sweeps run)`.
+pub(crate) fn parafac_sweeps(
+    factors: &mut [Mat],
+    norm_x_sq: f64,
+    (max_iters, tol): (usize, f64),
+    mut mttkrp: impl FnMut(usize, &[Mat]) -> Result<Mat>,
+    mut model_inner: impl FnMut(&[Mat], &[f64]) -> Result<Option<f64>>,
+    mut sweep_done: impl FnMut(usize, &[f64], &[Mat]) -> Result<()>,
+) -> Result<(Vec<f64>, Vec<f64>, usize)> {
+    let last = factors.len() - 1;
+    let rank = factors[last].cols();
+    // Hadamard product of the Gram matrices of every factor but `skip`.
+    let gram_product = |factors: &[Mat], skip: Option<usize>| {
+        let mut grams = (0..factors.len())
+            .filter(|&m| Some(m) != skip)
+            .map(|m| factors[m].gram());
+        let first = grams.next().expect("at least two factors");
+        grams
+            .try_fold(first, |g, next| g.hadamard(&next))
+            .map_err(CoreError::Linalg)
+    };
     let mut lambda = vec![1.0; rank];
-    let norm_x_sq = x.fro_norm_sq();
     let norm_x = norm_x_sq.sqrt();
 
     let mut fits: Vec<f64> = Vec::new();
     let mut iterations = 0;
-    for sweep in 0..opts.max_iters {
+    for sweep in 0..max_iters {
         iterations += 1;
         let mut last_mttkrp: Option<Mat> = None;
-        for mode in 0..3 {
-            let others: Vec<usize> = (0..3).filter(|&m| m != mode).collect();
-            let m = parafac::mttkrp(
-                cluster,
-                opts.variant,
-                x,
-                mode,
-                &factors[others[0]],
-                &factors[others[1]],
-            )?;
-            // (F₁ᵀF₁ * F₂ᵀF₂)†
-            let g = factors[others[0]]
-                .gram()
-                .hadamard(&factors[others[1]].gram())
-                .map_err(CoreError::Linalg)?;
-            let updated = m.matmul(&pinv(&g)?).map_err(CoreError::Linalg)?;
-            factors[mode] = updated;
+        for mode in 0..=last {
+            let m = mttkrp(mode, factors)?;
+            // (F₁ᵀF₁ * F₂ᵀF₂ * …)†
+            let g = gram_product(factors, Some(mode))?;
+            factors[mode] = m.matmul(&pinv(&g)?).map_err(CoreError::Linalg)?;
             lambda = factors[mode].normalize_columns();
-            if mode == 2 {
+            // Only the last is kept: an earlier `M` held across the next
+            // kernel call would sit under its peak memory.
+            if mode == last {
                 last_mttkrp = Some(m);
             }
         }
 
-        // Fit: ⟨X, X̂⟩ either from the last MTTKRP (driver-side, free) or
-        // recomputed as a MapReduce job when configured.
-        let inner = if opts.distributed_fit {
-            let x_records = crate::records::tensor_records(x);
-            crate::ops::model_inner_product_job(
-                cluster,
-                "parafac-fit",
-                &x_records,
-                [&factors[0], &factors[1], &factors[2]],
-                &lambda,
-            )?
-        } else {
-            let m = last_mttkrp.as_ref().expect("three modes were swept");
-            let c = &factors[2];
-            let mut inner = 0.0;
-            for k in 0..c.rows() {
-                for (r, &l) in lambda.iter().enumerate() {
-                    inner += m.get(k, r) * c.get(k, r) * l;
+        // Fit: ⟨X, X̂⟩ from the last MTTKRP (driver-side, free) unless the
+        // front computes it.
+        let inner = match model_inner(factors, &lambda)? {
+            Some(inner) => inner,
+            None => {
+                let m = last_mttkrp.as_ref().expect("every mode was swept");
+                let c = &factors[last];
+                let mut inner = 0.0;
+                for k in 0..c.rows() {
+                    for (r, &l) in lambda.iter().enumerate() {
+                        inner += m.get(k, r) * c.get(k, r) * l;
+                    }
                 }
+                inner
             }
-            inner
         };
-        // ‖X̂‖² = λᵀ (AᵀA * BᵀB * CᵀC) λ.
-        let g_all = factors[0]
-            .gram()
-            .hadamard(&factors[1].gram())
-            .and_then(|g| g.hadamard(&factors[2].gram()))
-            .map_err(CoreError::Linalg)?;
+        // ‖X̂‖² = λᵀ (AᵀA * BᵀB * CᵀC * …) λ.
+        let g_all = gram_product(factors, None)?;
         let mut norm_model_sq = 0.0;
         for r in 0..rank {
             for s in 0..rank {
@@ -262,21 +310,14 @@ pub fn parafac_als_with_init(
         };
         let prev = fits.last().copied();
         fits.push(fit);
-        crate::checkpoint::maybe_save_parafac(cluster, opts, sweep, &lambda, &factors)?;
+        sweep_done(sweep, &lambda, factors)?;
         if let Some(p) = prev {
-            if (fit - p).abs() < opts.tol {
+            if (fit - p).abs() < tol {
                 break;
             }
         }
     }
-
-    Ok(ParafacResult {
-        lambda,
-        factors,
-        fits,
-        iterations,
-        metrics: cluster.metrics_since(mark),
-    })
+    Ok((lambda, fits, iterations))
 }
 
 /// Result of [`tucker_als`].
@@ -370,76 +411,142 @@ pub fn tucker_als_with_init(
         ],
     };
     let norm_x_sq = x.fro_norm_sq();
-    let norm_x = norm_x_sq.sqrt();
     let project_opts = ProjectOptions {
         use_combiner: opts.use_combiner,
     };
+    let (core, core_norms, iterations) = tucker_sweeps(
+        &mut factors,
+        &core_dims,
+        norm_x_sq.sqrt(),
+        (opts.max_iters, opts.tol),
+        (opts.seed, opts.first_sweep),
+        |mode, factors| {
+            let (f1, f2) = others_of(factors, mode);
+            let (u1, u2) = (f1.transpose(), f2.transpose());
+            tucker::project(cluster, opts.variant, x, mode, &u1, &u2, &project_opts)
+        },
+        |sweep, core, factors| {
+            let abc = factors.try_into().expect("three factors");
+            crate::checkpoint::maybe_save_tucker(cluster, opts, sweep, core, abc)
+        },
+    )?;
 
+    Ok(TuckerResult {
+        core: core.unwrap_or_else(|| DenseTensor3::zeros(core_dims)),
+        factors,
+        fit: tucker_fit(norm_x_sq, &core_norms),
+        core_norms,
+        iterations,
+        metrics: cluster.metrics_since(mark),
+    })
+}
+
+/// What the Tucker-ALS loop reads of a projection `Y` whose first mode is
+/// the target mode and whose other modes are the other factors' columns,
+/// ascending.
+pub(crate) trait Projection {
+    /// The core tensor this projection contracts to.
+    type Core;
+
+    /// `Y₍₀₎`, sparse.
+    fn unfold(&self) -> Result<SparseMat>;
+
+    /// For the sweep's last projection — mode `N−1` leading, then
+    /// `q₀ … q_{N−2}` — and that mode's new factor `u`: the core
+    /// `G(q₀ … q_{N−1}) = Σ_k Y(k, q₀ … q_{N−2})·u(k, q_{N−1})`, with `‖G‖`.
+    fn core(&self, u: &Mat, core_dims: &[usize]) -> Result<(Self::Core, f64)>;
+}
+
+impl Projection for CooTensor3 {
+    type Core = DenseTensor3;
+
+    fn unfold(&self) -> Result<SparseMat> {
+        Ok(self.matricize(0)?)
+    }
+
+    fn core(&self, c: &Mat, core_dims: &[usize]) -> Result<(DenseTensor3, f64)> {
+        let core_dims: [usize; 3] = core_dims.try_into().expect("three core dims");
+        let mut core = DenseTensor3::zeros(core_dims);
+        for e in self.entries() {
+            let (k, p, q) = (e.i as usize, e.j as usize, e.k as usize);
+            for r in 0..core_dims[2] {
+                core.add_at(p, q, r, e.v * c.get(k, r));
+            }
+        }
+        let norm = core.fro_norm();
+        Ok((core, norm))
+    }
+}
+
+/// The Tucker-ALS loop (Algorithm 2, HOOI) over any number of modes: the
+/// one body behind [`tucker_als_with_init`] and
+/// [`crate::nway::nway_tucker_als`].
+///
+/// The front owns what differs between them. `factors` are its starting
+/// factors, updated in place (mode 0 is recomputed before it is read);
+/// `project(mode, factors)` is its kernel call; `sweep_done(sweep, core,
+/// factors)` runs after a sweep's `‖G‖` is recorded and before convergence
+/// is tested (checkpointing). The singular-vector kernel is seeded by the
+/// *absolute* sweep index `first_sweep + sweep`, so a checkpoint-resumed
+/// run replays the identical seed sequence. Returns `(core of the last
+/// sweep, ‖G‖ per sweep, sweeps run)`.
+pub(crate) fn tucker_sweeps<Y: Projection>(
+    factors: &mut [Mat],
+    core_dims: &[usize],
+    norm_x: f64,
+    (max_iters, tol): (usize, f64),
+    (seed, first_sweep): (u64, usize),
+    mut project: impl FnMut(usize, &[Mat]) -> Result<Y>,
+    mut sweep_done: impl FnMut(usize, &Y::Core, &[Mat]) -> Result<()>,
+) -> Result<(Option<Y::Core>, Vec<f64>, usize)> {
+    let last = factors.len() - 1;
+    let mut core = None;
     let mut core_norms: Vec<f64> = Vec::new();
-    let mut core = DenseTensor3::zeros(core_dims);
     let mut iterations = 0;
 
-    for sweep in 0..opts.max_iters {
+    for sweep in 0..max_iters {
         iterations += 1;
-        let mut last_y: Option<CooTensor3> = None;
-        for mode in 0..3 {
-            let others: Vec<usize> = (0..3).filter(|&m| m != mode).collect();
-            let u1 = factors[others[0]].transpose();
-            let u2 = factors[others[1]].transpose();
-            let y = tucker::project(cluster, opts.variant, x, mode, &u1, &u2, &project_opts)?;
+        let mut last_y: Option<Y> = None;
+        for mode in 0..=last {
+            let y = project(mode, factors)?;
             // Leading left singular vectors of Y₍₁₎ (canonical mode 0).
-            let y_mat = y.matricize(0)?;
-            // Seed by the *absolute* sweep index so a checkpoint-resumed
-            // run (first_sweep > 0) replays the identical seed sequence.
-            let abs_sweep = (opts.first_sweep + sweep) as u64;
+            let y_mat = y.unfold()?;
+            let abs_sweep = (first_sweep + sweep) as u64;
             let sub_opts = SubspaceOptions {
-                seed: opts.seed ^ (abs_sweep << 8 | mode as u64),
+                seed: seed ^ (abs_sweep << 8 | mode as u64),
             };
             factors[mode] = leading_left_singular_vectors(&y_mat, core_dims[mode], &sub_opts)?;
-            if mode == 2 {
+            if mode == last {
                 last_y = Some(y);
             }
         }
 
-        // Core: G(p,q,r) = Σ_k Y(k,p,q)·C(k,r), from the final projection
-        // Y = X ×₁ Aᵀ ×₂ Bᵀ in canonical (k, p, q) orientation.
-        let y = last_y.expect("three modes were swept");
-        let c = &factors[2];
-        core = DenseTensor3::zeros(core_dims);
-        for e in y.entries() {
-            let (k, p, q) = (e.i as usize, e.j as usize, e.k as usize);
-            for r in 0..r_dim {
-                core.add_at(p, q, r, e.v * c.get(k, r));
-            }
-        }
-
-        let norm_g = core.fro_norm();
+        let y = last_y.expect("every mode was swept");
+        let (g, norm_g) = y.core(&factors[last], core_dims)?;
         let prev = core_norms.last().copied();
         core_norms.push(norm_g);
-        crate::checkpoint::maybe_save_tucker(cluster, opts, sweep, &core, &factors)?;
+        sweep_done(sweep, &g, factors)?;
+        core = Some(g);
         if let Some(p) = prev {
-            if (norm_g - p).abs() < opts.tol * norm_x.max(1.0) {
+            if (norm_g - p).abs() < tol * norm_x.max(1.0) {
                 break;
             }
         }
     }
+    Ok((core, core_norms, iterations))
+}
 
+/// Fit `1 − ‖X − X̂‖/‖X‖` of a Tucker model with orthonormal factors, for
+/// which `‖X̂‖ = ‖G‖`: the last of `core_norms` (0 when no sweep ran).
+pub(crate) fn tucker_fit(norm_x_sq: f64, core_norms: &[f64]) -> f64 {
     let norm_g = core_norms.last().copied().unwrap_or(0.0);
     let err_sq = (norm_x_sq - norm_g * norm_g).max(0.0);
-    let fit = if norm_x > 0.0 {
+    let norm_x = norm_x_sq.sqrt();
+    if norm_x > 0.0 {
         1.0 - err_sq.sqrt() / norm_x
     } else {
         1.0
-    };
-
-    Ok(TuckerResult {
-        core,
-        factors,
-        core_norms,
-        iterations,
-        fit,
-        metrics: cluster.metrics_since(mark),
-    })
+    }
 }
 
 #[cfg(test)]

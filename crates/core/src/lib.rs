@@ -16,8 +16,9 @@
 //! [`parafac::mttkrp`] computes `Y ← X₍ₙ₎ (⊙ other factors)`; under DRI both
 //! run `IMHP` followed by their merge (`CrossMerge` vs `PairwiseMerge`).
 //! On top sit the ALS drivers [`als::parafac_als`] (Algorithm 1) and
-//! [`als::tucker_als`] (Algorithm 2), plus an N-way PARAFAC generalization
-//! in [`nway`].
+//! [`als::tucker_als`] (Algorithm 2). The three DRI kernels and the two ALS
+//! loops are written for any tensor order; [`nway`] is the order-generic
+//! front over them.
 //!
 //! Every distributed operation is tested for exact agreement with the
 //! single-machine reference implementations in `haten2_tensor::ops`.

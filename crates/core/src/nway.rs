@@ -1,157 +1,118 @@
-//! N-way PARAFAC on the HaTen2-DRI framework.
+//! N-way PARAFAC and Tucker on the HaTen2-DRI framework.
 //!
-//! The paper defines PARAFAC, `PairwiseMerge` (Definition 4) and the
-//! Hadamard expansions for general N-way tensors; this module is that
-//! generalization: for each target mode the MTTKRP is computed as one
-//! integrated Hadamard job (the N-way `IMHP`) producing the `N−1` expanded
-//! tensors `T'₁ = X *̄ₘ₁ f`, `T''ₘ = bin(X) *̄ₘ f` and one `PairwiseMerge`
-//! job joining them on the target-mode index — exactly two jobs per mode
-//! regardless of rank, matching the DRI row of Table IV.
+//! The paper defines PARAFAC, Tucker, `PairwiseMerge`/`CrossMerge`
+//! (Definitions 3–4) and the Hadamard expansions for general N-way
+//! tensors, and [`crate::ops`] implements them that way: for a target mode,
+//! one IMHP job expands `X` against the `N − 1` other factors — `T'`
+//! carrying `X`'s values, every other side `bin(X)`-based — and one merge
+//! job joins the sides on the target-mode index. Exactly two jobs per mode
+//! regardless of rank or order, the DRI rows of Tables III/IV; on a 3-way
+//! tensor they are, record for record and byte for byte, the jobs
+//! [`crate::parafac::mttkrp`] and [`crate::tucker::project`] run under
+//! [`crate::Variant::Dri`].
+//!
+//! What this module adds is the order-generic front: it checks the
+//! arguments, presents a [`DynTensor`] to the kernels, and assembles their
+//! output. An entry `e` at index `(i₀ … i_{N−1})` becomes the record
+//! `((i_mode, e, 0, 0), value)` — the 3-way record with the entry's ordinal
+//! where `(j, k)` would be, because after IMHP the non-target indices are
+//! only ever a label of the nonzero (see [`crate::ops`]); IMHP's mapper
+//! reads the `N − 1` join indices from the tensor's own index slice. Every
+//! stored entry is its own nonzero, so a tensor with a repeated coordinate
+//! decomposes like its [`DynTensor::coalesce`]d form. The ALS loops are
+//! [`crate::als`]'s, given these kernels and an all-modes initialisation.
 //!
 //! A two-job chain has nothing to schedule, so the two jobs run one after
-//! the other straight on the [`Cluster`], the second consuming the first's
-//! output by value. There is no registered
-//! [`haten2_mapreduce::JobGraph`] for the generic N-way pipeline, so the
-//! jobs keep their explicit [`JobSpec::with_map_emit_hint`] overrides —
-//! the documented escape hatch when no plan IR exists to derive hints
-//! from.
+//! the other straight on the [`Cluster`], the merge reading the shards
+//! IMHP's reducers wrote in place. A bare cluster has no
+//! [`haten2_mapreduce::JobGraph`] to derive map-emit hints from and the
+//! kernels set none, so the jobs' shuffle buckets start empty and grow by
+//! doubling (the 3-way pipelines pre-size theirs from the plan IR).
 
+use crate::als::{parafac_sweeps, tucker_fit, tucker_sweeps, Projection};
+use crate::ops::{cross_merge_job, imhp_job, pairwise_merge_job, TensorRecords};
+use crate::records::Ix4;
 use crate::{CoreError, Result};
-use haten2_linalg::{pinv, Mat};
-use haten2_mapreduce::{run_job, Cluster, EstimateSize, JobSite, JobSpec, RunMetrics};
-use haten2_tensor::DynTensor;
-
-/// Expanded record from the N-way IMHP job: `((side, full index, column),
-/// value)`.
-type ExpandedRecord = ((u8, Vec<u64>, u64), f64);
-/// Per-side grouping of expanded records by full base index. Ordered map:
-/// the crossmerge reducer iterates it into emits, so the grouping must be
-/// hasher-independent for the output order to be deterministic.
-type SideIndex<'a> = std::collections::BTreeMap<&'a [u64], Vec<(u64, f64)>>;
+use haten2_linalg::{thin_qr, Mat};
+use haten2_mapreduce::{Cluster, RunMetrics};
+use haten2_tensor::{DynTensor, SparseMat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Input record for the N-way IMHP job.
-#[derive(Debug, Clone, PartialEq)]
-enum NRec {
-    /// Tensor entry: full index plus value.
-    Ent(Vec<u64>, f64),
-    /// Factor row for join side `side` (position among the non-target
-    /// modes): `(side, mode index, row of length R)`.
-    Row(u8, u64, Vec<f64>),
+fn invalid<T>(detail: String) -> Result<T> {
+    Err(CoreError::InvalidArgument(detail))
 }
 
-impl EstimateSize for NRec {
-    fn est_bytes(&self) -> usize {
-        1 + match self {
-            NRec::Ent(ix, v) => ix.est_bytes() + v.est_bytes(),
-            NRec::Row(s, i, row) => s.est_bytes() + i.est_bytes() + row.est_bytes(),
-        }
-    }
-}
-
-/// Intermediate value for the N-way IMHP join.
-#[derive(Debug, Clone, PartialEq)]
-enum NVal {
-    Ent(Vec<u64>, f64),
-    Row(Vec<f64>),
-}
-
-impl EstimateSize for NVal {
-    fn est_bytes(&self) -> usize {
-        1 + match self {
-            NVal::Ent(ix, v) => ix.est_bytes() + v.est_bytes(),
-            NVal::Row(row) => row.est_bytes(),
-        }
-    }
-}
-
-/// Merge-side value: `(side, full index, rank column, value)`.
-#[derive(Debug, Clone, PartialEq)]
-struct NMergeVal {
-    side: u8,
-    ix: Vec<u64>,
-    r: u64,
-    v: f64,
-}
-
-impl EstimateSize for NMergeVal {
-    fn est_bytes(&self) -> usize {
-        1 + self.ix.est_bytes() + 8 + 8
-    }
-}
-
-/// The integrated N-way Hadamard-expansion job shared by the N-way MTTKRP
-/// and the N-way Tucker projection: one MapReduce job producing, for each
-/// non-target mode (a "side"), the expanded records
-/// `((side, full-index, column), value)` where side 0 carries
-/// `X·factor` and the remaining sides carry the `bin(X)`-based factor
-/// coefficients (Lemmas 1–2 generalized).
-fn nway_imhp(
-    site: &impl JobSite,
+/// The join modes of a kernel call — every mode but `mode`, ascending —
+/// once the call is known to be valid: order ≥ 2, one factor per mode,
+/// `mode` in range, every join factor as tall as its mode, and (the
+/// MTTKRP's `equal_cols`) all of them equally wide. The target mode's
+/// factor is not read.
+fn join_modes(
     x: &DynTensor,
+    mode: usize,
+    factors: &[&Mat],
+    equal_cols: bool,
+) -> Result<Vec<usize>> {
+    let n = x.order();
+    if n < 2 {
+        return invalid("tensor order must be ≥ 2".into());
+    }
+    if factors.len() != n {
+        return invalid(format!("expected {n} factors, got {}", factors.len()));
+    }
+    if mode >= n {
+        return invalid(format!("mode {mode} out of range"));
+    }
+    let others: Vec<usize> = (0..n).filter(|&m| m != mode).collect();
+    let cols = factors[others[0]].cols();
+    for &m in &others {
+        let (f, dim) = (factors[m], x.dims()[m]);
+        if f.rows() != dim as usize {
+            return invalid(format!("factor {m} has {} rows for dim {dim}", f.rows()));
+        }
+        if equal_cols && f.cols() != cols {
+            return invalid(format!("factor {m} has {} columns, not {cols}", f.cols()));
+        }
+    }
+    Ok(others)
+}
+
+/// The IMHP job of target mode `mode`: `x` expanded against the factor of
+/// every mode in `others`, one dataset per side in the shards its reduce
+/// tasks wrote.
+fn expand(
+    cluster: &Cluster,
+    x: &DynTensor,
+    mode: usize,
     others: &[usize],
     factors: &[&Mat],
-    mode: usize,
-) -> haten2_mapreduce::Result<Vec<ExpandedRecord>> {
-    let mut input: Vec<((), NRec)> = (0..x.nnz())
-        .map(|e| ((), NRec::Ent(x.index(e).to_vec(), x.value(e))))
+) -> Result<Vec<Vec<TensorRecords>>> {
+    let entries: TensorRecords = (0..x.nnz())
+        .map(|e| ((x.index(e)[mode], e as u64, 0, 0), x.value(e)))
         .collect();
-    for (side, &m) in others.iter().enumerate() {
-        let f = factors[m];
-        for idx in 0..f.rows() {
-            input.push(((), NRec::Row(side as u8, idx as u64, f.row(idx).to_vec())));
-        }
-    }
-
-    let out = run_job(
-        site,
-        // Each tensor entry emits once per non-target mode. Explicit hint:
-        // there is no plan graph to derive it from.
-        JobSpec::named(format!("nway-imhp-mode{mode}")).with_map_emit_hint(others.len().max(1)),
-        &input,
-        |_, rec: &NRec, emit| match rec {
-            NRec::Ent(ix, v) => {
-                for (side, &m) in others.iter().enumerate() {
-                    emit((side as u8, ix[m]), NVal::Ent(ix.clone(), *v));
-                }
-            }
-            NRec::Row(side, idx, row) => emit((*side, *idx), NVal::Row(row.clone())),
-        },
-        |key, vals, emit| {
-            let (side, _) = *key;
-            let mut row: Option<&Vec<f64>> = None;
-            for v in &vals {
-                if let NVal::Row(r) = v {
-                    row = Some(r);
-                }
-            }
-            let Some(row) = row else { return };
-            for v in &vals {
-                if let NVal::Ent(ix, val) = v {
-                    for (r, &coef) in row.iter().enumerate() {
-                        if coef == 0.0 {
-                            continue;
-                        }
-                        // The first side carries X's values; the rest are
-                        // bin(X)-based, carrying only the factor coefficient.
-                        let out_v = if side == 0 { val * coef } else { coef };
-                        emit((side, ix.clone(), r as u64), out_v);
-                    }
-                }
-            }
-        },
-    )?;
-    Ok(out)
+    let transposed: Vec<Mat> = others.iter().map(|&m| factors[m].transpose()).collect();
+    Ok(imhp_job(
+        cluster,
+        &format!("nway-imhp-mode{mode}"),
+        &[&entries],
+        &transposed.iter().collect::<Vec<_>>(),
+        |side, ix: &Ix4| x.index(ix.1 as usize)[others[side]],
+    )?)
 }
 
-/// The expanded records as the merge jobs' map input, taken by value: the
-/// index vectors move, they are not cloned.
-fn nway_merge_input(expanded: Vec<ExpandedRecord>) -> Vec<((), NMergeVal)> {
-    expanded
-        .into_iter()
-        .map(|((side, ix, r), v)| ((), NMergeVal { side, ix, r, v }))
-        .collect()
+/// Run `merge` over the expanded datasets, borrowed where IMHP left them.
+fn merged<T>(
+    expanded: &[Vec<TensorRecords>],
+    merge: impl FnOnce(&[&[&[(Ix4, f64)]]]) -> haten2_mapreduce::Result<T>,
+) -> Result<T> {
+    let shards: Vec<Vec<&[(Ix4, f64)]>> = expanded
+        .iter()
+        .map(|side| side.iter().map(Vec::as_slice).collect())
+        .collect();
+    Ok(merge(
+        &shards.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+    )?)
 }
 
 /// Distributed N-way MTTKRP for `mode`, DRI style (2 jobs).
@@ -160,71 +121,15 @@ fn nway_merge_input(expanded: Vec<ExpandedRecord>) -> Vec<((), NMergeVal)> {
 /// ignored); all must share the same column count `R`. Returns
 /// `M ∈ ℝ^{dims[mode]×R}`.
 pub fn nway_mttkrp(cluster: &Cluster, x: &DynTensor, mode: usize, factors: &[&Mat]) -> Result<Mat> {
-    let n = x.order();
-    if n < 2 {
-        return Err(CoreError::InvalidArgument(
-            "tensor order must be ≥ 2".into(),
-        ));
-    }
-    if factors.len() != n {
-        return Err(CoreError::InvalidArgument(format!(
-            "expected {n} factors, got {}",
-            factors.len()
-        )));
-    }
-    if mode >= n {
-        return Err(CoreError::InvalidArgument(format!(
-            "mode {mode} out of range"
-        )));
-    }
-    let others: Vec<usize> = (0..n).filter(|&m| m != mode).collect();
-    let rank = factors[others[0]].cols();
-    for &m in &others {
-        if factors[m].rows() != x.dims()[m] as usize || factors[m].cols() != rank {
-            return Err(CoreError::InvalidArgument(format!(
-                "factor {m} is {}x{}, expected {}x{rank}",
-                factors[m].rows(),
-                factors[m].cols(),
-                x.dims()[m]
-            )));
-        }
-    }
+    let others = join_modes(x, mode, factors, true)?;
+    let expanded = expand(cluster, x, mode, &others, factors)?;
+    let name = format!("nway-pairwisemerge-mode{mode}");
+    let y = merged(&expanded, |sides| {
+        pairwise_merge_job(cluster, &name, sides, None)
+    })?;
 
-    // IMHP, then PairwiseMerge over its output.
-    let sides = others.len() as u8;
-    let merge_input = nway_merge_input(nway_imhp(cluster, x, &others, factors, mode)?);
-    let merged = run_job(
-        cluster,
-        JobSpec::named(format!("nway-pairwisemerge-mode{mode}")).with_map_emit_hint(1),
-        &merge_input,
-        move |_, rec: &NMergeVal, emit| emit(rec.ix[mode], rec.clone()),
-        move |i, vals, emit| {
-            use std::collections::BTreeMap;
-            // Join on (full index, r): all sides must be present.
-            // Ordered maps throughout — both are iterated on the
-            // way to emits.
-            let mut groups: BTreeMap<(&[u64], u64), (u8, f64)> = BTreeMap::new();
-            for v in &vals {
-                let e = groups.entry((v.ix.as_slice(), v.r)).or_insert((0, 1.0));
-                e.0 += 1;
-                e.1 *= v.v;
-            }
-            let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
-            for ((_, r), (count, prod)) in groups {
-                if count == sides {
-                    *acc.entry(r).or_insert(0.0) += prod;
-                }
-            }
-            for (r, y) in acc {
-                if y != 0.0 {
-                    emit((*i, r), y);
-                }
-            }
-        },
-    )?;
-
-    let mut m = Mat::zeros(x.dims()[mode] as usize, rank);
-    for ((i, r), v) in merged {
+    let mut m = Mat::zeros(x.dims()[mode] as usize, factors[others[0]].cols());
+    for ((i, r, _, _), v) in y {
         m.add_at(i as usize, r as usize, v);
     }
     Ok(m)
@@ -245,6 +150,10 @@ pub struct NwayParafacResult {
     pub metrics: RunMetrics,
 }
 
+fn norm_sq(x: &DynTensor) -> f64 {
+    (0..x.nnz()).map(|e| x.value(e) * x.value(e)).sum()
+}
+
 /// N-way PARAFAC-ALS on the DRI kernels (the paper's N-way formulation in
 /// §II-B1 with the §III framework).
 pub fn nway_parafac_als(
@@ -255,12 +164,11 @@ pub fn nway_parafac_als(
     tol: f64,
     seed: u64,
 ) -> Result<NwayParafacResult> {
-    let n = x.order();
     if rank == 0 {
-        return Err(CoreError::InvalidArgument("rank must be positive".into()));
+        return invalid("rank must be positive".into());
     }
-    if n < 3 {
-        return Err(CoreError::InvalidArgument("PARAFAC needs order ≥ 3".into()));
+    if x.order() < 3 {
+        return invalid("PARAFAC needs order ≥ 3".into());
     }
     let mark = cluster.jobs_run();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -269,67 +177,14 @@ pub fn nway_parafac_als(
         .iter()
         .map(|&d| Mat::random(d as usize, rank, &mut rng))
         .collect();
-    let mut lambda = vec![1.0; rank];
-    let norm_x_sq: f64 = (0..x.nnz()).map(|e| x.value(e) * x.value(e)).sum();
-    let norm_x = norm_x_sq.sqrt();
-
-    let mut fits = Vec::new();
-    let mut iterations = 0;
-    for _ in 0..max_iters {
-        iterations += 1;
-        let mut last_m: Option<Mat> = None;
-        for mode in 0..n {
-            let refs: Vec<&Mat> = factors.iter().collect();
-            let m = nway_mttkrp(cluster, x, mode, &refs)?;
-            // Hadamard product of all other Gram matrices.
-            let mut g =
-                Mat::from_vec(rank, rank, vec![1.0; rank * rank]).expect("square ones matrix");
-            for (other, f) in factors.iter().enumerate() {
-                if other != mode {
-                    g = g.hadamard(&f.gram()).map_err(CoreError::Linalg)?;
-                }
-            }
-            factors[mode] = m.matmul(&pinv(&g)?).map_err(CoreError::Linalg)?;
-            lambda = factors[mode].normalize_columns();
-            if mode == n - 1 {
-                last_m = Some(m);
-            }
-        }
-
-        let m = last_m.expect("modes swept");
-        let f_last = &factors[n - 1];
-        let mut inner = 0.0;
-        for i in 0..f_last.rows() {
-            for (r, &l) in lambda.iter().enumerate() {
-                inner += m.get(i, r) * f_last.get(i, r) * l;
-            }
-        }
-        let mut g_all =
-            Mat::from_vec(rank, rank, vec![1.0; rank * rank]).expect("square ones matrix");
-        for f in &factors {
-            g_all = g_all.hadamard(&f.gram()).map_err(CoreError::Linalg)?;
-        }
-        let mut norm_model_sq = 0.0;
-        for r in 0..rank {
-            for s in 0..rank {
-                norm_model_sq += lambda[r] * lambda[s] * g_all.get(r, s);
-            }
-        }
-        let err_sq = (norm_x_sq + norm_model_sq - 2.0 * inner).max(0.0);
-        let fit = if norm_x > 0.0 {
-            1.0 - err_sq.sqrt() / norm_x
-        } else {
-            1.0
-        };
-        let prev = fits.last().copied();
-        fits.push(fit);
-        if let Some(p) = prev {
-            if (fit - p).abs() < tol {
-                break;
-            }
-        }
-    }
-
+    let (lambda, fits, iterations) = parafac_sweeps(
+        &mut factors,
+        norm_sq(x),
+        (max_iters, tol),
+        |mode, factors| nway_mttkrp(cluster, x, mode, &factors.iter().collect::<Vec<_>>()),
+        |_, _| Ok(None),
+        |_, _, _| Ok(()),
+    )?;
     Ok(NwayParafacResult {
         lambda,
         factors,
@@ -353,103 +208,28 @@ pub fn nway_tucker_project(
     mode: usize,
     factors: &[&Mat],
 ) -> Result<DynTensor> {
-    let n = x.order();
-    if mode >= n {
-        return Err(CoreError::InvalidArgument(format!(
-            "mode {mode} out of range"
-        )));
-    }
-    if factors.len() != n {
-        return Err(CoreError::InvalidArgument(format!(
-            "expected {n} factors, got {}",
-            factors.len()
-        )));
-    }
-    let others: Vec<usize> = (0..n).filter(|&m| m != mode).collect();
-    for &m in &others {
-        if factors[m].rows() != x.dims()[m] as usize {
-            return Err(CoreError::InvalidArgument(format!(
-                "factor {m} has {} rows for dim {}",
-                factors[m].rows(),
-                x.dims()[m]
-            )));
+    let others = join_modes(x, mode, factors, false)?;
+    let widths: Vec<u64> = others.iter().map(|&m| factors[m].cols() as u64).collect();
+    let expanded = expand(cluster, x, mode, &others, factors)?;
+    let name = format!("nway-crossmerge-mode{mode}");
+    let mut y_records = merged(&expanded, |sides| {
+        cross_merge_job(cluster, &name, sides, &widths, None)
+    })?;
+
+    // `((i, q₁, columns, 0), y)`, one nonzero record per cell; `columns` is
+    // row-major over `widths[1..]`, so record order is index order and the
+    // tensor is built coalesced.
+    y_records.sort_unstable_by_key(|&(ix, _)| ix);
+    let mut y = DynTensor::new([&[x.dims()[mode]], widths.as_slice()].concat());
+    let mut idx = vec![0; x.order()];
+    for ((i, q1, mut columns, _), v) in y_records {
+        (idx[0], idx[1]) = (i, q1);
+        for (q, &width) in idx[2..].iter_mut().zip(&widths[1..]).rev() {
+            (*q, columns) = (columns % width, columns / width);
         }
-    }
-
-    // IMHP, then CrossMerge over its output (per-side column counts may
-    // differ).
-    let sides = others.len();
-    let merge_input = nway_merge_input(nway_imhp(cluster, x, &others, factors, mode)?);
-    let merged = run_job(
-        cluster,
-        JobSpec::named(format!("nway-crossmerge-mode{mode}")).with_map_emit_hint(1),
-        &merge_input,
-        move |_, rec: &NMergeVal, emit| emit(rec.ix[mode], rec.clone()),
-        move |i, vals, emit| {
-            use std::collections::BTreeMap;
-            // Group by side, then by full base index (ordered — iterated
-            // into emits below).
-            let mut by_side: Vec<SideIndex> = (0..sides).map(|_| SideIndex::new()).collect();
-            for v in &vals {
-                by_side[v.side as usize]
-                    .entry(v.ix.as_slice())
-                    .or_default()
-                    .push((v.r, v.v));
-            }
-            let mut acc: BTreeMap<Vec<u64>, f64> = BTreeMap::new();
-            for (base, list0) in &by_side[0] {
-                // All sides must cover this base (they do on supp(X)).
-                let mut lists: Vec<&Vec<(u64, f64)>> = Vec::with_capacity(sides);
-                lists.push(list0);
-                let mut complete = true;
-                for side_map in by_side.iter().skip(1) {
-                    match side_map.get(base) {
-                        Some(l) => lists.push(l),
-                        None => {
-                            complete = false;
-                            break;
-                        }
-                    }
-                }
-                if !complete {
-                    continue;
-                }
-                // Cartesian product of the per-side (column, value) lists.
-                let mut combos: Vec<(Vec<u64>, f64)> = vec![(Vec::new(), 1.0)];
-                for l in lists {
-                    let mut next = Vec::with_capacity(combos.len() * l.len());
-                    for (q, p) in &combos {
-                        for &(r, v) in l.iter() {
-                            let mut q2 = q.clone();
-                            q2.push(r);
-                            next.push((q2, p * v));
-                        }
-                    }
-                    combos = next;
-                }
-                for (q, p) in combos {
-                    *acc.entry(q).or_insert(0.0) += p;
-                }
-            }
-            for (q, y) in acc {
-                if y != 0.0 {
-                    emit((*i, q), y);
-                }
-            }
-        },
-    )?;
-
-    let mut dims = vec![x.dims()[mode]];
-    dims.extend(others.iter().map(|&m| factors[m].cols() as u64));
-    let mut y = DynTensor::new(dims);
-    let mut idx = Vec::with_capacity(n);
-    for ((i, q), v) in merged {
-        idx.clear();
-        idx.push(i);
-        idx.extend_from_slice(&q);
         y.push(&idx, v)?;
     }
-    Ok(y.coalesce())
+    Ok(y)
 }
 
 /// Result of [`nway_tucker_als`].
@@ -469,6 +249,34 @@ pub struct NwayTuckerResult {
     pub metrics: RunMetrics,
 }
 
+impl Projection for DynTensor {
+    type Core = DynTensor;
+
+    fn unfold(&self) -> Result<SparseMat> {
+        Ok(self.matricize(0)?)
+    }
+
+    fn core(&self, u: &Mat, core_dims: &[usize]) -> Result<(DynTensor, f64)> {
+        let n = core_dims.len();
+        let mut g = DynTensor::new(core_dims.iter().map(|&c| c as u64).collect());
+        let mut gidx = vec![0u64; n];
+        for (idx, v) in self.iter() {
+            let k = idx[0] as usize;
+            gidx[..n - 1].copy_from_slice(&idx[1..]);
+            for q in 0..core_dims[n - 1] {
+                gidx[n - 1] = q as u64;
+                let coef = u.get(k, q);
+                if coef != 0.0 {
+                    g.push(&gidx, v * coef)?;
+                }
+            }
+        }
+        let core = g.coalesce();
+        let norm = core.fro_norm();
+        Ok((core, norm))
+    }
+}
+
 /// N-way Tucker-ALS (HOOI) on the DRI kernels — the paper's N-way Tucker
 /// formulation (§II-B2) run through the §III framework: per mode, one
 /// N-way `IMHP` job and one N-way `CrossMerge` job, then the driver-side
@@ -483,19 +291,14 @@ pub fn nway_tucker_als(
 ) -> Result<NwayTuckerResult> {
     let n = x.order();
     if n < 3 {
-        return Err(CoreError::InvalidArgument("Tucker needs order ≥ 3".into()));
+        return invalid("Tucker needs order ≥ 3".into());
     }
     if core_dims.len() != n {
-        return Err(CoreError::InvalidArgument(format!(
-            "expected {n} core dims, got {}",
-            core_dims.len()
-        )));
+        return invalid(format!("expected {n} core dims, got {}", core_dims.len()));
     }
     for (m, (&c, &d)) in core_dims.iter().zip(x.dims()).enumerate() {
         if c == 0 || c as u64 > d {
-            return Err(CoreError::InvalidArgument(format!(
-                "core dim {c} invalid for mode {m} of size {d}"
-            )));
+            return invalid(format!("core dim {c} invalid for mode {m} of size {d}"));
         }
         let product: usize = core_dims
             .iter()
@@ -504,9 +307,9 @@ pub fn nway_tucker_als(
             .map(|(_, &cc)| cc)
             .product();
         if c > product {
-            return Err(CoreError::InvalidArgument(format!(
+            return invalid(format!(
                 "core dim {c} for mode {m} exceeds the {product} matricized columns"
-            )));
+            ));
         }
     }
 
@@ -516,80 +319,24 @@ pub fn nway_tucker_als(
         .dims()
         .iter()
         .zip(core_dims)
-        .map(|(&d, &c)| {
-            haten2_linalg::thin_qr(&Mat::random(d as usize, c, &mut rng)).map_err(CoreError::Linalg)
-        })
+        .map(|(&d, &c)| thin_qr(&Mat::random(d as usize, c, &mut rng)).map_err(CoreError::Linalg))
         .collect::<Result<_>>()?;
-    let norm_x_sq: f64 = (0..x.nnz()).map(|e| x.value(e) * x.value(e)).sum();
-    let norm_x = norm_x_sq.sqrt();
-
-    let mut core = DynTensor::new(core_dims.iter().map(|&c| c as u64).collect());
-    let mut core_norms: Vec<f64> = Vec::new();
-    let mut iterations = 0;
-
-    for sweep in 0..max_iters {
-        iterations += 1;
-        let mut last_y: Option<DynTensor> = None;
-        for mode in 0..n {
-            let refs: Vec<&Mat> = factors.iter().collect();
-            let y = nway_tucker_project(cluster, x, mode, &refs)?;
-            let y_mat = y.matricize(0).map_err(CoreError::Tensor)?;
-            let sub_opts = haten2_linalg::SubspaceOptions {
-                seed: seed ^ ((sweep as u64) << 8 | mode as u64),
-            };
-            factors[mode] =
-                haten2_linalg::leading_left_singular_vectors(&y_mat, core_dims[mode], &sub_opts)
-                    .map_err(CoreError::Linalg)?;
-            if mode == n - 1 {
-                last_y = Some(y);
-            }
-        }
-
-        // Core from the final projection Y (dims [d_{N-1}, c_0..c_{N-2}]):
-        // G(q_0..q_{N-1}) = Σ_k Y(k, q_0..q_{N-2}) U_{N-1}(k, q_{N-1}).
-        let y = last_y.expect("modes swept");
-        let u_last = &factors[n - 1];
-        let c_last = core_dims[n - 1];
-        let mut g = DynTensor::new(core_dims.iter().map(|&c| c as u64).collect());
-        let mut gidx = vec![0u64; n];
-        for e in 0..y.nnz() {
-            let idx = y.index(e);
-            let k = idx[0] as usize;
-            let v = y.value(e);
-            gidx[..n - 1].copy_from_slice(&idx[1..]);
-            for q in 0..c_last {
-                gidx[n - 1] = q as u64;
-                let coef = u_last.get(k, q);
-                if coef != 0.0 {
-                    g.push(&gidx, v * coef)?;
-                }
-            }
-        }
-        core = g.coalesce();
-
-        let norm_g = core.fro_norm();
-        let prev = core_norms.last().copied();
-        core_norms.push(norm_g);
-        if let Some(p) = prev {
-            if (norm_g - p).abs() < tol * norm_x.max(1.0) {
-                break;
-            }
-        }
-    }
-
-    let norm_g = core_norms.last().copied().unwrap_or(0.0);
-    let err_sq = (norm_x_sq - norm_g * norm_g).max(0.0);
-    let fit = if norm_x > 0.0 {
-        1.0 - err_sq.sqrt() / norm_x
-    } else {
-        1.0
-    };
+    let norm_x_sq = norm_sq(x);
+    let (core, core_norms, iterations) = tucker_sweeps(
+        &mut factors,
+        core_dims,
+        norm_x_sq.sqrt(),
+        (max_iters, tol),
+        (seed, 0),
+        |mode, factors| nway_tucker_project(cluster, x, mode, &factors.iter().collect::<Vec<_>>()),
+        |_, _, _| Ok(()),
+    )?;
     Ok(NwayTuckerResult {
-        core,
+        core: core.unwrap_or_else(|| DynTensor::new(core_dims.iter().map(|&c| c as u64).collect())),
         factors,
+        fit: tucker_fit(norm_x_sq, &core_norms),
         core_norms,
         iterations,
-        fit,
         metrics: cluster.metrics_since(mark),
     })
 }
@@ -801,13 +548,33 @@ mod tests {
         assert!(res.fit > 0.999, "fit = {}", res.fit);
     }
 
+    /// Both kernel fronts share one validation: each must refuse `call`
+    /// with a typed `InvalidArgument`.
+    fn both_refuse(x: &DynTensor, mode: usize, factors: &[&Mat]) {
+        let cluster = Cluster::with_defaults();
+        let mttkrp = nway_mttkrp(&cluster, x, mode, factors).map(drop);
+        let project = nway_tucker_project(&cluster, x, mode, factors).map(drop);
+        for refused in [mttkrp, project] {
+            assert!(matches!(refused, Err(CoreError::InvalidArgument(_))));
+        }
+        assert_eq!(cluster.metrics().total_jobs(), 0);
+    }
+
     #[test]
     fn nway_tucker_argument_validation() {
         let x = random_dyn(vec![3, 3, 3], 5, 59);
         let f = Mat::zeros(3, 2);
         let cluster = Cluster::with_defaults();
-        assert!(nway_tucker_project(&cluster, &x, 5, &[&f, &f, &f]).is_err());
-        assert!(nway_tucker_project(&cluster, &x, 0, &[&f, &f]).is_err());
+        both_refuse(&x, 5, &[&f, &f, &f]);
+        both_refuse(&x, 0, &[&f, &f]);
+        // A join factor shorter than its mode.
+        both_refuse(&x, 0, &[&f, &Mat::zeros(2, 2), &f]);
+        // An order-1 tensor has no mode to join on.
+        both_refuse(&random_dyn(vec![3], 2, 60), 0, &[&f]);
+        // Unequal widths are a Tucker core, not an error; the ignored
+        // target factor may be anything.
+        let (wide, any) = (Mat::zeros(3, 3), Mat::zeros(1, 7));
+        assert!(nway_tucker_project(&cluster, &x, 0, &[&any, &f, &wide]).is_ok());
         assert!(nway_tucker_als(&cluster, &x, &[2, 2], 2, 0.0, 1).is_err());
         assert!(nway_tucker_als(&cluster, &x, &[0, 2, 2], 2, 0.0, 1).is_err());
         assert!(nway_tucker_als(&cluster, &x, &[4, 2, 2], 2, 0.0, 1).is_err());
@@ -820,6 +587,41 @@ mod tests {
         let cluster = Cluster::with_defaults();
         assert!(nway_mttkrp(&cluster, &x, 5, &[&f, &f, &f]).is_err());
         assert!(nway_mttkrp(&cluster, &x, 0, &[&f, &f]).is_err());
+        // The MTTKRP alone needs equally wide join factors.
+        let (wide, any) = (Mat::zeros(3, 3), Mat::zeros(1, 7));
+        assert!(nway_mttkrp(&cluster, &x, 0, &[&any, &f, &wide]).is_err());
+        assert!(nway_mttkrp(&cluster, &x, 0, &[&any, &f, &f]).is_ok());
         assert!(nway_parafac_als(&cluster, &x, 0, 2, 0.0, 1).is_err());
+    }
+
+    #[test]
+    fn an_order_two_tensor_has_one_side() {
+        // A matrix: M = X·B for mode 0, Xᵀ·A for mode 1, and the
+        // projection is the same product with its own column count.
+        let x = random_dyn(vec![4, 5], 12, 61);
+        let mut rng = StdRng::seed_from_u64(62);
+        let factors = [Mat::random(4, 3, &mut rng), Mat::random(5, 3, &mut rng)];
+        let refs: Vec<&Mat> = factors.iter().collect();
+        let cluster = Cluster::new(ClusterConfig::with_machines(3));
+        for mode in 0..2 {
+            let other = &factors[1 - mode];
+            let mut want = Mat::zeros(x.dims()[mode] as usize, 3);
+            for (idx, v) in x.iter() {
+                for r in 0..3 {
+                    want.add_at(
+                        idx[mode] as usize,
+                        r,
+                        v * other.get(idx[1 - mode] as usize, r),
+                    );
+                }
+            }
+            let m = nway_mttkrp(&cluster, &x, mode, &refs).unwrap();
+            assert!(m.approx_eq(&want, 1e-12), "mode {mode}");
+            let y = nway_tucker_project(&cluster, &x, mode, &refs).unwrap();
+            assert_eq!(y.dims(), &[x.dims()[mode], 3]);
+            for (idx, v) in y.iter() {
+                assert!((want.get(idx[0] as usize, idx[1] as usize) - v).abs() < 1e-12);
+            }
+        }
     }
 }

@@ -10,14 +10,29 @@
 //!   Hadamard-and-Merge (§III-B2). Intermediate data `nnz + |v|`.
 //! * [`collapse_job`] — `Collapse(·)ₙ` (Definition 2), the add half.
 //! * [`imhp_job`] — the integrated n-mode **matrix** Hadamard products
-//!   `IMHP(X, B, C)` of HaTen2-DRI (§III-B4): computes `T' = X *₁ Bᵀ` and
-//!   `T'' = bin(X) *₂ Cᵀ` in a single job, reading `X` once.
-//! * [`cross_merge_job`] — `CrossMerge(T', T'')₍₀₎` (Definition 3/Lemma 1).
-//! * [`pairwise_merge_job`] — `PairwiseMerge(T', T'')₍₀₎` (Definition
+//!   `IMHP(X, B, C, …)` of HaTen2-DRI (§III-B4): computes `T' = X *₁ Bᵀ`,
+//!   `T'' = bin(X) *₂ Cᵀ` and every further `bin(X)` expansion in a single
+//!   job, reading `X` once.
+//! * [`cross_merge_job`] — `CrossMerge(T', T'', …)₍₀₎` (Definition 3/Lemma 1).
+//! * [`pairwise_merge_job`] — `PairwiseMerge(T', T'', …)₍₀₎` (Definition
 //!   4/Lemma 2).
 //!
 //! Mode positions refer to slots of [`Ix4`]; 3-way tensors keep slot 3 = 0,
 //! and the Hadamard expansions write the factor-column index into slot 3.
+//!
+//! The paper states IMHP and the two merges once, for N-way tensors, and so
+//! do these three: they take `S = N − 1` *join sides*, one per non-target
+//! mode. A record is `((i, a, b, d), v)` whatever `S` is — `i` the
+//! target-mode index, `d` the factor column — because once IMHP has joined
+//! an entry with its factor rows nobody reads its non-target indices as
+//! indices again: the merges only pair a side's value with the other
+//! sides' values *of the same nonzero*, so slots 1–2 are a label of the
+//! nonzero, compared for equality and nothing else. The 3-way pipelines
+//! label a nonzero `(j, k)` and IMHP's mapper joins side `s` on slot
+//! `1 + s` ([`join_on_slots`]); [`crate::nway`] labels it `(e, 0)`, its
+//! ordinal in the [`haten2_tensor::DynTensor`], and hands the mapper the
+//! index slice to read `S` join indices from. At `S = 2` every extra-side
+//! loop below runs zero times.
 //!
 //! These are the kernels [`crate::plan`] attaches to the templates of the
 //! eight pipeline graphs; its one submitter is the only caller outside
@@ -28,7 +43,9 @@
 //! hints from the plan IR's symbolic emit expressions
 //! ([`haten2_mapreduce::JobGraph::emit_hint`]), so the sizing cannot drift
 //! from the cost model; a [`JobSpec::with_map_emit_hint`] call overrides
-//! the derivation — see [`crate::nway`], whose jobs have no graph.
+//! the derivation. [`crate::nway`] runs the kernels on the bare cluster,
+//! where there is no graph and no hint: its shuffle buckets start empty and
+//! grow.
 //!
 //! A tensor-valued input is a [`Shards`] list: the slices a dataset was
 //! written in, in shard order, borrowed from whoever produced them. Every
@@ -180,17 +197,25 @@ fn tv_feed<'a>(
 }
 
 /// The input of a job joining tensor entries with factor rows: the
-/// entries in place as [`ImhpRec::Ent`], then the `rows`.
+/// entries in place as [`ImhpRec::Ent`], each priced at `entry_bytes`, then
+/// the `rows`.
 fn rows_feed<'a>(
     entries: Shards<'a>,
+    entry_bytes: usize,
     rows: Vec<((), ImhpRec)>,
 ) -> Feed<'a, (), ImhpRec, impl Fn(u8, &Ix4, f64) -> ((), ImhpRec) + Sync> {
     Feed::new(
         &[(0, entries)],
-        ImhpRec::Ent((0, 0, 0, 0), 0.0).est_bytes(),
+        entry_bytes,
         |_, ix, v| ((), ImhpRec::Ent(*ix, v)),
         rows,
     )
+}
+
+/// Wire size of a 3-way tensor entry as a job joining it with factor rows
+/// reads it.
+fn ent3_bytes() -> usize {
+    ImhpRec::Ent((0, 0, 0, 0), 0.0).est_bytes()
 }
 
 #[inline]
@@ -407,25 +432,45 @@ fn factor_rows(side: u8, t: &Mat) -> impl Iterator<Item = ((), ImhpRec)> + '_ {
     })
 }
 
-/// IMHP's record writer: a reduce task's output, split into the two
-/// datasets by the `side` byte of the emitted key as it is written. What
+/// IMHP's record writer: a reduce task's output, split into one dataset per
+/// join side by the `side` byte of the emitted key as it is written. What
 /// the engine counts and sizes is still the `((side, ix), v)` record the
 /// reducer emitted.
 #[derive(Default)]
-struct BySide([TensorRecords; 2]);
+struct BySide(Vec<TensorRecords>);
 
 impl Collect<(u8, Ix4), f64> for BySide {
     #[inline]
     fn collect(&mut self, (side, ix): (u8, Ix4), v: f64) {
-        self.0[usize::from(side)].push((ix, v));
+        let side = usize::from(side);
+        if side >= self.0.len() {
+            self.0.resize_with(side + 1, Vec::new);
+        }
+        self.0[side].push((ix, v));
     }
 }
 
-/// The integrated n-mode matrix Hadamard products `IMHP(X, B, C)`
-/// (§III-B4) as **one** job: returns `(T', T'')` where
-/// `T'[i,j,k,q] = X[i,j,k]·Bᵀ[q,j]` and `T''[i,j,k,r] = Cᵀ[r,k]` on the
-/// support of `X` (the `bin(X)` side of Lemmas 1–2). `bt ∈ ℝ^{Q×d₁}`,
-/// `ct ∈ ℝ^{R×d₂}` in canonical orientation.
+/// Where the 3-way pipelines keep the index an entry joins side `side` on:
+/// slot `1 + side` of the record itself. The `join` of every [`imhp_job`]
+/// over `(i, j, k, 0)` records.
+#[inline]
+pub fn join_on_slots(side: usize, ix: &Ix4) -> u64 {
+    slot(ix, 1 + side)
+}
+
+/// The integrated n-mode matrix Hadamard products `IMHP(X, B, C, …)`
+/// (§III-B4) as **one** job over `S = sides.len()` join sides: returns the
+/// `S` expanded datasets, side 0 first, where
+/// `T'[i,a,b,q] = X[i,a,b]·Bᵀ[q, join(0)]` carries the values of `X` and
+/// every later side `T''[i,a,b,r] = Cᵀ[r, join(s)]` is defined on the
+/// support of `X` (the `bin(X)` sides of Lemmas 1–2). `sides[s]` is the
+/// transposed factor of side `s`, `c_s × d_s`; `join(s, ix)` is the index
+/// the entry stored under `ix` joins side `s` on ([`join_on_slots`] for
+/// `(i, j, k, 0)` records). Slots 0–2 of an entry pass through untouched.
+///
+/// `X` is read once: the map input is `nnz + Σ d_s` records, an entry of
+/// the order-`S + 1` tensor priced as the `(S + 2)`-slot record the
+/// expansions make of it.
 ///
 /// Each dataset comes back as the shards its reduce tasks wrote, one per
 /// partition in partition order (some may be empty) — on Hadoop, the
@@ -435,13 +480,13 @@ pub fn imhp_job(
     site: &impl JobSite,
     name: &str,
     entries: Shards<'_>,
-    bt: &Mat,
-    ct: &Mat,
-) -> Result<(Vec<TensorRecords>, Vec<TensorRecords>)> {
-    let input = rows_feed(
-        entries,
-        factor_rows(0, bt).chain(factor_rows(1, ct)).collect(),
-    );
+    sides: &[&Mat],
+    join: impl Fn(usize, &Ix4) -> u64 + Sync,
+) -> Result<Vec<Vec<TensorRecords>>> {
+    let n_sides = sides.len();
+    let rows = sides.iter().zip(0u8..).flat_map(|(t, s)| factor_rows(s, t));
+    // One more index slot per side beyond the 3-way record's two.
+    let input = rows_feed(entries, ent3_bytes() + 8 * n_sides - 8 * 2, rows.collect());
 
     let out: Vec<BySide> = run_job_collect(
         site,
@@ -449,8 +494,9 @@ pub fn imhp_job(
         &input,
         |_, rec: &ImhpRec, emit| match rec {
             ImhpRec::Ent(ix, v) => {
-                emit((0u8, ix.1), ImhpVal::Ent(*ix, *v));
-                emit((1u8, ix.2), ImhpVal::Ent(*ix, *v));
+                for s in 0..n_sides {
+                    emit((s as u8, join(s, ix)), ImhpVal::Ent(*ix, *v));
+                }
             }
             ImhpRec::Row(side, idx, row) => emit((*side, *idx), ImhpVal::Row(row.clone())),
         },
@@ -473,7 +519,8 @@ pub fn imhp_job(
                             continue;
                         }
                         let out_ix = with_slot(*ix, 3, d as u64);
-                        // T' carries X·B; T'' carries only C (bin(X) side).
+                        // T' carries X·B; every other side only its factor
+                        // (the bin(X) sides).
                         let out_v = if side == 0 { val * coef } else { coef };
                         emit((side, out_ix), out_v);
                     }
@@ -481,7 +528,15 @@ pub fn imhp_job(
             }
         },
     )?;
-    Ok(out.into_iter().map(|BySide([tp, tdp])| (tp, tdp)).unzip())
+    // Per partition, per side → per side, per partition.
+    let mut written: Vec<Vec<TensorRecords>> = vec![Vec::new(); n_sides];
+    for BySide(mut partition) in out {
+        partition.resize_with(n_sides, Vec::new);
+        for (side, shard) in written.iter_mut().zip(partition) {
+            side.push(shard);
+        }
+    }
+    Ok(written)
 }
 
 /// Which reduce keys a merge job takes: `(slice, slices)` keeps the
@@ -497,84 +552,136 @@ fn in_slice(key: u64, slice: KeySlice) -> bool {
     slice.is_none_or(|(s, slices)| key_slice(&key, slices) == s)
 }
 
-/// The input of a merge job: `T''` **first**, then `T'`, each stored
-/// `((i, j, k, d), v)` presented in place as `(i, MergeVal)` and priced at
+/// The input of a merge job: the expanded datasets in **descending** side
+/// order — `T''` first, then `T'`, at two sides — each stored
+/// `((i, a, b, d), v)` presented in place as `(i, MergeVal)` and priced at
 /// the [`MergeVal`] alone, as the key-less `((), MergeVal)` input record
 /// always was.
 ///
 /// The order is the contract the merge reducers rest on. A key group's
 /// values reach a reducer in input order restricted to the key (the
-/// engine's `(map task, emission)` order), so every group arrives with its
-/// `T''` values before its `T'` values and the reducer can fill its lookup
-/// table from the first and probe it with the second as they stream past.
-/// This is the reduce-side join's secondary-sort idiom, with the engine's
-/// value order standing in for the sort.
+/// engine's `(map task, emission)` order), so every group arrives last
+/// side first and the reducer can fill its lookup table from that side,
+/// narrow it by each side after and probe it with side 0 as they stream
+/// past. This is the reduce-side join's secondary-sort idiom, with the
+/// engine's value order standing in for the sort.
 fn merge_feed<'a>(
-    t_prime: Shards<'a>,
-    t_dprime: Shards<'a>,
+    sides: &[Shards<'a>],
 ) -> Feed<'a, u64, MergeVal, impl Fn(u8, &Ix4, f64) -> (u64, MergeVal) + Sync> {
     let wrap = |side, &(i, j, k, d): &Ix4, v| (i, MergeVal { side, j, k, d, v });
     let record_bytes = MergeVal::FIXED_BYTES.expect("MergeVal is fixed-size");
-    Feed::new(
-        &[(1, t_dprime), (0, t_prime)],
-        record_bytes,
-        wrap,
-        Vec::new(),
-    )
+    let tagged = sides
+        .iter()
+        .enumerate()
+        .map(|(s, &dataset)| (s as u8, dataset));
+    let descending: Vec<(u8, Shards<'a>)> = tagged.rev().collect();
+    Feed::new(&descending, record_bytes, wrap, Vec::new())
 }
 
-/// What a merge reducer says when its group is not `T''` then `T'`.
+/// What a merge reducer says when its group is not in descending side
+/// order.
 const SIDES_OUT_OF_ORDER: &str =
     "a T'' value after a T' value: the merge input must present T'' first";
 
-/// One CrossMerge reduce group, streamed: the `T''` values fill the
-/// `(j, k) → [(r, v)]` table, each `T'` value probes it. Both `+=` chains
-/// run in the order the values arrive, so the sums are those of the
-/// dataset order.
-fn cross_merge_fold(i: u64, vals: impl Iterator<Item = MergeVal>, emit: &mut dyn FnMut(Ix4, f64)) {
+/// One CrossMerge reduce group over `widths.len()` sides, streamed: the
+/// last side's values fill the `label → [(columns, product)]` table, each
+/// side after extends every list by its own columns (a label the side does
+/// not hold is dropped), and each side-0 value probes what is left.
+/// `columns` is the row-major index of `(q₂ … q_S)` in `widths[1..]`, so
+/// the slice's `Y(i, q₁, columns)` accumulates in a `widths[0] × Π
+/// widths[1..]` array — as dense as the output is for dense factors — and
+/// leaves it in index order, whatever order its cells were touched in.
+/// Every `+=` chain runs in the order the values arrive, so the sums are
+/// those of the dataset order.
+fn cross_merge_fold(
+    i: u64,
+    widths: &[u64],
+    vals: impl Iterator<Item = MergeVal>,
+    emit: &mut dyn FnMut(Ix4, f64),
+) {
+    let last = (widths.len() - 1) as u8;
     let mut vals = vals.peekable();
-    let mut by_jk: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
-    while let Some(v) = vals.next_if(|v| v.side == 1) {
-        by_jk.entry((v.j, v.k)).or_default().push((v.d, v.v));
+    let columns: u64 = widths[1..].iter().product();
+    let mut acc = vec![0.0; (widths[0] * columns) as usize];
+    if last == 0 {
+        // An order-2 tensor has one side and nothing to join it with.
+        for v in vals.by_ref() {
+            acc[v.d as usize] += v.v;
+        }
     }
-    // BTreeMap, not HashMap: the accumulator is *iterated* into emits, so
-    // its order must not depend on hasher state (the determinism pass
-    // rejects unordered iteration feeding emits).
-    let mut acc: BTreeMap<(u64, u64), f64> = BTreeMap::new();
+    let mut table: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
+    while let Some(v) = vals.next_if(|v| v.side == last) {
+        table.entry((v.j, v.k)).or_default().push((v.d, v.v));
+    }
+    for side in (1..last).rev() {
+        let stride: u64 = widths[usize::from(side) + 1..].iter().product();
+        let mut joined: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
+        while let Some(v) = vals.next_if(|v| v.side == side) {
+            if let Some(later) = table.get(&(v.j, v.k)) {
+                let extended = later
+                    .iter()
+                    .map(|&(cols, w)| (v.d * stride + cols, v.v * w));
+                joined.entry((v.j, v.k)).or_default().extend(extended);
+            }
+        }
+        table = joined;
+    }
     for v in vals {
         assert!(v.side == 0, "CrossMerge group {i}: {SIDES_OUT_OF_ORDER}");
-        if let Some(rs) = by_jk.get(&(v.j, v.k)) {
-            for &(r, w) in rs {
-                *acc.entry((v.d, r)).or_insert(0.0) += v.v * w;
+        if let Some(partners) = table.get(&(v.j, v.k)) {
+            let row = &mut acc[(v.d * columns) as usize..][..columns as usize];
+            for &(cols, w) in partners {
+                row[cols as usize] += v.v * w;
             }
         }
     }
-    for ((q, r), y) in acc {
+    for (cell, y) in (0u64..).zip(acc) {
         if y != 0.0 {
-            emit((i, q, r, 0u64), y);
+            emit((i, cell / columns, cell % columns, 0u64), y);
         }
     }
 }
 
-/// One PairwiseMerge reduce group, streamed like [`cross_merge_fold`]:
-/// `T''` fills the `(j, k, r) → v` table, `T'` probes it.
+/// One PairwiseMerge reduce group over `sides` sides, streamed like
+/// [`cross_merge_fold`]: the last side fills the `(label, r) → v` table,
+/// each side after rebuilds it as the running product over the keys it
+/// also holds, side 0 probes it.
 fn pairwise_merge_fold(
     i: u64,
+    sides: usize,
     vals: impl ExactSizeIterator<Item = MergeVal>,
     emit: &mut dyn FnMut(Ix4, f64),
 ) {
-    // Lookup-only join map, pre-sized for a group that is half T'' rows:
+    let last = sides - 1;
+    // Lookup-only join map, pre-sized for a group that is one side's rows:
     // a heavy power-law group otherwise rehashes ~17 times while it grows.
-    let mut by_jkr: HashMap<(u64, u64, u64), f64> = HashMap::with_capacity(vals.len() / 2);
+    let mut table: HashMap<(u64, u64, u64), f64> = HashMap::with_capacity(vals.len() / sides);
     let mut vals = vals.peekable();
-    while let Some(v) = vals.next_if(|v| v.side == 1) {
-        *by_jkr.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v;
-    }
-    // BTreeMap: iterated into emits below (see cross_merge_fold).
+    // BTreeMap, not HashMap: the accumulator is *iterated* into emits, so
+    // its order must not depend on hasher state (the determinism pass
+    // rejects unordered iteration feeding emits).
     let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
+    if last == 0 {
+        // An order-2 tensor has one side and nothing to join it with.
+        for v in vals.by_ref() {
+            *acc.entry(v.d).or_insert(0.0) += v.v;
+        }
+    }
+    while let Some(v) = vals.next_if(|v| usize::from(v.side) == last) {
+        *table.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v;
+    }
+    for side in (1..last).rev() {
+        let mut joined: HashMap<(u64, u64, u64), f64> = HashMap::with_capacity(table.len());
+        while let Some(v) = vals.next_if(|v| usize::from(v.side) == side) {
+            if let Some(&w) = table.get(&(v.j, v.k, v.d)) {
+                *joined.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v * w;
+            }
+        }
+        table = joined;
+    }
     for v in vals {
         assert!(v.side == 0, "PairwiseMerge group {i}: {SIDES_OUT_OF_ORDER}");
-        if let Some(&w) = by_jkr.get(&(v.j, v.k, v.d)) {
+        if let Some(&w) = table.get(&(v.j, v.k, v.d)) {
             *acc.entry(v.d).or_insert(0.0) += v.v * w;
         }
     }
@@ -585,22 +692,26 @@ fn pairwise_merge_fold(
     }
 }
 
-/// `CrossMerge(T', T'')₍₀₎` (Definition 3) as one job: produces
-/// `Y(i, q, r) = Σ_{j,k} T'(i,j,k,q)·T''(i,j,k,r)` as records
-/// `((i, q, r, 0), y)`.
+/// `CrossMerge(T', T'', …)₍₀₎` (Definition 3) as one job over the expanded
+/// datasets `sides`, side 0 (`T'`) first: produces
+/// `Y(i, q₁ … q_S) = Σ_{nonzeros of slice i} Π_s T⁽ˢ⁾(i, ·, q_s)` as
+/// records `((i, q₁, columns, 0), y)`, `columns` the row-major index of
+/// `(q₂ … q_S)` in `widths[1..]` — `((i, q, r, 0), y)` at two sides.
+/// `widths[s]` is the column count of side `s`'s factor.
 ///
 /// Keys on the target-mode index `i`, so the shuffle volume is
-/// `nnz·(Q+R)` — the Table III cost of HaTen2-DRN/DRI. Both datasets are
+/// `nnz·(Q+R)` — the Table III cost of HaTen2-DRN/DRI. Every dataset is
 /// read in place, shard by shard ([`merge_feed`]); under `heavy-key-split`
 /// every split instance maps this same view.
 pub fn cross_merge_job(
     site: &impl JobSite,
     name: &str,
-    t_prime: Shards<'_>,
-    t_dprime: Shards<'_>,
+    sides: &[Shards<'_>],
+    widths: &[u64],
     slice: KeySlice,
 ) -> Result<Vec<(Ix4, f64)>> {
-    let input = merge_feed(t_prime, t_dprime);
+    assert_eq!(sides.len(), widths.len(), "one column count per side");
+    let input = merge_feed(sides);
     let out = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
@@ -610,23 +721,24 @@ pub fn cross_merge_job(
                 emit(*i, rec.clone());
             }
         },
-        |i, vals, emit| cross_merge_fold(*i, vals, emit),
+        |i, vals, emit| cross_merge_fold(*i, widths, vals, emit),
     )?;
     Ok(concat_partitions(out))
 }
 
-/// `PairwiseMerge(T', T'')₍₀₎` (Definition 4) as one job: produces
-/// `Y(i, r) = Σ_{j,k} T'(i,j,k,r)·T''(i,j,k,r)` as records
-/// `((i, r, 0, 0), y)`. Shuffle volume `2·nnz·R` — the Table IV cost of
-/// HaTen2-PARAFAC-DRN/DRI. Reads its inputs as [`cross_merge_job`] does.
+/// `PairwiseMerge(T', T'', …)₍₀₎` (Definition 4) as one job over the
+/// expanded datasets `sides`, side 0 (`T'`) first: produces
+/// `Y(i, r) = Σ_{nonzeros of slice i} Π_s T⁽ˢ⁾(i, ·, r)` as records
+/// `((i, r, 0, 0), y)`. Shuffle volume `2·nnz·R` at two sides — the
+/// Table IV cost of HaTen2-PARAFAC-DRN/DRI. Reads its inputs as
+/// [`cross_merge_job`] does.
 pub fn pairwise_merge_job(
     site: &impl JobSite,
     name: &str,
-    t_prime: Shards<'_>,
-    t_dprime: Shards<'_>,
+    sides: &[Shards<'_>],
     slice: KeySlice,
 ) -> Result<Vec<(Ix4, f64)>> {
-    let input = merge_feed(t_prime, t_dprime);
+    let input = merge_feed(sides);
     let out = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
@@ -636,7 +748,7 @@ pub fn pairwise_merge_job(
                 emit(*i, rec.clone());
             }
         },
-        |i, vals, emit| pairwise_merge_fold(*i, vals, emit),
+        |i, vals, emit| pairwise_merge_fold(*i, sides.len(), vals, emit),
     )?;
     Ok(concat_partitions(out))
 }
@@ -688,7 +800,7 @@ pub fn model_inner_product_job(
     let rank = a.cols();
     let a_rows = (0..a.rows()).map(|i| ((), ImhpRec::Row(0, i as u64, a.row(i).to_vec())));
     let x = [x.as_slice()];
-    let input = rows_feed(&x, a_rows.collect());
+    let input = rows_feed(&x, ent3_bytes(), a_rows.collect());
     let out: Vec<Vec<(u8, f64)>> = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
@@ -796,16 +908,23 @@ mod tests {
         MergeVal { side, j, k, d, v }
     }
 
-    type Fold = fn(u64, std::vec::IntoIter<MergeVal>, &mut dyn FnMut(Ix4, f64));
+    /// A fold over `sides` sides of `width` columns each.
+    type Fold = fn(u64, usize, u64, std::vec::IntoIter<MergeVal>, &mut dyn FnMut(Ix4, f64));
     const FOLDS: [Fold; 2] = [
-        |i, vals, emit| cross_merge_fold(i, vals, emit),
-        |i, vals, emit| pairwise_merge_fold(i, vals, emit),
+        |i, sides, width, vals, emit| cross_merge_fold(i, &vec![width; sides], vals, emit),
+        |i, sides, _, vals, emit| pairwise_merge_fold(i, sides, vals, emit),
     ];
 
-    fn fold(fold: Fold, vals: Vec<MergeVal>) -> Vec<(Ix4, f64)> {
+    fn fold_sides(fold: Fold, sides: usize, width: u64, vals: Vec<MergeVal>) -> Vec<(Ix4, f64)> {
         let mut out = Vec::new();
-        fold(7, vals.into_iter(), &mut |ix, y| out.push((ix, y)));
+        fold(7, sides, width, vals.into_iter(), &mut |ix, y| {
+            out.push((ix, y))
+        });
         out
+    }
+
+    fn fold(fold: Fold, vals: Vec<MergeVal>) -> Vec<(Ix4, f64)> {
+        fold_sides(fold, 2, 1, vals)
     }
 
     #[test]
@@ -830,6 +949,52 @@ mod tests {
             }
             assert_eq!(fold(f, Vec::new()), []);
         }
+    }
+
+    #[test]
+    fn merge_folds_join_every_side_of_a_nonzero() {
+        // Four sides of two columns each; nonzero (1, 0) is on every side,
+        // (2, 0) is missing from side 2, (3, 0) from side 0.
+        let mut group = Vec::new();
+        for side in (0..4u8).rev() {
+            for label in 1..=3u64 {
+                if (label, side) == (2, 2) || (label, side) == (3, 0) {
+                    continue;
+                }
+                for d in 0..2u64 {
+                    let v = f64::from(side + 2) + d as f64 * 0.5;
+                    group.push(merge_val(side, (label, 0, d), v));
+                }
+            }
+        }
+        // side s, column d carries s + 2 + d/2.
+        let val = |side: u64, d: u64| (side + 2) as f64 + d as f64 * 0.5;
+        let pairwise = fold_sides(FOLDS[1], 4, 2, group.clone());
+        let want: Vec<(Ix4, f64)> = (0..2)
+            .map(|d| ((7, d, 0, 0), (0..4).map(|s| val(s, d)).product()))
+            .collect();
+        assert_eq!(pairwise, want);
+        let cross = fold_sides(FOLDS[0], 4, 2, group);
+        assert_eq!(cross.len(), 16);
+        for ((i, q0, cols, zero), y) in cross {
+            assert_eq!((i, zero), (7, 0));
+            // Row-major over sides 1..4: side 1 is the slowest digit.
+            let q = [q0, cols >> 2, (cols >> 1) & 1, cols & 1];
+            let want: f64 = (0..4).map(|s| val(s, q[s as usize])).product();
+            assert_eq!(y, want, "{q:?}");
+        }
+    }
+
+    #[test]
+    fn a_lone_side_is_its_own_merge() {
+        let group = vec![
+            merge_val(0, (1, 0, 0), 2.0),
+            merge_val(0, (2, 0, 0), 3.0),
+            merge_val(0, (2, 0, 1), 0.5),
+        ];
+        let want = [((7, 0, 0, 0), 5.0), ((7, 1, 0, 0), 0.5)];
+        assert_eq!(fold_sides(FOLDS[0], 1, 2, group.clone()), want);
+        assert_eq!(fold_sides(FOLDS[1], 1, 2, group), want);
     }
 
     #[test]

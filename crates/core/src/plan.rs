@@ -38,8 +38,8 @@
 //! support (`distinct (i,k) pairs`) is data-dependent.
 
 use crate::ops::{
-    collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, merge_parts_job, naive_ttv_job,
-    pairwise_merge_job, with_slot, KeySlice, Shards, TensorRecords,
+    collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots, merge_parts_job,
+    naive_ttv_job, pairwise_merge_job, with_slot, KeySlice, Shards, TensorRecords,
 };
 use crate::records::{tensor_records, HadVal, ImhpVal, Ix4, MergeVal, NaiveVal};
 use crate::Variant;
@@ -258,12 +258,13 @@ pub enum Kernel {
     HadamardVec(Side, bool),
     /// [`collapse_job`] over this slot.
     Collapse(usize),
-    /// [`imhp_job`]: both Hadamard expansions in one pass over `x`; writes
-    /// two datasets, each as the shards its reduce tasks wrote.
+    /// [`imhp_job`] at two sides, joined on slots 1 and 2: both Hadamard
+    /// expansions in one pass over `x`; writes two datasets, each as the
+    /// shards its reduce tasks wrote.
     Imhp,
-    /// [`cross_merge_job`] of its two reads.
+    /// [`cross_merge_job`] of its two reads, side 0 first.
     CrossMerge,
-    /// [`pairwise_merge_job`] of its two reads.
+    /// [`pairwise_merge_job`] of its two reads, side 0 first.
     PairwiseMerge,
     /// [`merge_parts_job`]: reassembly of a key-sliced merge's shards.
     MergeParts,
@@ -312,14 +313,14 @@ impl Kernel {
                 one_shard(collapse_job(ctx, name, entries, drop, bound.use_combiner)?)
             }
             (Kernel::Imhp, [entries]) => {
-                let (t_prime, t_dprime) = imhp_job(ctx, name, entries, bound.u1, bound.u2)?;
-                vec![t_prime, t_dprime]
+                imhp_job(ctx, name, entries, &[bound.u1, bound.u2], join_on_slots)?
             }
-            (Kernel::CrossMerge, [t_prime, t_dprime]) => {
-                one_shard(cross_merge_job(ctx, name, t_prime, t_dprime, slice)?)
+            (Kernel::CrossMerge, sides @ [_, _]) => {
+                let widths = [bound.u1.rows() as u64, bound.u2.rows() as u64];
+                one_shard(cross_merge_job(ctx, name, sides, &widths, slice)?)
             }
-            (Kernel::PairwiseMerge, [t_prime, t_dprime]) => {
-                one_shard(pairwise_merge_job(ctx, name, t_prime, t_dprime, slice)?)
+            (Kernel::PairwiseMerge, sides @ [_, _]) => {
+                one_shard(pairwise_merge_job(ctx, name, sides, slice)?)
             }
             (Kernel::MergeParts, [parts]) => one_shard(merge_parts_job(ctx, name, parts)?),
             (kernel, inputs) => {
@@ -894,27 +895,17 @@ pub const COMM_ASSOC_REDUCERS: &[ReducerAnnotation] = &[
     },
     ReducerAnnotation {
         site: "cross_merge_job",
-        summary: "sum over (j,k) of T'·T'' products per (i,q,r)",
+        summary: "sum over nonzeros of the sides' products per (i, columns)",
         reduce: sum_fold,
     },
     ReducerAnnotation {
         site: "pairwise_merge_job",
-        summary: "sum over (j,k) of matched T'·T'' products per (i,r)",
+        summary: "sum over nonzeros of the sides' matched products per (i,r)",
         reduce: sum_fold,
     },
     ReducerAnnotation {
         site: "model_inner_product_job",
         summary: "partial inner products ⟨X, X̂⟩ per target-mode slice",
-        reduce: sum_fold,
-    },
-    ReducerAnnotation {
-        site: "nway-pairwisemerge-mode{}",
-        summary: "sum of complete side-products per (index, column)",
-        reduce: sum_fold,
-    },
-    ReducerAnnotation {
-        site: "nway-crossmerge-mode{}",
-        summary: "sum of cartesian side-products per (index, columns)",
         reduce: sum_fold,
     },
 ];

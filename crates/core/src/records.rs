@@ -4,6 +4,10 @@
 //! index tuple plus a value. 3-way tensors leave slot 3 at 0; the Hadamard
 //! expansions `T' = X *ₙ Bᵀ` and `T'' = bin(X) *ₙ Cᵀ` use slot 3 for the
 //! factor-column index `q`/`r` — exactly the 4-way tensors of Lemmas 1–2.
+//! An order-N tensor uses the same records: slot 0 is the target-mode
+//! index and slots 1–2 label the nonzero (`(j, k)` at N = 3, the entry's
+//! ordinal above it — see [`crate::ops`]), so no record is wider than this
+//! whatever the order.
 
 use haten2_mapreduce::EstimateSize;
 use haten2_tensor::CooTensor3;
@@ -30,15 +34,16 @@ impl EstimateSize for TvRec {
     }
 }
 
-/// Input record for the integrated `IMHP(X, B, C)` job: a tensor entry or a
-/// full factor-matrix row for one of the two join sides.
+/// Input record for the integrated `IMHP(X, B, C, …)` job: a tensor entry
+/// or a full factor-matrix row for one of the join sides.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ImhpRec {
     /// Tensor entry.
     Ent(Ix4, f64),
-    /// Factor row: `side` 0 joins on the mode-1 index with a row of `Bᵀ`
-    /// (length Q), `side` 1 joins on the mode-2 index with a row of `Cᵀ`
-    /// (length R).
+    /// Factor row `(side, index, row)`: side `s` joins on the index of the
+    /// `s`-th non-target mode with a row of that mode's factor — at two
+    /// sides, `Bᵀ` (length Q) on the mode-1 index and `Cᵀ` (length R) on
+    /// the mode-2 index.
     Row(u8, u64, Vec<f64>),
 }
 
@@ -104,17 +109,21 @@ impl EstimateSize for ImhpVal {
     }
 }
 
-/// Merge-side value: one expanded entry from `T'` (`side` 0, slot-3 = q) or
-/// `T''` (`side` 1, slot-3 = r), carrying `(j, k, slot3, value)`. The
-/// target-mode index is the record's key, in the map input and in the
-/// shuffle alike, and is not repeated here.
+/// Merge-side value: one expanded entry from `T'` (`side` 0, slot-3 = q),
+/// `T''` (`side` 1, slot-3 = r) or a further `bin(X)` side, carrying
+/// `(j, k, slot3, value)`. The target-mode index is the record's key, in
+/// the map input and in the shuffle alike, and is not repeated here.
+///
+/// `(j, k)` is a join label: the merges compare it for equality, to pair a
+/// value with the other sides' values of the same nonzero, and never read
+/// it as an index. Any injective label of the nonzero will do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergeVal {
-    /// 0 = `T'` (B side), 1 = `T''` (C side).
+    /// The join side: 0 = `T'` (carries `X`'s values), 1 = `T''`, ….
     pub side: u8,
-    /// Mode-1 index.
+    /// First half of the nonzero's label (the mode-1 index at N = 3).
     pub j: u64,
-    /// Mode-2 index.
+    /// Second half of the label (the mode-2 index at N = 3).
     pub k: u64,
     /// Factor-column index (q or r).
     pub d: u64,

@@ -6,8 +6,8 @@
 #![allow(clippy::unwrap_used)]
 
 use haten2_core::ops::{
-    collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, model_inner_product_job,
-    naive_ttv_job, pairwise_merge_job, TensorRecords,
+    collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots,
+    model_inner_product_job, naive_ttv_job, pairwise_merge_job, TensorRecords,
 };
 use haten2_core::records::tensor_records;
 use haten2_core::Ix4;
@@ -25,6 +25,20 @@ fn cluster() -> Cluster {
 /// A dataset as IMHP's reduce tasks wrote it, borrowed for a merge to read.
 fn shards(written: &[TensorRecords]) -> Vec<&[(Ix4, f64)]> {
     written.iter().map(Vec::as_slice).collect()
+}
+
+/// `IMHP(X, B, C)`: the two-sided job of the 3-way pipelines, `(T', T'')`.
+fn imhp(
+    cluster: &Cluster,
+    name: &str,
+    x: &CooTensor3,
+    bt: &Mat,
+    ct: &Mat,
+) -> (Vec<TensorRecords>, Vec<TensorRecords>) {
+    let entries = tensor_records(x);
+    let written = imhp_job(cluster, name, &[&entries], &[bt, ct], join_on_slots).unwrap();
+    let [t_prime, t_dprime]: [Vec<TensorRecords>; 2] = written.try_into().unwrap();
+    (t_prime, t_dprime)
 }
 
 fn sample(seed: u64) -> CooTensor3 {
@@ -120,7 +134,7 @@ fn imhp_job_produces_both_expansions() {
     let mut rng = StdRng::seed_from_u64(9);
     let bt = Mat::random(3, 6, &mut rng); // Q x J
     let ct = Mat::random(2, 4, &mut rng); // R x K
-    let (tp, tdp) = imhp_job(&cluster(), "t", &[&tensor_records(&x)], &bt, &ct).unwrap();
+    let (tp, tdp) = imhp(&cluster(), "t", &x, &bt, &ct);
     // One shard per reduce partition; read in order they are the dataset.
     assert_eq!(tp.len(), cluster().config().num_reducers());
     assert_eq!(tdp.len(), tp.len());
@@ -139,7 +153,7 @@ fn imhp_job_produces_both_expansions() {
     // Exactly one job ran.
     // (Cluster is fresh per call in this test harness, so re-run and count.)
     let c = cluster();
-    imhp_job(&c, "count", &[&tensor_records(&x)], &bt, &ct).unwrap();
+    imhp(&c, "count", &x, &bt, &ct);
     assert_eq!(c.metrics().total_jobs(), 1);
 }
 
@@ -150,8 +164,9 @@ fn cross_merge_job_matches_reference() {
     let bt = Mat::random(3, 6, &mut rng);
     let ct = Mat::random(2, 4, &mut rng);
     let c = cluster();
-    let (tp, tdp) = imhp_job(&c, "imhp", &[&tensor_records(&x)], &bt, &ct).unwrap();
-    let merged = cross_merge_job(&c, "merge", &shards(&tp), &shards(&tdp), None).unwrap();
+    let (tp, tdp) = imhp(&c, "imhp", &x, &bt, &ct);
+    let merged =
+        cross_merge_job(&c, "merge", &[&shards(&tp), &shards(&tdp)], &[3, 2], None).unwrap();
     let want = reference::cross_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -171,8 +186,8 @@ fn pairwise_merge_job_matches_reference() {
     let bt = Mat::random(r, 6, &mut rng);
     let ct = Mat::random(r, 4, &mut rng);
     let c = cluster();
-    let (tp, tdp) = imhp_job(&c, "imhp", &[&tensor_records(&x)], &bt, &ct).unwrap();
-    let merged = pairwise_merge_job(&c, "merge", &shards(&tp), &shards(&tdp), None).unwrap();
+    let (tp, tdp) = imhp(&c, "imhp", &x, &bt, &ct);
+    let merged = pairwise_merge_job(&c, "merge", &[&shards(&tp), &shards(&tdp)], None).unwrap();
     let want = reference::pairwise_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -226,16 +241,16 @@ fn merge_jobs_shuffle_exactly_table_costs() {
     let bt = Mat::random(q, 6, &mut rng);
     let ct = Mat::random(r, 4, &mut rng);
     let c = cluster();
-    let (tp, tdp) = imhp_job(&c, "imhp", &[&tensor_records(&x)], &bt, &ct).unwrap();
+    let (tp, tdp) = imhp(&c, "imhp", &x, &bt, &ct);
     let mark = c.jobs_run();
-    cross_merge_job(&c, "cross", &shards(&tp), &shards(&tdp), None).unwrap();
+    cross_merge_job(&c, "cross", &[&shards(&tp), &shards(&tdp)], &[3, 2], None).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, x.nnz() * (q + r));
 
     let bt = Mat::random(r, 6, &mut rng);
-    let (tp2, tdp2) = imhp_job(&c, "imhp2", &[&tensor_records(&x)], &bt, &ct).unwrap();
+    let (tp2, tdp2) = imhp(&c, "imhp2", &x, &bt, &ct);
     let mark = c.jobs_run();
-    pairwise_merge_job(&c, "pair", &shards(&tp2), &shards(&tdp2), None).unwrap();
+    pairwise_merge_job(&c, "pair", &[&shards(&tp2), &shards(&tdp2)], None).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, 2 * x.nnz() * r);
 }

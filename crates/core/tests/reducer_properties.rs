@@ -80,8 +80,6 @@ comm_assoc_properties! {
     cross_merge_fold_is_comm_assoc => "cross_merge_job",
     pairwise_merge_fold_is_comm_assoc => "pairwise_merge_job",
     model_inner_product_fold_is_comm_assoc => "model_inner_product_job",
-    nway_pairwisemerge_fold_is_comm_assoc => "nway-pairwisemerge-mode{}",
-    nway_crossmerge_fold_is_comm_assoc => "nway-crossmerge-mode{}",
 }
 
 #[test]

@@ -12,7 +12,8 @@
 #![allow(clippy::unwrap_used)]
 
 use haten2_core::ops::{
-    cross_merge_job, imhp_job, merge_parts_job, pairwise_merge_job, KeySlice, Shards, TensorRecords,
+    cross_merge_job, imhp_job, join_on_slots, merge_parts_job, pairwise_merge_job, KeySlice,
+    Shards, TensorRecords,
 };
 use haten2_core::records::tensor_records;
 use haten2_core::Ix4;
@@ -67,8 +68,15 @@ fn check(merge: Merge, x: &CooTensor3, slices: usize, machines: usize, seed: u64
     let mut rng = StdRng::seed_from_u64(seed);
     let bt = Mat::random(3, 6, &mut rng);
     let ct = Mat::random(3, 5, &mut rng);
-    let (tp_written, tdp_written) =
-        imhp_job(&cluster, "imhp", &[&tensor_records(x)], &bt, &ct).unwrap();
+    let written = imhp_job(
+        &cluster,
+        "imhp",
+        &[&tensor_records(x)],
+        &[&bt, &ct],
+        join_on_slots,
+    )
+    .unwrap();
+    let [tp_written, tdp_written]: [Vec<TensorRecords>; 2] = written.try_into().unwrap();
     let (t_prime, t_dprime) = (tp_written.concat(), tdp_written.concat());
     let (whole, whole_metrics) = metered(merge, &cluster, &[&t_prime], &[&t_dprime], None);
 
@@ -121,7 +129,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         check(
-            |c, tp, tdp, slice| cross_merge_job(c, "crossmerge", tp, tdp, slice),
+            |c, tp, tdp, slice| cross_merge_job(c, "crossmerge", &[tp, tdp], &[3, 3], slice),
             &x, slices, machines, seed,
         );
     }
@@ -134,7 +142,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         check(
-            |c, tp, tdp, slice| pairwise_merge_job(c, "pairwisemerge", tp, tdp, slice),
+            |c, tp, tdp, slice| pairwise_merge_job(c, "pairwisemerge", &[tp, tdp], slice),
             &x, slices, machines, seed,
         );
     }

@@ -14,8 +14,9 @@
 # `--sanitize` runs the dynamic-analysis lane instead: ThreadSanitizer over
 # the concurrency tests (worker pool, arena, DAG scheduler and its per-level
 # pool split, parallel-reduce failure, the durable DFS's block-parallel
-# reload — concurrent and nested in a job — and the eight pipelines end to
-# end through the one submitter) and Miri over the arena's unsafe core. Both
+# reload — concurrent and nested in a job — the eight pipelines end to end
+# through the one submitter, and the N-way fronts on the same kernels) and
+# Miri over the arena's unsafe core. Both
 # need nightly tooling; each step is skipped with a notice when its
 # toolchain component is absent, so the lane degrades gracefully on
 # stable-only hosts.
@@ -46,8 +47,9 @@ if [[ "${1:-}" == "--sanitize" ]]; then
         tsan -p haten2-mapreduce --features race-detect -- pool arena sched race \
             level_split parallel_reduce reload
         # Every pipeline (and both sliced merges) under both scheduler
-        # modes, with the bit-identity digests still asserted.
-        tsan -p haten2-core --test golden_pipelines --test sliced_merge
+        # modes, with the bit-identity digests still asserted; and the same
+        # kernels at three to five join sides on the bare cluster.
+        tsan -p haten2-core --test golden_pipelines --test sliced_merge --test nway_properties
     else
         echo "==> TSan SKIPPED: rust-src not installed (rustup +nightly component add rust-src)"
     fi
@@ -70,6 +72,7 @@ trap 'rm -rf "$smoke_out"' EXIT
 GATES=(
     "build|cargo build --release"
     "workspace tests|cargo test -q"
+    "order-4 end to end (N-way PARAFAC + Tucker; tier-1 only compiles it)|cargo run --release --example four_way_logs"
     "clippy|cargo clippy --workspace --all-targets -- -D warnings"
     "rustfmt|cargo fmt --check"
     "chaos smoke (fault transparency + static/dynamic race cross-validation)|cargo run -p haten2-chaos --release --bin haten2-chaos -- --seeds 2 --seed-base 7"
