@@ -8,10 +8,9 @@
 //! * `--reject-demo` — run deliberately defective plans/specs through the
 //!   analyzer and print the diagnostics, proving that malformed plans are
 //!   rejected naming the offending job, dataset, or sweep — including
-//!   seeded racy batches, communication lies (wrong closed form,
-//!   under-declared shuffle volume), and broken plan rewrites
-//!   (volume-inflating, dataflow-breaking). Exits non-zero if any demo
-//!   plan slips through.
+//!   seeded racy batches and communication lies (wrong closed form,
+//!   under-declared shuffle volume). Exits non-zero if any demo plan
+//!   slips through.
 //! * `--determinism` — print only the UDF-purity scan verdict.
 //! * `--format md|json` — report format for `--verify-paper-table`
 //!   (default `md`). JSON output is a single stable document with one
@@ -125,39 +124,10 @@ fn reject_demo() -> bool {
             );
         }
     }
-    let merge_graph = haten2_core::plan_for(haten2_core::Decomp::Tucker, haten2_core::Variant::Dri);
-    for r in haten2_analyze::rewrite::run_rewrite_rejections(&merge_graph, &envs) {
-        println!("## {} on {} — {}", r.rewrite, r.graph, r.defect);
-        if r.rule == "none" {
-            println!(
-                "{}\n",
-                if r.rejected {
-                    "certified (baseline rewrite must pass)"
-                } else {
-                    "BASELINE REWRITE REJECTED"
-                }
-            );
-        } else if r.violations.is_empty() {
-            println!("NOT REJECTED (rewrite certifier found nothing)\n");
-        } else {
-            for v in &r.violations {
-                println!("- {v}");
-            }
-            println!();
-        }
-        if !r.rejected {
-            all_rejected = false;
-            eprintln!(
-                "seeded rewrite mutant '{}' ({}) was not handled as expected \
-                 (rule '{}')",
-                r.rewrite, r.defect, r.rule
-            );
-        }
-    }
     if all_rejected {
         println!(
             "all demo plans rejected, each diagnostic names the offending \
-             job, dataset, sweep, racing pair, or rewrite"
+             job, dataset, sweep, or racing pair"
         );
     }
     all_rejected

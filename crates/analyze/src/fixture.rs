@@ -1,8 +1,8 @@
 //! `.plan` fixtures: tiny textual job graphs for the known-bad corpus.
 //!
 //! The lint/purity/effect rules have known-bad *source* fixtures under
-//! `crates/xtask/tests/fixtures/`; the communication and rewrite rules
-//! operate on plan IR, not source text, so their corpus entries are
+//! `crates/xtask/tests/fixtures/`; the communication rules operate on
+//! plan IR, not source text, so their corpus entries are
 //! `.plan` files — a line-oriented description of a [`JobGraph`] plus the
 //! check to run on it. Expressions use the [`SymExpr`] display syntax
 //! (`SymExpr::parse` round-trips it), so a fixture reads like the
@@ -26,13 +26,11 @@
 //! graph; `job` opens a template and `count`, `reads`, `writes`,
 //! `records`, `bytes`, `upper-bound`, `comm-assoc` fill it in;
 //! `claim-shuffle <expr>` runs the communication check
-//! ([`crate::comm::check_comm`]) with that closed form;
-//! `apply-rewrite <name>` certifies the named [`crate::rewrite`]
-//! transform; `expect <rule>` records which rule ids must fire. Blank
-//! lines and `#` comments are skipped.
+//! ([`crate::comm::check_comm`]) with that closed form; `expect <rule>`
+//! records which rule ids must fire. Blank lines and `#` comments are
+//! skipped.
 
 use crate::comm::check_comm;
-use crate::rewrite::{certify_rewrite, rewrite_by_name};
 use crate::Violation;
 use haten2_core::{comm_for, Decomp, Variant};
 use haten2_mapreduce::{JobGraph, PlanJob, SymExpr};
@@ -45,9 +43,6 @@ pub struct PlanFixture {
     pub graph: JobGraph,
     /// Closed-form shuffle claim to check, when present.
     pub claim: Option<SymExpr>,
-    /// Rewrite to certify, when present (validated against
-    /// [`rewrite_by_name`] at load time).
-    pub rewrite: Option<String>,
     /// Rule ids the fixture expects to fire.
     pub expects: Vec<String>,
 }
@@ -60,7 +55,6 @@ fn parse_expr(line_no: usize, s: &str) -> Result<SymExpr, String> {
 pub fn parse_plan_fixture(text: &str) -> Result<PlanFixture, String> {
     let mut graph: Option<JobGraph> = None;
     let mut claim = None;
-    let mut rewrite = None;
     let mut expects = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -91,12 +85,6 @@ pub fn parse_plan_fixture(text: &str) -> Result<PlanFixture, String> {
             "output" => g.outputs.push(rest.to_string()),
             "job" => g.jobs.push(PlanJob::new(rest)),
             "claim-shuffle" => claim = Some(parse_expr(line_no, rest)?),
-            "apply-rewrite" => {
-                if rewrite_by_name(rest).is_none() {
-                    return Err(format!("line {line_no}: unknown rewrite '{rest}'"));
-                }
-                rewrite = Some(rest.to_string());
-            }
             "expect" => expects.push(rest.to_string()),
             "count" | "reads" | "writes" | "records" | "bytes" | "upper-bound" | "comm-assoc" => {
                 let job = g
@@ -120,7 +108,6 @@ pub fn parse_plan_fixture(text: &str) -> Result<PlanFixture, String> {
     Ok(PlanFixture {
         graph,
         claim,
-        rewrite,
         expects,
     })
 }
@@ -138,16 +125,10 @@ pub fn load_plan_fixture(path: &Path) -> Result<PlanFixture, String> {
 pub fn run_plan_fixture(fixture: &PlanFixture) -> Vec<Violation> {
     let envs = crate::cost::regime_envs();
     let spec = comm_for(Decomp::Tucker, Variant::Dri);
-    let mut out = Vec::new();
-    if let Some(claim) = &fixture.claim {
-        out.extend(check_comm(&fixture.graph, claim, &spec, &envs));
+    match &fixture.claim {
+        Some(claim) => check_comm(&fixture.graph, claim, &spec, &envs),
+        None => Vec::new(),
     }
-    if let Some(name) = &fixture.rewrite {
-        if let Some(rw) = rewrite_by_name(name) {
-            out.extend(certify_rewrite(rw.as_ref(), &fixture.graph, &envs).violations);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -185,14 +166,6 @@ claim-shuffle Q·57·nnz + 49·nnz
     }
 
     #[test]
-    fn rewrite_directive_resolves_and_runs() {
-        let text = format!("{GOOD}apply-rewrite heavy-key-split\n");
-        let f = parse_plan_fixture(&text).unwrap();
-        assert_eq!(f.rewrite.as_deref(), Some("heavy-key-split"));
-        assert!(run_plan_fixture(&f).is_empty());
-    }
-
-    #[test]
     fn errors_carry_line_numbers() {
         assert!(parse_plan_fixture("job early\n")
             .unwrap_err()
@@ -203,9 +176,9 @@ claim-shuffle Q·57·nnz + 49·nnz
         assert!(parse_plan_fixture("graph g\njob j\nbytes )(\n")
             .unwrap_err()
             .contains("unparseable"));
-        assert!(parse_plan_fixture("graph g\napply-rewrite nope\n")
+        assert!(parse_plan_fixture("graph g\nfrobnicate x\n")
             .unwrap_err()
-            .contains("unknown rewrite"));
+            .contains("unknown directive"));
         assert!(parse_plan_fixture("").unwrap_err().contains("no 'graph'"));
     }
 

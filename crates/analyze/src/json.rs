@@ -12,7 +12,6 @@
 //!   "recovery": [ {"graph": "...", "certified": true, ...}, ... ],
 //!   "races": [ {"graph": "...", "certified": true, ...}, ... ],
 //!   "comm": [ {"graph": "...", "shuffle": "...", "bound": "...", ...}, ... ],
-//!   "rewrites": [ {"rewrite": "...", "graph": "...", "certified": true, ...}, ... ],
 //!   "determinism": {"ok": true, "files_scanned": 13, "violations": []},
 //!   "violations": [ {"pass": "...", "kind": "...", ...}, ... ]
 //! }
@@ -74,9 +73,6 @@ fn pass_of(v: &Violation) -> &'static str {
         | Violation::UnorderedConflict { .. }
         | Violation::OverDeclaredRead { .. } => "races",
         Violation::ShuffleMismatch { .. } | Violation::CommBoundExceeded { .. } => "comm",
-        Violation::RewriteVolumeInflation { .. } | Violation::RewriteDataflowBroken { .. } => {
-            "rewrite"
-        }
     }
 }
 
@@ -229,27 +225,6 @@ pub fn violation_json(v: &Violation) -> String {
             "\"kind\":\"comm-bound-exceeded\",\"graph\":\"{}\",\"shuffle\":\"{}\",\"bound\":\"{}\",\"env\":{},\"shuffle_val\":{},\"bound_val\":{}",
             esc(graph), esc(shuffle), esc(bound), env_json(env), shuffle_val, bound_val
         ),
-        Violation::RewriteVolumeInflation {
-            rewrite,
-            graph,
-            declared,
-            env,
-            original_val,
-            rewritten_val,
-        } => format!(
-            "\"kind\":\"rewrite-volume-inflation\",\"rewrite\":\"{}\",\"graph\":\"{}\",\"declared\":\"{}\",\"env\":{},\"original_val\":{},\"rewritten_val\":{}",
-            esc(rewrite), esc(graph), esc(declared), env_json(env), original_val, rewritten_val
-        ),
-        Violation::RewriteDataflowBroken {
-            rewrite,
-            graph,
-            cause,
-        } => format!(
-            "\"kind\":\"rewrite-dataflow-broken\",\"rewrite\":\"{}\",\"graph\":\"{}\",\"cause\":\"{}\"",
-            esc(rewrite),
-            esc(graph),
-            esc(cause)
-        ),
     };
     format!(
         "{{\"pass\":\"{pass}\",{body},\"display\":\"{}\"}}",
@@ -315,11 +290,10 @@ pub fn full_json(report: &Report) -> String {
         }
         let _ = write!(
             out,
-            "{{\"graph\":\"{}\",\"certified\":{},\"jobs_checked\":{},\"rewritten_jobs_checked\":{}}}",
+            "{{\"graph\":\"{}\",\"certified\":{},\"jobs_checked\":{}}}",
             esc(&c.graph),
             c.certified(),
-            c.jobs_checked,
-            c.rewritten_jobs_checked
+            c.jobs_checked
         );
     }
     out.push_str("],");
@@ -340,22 +314,6 @@ pub fn full_json(report: &Report) -> String {
             c.gap_at_witness,
             !c.gap_unbounded_in_nnz,
             c.exact
-        );
-    }
-    out.push_str("],");
-
-    out.push_str("\"rewrites\":[");
-    for (i, c) in report.rewrites.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"rewrite\":\"{}\",\"graph\":\"{}\",\"declared_inflation\":\"{}\",\"certified\":{}}}",
-            esc(&c.rewrite),
-            esc(&c.graph),
-            esc(&c.declared),
-            c.certified()
         );
     }
     out.push_str("],");
@@ -437,7 +395,7 @@ mod tests {
 
     #[test]
     fn comm_violation_objects_carry_expressions_and_envs() {
-        // The comm/rewrite passes' objects follow the same shape as the
+        // The comm pass's objects follow the same shape as the
         // cost pass: symbolic expressions as strings, the counterexample
         // env inline, concrete values as numbers — and the `kind` field
         // always equals `Violation::kind()`.
@@ -459,19 +417,6 @@ mod tests {
                 shuffle_val: 1,
                 bound_val: 25,
             },
-            Violation::RewriteVolumeInflation {
-                rewrite: "heavy-key-split-no-combine".to_string(),
-                graph: "g".to_string(),
-                declared: "2/1".to_string(),
-                env,
-                original_val: 10,
-                rewritten_val: 40,
-            },
-            Violation::RewriteDataflowBroken {
-                rewrite: "heavy-key-split-typo-merge".to_string(),
-                graph: "g".to_string(),
-                cause: "dangling read".to_string(),
-            },
         ];
         for v in &vs {
             let j = violation_json(v);
@@ -483,8 +428,6 @@ mod tests {
         }
         assert!(violation_json(&vs[0]).starts_with("{\"pass\":\"comm\""));
         assert!(violation_json(&vs[1]).contains("\"reducer_memory\":"));
-        assert!(violation_json(&vs[2]).starts_with("{\"pass\":\"rewrite\""));
-        assert!(violation_json(&vs[3]).contains("\"cause\":\"dangling read\""));
     }
 
     #[test]
@@ -494,7 +437,6 @@ mod tests {
         let report = crate::verify_paper_table();
         let doc = full_json(&report);
         assert!(doc.contains("\"comm\":["));
-        assert!(doc.contains("\"rewrites\":["));
         assert_eq!(doc.matches("\"bound_indep\":").count(), report.comm.len());
         assert_eq!(report.comm.len(), 8);
         for c in &report.comm {
@@ -516,17 +458,6 @@ mod tests {
             assert!(
                 doc.contains(&format!("{{\"graph\":\"{}\",\"shuffle\":", c.graph)),
                 "no comm object for {}",
-                c.graph
-            );
-        }
-        for c in &report.rewrites {
-            assert!(
-                doc.contains(&format!(
-                    "{{\"rewrite\":\"{}\",\"graph\":\"{}\"",
-                    c.rewrite, c.graph
-                )),
-                "no rewrite object for {} on {}",
-                c.rewrite,
                 c.graph
             );
         }

@@ -29,10 +29,7 @@
 //!   the regime grid, instantiates the Ballard–Rouse MTTKRP communication
 //!   lower bounds (memory-independent and memory-dependent) from the
 //!   pipeline's registered [`haten2_core::CommSpec`], and certifies the
-//!   symbolic gap ratio — plus a rewrite-certification API
-//!   ([`rewrite::certify_rewrite`]) that re-checks any [`rewrite::
-//!   PlanRewrite`]'s output graph for dataflow sanity, race-freedom, and
-//!   shuffle-volume non-inflation beyond its declared factor.
+//!   symbolic gap ratio.
 //! * **Recoverability pass** ([`recovery::certify`]) — given a pipeline's
 //!   declared [`RecoverySpec`](haten2_mapreduce::RecoverySpec) and the
 //!   symbolic fault budget `k`, proves lineage closure (every read is
@@ -50,12 +47,12 @@
 //! * **Races pass** ([`races::check_races`]) — the pipelines' submitter
 //!   declares exactly what a graph expands to and gives a job nothing its
 //!   declared reads do not name, so the pass expands every registered
-//!   graph, and every certified rewrite of one, at a witness environment
-//!   and certifies that no two jobs unordered by declared dependencies
-//!   conflict — plus an adversarial-schedule replay showing every
-//!   topological order commutes with the submission-order oracle. The
-//!   `race-detect` feature of the engine is the dynamic counterpart; the
-//!   chaos harness cross-validates the two.
+//!   graph at a witness environment and certifies that no two jobs
+//!   unordered by declared dependencies conflict — plus an
+//!   adversarial-schedule replay showing every topological order commutes
+//!   with the submission-order oracle. The `race-detect` feature of the
+//!   engine is the dynamic counterpart; the chaos harness cross-validates
+//!   the two.
 //! * **Lint pass** — source-level rules (forbidden APIs, undocumented
 //!   `unsafe`, `unwrap` in library code) live in the `xtask` package
 //!   (`cargo xtask lint`), layered on the same `haten2-srcscan` scanner:
@@ -83,7 +80,6 @@ pub mod json;
 pub mod races;
 pub mod recovery;
 pub mod report;
-pub mod rewrite;
 
 pub use comm::{check_comm, comm_table, shuffle_claim, CommRow, COMM_RULES};
 pub use cost::{paper_claim, regime_envs, PaperClaim};
@@ -94,7 +90,6 @@ pub use io::{durable_io_table, tensor_record_bytes, DurableIoRow};
 pub use races::{check_races, race_certified, GraphRaceCert};
 pub use recovery::{certify, Certification, RecoveryBound};
 pub use report::{verify_paper_table, Report, RowVerdict};
-pub use rewrite::{certify_rewrite, HeavyKeySplit, PlanRewrite, RewriteCert, REWRITE_RULES};
 
 use haten2_mapreduce::{Env, JobGraph};
 
@@ -306,32 +301,6 @@ pub enum Violation {
         /// Lower-bound bytes on `env`.
         bound_val: u128,
     },
-    /// A plan rewrite inflates total shuffle volume beyond the factor it
-    /// declares, on some regime environment.
-    RewriteVolumeInflation {
-        /// The offending rewrite, by name.
-        rewrite: String,
-        /// Graph the rewrite was applied to.
-        graph: String,
-        /// Declared inflation factor, as `num/den`.
-        declared: String,
-        /// Counterexample environment.
-        env: Env,
-        /// Original shuffle bytes on `env`.
-        original_val: u128,
-        /// Rewritten shuffle bytes on `env`.
-        rewritten_val: u128,
-    },
-    /// A plan rewrite's output graph fails re-checking: broken dataflow
-    /// or a race the original graph did not have.
-    RewriteDataflowBroken {
-        /// The offending rewrite, by name.
-        rewrite: String,
-        /// Graph the rewrite was applied to.
-        graph: String,
-        /// The underlying defect, rendered.
-        cause: String,
-    },
 }
 
 impl Violation {
@@ -356,8 +325,6 @@ impl Violation {
             Violation::OverDeclaredRead { .. } => "over-declared-read",
             Violation::ShuffleMismatch { .. } => "shuffle-mismatch",
             Violation::CommBoundExceeded { .. } => "comm-bound-exceeded",
-            Violation::RewriteVolumeInflation { .. } => "rewrite-volume-inflation",
-            Violation::RewriteDataflowBroken { .. } => "rewrite-dataflow-broken",
         }
     }
 }
@@ -533,30 +500,6 @@ impl std::fmt::Display for Violation {
                  the plan declares {shuffle_val} bytes but any execution must \
                  shuffle at least {bound_val}",
                 fmt_env(env)
-            ),
-            Violation::RewriteVolumeInflation {
-                rewrite,
-                graph,
-                declared,
-                env,
-                original_val,
-                rewritten_val,
-            } => write!(
-                f,
-                "rewrite volume inflation: rewrite '{rewrite}' on graph '{graph}' \
-                 inflates shuffle volume beyond its declared {declared} factor; at \
-                 {} the original shuffles {original_val} bytes but the rewritten \
-                 graph shuffles {rewritten_val}",
-                fmt_env(env)
-            ),
-            Violation::RewriteDataflowBroken {
-                rewrite,
-                graph,
-                cause,
-            } => write!(
-                f,
-                "rewrite dataflow broken: rewrite '{rewrite}' on graph '{graph}' \
-                 produces an ill-formed plan — {cause}"
             ),
         }
     }

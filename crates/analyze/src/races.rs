@@ -12,7 +12,7 @@
 //! 1. **Instance-level certification** ([`certify_graph`]) — each
 //!    registered graph is expanded at a small witness environment
 //!    (Q=2, R=3) into per-instance effect models
-//!    ([`crate::rewrite::plan_models`], submission order). The effect
+//!    ([`plan_models`], submission order). The effect
 //!    rules (`haten2_srcscan::effects::check_model`) then prove that no
 //!    two jobs unordered by declared dependencies conflict (write/write or
 //!    read/write) under shard naming.
@@ -22,10 +22,6 @@
 //!    same last-writer for every read and the same final writer per
 //!    dataset, making "every topological order commutes with the
 //!    submission-order oracle" an executable certificate.
-//! 3. **The same for every certified rewrite** — when
-//!    `haten2_core::certified_rewrite_for` admits a rewrite of the graph,
-//!    its output — the very value the submitter would run — goes through
-//!    both checks too.
 //!
 //! A program whose effects *are* its declarations is ordered wherever it
 //! conflicts, so for anything the submitter runs these checks hold by
@@ -41,10 +37,9 @@
 //! a run the dynamic detector finds race-free on a pipeline this pass
 //! refused to certify is reported as a cross-validation failure.
 
-use crate::rewrite::plan_models;
 use crate::Violation;
-use haten2_core::{certified_rewrite_for, env_for, plan_for, Decomp, Variant, CERTIFIED_REWRITES};
-use haten2_mapreduce::Env;
+use haten2_core::{env_for, plan_for, Decomp, Variant};
+use haten2_mapreduce::{Env, JobGraph};
 use haten2_srcscan::effects::{check_model, sym_overlap, EffectModel, ModelFinding};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -60,17 +55,13 @@ pub struct GraphRaceCert {
     pub graph: String,
     /// Concrete job instances checked at the witness environment.
     pub jobs_checked: usize,
-    /// Instances checked across the graph's certified rewrites (0 when no
-    /// certification record covers the graph).
-    pub rewritten_jobs_checked: usize,
-    /// Rule violations, of the graph or of a certified rewrite of it
-    /// (empty = race-free).
+    /// Rule violations (empty = race-free).
     pub violations: Vec<Violation>,
 }
 
 impl GraphRaceCert {
     /// Certified race-free: the graph expanded to something and no rule
-    /// fired on it or on a certified rewrite of it.
+    /// fired on it.
     pub fn certified(&self) -> bool {
         self.jobs_checked > 0 && self.violations.is_empty()
     }
@@ -95,6 +86,25 @@ fn model_violation(scope: &str, f: &ModelFinding) -> Violation {
             dataset: f.dataset.clone(),
         },
     }
+}
+
+/// The batch program `graph` expands to at `env`: one effect model per job
+/// instance, in submission order, with exactly the `(name, reads, writes)`
+/// the pipelines' submitter declares for it ([`JobGraph::expand`]). The
+/// declarations stand for the effects too: the submitter hands a job the
+/// shards its declared reads name and nothing else.
+pub fn plan_models(graph: &JobGraph, env: &Env) -> Vec<EffectModel> {
+    graph
+        .expand(env)
+        .into_iter()
+        .map(|inst| EffectModel {
+            name: inst.name,
+            declared_reads: inst.reads.clone(),
+            declared_writes: inst.writes.clone(),
+            inferred_reads: inst.reads,
+            inferred_writes: inst.writes,
+        })
+        .collect()
 }
 
 /// Witness environment for instance expansion: ranks Q=2, R=3 are the
@@ -142,7 +152,7 @@ fn replay(models: &[EffectModel], order: &[usize]) -> BTreeMap<String, String> {
 /// order and in an adversarial (latest-ready-first) topological order of
 /// the declared-dependency DAG; any observable difference names the two
 /// jobs whose commutation broke.
-pub fn serializability_check(scope: &str, models: &[EffectModel]) -> Option<Violation> {
+fn serializability_check(scope: &str, models: &[EffectModel]) -> Option<Violation> {
     let n = models.len();
     let submission: Vec<usize> = (0..n).collect();
     // Latest-ready-first maximally reorders independent jobs: any pair
@@ -192,31 +202,16 @@ fn race_violations(scope: &str, models: &[EffectModel]) -> Vec<Violation> {
     violations
 }
 
-/// Certify one registered pipeline, and every certified rewrite of it,
-/// race-free.
+/// Certify one registered pipeline race-free.
 pub fn certify_graph(decomp: Decomp, variant: Variant) -> GraphRaceCert {
     let graph = plan_for(decomp, variant);
-    let env = witness_env();
-    let models = plan_models(&graph, &env);
-    let mut violations = race_violations(&graph.name, &models);
-    let mut rewritten_jobs_checked = 0;
-    for &(_, rewrite) in CERTIFIED_REWRITES.iter().filter(|(g, _)| *g == graph.name) {
-        let Some(rewritten) = certified_rewrite_for(&graph, rewrite) else {
-            continue;
-        };
-        let models = plan_models(&rewritten, &env);
-        rewritten_jobs_checked += models.len();
-        violations.extend(race_violations(
-            &format!("{} under {rewrite}", graph.name),
-            &models,
-        ));
-    }
+    let models = plan_models(&graph, &witness_env());
+    let violations = race_violations(&graph.name, &models);
     GraphRaceCert {
         decomp,
         variant,
         graph: graph.name,
         jobs_checked: models.len(),
-        rewritten_jobs_checked,
         violations,
     }
 }
@@ -371,16 +366,24 @@ mod tests {
                 c.violations
             );
             assert!(c.jobs_checked >= 2, "{}: too few instances", c.graph);
-            // The four merge-final pipelines also certify under their
-            // certified rewrite: IMHP or Q+R Hadamards, M splits, mergeparts.
-            let rewritable = CERTIFIED_REWRITES.iter().any(|(g, _)| *g == c.graph);
-            assert_eq!(
-                c.rewritten_jobs_checked > c.jobs_checked,
-                rewritable,
-                "{}",
-                c.graph
-            );
         }
+    }
+
+    #[test]
+    fn plan_models_substitute_shards_per_instance() {
+        let g = plan_for(Decomp::Tucker, Variant::Drn);
+        let models = plan_models(&g, &witness_env());
+        // Q = 2 and R = 3 Hadamard instances with concrete shards + the
+        // merge reading every one of them.
+        let names: Vec<&str> = models.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names.len(), 2 + 3 + 1, "{names:?}");
+        let b1 = &models[1];
+        assert_eq!(b1.name, "tucker-drn-had-b1");
+        assert_eq!(b1.declared_writes, ["t_prime#1"]);
+        let merge = models.last().unwrap();
+        assert_eq!(merge.name, "tucker-drn-crossmerge");
+        assert_eq!(merge.declared_reads, ["t_prime", "t_dprime"]);
+        assert!(check_model(&models).is_empty());
     }
 
     #[test]

@@ -8,7 +8,6 @@ use crate::determinism::{check_determinism, DeterminismReport};
 use crate::io::{durable_io_table, tensor_record_bytes, DurableIoRow};
 use crate::races::{check_races, GraphRaceCert};
 use crate::recovery::{certify, Certification};
-use crate::rewrite::{certify_rewrite, HeavyKeySplit, RewriteCert};
 use crate::{analyze_graph, Violation};
 use haten2_core::{comm_for, plan_for, recovery_for, Decomp, Variant};
 use haten2_mapreduce::SymExpr;
@@ -39,7 +38,7 @@ pub struct RowVerdict {
     /// Recoverability certificate under the symbolic fault budget `k`.
     pub recovery: Certification,
     /// Race certificate: unordered-conflict + serializability over the
-    /// expanded instances of the graph and of its certified rewrites.
+    /// expanded instances of the graph.
     pub races: GraphRaceCert,
     /// Dataflow/cost violations (empty = the row verifies).
     pub violations: Vec<Violation>,
@@ -59,9 +58,6 @@ pub struct Report {
     /// Communication violations (shuffle-mismatch / comm-bound-exceeded
     /// across all pipelines; empty = certified).
     pub comm_violations: Vec<Violation>,
-    /// Rewrite certificates for the registered transforms on the merge
-    /// pipelines.
-    pub rewrites: Vec<RewriteCert>,
     /// The UDF-purity scan over the workspace sources.
     pub determinism: DeterminismReport,
 }
@@ -76,7 +72,6 @@ impl Report {
             && self.determinism.ok()
             && self.comm_violations.is_empty()
             && self.comm.iter().all(|c| !c.gap_unbounded_in_nnz)
-            && self.rewrites.iter().all(RewriteCert::certified)
     }
 
     /// All violations across every pass.
@@ -91,7 +86,6 @@ impl Report {
             })
             .chain(self.determinism.violations.iter())
             .chain(self.comm_violations.iter())
-            .chain(self.rewrites.iter().flat_map(|c| c.violations.iter()))
             .collect()
     }
 
@@ -281,30 +275,6 @@ impl Report {
              certified closest to communication-optimal, the static form \
              of the paper's §III-B4 claim."
         );
-        if !self.rewrites.is_empty() {
-            let _ = writeln!(out);
-            let _ = writeln!(
-                out,
-                "Certified plan rewrites (output re-checked from scratch \
-                 for dataflow sanity, race-freedom, and shuffle-volume \
-                 non-inflation):"
-            );
-            let _ = writeln!(out);
-            for c in &self.rewrites {
-                let _ = writeln!(
-                    out,
-                    "- `{}` on `{}`: {} (declared inflation ≤ {})",
-                    c.rewrite,
-                    c.graph,
-                    if c.certified() {
-                        "certified"
-                    } else {
-                        "REJECTED"
-                    },
-                    c.declared
-                );
-            }
-        }
 
         let _ = writeln!(out);
         let _ = writeln!(out, "## Recoverability");
@@ -345,9 +315,7 @@ impl Report {
              submits exactly the `(name, reads, writes)` sequence a graph \
              expands to and hands each job the shards its declared reads \
              name and nothing else, so the graph is the batch program. Each \
-             registered graph — and, where a certification record admits \
-             one, its `heavy-key-split` rewrite, the very value a skewed run \
-             executes — was expanded at a witness environment (Q=2, R=3) \
+             registered graph was expanded at a witness environment (Q=2, R=3) \
              and every pair of jobs with no declared-dependency path between \
              them was proven conflict-free (no write/write or read/write \
              overlap under shard naming). An adversarial latest-ready-first \
@@ -356,22 +324,15 @@ impl Report {
              DAG scheduler may choose commutes with the sequential oracle."
         );
         let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "| Pipeline | Race-free | Job instances checked | Rewritten instances checked |"
-        );
-        let _ = writeln!(out, "|---|---|---|---|");
+        let _ = writeln!(out, "| Pipeline | Race-free | Job instances checked |");
+        let _ = writeln!(out, "|---|---|---|");
         for r in &self.rows {
             let _ = writeln!(
                 out,
-                "| `{}` | {} | {} | {} |",
+                "| `{}` | {} | {} |",
                 r.graph,
                 if r.races.certified() { "yes" } else { "NO" },
-                r.races.jobs_checked,
-                match r.races.rewritten_jobs_checked {
-                    0 => "—".to_string(),
-                    n => n.to_string(),
-                }
+                r.races.jobs_checked
             );
         }
 
@@ -462,25 +423,12 @@ pub fn verify_paper_table() -> Report {
             ));
         }
     }
-    // Certify the two-phase-aggregation rewrite on every pipeline whose
-    // final merge it can split (the Drn/Dri merge variants).
-    let mut rewrites = Vec::new();
-    for decomp in Decomp::ALL {
-        for variant in [Variant::Drn, Variant::Dri] {
-            rewrites.push(certify_rewrite(
-                &HeavyKeySplit,
-                &plan_for(decomp, variant),
-                &envs,
-            ));
-        }
-    }
     Report {
         rows,
         envs_checked: envs.len(),
         durable_io: durable_io_table(),
         comm: comm_table(),
         comm_violations,
-        rewrites,
         determinism: check_determinism(),
     }
 }
@@ -528,9 +476,7 @@ mod tests {
             md.contains("minimum gap ratio"),
             "DRI-minimality note missing:\n{md}"
         );
-        assert!(md.contains("`heavy-key-split` on `tucker-dri`: certified"));
         assert!(!md.contains("UNBOUNDED"));
-        assert!(!md.contains("REJECTED"));
         assert!(md.contains("## Determinism"));
     }
 

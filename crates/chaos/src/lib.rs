@@ -43,7 +43,7 @@ use haten2_analyze::{certify, race_certified};
 use haten2_core::{
     parafac_als, plan_for, recovery_for, tucker_als, AlsOptions, CoreError, Decomp, Variant,
 };
-use haten2_mapreduce::{Cluster, ClusterConfig, FaultPlan, MrError, RewritePolicy, SchedulerMode};
+use haten2_mapreduce::{Cluster, ClusterConfig, FaultPlan, MrError, SchedulerMode};
 use haten2_tensor::{CooTensor3, Entry3};
 
 /// Harness configuration.
@@ -57,12 +57,6 @@ pub struct ChaosOptions {
     pub machines: usize,
     /// ALS sweeps per decomposition (kept small: 8 pipelines × seeds).
     pub sweeps: usize,
-    /// Runtime rewrite policy for every cluster in the sweep (clean
-    /// baseline and faulty runs alike). `Always` makes the sweep exercise
-    /// the `heavy-key-split` two-phase aggregation under fault storms: the
-    /// rewritten merge-final pipelines must stay bit-identical to their
-    /// own fault-free runs and to the sequential replay.
-    pub rewrite: RewritePolicy,
 }
 
 impl Default for ChaosOptions {
@@ -72,7 +66,6 @@ impl Default for ChaosOptions {
             seed_base: 0xC0FFEE,
             machines: 4,
             sweeps: 2,
-            rewrite: RewritePolicy::Off,
         }
     }
 }
@@ -218,16 +211,10 @@ pub fn fingerprint(values: impl IntoIterator<Item = f64>) -> u64 {
     h
 }
 
-fn cluster(
-    machines: usize,
-    plan: Option<FaultPlan>,
-    scheduler: SchedulerMode,
-    rewrite: RewritePolicy,
-) -> Cluster {
+fn cluster(machines: usize, plan: Option<FaultPlan>, scheduler: SchedulerMode) -> Cluster {
     Cluster::new(ClusterConfig {
         fault_plan: plan,
         scheduler,
-        rewrite,
         ..ClusterConfig::with_machines(machines)
     })
 }
@@ -308,7 +295,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
             // cross-validation against the dynamic detector.
             let statically_race_free = race_certified(d, variant);
             let clean = run_pipeline(
-                &cluster(opts.machines, None, SchedulerMode::Dag, opts.rewrite),
+                &cluster(opts.machines, None, SchedulerMode::Dag),
                 &x,
                 decomp,
                 variant,
@@ -322,7 +309,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
                     opts.machines,
                     Some(FaultPlan::seeded(seed)),
                     SchedulerMode::Dag,
-                    opts.rewrite,
                 );
                 let dag = run_pipeline(&c, &x, decomp, variant, opts.sweeps);
                 // Scheduler cross-check: the same fault schedule replayed
@@ -332,7 +318,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
                     opts.machines,
                     Some(FaultPlan::seeded(seed)),
                     SchedulerMode::Sequential,
-                    opts.rewrite,
                 );
                 let seq = run_pipeline(&seq_cluster, &x, decomp, variant, opts.sweeps);
                 let status = match (&dag, &seq) {

@@ -52,59 +52,6 @@ fn all_eight_pipelines_are_fault_transparent() {
 }
 
 #[test]
-fn rewritten_plans_stay_fault_transparent() {
-    use haten2_chaos::{chaos_tensor, fingerprint};
-    use haten2_core::{parafac_als, AlsOptions, Variant};
-    use haten2_mapreduce::{Cluster, ClusterConfig, RewritePolicy};
-
-    // The full sweep with the heavy-key-split rewrite forced on: the four
-    // merge-final pipelines submit split+mergeparts graphs, and every
-    // faulty schedule must still reproduce the (rewritten) fault-free
-    // bits, DAG and sequential alike.
-    let report = run_chaos(&ChaosOptions {
-        seeds: 1,
-        seed_base: 11,
-        rewrite: RewritePolicy::Always,
-        ..ChaosOptions::default()
-    });
-    assert_eq!(report.outcomes.len(), 8);
-    let violations = report.violations();
-    assert!(
-        violations.is_empty(),
-        "rewritten-plan fault-transparency violations: {violations:?}"
-    );
-
-    // And the rewrite itself must be invisible in the bits: a fault-free
-    // DRI ALS run with the rewritten plan fingerprints identically to the
-    // unrewritten one.
-    let x = chaos_tensor();
-    let opts = AlsOptions {
-        max_iters: 2,
-        tol: 0.0,
-        ..AlsOptions::with_variant(Variant::Dri)
-    };
-    let fp = |rewrite: RewritePolicy| {
-        let c = Cluster::new(ClusterConfig {
-            rewrite,
-            ..ClusterConfig::with_machines(4)
-        });
-        let r = parafac_als(&c, &x, 2, &opts).unwrap();
-        fingerprint(
-            r.lambda
-                .iter()
-                .copied()
-                .chain(r.factors.iter().flat_map(|f| f.data().iter().copied()))
-                .chain(r.fits.iter().copied()),
-        )
-    };
-    assert_eq!(
-        fp(RewritePolicy::Off),
-        fp(RewritePolicy::Always),
-        "heavy-key-split changed the bits of a fault-free ALS run"
-    );
-}
-
-#[test]
 fn exhausted_runs_are_reported_not_failed() {
     // A brutal schedule: tiny retry budget, heavy crash rate. Some runs
     // will exhaust; none may diverge.

@@ -36,7 +36,9 @@ pub struct AlsOptions {
     pub tol: f64,
     /// Seed for factor initialization.
     pub seed: u64,
-    /// Use a map-side combiner in Collapse jobs (ablation knob).
+    /// Use a map-side combiner in Collapse jobs (ablation knob). Only
+    /// Tucker's Collapse jobs honour it: [`crate::parafac::mttkrp`] binds
+    /// `use_combiner: false`, so PARAFAC-ALS ignores the field.
     pub use_combiner: bool,
     /// Evaluate the PARAFAC fit's inner product `⟨X, X̂⟩` as a MapReduce
     /// job (as the Hadoop implementation does) instead of on the driver.

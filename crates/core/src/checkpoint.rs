@@ -17,16 +17,16 @@
 //! and the checkpointed drivers resume from that store copy first.
 
 use crate::als::{
-    parafac_als_with_init, tucker_als_with_init, AlsOptions, ParafacResult, TuckerResult,
+    parafac_als_with_init, tucker_als_with_init, tucker_fit, AlsOptions, ParafacResult,
+    TuckerResult,
 };
+use crate::store::{dense_core, FACTOR_NAMES};
 use crate::{CoreError, Result};
 use haten2_blockstore::localfs;
 use haten2_linalg::{load_mat, save_mat, Mat};
 use haten2_mapreduce::Cluster;
 use haten2_tensor::{CooTensor3, DenseTensor3};
 use std::path::Path;
-
-const FACTOR_NAMES: [&str; 3] = ["A", "B", "C"];
 
 fn io_err(e: impl std::fmt::Display) -> CoreError {
     CoreError::InvalidArgument(format!("checkpoint I/O: {e}"))
@@ -272,16 +272,7 @@ pub fn tucker_als_checkpointed(
                 None => load_tucker(prefix)?,
             };
             if done >= opts.max_iters {
-                let fit = {
-                    let norm_x_sq = x.fro_norm_sq();
-                    let norm_g = core.fro_norm();
-                    let err_sq = (norm_x_sq - norm_g * norm_g).max(0.0);
-                    if norm_x_sq > 0.0 {
-                        1.0 - err_sq.sqrt() / norm_x_sq.sqrt()
-                    } else {
-                        1.0
-                    }
-                };
+                let fit = tucker_fit(x.fro_norm_sq(), &[core.fro_norm()]);
                 return Ok(TuckerResult {
                     core,
                     factors: [a, b, c],
@@ -310,9 +301,8 @@ pub fn resume_tucker(
     prefix: &str,
     opts: &AlsOptions,
 ) -> Result<TuckerResult> {
-    let (core, [a, b, c]) = load_tucker(prefix)?;
+    let (core, [_, b, c]) = load_tucker(prefix)?;
     let core_dims = core.dims();
-    let _ = a;
     tucker_als_with_init(cluster, x, core_dims, opts, Some([b, c]))
 }
 
@@ -340,18 +330,8 @@ pub fn load_tucker(prefix: &str) -> Result<(DenseTensor3, [Mat; 3])> {
         factors.push(load_mat(format!("{prefix}.{name}.mat")).map_err(io_err)?);
     }
     let [a, b, c]: [Mat; 3] = factors.try_into().expect("exactly three factors were read");
-    let dims = [a.cols(), b.cols(), c.cols()];
     let sparse_core = haten2_tensor::io::load_coo3(format!("{prefix}.core.tns")).map_err(io_err)?;
-    let mut core = DenseTensor3::zeros(dims);
-    for e in sparse_core.entries() {
-        if e.i as usize >= dims[0] || e.j as usize >= dims[1] || e.k as usize >= dims[2] {
-            return Err(CoreError::InvalidArgument(format!(
-                "core entry ({}, {}, {}) outside factor ranks {dims:?}",
-                e.i, e.j, e.k
-            )));
-        }
-        core.set(e.i as usize, e.j as usize, e.k as usize, e.v);
-    }
+    let core = dense_core(&sparse_core, [a.cols(), b.cols(), c.cols()])?;
     Ok((core, [a, b, c]))
 }
 

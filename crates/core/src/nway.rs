@@ -124,9 +124,7 @@ pub fn nway_mttkrp(cluster: &Cluster, x: &DynTensor, mode: usize, factors: &[&Ma
     let others = join_modes(x, mode, factors, true)?;
     let expanded = expand(cluster, x, mode, &others, factors)?;
     let name = format!("nway-pairwisemerge-mode{mode}");
-    let y = merged(&expanded, |sides| {
-        pairwise_merge_job(cluster, &name, sides, None)
-    })?;
+    let y = merged(&expanded, |sides| pairwise_merge_job(cluster, &name, sides))?;
 
     let mut m = Mat::zeros(x.dims()[mode] as usize, factors[others[0]].cols());
     for ((i, r, _, _), v) in y {
@@ -213,7 +211,7 @@ pub fn nway_tucker_project(
     let expanded = expand(cluster, x, mode, &others, factors)?;
     let name = format!("nway-crossmerge-mode{mode}");
     let mut y_records = merged(&expanded, |sides| {
-        cross_merge_job(cluster, &name, sides, &widths, None)
+        cross_merge_job(cluster, &name, sides, &widths)
     })?;
 
     // `((i, q₁, columns, 0), y)`, one nonzero record per cell; `columns` is

@@ -63,8 +63,8 @@ use crate::records::{shards_len, HadVal, ImhpRec, ImhpVal, Ix4, MergeVal, NaiveV
 use haten2_linalg::Mat;
 use haten2_mapreduce::size::slice_est_bytes;
 use haten2_mapreduce::{
-    concat_partitions, key_slice, run_job_collect, Collect, EstimateSize, JobSite, JobSpec,
-    MapInput, MrError, Result,
+    concat_partitions, run_job_collect, Collect, EstimateSize, JobSite, JobSpec, MapInput, MrError,
+    Result,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -539,19 +539,6 @@ pub fn imhp_job(
     Ok(written)
 }
 
-/// Which reduce keys a merge job takes: `(slice, slices)` keeps the
-/// target-mode indices whose [`key_slice`] of `slices` equals `slice`, and
-/// `None` keeps all. A sliced job is one split instance of the
-/// `heavy-key-split` rewrite: it maps the **full** merge input and runs the
-/// unmodified reduce on its slice's whole key groups, which is what lets
-/// [`merge_parts_job`] reassemble the unsliced output bit for bit.
-pub type KeySlice = Option<(usize, usize)>;
-
-#[inline]
-fn in_slice(key: u64, slice: KeySlice) -> bool {
-    slice.is_none_or(|(s, slices)| key_slice(&key, slices) == s)
-}
-
 /// The input of a merge job: the expanded datasets in **descending** side
 /// order — `T''` first, then `T'`, at two sides — each stored
 /// `((i, a, b, d), v)` presented in place as `(i, MergeVal)` and priced at
@@ -701,14 +688,12 @@ fn pairwise_merge_fold(
 ///
 /// Keys on the target-mode index `i`, so the shuffle volume is
 /// `nnz·(Q+R)` — the Table III cost of HaTen2-DRN/DRI. Every dataset is
-/// read in place, shard by shard ([`merge_feed`]); under `heavy-key-split`
-/// every split instance maps this same view.
+/// read in place, shard by shard ([`merge_feed`]).
 pub fn cross_merge_job(
     site: &impl JobSite,
     name: &str,
     sides: &[Shards<'_>],
     widths: &[u64],
-    slice: KeySlice,
 ) -> Result<Vec<(Ix4, f64)>> {
     assert_eq!(sides.len(), widths.len(), "one column count per side");
     let input = merge_feed(sides);
@@ -716,11 +701,7 @@ pub fn cross_merge_job(
         site,
         JobSpec::named(name.to_string()),
         &input,
-        move |i: &u64, rec: &MergeVal, emit| {
-            if in_slice(*i, slice) {
-                emit(*i, rec.clone());
-            }
-        },
+        |i: &u64, rec: &MergeVal, emit| emit(*i, rec.clone()),
         |i, vals, emit| cross_merge_fold(*i, widths, vals, emit),
     )?;
     Ok(concat_partitions(out))
@@ -736,47 +717,14 @@ pub fn pairwise_merge_job(
     site: &impl JobSite,
     name: &str,
     sides: &[Shards<'_>],
-    slice: KeySlice,
 ) -> Result<Vec<(Ix4, f64)>> {
     let input = merge_feed(sides);
     let out = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
         &input,
-        move |i: &u64, rec: &MergeVal, emit| {
-            if in_slice(*i, slice) {
-                emit(*i, rec.clone());
-            }
-        },
+        |i: &u64, rec: &MergeVal, emit| emit(*i, rec.clone()),
         |i, vals, emit| pairwise_merge_fold(*i, sides.len(), vals, emit),
-    )?;
-    Ok(concat_partitions(out))
-}
-
-/// The `mergeparts` reassembly pass of the `heavy-key-split` rewrite:
-/// re-keys the per-slice partials, read in slice order, on the target-mode
-/// index and re-emits every record **in arrival order**. All records of
-/// one reduce key live in exactly one slice (the hash assigns whole
-/// groups), arrive contiguous in that slice's emission order, and leave
-/// the same way; with the same partitioner and key ordering as the
-/// original merge, the reassembled dataset is byte-for-byte the
-/// unrewritten job's output.
-pub fn merge_parts_job(
-    site: &impl JobSite,
-    name: &str,
-    parts: Shards<'_>,
-) -> Result<Vec<(Ix4, f64)>> {
-    let input = stored_feed(parts);
-    let out = run_job_collect(
-        site,
-        JobSpec::named(name.to_string()),
-        &input,
-        |ix: &Ix4, v: &f64, emit| emit(ix.0, (*ix, *v)),
-        |_, vals, emit| {
-            for (ix, v) in vals {
-                emit(ix, v);
-            }
-        },
     )?;
     Ok(concat_partitions(out))
 }

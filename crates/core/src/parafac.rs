@@ -227,41 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_plan_is_bit_identical_to_unrewritten() {
-        use haten2_mapreduce::{RewritePolicy, SchedulerMode};
-        let x = random_coo([12, 5, 4], 80, 91);
-        let mut rng = StdRng::seed_from_u64(92);
-        let b = Mat::random(5, 3, &mut rng);
-        let c = Mat::random(4, 3, &mut rng);
-        for variant in [Variant::Drn, Variant::Dri] {
-            let mut outs: Vec<Vec<u64>> = Vec::new();
-            for (policy, sched) in [
-                (RewritePolicy::Off, SchedulerMode::Sequential),
-                (RewritePolicy::Always, SchedulerMode::Sequential),
-                (RewritePolicy::Always, SchedulerMode::Dag),
-            ] {
-                let mut cfg = ClusterConfig::with_machines(4);
-                cfg.rewrite = policy;
-                cfg.scheduler = sched;
-                let cluster = Cluster::new(cfg);
-                let m = mttkrp(&cluster, variant, &x, 0, &b, &c).unwrap();
-                let mut bits = Vec::with_capacity(m.rows() * m.cols());
-                for i in 0..m.rows() {
-                    for r in 0..m.cols() {
-                        bits.push(m.get(i, r).to_bits());
-                    }
-                }
-                outs.push(bits);
-            }
-            assert_eq!(outs[0], outs[1], "{variant}: rewrite broke bit-identity");
-            assert_eq!(
-                outs[0], outs[2],
-                "{variant}: DAG rewrite broke bit-identity"
-            );
-        }
-    }
-
-    #[test]
     fn dag_grants_dri_the_whole_pool_and_runs_dnn_inline() {
         // The scheduler splits the pool per dependency level: DRI's
         // IMHP → PairwiseMerge chain is two levels of one job, DNN's R
@@ -284,45 +249,6 @@ mod tests {
                 .collect();
             assert_eq!(granted, vec![executors; jobs], "{variant}");
         }
-    }
-
-    #[test]
-    fn auto_policy_rewrites_only_under_skew() {
-        use haten2_mapreduce::RewritePolicy;
-        let r_dim = 2;
-        let mut rng = StdRng::seed_from_u64(93);
-        // Skewed: a 10×10 dense slab at i = 0 plus a few scattered entries
-        // — one reduce key owns ~96% of the merge input.
-        let mut entries: Vec<Entry3> = Vec::new();
-        for j in 0..10 {
-            for k in 0..10 {
-                entries.push(Entry3::new(0, j, k, rng.gen_range(0.5..2.0)));
-            }
-        }
-        for i in 1..4 {
-            entries.push(Entry3::new(i, 0, 0, 1.0));
-        }
-        let skewed = CooTensor3::from_entries([40, 10, 10], entries).unwrap();
-        let b = Mat::random(10, r_dim, &mut rng);
-        let c = Mat::random(10, r_dim, &mut rng);
-        let machines = 4;
-        let auto_cfg = || {
-            let mut cfg = ClusterConfig::with_machines(machines);
-            cfg.rewrite = RewritePolicy::Auto {
-                skew_threshold: 2.0,
-            };
-            cfg
-        };
-        let cluster = Cluster::new(auto_cfg());
-        mttkrp(&cluster, Variant::Dri, &skewed, 0, &b, &c).unwrap();
-        // IMHP + `machines` splits + mergeparts: the rewrite fired.
-        assert_eq!(cluster.metrics().total_jobs(), 2 + machines);
-
-        // Uniform tensor at the same policy: plan submitted unrewritten.
-        let uniform = random_coo([40, 10, 10], 200, 94);
-        let cluster = Cluster::new(auto_cfg());
-        mttkrp(&cluster, Variant::Dri, &uniform, 0, &b, &c).unwrap();
-        assert_eq!(cluster.metrics().total_jobs(), 2);
     }
 
     #[test]

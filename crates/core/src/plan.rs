@@ -12,15 +12,13 @@
 //! one `Batch::submit` site in library code, reading each instance's
 //! `name`, `reads` and `writes` off the graph and resolving its inputs
 //! from those declared reads and nothing else. A job therefore cannot
-//! touch a dataset it did not declare, and a `heavy-key-split` run cannot
-//! submit anything but the certified rewrite of the graph it was about to
-//! run: both are unrepresentable rather than linted.
+//! touch a dataset it did not declare: that is unrepresentable rather than
+//! linted.
 //!
 //! The `haten2-analyze` crate consumes the same graphs ([`plan_for`]) to
-//! verify the paper's tables statically and to certify each graph — and
-//! each certified rewrite of it — race-free; `haten2-bench` cross-checks
-//! the expanded predictions against metered runs (exactly, for the DRI
-//! pipelines).
+//! verify the paper's tables statically and to certify each graph
+//! race-free; `haten2-bench` cross-checks the expanded predictions against
+//! metered runs (exactly, for the DRI pipelines).
 //!
 //! **Conventions.** Dimensions are the *canonical* orientation of
 //! [`crate::canon::canonicalize`]: `I` is the target-mode dimension, `J`
@@ -38,17 +36,15 @@
 //! support (`distinct (i,k) pairs`) is data-dependent.
 
 use crate::ops::{
-    collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots, merge_parts_job,
-    naive_ttv_job, pairwise_merge_job, with_slot, KeySlice, Shards, TensorRecords,
+    collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots, naive_ttv_job,
+    pairwise_merge_job, with_slot, Shards, TensorRecords,
 };
 use crate::records::{tensor_records, HadVal, ImhpVal, Ix4, MergeVal, NaiveVal};
 use crate::Variant;
 use haten2_linalg::Mat;
-use haten2_mapreduce::rewrite::heavy_key_split_target;
 use haten2_mapreduce::{
-    dataset_base, datasets_overlap, Batch, Cluster, ClusterConfig, Env, EstimateSize, JobCtx,
-    JobGraph, JobHandle, JobInstance, KeyFreqSketch, MrError, PlanJob, RecoverySpec, SymExpr,
-    RECORD_FRAMING_BYTES,
+    dataset_base, datasets_overlap, Batch, Cluster, Env, EstimateSize, JobCtx, JobGraph, JobHandle,
+    JobInstance, MrError, PlanJob, RecoverySpec, SymExpr, RECORD_FRAMING_BYTES,
 };
 use haten2_tensor::CooTensor3;
 
@@ -266,8 +262,6 @@ pub enum Kernel {
     CrossMerge,
     /// [`pairwise_merge_job`] of its two reads, side 0 first.
     PairwiseMerge,
-    /// [`merge_parts_job`]: reassembly of a key-sliced merge's shards.
-    MergeParts,
 }
 
 impl Kernel {
@@ -281,7 +275,6 @@ impl Kernel {
             Kernel::Imhp => "imhp_job",
             Kernel::CrossMerge => "cross_merge_job",
             Kernel::PairwiseMerge => "pairwise_merge_job",
-            Kernel::MergeParts => "merge_parts_job",
         }
     }
 
@@ -294,7 +287,6 @@ impl Kernel {
         name: &str,
         i: usize,
         inputs: &[Shards<'_>],
-        slice: KeySlice,
         bound: &Bindings<'_>,
     ) -> haten2_mapreduce::Result<Written> {
         let one_shard = |records: TensorRecords| vec![vec![records]];
@@ -317,12 +309,11 @@ impl Kernel {
             }
             (Kernel::CrossMerge, sides @ [_, _]) => {
                 let widths = [bound.u1.rows() as u64, bound.u2.rows() as u64];
-                one_shard(cross_merge_job(ctx, name, sides, &widths, slice)?)
+                one_shard(cross_merge_job(ctx, name, sides, &widths)?)
             }
             (Kernel::PairwiseMerge, sides @ [_, _]) => {
-                one_shard(pairwise_merge_job(ctx, name, sides, slice)?)
+                one_shard(pairwise_merge_job(ctx, name, sides)?)
             }
-            (Kernel::MergeParts, [parts]) => one_shard(merge_parts_job(ctx, name, parts)?),
             (kernel, inputs) => {
                 let detail = format!("{} cannot run on {} input(s)", kernel.op(), inputs.len());
                 return Err(violation(name, detail));
@@ -490,19 +481,6 @@ impl Pipeline {
         }
         self
     }
-
-    /// This pipeline under the certified `heavy-key-split`, or `None` when
-    /// no certification record covers it. The graph is
-    /// [`certified_rewrite_for`]'s output, untouched: the target template's
-    /// place is taken by its key-sliced split — the same kernel, the slice
-    /// is read off the node — followed by the reassembly.
-    fn split_heavy_keys(&self) -> Option<Pipeline> {
-        let graph = certified_rewrite_for(&self.graph, "heavy-key-split")?;
-        let at = heavy_key_split_target(&self.graph)?;
-        let mut steps = self.steps.clone();
-        steps.insert(at + 1, (Kernel::MergeParts, Relabel::Keep));
-        Some(Pipeline { graph, steps })
-    }
 }
 
 /// The registered pipeline for one (decomposition × variant): Algorithms
@@ -630,19 +608,6 @@ fn violation(job: &str, detail: String) -> MrError {
     }
 }
 
-/// The sketch of the final merge's reduce keys (the canonical target-mode
-/// indices, bucketed by the hash slice a split instance would own) — built
-/// only when the cluster's rewrite policy will look at it.
-fn merge_key_sketch(config: &ClusterConfig, x: &[(Ix4, f64)]) -> Option<KeyFreqSketch> {
-    config.rewrite.wants_sketch().then(|| {
-        let mut sketch = KeyFreqSketch::new(config.machines);
-        for (ix, _) in x {
-            sketch.observe(&ix.0);
-        }
-        sketch
-    })
-}
-
 /// Submit every instance `pipeline` expands to under `env`, in the graph's
 /// submission order, through the one `submit` site library code has. An
 /// instance's inputs are the shards its declared reads overlap — a dataset
@@ -656,12 +621,11 @@ fn submit<'a>(
     env: &Env,
     bound: &'a Bindings<'a>,
     datasets: &[(&str, &'a [(Ix4, f64)])],
-    sketch: Option<&KeyFreqSketch>,
 ) -> haten2_mapreduce::Result<Vec<(JobInstance, JobHandle<Written>)>> {
     let mut submitted: Vec<(JobInstance, JobHandle<Written>)> = Vec::new();
     for inst in pipeline.graph.expand(env) {
         let job = &pipeline.graph.jobs[inst.template];
-        // A rewrite the kernel table did not follow stops here.
+        // A graph the kernel table does not follow stops here.
         let step = pipeline.steps.get(inst.template);
         let Some(&(kernel, relabel)) = step.filter(|(k, _)| job.op.as_deref() == Some(k.op()))
         else {
@@ -687,7 +651,6 @@ fn submit<'a>(
             }
             sources.push(shards);
         }
-        let slice: KeySlice = job.key_sliced.then_some((inst.index, inst.count));
         let (name, index) = (inst.name.clone(), inst.index);
         let run = move |ctx: &JobCtx<'_>| {
             let mut inputs: Vec<Vec<&[(Ix4, f64)]>> = Vec::with_capacity(sources.len());
@@ -699,7 +662,7 @@ fn submit<'a>(
                 inputs.push(shards);
             }
             let inputs: Vec<Shards<'_>> = inputs.iter().map(Vec::as_slice).collect();
-            let mut written = kernel.run(ctx, &name, index, &inputs, slice, bound)?;
+            let mut written = kernel.run(ctx, &name, index, &inputs, bound)?;
             for records in written.iter_mut().flatten() {
                 relabel.apply(records, index);
             }
@@ -711,11 +674,6 @@ fn submit<'a>(
             inst.writes.clone(),
             run,
         )?;
-        // Longest-processing-time-first needs to know which slice owns the
-        // heavy keys; the sketch bucketed them by the same hash.
-        if let (true, Some(sketch)) = (job.key_sliced, sketch) {
-            batch.set_cost_hint(&handle, sketch.bucket(inst.index) as f64);
-        }
         submitted.push((inst, handle));
     }
     // Only the output's handles leave: every intermediate is now owned by
@@ -735,19 +693,12 @@ fn submit<'a>(
 /// write one per partition), and a kernel reading the dataset borrows
 /// every shard of every write its declared read overlaps and maps them in
 /// place.
-///
-/// When the cluster's [`haten2_mapreduce::RewritePolicy`] fires, what runs is the pipeline's
-/// certified `heavy-key-split` ([`certified_rewrite_for`]) — bit-identical
-/// outputs, but the straggling merge becomes `machines` concurrent split
-/// jobs. The policy is consulted once; pipelines without a certification
-/// record (Naive/DNN) never rewrite.
 pub fn run_pipeline(
     cluster: &Cluster,
     pipeline: &Pipeline,
     bound: &Bindings<'_>,
 ) -> crate::Result<TensorRecords> {
-    let config = cluster.config();
-    let machines = config.machines.max(1);
+    let machines = cluster.config().machines.max(1);
     let x = tensor_records(bound.x);
     let x_bin = pipeline
         .graph
@@ -756,24 +707,11 @@ pub fn run_pipeline(
     let mut datasets = vec![("x", x.as_slice())];
     datasets.extend(x_bin.as_deref().map(|records| ("x_bin", records)));
 
-    let sketch = merge_key_sketch(config, &x);
-    let split = sketch
-        .as_ref()
-        .filter(|sketch| config.rewrite.should_rewrite(sketch))
-        .and_then(|_| pipeline.split_heavy_keys());
-    let pipeline = split.as_ref().unwrap_or(pipeline);
     let (q, r) = (bound.u1.rows(), bound.u2.rows());
     let env = env_for(bound.x.dims(), x.len(), q, r, machines);
 
     let mut batch = Batch::with_graph(&pipeline.graph);
-    let submitted = submit(
-        &mut batch,
-        pipeline,
-        &env,
-        bound,
-        &datasets,
-        sketch.as_ref(),
-    )?;
+    let submitted = submit(&mut batch, pipeline, &env, bound, &datasets)?;
     batch.run(cluster)?;
 
     let outputs = &pipeline.graph.outputs;
@@ -919,44 +857,6 @@ pub fn is_comm_assoc_site(site: &str) -> bool {
 /// The annotation registered for `site`, when there is one.
 pub fn comm_assoc_annotation(site: &str) -> Option<&'static ReducerAnnotation> {
     COMM_ASSOC_REDUCERS.iter().find(|a| a.site == site)
-}
-
-/// Certification records for runtime-applicable plan rewrites: every
-/// `(graph name, rewrite name)` pair a pipeline is allowed to submit
-/// rewritten. An entry asserts that `cargo xtask analyze` certifies the
-/// rewrite on that graph (dataflow-sound, race-free, shuffle volume within
-/// the declared inflation) — the analyzer's coverage test applies
-/// `certify_rewrite` to every row of this table, so an uncertifiable
-/// entry cannot land. Only the four merge-final pipelines are listed: the
-/// Naive/DNN finals are per-rank job families, on which `heavy-key-split`
-/// is the identity.
-pub const CERTIFIED_REWRITES: &[(&str, &str)] = &[
-    ("tucker-drn", "heavy-key-split"),
-    ("tucker-dri", "heavy-key-split"),
-    ("parafac-drn", "heavy-key-split"),
-    ("parafac-dri", "heavy-key-split"),
-];
-
-/// Apply a certified rewrite to `graph`. Returns the rewritten graph only
-/// when `(graph.name, rewrite)` has a certification record in
-/// [`CERTIFIED_REWRITES`]; `None` means the rewrite is not certified for
-/// this pipeline and the original plan runs. This is the **only** path
-/// from a pipeline to a rewritten graph: [`run_pipeline`] applies it to
-/// the graph it is about to execute, the analyzer's races pass certifies
-/// its output for every registered graph, and the
-/// `no-uncertified-rewrite` source lint rejects direct calls to the raw
-/// transform outside the certification machinery.
-pub fn certified_rewrite_for(graph: &JobGraph, rewrite: &str) -> Option<JobGraph> {
-    let certified = CERTIFIED_REWRITES
-        .iter()
-        .any(|&(g, r)| g == graph.name && r == rewrite);
-    if !certified {
-        return None;
-    }
-    match rewrite {
-        "heavy-key-split" => Some(haten2_mapreduce::rewrite::heavy_key_split(graph)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -1135,7 +1035,7 @@ mod tests {
         };
         let env = env_for(x.dims(), x.nnz(), q, 3, 4);
         let mut batch = Batch::with_graph(&pipeline.graph);
-        let kept = submit(&mut batch, pipeline, &env, &bound, &datasets, None)?;
+        let kept = submit(&mut batch, pipeline, &env, &bound, &datasets)?;
         // Holding an intermediate's handle past submission would keep it
         // alive for the whole batch (`peak_rss_mib`).
         let writes = kept.iter().flat_map(|(inst, _)| &inst.writes);
@@ -1146,32 +1046,29 @@ mod tests {
 
     #[test]
     fn submitter_declares_exactly_the_program_the_analyzer_certifies() {
-        // For every registered pipeline and every certified rewrite of
-        // one: what reaches `Batch::submit` is, job for job, the
-        // `(name, reads, writes)` program the races pass certifies.
+        // For every registered pipeline: what reaches `Batch::submit` is,
+        // job for job, the `(name, reads, writes)` program the races pass
+        // certifies.
         for decomp in Decomp::ALL {
             let q = match decomp {
                 Decomp::Tucker => 2,
                 Decomp::Parafac => 3,
             };
             for variant in Variant::ALL {
-                let registered = pipeline_for(decomp, variant);
-                let split = registered.split_heavy_keys();
-                for pipeline in std::iter::once(registered).chain(split) {
-                    let env = env_for([4, 5, 6], 24, q, 3, 4);
-                    let certified: Vec<String> =
-                        haten2_analyze::rewrite::plan_models(&pipeline.graph, &env)
-                            .into_iter()
-                            .map(|m| {
-                                assert_eq!(m.inferred_reads, m.declared_reads);
-                                assert_eq!(m.inferred_writes, m.declared_writes);
-                                format!("{} {:?} {:?}", m.name, m.declared_reads, m.declared_writes)
-                            })
-                            .collect();
-                    assert!(!certified.is_empty());
-                    let submitted = declared(&pipeline, q).unwrap();
-                    assert_eq!(submitted, certified, "{}", pipeline.graph.name);
-                }
+                let pipeline = pipeline_for(decomp, variant);
+                let env = env_for([4, 5, 6], 24, q, 3, 4);
+                let certified: Vec<String> =
+                    haten2_analyze::races::plan_models(&pipeline.graph, &env)
+                        .into_iter()
+                        .map(|m| {
+                            assert_eq!(m.inferred_reads, m.declared_reads);
+                            assert_eq!(m.inferred_writes, m.declared_writes);
+                            format!("{} {:?} {:?}", m.name, m.declared_reads, m.declared_writes)
+                        })
+                        .collect();
+                assert!(!certified.is_empty());
+                let submitted = declared(&pipeline, q).unwrap();
+                assert_eq!(submitted, certified, "{}", pipeline.graph.name);
             }
         }
     }
@@ -1189,49 +1086,6 @@ mod tests {
                 if job == "tucker-dri-crossmerge" && detail.contains("t_typo")),
             "{err}"
         );
-    }
-
-    #[test]
-    fn the_sketch_is_built_only_for_a_policy_that_reads_it() {
-        use haten2_mapreduce::RewritePolicy;
-        let records = tensor_records(&sample_tensor());
-        let config = |rewrite| ClusterConfig {
-            rewrite,
-            ..ClusterConfig::with_machines(4)
-        };
-        // `Off` — the default, and what the benchmark runs — answers
-        // without a sketch, so the O(nnz) hashing pass must not happen.
-        assert_eq!(ClusterConfig::default().rewrite, RewritePolicy::Off);
-        assert!(merge_key_sketch(&config(RewritePolicy::Off), &records).is_none());
-        let auto = RewritePolicy::Auto {
-            skew_threshold: 2.0,
-        };
-        for policy in [RewritePolicy::Always, auto] {
-            let sketch = merge_key_sketch(&config(policy), &records).expect("policy reads it");
-            assert_eq!((sketch.width(), sketch.total()), (4, records.len() as u64));
-        }
-    }
-
-    #[test]
-    fn certified_rewrite_gate_admits_only_recorded_pairs() {
-        for decomp in Decomp::ALL {
-            for variant in Variant::ALL {
-                let g = plan_for(decomp, variant);
-                let recorded = CERTIFIED_REWRITES.contains(&(g.name.as_str(), "heavy-key-split"));
-                assert_eq!(recorded, matches!(variant, Variant::Drn | Variant::Dri));
-                match certified_rewrite_for(&g, "heavy-key-split") {
-                    // A recorded pair rewrites its graph into split + mergeparts…
-                    Some(rw) => {
-                        assert!(recorded, "{}", g.name);
-                        assert_eq!(rw.jobs.len(), g.jobs.len() + 1, "{}", g.name);
-                        assert!(rw.jobs.iter().any(|j| j.name.ends_with("-mergeparts")));
-                    }
-                    // …and an unrecorded pair is refused, whatever the graph shape.
-                    None => assert!(!recorded, "{}", g.name),
-                }
-                assert!(certified_rewrite_for(&g, "no-such-rewrite").is_none());
-            }
-        }
     }
 
     #[test]

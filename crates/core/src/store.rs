@@ -20,7 +20,24 @@ use haten2_linalg::Mat;
 use haten2_mapreduce::Cluster;
 use haten2_tensor::{CooTensor3, DenseTensor3, Entry3};
 
-const FACTOR_NAMES: [&str; 3] = ["A", "B", "C"];
+/// Suffixes of the three factor datasets / files of a saved model.
+pub(crate) const FACTOR_NAMES: [&str; 3] = ["A", "B", "C"];
+
+/// A Tucker core stored as sparse entries, as the dense `dims` tensor the
+/// factors' column counts say it is (trailing all-zero slices included).
+pub(crate) fn dense_core(sparse: &CooTensor3, dims: [usize; 3]) -> Result<DenseTensor3> {
+    let mut core = DenseTensor3::zeros(dims);
+    for e in sparse.entries() {
+        if e.i as usize >= dims[0] || e.j as usize >= dims[1] || e.k as usize >= dims[2] {
+            return Err(CoreError::InvalidArgument(format!(
+                "core entry ({}, {}, {}) outside factor ranks {dims:?}",
+                e.i, e.j, e.k
+            )));
+        }
+        core.set(e.i as usize, e.j as usize, e.k as usize, e.v);
+    }
+    Ok(core)
+}
 
 /// Store `x` under `key` in the cluster's DFS: `{key}` holds the
 /// `(Ix4, f64)` entry records, `{key}.dims` the mode sizes.
@@ -147,17 +164,7 @@ pub fn load_tucker_state(cluster: &Cluster, key: &str) -> Result<Option<(DenseTe
     let Some(sparse_core) = load_tensor(cluster, &format!("{key}.core"))? else {
         return Ok(None);
     };
-    let dims = [a.cols(), b.cols(), c.cols()];
-    let mut core = DenseTensor3::zeros(dims);
-    for e in sparse_core.entries() {
-        if e.i as usize >= dims[0] || e.j as usize >= dims[1] || e.k as usize >= dims[2] {
-            return Err(CoreError::InvalidArgument(format!(
-                "core entry ({}, {}, {}) outside factor ranks {dims:?}",
-                e.i, e.j, e.k
-            )));
-        }
-        core.set(e.i as usize, e.j as usize, e.k as usize, e.v);
-    }
+    let core = dense_core(&sparse_core, [a.cols(), b.cols(), c.cols()])?;
     Ok(Some((core, [a, b, c])))
 }
 

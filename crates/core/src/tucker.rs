@@ -227,49 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_plan_is_bit_identical_to_unrewritten() {
-        use haten2_mapreduce::{RewritePolicy, SchedulerMode};
-        let x = random_coo([8, 5, 4], 60, 77);
-        let mut rng = StdRng::seed_from_u64(78);
-        let u1 = Mat::random(2, 5, &mut rng);
-        let u2 = Mat::random(3, 4, &mut rng);
-        for variant in [Variant::Drn, Variant::Dri] {
-            let mut outs: Vec<Vec<(u64, u64, u64, u64)>> = Vec::new();
-            for (policy, sched) in [
-                (RewritePolicy::Off, SchedulerMode::Sequential),
-                (RewritePolicy::Always, SchedulerMode::Sequential),
-                (RewritePolicy::Always, SchedulerMode::Dag),
-            ] {
-                let mut cfg = ClusterConfig::with_machines(4);
-                cfg.rewrite = policy;
-                cfg.scheduler = sched;
-                let cluster = Cluster::new(cfg);
-                let y = project(
-                    &cluster,
-                    variant,
-                    &x,
-                    0,
-                    &u1,
-                    &u2,
-                    &ProjectOptions::default(),
-                )
-                .unwrap();
-                outs.push(
-                    y.entries()
-                        .iter()
-                        .map(|e| (e.i, e.j, e.k, e.v.to_bits()))
-                        .collect(),
-                );
-            }
-            assert_eq!(outs[0], outs[1], "{variant}: rewrite broke bit-identity");
-            assert_eq!(
-                outs[0], outs[2],
-                "{variant}: DAG rewrite broke bit-identity"
-            );
-        }
-    }
-
-    #[test]
     fn naive_fails_on_capacity() {
         // Broadcast cost nnz + IJK must exceed a tiny capacity budget.
         let x = random_coo([50, 50, 50], 30, 3);

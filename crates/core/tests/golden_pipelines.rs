@@ -1,9 +1,8 @@
 //! Golden bit-identity of the eight pipelines.
 //!
-//! One table pins, for every (decomposition × variant × target mode) and
-//! for DRN/DRI again under `RewritePolicy::Always`, an FNV-1a digest of
-//! everything a pipeline run exposes: the committed job-name sequence,
-//! every `JobMetrics::without_host_time()`, each batch's
+//! One table pins, for every (decomposition × variant × target mode), an
+//! FNV-1a digest of everything a pipeline run exposes: the committed
+//! job-name sequence, every `JobMetrics::without_host_time()`, each batch's
 //! `sim_makespan_s` (list-scheduled in submission order, so a reordering
 //! moves it) and the output bits. Each row is run under both scheduler
 //! modes, with and without a seeded `FaultPlan` (fault schedules are keyed
@@ -20,9 +19,7 @@ use haten2_core::parafac::mttkrp;
 use haten2_core::tucker::{project, ProjectOptions};
 use haten2_core::Variant;
 use haten2_linalg::Mat;
-use haten2_mapreduce::{
-    Cluster, ClusterConfig, FaultPlan, JobMetrics, RewritePolicy, SchedulerMode,
-};
+use haten2_mapreduce::{Cluster, ClusterConfig, FaultPlan, JobMetrics, SchedulerMode};
 use haten2_tensor::{CooTensor3, Entry3};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -40,36 +37,6 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("tucker-dri/mode0", 0x91a43137cac51ed8, 0xeb36163e089830fd),
     ("tucker-dri/mode1", 0x5e24ff34d151bb06, 0xc0e0a8ab4d21c33d),
     ("tucker-dri/mode2", 0xf34f5d2ff16e4735, 0xdd270861b29e7c0e),
-    (
-        "tucker-drn+split/mode0",
-        0x4a4c55855df24867,
-        0x5c5cb46d76af3541,
-    ),
-    (
-        "tucker-drn+split/mode1",
-        0xc599ce07726f4df8,
-        0xe64897460b5648df,
-    ),
-    (
-        "tucker-drn+split/mode2",
-        0x15d0360a0c49f67e,
-        0xbde39bc375f4908d,
-    ),
-    (
-        "tucker-dri+split/mode0",
-        0x1352e4b116fe82c7,
-        0xeb5a17730dba232b,
-    ),
-    (
-        "tucker-dri+split/mode1",
-        0x9c520c7df1ef7cc1,
-        0x31693e8f72452a92,
-    ),
-    (
-        "tucker-dri+split/mode2",
-        0x95f59167dea36b37,
-        0xb44e17e657810a76,
-    ),
     (
         "parafac-naive/mode0",
         0x91100cae1164ce06,
@@ -94,48 +61,16 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("parafac-dri/mode0", 0x1a35dd3709bda890, 0x0307521dfb5cb5db),
     ("parafac-dri/mode1", 0xe613db46c4221fb4, 0xb3e90da16a475a4d),
     ("parafac-dri/mode2", 0x3ea0853354fb5efd, 0xf849437fffb07368),
-    (
-        "parafac-drn+split/mode0",
-        0xf8a62ed01cb6f8ab,
-        0xf4583aaedb0759a2,
-    ),
-    (
-        "parafac-drn+split/mode1",
-        0xd79a297432456e44,
-        0x0ef6a1bd5cf14998,
-    ),
-    (
-        "parafac-drn+split/mode2",
-        0xf2d2b5fc9af549ea,
-        0x2df6f3915df9f1a8,
-    ),
-    (
-        "parafac-dri+split/mode0",
-        0x24927255c57c19d5,
-        0xa97ce74ef9c34cf2,
-    ),
-    (
-        "parafac-dri+split/mode1",
-        0x4f76ca26b13d60d5,
-        0x91b35681da8f5fcb,
-    ),
-    (
-        "parafac-dri+split/mode2",
-        0xbffe8a129c055925,
-        0x7a09b8248e0b72bc,
-    ),
 ];
 
 const DIMS: [u64; 3] = [7, 6, 5];
 
-/// The rows of one decomposition, in table order: variant, label, policy.
-const CASES: [(Variant, &str, RewritePolicy); 6] = [
-    (Variant::Naive, "naive", RewritePolicy::Off),
-    (Variant::Dnn, "dnn", RewritePolicy::Off),
-    (Variant::Drn, "drn", RewritePolicy::Off),
-    (Variant::Dri, "dri", RewritePolicy::Off),
-    (Variant::Drn, "drn+split", RewritePolicy::Always),
-    (Variant::Dri, "dri+split", RewritePolicy::Always),
+/// The rows of one decomposition, in table order: variant, label.
+const CASES: [(Variant, &str); 4] = [
+    (Variant::Naive, "naive"),
+    (Variant::Dnn, "dnn"),
+    (Variant::Drn, "drn"),
+    (Variant::Dri, "dri"),
 ];
 
 /// FNV-1a, 64-bit.
@@ -213,7 +148,7 @@ fn every_pipeline_reproduces_its_recorded_digests() {
     let x = tensor();
     let mut computed: Vec<(String, u64, u64)> = Vec::new();
     for decomp in ["tucker", "parafac"] {
-        for (variant, tag, rewrite) in CASES {
+        for (variant, tag) in CASES {
             for mode in 0..3 {
                 let label = format!("{decomp}-{tag}/mode{mode}");
                 let per_mode = [SchedulerMode::Sequential, SchedulerMode::Dag].map(|scheduler| {
@@ -223,7 +158,6 @@ fn every_pipeline_reproduces_its_recorded_digests() {
                             // not follow the host.
                             threads: 3,
                             scheduler,
-                            rewrite,
                             fault_plan: faults.then(|| FaultPlan::seeded(17)),
                             ..ClusterConfig::with_machines(4)
                         };

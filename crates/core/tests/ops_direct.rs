@@ -165,8 +165,7 @@ fn cross_merge_job_matches_reference() {
     let ct = Mat::random(2, 4, &mut rng);
     let c = cluster();
     let (tp, tdp) = imhp(&c, "imhp", &x, &bt, &ct);
-    let merged =
-        cross_merge_job(&c, "merge", &[&shards(&tp), &shards(&tdp)], &[3, 2], None).unwrap();
+    let merged = cross_merge_job(&c, "merge", &[&shards(&tp), &shards(&tdp)], &[3, 2]).unwrap();
     let want = reference::cross_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -187,7 +186,7 @@ fn pairwise_merge_job_matches_reference() {
     let ct = Mat::random(r, 4, &mut rng);
     let c = cluster();
     let (tp, tdp) = imhp(&c, "imhp", &x, &bt, &ct);
-    let merged = pairwise_merge_job(&c, "merge", &[&shards(&tp), &shards(&tdp)], None).unwrap();
+    let merged = pairwise_merge_job(&c, "merge", &[&shards(&tp), &shards(&tdp)]).unwrap();
     let want = reference::pairwise_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -243,14 +242,14 @@ fn merge_jobs_shuffle_exactly_table_costs() {
     let c = cluster();
     let (tp, tdp) = imhp(&c, "imhp", &x, &bt, &ct);
     let mark = c.jobs_run();
-    cross_merge_job(&c, "cross", &[&shards(&tp), &shards(&tdp)], &[3, 2], None).unwrap();
+    cross_merge_job(&c, "cross", &[&shards(&tp), &shards(&tdp)], &[3, 2]).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, x.nnz() * (q + r));
 
     let bt = Mat::random(r, 6, &mut rng);
     let (tp2, tdp2) = imhp(&c, "imhp2", &x, &bt, &ct);
     let mark = c.jobs_run();
-    pairwise_merge_job(&c, "pair", &[&shards(&tp2), &shards(&tdp2)], None).unwrap();
+    pairwise_merge_job(&c, "pair", &[&shards(&tp2), &shards(&tdp2)]).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, 2 * x.nnz() * r);
 }

@@ -1,30 +1,25 @@
-//! Property tests: a key-sliced merge is the merge.
+//! Property tests: a merge reads its input as shards, wherever they are cut.
 //!
-//! The `heavy-key-split` rewrite runs the *unmodified* merge kernel once
-//! per hash slice of the reduce keys (`KeySlice`) and reassembles the
-//! slices with `merge_parts_job`. For any slice count, the slices — read
-//! in slice order, as the reassembly reads them — must reproduce the
-//! unsliced kernel's output bit for bit, and each record must sit in the
-//! slice its key hashes to. The same goes for reading an input as the
-//! many shards IMHP's reduce tasks wrote instead of as one: same records,
-//! same metrics, sliced or not.
+//! IMHP's reduce tasks write `T'` and `T''` as one shard per partition and
+//! the merge's map tasks read them in place. Reading a side as those many
+//! shards — or as one shard cut anywhere, an empty shard included — must be
+//! the same job as reading it as one concatenated shard: same output bits,
+//! same metrics.
 
 #![allow(clippy::unwrap_used)]
 
 use haten2_core::ops::{
-    cross_merge_job, imhp_job, join_on_slots, merge_parts_job, pairwise_merge_job, KeySlice,
-    Shards, TensorRecords,
+    cross_merge_job, imhp_job, join_on_slots, pairwise_merge_job, Shards, TensorRecords,
 };
 use haten2_core::records::tensor_records;
 use haten2_core::Ix4;
 use haten2_linalg::Mat;
-use haten2_mapreduce::{key_slice, Cluster, ClusterConfig, JobMetrics};
+use haten2_mapreduce::{Cluster, ClusterConfig, JobMetrics};
 use haten2_tensor::{CooTensor3, Entry3};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-type Merge =
-    fn(&Cluster, Shards<'_>, Shards<'_>, KeySlice) -> haten2_mapreduce::Result<TensorRecords>;
+type Merge = fn(&Cluster, Shards<'_>, Shards<'_>) -> haten2_mapreduce::Result<TensorRecords>;
 
 fn bits(records: &[(Ix4, f64)]) -> Vec<(Ix4, u64)> {
     records.iter().map(|&(ix, v)| (ix, v.to_bits())).collect()
@@ -55,15 +50,14 @@ fn metered(
     cluster: &Cluster,
     t_prime: Shards<'_>,
     t_dprime: Shards<'_>,
-    slice: KeySlice,
 ) -> (TensorRecords, JobMetrics) {
     let mark = cluster.jobs_run();
-    let records = merge(cluster, t_prime, t_dprime, slice).unwrap();
+    let records = merge(cluster, t_prime, t_dprime).unwrap();
     let job = cluster.metrics_since(mark).jobs.remove(0);
     (records, job.without_host_time())
 }
 
-fn check(merge: Merge, x: &CooTensor3, slices: usize, machines: usize, seed: u64) {
+fn check(merge: Merge, x: &CooTensor3, machines: usize, seed: u64) {
     let cluster = Cluster::new(ClusterConfig::with_machines(machines));
     let mut rng = StdRng::seed_from_u64(seed);
     let bt = Mat::random(3, 6, &mut rng);
@@ -78,43 +72,20 @@ fn check(merge: Merge, x: &CooTensor3, slices: usize, machines: usize, seed: u64
     .unwrap();
     let [tp_written, tdp_written]: [Vec<TensorRecords>; 2] = written.try_into().unwrap();
     let (t_prime, t_dprime) = (tp_written.concat(), tdp_written.concat());
-    let (whole, whole_metrics) = metered(merge, &cluster, &[&t_prime], &[&t_dprime], None);
+    let (whole, whole_metrics) = metered(merge, &cluster, &[&t_prime], &[&t_dprime]);
 
     // The shards as IMHP wrote them, one per reduce partition (their
     // boundaries fall anywhere relative to the merge's map tasks), read
     // in place: the same job as over one concatenated shard per side.
     let tp_shards: Vec<&[_]> = tp_written.iter().map(Vec::as_slice).collect();
     let tdp_shards: Vec<&[_]> = tdp_written.iter().map(Vec::as_slice).collect();
-    let (sharded, sharded_metrics) = metered(merge, &cluster, &tp_shards, &tdp_shards, None);
+    let (sharded, sharded_metrics) = metered(merge, &cluster, &tp_shards, &tdp_shards);
     assert_eq!(bits(&sharded), bits(&whole), "as-written shards");
     assert_eq!(sharded_metrics, whole_metrics, "as-written shards");
 
-    let parts: Vec<TensorRecords> = (0..slices)
-        .map(|s| {
-            let slice = Some((s, slices));
-            let (part, metrics) = metered(merge, &cluster, &[&t_prime], &[&t_dprime], slice);
-            let sharded = metered(merge, &cluster, &tp_shards, &tdp_shards, slice);
-            assert_eq!(
-                bits(&sharded.0),
-                bits(&part),
-                "slice {s}, as-written shards"
-            );
-            assert_eq!(sharded.1, metrics, "slice {s}, as-written shards");
-            part
-        })
-        .collect();
-    for (s, part) in parts.iter().enumerate() {
-        for (ix, _) in part {
-            assert_eq!(key_slice(&ix.0, slices), s, "record {ix:?} in slice {s}");
-        }
-    }
-    let in_slice_order: Vec<&[_]> = parts.iter().map(Vec::as_slice).collect();
-    let reassembled = merge_parts_job(&cluster, "mergeparts", &in_slice_order).unwrap();
-    assert_eq!(bits(&reassembled), bits(&whole), "{slices} slices");
-
     // Shards are read in order, as if concatenated, wherever they are cut.
     let (a, b) = t_prime.split_at(t_prime.len() / 2);
-    let sharded = merge(&cluster, &[a, &[], b], &[&t_dprime], None).unwrap();
+    let sharded = merge(&cluster, &[a, &[], b], &[&t_dprime]).unwrap();
     assert_eq!(bits(&sharded), bits(&whole), "two-shard T'");
 }
 
@@ -122,28 +93,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn sliced_cross_merge_reassembles_to_the_unsliced_bits(
+    fn sharded_cross_merge_equals_the_one_shard_merge(
         x in skewed_tensor(),
-        slices in 1usize..8,
         machines in 1usize..6,
         seed in any::<u64>(),
     ) {
         check(
-            |c, tp, tdp, slice| cross_merge_job(c, "crossmerge", &[tp, tdp], &[3, 3], slice),
-            &x, slices, machines, seed,
+            |c, tp, tdp| cross_merge_job(c, "crossmerge", &[tp, tdp], &[3, 3]),
+            &x, machines, seed,
         );
     }
 
     #[test]
-    fn sliced_pairwise_merge_reassembles_to_the_unsliced_bits(
+    fn sharded_pairwise_merge_equals_the_one_shard_merge(
         x in skewed_tensor(),
-        slices in 1usize..8,
         machines in 1usize..6,
         seed in any::<u64>(),
     ) {
         check(
-            |c, tp, tdp, slice| pairwise_merge_job(c, "pairwisemerge", &[tp, tdp], slice),
-            &x, slices, machines, seed,
+            |c, tp, tdp| pairwise_merge_job(c, "pairwisemerge", &[tp, tdp]),
+            &x, machines, seed,
         );
     }
 }

@@ -4,7 +4,6 @@ use crate::dfs::{Dfs, DfsBackend};
 use crate::fault::FaultPlan;
 use crate::metrics::{BatchReport, JobMetrics, RunMetrics};
 use crate::pool::{SharedPool, WorkerPool};
-use crate::rewrite::RewritePolicy;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -77,12 +76,6 @@ pub struct ClusterConfig {
     /// [`crate::MrError::SpillCapacityExceeded`] on either backend.
     /// `None` is unlimited.
     pub dfs_capacity_bytes: Option<usize>,
-    /// Whether pipelines apply the analyzer-certified `heavy-key-split`
-    /// rewrite at submission time (not a semantic knob: rewritten outputs
-    /// are bit-identical to the unrewritten plan's — see
-    /// [`crate::rewrite`]). `Off` by default so job counts keep matching
-    /// Tables III/IV.
-    pub rewrite: RewritePolicy,
 }
 
 impl Default for ClusterConfig {
@@ -104,7 +97,6 @@ impl Default for ClusterConfig {
             scheduler: SchedulerMode::default(),
             dfs: DfsBackend::Memory,
             dfs_capacity_bytes: None,
-            rewrite: RewritePolicy::default(),
         }
     }
 }

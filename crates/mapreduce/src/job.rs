@@ -266,13 +266,9 @@ pub(crate) fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
     Partitioner::new(partitions).partition_of(key)
 }
 
-/// Deterministic key-slice assignment for two-phase aggregation: the
-/// slice of `key` among `slices` (clamped to at least 1), computed with
-/// the *same* FNV-1a hash + modulus the shuffle [`Partitioner`] uses. A
-/// `heavy-key-split` split instance owns the whole key groups whose slice
-/// equals its index, and the map-side [`crate::rewrite::KeyFreqSketch`]
-/// buckets by the same function — so detector, splitter, and shuffle all
-/// agree on where a key lives.
+/// The reduce partition `key` is shuffled to among `slices` (clamped to at
+/// least 1): the *same* FNV-1a hash + modulus the shuffle [`Partitioner`]
+/// uses, so a caller can build inputs whose keys land on chosen partitions.
 #[must_use]
 pub fn key_slice<K: Hash>(key: &K, slices: usize) -> usize {
     partition_of(key, slices)

@@ -69,7 +69,6 @@ pub mod pool;
 #[cfg(feature = "race-detect")]
 pub mod race;
 pub mod reference;
-pub mod rewrite;
 pub mod sched;
 pub mod size;
 
@@ -93,7 +92,6 @@ pub use pool::WorkerPool;
 #[cfg(feature = "race-detect")]
 pub use race::RaceReport;
 pub use reference::{run_job_reference, run_job_reference_streaming};
-pub use rewrite::{KeyFreqSketch, RewritePolicy};
 pub use sched::{datasets_overlap, Batch, BatchResults, JobCtx, JobHandle};
 pub use size::EstimateSize;
 

@@ -298,10 +298,6 @@ pub struct BatchReport {
     /// skewed batch should still fill every slot, while FIFO ordering
     /// leaves the tail worker idle behind the straggler.
     pub worker_busy_s: Vec<f64>,
-    /// Largest single reduce-side key group (bytes) over the batch's jobs
-    /// — the straggler proxy the `heavy-key-split` rewrite targets,
-    /// surfaced here so the benchmark can report it next to makespan.
-    pub heaviest_group_bytes: usize,
 }
 
 #[cfg(test)]

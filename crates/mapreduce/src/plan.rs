@@ -538,11 +538,6 @@ pub struct PlanJob {
     /// pipeline's reducer-annotation registry, which generates a property
     /// test per annotated reducer.
     pub comm_assoc: bool,
-    /// Whether each of the `count` instances runs `op` over only the
-    /// reduce keys whose hash slice ([`crate::job::key_slice`] of `count`)
-    /// equals its instance index — the split phase of
-    /// [`crate::rewrite::heavy_key_split`].
-    pub key_sliced: bool,
 }
 
 impl PlanJob {
@@ -559,7 +554,6 @@ impl PlanJob {
             exact: true,
             op: None,
             comm_assoc: false,
-            key_sliced: false,
         }
     }
 

@@ -64,12 +64,10 @@
 //! [`JobMetrics::task_executors`]; it never reaches a result.
 //!
 //! **Dispatch order.** Ready jobs are popped
-//! longest-processing-time-first by estimated cost
-//! ([`Batch::set_cost_hint`], with a bytes-fed-in fallback from finished
-//! predecessors), so a known-heavy job — e.g. the hash slice owning a
-//! skewed reduce key under the `heavy-key-split` rewrite — starts first
-//! instead of straggling behind its lighter siblings. When LPT's estimate
-//! is wrong anyway, the per-task speculative re-execution inside
+//! longest-processing-time-first by estimated cost — the bytes a job's
+//! finished predecessors fed it — so the job with the most to read starts
+//! first instead of straggling behind its lighter siblings. When the
+//! estimate is wrong, the per-task speculative re-execution inside
 //! [`crate::job::run_job`] remains the straggler fallback. Estimates only
 //! reorder execution; the commit order (and with it every output and
 //! metric) is untouched.
@@ -247,9 +245,6 @@ struct Submitted<'a> {
     name: String,
     reads: Vec<String>,
     writes: Vec<String>,
-    /// Relative execution-cost estimate for LPT dispatch
-    /// ([`Batch::set_cost_hint`]); `0.0` means unhinted.
-    cost_hint: f64,
     run: Mutex<Option<JobFn<'a>>>,
 }
 
@@ -422,7 +417,6 @@ impl<'a> Batch<'a> {
             name: name.clone(),
             reads,
             writes,
-            cost_hint: 0.0,
             run: Mutex::new(Some(Box::new(move |ctx| {
                 let value = f(ctx)?;
                 let _ = out.set(value);
@@ -430,21 +424,6 @@ impl<'a> Batch<'a> {
             }))),
         });
         Ok(JobHandle { idx, name, slot })
-    }
-
-    /// Attach a dispatch cost hint to a submitted job: an estimate of its
-    /// relative execution cost, in any unit consistent within the batch
-    /// (the pipelines' submitter hints each key-sliced split instance with
-    /// its [`crate::rewrite::KeyFreqSketch`] slice count). The DAG
-    /// scheduler pops ready jobs largest-estimate-first —
-    /// longest-processing-time-first list scheduling — so a heavy hash
-    /// slice starts before its lighter siblings instead of straggling at
-    /// the tail. Unhinted jobs fall back
-    /// to a bytes-fed-in proxy from already-finished predecessors. Hints
-    /// reorder *execution* only; commit order stays submission order, so
-    /// outputs and metrics remain bit-identical to Sequential mode.
-    pub fn set_cost_hint<T>(&mut self, handle: &JobHandle<T>, cost: f64) {
-        self.jobs[handle.idx].cost_hint = cost;
     }
 
     /// Declared-dataset dependency edges: for each job, the submission
@@ -705,12 +684,11 @@ impl<'a> Batch<'a> {
     ///
     /// **Dispatch order** is longest-processing-time-first: among ready
     /// jobs, the one with the highest estimated cost runs next — the
-    /// caller's [`Batch::set_cost_hint`] if set, else a proxy summing the
     /// bytes its already-finished predecessors fed it (their stashed
-    /// [`JobMetrics`] are written before dependents wake, so the proxy is
-    /// always available for dependency-released jobs). Ties fall back to
-    /// smallest submission index, so an unhinted single-wave batch keeps
-    /// plain FIFO order. LPT only reorders *execution*; commit order (and
+    /// [`JobMetrics`] are written before dependents wake, so the estimate
+    /// is always available for dependency-released jobs). Ties fall back
+    /// to smallest submission index, so a single-wave batch keeps plain
+    /// FIFO order. LPT only reorders *execution*; commit order (and
     /// therefore every output and metric) is unchanged.
     ///
     /// `workers` is the widest dependency level capped at the configured
@@ -744,12 +722,11 @@ impl<'a> Batch<'a> {
         let ready: Mutex<Vec<usize>> =
             Mutex::new((0..n).filter(|&j| preds[j].is_empty()).collect::<Vec<_>>());
         let est_cost = |j: usize| -> f64 {
-            let fed: f64 = preds[j]
+            preds[j]
                 .iter()
                 .filter_map(|&p| metrics[p].get())
                 .map(|m| (m.shuffle_bytes + m.reduce_output_bytes) as f64)
-                .sum();
-            self.jobs[j].cost_hint.max(fed)
+                .sum()
         };
         // Cap scheduler workers at the host's real core count: configured
         // `threads` beyond that only adds context switching and queue
@@ -795,7 +772,7 @@ impl<'a> Batch<'a> {
 
 /// Remove and return the ready job with the highest estimated cost
 /// (longest-processing-time-first); ties break toward the smallest
-/// submission index, so an unhinted batch degrades to FIFO.
+/// submission index, so a batch of equal estimates degrades to FIFO.
 fn lpt_pick(queue: &mut Vec<usize>, est: &dyn Fn(usize) -> f64) -> Option<usize> {
     let best = queue
         .iter()
@@ -897,12 +874,6 @@ fn batch_report(
         sim_sequential_s: committed.jobs.iter().map(|j| j.sim_time_s).sum(),
         sim_makespan_s: sim_makespan(committed, preds, slots),
         worker_busy_s,
-        heaviest_group_bytes: committed
-            .jobs
-            .iter()
-            .map(|j| j.max_group_bytes)
-            .max()
-            .unwrap_or(0),
     }
 }
 
@@ -1064,8 +1035,8 @@ mod tests {
             split(&[&[], &[], &[], &[], &[0, 1, 2, 3]], 4),
             (vec![1, 1, 1, 1, 4], 4)
         );
-        // Fan-out and back in (`heavy-key-split`): IMHP → M splits →
-        // mergeparts. The single-job levels get the full pool.
+        // Fan-out and back in: one job, four reading it, one reading those.
+        // The single-job levels get the full pool.
         assert_eq!(
             split(&[&[], &[0], &[0], &[0], &[0], &[1, 2, 3, 4]], 4),
             (vec![4, 1, 1, 1, 1, 4], 4)
@@ -1323,41 +1294,79 @@ mod tests {
 
     #[test]
     fn lpt_runs_costliest_ready_job_first_but_commits_in_submission_order() {
-        // One DAG worker makes the dispatch order observable; three
-        // independent jobs with hints 1 < 5 < 3 must execute 5, 3, 1.
-        let input = vec![(0u64, 1.0f64)];
-        let mut cfg = ClusterConfig::with_machines(2);
-        cfg.scheduler = SchedulerMode::Dag;
-        cfg.threads = 1;
-        let c = Cluster::new(cfg);
-        let order: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-        let mut batch = Batch::new();
-        let hints = [("light", 1.0), ("heavy", 5.0), ("middle", 3.0)];
-        for (name, hint) in hints {
-            let h = batch
-                .submit(name, vec!["x".into()], vec![format!("t-{name}")], {
-                    let input = &input;
-                    let order = &order;
-                    move |ctx| {
+        // One DAG worker makes the dispatch order observable. `gate`
+        // releases both dependents at once; `after-heavy` was fed 64 keys
+        // by its own predecessor and `after-light` one, so it must start
+        // first although it was submitted second.
+        let light = vec![(0u64, 1.0f64)];
+        let heavy: Vec<(u64, f64)> = (0..64).map(|k| (k, k as f64)).collect();
+        let run = |mode: SchedulerMode| {
+            let mut cfg = ClusterConfig::with_machines(2);
+            cfg.scheduler = mode;
+            cfg.threads = 1;
+            let c = Cluster::new(cfg);
+            let order: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+            let mut batch = Batch::new();
+            let mut fed = Vec::new();
+            for (name, input) in [("light", &light), ("heavy", &heavy), ("gate", &light)] {
+                let order = &order;
+                let h = batch
+                    .submit(
+                        name,
+                        vec!["x".into()],
+                        vec![format!("t-{name}")],
+                        move |ctx| {
+                            order.lock().unwrap().push(name);
+                            scale_job(ctx, name, input, 2.0)
+                        },
+                    )
+                    .unwrap();
+                fed.push(h);
+            }
+            let mut outs = Vec::new();
+            let dependents = [
+                ("after-light", "t-light", &fed[0]),
+                ("after-heavy", "t-heavy", &fed[1]),
+            ];
+            for (name, own, src) in dependents {
+                let (order, src) = (&order, src.clone());
+                let reads = vec![own.into(), "t-gate".into()];
+                let h = batch
+                    .submit(name, reads, vec![format!("u-{name}")], move |ctx| {
                         order.lock().unwrap().push(name);
-                        scale_job(ctx, name, input, 2.0)
-                    }
-                })
-                .unwrap();
-            batch.set_cost_hint(&h, hint);
-        }
-        let results = batch.run(&c).unwrap();
-        assert_eq!(*order.lock().unwrap(), ["heavy", "middle", "light"]);
-        // Commit order is still submission order: LPT is invisible in the
-        // metrics log.
-        let names: Vec<String> = c.metrics().jobs.iter().map(|j| j.name.clone()).collect();
-        assert_eq!(names, ["light", "heavy", "middle"]);
-        assert_eq!(results.report().worker_busy_s.len(), 1);
-        assert!(results.report().worker_busy_s[0] > 0.0);
+                        scale_job(ctx, name, ctx.get(&src)?, 3.0)
+                    })
+                    .unwrap();
+                outs.push(h);
+            }
+            let results = batch.run(&c).unwrap();
+            assert_eq!(results.report().worker_busy_s.len(), 1);
+            assert!(results.report().worker_busy_s[0] > 0.0);
+            // Commit order is submission order: LPT is invisible in the
+            // metrics log.
+            let names: Vec<String> = c.metrics().jobs.iter().map(|j| j.name.clone()).collect();
+            assert_eq!(
+                names,
+                ["light", "heavy", "gate", "after-light", "after-heavy"]
+            );
+            let outs: Vec<Vec<(u64, f64)>> = outs.into_iter().map(|h| h.take().unwrap()).collect();
+            (order.into_inner().unwrap(), outs)
+        };
+        let (dag_order, dag_outs) = run(SchedulerMode::Dag);
+        assert_eq!(
+            dag_order,
+            ["light", "heavy", "gate", "after-heavy", "after-light"]
+        );
+        let (seq_order, seq_outs) = run(SchedulerMode::Sequential);
+        assert_eq!(
+            seq_order,
+            ["light", "heavy", "gate", "after-light", "after-heavy"]
+        );
+        assert_eq!(dag_outs, seq_outs);
     }
 
     #[test]
-    fn unhinted_dag_falls_back_to_fifo_on_one_worker() {
+    fn equal_estimates_fall_back_to_fifo_on_one_worker() {
         let input = vec![(0u64, 1.0f64)];
         let mut cfg = ClusterConfig::with_machines(2);
         cfg.scheduler = SchedulerMode::Dag;
@@ -1387,7 +1396,7 @@ mod tests {
     }
 
     #[test]
-    fn report_carries_worker_busy_and_heaviest_group() {
+    fn report_carries_worker_busy() {
         let input: Vec<(u64, f64)> = (0..32).map(|i| (i % 4, i as f64)).collect();
         for mode in [SchedulerMode::Sequential, SchedulerMode::Dag] {
             let c = cluster(mode);
@@ -1405,13 +1414,6 @@ mod tests {
                 report.worker_busy_s.iter().sum::<f64>() > 0.0,
                 "mode {mode:?}"
             );
-            let max_group = c.metrics().jobs.iter().map(|j| j.max_group_bytes).max();
-            assert_eq!(
-                report.heaviest_group_bytes,
-                max_group.unwrap(),
-                "mode {mode:?}"
-            );
-            assert!(report.heaviest_group_bytes > 0, "mode {mode:?}");
         }
     }
 

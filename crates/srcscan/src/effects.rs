@@ -22,9 +22,9 @@
 //! The pipelines of `haten2-core` cannot break the first rule — their one
 //! submitter resolves a job's inputs from its declared reads and nothing
 //! else — so the analyzer feeds [`check_model`] models expanded from the
-//! plan graphs themselves, and from every certified rewrite of them. The
-//! mutation proptests of `haten2-mapreduce` (`tests/race_detect.rs`) feed
-//! it hand-built batch programs and hold it to the dynamic race detector.
+//! plan graphs themselves. The mutation proptests of `haten2-mapreduce`
+//! (`tests/race_detect.rs`) feed it hand-built batch programs and hold it to
+//! the dynamic race detector.
 
 /// Split `base#shard`; `None` shard means the whole dataset.
 fn split_shard_sym(name: &str) -> (&str, Option<&str>) {

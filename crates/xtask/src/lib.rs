@@ -47,13 +47,6 @@
 //!   (`localfs` for atomic small files, `BlockStore` for segment data) so
 //!   fsync discipline and crash atomicity stay uniform. Only
 //!   `crates/blockstore` may touch the filesystem directly.
-//! * **no-uncertified-rewrite** — applying the `heavy_key_split` plan
-//!   transform directly is banned in library sources outside the transform
-//!   itself, the runtime certification gate
-//!   (`haten2_core::certified_rewrite_for`), and the analyzer's certifier:
-//!   a pipeline that rewrites its own `JobGraph` ad hoc would submit a
-//!   graph `cargo xtask analyze` never certified, breaking the
-//!   executed-graph-equals-certified-graph invariant.
 //!
 //! Suppress a finding with `// lint:allow(<rule>) — <reason>` on the same
 //! or the preceding line; `cargo xtask lint --list-allows` prints every
@@ -195,23 +188,6 @@ pub const RULES: &[Rule] = &[
         exempt: &[],
         applies_to: &[],
         applies_under: &["crates/mapreduce/src", "crates/core/src", "no_direct_fs.rs"],
-    },
-    Rule {
-        id: "no-uncertified-rewrite",
-        patterns: &["heavy_key_split("],
-        scope: Scope::LibraryCode,
-        message: "runtime plan rewrites must go through \
-                  haten2_core::certified_rewrite_for, which only rewrites graphs \
-                  listed in CERTIFIED_REWRITES (each row re-certified by the \
-                  analyzer's coverage test); applying heavy_key_split directly \
-                  would submit a JobGraph `cargo xtask analyze` never certified",
-        exempt: &[
-            "crates/mapreduce/src/rewrite.rs",
-            "crates/core/src/plan.rs",
-            "crates/analyze/src/rewrite.rs",
-        ],
-        applies_to: &[],
-        applies_under: &[],
     },
 ];
 

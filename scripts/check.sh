@@ -46,10 +46,10 @@ if [[ "${1:-}" == "--sanitize" ]]; then
         }
         tsan -p haten2-mapreduce --features race-detect -- pool arena sched race \
             level_split parallel_reduce reload
-        # Every pipeline (and both sliced merges) under both scheduler
+        # Every pipeline (and both merges over sharded input) under both scheduler
         # modes, with the bit-identity digests still asserted; and the same
         # kernels at three to five join sides on the bare cluster.
-        tsan -p haten2-core --test golden_pipelines --test sliced_merge --test nway_properties
+        tsan -p haten2-core --test golden_pipelines --test sharded_merge --test nway_properties
     else
         echo "==> TSan SKIPPED: rust-src not installed (rustup +nightly component add rust-src)"
     fi
