@@ -124,9 +124,12 @@ pub fn nway_mttkrp(cluster: &Cluster, x: &DynTensor, mode: usize, factors: &[&Ma
     let others = join_modes(x, mode, factors, true)?;
     let expanded = expand(cluster, x, mode, &others, factors)?;
     let name = format!("nway-pairwisemerge-mode{mode}");
-    let y = merged(&expanded, |sides| pairwise_merge_job(cluster, &name, sides))?;
+    let rank = factors[others[0]].cols();
+    let y = merged(&expanded, |sides| {
+        pairwise_merge_job(cluster, &name, sides, rank as u64)
+    })?;
 
-    let mut m = Mat::zeros(x.dims()[mode] as usize, factors[others[0]].cols());
+    let mut m = Mat::zeros(x.dims()[mode] as usize, rank);
     for ((i, r, _, _), v) in y {
         m.add_at(i as usize, r as usize, v);
     }

@@ -66,7 +66,8 @@ use haten2_mapreduce::{
     concat_partitions, run_job_collect, Collect, EstimateSize, JobSite, JobSpec, MapInput, MrError,
     Result,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// Tensor records in the canonical `(Ix4, f64)` form.
@@ -570,12 +571,129 @@ fn merge_feed<'a>(
 const SIDES_OUT_OF_ORDER: &str =
     "a T'' value after a T' value: the merge input must present T'' first";
 
+/// The one hasher of the merge folds' lookup table: FxHash's
+/// rotate-xor-multiply step over whole words. Deterministic, unlike
+/// `RandomState`, and one multiply per word of the two-word labels the
+/// folds look up. The table is only probed, never iterated, so its order
+/// cannot reach an emit.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A merge group's nonzeros: each label gets a slot, numbered in the
+/// order the last side first holds it, and the folds keep what they know
+/// of a nonzero in dense per-slot cells. A label is looked up once per run
+/// of its values: IMHP emits a nonzero's columns consecutively, so the
+/// label looked up last sits in front of the table — a cache, never an
+/// assumption; interleaved labels only cost probes.
+struct Slots {
+    table: HashMap<(u64, u64), u32, BuildHasherDefault<WordHasher>>,
+    last: Option<((u64, u64), Option<u32>)>,
+}
+
+impl Slots {
+    fn with_capacity(labels: usize) -> Self {
+        Slots {
+            table: HashMap::with_capacity_and_hasher(labels, Default::default()),
+            last: None,
+        }
+    }
+
+    /// Slots handed out.
+    fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// The slot of `v`'s label, a new one when the label has none yet.
+    fn insert(&mut self, v: &MergeVal) -> u32 {
+        let label = (v.j, v.k);
+        if let Some((last, Some(slot))) = self.last {
+            if last == label {
+                return slot;
+            }
+        }
+        let next = self.table.len() as u32;
+        let slot = *self.table.entry(label).or_insert(next);
+        self.last = Some((label, Some(slot)));
+        slot
+    }
+
+    /// The slot of `v`'s label, if the last side holds the label.
+    fn get(&mut self, v: &MergeVal) -> Option<u32> {
+        let label = (v.j, v.k);
+        match self.last {
+            Some((last, slot)) if last == label => slot,
+            _ => {
+                let slot = self.table.get(&label).copied();
+                self.last = Some((label, slot));
+                slot
+            }
+        }
+    }
+}
+
+/// What a CrossMerge group has joined so far: per slot, a `(columns,
+/// product)` partner for every way of picking one value of the nonzero
+/// from each side folded, in arrival order, stored slot after slot.
+struct Partners {
+    /// Slot `s`'s partners are `pairs[starts[s]..starts[s + 1]]`.
+    starts: Vec<usize>,
+    pairs: Vec<(u64, f64)>,
+}
+
+impl Partners {
+    /// `pairs`, staged in arrival order under the slots `slot_of`, grouped
+    /// by slot with their order within a slot kept: a counting sort by
+    /// slot.
+    fn group(slot_of: &[u32], pairs: Vec<(u64, f64)>, slots: usize) -> Self {
+        let mut starts = vec![0usize; slots + 1];
+        for &s in slot_of {
+            starts[s as usize + 1] += 1;
+        }
+        for s in 0..slots {
+            starts[s + 1] += starts[s];
+        }
+        let mut next = starts.clone();
+        let mut grouped = vec![(0, 0.0); pairs.len()];
+        for (&s, pair) in slot_of.iter().zip(pairs) {
+            grouped[next[s as usize]] = pair;
+            next[s as usize] += 1;
+        }
+        Partners {
+            starts,
+            pairs: grouped,
+        }
+    }
+
+    /// The partners of `slot`.
+    fn of(&self, slot: u32) -> &[(u64, f64)] {
+        &self.pairs[self.starts[slot as usize]..self.starts[slot as usize + 1]]
+    }
+}
+
 /// One CrossMerge reduce group over `widths.len()` sides, streamed: the
-/// last side's values fill the `label → [(columns, product)]` table, each
-/// side after extends every list by its own columns (a label the side does
-/// not hold is dropped), and each side-0 value probes what is left.
+/// last side's values become each nonzero's `(columns, product)` partners,
+/// each side after extends them by its own columns (a nonzero the side
+/// does not hold is dropped), and each side-0 value adds its products
+/// with what is left. Duplicate values of a cell stay separate partners.
 /// `columns` is the row-major index of `(q₂ … q_S)` in `widths[1..]`, so
-/// the slice's `Y(i, q₁, columns)` accumulates in a `widths[0] × Π
+/// the slice's `Y(i, q₁, columns)` accumulates in a dense `widths[0] × Π
 /// widths[1..]` array — as dense as the output is for dense factors — and
 /// leaves it in index order, whatever order its cells were touched in.
 /// Every `+=` chain runs in the order the values arrive, so the sums are
@@ -583,43 +701,50 @@ const SIDES_OUT_OF_ORDER: &str =
 fn cross_merge_fold(
     i: u64,
     widths: &[u64],
-    vals: impl Iterator<Item = MergeVal>,
+    vals: impl ExactSizeIterator<Item = MergeVal>,
     emit: &mut dyn FnMut(Ix4, f64),
 ) {
     let last = (widths.len() - 1) as u8;
-    let mut vals = vals.peekable();
     let columns: u64 = widths[1..].iter().product();
     let mut acc = vec![0.0; (widths[0] * columns) as usize];
+    let per_nonzero = widths.len() * widths[usize::from(last)] as usize;
+    let mut slots = Slots::with_capacity(vals.len() / per_nonzero.max(1));
+    let mut vals = vals.peekable();
     if last == 0 {
         // An order-2 tensor has one side and nothing to join it with.
         for v in vals.by_ref() {
             acc[v.d as usize] += v.v;
         }
     }
-    let mut table: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
+    let (mut slot_of, mut pairs) = (Vec::new(), Vec::new());
     while let Some(v) = vals.next_if(|v| v.side == last) {
-        table.entry((v.j, v.k)).or_default().push((v.d, v.v));
+        slot_of.push(slots.insert(&v));
+        pairs.push((v.d, v.v));
     }
+    let mut partners = Partners::group(&slot_of, pairs, slots.len());
     for side in (1..last).rev() {
         let stride: u64 = widths[usize::from(side) + 1..].iter().product();
-        let mut joined: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
+        slot_of.clear();
+        let mut pairs = Vec::new();
         while let Some(v) = vals.next_if(|v| v.side == side) {
-            if let Some(later) = table.get(&(v.j, v.k)) {
-                let extended = later
-                    .iter()
-                    .map(|&(cols, w)| (v.d * stride + cols, v.v * w));
-                joined.entry((v.j, v.k)).or_default().extend(extended);
+            let Some(slot) = slots.get(&v) else { continue };
+            for &(cols, w) in partners.of(slot) {
+                slot_of.push(slot);
+                pairs.push((v.d * stride + cols, v.v * w));
             }
         }
-        table = joined;
+        partners = Partners::group(&slot_of, pairs, slots.len());
     }
     for v in vals {
         assert!(v.side == 0, "CrossMerge group {i}: {SIDES_OUT_OF_ORDER}");
-        if let Some(partners) = table.get(&(v.j, v.k)) {
-            let row = &mut acc[(v.d * columns) as usize..][..columns as usize];
-            for &(cols, w) in partners {
-                row[cols as usize] += v.v * w;
-            }
+        let Some(slot) = slots.get(&v) else { continue };
+        let later = partners.of(slot);
+        if later.is_empty() {
+            continue;
+        }
+        let row = &mut acc[(v.d * columns) as usize..][..columns as usize];
+        for &(cols, w) in later {
+            row[cols as usize] += v.v * w;
         }
     }
     for (cell, y) in (0u64..).zip(acc) {
@@ -629,50 +754,105 @@ fn cross_merge_fold(
     }
 }
 
-/// One PairwiseMerge reduce group over `sides` sides, streamed like
-/// [`cross_merge_fold`]: the last side fills the `(label, r) → v` table,
-/// each side after rebuilds it as the running product over the keys it
-/// also holds, side 0 probes it.
+/// Column `d` of a PairwiseMerge value as an index into a `rank`-wide row.
+fn rank_column(d: u64, rank: usize) -> usize {
+    assert!(
+        d < rank as u64,
+        "PairwiseMerge column {d} is not below the rank {rank}"
+    );
+    d as usize
+}
+
+/// A PairwiseMerge group's running products, `rank` dense cells per slot:
+/// cell `(slot, d)` holds the sum of what arrived for `(label, d)`, and
+/// whether anything did.
+struct Cells {
+    rank: usize,
+    sums: Vec<f64>,
+    held: Vec<bool>,
+}
+
+impl Cells {
+    /// `slots` slots of empty cells.
+    fn new(rank: usize, slots: usize) -> Self {
+        Cells {
+            rank,
+            sums: vec![0.0; slots * rank],
+            held: vec![false; slots * rank],
+        }
+    }
+
+    fn cell(&self, slot: u32, d: u64) -> usize {
+        slot as usize * self.rank + rank_column(d, self.rank)
+    }
+
+    /// Add `x` to cell `(slot, d)`, growing the cells to hold `slot`. A
+    /// cell starts at `0.0`, so its first value lands as `0.0 + x` and a
+    /// duplicate `(label, d)` sums in arrival order.
+    fn add(&mut self, slot: u32, d: u64, x: f64) {
+        let cell = self.cell(slot, d);
+        if cell >= self.sums.len() {
+            let len = (slot as usize + 1) * self.rank;
+            self.sums.resize(len, 0.0);
+            self.held.resize(len, false);
+        }
+        self.sums[cell] += x;
+        self.held[cell] = true;
+    }
+
+    /// Cell `(slot, d)`, if anything arrived for it.
+    fn get(&self, slot: u32, d: u64) -> Option<f64> {
+        let cell = self.cell(slot, d);
+        self.held[cell].then(|| self.sums[cell])
+    }
+}
+
+/// One PairwiseMerge reduce group over `sides` sides of `rank` columns,
+/// streamed like [`cross_merge_fold`]: the last side fills each nonzero's
+/// `rank` cells (duplicates of a cell summed), each side after rebuilds
+/// them as the running product over the cells it also holds, and each
+/// side-0 value adds its product into the group's dense `rank`-wide
+/// accumulator.
 fn pairwise_merge_fold(
     i: u64,
     sides: usize,
+    rank: u64,
     vals: impl ExactSizeIterator<Item = MergeVal>,
     emit: &mut dyn FnMut(Ix4, f64),
 ) {
     let last = sides - 1;
-    // Lookup-only join map, pre-sized for a group that is one side's rows:
-    // a heavy power-law group otherwise rehashes ~17 times while it grows.
-    let mut table: HashMap<(u64, u64, u64), f64> = HashMap::with_capacity(vals.len() / sides);
+    let rank = rank as usize;
+    let mut slots = Slots::with_capacity(vals.len() / (sides * rank).max(1));
     let mut vals = vals.peekable();
-    // BTreeMap, not HashMap: the accumulator is *iterated* into emits, so
-    // its order must not depend on hasher state (the determinism pass
-    // rejects unordered iteration feeding emits).
-    let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
+    let mut acc = vec![0.0; rank];
     if last == 0 {
         // An order-2 tensor has one side and nothing to join it with.
         for v in vals.by_ref() {
-            *acc.entry(v.d).or_insert(0.0) += v.v;
+            acc[rank_column(v.d, rank)] += v.v;
         }
     }
+    let mut cells = Cells::new(rank, 0);
     while let Some(v) = vals.next_if(|v| usize::from(v.side) == last) {
-        *table.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v;
+        cells.add(slots.insert(&v), v.d, v.v);
     }
     for side in (1..last).rev() {
-        let mut joined: HashMap<(u64, u64, u64), f64> = HashMap::with_capacity(table.len());
+        let mut joined = Cells::new(rank, slots.len());
         while let Some(v) = vals.next_if(|v| usize::from(v.side) == side) {
-            if let Some(&w) = table.get(&(v.j, v.k, v.d)) {
-                *joined.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v * w;
+            let Some(slot) = slots.get(&v) else { continue };
+            if let Some(w) = cells.get(slot, v.d) {
+                joined.add(slot, v.d, v.v * w);
             }
         }
-        table = joined;
+        cells = joined;
     }
     for v in vals {
         assert!(v.side == 0, "PairwiseMerge group {i}: {SIDES_OUT_OF_ORDER}");
-        if let Some(&w) = table.get(&(v.j, v.k, v.d)) {
-            *acc.entry(v.d).or_insert(0.0) += v.v * w;
+        let Some(slot) = slots.get(&v) else { continue };
+        if let Some(w) = cells.get(slot, v.d) {
+            acc[v.d as usize] += v.v * w;
         }
     }
-    for (r, y) in acc {
+    for (r, y) in (0u64..).zip(acc) {
         if y != 0.0 {
             emit((i, r, 0u64, 0u64), y);
         }
@@ -710,13 +890,17 @@ pub fn cross_merge_job(
 /// `PairwiseMerge(T', T'', …)₍₀₎` (Definition 4) as one job over the
 /// expanded datasets `sides`, side 0 (`T'`) first: produces
 /// `Y(i, r) = Σ_{nonzeros of slice i} Π_s T⁽ˢ⁾(i, ·, r)` as records
-/// `((i, r, 0, 0), y)`. Shuffle volume `2·nnz·R` at two sides — the
-/// Table IV cost of HaTen2-PARAFAC-DRN/DRI. Reads its inputs as
-/// [`cross_merge_job`] does.
+/// `((i, r, 0, 0), y)`. `rank` is the column count `R` every side's factor
+/// shares, as [`cross_merge_job`] is told its widths: each reduce group
+/// accumulates in an `R`-wide array, and a column index at or past `rank`
+/// is refused. Shuffle volume `2·nnz·R` at two sides — the Table IV cost
+/// of HaTen2-PARAFAC-DRN/DRI. Reads its inputs as [`cross_merge_job`]
+/// does.
 pub fn pairwise_merge_job(
     site: &impl JobSite,
     name: &str,
     sides: &[Shards<'_>],
+    rank: u64,
 ) -> Result<Vec<(Ix4, f64)>> {
     let input = merge_feed(sides);
     let out = run_job_collect(
@@ -724,7 +908,7 @@ pub fn pairwise_merge_job(
         JobSpec::named(name.to_string()),
         &input,
         |i: &u64, rec: &MergeVal, emit| emit(*i, rec.clone()),
-        |i, vals, emit| pairwise_merge_fold(*i, sides.len(), vals, emit),
+        |i, vals, emit| pairwise_merge_fold(*i, sides.len(), rank, vals, emit),
     )?;
     Ok(concat_partitions(out))
 }
@@ -790,6 +974,8 @@ pub fn model_inner_product_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn presented<I: MapInput>(input: &I, range: Range<usize>) -> Vec<(I::Key, I::Val)>
     where
@@ -860,7 +1046,7 @@ mod tests {
     type Fold = fn(u64, usize, u64, std::vec::IntoIter<MergeVal>, &mut dyn FnMut(Ix4, f64));
     const FOLDS: [Fold; 2] = [
         |i, sides, width, vals, emit| cross_merge_fold(i, &vec![width; sides], vals, emit),
-        |i, sides, _, vals, emit| pairwise_merge_fold(i, sides, vals, emit),
+        |i, sides, width, vals, emit| pairwise_merge_fold(i, sides, width, vals, emit),
     ];
 
     fn fold_sides(fold: Fold, sides: usize, width: u64, vals: Vec<MergeVal>) -> Vec<(Ix4, f64)> {
@@ -966,5 +1152,178 @@ mod tests {
             merge_val(1, (2, 2, 0), 1.0),
         ];
         fold(FOLDS[1], vals);
+    }
+
+    #[test]
+    #[should_panic(expected = "PairwiseMerge column 2 is not below the rank 2")]
+    fn pairwise_merge_refuses_a_column_at_the_rank_on_a_lone_side() {
+        let vals = vec![merge_val(0, (1, 1, 0), 1.0), merge_val(0, (1, 1, 2), 1.0)];
+        fold_sides(FOLDS[1], 1, 2, vals);
+    }
+
+    #[test]
+    #[should_panic(expected = "PairwiseMerge column 2 is not below the rank 2")]
+    fn pairwise_merge_refuses_a_column_at_the_rank_on_two_sides() {
+        let vals = vec![merge_val(1, (1, 1, 2), 1.0), merge_val(0, (1, 1, 2), 1.0)];
+        fold_sides(FOLDS[1], 2, 2, vals);
+    }
+
+    /// The folds as they stood before the slot tables, kept as the oracle
+    /// of the ones above: a SipHash `label → [(columns, product)]` table
+    /// for CrossMerge, a `(label, d) → v` table and a `BTreeMap`
+    /// accumulator for PairwiseMerge.
+    mod reference {
+        use super::super::SIDES_OUT_OF_ORDER;
+        use crate::records::{Ix4, MergeVal};
+        use std::collections::{BTreeMap, HashMap};
+
+        pub fn cross_merge_fold(
+            i: u64,
+            widths: &[u64],
+            vals: impl Iterator<Item = MergeVal>,
+            emit: &mut dyn FnMut(Ix4, f64),
+        ) {
+            let last = (widths.len() - 1) as u8;
+            let mut vals = vals.peekable();
+            let columns: u64 = widths[1..].iter().product();
+            let mut acc = vec![0.0; (widths[0] * columns) as usize];
+            if last == 0 {
+                for v in vals.by_ref() {
+                    acc[v.d as usize] += v.v;
+                }
+            }
+            let mut table: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
+            while let Some(v) = vals.next_if(|v| v.side == last) {
+                table.entry((v.j, v.k)).or_default().push((v.d, v.v));
+            }
+            for side in (1..last).rev() {
+                let stride: u64 = widths[usize::from(side) + 1..].iter().product();
+                let mut joined: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
+                while let Some(v) = vals.next_if(|v| v.side == side) {
+                    if let Some(later) = table.get(&(v.j, v.k)) {
+                        let extended = later
+                            .iter()
+                            .map(|&(cols, w)| (v.d * stride + cols, v.v * w));
+                        joined.entry((v.j, v.k)).or_default().extend(extended);
+                    }
+                }
+                table = joined;
+            }
+            for v in vals {
+                assert!(v.side == 0, "CrossMerge group {i}: {SIDES_OUT_OF_ORDER}");
+                if let Some(partners) = table.get(&(v.j, v.k)) {
+                    let row = &mut acc[(v.d * columns) as usize..][..columns as usize];
+                    for &(cols, w) in partners {
+                        row[cols as usize] += v.v * w;
+                    }
+                }
+            }
+            for (cell, y) in (0u64..).zip(acc) {
+                if y != 0.0 {
+                    emit((i, cell / columns, cell % columns, 0u64), y);
+                }
+            }
+        }
+
+        pub fn pairwise_merge_fold(
+            i: u64,
+            sides: usize,
+            vals: impl Iterator<Item = MergeVal>,
+            emit: &mut dyn FnMut(Ix4, f64),
+        ) {
+            let last = sides - 1;
+            let mut table: HashMap<(u64, u64, u64), f64> = HashMap::new();
+            let mut vals = vals.peekable();
+            let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
+            if last == 0 {
+                for v in vals.by_ref() {
+                    *acc.entry(v.d).or_insert(0.0) += v.v;
+                }
+            }
+            while let Some(v) = vals.next_if(|v| usize::from(v.side) == last) {
+                *table.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v;
+            }
+            for side in (1..last).rev() {
+                let mut joined: HashMap<(u64, u64, u64), f64> = HashMap::new();
+                while let Some(v) = vals.next_if(|v| usize::from(v.side) == side) {
+                    if let Some(&w) = table.get(&(v.j, v.k, v.d)) {
+                        *joined.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v * w;
+                    }
+                }
+                table = joined;
+            }
+            for v in vals {
+                assert!(v.side == 0, "PairwiseMerge group {i}: {SIDES_OUT_OF_ORDER}");
+                if let Some(&w) = table.get(&(v.j, v.k, v.d)) {
+                    *acc.entry(v.d).or_insert(0.0) += v.v * w;
+                }
+            }
+            for (r, y) in acc {
+                if y != 0.0 {
+                    emit((i, r, 0u64, 0u64), y);
+                }
+            }
+        }
+    }
+
+    /// Emits as `(index, value bits)`: bit-equality, `NaN`s and `±0.0`
+    /// included.
+    fn bits_of(fold: impl FnOnce(&mut dyn FnMut(Ix4, f64))) -> Vec<(Ix4, u64)> {
+        let mut out = Vec::new();
+        fold(&mut |ix, y| out.push((ix, y.to_bits())));
+        out
+    }
+
+    /// Values the oracle test draws: signed zeros, exact and inexact
+    /// magnitudes, and the non-finite values that tell a missing cell
+    /// (skipped) from a zero one (`∞ · 0 = NaN`).
+    const DRAWN: [f64; 10] = [
+        0.0,
+        -0.0,
+        1.0,
+        -2.5,
+        0.1,
+        3.0e-3,
+        7.25,
+        -1.0e10,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Both folds equal their reference on arbitrary descending-side
+        /// streams of one to three sides: labels from a small set, so they
+        /// interleave and repeat within a side, duplicated `(label, d)`
+        /// cells, columns one side holds and another does not, and every
+        /// value of [`DRAWN`]. Emits are compared bit for bit, in order.
+        #[test]
+        fn merge_folds_equal_their_reference(
+            widths in vec(1u64..4, 1..=3),
+            side_vals in vec(vec((0u64..4, 0u64..2, 0u64..4, 0usize..DRAWN.len()), 0..14), 3),
+        ) {
+            let mut stream = Vec::new();
+            for side in (0..widths.len()).rev() {
+                for &(j, k, d, x) in &side_vals[side] {
+                    let d = d % widths[side];
+                    stream.push(merge_val(side as u8, (j, k, d), DRAWN[x]));
+                }
+            }
+            let sides = widths.len();
+            let cross = bits_of(|emit| cross_merge_fold(7, &widths, stream.clone().into_iter(), emit));
+            let cross_ref = bits_of(|emit| {
+                reference::cross_merge_fold(7, &widths, stream.clone().into_iter(), emit)
+            });
+            prop_assert_eq!(cross, cross_ref);
+            let rank = *widths.iter().max().expect("at least one side");
+            let pairwise = bits_of(|emit| {
+                pairwise_merge_fold(7, sides, rank, stream.clone().into_iter(), emit)
+            });
+            let pairwise_ref = bits_of(|emit| {
+                reference::pairwise_merge_fold(7, sides, stream.clone().into_iter(), emit)
+            });
+            prop_assert_eq!(pairwise, pairwise_ref);
+        }
     }
 }

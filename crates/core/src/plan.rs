@@ -260,7 +260,8 @@ pub enum Kernel {
     Imhp,
     /// [`cross_merge_job`] of its two reads, side 0 first.
     CrossMerge,
-    /// [`pairwise_merge_job`] of its two reads, side 0 first.
+    /// [`pairwise_merge_job`] of its two reads, side 0 first, at the rank
+    /// of the factors joined.
     PairwiseMerge,
 }
 
@@ -312,7 +313,8 @@ impl Kernel {
                 one_shard(cross_merge_job(ctx, name, sides, &widths)?)
             }
             (Kernel::PairwiseMerge, sides @ [_, _]) => {
-                one_shard(pairwise_merge_job(ctx, name, sides)?)
+                let rank = bound.u1.rows() as u64;
+                one_shard(pairwise_merge_job(ctx, name, sides, rank)?)
             }
             (kernel, inputs) => {
                 let detail = format!("{} cannot run on {} input(s)", kernel.op(), inputs.len());

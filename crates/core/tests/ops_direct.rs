@@ -186,7 +186,7 @@ fn pairwise_merge_job_matches_reference() {
     let ct = Mat::random(r, 4, &mut rng);
     let c = cluster();
     let (tp, tdp) = imhp(&c, "imhp", &x, &bt, &ct);
-    let merged = pairwise_merge_job(&c, "merge", &[&shards(&tp), &shards(&tdp)]).unwrap();
+    let merged = pairwise_merge_job(&c, "merge", &[&shards(&tp), &shards(&tdp)], r as u64).unwrap();
     let want = reference::pairwise_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -249,7 +249,7 @@ fn merge_jobs_shuffle_exactly_table_costs() {
     let bt = Mat::random(r, 6, &mut rng);
     let (tp2, tdp2) = imhp(&c, "imhp2", &x, &bt, &ct);
     let mark = c.jobs_run();
-    pairwise_merge_job(&c, "pair", &[&shards(&tp2), &shards(&tdp2)]).unwrap();
+    pairwise_merge_job(&c, "pair", &[&shards(&tp2), &shards(&tdp2)], r as u64).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, 2 * x.nnz() * r);
 }

@@ -111,7 +111,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         check(
-            |c, tp, tdp| pairwise_merge_job(c, "pairwisemerge", &[tp, tdp]),
+            |c, tp, tdp| pairwise_merge_job(c, "pairwisemerge", &[tp, tdp], 3),
             &x, machines, seed,
         );
     }

@@ -9,10 +9,13 @@
 //!   emit appends to both columns; nothing else in the engine's map and
 //!   shuffle path pushes per-record tuples (enforced by the
 //!   `no-per-record-alloc` lint).
-//! * Sorting computes a `u32` index permutation over the key column
-//!   ([`sort_permutation`]) and applies it to both columns in place with
-//!   cycle-following swaps ([`apply_permutation`]) — the comparison loop
-//!   never moves a value, and the move loop is O(n) swaps.
+//! * Sorting computes each record's `u32` destination over the key column
+//!   ([`sort_destinations`]) and moves both columns there in place with
+//!   cycle-following swaps ([`apply_destinations`]) — the ranking never
+//!   moves a value, and the move loop is O(n) swaps. A key type with an
+//!   integer image ([`EstimateSize::ORDER_IMAGE`]) is ranked by counting
+//!   when the bucket's key span is narrow for its length; any other
+//!   bucket by a comparison sort ([`sort_permutation`]).
 //! * [`ColumnRun`] — a sealed, immutable sorted run. The shuffle moves
 //!   these wholesale; reducers open them as [`RunCursor`]s and stream
 //!   each key group through [`GroupValues`] without materializing it.
@@ -108,24 +111,22 @@ impl<K: EstimateSize, V: EstimateSize> ColumnBuffer<K, V> {
     }
 }
 
-impl<K: Ord, V> ColumnBuffer<K, V> {
-    /// Stable sort by key: a `u32` permutation sorted over the key column,
-    /// then applied to both columns in place. Emission order within equal
-    /// keys is preserved. (Measured against both a `(key, index)`-pair
-    /// unstable sort and a distinct-key counting sort, the indirect
-    /// permutation sort wins on this workload's bucket shapes — the cost
-    /// is memory traffic, not comparisons.)
+impl<K: Ord + EstimateSize, V> ColumnBuffer<K, V> {
+    /// Stable sort by key: every record's destination is ranked over the
+    /// key column ([`sort_destinations`] — by counting when the key type
+    /// has an integer image of narrow span, by comparison otherwise), then
+    /// both columns move there in place. Emission order within equal keys
+    /// is preserved, so both rankings yield the same order.
     pub(crate) fn sort_stable(&mut self) {
         // Already-sorted detection first: a stable sort of sorted input is
         // the identity, and hash-partitioned buckets routinely hold a
         // single distinct key (low-cardinality jobs), so this O(n) scan
-        // saves two scratch allocations plus the sort on the hottest
-        // small-job path.
+        // saves the ranking's scratch on the hottest small-job path.
         if self.keys.is_sorted() {
             return;
         }
-        let mut perm = sort_permutation(&self.keys);
-        apply_permutation(&mut perm, &mut self.keys, &mut self.vals);
+        let mut dest = sort_destinations(&self.keys);
+        apply_destinations(&mut dest, &mut self.keys, &mut self.vals);
     }
 }
 
@@ -189,6 +190,63 @@ impl<K, V> ColumnRun<K, V> {
     }
 }
 
+/// Counting ranks a bucket whose key span is below this many counters per
+/// record; a wider one is ranked by comparison. Measured on 8 – 62 500-
+/// record buckets of random `u64` keys with the benchmark's pinned mmap
+/// threshold (EXPERIMENTS.md, "The DRI merge at integer speed"): counting
+/// beat comparison at every length up to a ratio of 16, and from 32 on
+/// lost on the shortest and the longest buckets, where its counter array
+/// outgrows the records it ranks.
+const COUNTING_SPAN_PER_RECORD: u64 = 16;
+
+/// Whether a bucket of `len` records whose key images span `span`
+/// (max − min) is ranked by counting rather than by comparison.
+fn counts(len: usize, span: u64) -> bool {
+    span < (len as u64).saturating_mul(COUNTING_SPAN_PER_RECORD)
+}
+
+/// Every record's rank in the stable key order: record `i` goes to
+/// `dest[i]`, the inverse of [`sort_permutation`]'s permutation. A key
+/// type with an [`EstimateSize::ORDER_IMAGE`] whose span is narrow for
+/// the bucket's length is ranked by counting; any other by comparison.
+pub(crate) fn sort_destinations<K: Ord + EstimateSize>(keys: &[K]) -> Vec<u32> {
+    debug_assert!(keys.len() <= u32::MAX as usize);
+    if let Some(image) = K::ORDER_IMAGE {
+        let mut images = keys.iter().map(image);
+        if let Some(first) = images.next() {
+            let (min, max) = images.fold((first, first), |(lo, hi), x| (lo.min(x), hi.max(x)));
+            let span = max - min;
+            if counts(keys.len(), span) {
+                return counting_destinations(keys, image, min, span);
+            }
+        }
+    }
+    invert(&sort_permutation(keys))
+}
+
+/// Counting sort over the images `min ..= min + span`: one counter per
+/// value turned into each value's first destination, and a record's
+/// destination is its value's next free slot, so records of one key keep
+/// their order.
+fn counting_destinations<K>(keys: &[K], image: fn(&K) -> u64, min: u64, span: u64) -> Vec<u32> {
+    let counter = |k: &K| (image(k) - min) as usize;
+    let mut next = vec![0u32; span as usize + 1];
+    for k in keys {
+        next[counter(k)] += 1;
+    }
+    let mut sum = 0;
+    for c in &mut next {
+        (sum, *c) = (sum + *c, sum);
+    }
+    keys.iter()
+        .map(|k| {
+            let slot = &mut next[counter(k)];
+            *slot += 1;
+            *slot - 1
+        })
+        .collect()
+}
+
 /// Stable sort permutation over `keys`: `perm[rank]` is the index of the
 /// record holding that rank. `u32` indices halve the bytes moved per sort
 /// compared to shuffling 16–24-byte record tuples.
@@ -200,24 +258,27 @@ pub(crate) fn sort_permutation<K: Ord>(keys: &[K]) -> Vec<u32> {
     perm
 }
 
-/// Permute both columns in place so that position `rank` receives the
-/// record at `perm[rank]`, using O(n) cycle-following swaps and no
-/// per-record allocation. Consumes `perm` as scratch.
-pub(crate) fn apply_permutation<K, V>(perm: &mut [u32], keys: &mut [K], vals: &mut [V]) {
-    debug_assert_eq!(perm.len(), keys.len());
-    debug_assert_eq!(perm.len(), vals.len());
-    // The swap walk below applies the *inverse* of the array it is given,
-    // so first invert `perm` in place-of-scratch: inv[source] = rank.
-    let mut inv = vec![0u32; perm.len()];
-    for (rank, &source) in perm.iter().enumerate() {
-        inv[source as usize] = rank as u32;
+/// A permutation's destinations: `dest[perm[rank]] = rank`.
+fn invert(perm: &[u32]) -> Vec<u32> {
+    let mut dest = vec![0u32; perm.len()];
+    for (rank, &source) in (0u32..).zip(perm) {
+        dest[source as usize] = rank;
     }
-    for i in 0..inv.len() {
-        while inv[i] as usize != i {
-            let j = inv[i] as usize;
+    dest
+}
+
+/// Move both columns in place so that record `i` lands at `dest[i]`,
+/// using O(n) cycle-following swaps and no per-record allocation.
+/// Consumes `dest` as scratch.
+pub(crate) fn apply_destinations<K, V>(dest: &mut [u32], keys: &mut [K], vals: &mut [V]) {
+    debug_assert_eq!(dest.len(), keys.len());
+    debug_assert_eq!(dest.len(), vals.len());
+    for i in 0..dest.len() {
+        while dest[i] as usize != i {
+            let j = dest[i] as usize;
             keys.swap(i, j);
             vals.swap(i, j);
-            inv.swap(i, j);
+            dest.swap(i, j);
         }
     }
 }
@@ -351,6 +412,8 @@ impl<K: Ord, V> ExactSizeIterator for GroupValues<'_, K, V> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn permutation_sort_matches_tuple_sort_and_is_stable() {
@@ -379,8 +442,7 @@ mod tests {
         ] {
             let mut keys = vec![10u64, 11, 12, 13];
             let mut vals = vec!["a", "b", "c", "d"];
-            let mut perm = perm_spec.clone();
-            apply_permutation(&mut perm, &mut keys, &mut vals);
+            apply_destinations(&mut invert(&perm_spec), &mut keys, &mut vals);
             let expect_keys: Vec<u64> = perm_spec.iter().map(|&p| 10 + p as u64).collect();
             let expect_vals: Vec<&str> = perm_spec
                 .iter()
@@ -450,5 +512,109 @@ mod tests {
         let group = GroupValues::new(&mut cursors, &key, &[0, 1, 0], 1);
         assert_eq!(group.collect::<Vec<_>>(), vec![30]);
         assert!(cursors.iter().all(|c| c.peek_key().is_none()));
+    }
+
+    #[test]
+    fn keys_without_an_image_sort_by_comparison() {
+        let records = [((1u8, 9u64), 0), ((0, 9), 1), ((1, 2), 2), ((0, 9), 3)];
+        let mut buf: ColumnBuffer<(u8, u64), u32> = ColumnBuffer::new();
+        for (k, i) in records {
+            buf.push(k, i);
+        }
+        buf.sort_stable();
+        assert_eq!(buf.keys, [(0, 9), (0, 9), (1, 2), (1, 9)]);
+        assert_eq!(buf.vals, [1, 3, 2, 0]);
+    }
+
+    #[test]
+    fn counting_cutoff() {
+        let narrow = COUNTING_SPAN_PER_RECORD;
+        assert!(counts(1, 0));
+        assert!(counts(10, 10 * narrow - 1));
+        assert!(!counts(10, 10 * narrow));
+        assert!(!counts(u32::MAX as usize, u64::MAX));
+    }
+
+    /// The dispatcher's ranking of `keys`, and counting's forced whenever
+    /// its counters fit, equal the comparison sort's. A destination vector
+    /// fixes where each of several equal keys goes, so equality is
+    /// stability too.
+    fn assert_rankings_match(keys: &[u64]) {
+        let want = invert(&sort_permutation(keys));
+        assert_eq!(sort_destinations(keys), want, "dispatch on {keys:?}");
+        let image = u64::ORDER_IMAGE.expect("u64 has an order image");
+        if let (Some(&min), Some(&max)) = (keys.iter().min(), keys.iter().max()) {
+            let span = max - min;
+            if span <= 1 << 16 {
+                let counted = counting_destinations(keys, image, min, span);
+                assert_eq!(counted, want, "counting on {keys:?}");
+            }
+        }
+    }
+
+    /// A `len`-record column over `lo ..= lo + span`, shaped: all equal,
+    /// ascending, descending (both with repeats) or in `raw`'s order. Past
+    /// the all-equal shape the range's top is always present.
+    fn column(len: usize, lo: u64, span: u64, shape: u8, raw: &[u64]) -> Vec<u64> {
+        let step = |i: usize| match (i, span) {
+            (0, _) => span,
+            (_, u64::MAX) => raw[i],
+            _ => raw[i] % (span + 1),
+        };
+        let mut keys: Vec<u64> = match shape {
+            0 => vec![lo; len],
+            _ => (0..len).map(|i| lo.wrapping_add(step(i))).collect(),
+        };
+        match shape {
+            1 => keys.sort_unstable(),
+            2 => keys.sort_unstable_by(|a, b| b.cmp(a)),
+            _ => {}
+        }
+        keys
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 128 }))]
+
+        /// Short and longer lengths, spans from one value through the
+        /// counting cutoff to the whole of `u64` (at the bottom of the
+        /// range or touching `u64::MAX`), and every shape.
+        #[test]
+        fn integer_rankings_equal_the_comparison_sort(
+            pick in 0usize..8,
+            free in 0usize..600,
+            span_pick in 0usize..9,
+            shape in 0u8..4,
+            at_top in any::<bool>(),
+            raw in vec(any::<u64>(), 600),
+        ) {
+            let len = [0, 1, 2, 15, 16, 256, free, free][pick];
+            let narrow = (len as u64).max(1) * COUNTING_SPAN_PER_RECORD;
+            let span = [0, 1, 37, narrow - 1, narrow, narrow + 1, 1 << 33, 1 << 40,
+                u64::MAX][span_pick];
+            let lo = if at_top { u64::MAX - span } else { 0 };
+            assert_rankings_match(&column(len, lo, span, shape, &raw));
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn integer_rankings_equal_the_comparison_sort_at_1e5_records() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let raw: Vec<u64> = (0..100_000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            })
+            .collect();
+        let dense = 1_000;
+        let wide = 1 << 30;
+        for (lo, span) in [(0, dense), (u64::MAX - wide, wide), (0, u64::MAX)] {
+            for shape in 0..4 {
+                assert_rankings_match(&column(raw.len(), lo, span, shape, &raw));
+            }
+        }
     }
 }

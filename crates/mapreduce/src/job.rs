@@ -11,9 +11,10 @@
 //! the [`Cluster`] (spawned once, reused by every job). Each map task
 //! writes its output straight into per-partition columnar buffers
 //! ([`crate::arena::ColumnBuffer`] — separate key and value arenas, no
-//! per-record tuple allocation), sorts each bucket through a `u32` index
-//! permutation, and hands the buckets to the shuffle as whole sealed
-//! [`crate::arena::ColumnRun`]s — the shuffle moves column `Vec`s, never
+//! per-record tuple allocation), sorts each bucket by ranking every
+//! record's `u32` destination (by counting for an integer key of narrow
+//! span, by comparison otherwise), and hands the buckets to the shuffle as whole
+//! sealed [`crate::arena::ColumnRun`]s — the shuffle moves column `Vec`s, never
 //! records, and its byte accounting is aggregated per bucket rather than
 //! per record. Reducers merge their partition's sorted runs instead of
 //! re-sorting, streaming each key group through [`GroupValues`] so a group

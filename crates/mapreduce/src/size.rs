@@ -11,6 +11,12 @@
 //! it through [`EstimateSize::FIXED_BYTES`], which lets the engine size a
 //! whole batch of records in O(1) via [`slice_est_bytes`] instead of
 //! walking every record.
+//!
+//! The same trait carries the one other type-level fact the shuffle uses
+//! about a key: [`EstimateSize::ORDER_IMAGE`], an order-preserving map
+//! into `u64` that lets a map task sort its bucket by counting instead of
+//! by comparison ([`crate::arena`]). The unsigned integers have
+//! one; every other type keeps the "no image" default.
 
 /// Estimated serialized size of a record component, in bytes.
 pub trait EstimateSize {
@@ -19,6 +25,14 @@ pub trait EstimateSize {
     /// value-dependent. Implementations must keep this consistent with
     /// [`EstimateSize::est_bytes`].
     const FIXED_BYTES: Option<usize> = None;
+
+    /// `Some(image)` when `image` maps this type into `u64` strictly
+    /// order-preservingly — `a < b` exactly when `image(a) < image(b)`, and
+    /// `a == b` exactly when the images are equal — so a bucket of such
+    /// keys sorts by its integer images; `None` (the default) when the
+    /// type has no such image and sorts by comparison. Implementations must
+    /// keep this consistent with the type's `Ord`.
+    const ORDER_IMAGE: Option<fn(&Self) -> u64> = None;
 
     /// Estimated wire size in bytes.
     fn est_bytes(&self) -> usize;
@@ -45,13 +59,33 @@ macro_rules! fixed_size {
 }
 
 fixed_size! {
-    u8 => 1, i8 => 1,
-    u16 => 2, i16 => 2,
-    u32 => 4, i32 => 4, f32 => 4,
-    u64 => 8, i64 => 8, f64 => 8,
-    usize => 8, isize => 8,
+    i8 => 1,
+    i16 => 2,
+    i32 => 4, f32 => 4,
+    i64 => 8, f64 => 8,
+    isize => 8,
     bool => 1,
     () => 0,
+}
+
+/// The unsigned integers: fixed-size, and their own order image.
+macro_rules! unsigned {
+    ($($t:ty => $n:expr),* $(,)?) => {
+        $(impl EstimateSize for $t {
+            const FIXED_BYTES: Option<usize> = Some($n);
+            const ORDER_IMAGE: Option<fn(&Self) -> u64> = Some(|&x| x as u64);
+            #[inline]
+            fn est_bytes(&self) -> usize { $n }
+        })*
+    };
+}
+
+unsigned! {
+    u8 => 1,
+    u16 => 2,
+    u32 => 4,
+    u64 => 8,
+    usize => 8,
 }
 
 impl EstimateSize for String {
@@ -153,6 +187,20 @@ mod tests {
         assert_eq!(Vec::<u64>::FIXED_BYTES, None);
         assert_eq!(Option::<u64>::FIXED_BYTES, None);
         assert_eq!(<(u64, String)>::FIXED_BYTES, None);
+    }
+
+    #[test]
+    fn only_the_unsigned_integers_have_an_order_image() {
+        let image = |f: Option<fn(&u64) -> u64>, x: u64| f.map(|f| f(&x));
+        assert_eq!(image(u64::ORDER_IMAGE, u64::MAX), Some(u64::MAX));
+        assert_eq!(u8::ORDER_IMAGE.map(|f| f(&200)), Some(200));
+        assert_eq!(u32::ORDER_IMAGE.map(|f| f(&7)), Some(7));
+        assert_eq!(usize::ORDER_IMAGE.map(|f| f(&9)), Some(9));
+        assert!(i64::ORDER_IMAGE.is_none());
+        assert!(f64::ORDER_IMAGE.is_none());
+        assert!(String::ORDER_IMAGE.is_none());
+        assert!(<(u8, u64)>::ORDER_IMAGE.is_none());
+        assert!(<(u64, u64, u64, u64)>::ORDER_IMAGE.is_none());
     }
 
     #[test]

@@ -370,3 +370,56 @@ fn general_entry_degenerate_shard_lists() {
         assert_eq!(read, records.len());
     }
 }
+
+/// The map-side sort ranks a bucket of integer keys by counting or by
+/// comparison, from the bucket's length and key span. A power-law job run
+/// at key spreads and geometries that put its buckets on both sides of
+/// the choice must match the reference executor's full stable sort: the
+/// same records in the same order, and the same metrics. The reducer
+/// folds its values in arrival order, so a ranking that broke stability
+/// would show.
+#[test]
+fn integer_key_rankings_match_the_reference_on_both_sides_of_the_cutoff() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut draw = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    // Word `w` is drawn with probability ~2^-w: a few heavy keys, a tail.
+    let docs: Vec<(u64, Vec<u64>)> = (0..240)
+        .map(|id| {
+            let words = (0..draw() % 40)
+                .map(|_| u64::from(63 - (draw() | 1 << 44).leading_zeros()) - 44 + draw() % 4)
+                .collect();
+            (id, words)
+        })
+        .collect();
+    let reducer = |word: &u64, ids: Vec<u64>, emit: &mut dyn FnMut(u64, u64)| {
+        let ordered = ids.iter().fold(0u64, |h, &id| h.wrapping_mul(31) ^ id);
+        emit(*word, ordered);
+    };
+    // Spread 1: a span of a few dozen, counting everywhere. 16 and 2^8:
+    // spans near the cutoff, counting in long buckets and comparison in
+    // short ones. 2^40: comparison throughout.
+    for spread in [1u64, 16, 1 << 8, 1 << 40] {
+        let mapper = move |id: &u64, words: &Vec<u64>, emit: &mut dyn FnMut(u64, u64)| {
+            for (at, &w) in (0u64..).zip(words) {
+                emit(w.wrapping_mul(spread), id * 64 + at);
+            }
+        };
+        // One bucket of every record; a few hundred per bucket; dozens.
+        for (machines, reducers) in [(1, 1), (4, 4), (16, 8)] {
+            let cfg = config(machines, 2, reducers);
+            let ec = Cluster::new(cfg.clone());
+            let engine = run_job(&ec, JobSpec::named("spread"), &docs, mapper, reducer);
+            let rc = Cluster::new(cfg);
+            let reference =
+                run_job_reference(&rc, JobSpec::named("spread"), &docs, mapper, reducer);
+            assert!(engine.is_ok(), "spread {spread}: {engine:?}");
+            assert_eq!(engine, reference, "spread {spread}, {machines}×{reducers}");
+            assert_eq!(job_metrics(&ec), job_metrics(&rc), "spread {spread}");
+        }
+    }
+}
