@@ -31,6 +31,7 @@
 //! [`crate::MrError::SpillCapacityExceeded`] on either backend, so budget
 //! property tests can hold the two to identical behaviour.
 
+use crate::fill::{fill_parts, Part};
 use crate::persist::Persist;
 use crate::pool::SharedPool;
 use crate::size::{slice_est_bytes, EstimateSize};
@@ -416,36 +417,48 @@ impl Dfs {
         Ok(bytes)
     }
 
-    /// Run `task` over `blocks` block indices cut into one contiguous range
-    /// per executor of the cluster's pool (at most `ClusterConfig.threads`,
-    /// at most one per block), and return the results in block order.
-    /// Without a pool, with one thread or with one block this is a plain
-    /// call on the caller; the work done is the same either way.
-    fn per_block_range<R: Send>(
-        &self,
-        blocks: usize,
-        task: &(dyn Fn(Range<usize>) -> R + Sync),
-    ) -> Vec<R> {
+    /// `blocks` block indices cut into one contiguous range per executor of
+    /// the cluster's pool (at most `ClusterConfig.threads`, at most one per
+    /// block, and always at least one range).
+    fn block_ranges(&self, blocks: usize) -> Vec<Range<usize>> {
         let threads = self.pool.as_ref().map_or(1, |p| p.threads());
         let ranges = threads.min(blocks).max(1);
-        let slots: Vec<Mutex<Option<R>>> = (0..ranges).map(|_| Mutex::new(None)).collect();
+        (0..ranges)
+            .map(|r| blocks * r / ranges..blocks * (r + 1) / ranges)
+            .collect()
+    }
+
+    /// Run `task` once per input — one per range of
+    /// [`Dfs::block_ranges`] — on the executors of the cluster's pool, and
+    /// return the results in input order. Without a pool or with one input
+    /// this is a plain loop on the caller; the work done is the same
+    /// either way.
+    fn per_block_range<I: Send, R: Send>(
+        &self,
+        inputs: Vec<I>,
+        task: &(dyn Fn(I) -> R + Sync),
+    ) -> Vec<R> {
+        let ranges = inputs.len();
+        let inputs: Vec<Mutex<Option<I>>> =
+            inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
+        let results: Vec<Mutex<Option<R>>> = (0..ranges).map(|_| Mutex::new(None)).collect();
         // Ranges are claimed, not assigned: an executor the pool could not
         // start (its worker is inside another job) costs nothing, the
         // others take its range.
         let next = AtomicUsize::new(0);
         let drain = |_executor: usize| loop {
             let r = next.fetch_add(1, Ordering::Relaxed);
-            if r >= ranges {
-                break;
-            }
-            let result = task(blocks * r / ranges..blocks * (r + 1) / ranges);
-            *slots[r].lock().expect("range slot poisoned") = Some(result);
+            let Some(input) = inputs.get(r) else { break };
+            let input = (input.lock().expect("range slot poisoned").take())
+                .expect("each range is claimed once");
+            let result = task(input);
+            *results[r].lock().expect("range slot poisoned") = Some(result);
         };
         match &self.pool {
             Some(pool) if ranges > 1 => pool.get().broadcast(ranges, &drain),
             _ => drain(0),
         }
-        slots
+        results
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
@@ -475,8 +488,9 @@ impl Dfs {
             }
             encoded
         };
-        let ranges = self.per_block_range(cuts.len() - 1, &encode_range);
-        ranges.into_iter().flatten().collect()
+        let ranges = self.block_ranges(cuts.len() - 1);
+        let encoded = self.per_block_range(ranges, &encode_range);
+        encoded.into_iter().flatten().collect()
     }
 
     /// Spill least-recently-used resident datasets until the resident set
@@ -650,11 +664,15 @@ impl Dfs {
     }
 
     /// Read every block of `dir` and parse it into records, a contiguous
-    /// range of blocks per executor. Each executor reads into its own two
-    /// block-sized buffers and pushes records into a `Vec` sized from the
-    /// directory's record counts; the first range's `Vec` has room for the
-    /// whole dataset and the others are appended to it, so the result does
-    /// not depend on how many executors there were.
+    /// range of blocks per executor. One `Vec` of exactly the directory's
+    /// record count is reserved up front; each executor reads into its own
+    /// two block-sized buffers and parses straight into its range's own
+    /// stretch of that `Vec` ([`fill_parts`]), so no record is copied after
+    /// it is parsed and the result does not depend on how many executors
+    /// there were. A range parses exactly its blocks' directory counts, and
+    /// the `Vec` is claimed only when every range is full; if a range
+    /// fails, the first failure in block order is returned and every record
+    /// already parsed is dropped.
     fn decode_blocks<T>(
         &self,
         store: &BlockStore,
@@ -679,18 +697,14 @@ impl Dfs {
                 entries[b].records, entries[b].raw_len
             )));
         }
-        let records_in = |range: Range<usize>| {
-            let records: u64 = entries[range].iter().map(|e| e.records).sum();
-            usize::try_from(records).unwrap_or(usize::MAX)
-        };
-        let total = records_in(0..entries.len());
-        let decode_range = |range: Range<usize>| -> crate::Result<Vec<T>> {
-            let capacity = if range.start == 0 {
-                total
-            } else {
-                records_in(range.clone())
-            };
-            let mut out = Vec::with_capacity(capacity);
+        let ranges = self.block_ranges(entries.len());
+        let lens: Vec<usize> = (ranges.iter())
+            .map(|range| {
+                let records: u64 = entries[range.clone()].iter().map(|e| e.records).sum();
+                usize::try_from(records).unwrap_or(usize::MAX)
+            })
+            .collect();
+        let decode_range = |range: Range<usize>, part: &mut Part<'_, T>| -> crate::Result<()> {
             let mut buf = BlockBuf::default();
             for b in range {
                 let raw = store
@@ -704,7 +718,7 @@ impl Dfs {
                             T::type_tag()
                         ))
                     })?;
-                    out.push(record);
+                    part.push(record);
                 }
                 if pos != raw.len() {
                     return Err(malformed(format!(
@@ -714,16 +728,15 @@ impl Dfs {
                     )));
                 }
             }
-            Ok(out)
+            Ok(())
         };
-        let mut ranges = self
-            .per_block_range(entries.len(), &decode_range)
-            .into_iter();
-        let mut records = ranges.next().expect("at least one range")?;
-        for range in ranges {
-            records.append(&mut range?);
-        }
-        Ok(records)
+        fill_parts(&lens, |parts| {
+            let inputs: Vec<(Range<usize>, Part<'_, T>)> = ranges.into_iter().zip(parts).collect();
+            let decoded = self.per_block_range(inputs, &|(range, mut part)| {
+                decode_range(range, &mut part).map(|()| part)
+            });
+            decoded.into_iter().collect()
+        })
     }
 
     /// Fetch a dataset by name. Returns `None` when missing, when the

@@ -122,9 +122,9 @@ impl WorkerPool {
     ///
     /// `f` may borrow caller-local state: no invocation of `f` outlives
     /// this call.
-    // This function contains the workspace's only unsafe block (the
-    // lifetime transmute below); the crate root otherwise denies
-    // `unsafe_code`. Its invariant is exercised by
+    // This function holds one of the workspace's two unsafe sites (the
+    // lifetime transmute below; the other is `fill.rs`); the crate root
+    // otherwise denies `unsafe_code`. Its invariant is exercised by
     // `tests/pool_stress.rs`, which hammers pool reuse, nesting,
     // borrowed state, and panics at maximum thread counts under this
     // exact entry point.

@@ -7,19 +7,22 @@
 //! standard: datasets of every block count and record shape reload bit
 //! for bit, a damaged block or directory is a typed error naming the
 //! dataset, and neither the records nor a single counter depend on how
-//! many threads decoded the blocks (the `reload_*` tests run under TSan in
+//! many threads decoded the blocks, nor does a reload that fails part-way
+//! leak or double-drop a record (the `*reload*` tests run under TSan in
 //! `scripts/check.sh --sanitize`).
 
 #![allow(clippy::unwrap_used)]
 
 use haten2_blockstore::segment::segment_file_name;
-use haten2_blockstore::{BlockStore, StoreOptions, BLOCK_TARGET_BYTES};
+use haten2_blockstore::{BlockStore, DatasetIo, StoreOptions, StoreStats, BLOCK_TARGET_BYTES};
 use haten2_mapreduce::{
     run_job, run_job_dfs, Cluster, ClusterConfig, Dfs, DfsBackend, DurableConfig, EstimateSize,
-    JobSpec, MrError, Persist,
+    JobSpec, MrError, Persist, SpillStats,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 fn tmp_dir(tag: u64) -> PathBuf {
@@ -179,40 +182,70 @@ fn tensor_like(n: u64) -> Vec<(u64, f64)> {
         .collect()
 }
 
-/// Put on both backends, reopen the durable one (a dataset of zero
-/// estimated bytes is never spilled, but after a restart nothing is
-/// resident), reload from segments, compare; returns the dataset's block
-/// count as the store recorded it.
+/// Store, per-dataset, spill and bytes-read counters, in that order.
+type Counters = (StoreStats, BTreeMap<String, DatasetIo>, SpillStats, usize);
+
+/// Every durable counter a reload moves.
+fn durable_counters(dfs: &Dfs) -> Counters {
+    (
+        dfs.store_stats().unwrap(),
+        dfs.durable_dataset_io().unwrap(),
+        dfs.spill_stats(),
+        dfs.total_bytes_read(),
+    )
+}
+
+/// Put on the memory backend and, at one to four threads, on a durable
+/// cluster; reopen the durable one (a dataset of zero estimated bytes is
+/// never spilled, but after a restart nothing is resident), reload from
+/// segments, compare. The records and every durable counter must equal the
+/// one-thread run's, however the blocks split into ranges. Returns the
+/// dataset's block count as the store recorded it.
 fn roundtrip<T>(tag: &str, records: Vec<T>) -> u64
 where
     T: EstimateSize + Persist + Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static,
 {
-    let dir = fresh_dir(tag);
     let mem = Dfs::new();
-    let dur = durable_dfs(&dir, None, Some(0));
-    assert_eq!(
-        mem.put("r", records.clone()).unwrap(),
-        dur.put("r", records.clone()).unwrap()
-    );
-    drop(dur);
-    let dur = durable_dfs(&dir, None, Some(0));
-    let back = dur.get::<T>("r").unwrap();
-    assert_eq!(*back, *mem.get::<T>("r").unwrap(), "{tag}");
-    assert_eq!(
-        dur.spill_stats().reload_events,
-        1,
-        "{tag}: served from segments"
-    );
-    drop(dur);
-    let store = BlockStore::open(StoreOptions::new(&dir)).unwrap();
-    let meta = store.meta("r").unwrap();
-    assert_eq!(meta.records, records.len() as u64, "{tag}");
-    std::fs::remove_dir_all(&dir).unwrap();
-    meta.blocks
+    let bytes = mem.put("r", records.clone()).unwrap();
+    let want = mem.get::<T>("r").unwrap();
+    let mut one_thread = None;
+    let mut blocks = 0;
+    for threads in 1..=4 {
+        let what = format!("{tag}, {threads} threads");
+        let dir = fresh_dir(&format!("{tag}-{threads}"));
+        let put = spilling_cluster(&dir, threads)
+            .dfs()
+            .put("r", records.clone());
+        assert_eq!(put.unwrap(), bytes, "{what}");
+        let cluster = spilling_cluster(&dir, threads);
+        assert_eq!(*cluster.dfs().get::<T>("r").unwrap(), *want, "{what}");
+        let counters = durable_counters(cluster.dfs());
+        if let Some(first) = &one_thread {
+            assert_eq!(*first, counters, "{what}");
+        } else {
+            one_thread = Some(counters);
+        }
+        assert_eq!(
+            cluster.dfs().spill_stats().reload_events,
+            1,
+            "{what}: served from segments"
+        );
+        drop(cluster);
+        let store = BlockStore::open(StoreOptions::new(&dir)).unwrap();
+        let meta = store.meta("r").unwrap();
+        assert_eq!(meta.records, records.len() as u64, "{what}");
+        blocks = meta.blocks;
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    blocks
 }
 
 #[test]
 fn datasets_of_every_block_count_and_record_shape_roundtrip() {
+    // Sizes whose block ranges differ in record count at two to four
+    // threads: none, one record, one full block, a full block and one
+    // record, and five blocks the last of which is short.
     let per_block = (BLOCK_TARGET_BYTES / 8) as u64;
     assert_eq!(roundtrip::<u64>("empty", vec![]), 0);
     assert_eq!(roundtrip("one", vec![(7u64, -0.0f64)]), 1);
@@ -241,8 +274,13 @@ fn datasets_of_every_block_count_and_record_shape_roundtrip() {
         roundtrip("options", vec![Some((1u64, "a".to_string())), None]),
         1
     );
-    // Zero-width records have no bytes to cut at; their count survives.
+    // Zero-width records have no bytes to cut at; their count survives,
+    // in one block or, a block per `BLOCK_TARGET_BYTES` records, in three.
     assert_eq!(roundtrip("units", vec![(); 1000]), 1);
+    assert_eq!(
+        roundtrip("many-units", vec![(); 2 * BLOCK_TARGET_BYTES + 1]),
+        3
+    );
 }
 
 /// One way to damage a segment file.
@@ -330,7 +368,7 @@ fn damage_to_any_block_or_the_directory_is_a_storage_error_naming_the_dataset() 
 }
 
 #[test]
-fn reload_is_identical_at_one_two_and_four_threads() {
+fn reload_is_identical_at_one_to_four_threads() {
     let records = tensor_like(4 * FIVE_BLOCKS);
     let run = |threads: usize| {
         let dir = fresh_dir(&format!("threads{threads}"));
@@ -344,13 +382,7 @@ fn reload_is_identical_at_one_two_and_four_threads() {
             *cluster.dfs().get::<u64>("one-block").unwrap(),
             vec![1, 2, 3]
         );
-        let dfs = cluster.dfs();
-        let counters = (
-            dfs.store_stats().unwrap(),
-            dfs.durable_dataset_io().unwrap(),
-            dfs.spill_stats(),
-            dfs.total_bytes_read(),
-        );
+        let counters = durable_counters(cluster.dfs());
         drop(cluster);
         std::fs::remove_dir_all(&dir).unwrap();
         counters
@@ -362,8 +394,126 @@ fn reload_is_identical_at_one_two_and_four_threads() {
         3 * 16 * 4 * FIVE_BLOCKS,
         "payload only, no directory"
     );
-    assert_eq!(one, run(2));
-    assert_eq!(one, run(4));
+    for threads in 2..=4 {
+        assert_eq!(one, run(threads), "{threads} threads");
+    }
+}
+
+/// How many [`Tracked`] records `read_record` has made, and how many of
+/// those have been dropped (one test uses the type).
+static DECODED: AtomicUsize = AtomicUsize::new(0);
+static DECODED_DROPS: AtomicUsize = AtomicUsize::new(0);
+
+/// A `u64` record with drop glue: a copy made by decoding counts its drop.
+struct Tracked {
+    value: u64,
+    decoded: bool,
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        if self.decoded {
+            DECODED_DROPS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+impl EstimateSize for Tracked {
+    const FIXED_BYTES: Option<usize> = Some(8);
+    fn est_bytes(&self) -> usize {
+        8
+    }
+}
+
+impl Persist for Tracked {
+    fn type_tag() -> String {
+        "tracked".to_string()
+    }
+    fn write_record(&self, out: &mut Vec<u8>) {
+        self.value.write_record(out);
+    }
+    fn read_record(bytes: &[u8], pos: &mut usize) -> Option<Self> {
+        let value = u64::read_record(bytes, pos)?;
+        DECODED.fetch_add(1, Ordering::SeqCst);
+        Some(Tracked {
+            value,
+            decoded: true,
+        })
+    }
+}
+
+#[test]
+fn a_failed_reload_drops_every_decoded_record_exactly_once() {
+    let dir = fresh_dir("drops");
+    let per_block = BLOCK_TARGET_BYTES / 8;
+    let n = 5 * per_block as u64 - 7;
+    let records: Vec<Tracked> = (0..n)
+        .map(|value| Tracked {
+            value,
+            decoded: false,
+        })
+        .collect();
+    spilling_cluster(&dir, 1).dfs().put("t", records).unwrap();
+    let store = BlockStore::open(StoreOptions::new(&dir)).unwrap();
+    let meta = store.meta("t").unwrap();
+    let directory = store.directory("t", meta.clone()).unwrap();
+    drop(store);
+    let entries = directory.entries();
+    assert_eq!(entries.len(), 5);
+    // Damage the middle of the last block, which is in the last range at
+    // every thread count; every range before it parses in full first.
+    let last_len = entries[4].stored_len as usize;
+    let last_at = (meta.offset + meta.stored_len) as usize - last_len;
+    let seg = dir.join(segment_file_name(0));
+    let pristine = std::fs::read(&seg).unwrap();
+    let mut damaged = pristine.clone();
+    damaged[last_at + last_len / 2] ^= 0x01;
+    std::fs::write(&seg, &damaged).unwrap();
+
+    for threads in 1..=4 {
+        let cluster = spilling_cluster(&dir, threads);
+        let dfs = cluster.dfs();
+        let metered = || (durable_counters(dfs), dfs.reads_of("t"));
+        let before = metered();
+        let (decoded, dropped) = (
+            DECODED.load(Ordering::SeqCst),
+            DECODED_DROPS.load(Ordering::SeqCst),
+        );
+        match dfs.get_required::<Tracked>("job", "t") {
+            Err(MrError::StorageFailed { dataset, .. }) => assert_eq!(dataset, "t"),
+            other => panic!("{threads} threads: {:?}", other.map(|r| r.len())),
+        }
+        assert_eq!(metered(), before, "{threads} threads: nothing metered");
+        let decoded = DECODED.load(Ordering::SeqCst) - decoded;
+        assert_eq!(
+            decoded,
+            4 * per_block,
+            "{threads} threads: blocks 0-3 parsed"
+        );
+        assert_eq!(
+            DECODED_DROPS.load(Ordering::SeqCst) - dropped,
+            decoded,
+            "{threads} threads: every parsed record dropped exactly once"
+        );
+    }
+
+    // Restored, the same reload serves every record, and they too drop once.
+    std::fs::write(&seg, &pristine).unwrap();
+    let (decoded, dropped) = (
+        DECODED.load(Ordering::SeqCst),
+        DECODED_DROPS.load(Ordering::SeqCst),
+    );
+    let back = spilling_cluster(&dir, 3).dfs().get::<Tracked>("t").unwrap();
+    assert!(back.iter().map(|r| r.value).eq(0..n));
+    assert_eq!(
+        DECODED_DROPS.load(Ordering::SeqCst),
+        dropped,
+        "claimed, not dropped"
+    );
+    drop(back);
+    assert_eq!(DECODED.load(Ordering::SeqCst) - decoded, n as usize);
+    assert_eq!(DECODED_DROPS.load(Ordering::SeqCst) - dropped, n as usize);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

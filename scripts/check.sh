@@ -16,7 +16,8 @@
 # pool split, parallel-reduce failure, the durable DFS's block-parallel
 # reload — concurrent and nested in a job — the eight pipelines end to end
 # through the one submitter, and the N-way fronts on the same kernels) and
-# Miri over the arena's unsafe core. Both
+# Miri over the arena and the in-place assembly of a reloaded
+# dataset (`fill.rs`, one of the crate's two unsafe sites). Both
 # need nightly tooling; each step is skipped with a notice when its
 # toolchain component is absent, so the lane degrades gracefully on
 # stable-only hosts.
@@ -38,7 +39,8 @@ if [[ "${1:-}" == "--sanitize" ]]; then
         # loop; `pool` picks up its pool-stress form), `parallel_reduce`
         # the `first_failed` atomic of the reduce phase, `reload` the
         # durable DFS decoding a spilled dataset's blocks on the shared
-        # pool (thread counts 1/2/4, two readers at once, nested in a job).
+        # pool (thread counts 1 to 4, a reload that fails part-way, two
+        # readers at once, nested in a job).
         tsan() {
             RUSTFLAGS="-Zsanitizer=thread" \
             TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp" \
@@ -54,8 +56,8 @@ if [[ "${1:-}" == "--sanitize" ]]; then
         echo "==> TSan SKIPPED: rust-src not installed (rustup +nightly component add rust-src)"
     fi
     if rustup component list --toolchain nightly 2>/dev/null | grep -q 'miri.*(installed)'; then
-        echo "==> Miri: arena unsafe-core tests"
-        cargo +nightly miri test -p haten2-mapreduce arena
+        echo "==> Miri: arena and in-place reload assembly tests"
+        cargo +nightly miri test -p haten2-mapreduce arena fill::
     else
         echo "==> Miri SKIPPED: component not installed (rustup +nightly component add miri)"
     fi
