@@ -8,8 +8,8 @@
 //! assumption checkable:
 //!
 //! * **Source scan** — every closure passed to the engine's job runners
-//!   (`run_job`, `run_job_streaming`, `run_job_collect`, `run_job_dfs`,
-//!   `run_job_dfs_recovering`) in `crates/mapreduce/src/pipeline.rs` and
+//!   (`run_job`, `run_job_streaming`, `run_job_collect`, `run_job_written`,
+//!   `run_job_dfs`, `run_job_dfs_recovering`) in `crates/mapreduce/src/pipeline.rs` and
 //!   the `crates/core` pipelines is scanned by
 //!   [`haten2_srcscan::scan_udf_purity`] for nondeterminism sources:
 //!   unordered `HashMap`/`HashSet` iteration feeding emits, wall-clock
@@ -176,6 +176,13 @@ mod tests {
             missing.is_empty(),
             "reducer sites the scan no longer sees: {missing:?} (seen: {seen:?})"
         );
+        // A merge reduces at two calls: over shards its map tasks map, and
+        // over the map output IMHP's reduce tasks wrote (`run_job_written`,
+        // a runner without a mapper). Both reducers are scanned.
+        for merge in ["cross_merge_job", "pairwise_merge_job"] {
+            let calls = report.reducers.iter().filter(|r| r.site == merge).count();
+            assert_eq!(calls, 2, "{merge}: reducer calls scanned");
+        }
     }
 
     #[test]

@@ -23,14 +23,14 @@
 //! [`crate::als`]'s, given these kernels and an all-modes initialisation.
 //!
 //! A two-job chain has nothing to schedule, so the two jobs run one after
-//! the other straight on the [`Cluster`], the merge reading the shards
-//! IMHP's reducers wrote in place. A bare cluster has no
+//! the other straight on the [`Cluster`], the merge taking the map output
+//! IMHP's reduce tasks wrote for it. A bare cluster has no
 //! [`haten2_mapreduce::JobGraph`] to derive map-emit hints from and the
 //! kernels set none, so the jobs' shuffle buckets start empty and grow by
 //! doubling (the 3-way pipelines pre-size theirs from the plan IR).
 
 use crate::als::{parafac_sweeps, tucker_fit, tucker_sweeps, Projection};
-use crate::ops::{cross_merge_job, imhp_job, pairwise_merge_job, TensorRecords};
+use crate::ops::{cross_merge_job, imhp_job, pairwise_merge_job, MergeInput, TensorRecords};
 use crate::records::Ix4;
 use crate::{CoreError, Result};
 use haten2_linalg::{thin_qr, Mat};
@@ -79,40 +79,27 @@ fn join_modes(
 }
 
 /// The IMHP job of target mode `mode`: `x` expanded against the factor of
-/// every mode in `others`, one dataset per side in the shards its reduce
-/// tasks wrote.
+/// every mode in `others`, one side per join mode, as the merge's map
+/// output its reduce tasks wrote.
 fn expand(
     cluster: &Cluster,
     x: &DynTensor,
     mode: usize,
     others: &[usize],
     factors: &[&Mat],
-) -> Result<Vec<Vec<TensorRecords>>> {
+) -> Result<MergeInput<'static>> {
     let entries: TensorRecords = (0..x.nnz())
         .map(|e| ((x.index(e)[mode], e as u64, 0, 0), x.value(e)))
         .collect();
     let transposed: Vec<Mat> = others.iter().map(|&m| factors[m].transpose()).collect();
-    Ok(imhp_job(
+    let written = imhp_job(
         cluster,
         &format!("nway-imhp-mode{mode}"),
         &[&entries],
         &transposed.iter().collect::<Vec<_>>(),
         |side, ix: &Ix4| x.index(ix.1 as usize)[others[side]],
-    )?)
-}
-
-/// Run `merge` over the expanded datasets, borrowed where IMHP left them.
-fn merged<T>(
-    expanded: &[Vec<TensorRecords>],
-    merge: impl FnOnce(&[&[&[(Ix4, f64)]]]) -> haten2_mapreduce::Result<T>,
-) -> Result<T> {
-    let shards: Vec<Vec<&[(Ix4, f64)]>> = expanded
-        .iter()
-        .map(|side| side.iter().map(Vec::as_slice).collect())
-        .collect();
-    Ok(merge(
-        &shards.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-    )?)
+    )?;
+    Ok(MergeInput::Written(written))
 }
 
 /// Distributed N-way MTTKRP for `mode`, DRI style (2 jobs).
@@ -125,9 +112,7 @@ pub fn nway_mttkrp(cluster: &Cluster, x: &DynTensor, mode: usize, factors: &[&Ma
     let expanded = expand(cluster, x, mode, &others, factors)?;
     let name = format!("nway-pairwisemerge-mode{mode}");
     let rank = factors[others[0]].cols();
-    let y = merged(&expanded, |sides| {
-        pairwise_merge_job(cluster, &name, sides, rank as u64)
-    })?;
+    let y = pairwise_merge_job(cluster, &name, expanded, rank as u64)?;
 
     let mut m = Mat::zeros(x.dims()[mode] as usize, rank);
     for ((i, r, _, _), v) in y {
@@ -213,9 +198,7 @@ pub fn nway_tucker_project(
     let widths: Vec<u64> = others.iter().map(|&m| factors[m].cols() as u64).collect();
     let expanded = expand(cluster, x, mode, &others, factors)?;
     let name = format!("nway-crossmerge-mode{mode}");
-    let mut y_records = merged(&expanded, |sides| {
-        cross_merge_job(cluster, &name, sides, &widths)
-    })?;
+    let mut y_records = cross_merge_job(cluster, &name, expanded, &widths)?;
 
     // `((i, q₁, columns, 0), y)`, one nonzero record per cell; `columns` is
     // row-major over `widths[1..]`, so record order is index order and the

@@ -12,7 +12,7 @@
 //! * [`imhp_job`] — the integrated n-mode **matrix** Hadamard products
 //!   `IMHP(X, B, C, …)` of HaTen2-DRI (§III-B4): computes `T' = X *₁ Bᵀ`,
 //!   `T'' = bin(X) *₂ Cᵀ` and every further `bin(X)` expansion in a single
-//!   job, reading `X` once.
+//!   job, reading `X` once, and writes them as the merge's map output.
 //! * [`cross_merge_job`] — `CrossMerge(T', T'', …)₍₀₎` (Definition 3/Lemma 1).
 //! * [`pairwise_merge_job`] — `PairwiseMerge(T', T'', …)₍₀₎` (Definition
 //!   4/Lemma 2).
@@ -51,10 +51,13 @@
 //! written in, in shard order, borrowed from whoever produced them. Every
 //! kernel reads them where they lie, through one [`MapInput`] (`Feed`)
 //! that builds each input record on the stack — no kernel copies a
-//! dataset to make its job's input. [`imhp_job`] is the other half of the
-//! hand-off: its reducers write `T'` and `T''` as the per-partition shards
-//! the merge's mappers then read, so a record of the paper's `nnz·(Q+R)`
-//! intermediate data is written once and never moved.
+//! dataset to make its job's input. The one exception is the largest
+//! intermediate, the paper's `nnz·(Q+R)` expansion: [`imhp_job`]'s reduce
+//! tasks run the merge's map function as they write `T'` and `T''`, into
+//! the merge's partitioned map output ([`WrittenSide`]), and the merge
+//! takes that output and starts at its shuffle ([`MergeInput::Written`]).
+//! A record of the expansion is written once, where the merge's reducer
+//! will read it.
 //!
 //! [`JobSite`]: haten2_mapreduce::JobSite
 //! [`Cluster`]: haten2_mapreduce::Cluster
@@ -63,8 +66,8 @@ use crate::records::{shards_len, HadVal, ImhpRec, ImhpVal, Ix4, MergeVal, NaiveV
 use haten2_linalg::Mat;
 use haten2_mapreduce::size::slice_est_bytes;
 use haten2_mapreduce::{
-    concat_partitions, run_job_collect, Collect, EstimateSize, JobSite, JobSpec, MapInput, MrError,
-    Result,
+    concat_partitions, run_job_collect, run_job_written, Collect, EstimateSize, JobSite, JobSpec,
+    MapInput, MapOutput, MrError, Result,
 };
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -433,21 +436,67 @@ fn factor_rows(side: u8, t: &Mat) -> impl Iterator<Item = ((), ImhpRec)> + '_ {
     })
 }
 
-/// IMHP's record writer: a reduce task's output, split into one dataset per
-/// join side by the `side` byte of the emitted key as it is written. What
-/// the engine counts and sizes is still the `((side, ix), v)` record the
-/// reducer emitted.
-#[derive(Default)]
-struct BySide(Vec<TensorRecords>);
+/// The merge's map function: an expanded record `((i, a, b, d), v)` of
+/// side `side`, keyed by its target-mode index `i`.
+#[inline]
+fn merge_record(side: u8, &(i, j, k, d): &Ix4, v: f64) -> (u64, MergeVal) {
+    (i, MergeVal { side, j, k, d, v })
+}
 
-impl Collect<(u8, Ix4), f64> for BySide {
+/// What a merge's map input is priced at per record: the [`MergeVal`]
+/// alone, as the key-less `((), MergeVal)` input record always was.
+fn merge_record_bytes() -> usize {
+    MergeVal::FIXED_BYTES.expect("MergeVal is fixed-size")
+}
+
+/// IMHP's record writer: runs the merge's map ([`merge_record`]) on every
+/// record the reducer emits and writes the result straight into that
+/// side's [`MapOutput`], cut for the merge's partitions. What the engine
+/// counts and sizes is still the `((side, ix), v)` record the reducer
+/// emitted.
+#[derive(Default)]
+struct MergeWriter {
+    partitions: usize,
+    sides: Vec<MapOutput<u64, MergeVal>>,
+}
+
+impl Collect<(u8, Ix4), f64> for MergeWriter {
+    fn for_partitions(partitions: usize) -> Self {
+        MergeWriter {
+            partitions,
+            sides: Vec::new(),
+        }
+    }
+
     #[inline]
     fn collect(&mut self, (side, ix): (u8, Ix4), v: f64) {
-        let side = usize::from(side);
-        if side >= self.0.len() {
-            self.0.resize_with(side + 1, Vec::new);
+        let s = usize::from(side);
+        if s >= self.sides.len() {
+            let partitions = self.partitions;
+            self.sides.resize_with(s + 1, || MapOutput::new(partitions));
         }
-        self.0[side].push((ix, v));
+        let (i, val) = merge_record(side, &ix, v);
+        let out = &mut self.sides[s];
+        out.count_input();
+        out.emit(i, val);
+    }
+}
+
+/// One expanded side as [`imhp_job`]'s reduce tasks wrote it: already the
+/// merge's map output, every record mapped by [`merge_record`] and
+/// bucketed by the merge's partitioner, one [`MapOutput`] per reduce task
+/// that wrote any, in partition order. A merge takes it by ownership
+/// ([`MergeInput::Written`]).
+pub struct WrittenSide(Vec<MapOutput<u64, MergeVal>>);
+
+impl WrittenSide {
+    /// The side's records as `((i, a, b, d), v)`: reduce task by reduce
+    /// task, each task's partition by partition, in emission order.
+    /// Restricted to one target index `i`, that is the order a merge
+    /// reads them in.
+    pub fn records(&self) -> TensorRecords {
+        let mapped = self.0.iter().flat_map(MapOutput::records);
+        mapped.map(|(&i, v)| ((i, v.j, v.k, v.d), v.v)).collect()
     }
 }
 
@@ -473,23 +522,25 @@ pub fn join_on_slots(side: usize, ix: &Ix4) -> u64 {
 /// the order-`S + 1` tensor priced as the `(S + 2)`-slot record the
 /// expansions make of it.
 ///
-/// Each dataset comes back as the shards its reduce tasks wrote, one per
-/// partition in partition order (some may be empty) — on Hadoop, the
-/// job's part files. Read in that order they are the dataset; the merges
-/// read them in place.
+/// The expansions are written once, as the merge will read them: the
+/// job's reduce tasks run the merge's map function on every record they
+/// emit and bucket it by the merge's partitioner ([`WrittenSide`]), so
+/// `T'` and `T''` never exist as shards and the merge starts at its
+/// shuffle. The job's metrics are those of writing the records: what the
+/// engine counts and sizes is each record the reducer emits.
 pub fn imhp_job(
     site: &impl JobSite,
     name: &str,
     entries: Shards<'_>,
     sides: &[&Mat],
     join: impl Fn(usize, &Ix4) -> u64 + Sync,
-) -> Result<Vec<Vec<TensorRecords>>> {
+) -> Result<Vec<WrittenSide>> {
     let n_sides = sides.len();
     let rows = sides.iter().zip(0u8..).flat_map(|(t, s)| factor_rows(s, t));
     // One more index slot per side beyond the 3-way record's two.
     let input = rows_feed(entries, ent3_bytes() + 8 * n_sides - 8 * 2, rows.collect());
 
-    let out: Vec<BySide> = run_job_collect(
+    let out: Vec<MergeWriter> = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
         &input,
@@ -529,22 +580,43 @@ pub fn imhp_job(
             }
         },
     )?;
-    // Per partition, per side → per side, per partition.
-    let mut written: Vec<Vec<TensorRecords>> = vec![Vec::new(); n_sides];
-    for BySide(mut partition) in out {
-        partition.resize_with(n_sides, Vec::new);
-        for (side, shard) in written.iter_mut().zip(partition) {
-            side.push(shard);
+    // Per reduce task, per side → per side, per reduce task.
+    let mut written: Vec<Vec<MapOutput<u64, MergeVal>>> =
+        (0..n_sides).map(|_| Vec::new()).collect();
+    for writer in out {
+        for (side, part) in written.iter_mut().zip(writer.sides) {
+            if !part.is_empty() {
+                side.push(part);
+            }
         }
     }
-    Ok(written)
+    Ok(written.into_iter().map(WrittenSide).collect())
 }
 
-/// The input of a merge job: the expanded datasets in **descending** side
-/// order — `T''` first, then `T'`, at two sides — each stored
-/// `((i, a, b, d), v)` presented in place as `(i, MergeVal)` and priced at
-/// the [`MergeVal`] alone, as the key-less `((), MergeVal)` input record
-/// always was.
+/// What a merge reads: the expanded datasets, side 0 (`T'`) first.
+pub enum MergeInput<'a> {
+    /// Shards of `((i, a, b, d), v)` records, borrowed where they were
+    /// written, which the merge's own map tasks map ([`merge_feed`]).
+    /// DRN's per-column Hadamard jobs write these.
+    Shards(&'a [Shards<'a>]),
+    /// The sides [`imhp_job`] wrote, already mapped and partitioned: the
+    /// merge takes them and starts at its shuffle.
+    Written(Vec<WrittenSide>),
+}
+
+impl MergeInput<'_> {
+    fn sides(&self) -> usize {
+        match self {
+            MergeInput::Shards(sides) => sides.len(),
+            MergeInput::Written(sides) => sides.len(),
+        }
+    }
+}
+
+/// The shard input of a merge job: the expanded datasets in **descending**
+/// side order — `T''` first, then `T'`, at two sides — each stored
+/// `((i, a, b, d), v)` presented in place as [`merge_record`] maps it and
+/// priced at [`merge_record_bytes`].
 ///
 /// The order is the contract the merge reducers rest on. A key group's
 /// values reach a reducer in input order restricted to the key (the
@@ -552,18 +624,26 @@ pub fn imhp_job(
 /// side first and the reducer can fill its lookup table from that side,
 /// narrow it by each side after and probe it with side 0 as they stream
 /// past. This is the reduce-side join's secondary-sort idiom, with the
-/// engine's value order standing in for the sort.
+/// engine's value order standing in for the sort. [`descending`] keeps
+/// the same order for the written input.
 fn merge_feed<'a>(
     sides: &[Shards<'a>],
 ) -> Feed<'a, u64, MergeVal, impl Fn(u8, &Ix4, f64) -> (u64, MergeVal) + Sync> {
-    let wrap = |side, &(i, j, k, d): &Ix4, v| (i, MergeVal { side, j, k, d, v });
-    let record_bytes = MergeVal::FIXED_BYTES.expect("MergeVal is fixed-size");
     let tagged = sides
         .iter()
         .enumerate()
         .map(|(s, &dataset)| (s as u8, dataset));
     let descending: Vec<(u8, Shards<'a>)> = tagged.rev().collect();
-    Feed::new(&descending, record_bytes, wrap, Vec::new())
+    Feed::new(&descending, merge_record_bytes(), merge_record, Vec::new())
+}
+
+/// The written input of a merge job, in [`merge_feed`]'s order: the last
+/// side first, each side's reduce tasks in partition order. A key's
+/// values sit in one bucket of each map output, in emission order, so a
+/// group reaches the reducer exactly as over the same records as shards.
+fn descending(sides: Vec<WrittenSide>) -> Vec<MapOutput<u64, MergeVal>> {
+    let by_side = sides.into_iter().rev();
+    by_side.flat_map(|WrittenSide(parts)| parts).collect()
 }
 
 /// What a merge reducer says when its group is not in descending side
@@ -860,35 +940,46 @@ fn pairwise_merge_fold(
 }
 
 /// `CrossMerge(T', T'', …)₍₀₎` (Definition 3) as one job over the expanded
-/// datasets `sides`, side 0 (`T'`) first: produces
+/// datasets `input`, side 0 (`T'`) first: produces
 /// `Y(i, q₁ … q_S) = Σ_{nonzeros of slice i} Π_s T⁽ˢ⁾(i, ·, q_s)` as
 /// records `((i, q₁, columns, 0), y)`, `columns` the row-major index of
 /// `(q₂ … q_S)` in `widths[1..]` — `((i, q, r, 0), y)` at two sides.
 /// `widths[s]` is the column count of side `s`'s factor.
 ///
 /// Keys on the target-mode index `i`, so the shuffle volume is
-/// `nnz·(Q+R)` — the Table III cost of HaTen2-DRN/DRI. Every dataset is
-/// read in place, shard by shard ([`merge_feed`]).
+/// `nnz·(Q+R)` — the Table III cost of HaTen2-DRN/DRI. Shards are read in
+/// place ([`merge_feed`]); written sides are taken and reduced from where
+/// IMHP's reduce tasks bucketed them ([`descending`]). Both inputs make
+/// the same job: same output bits, same metrics.
 pub fn cross_merge_job(
     site: &impl JobSite,
     name: &str,
-    sides: &[Shards<'_>],
+    input: MergeInput<'_>,
     widths: &[u64],
 ) -> Result<Vec<(Ix4, f64)>> {
-    assert_eq!(sides.len(), widths.len(), "one column count per side");
-    let input = merge_feed(sides);
-    let out = run_job_collect(
-        site,
-        JobSpec::named(name.to_string()),
-        &input,
-        |i: &u64, rec: &MergeVal, emit| emit(*i, rec.clone()),
-        |i, vals, emit| cross_merge_fold(*i, widths, vals, emit),
-    )?;
+    assert_eq!(input.sides(), widths.len(), "one column count per side");
+    let spec = JobSpec::named(name.to_string());
+    let out = match input {
+        MergeInput::Shards(sides) => run_job_collect(
+            site,
+            spec,
+            &merge_feed(sides),
+            |i: &u64, rec: &MergeVal, emit| emit(*i, rec.clone()),
+            |i, vals, emit| cross_merge_fold(*i, widths, vals, emit),
+        )?,
+        MergeInput::Written(sides) => run_job_written(
+            site,
+            spec,
+            descending(sides),
+            merge_record_bytes(),
+            |i, vals, emit| cross_merge_fold(*i, widths, vals, emit),
+        )?,
+    };
     Ok(concat_partitions(out))
 }
 
 /// `PairwiseMerge(T', T'', …)₍₀₎` (Definition 4) as one job over the
-/// expanded datasets `sides`, side 0 (`T'`) first: produces
+/// expanded datasets `input`, side 0 (`T'`) first: produces
 /// `Y(i, r) = Σ_{nonzeros of slice i} Π_s T⁽ˢ⁾(i, ·, r)` as records
 /// `((i, r, 0, 0), y)`. `rank` is the column count `R` every side's factor
 /// shares, as [`cross_merge_job`] is told its widths: each reduce group
@@ -899,17 +990,27 @@ pub fn cross_merge_job(
 pub fn pairwise_merge_job(
     site: &impl JobSite,
     name: &str,
-    sides: &[Shards<'_>],
+    input: MergeInput<'_>,
     rank: u64,
 ) -> Result<Vec<(Ix4, f64)>> {
-    let input = merge_feed(sides);
-    let out = run_job_collect(
-        site,
-        JobSpec::named(name.to_string()),
-        &input,
-        |i: &u64, rec: &MergeVal, emit| emit(*i, rec.clone()),
-        |i, vals, emit| pairwise_merge_fold(*i, sides.len(), rank, vals, emit),
-    )?;
+    let sides = input.sides();
+    let spec = JobSpec::named(name.to_string());
+    let out = match input {
+        MergeInput::Shards(shards) => run_job_collect(
+            site,
+            spec,
+            &merge_feed(shards),
+            |i: &u64, rec: &MergeVal, emit| emit(*i, rec.clone()),
+            |i, vals, emit| pairwise_merge_fold(*i, sides, rank, vals, emit),
+        )?,
+        MergeInput::Written(written) => run_job_written(
+            site,
+            spec,
+            descending(written),
+            merge_record_bytes(),
+            |i, vals, emit| pairwise_merge_fold(*i, sides, rank, vals, emit),
+        )?,
+    };
     Ok(concat_partitions(out))
 }
 

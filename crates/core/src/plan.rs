@@ -37,14 +37,14 @@
 
 use crate::ops::{
     collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots, naive_ttv_job,
-    pairwise_merge_job, with_slot, Shards, TensorRecords,
+    pairwise_merge_job, with_slot, MergeInput, Shards, TensorRecords, WrittenSide,
 };
 use crate::records::{tensor_records, HadVal, ImhpVal, Ix4, MergeVal, NaiveVal};
 use crate::Variant;
 use haten2_linalg::Mat;
 use haten2_mapreduce::{
     dataset_base, datasets_overlap, Batch, Cluster, Env, EstimateSize, JobCtx, JobGraph, JobHandle,
-    JobInstance, MrError, PlanJob, RecoverySpec, SymExpr, RECORD_FRAMING_BYTES,
+    JobInstance, MrError, PlanJob, RecoverySpec, SymExpr, TakeOnce, RECORD_FRAMING_BYTES,
 };
 use haten2_tensor::CooTensor3;
 
@@ -256,7 +256,7 @@ pub enum Kernel {
     Collapse(usize),
     /// [`imhp_job`] at two sides, joined on slots 1 and 2: both Hadamard
     /// expansions in one pass over `x`; writes two datasets, each as the
-    /// shards its reduce tasks wrote.
+    /// merge's map output its reduce tasks wrote, for the merge to take.
     Imhp,
     /// [`cross_merge_job`] of its two reads, side 0 first.
     CrossMerge,
@@ -279,45 +279,70 @@ impl Kernel {
         }
     }
 
-    /// Run instance `i`, named `name`, on `inputs` (one shard list per
-    /// declared read, in declared order); returns one shard list per
-    /// declared write.
+    /// Run instance `i`, named `name`, on `reads` (one per declared read,
+    /// in declared order); returns one dataset per declared write.
     fn run(
         self,
         ctx: &JobCtx<'_>,
         name: &str,
         i: usize,
-        inputs: &[Shards<'_>],
+        reads: Vec<Read<'_>>,
         bound: &Bindings<'_>,
     ) -> haten2_mapreduce::Result<Written> {
-        let one_shard = |records: TensorRecords| vec![vec![records]];
-        Ok(match (self, inputs) {
-            (Kernel::NaiveTtv(side), [entries]) => {
+        let (mut lists, mut taken) = (Vec::new(), Vec::new());
+        for read in reads {
+            match read {
+                Read::Shards(shards) => lists.push(shards),
+                Read::Taken(side) => taken.push(side),
+            }
+        }
+        let shards: Vec<Shards<'_>> = lists.iter().map(Vec::as_slice).collect();
+        let one_shard = |records: TensorRecords| vec![Dataset::Shards(vec![records])];
+        let widths = [bound.u1.rows() as u64, bound.u2.rows() as u64];
+        let rank = widths[0];
+        Ok(match (self, shards.as_slice(), taken.len()) {
+            (Kernel::NaiveTtv(side), [entries], 0) => {
                 let [d0, _, d2] = bound.x.dims();
                 let dims = [d0, entries.len() as u64, d2, 1];
                 let row = side.row(bound, i);
                 one_shard(naive_ttv_job(ctx, name, entries, dims, side.slot(), row)?)
             }
-            (Kernel::HadamardVec(side, tag), [entries]) => {
+            (Kernel::HadamardVec(side, tag), [entries], 0) => {
                 let (row, tag) = (side.row(bound, i), tag.then_some(i as u64));
                 one_shard(hadamard_vec_job(ctx, name, entries, side.slot(), row, tag)?)
             }
-            (Kernel::Collapse(drop), [entries]) => {
+            (Kernel::Collapse(drop), [entries], 0) => {
                 one_shard(collapse_job(ctx, name, entries, drop, bound.use_combiner)?)
             }
-            (Kernel::Imhp, [entries]) => {
-                imhp_job(ctx, name, entries, &[bound.u1, bound.u2], join_on_slots)?
+            (Kernel::Imhp, [entries], 0) => {
+                let sides = imhp_job(ctx, name, entries, &[bound.u1, bound.u2], join_on_slots)?;
+                let written = sides.into_iter();
+                written
+                    .map(|side| Dataset::Written(TakeOnce::new(name, side)))
+                    .collect()
             }
-            (Kernel::CrossMerge, sides @ [_, _]) => {
-                let widths = [bound.u1.rows() as u64, bound.u2.rows() as u64];
-                one_shard(cross_merge_job(ctx, name, sides, &widths)?)
+            (Kernel::CrossMerge, sides @ [_, _], 0) => {
+                let input = MergeInput::Shards(sides);
+                one_shard(cross_merge_job(ctx, name, input, &widths)?)
             }
-            (Kernel::PairwiseMerge, sides @ [_, _]) => {
-                let rank = bound.u1.rows() as u64;
-                one_shard(pairwise_merge_job(ctx, name, sides, rank)?)
+            (Kernel::CrossMerge, [], 2) => {
+                let input = MergeInput::Written(taken);
+                one_shard(cross_merge_job(ctx, name, input, &widths)?)
             }
-            (kernel, inputs) => {
-                let detail = format!("{} cannot run on {} input(s)", kernel.op(), inputs.len());
+            (Kernel::PairwiseMerge, sides @ [_, _], 0) => {
+                let input = MergeInput::Shards(sides);
+                one_shard(pairwise_merge_job(ctx, name, input, rank)?)
+            }
+            (Kernel::PairwiseMerge, [], 2) => {
+                let input = MergeInput::Written(taken);
+                one_shard(pairwise_merge_job(ctx, name, input, rank)?)
+            }
+            (kernel, shards, taken) => {
+                let detail = format!(
+                    "{} cannot run on {} shard and {taken} written input(s)",
+                    kernel.op(),
+                    shards.len()
+                );
                 return Err(violation(name, detail));
             }
         })
@@ -574,11 +599,20 @@ pub struct Bindings<'a> {
     pub use_combiner: bool,
 }
 
-/// What one job leaves behind: per declared write, the shards it was
-/// written in — one, except for IMHP's per-partition output.
-type Written = Vec<Vec<TensorRecords>>;
+/// One declared write, as the job that wrote it leaves it.
+enum Dataset {
+    /// The shards it was written in (one, for every kernel but IMHP),
+    /// borrowed where they lie by every reader.
+    Shards(Vec<TensorRecords>),
+    /// An IMHP side, written as the merge's map output: its one reader
+    /// takes it.
+    Written(TakeOnce<WrittenSide>),
+}
 
-/// Where some shards of a declared read come from.
+/// What one job leaves behind: one dataset per declared write.
+type Written = Vec<Dataset>;
+
+/// Where some of a declared read comes from.
 enum Source<'a> {
     /// A dataset bound before the first job.
     Bound(&'a [(Ix4, f64)]),
@@ -586,20 +620,40 @@ enum Source<'a> {
     Written(JobHandle<Written>, usize),
 }
 
-impl Source<'_> {
-    /// Append this source's shards, in order, borrowed where they are.
-    fn shards<'s>(
-        &'s self,
+/// One declared read, resolved.
+enum Read<'s> {
+    /// The shards of its sources, in order, borrowed where they are.
+    Shards(Vec<&'s [(Ix4, f64)]>),
+    /// The one written side it reads, taken.
+    Taken(WrittenSide),
+}
+
+impl Read<'_> {
+    /// Resolve the read `reader` declares over `sources`. A written side
+    /// is read alone and taken; a second taker is refused
+    /// ([`TakeOnce::take`]).
+    fn resolve<'s>(
+        sources: &'s [Source<'_>],
         ctx: &'s JobCtx<'_>,
-        into: &mut Vec<&'s [(Ix4, f64)]>,
-    ) -> haten2_mapreduce::Result<()> {
-        match self {
-            Source::Bound(records) => into.push(records),
-            Source::Written(handle, at) => {
-                into.extend(ctx.get(handle)?[*at].iter().map(Vec::as_slice));
+        reader: &str,
+    ) -> haten2_mapreduce::Result<Read<'s>> {
+        let mut shards = Vec::new();
+        for source in sources {
+            match source {
+                Source::Bound(records) => shards.push(*records),
+                Source::Written(handle, at) => match &ctx.get(handle)?[*at] {
+                    Dataset::Shards(written) => shards.extend(written.iter().map(Vec::as_slice)),
+                    Dataset::Written(side) if sources.len() == 1 => {
+                        return Ok(Read::Taken(side.take(reader)?));
+                    }
+                    Dataset::Written(_) => {
+                        let detail = "a written side is read alone".to_string();
+                        return Err(violation(reader, detail));
+                    }
+                },
             }
         }
-        Ok(())
+        Ok(Read::Shards(shards))
     }
 }
 
@@ -655,18 +709,18 @@ fn submit<'a>(
         }
         let (name, index) = (inst.name.clone(), inst.index);
         let run = move |ctx: &JobCtx<'_>| {
-            let mut inputs: Vec<Vec<&[(Ix4, f64)]>> = Vec::with_capacity(sources.len());
+            let mut reads = Vec::with_capacity(sources.len());
             for read in &sources {
-                let mut shards = Vec::with_capacity(read.len());
-                for source in read {
-                    source.shards(ctx, &mut shards)?;
-                }
-                inputs.push(shards);
+                reads.push(Read::resolve(read, ctx, &name)?);
             }
-            let inputs: Vec<Shards<'_>> = inputs.iter().map(Vec::as_slice).collect();
-            let mut written = kernel.run(ctx, &name, index, &inputs, bound)?;
-            for records in written.iter_mut().flatten() {
-                relabel.apply(records, index);
+            let mut written = kernel.run(ctx, &name, index, reads, bound)?;
+            // IMHP's row relabels nothing: only shards are relabelled.
+            for dataset in &mut written {
+                if let Dataset::Shards(shards) = dataset {
+                    for records in shards {
+                        relabel.apply(records, index);
+                    }
+                }
             }
             Ok(written)
         };
@@ -690,11 +744,12 @@ fn submit<'a>(
 /// return the records of its output dataset, its shards appended in
 /// submission order.
 ///
-/// Between two jobs a dataset stays where it was written: a job publishes,
-/// per declared write, the shards its kernel wrote (IMHP's reduce tasks
-/// write one per partition), and a kernel reading the dataset borrows
-/// every shard of every write its declared read overlaps and maps them in
-/// place.
+/// Between two jobs a dataset stays where it was written. A job publishes,
+/// per declared write, what its kernel wrote, and a kernel reading the
+/// dataset borrows every shard of every write its declared read overlaps
+/// and maps them in place — except IMHP's sides, which its reduce tasks
+/// write as the merge's map output: the merge takes each side by
+/// ownership, and a second reader of a side is refused.
 pub fn run_pipeline(
     cluster: &Cluster,
     pipeline: &Pipeline,
@@ -719,8 +774,12 @@ pub fn run_pipeline(
     let outputs = &pipeline.graph.outputs;
     let mut y = Vec::new();
     for (inst, handle) in submitted {
-        for (write, shards) in inst.writes.iter().zip(handle.take()?) {
+        for (write, dataset) in inst.writes.iter().zip(handle.take()?) {
             if outputs.iter().any(|o| o == dataset_base(write)) {
+                let Dataset::Shards(shards) = dataset else {
+                    let detail = format!("output '{write}' written for a merge");
+                    return Err(violation(&inst.name, detail).into());
+                };
                 for mut records in shards {
                     y.append(&mut records);
                 }
@@ -864,6 +923,7 @@ pub fn comm_assoc_annotation(site: &str) -> Option<&'static ReducerAnnotation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use haten2_mapreduce::{FaultPlan, RetryPolicy};
 
     fn sample_envs() -> Vec<Env> {
         let mut envs = Vec::new();
@@ -1088,6 +1148,83 @@ mod tests {
                 if job == "tucker-dri-crossmerge" && detail.contains("t_typo")),
             "{err}"
         );
+    }
+
+    /// `pipeline`'s output bits for [`sample_tensor`] at rank 3 on
+    /// `cluster`.
+    fn parafac_y(cluster: &Cluster, pipeline: &Pipeline) -> crate::Result<Vec<(Ix4, u64)>> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let x = sample_tensor();
+        let bound = Bindings {
+            x: &x,
+            u1: &Mat::random(3, 5, &mut rng),
+            u2: &Mat::random(3, 6, &mut rng),
+            use_combiner: false,
+        };
+        let y = run_pipeline(cluster, pipeline, &bound)?;
+        Ok(y.into_iter().map(|(ix, v)| (ix, v.to_bits())).collect())
+    }
+
+    fn sequential_cluster(machines: usize, fault_plan: Option<FaultPlan>) -> Cluster {
+        let mut cfg = haten2_mapreduce::ClusterConfig::with_machines(machines);
+        cfg.scheduler = haten2_mapreduce::SchedulerMode::Sequential;
+        cfg.fault_plan = fault_plan;
+        Cluster::new(cfg)
+    }
+
+    #[test]
+    fn a_second_reader_of_a_written_side_is_refused() {
+        // A second merge over IMHP's sides finds them taken by the first:
+        // a plan error naming the reader, the producer and the taker.
+        let pipeline = pipeline_for(Decomp::Parafac, Variant::Dri);
+        let (mut again, kernel) = merge("parafac-dri-pairwisemerge-again", Kernel::PairwiseMerge);
+        again.writes = vec!["z".to_string()];
+        let twice = pipeline.job((again, kernel), Relabel::Keep);
+        let cluster = sequential_cluster(3, None);
+        let err = parafac_y(&cluster, &twice).unwrap_err();
+        assert!(
+            matches!(&err, crate::CoreError::MapReduce(MrError::PlanViolation { job, detail })
+                if job == "parafac-dri-pairwisemerge-again"
+                    && detail.contains("'parafac-dri-imhp'")
+                    && detail.contains("'parafac-dri-pairwisemerge'")),
+            "{err}"
+        );
+        // Both jobs before it committed.
+        assert_eq!(cluster.jobs_run(), 2);
+    }
+
+    #[test]
+    fn a_batch_failing_between_imhp_and_the_merge_leaves_the_cluster_usable() {
+        // On 64 machines IMHP reads 35 records in 35 map tasks and the
+        // merge 144 in 48, so failing every 40th map task with no retry
+        // exhausts the merge's budget only: the batch returns that error
+        // and the written sides go with it. The cluster then runs the DNN
+        // pipeline, whose jobs split into fewer tasks, exactly as a fresh
+        // cluster does.
+        let wide_maps_fail = FaultPlan {
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            },
+            ..FaultPlan::fail_every_nth(40)
+        };
+        let cluster = sequential_cluster(64, Some(wide_maps_fail.clone()));
+        let dri = pipeline_for(Decomp::Parafac, Variant::Dri);
+        let err = parafac_y(&cluster, &dri).unwrap_err();
+        assert!(
+            matches!(&err, crate::CoreError::MapReduce(MrError::TaskFailed { job, phase: "map", task: 39, .. })
+                if job == "parafac-dri-pairwisemerge"),
+            "{err}"
+        );
+        assert_eq!(cluster.jobs_run(), 1, "IMHP committed, the merge did not");
+        let dnn = pipeline_for(Decomp::Parafac, Variant::Dnn);
+        let fresh = sequential_cluster(64, Some(wide_maps_fail));
+        assert_eq!(
+            parafac_y(&cluster, &dnn).unwrap(),
+            parafac_y(&fresh, &dnn).unwrap()
+        );
+        assert_eq!(cluster.jobs_run(), 1 + fresh.jobs_run());
     }
 
     #[test]

@@ -7,10 +7,9 @@
 
 use haten2_core::ops::{
     collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots,
-    model_inner_product_job, naive_ttv_job, pairwise_merge_job, TensorRecords,
+    model_inner_product_job, naive_ttv_job, pairwise_merge_job, MergeInput, WrittenSide,
 };
 use haten2_core::records::tensor_records;
-use haten2_core::Ix4;
 use haten2_linalg::Mat;
 use haten2_mapreduce::{Cluster, ClusterConfig};
 use haten2_tensor::ops as reference;
@@ -22,23 +21,12 @@ fn cluster() -> Cluster {
     Cluster::new(ClusterConfig::with_machines(3))
 }
 
-/// A dataset as IMHP's reduce tasks wrote it, borrowed for a merge to read.
-fn shards(written: &[TensorRecords]) -> Vec<&[(Ix4, f64)]> {
-    written.iter().map(Vec::as_slice).collect()
-}
-
-/// `IMHP(X, B, C)`: the two-sided job of the 3-way pipelines, `(T', T'')`.
-fn imhp(
-    cluster: &Cluster,
-    name: &str,
-    x: &CooTensor3,
-    bt: &Mat,
-    ct: &Mat,
-) -> (Vec<TensorRecords>, Vec<TensorRecords>) {
+/// `IMHP(X, B, C)`: the two-sided job of the 3-way pipelines, `T'` and
+/// `T''` as the merge's map output its reduce tasks wrote.
+fn imhp(cluster: &Cluster, name: &str, x: &CooTensor3, bt: &Mat, ct: &Mat) -> MergeInput<'static> {
     let entries = tensor_records(x);
     let written = imhp_job(cluster, name, &[&entries], &[bt, ct], join_on_slots).unwrap();
-    let [t_prime, t_dprime]: [Vec<TensorRecords>; 2] = written.try_into().unwrap();
-    (t_prime, t_dprime)
+    MergeInput::Written(written)
 }
 
 fn sample(seed: u64) -> CooTensor3 {
@@ -134,11 +122,12 @@ fn imhp_job_produces_both_expansions() {
     let mut rng = StdRng::seed_from_u64(9);
     let bt = Mat::random(3, 6, &mut rng); // Q x J
     let ct = Mat::random(2, 4, &mut rng); // R x K
-    let (tp, tdp) = imhp(&cluster(), "t", &x, &bt, &ct);
-    // One shard per reduce partition; read in order they are the dataset.
-    assert_eq!(tp.len(), cluster().config().num_reducers());
-    assert_eq!(tdp.len(), tp.len());
-    let (tp, tdp) = (tp.concat(), tdp.concat());
+    let entries = tensor_records(&x);
+    let written = imhp_job(&cluster(), "t", &[&entries], &[&bt, &ct], join_on_slots).unwrap();
+    // Both sides, already mapped for the merge; read back as records they
+    // are the expansions.
+    let [tp, tdp]: [WrittenSide; 2] = written.try_into().ok().unwrap();
+    let (tp, tdp) = (tp.records(), tdp.records());
     // T' = X *₂ Bᵀ (values multiplied), T'' = bin(X) *₃ Cᵀ (coefs only).
     let want_tp = reference::mode_hadamard_mat(&x, 1, &bt).unwrap();
     let want_tdp = reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap();
@@ -164,8 +153,8 @@ fn cross_merge_job_matches_reference() {
     let bt = Mat::random(3, 6, &mut rng);
     let ct = Mat::random(2, 4, &mut rng);
     let c = cluster();
-    let (tp, tdp) = imhp(&c, "imhp", &x, &bt, &ct);
-    let merged = cross_merge_job(&c, "merge", &[&shards(&tp), &shards(&tdp)], &[3, 2]).unwrap();
+    let written = imhp(&c, "imhp", &x, &bt, &ct);
+    let merged = cross_merge_job(&c, "merge", written, &[3, 2]).unwrap();
     let want = reference::cross_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -185,8 +174,8 @@ fn pairwise_merge_job_matches_reference() {
     let bt = Mat::random(r, 6, &mut rng);
     let ct = Mat::random(r, 4, &mut rng);
     let c = cluster();
-    let (tp, tdp) = imhp(&c, "imhp", &x, &bt, &ct);
-    let merged = pairwise_merge_job(&c, "merge", &[&shards(&tp), &shards(&tdp)], r as u64).unwrap();
+    let written = imhp(&c, "imhp", &x, &bt, &ct);
+    let merged = pairwise_merge_job(&c, "merge", written, r as u64).unwrap();
     let want = reference::pairwise_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -240,16 +229,16 @@ fn merge_jobs_shuffle_exactly_table_costs() {
     let bt = Mat::random(q, 6, &mut rng);
     let ct = Mat::random(r, 4, &mut rng);
     let c = cluster();
-    let (tp, tdp) = imhp(&c, "imhp", &x, &bt, &ct);
+    let written = imhp(&c, "imhp", &x, &bt, &ct);
     let mark = c.jobs_run();
-    cross_merge_job(&c, "cross", &[&shards(&tp), &shards(&tdp)], &[3, 2]).unwrap();
+    cross_merge_job(&c, "cross", written, &[3, 2]).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, x.nnz() * (q + r));
 
     let bt = Mat::random(r, 6, &mut rng);
-    let (tp2, tdp2) = imhp(&c, "imhp2", &x, &bt, &ct);
+    let written = imhp(&c, "imhp2", &x, &bt, &ct);
     let mark = c.jobs_run();
-    pairwise_merge_job(&c, "pair", &[&shards(&tp2), &shards(&tdp2)], r as u64).unwrap();
+    pairwise_merge_job(&c, "pair", written, r as u64).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, 2 * x.nnz() * r);
 }

@@ -1,25 +1,26 @@
-//! Property tests: a merge reads its input as shards, wherever they are cut.
+//! Property tests: a merge's input is one dataset, however it is held.
 //!
-//! IMHP's reduce tasks write `T'` and `T''` as one shard per partition and
-//! the merge's map tasks read them in place. Reading a side as those many
-//! shards — or as one shard cut anywhere, an empty shard included — must be
-//! the same job as reading it as one concatenated shard: same output bits,
-//! same metrics.
+//! A merge reads its sides as shards, cut anywhere, or — in the DRI
+//! pipelines — takes them as IMHP's reduce tasks wrote them, already the
+//! merge's partitioned map output. Every form must be the same job as
+//! reading each side as one shard of the same records: same output bits,
+//! same metrics, on any cluster shape, under injected faults too.
 
 #![allow(clippy::unwrap_used)]
 
 use haten2_core::ops::{
-    cross_merge_job, imhp_job, join_on_slots, pairwise_merge_job, Shards, TensorRecords,
+    cross_merge_job, imhp_job, join_on_slots, pairwise_merge_job, MergeInput, Shards,
+    TensorRecords, WrittenSide,
 };
 use haten2_core::records::tensor_records;
 use haten2_core::Ix4;
 use haten2_linalg::Mat;
-use haten2_mapreduce::{Cluster, ClusterConfig, JobMetrics};
+use haten2_mapreduce::{Cluster, ClusterConfig, FaultPlan, JobMetrics};
 use haten2_tensor::{CooTensor3, Entry3};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-type Merge = fn(&Cluster, Shards<'_>, Shards<'_>) -> haten2_mapreduce::Result<TensorRecords>;
+type Merge = fn(&Cluster, MergeInput<'_>) -> haten2_mapreduce::Result<TensorRecords>;
 
 fn bits(records: &[(Ix4, f64)]) -> Vec<(Ix4, u64)> {
     records.iter().map(|&(ix, v)| (ix, v.to_bits())).collect()
@@ -44,49 +45,71 @@ fn skewed_tensor() -> impl Strategy<Value = CooTensor3> {
     })
 }
 
-/// `merge` on `cluster`, with the metrics of the job it ran.
-fn metered(
-    merge: Merge,
-    cluster: &Cluster,
-    t_prime: Shards<'_>,
-    t_dprime: Shards<'_>,
-) -> (TensorRecords, JobMetrics) {
+/// Where each merge runs: a fresh cluster of this shape, on which IMHP
+/// runs first, so the merge is job 1 — with the same fault schedule —
+/// whichever input it reads.
+struct Shape {
+    machines: usize,
+    threads: usize,
+    faults: Option<FaultPlan>,
+}
+
+impl Shape {
+    /// A fresh cluster, and the sides IMHP wrote on it.
+    fn imhp(&self, x: &CooTensor3, bt: &Mat, ct: &Mat) -> (Cluster, Vec<WrittenSide>) {
+        let mut cfg = ClusterConfig::with_machines(self.machines);
+        cfg.threads = self.threads;
+        cfg.fault_plan = self.faults.clone();
+        let cluster = Cluster::new(cfg);
+        let entries = tensor_records(x);
+        let written = imhp_job(&cluster, "imhp", &[&entries], &[bt, ct], join_on_slots).unwrap();
+        (cluster, written)
+    }
+}
+
+/// `merge` of `input` on `cluster`, with the metrics of the job it ran.
+fn metered(merge: Merge, cluster: &Cluster, input: MergeInput<'_>) -> (TensorRecords, JobMetrics) {
     let mark = cluster.jobs_run();
-    let records = merge(cluster, t_prime, t_dprime).unwrap();
+    let records = merge(cluster, input).unwrap();
     let job = cluster.metrics_since(mark).jobs.remove(0);
     (records, job.without_host_time())
 }
 
-fn check(merge: Merge, x: &CooTensor3, machines: usize, seed: u64) {
-    let cluster = Cluster::new(ClusterConfig::with_machines(machines));
+fn check(merge: Merge, x: &CooTensor3, shape: &Shape, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let bt = Mat::random(3, 6, &mut rng);
     let ct = Mat::random(3, 5, &mut rng);
-    let written = imhp_job(
-        &cluster,
-        "imhp",
-        &[&tensor_records(x)],
-        &[&bt, &ct],
-        join_on_slots,
-    )
-    .unwrap();
-    let [tp_written, tdp_written]: [Vec<TensorRecords>; 2] = written.try_into().unwrap();
-    let (t_prime, t_dprime) = (tp_written.concat(), tdp_written.concat());
-    let (whole, whole_metrics) = metered(merge, &cluster, &[&t_prime], &[&t_dprime]);
 
-    // The shards as IMHP wrote them, one per reduce partition (their
-    // boundaries fall anywhere relative to the merge's map tasks), read
-    // in place: the same job as over one concatenated shard per side.
-    let tp_shards: Vec<&[_]> = tp_written.iter().map(Vec::as_slice).collect();
-    let tdp_shards: Vec<&[_]> = tdp_written.iter().map(Vec::as_slice).collect();
-    let (sharded, sharded_metrics) = metered(merge, &cluster, &tp_shards, &tdp_shards);
-    assert_eq!(bits(&sharded), bits(&whole), "as-written shards");
-    assert_eq!(sharded_metrics, whole_metrics, "as-written shards");
+    // The reference: each side read back from what IMHP wrote, as one shard.
+    let (cluster, written) = shape.imhp(x, &bt, &ct);
+    let t_prime = written[0].records();
+    let t_dprime = written[1].records();
+    let one: [&[(Ix4, f64)]; 2] = [&t_prime, &t_dprime];
+    let sides: [Shards<'_>; 2] = [&one[..1], &one[1..]];
+    let (whole, whole_metrics) = metered(merge, &cluster, MergeInput::Shards(&sides));
+
+    // IMHP's output as written, taken by the merge: the same job.
+    let (cluster, written) = shape.imhp(x, &bt, &ct);
+    let (taken, taken_metrics) = metered(merge, &cluster, MergeInput::Written(written));
+    assert_eq!(bits(&taken), bits(&whole), "as written");
+    assert_eq!(taken_metrics, whole_metrics, "as written");
 
     // Shards are read in order, as if concatenated, wherever they are cut.
     let (a, b) = t_prime.split_at(t_prime.len() / 2);
-    let sharded = merge(&cluster, &[a, &[], b], &[&t_dprime]).unwrap();
+    let cut: [&[(Ix4, f64)]; 3] = [a, &[], b];
+    let sides: [Shards<'_>; 2] = [&cut, &one[1..]];
+    let (cluster, _) = shape.imhp(x, &bt, &ct);
+    let (sharded, sharded_metrics) = metered(merge, &cluster, MergeInput::Shards(&sides));
     assert_eq!(bits(&sharded), bits(&whole), "two-shard T'");
+    assert_eq!(sharded_metrics, whole_metrics, "two-shard T'");
+}
+
+fn shape(machines: usize, threads: usize, faulted: bool, seed: u64) -> Shape {
+    Shape {
+        machines,
+        threads,
+        faults: faulted.then(|| FaultPlan::seeded(seed)),
+    }
 }
 
 proptest! {
@@ -96,11 +119,13 @@ proptest! {
     fn sharded_cross_merge_equals_the_one_shard_merge(
         x in skewed_tensor(),
         machines in 1usize..6,
+        threads in 1usize..5,
+        faulted in any::<bool>(),
         seed in any::<u64>(),
     ) {
         check(
-            |c, tp, tdp| cross_merge_job(c, "crossmerge", &[tp, tdp], &[3, 3]),
-            &x, machines, seed,
+            |c, sides| cross_merge_job(c, "crossmerge", sides, &[3, 3]),
+            &x, &shape(machines, threads, faulted, seed), seed,
         );
     }
 
@@ -108,11 +133,13 @@ proptest! {
     fn sharded_pairwise_merge_equals_the_one_shard_merge(
         x in skewed_tensor(),
         machines in 1usize..6,
+        threads in 1usize..5,
+        faulted in any::<bool>(),
         seed in any::<u64>(),
     ) {
         check(
-            |c, tp, tdp| pairwise_merge_job(c, "pairwisemerge", &[tp, tdp], 3),
-            &x, machines, seed,
+            |c, sides| pairwise_merge_job(c, "pairwisemerge", sides, 3),
+            &x, &shape(machines, threads, faulted, seed), seed,
         );
     }
 }

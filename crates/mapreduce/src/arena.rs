@@ -16,22 +16,27 @@
 //!   integer image ([`EstimateSize::ORDER_IMAGE`]) is ranked by counting
 //!   when the bucket's key span is narrow for its length; any other
 //!   bucket by a comparison sort ([`sort_permutation`]).
+//! * [`MapOutput`] — one task's map output: a [`ColumnBuffer`] per reduce
+//!   partition, filled through the job's partitioner. Map tasks fill one
+//!   each; a [`Collect`] may fill them for the next job.
 //! * [`ColumnRun`] — a sealed, immutable sorted run. The shuffle moves
 //!   these wholesale; reducers open them as [`RunCursor`]s and stream
 //!   each key group through [`GroupValues`] without materializing it.
 //! * [`Collect`] — where a reduce task writes what its reducer emits. The
 //!   row-major `Vec<(K, V)>` callers of [`crate::job::run_job`] expect is
-//!   one collector; a job whose output feeds another job supplies its own
-//!   and writes the next job's input shards directly.
+//!   one collector; a job whose output feeds another job supplies its own,
+//!   and writes the next job's input shards, or the next job's map output,
+//!   directly.
 //!
 //! Byte accounting is column-wise: `slice_est_bytes(keys) +
 //! slice_est_bytes(vals)` equals the seed's tuple-wise sum exactly
 //! (tuple estimates are component sums, see [`crate::size`]), so metrics
 //! stay bit-identical to the reference executor.
 
-use crate::job::Combiner;
+use crate::job::{Combiner, Partitioner};
 use crate::size::{slice_est_bytes, EstimateSize};
 use crate::RECORD_FRAMING_BYTES as FRAMING_BYTES;
+use std::hash::Hash;
 
 /// A growable pair of key/value columns — the SoA replacement for
 /// `Vec<(K, V)>` in the map-emit and shuffle paths.
@@ -83,12 +88,24 @@ impl<K, V> ColumnBuffer<K, V> {
 
 /// Where a reduce task writes its records — the engine's counterpart of
 /// Hadoop's `RecordWriter`. Every reduce task owns one collector, created
-/// by `Default`; each record its reducer emits is handed over after the
-/// engine has counted and sized it, in emission order. A job returns its
-/// collectors one per partition, in partition order
-/// ([`crate::job::run_job_collect`]), so a collector that stores records
-/// the way the next job reads them makes the hand-off copy-free.
+/// by [`Collect::for_partitions`]; each record its reducer emits is handed
+/// over after the engine has counted and sized it, in emission order. A
+/// job returns its collectors one per partition, in partition order
+/// ([`crate::job::run_job_collect`]). A collector that stores records the
+/// way the next job reads them makes the hand-off copy-free; one that
+/// applies the next job's map function and fills its [`MapOutput`] runs
+/// that map inside this job's reduce tasks
+/// ([`crate::job::run_job_written`]).
 pub trait Collect<K, V>: Default + Send {
+    /// A reduce task's collector on a cluster that shuffles into
+    /// `partitions` reduce partitions — the fan-out a collector filling
+    /// the next job's [`MapOutput`] cuts its buckets for. `Default` unless
+    /// overridden.
+    fn for_partitions(partitions: usize) -> Self {
+        let _ = partitions;
+        Self::default()
+    }
+
     /// Take ownership of one emitted record.
     fn collect(&mut self, key: K, val: V);
 }
@@ -161,6 +178,139 @@ impl<K: EstimateSize, V: EstimateSize> ColumnBuffer<K, V> {
             vals: self.vals,
             bytes,
         }
+    }
+}
+
+/// One task's map output: a key/value column bucket per reduce partition,
+/// filled through the job's partitioner. A job's map tasks fill one each;
+/// a [`Collect`] can fill them for the next job, so that job's map
+/// function runs in the reduce tasks that produce its input and the job
+/// starts at its shuffle ([`crate::job::run_job_written`]).
+///
+/// The partition of the last record is memoised: a key equal to the last
+/// key of the bucket written last goes to that bucket unhashed. A mapper
+/// that emits a key's records back to back (IMHP's writer emits a
+/// nonzero's `R` columns under one merge key) hashes each run of them once.
+pub struct MapOutput<K, V> {
+    buckets: Vec<ColumnBuffer<K, V>>,
+    partitioner: Partitioner,
+    /// The bucket the last record went to.
+    last: usize,
+    /// Records presented to the map function that filled this output
+    /// outside a job ([`MapOutput::count_input`]).
+    inputs: usize,
+}
+
+impl<K, V> MapOutput<K, V> {
+    /// Empty buckets for `partitions` reduce partitions (at least one).
+    #[must_use]
+    pub fn new(partitions: usize) -> Self {
+        MapOutput::with_bucket_capacity(partitions, 0)
+    }
+
+    /// Empty buckets with both columns of each pre-sized to `cap`.
+    pub(crate) fn with_bucket_capacity(partitions: usize, cap: usize) -> Self {
+        let partitioner = Partitioner::new(partitions);
+        MapOutput {
+            buckets: (0..partitioner.partitions())
+                .map(|_| ColumnBuffer::with_capacity(cap))
+                .collect(),
+            partitioner,
+            last: 0,
+            inputs: 0,
+        }
+    }
+
+    /// Reduce partitions the buckets are cut for.
+    pub(crate) fn partitions(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// Count one record presented to the map function that fills this
+    /// output outside a job: the consuming job's map input.
+    #[inline]
+    pub fn count_input(&mut self) {
+        self.inputs += 1;
+    }
+
+    /// Records counted by [`MapOutput::count_input`].
+    pub(crate) fn inputs(&self) -> usize {
+        self.inputs
+    }
+
+    /// Whether nothing was emitted.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.buckets.iter().all(ColumnBuffer::is_empty)
+    }
+
+    /// The records emitted, partition by partition, each partition's in
+    /// emission order.
+    pub fn records(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.buckets.iter().flat_map(|b| b.keys.iter().zip(&b.vals))
+    }
+}
+
+impl<K: Hash + PartialEq, V> MapOutput<K, V> {
+    /// Append one record to its partition's bucket.
+    #[inline]
+    pub fn emit(&mut self, key: K, val: V) {
+        let p = match self.buckets[self.last].keys.last() {
+            Some(last) if *last == key => self.last,
+            _ => self.partitioner.partition_of(&key),
+        };
+        self.last = p;
+        self.buckets[p].push(key, val);
+    }
+}
+
+/// A task's map output as the shuffle takes it: sealed `(partition, run)`
+/// pairs in partition order, plus the records and wire bytes emitted.
+pub(crate) struct Sealed<K, V> {
+    /// **Non-empty cells only**: a tiny job on a wide cluster touches a
+    /// handful of its `tasks × reducers` cells, and shuffling the empty
+    /// ones was a measurable per-job constant.
+    pub(crate) runs: Vec<(u32, ColumnRun<K, V>)>,
+    /// Records emitted, before any combiner.
+    pub(crate) records: usize,
+    /// Their wire bytes, framing included: the paper's intermediate data.
+    pub(crate) bytes: usize,
+}
+
+impl<K: Ord + EstimateSize, V: EstimateSize> MapOutput<K, V> {
+    /// Sort each non-empty bucket by key — stably, so emission order
+    /// survives within equal keys and reducers merge instead of
+    /// re-sorting — apply `combiner`, and seal the buckets into runs. The
+    /// buckets are left empty, ready to be filled again.
+    pub(crate) fn seal(&mut self, combiner: Option<Combiner<'_, K, V>>) -> Sealed<K, V>
+    where
+        K: Clone,
+    {
+        let mut sealed = Sealed {
+            runs: Vec::new(),
+            records: 0,
+            bytes: 0,
+        };
+        for (p, slot) in (0u32..).zip(&mut self.buckets) {
+            if slot.is_empty() {
+                continue;
+            }
+            let mut bucket = std::mem::take(slot);
+            // Batch-sized: O(1) for fixed-size record types.
+            let bytes = bucket.est_bytes();
+            sealed.records += bucket.len();
+            sealed.bytes += bytes;
+            bucket.sort_stable();
+            let bytes = match combiner {
+                Some(combiner) => {
+                    bucket.combine(combiner);
+                    bucket.est_bytes()
+                }
+                None => bytes,
+            };
+            sealed.runs.push((p, bucket.seal(bytes)));
+        }
+        sealed
     }
 }
 

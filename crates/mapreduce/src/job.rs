@@ -10,7 +10,7 @@
 //! Execution layout: tasks run on the [`crate::pool::WorkerPool`] owned by
 //! the [`Cluster`] (spawned once, reused by every job). Each map task
 //! writes its output straight into per-partition columnar buffers
-//! ([`crate::arena::ColumnBuffer`] — separate key and value arenas, no
+//! ([`MapOutput`] — separate key and value arenas, no
 //! per-record tuple allocation), sorts each bucket by ranking every
 //! record's `u32` destination (by counting for an integer key of narrow
 //! span, by comparison otherwise), and hands the buckets to the shuffle as whole
@@ -34,7 +34,12 @@
 //! [`run_job`] and [`run_job_streaming`] are that executor with a slice
 //! input and the row-major `Vec` collector, flattened in partition order.
 //! A job whose collectors hold records the way the next job's input reads
-//! them hands its output over without copying a record.
+//! them hands its output over without copying a record. A job whose
+//! collectors apply the next job's map function and fill its
+//! [`MapOutput`] goes one step further: the next job starts at its shuffle
+//! ([`run_job_written`]), the way a Spark stage runs a narrow map in the
+//! task that produced its input. Both entries are one executor split at
+//! the shuffle.
 //!
 //! **Order contract.** Output is in partition order, each partition's key
 //! groups in key order. A key group's values reach the reducer in
@@ -50,7 +55,7 @@
 //! folded into [`JobMetrics`] in task order after each phase — no shared
 //! counter is touched per record.
 
-use crate::arena::{ColumnBuffer, ColumnRun, RunCursor};
+use crate::arena::{ColumnRun, RunCursor, Sealed};
 use crate::cluster::{Cluster, CostModel};
 use crate::fault::JobFaultSchedule;
 use crate::metrics::JobMetrics;
@@ -62,7 +67,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-pub use crate::arena::{Collect, GroupValues};
+pub use crate::arena::{Collect, GroupValues, MapOutput};
 
 /// Per-record framing overhead (key length + value length prefixes), bytes.
 /// Public because the static plan analyzer reconstructs the engine's byte
@@ -184,18 +189,6 @@ impl<'a, KM, VM> JobSpec<'a, KM, VM> {
     }
 }
 
-struct MapTaskResult<KM, VM> {
-    /// Sealed `(partition, run)` pairs in partition order, **non-empty
-    /// cells only**: a tiny job on a wide cluster touches a handful of
-    /// its `tasks × reducers` cells, and shuffling the empty ones was a
-    /// measurable per-job constant.
-    runs: Vec<(u32, ColumnRun<KM, VM>)>,
-    input_records: usize,
-    input_bytes: usize,
-    output_records: usize,
-    output_bytes: usize,
-}
-
 /// FNV-1a. The partitioner only needs a stable, well-mixed hash, not a
 /// keyed SipHash — and it runs once per emitted record, which made
 /// `DefaultHasher` construction and finalization a measurable per-record
@@ -240,6 +233,11 @@ impl Partitioner {
             partitions: d,
             magic: (u128::MAX / u128::from(d)).wrapping_add(1),
         }
+    }
+
+    /// Partitions keys are spread over.
+    pub(crate) fn partitions(&self) -> usize {
+        self.partitions as usize
     }
 
     #[inline]
@@ -575,201 +573,344 @@ where
     R: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
     C: Collect<KO, VO>,
 {
-    site.before_run(&spec.name)?;
-    let mut spec = spec;
-    if spec.map_emit_hint.is_none() {
-        spec.map_emit_hint = site.derived_emit_hint(&spec.name);
-    }
-    let cluster = site.cluster();
-    let job_index = site.job_index();
-    let started = Instant::now();
-    let started_s = cluster.since_epoch();
-    let cfg = cluster.config();
-    let num_reducers = cfg.num_reducers();
-    let num_map_tasks = cfg.machines.max(1);
-    let threads = site.task_parallelism(cfg.threads.max(1)).max(1);
+    let job = Started::new(site, spec.name, input.len())?;
+    let emit_hint = spec
+        .map_emit_hint
+        .or_else(|| site.derived_emit_hint(&job.name));
+    let (num_reducers, splits) = (job.num_reducers, job.splits);
 
     // ---- Map phase -------------------------------------------------------
-    // Contiguous ranges of `split_len` records, the last one short; zero
-    // records make zero tasks.
-    let records = input.len();
-    let split_len = records.div_ceil(num_map_tasks).max(1);
-    let actual_tasks = records.div_ceil(split_len);
-
-    // Expand the fault schedule up front: a pure function of the plan and
-    // the job's geometry, so recovery decisions (and their metrics) are
-    // independent of which worker thread runs which task.
-    let sched: Option<JobFaultSchedule> = cfg.fault_plan.as_ref().map(|plan| {
-        plan.schedule(
-            &spec.name,
-            job_index,
-            actual_tasks,
-            num_reducers,
-            cfg.machines.max(1),
-        )
-    });
-    if let Some(s) = &sched {
-        if let Some(t) = s.first_exhausted_map() {
-            return Err(MrError::TaskFailed {
-                job: spec.name,
-                phase: "map",
-                task: t,
-                attempts: s.map[t].failed_attempts,
-            });
-        }
-    }
-
-    // A task's buckets: either a fresh hint-capacity vector (its column
+    // A task's buckets: either a fresh hint-capacity output (its column
     // reservations are the point of the emit hint) or the executor's
-    // recycled scratch vector. Sealing `mem::take`s the filled cells, so
+    // recycled scratch output. Sealing `mem::take`s the filled cells, so
     // after a task the scratch holds empty zero-capacity buffers again —
     // reuse saves the per-task construction and drop of a
     // `num_reducers`-sized vector, a measurable constant for tiny jobs on
     // wide clusters, and nothing else: the data-carrying columns are
     // moved into the shuffle either way.
-    let run_map_task =
-        |task_id: usize, scratch: &mut Vec<ColumnBuffer<KM, VM>>| -> MapTaskResult<KM, VM> {
-            let split = task_id * split_len..records.min((task_id + 1) * split_len);
-            let bucket_capacity = spec.map_emit_hint.map_or(0, |per_record| {
-                (split.len() * per_record).div_ceil(num_reducers)
-            });
-            // Pre-sizing only pays off past Vec's first growth steps; for tiny
-            // expected buckets an eager allocation per (task × partition) costs
-            // more than the reallocations it avoids.
-            let bucket_capacity = if bucket_capacity >= 8 {
-                bucket_capacity
-            } else {
-                0
-            };
-            let mut sized;
-            let buckets: &mut Vec<ColumnBuffer<KM, VM>> = if bucket_capacity > 0 {
-                sized = (0..num_reducers)
-                    .map(|_| ColumnBuffer::with_capacity(bucket_capacity))
-                    .collect();
-                &mut sized
-            } else {
-                scratch.resize_with(num_reducers, ColumnBuffer::new);
-                scratch
-            };
-            // Batch input accounting: the input prices its own records
-            // (O(1) for fixed-size record types).
-            let input_bytes = input.est_bytes(split.clone()) + split.len() * FRAMING_BYTES;
-            {
-                let partitioner = Partitioner::new(num_reducers);
-                let mut emit = |k: KM, v: VM| {
-                    let p = partitioner.partition_of(&k);
-                    buckets[p].push(k, v);
-                };
-                input.for_each(split.clone(), |k, v| mapper(k, v, &mut emit));
-            }
-            let mut output_records = 0usize;
-            let mut output_bytes = 0usize;
-            let mut runs = Vec::new();
-            for (p, slot) in buckets.iter_mut().enumerate() {
-                // Empty cells never reach the shuffle: a tiny job on a wide
-                // cluster fills a handful of its `tasks × reducers` buckets,
-                // and sealing/moving the empty rest was a measurable per-job
-                // constant.
-                if slot.is_empty() {
-                    continue;
-                }
-                let mut bucket = std::mem::take(slot);
-                // Pre-combine accounting: the paper's "intermediate data".
-                // Batch-sized: O(1) for fixed-size record types.
-                let pre_bytes = bucket.est_bytes();
-                output_records += bucket.len();
-                output_bytes += pre_bytes;
-                // Map-side sort, so reducers merge instead of re-sorting.
-                // Stability preserves emission order within equal keys.
-                bucket.sort_stable();
-                let bytes = match spec.combiner {
-                    Some(combiner) => {
-                        bucket.combine(combiner);
-                        bucket.est_bytes()
-                    }
-                    None => pre_bytes,
-                };
-                // One push per sealed run (task × partition), not per record.
-                // lint:allow(no-per-record-alloc)
-                runs.push((p as u32, bucket.seal(bytes)));
-            }
-            MapTaskResult {
-                runs,
-                input_records: split.len(),
-                input_bytes,
-                output_records,
-                output_bytes,
-            }
+    let run_map_task = |t: usize, scratch: &mut Option<MapOutput<KM, VM>>| {
+        let split = splits.range(t);
+        let bucket_capacity = emit_hint.map_or(0, |per_record| {
+            (split.len() * per_record).div_ceil(num_reducers)
+        });
+        // Pre-sizing only pays off past Vec's first growth steps; for tiny
+        // expected buckets an eager allocation per (task × partition) costs
+        // more than the reallocations it avoids.
+        let mut sized;
+        let out = if bucket_capacity >= 8 {
+            sized = MapOutput::with_bucket_capacity(num_reducers, bucket_capacity);
+            &mut sized
+        } else {
+            scratch.get_or_insert_with(|| MapOutput::new(num_reducers))
         };
+        // Batch input accounting: the input prices its own records
+        // (O(1) for fixed-size record types).
+        let input_bytes = input.est_bytes(split.clone()) + split.len() * FRAMING_BYTES;
+        {
+            let mut emit = |k: KM, v: VM| out.emit(k, v);
+            input.for_each(split.clone(), |k, v| mapper(k, v, &mut emit));
+        }
+        ((split.len(), input_bytes), out.seal(spec.combiner))
+    };
+    let sched = &job.sched;
+    let tasks = run_tasks(site.cluster(), job.threads, splits.tasks, |t, scratch| {
+        // Scheduled task failures: each failed attempt runs the mapper
+        // and discards its output (wasted work), then the task retries.
+        if let Some(s) = sched {
+            for _ in 0..s.map[t].failed_attempts {
+                drop(run_map_task(t, scratch));
+            }
+        }
+        run_map_task(t, scratch)
+    });
+    let (inputs, outputs) = tasks.into_iter().unzip();
+    finish(job, inputs, outputs, reducer, assemble)
+}
 
+/// Reduce map output that was written before the job started: the job
+/// starts at its shuffle. `written` holds the outputs of the tasks that
+/// ran the job's map function — the reduce tasks of an earlier job, whose
+/// [`Collect`] filled them — in the order their records are the job's
+/// input. Semantics, metrics and failure rules are [`run_job_collect`]'s
+/// over that input with the same map function: every output's buckets are
+/// sorted stably and sealed into runs (the map phase), and a key group's
+/// values reach the reducer in (output, emission) order.
+///
+/// The map input is metered as if the job had read it: each record
+/// counted by [`MapOutput::count_input`] is priced at `input_record_bytes`
+/// plus framing, and fault accounting charges the contiguous splits the
+/// job's map tasks would have read. Outputs cut for another partition
+/// count than the cluster's are a [`MrError::PlanViolation`].
+///
+/// ```
+/// use haten2_mapreduce::{
+///     run_job_collect, run_job_written, Cluster, ClusterConfig, Collect, JobSpec, MapOutput,
+/// };
+///
+/// /// A record writer that runs the next job's map, `(k, v) → (k % 3, v)`.
+/// struct ByResidue(MapOutput<u64, u64>);
+/// impl Default for ByResidue {
+///     fn default() -> Self {
+///         ByResidue(MapOutput::new(1))
+///     }
+/// }
+/// impl Collect<u64, u64> for ByResidue {
+///     fn for_partitions(partitions: usize) -> Self {
+///         ByResidue(MapOutput::new(partitions))
+///     }
+///     fn collect(&mut self, key: u64, val: u64) {
+///         self.0.count_input();
+///         self.0.emit(key % 3, val);
+///     }
+/// }
+///
+/// let cluster = Cluster::new(ClusterConfig::with_machines(3));
+/// let input: Vec<(u64, u64)> = (0..10).map(|k| (k, 10 * k)).collect();
+/// let written: Vec<ByResidue> = run_job_collect(
+///     &cluster,
+///     JobSpec::named("scale"),
+///     input.as_slice(),
+///     |k, v, emit| emit(*k, *v),
+///     |k, vals, emit| emit(*k, vals.sum::<u64>()),
+/// )
+/// .unwrap();
+/// let sums: Vec<Vec<(u64, u64)>> = run_job_written(
+///     &cluster,
+///     JobSpec::named("sum-by-residue"),
+///     written.into_iter().map(|w| w.0).collect(),
+///     8,
+///     |k, vals, emit| emit(*k, vals.sum::<u64>()),
+/// )
+/// .unwrap();
+/// let mut sums = sums.concat();
+/// sums.sort();
+/// assert_eq!(sums, vec![(0, 180), (1, 120), (2, 150)]);
+/// assert_eq!(cluster.metrics().jobs[1].map_input_records, 10);
+/// ```
+pub fn run_job_written<KM, VM, KO, VO, R, C>(
+    site: &impl JobSite,
+    spec: JobSpec<'_, KM, VM>,
+    written: Vec<MapOutput<KM, VM>>,
+    input_record_bytes: usize,
+    reducer: R,
+) -> crate::Result<Vec<C>>
+where
+    KM: Clone + Ord + Hash + Send + EstimateSize,
+    VM: Send + EstimateSize,
+    KO: EstimateSize,
+    VO: EstimateSize,
+    R: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
+    C: Collect<KO, VO>,
+{
+    let records = written.iter().map(MapOutput::inputs).sum();
+    let job = Started::new(site, spec.name, records)?;
+    if let Some(w) = written.iter().find(|w| w.partitions() != job.num_reducers) {
+        let detail = format!(
+            "map output cut for {} partitions, but the cluster shuffles into {}",
+            w.partitions(),
+            job.num_reducers
+        );
+        return Err(MrError::PlanViolation {
+            job: job.name,
+            detail,
+        });
+    }
+    // ---- Map phase: sort and seal what was written, output by output ---
+    let cells: Vec<Mutex<Option<MapOutput<KM, VM>>>> =
+        written.into_iter().map(|w| Mutex::new(Some(w))).collect();
+    let outputs = run_tasks(site.cluster(), job.threads, cells.len(), |t, _: &mut ()| {
+        let taken = cells[t].lock().expect("written cell poisoned").take();
+        taken
+            .expect("written output sealed once")
+            .seal(spec.combiner)
+    });
+    let inputs = (0..job.splits.tasks)
+        .map(|t| {
+            let records = job.splits.range(t).len();
+            (records, records * (input_record_bytes + FRAMING_BYTES))
+        })
+        .collect();
+    finish(job, inputs, outputs, reducer, |partitions| partitions)
+}
+
+/// Run tasks `0..tasks` on up to `threads` pool executors, each executor
+/// handing its tasks one scratch value of its own, and return their
+/// results in task order.
+fn run_tasks<X: Default, T: Send>(
+    cluster: &Cluster,
+    threads: usize,
+    tasks: usize,
+    task: impl Fn(usize, &mut X) -> T + Sync,
+) -> Vec<T> {
     // Results land in per-task write-once slots (not a shared push list),
     // so metrics accumulate in task order and the shuffle sees runs in
-    // map-task order regardless of which worker finished first.
+    // task order regardless of which worker finished first.
     // (`Mutex<Option<_>>` rather than `OnceLock`: the latter's `Sync`
     // bound would leak a `Sync` requirement onto key/value types.)
-    let map_slots: Vec<Mutex<Option<MapTaskResult<KM, VM>>>> =
-        (0..actual_tasks).map(|_| Mutex::new(None)).collect();
-    let task_counter = AtomicUsize::new(0);
-
-    let map_executors = threads.min(actual_tasks).max(1);
-    // One recycled bucket vector per executor; executor indices are
-    // distinct per broadcast, so each lock is uncontended and held for
-    // the executor's whole drain of the task queue.
-    let scratches: Vec<Mutex<Vec<ColumnBuffer<KM, VM>>>> =
-        (0..map_executors).map(|_| Mutex::new(Vec::new())).collect();
-    cluster.pool().broadcast(map_executors, &|executor| {
-        let mut scratch = scratches[executor].lock().expect("scratch poisoned");
-        loop {
-            let t = task_counter.fetch_add(1, Ordering::Relaxed);
-            if t >= actual_tasks {
-                break;
-            }
-            // Scheduled task failures: each failed attempt runs the mapper
-            // and discards its output (wasted work), then the task retries.
-            if let Some(s) = &sched {
-                for _ in 0..s.map[t].failed_attempts {
-                    drop(run_map_task(t, &mut scratch));
+    let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+    let counter = AtomicUsize::new(0);
+    cluster
+        .pool()
+        .broadcast(threads.min(tasks).max(1), &|_executor| {
+            let mut scratch = X::default();
+            loop {
+                let t = counter.fetch_add(1, Ordering::Relaxed);
+                if t >= tasks {
+                    break;
                 }
+                let result = task(t, &mut scratch);
+                let prev = slots[t].lock().expect("task slot poisoned").replace(result);
+                assert!(prev.is_none(), "task visited once");
             }
-            let result = run_map_task(t, &mut scratch);
-            let prev = map_slots[t]
-                .lock()
-                .expect("map slot poisoned")
-                .replace(result);
-            assert!(prev.is_none(), "map task visited once");
-        }
-    });
+        });
+    slots
+        .into_iter()
+        .map(|slot| {
+            let slot = slot.into_inner().expect("task slot poisoned");
+            slot.expect("every task ran to completion")
+        })
+        .collect()
+}
 
-    // ---- Shuffle ---------------------------------------------------------
-    // Zero-copy: each map task's per-partition runs move wholesale to
+/// A job admitted to run: where, since when, how its input splits into
+/// map tasks, and its fault schedule.
+struct Started<'s, S> {
+    site: &'s S,
+    name: String,
+    started: Instant,
+    started_s: f64,
+    num_reducers: usize,
+    threads: usize,
+    splits: Splits,
+    sched: Option<JobFaultSchedule>,
+}
+
+/// How a job's input splits into map tasks: contiguous ranges of `len`
+/// records, the last one short; zero records make zero tasks.
+#[derive(Clone, Copy)]
+struct Splits {
+    records: usize,
+    len: usize,
+    tasks: usize,
+}
+
+impl Splits {
+    fn new(records: usize, machines: usize) -> Self {
+        let len = records.div_ceil(machines).max(1);
+        Splits {
+            records,
+            len,
+            tasks: records.div_ceil(len),
+        }
+    }
+
+    /// The input records map task `t` reads.
+    fn range(self, t: usize) -> Range<usize> {
+        t * self.len..self.records.min((t + 1) * self.len)
+    }
+}
+
+impl<'s, S: JobSite> Started<'s, S> {
+    /// Admit the job `name` over `records` input records, or fail it at
+    /// once when a map task's retry budget is scheduled to run out. The
+    /// fault schedule is expanded up front: a pure function of the plan
+    /// and the job's geometry, so recovery decisions (and their metrics)
+    /// are independent of which worker thread runs which task.
+    fn new(site: &'s S, name: String, records: usize) -> crate::Result<Self> {
+        site.before_run(&name)?;
+        let cluster = site.cluster();
+        let job_index = site.job_index();
+        let started = Instant::now();
+        let started_s = cluster.since_epoch();
+        let cfg = cluster.config();
+        let num_reducers = cfg.num_reducers();
+        let machines = cfg.machines.max(1);
+        let splits = Splits::new(records, machines);
+        let sched = cfg
+            .fault_plan
+            .as_ref()
+            .map(|plan| plan.schedule(&name, job_index, splits.tasks, num_reducers, machines));
+        if let Some(s) = &sched {
+            if let Some(t) = s.first_exhausted_map() {
+                return Err(MrError::TaskFailed {
+                    job: name,
+                    phase: "map",
+                    task: t,
+                    attempts: s.map[t].failed_attempts,
+                });
+            }
+        }
+        Ok(Started {
+            site,
+            name,
+            started,
+            started_s,
+            num_reducers,
+            threads: site.task_parallelism(cfg.threads.max(1)).max(1),
+            splits,
+            sched,
+        })
+    }
+}
+
+/// The rest of the one executor, from the shuffle on: `inputs` are the
+/// map tasks' `(records, bytes)` read, in task order, and `outputs` the
+/// sealed map outputs in the order their runs reach a reducer. `assemble`
+/// turns the per-partition collectors into the caller's output inside the
+/// job's timed section, so `assemble_s` and the job's wall time cover it.
+fn finish<S, KM, VM, KO, VO, R, C, T>(
+    job: Started<'_, S>,
+    inputs: Vec<(usize, usize)>,
+    outputs: Vec<Sealed<KM, VM>>,
+    reducer: R,
+    assemble: impl FnOnce(Vec<C>) -> T,
+) -> crate::Result<T>
+where
+    S: JobSite,
+    KM: Clone + Ord + Send + EstimateSize,
+    VM: Send + EstimateSize,
+    KO: EstimateSize,
+    VO: EstimateSize,
+    R: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
+    C: Collect<KO, VO>,
+{
+    let Started {
+        site,
+        name,
+        started,
+        started_s,
+        num_reducers,
+        threads,
+        sched,
+        ..
+    } = job;
+    let cluster = site.cluster();
+    let cfg = cluster.config();
+
+    // ---- Shuffle -----------------------------------------------------
+    // Zero-copy: each map output's per-partition runs move wholesale to
     // their reducer; accounting uses the runs' precomputed aggregates.
     let map_done = Instant::now();
     let mut metrics = JobMetrics {
-        name: spec.name.clone(),
+        name: name.clone(),
         task_executors: threads,
         ..Default::default()
     };
+    for (t, (records, bytes)) in inputs.into_iter().enumerate() {
+        metrics.map_input_records += records;
+        metrics.map_input_bytes += bytes;
+        if let (Some(s), Some(plan)) = (&sched, &cfg.fault_plan) {
+            s.map[t].account_map(plan, bytes as f64 / cfg.map_bytes_per_s, &mut metrics);
+        }
+    }
     // Lazily grown: partitions a job never emits into (common for tiny
-    // jobs on wide clusters) must not pay an `actual_tasks`-sized alloc.
+    // jobs on wide clusters) must not pay a task-count-sized alloc.
     let mut partition_runs: Vec<Vec<ColumnRun<KM, VM>>> =
         (0..num_reducers).map(|_| Vec::new()).collect();
-    for (t, slot) in map_slots.into_iter().enumerate() {
-        let r = slot
-            .into_inner()
-            .expect("map slot poisoned")
-            .expect("every map task ran to completion");
-        metrics.map_input_records += r.input_records;
-        metrics.map_input_bytes += r.input_bytes;
-        metrics.map_output_records += r.output_records;
-        metrics.map_output_bytes += r.output_bytes;
-        if let (Some(s), Some(plan)) = (&sched, &cfg.fault_plan) {
-            s.map[t].account_map(
-                plan,
-                r.input_bytes as f64 / cfg.map_bytes_per_s,
-                &mut metrics,
-            );
-        }
-        for (p, run) in r.runs {
+    for sealed in outputs {
+        metrics.map_output_records += sealed.records;
+        metrics.map_output_bytes += sealed.bytes;
+        for (p, run) in sealed.runs {
             metrics.shuffle_records += run.len();
             metrics.shuffle_bytes += run.bytes();
             partition_runs[p as usize].push(run);
@@ -779,7 +920,7 @@ where
     if let Some(cap) = cfg.cluster_capacity_bytes {
         if metrics.map_output_bytes > cap {
             return Err(MrError::ClusterCapacityExceeded {
-                job: spec.name,
+                job: name,
                 intermediate_bytes: metrics.map_output_bytes,
                 capacity_bytes: cap,
             });
@@ -810,7 +951,7 @@ where
      -> Result<ReduceTaskResult<C>, Option<MrError>> {
         let mut cursors: Vec<RunCursor<KM, VM>> =
             runs.into_iter().map(ColumnRun::into_cursor).collect();
-        let mut out = C::default();
+        let mut out = C::for_partitions(num_reducers);
         let mut groups = 0usize;
         let mut output_records = 0usize;
         let mut output_bytes = 0usize;
@@ -868,7 +1009,7 @@ where
             if let Some(budget) = cfg.reducer_memory_bytes {
                 if group_bytes > budget {
                     return Err(Some(MrError::ReducerOom {
-                        job: spec.name.clone(),
+                        job: name.clone(),
                         group_bytes,
                         budget_bytes: budget,
                     }));
@@ -943,7 +1084,7 @@ where
                     fail(
                         p,
                         MrError::TaskFailed {
-                            job: spec.name.clone(),
+                            job: name.clone(),
                             phase: "reduce",
                             task: p,
                             attempts: f.failed_attempts,
@@ -1054,6 +1195,120 @@ mod tests {
                 assert_eq!(p.rem(x), x % d, "x={x} d={d}");
             }
         }
+    }
+
+    #[test]
+    fn map_output_memo_places_every_record_as_hashing_does() {
+        // Runs of equal keys (the memo's case), keys that alternate, and a
+        // key that returns after others: every bucket holds exactly the
+        // records its partition owns, in emission order.
+        let keys: Vec<u64> = (0..400u64)
+            .map(|n| (n / 3) % 17 + (n % 5 == 0) as u64)
+            .collect();
+        for partitions in [1usize, 2, 3, 7] {
+            let mut out = MapOutput::new(partitions);
+            for (n, &k) in keys.iter().enumerate() {
+                out.emit(k, n);
+            }
+            let mut want: Vec<(u64, usize)> = Vec::new();
+            for p in 0..partitions {
+                let owned = keys.iter().enumerate().map(|(n, &k)| (k, n));
+                want.extend(owned.filter(|(k, _)| partition_of(k, partitions) == p));
+            }
+            let got: Vec<(u64, usize)> = out.records().map(|(k, n)| (*k, *n)).collect();
+            assert_eq!(got, want, "{partitions} partitions");
+        }
+    }
+
+    /// A mapper that emits zero to two records under keys that repeat, and
+    /// a reducer whose fold shows its values' order in the low bits.
+    fn map_rec(k: &u64, v: &f64, emit: &mut dyn FnMut(u64, f64)) {
+        for copy in 0..k % 3 {
+            emit(k % 7, v + copy as f64);
+        }
+    }
+
+    fn reduce_rec(k: &u64, vals: &mut GroupValues<'_, u64, f64>, emit: &mut dyn FnMut(u64, f64)) {
+        emit(*k, vals.fold(0.1, |acc, v| acc * 0.7 + v));
+    }
+
+    #[test]
+    fn map_output_written_job_equals_the_mapped_job() {
+        use crate::cluster::ClusterConfig;
+        use crate::fault::FaultPlan;
+
+        let input: Vec<(u64, f64)> = (0..97u64).map(|k| (k * 5 % 23, k as f64 / 3.0)).collect();
+        for machines in 1..=5 {
+            for threads in 1..=4 {
+                for fault_plan in [None, Some(FaultPlan::seeded(machines as u64))] {
+                    let cluster = || {
+                        let mut cfg = ClusterConfig::with_machines(machines);
+                        cfg.threads = threads;
+                        cfg.fault_plan = fault_plan.clone();
+                        Cluster::new(cfg)
+                    };
+                    let mapped = cluster();
+                    let want: Vec<Vec<(u64, f64)>> = run_job_collect(
+                        &mapped,
+                        JobSpec::named("j"),
+                        input.as_slice(),
+                        map_rec,
+                        reduce_rec,
+                    )
+                    .unwrap();
+                    // The same map, run outside the job over pieces cut
+                    // anywhere (an empty one included).
+                    let written_on = cluster();
+                    let partitions = written_on.config().num_reducers();
+                    let cuts = [0, 0, 10, 11, 60, input.len()];
+                    let written: Vec<MapOutput<u64, f64>> = cuts
+                        .windows(2)
+                        .map(|w| {
+                            let mut out = MapOutput::new(partitions);
+                            for (k, v) in &input[w[0]..w[1]] {
+                                out.count_input();
+                                map_rec(k, v, &mut |k, v| out.emit(k, v));
+                            }
+                            out
+                        })
+                        .collect();
+                    let got: Vec<Vec<(u64, f64)>> =
+                        run_job_written(&written_on, JobSpec::named("j"), written, 16, reduce_rec)
+                            .unwrap();
+                    let bits = |out: &[Vec<(u64, f64)>]| -> Vec<(u64, u64)> {
+                        out.iter()
+                            .flatten()
+                            .map(|(k, v)| (*k, v.to_bits()))
+                            .collect()
+                    };
+                    let case = format!("machines {machines}, threads {threads}, {fault_plan:?}");
+                    assert_eq!(bits(&got), bits(&want), "{case}");
+                    let metrics = |c: &Cluster| c.metrics().jobs[0].without_host_time();
+                    assert_eq!(metrics(&written_on), metrics(&mapped), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn map_output_cut_for_another_cluster_is_a_plan_violation() {
+        let cluster = Cluster::new(crate::cluster::ClusterConfig::with_machines(3));
+        let mut out = MapOutput::new(5);
+        out.count_input();
+        out.emit(1u64, 1.0f64);
+        let err = run_job_written::<_, _, u64, f64, _, Vec<(u64, f64)>>(
+            &cluster,
+            JobSpec::named("j"),
+            vec![out],
+            16,
+            reduce_rec,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, MrError::PlanViolation { job, detail }
+                if job == "j" && detail.contains("5 partitions")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -75,14 +75,14 @@ pub mod reference;
 pub mod sched;
 pub mod size;
 
-pub use arena::{Collect, GroupValues};
+pub use arena::{Collect, GroupValues, MapOutput};
 pub use cluster::{Cluster, ClusterConfig, CostModel, SchedulerMode};
 pub use dfs::{Block, Dfs, DfsBackend, DurableConfig, SpillStats};
 pub use fault::{FaultPlan, JobFaultSchedule, RetryPolicy, TaskFaults};
 pub use haten2_blockstore::Codec;
 pub use job::{
-    concat_partitions, key_slice, run_job, run_job_collect, run_job_streaming, Combiner, JobSite,
-    JobSpec, MapInput, RECORD_FRAMING_BYTES,
+    concat_partitions, key_slice, run_job, run_job_collect, run_job_streaming, run_job_written,
+    Combiner, JobSite, JobSpec, MapInput, RECORD_FRAMING_BYTES,
 };
 pub use lineage::{Lineage, MAX_RECOVERY_DEPTH};
 pub use metrics::{BatchReport, JobMetrics, RunMetrics};
@@ -95,7 +95,7 @@ pub use pool::WorkerPool;
 #[cfg(feature = "race-detect")]
 pub use race::RaceReport;
 pub use reference::{run_job_reference, run_job_reference_streaming};
-pub use sched::{datasets_overlap, Batch, BatchResults, JobCtx, JobHandle};
+pub use sched::{datasets_overlap, Batch, BatchResults, JobCtx, JobHandle, TakeOnce};
 pub use size::EstimateSize;
 
 /// Whether the dynamic race detector is compiled into this build of the

@@ -117,6 +117,48 @@ impl<T> JobHandle<T> {
     }
 }
 
+/// A job output its one reader takes by ownership instead of borrowing
+/// through [`JobCtx::get`]: output written for one consumer, such as the
+/// next job's map output ([`crate::MapOutput`]). Taking it twice is a
+/// plan error, never an empty input: the second reader gets a
+/// [`MrError::PlanViolation`] naming the producer and the job that took
+/// the output first. An output nobody takes is dropped with its handle.
+pub struct TakeOnce<T> {
+    producer: String,
+    /// The output, or the name of the job that took it.
+    cell: Mutex<Result<T, String>>,
+}
+
+impl<T> TakeOnce<T> {
+    /// `value`, written by the job named `producer`.
+    pub fn new(producer: impl Into<String>, value: T) -> Self {
+        TakeOnce {
+            producer: producer.into(),
+            cell: Mutex::new(Ok(value)),
+        }
+    }
+
+    /// Take the output for the job named `reader`.
+    pub fn take(&self, reader: &str) -> crate::Result<T> {
+        let mut cell = self.cell.lock().expect("take-once cell poisoned");
+        match std::mem::replace(&mut *cell, Err(reader.to_string())) {
+            Ok(value) => Ok(value),
+            Err(first) => {
+                let detail = format!(
+                    "reading job '{reader}' read the output of producing job '{}', \
+                     which job '{first}' already took",
+                    self.producer
+                );
+                *cell = Err(first);
+                Err(MrError::PlanViolation {
+                    job: reader.to_string(),
+                    detail,
+                })
+            }
+        }
+    }
+}
+
 /// Execution context handed to a submitted job's closure: the
 /// [`JobSite`] its `run_job` call runs against, plus typed access to the
 /// outputs of its declared dependencies.
@@ -1446,6 +1488,85 @@ mod tests {
         assert!(matches!(h.take(), Err(MrError::PlanViolation { .. })));
         drop(batch);
         assert!(matches!(kept.take(), Err(MrError::PlanViolation { .. })));
+    }
+
+    /// A batch whose `producer` writes `payload` as a take-once output and
+    /// whose readers, in submission order, take it (`true`) or fail
+    /// before taking it (`false`).
+    fn take_once_batch(
+        mode: SchedulerMode,
+        payload: &Arc<()>,
+        readers: &[(&'static str, bool)],
+    ) -> crate::Result<BatchResults> {
+        let input = vec![(0u64, 1.0f64)];
+        let c = cluster(mode);
+        let mut batch = Batch::new();
+        let written = batch
+            .submit("producer", vec!["x".into()], vec!["t".into()], {
+                let (input, payload) = (&input, Arc::clone(payload));
+                move |ctx| {
+                    scale_job(ctx, "producer", input, 2.0)?;
+                    Ok(TakeOnce::new("producer", payload))
+                }
+            })
+            .unwrap();
+        for &(name, takes) in readers {
+            let (input, written) = (&input, written.clone());
+            let _: JobHandle<Vec<(u64, f64)>> = batch
+                .submit(
+                    name,
+                    vec!["t".into()],
+                    vec![format!("y-{name}")],
+                    move |ctx| {
+                        if !takes {
+                            return Err(MrError::DatasetMissing {
+                                job: name.to_string(),
+                                dataset: "t".to_string(),
+                            });
+                        }
+                        drop(ctx.get(&written)?.take(name)?);
+                        scale_job(ctx, name, input, 1.0)
+                    },
+                )
+                .unwrap();
+        }
+        drop(written);
+        batch.run(&c)
+    }
+
+    #[test]
+    fn a_second_reader_of_a_taken_output_is_a_plan_violation() {
+        let payload = Arc::new(());
+        let readers = [("first", true), ("second", true)];
+        let err = take_once_batch(SchedulerMode::Sequential, &payload, &readers).unwrap_err();
+        assert!(
+            matches!(&err, MrError::PlanViolation { job, detail }
+                if job == "second"
+                    && detail.contains("'producer'")
+                    && detail.contains("'first'")),
+            "{err}"
+        );
+        // Concurrent readers race for it; whichever loses fails the same way.
+        let err = take_once_batch(SchedulerMode::Dag, &payload, &readers).unwrap_err();
+        assert!(
+            matches!(&err, MrError::PlanViolation { detail, .. } if detail.contains("already took")),
+            "{err}"
+        );
+        assert_eq!(
+            Arc::strong_count(&payload),
+            1,
+            "the taken output was dropped"
+        );
+    }
+
+    #[test]
+    fn an_untaken_output_is_dropped_with_a_failed_batch() {
+        for mode in [SchedulerMode::Sequential, SchedulerMode::Dag] {
+            let payload = Arc::new(());
+            let err = take_once_batch(mode, &payload, &[("reader", false)]).unwrap_err();
+            assert!(matches!(err, MrError::DatasetMissing { .. }), "{err}");
+            assert_eq!(Arc::strong_count(&payload), 1, "{mode:?}");
+        }
     }
 
     #[test]

@@ -495,17 +495,21 @@ pub struct ReducerSite {
     pub has_float_reduction: bool,
 }
 
-/// The job runners whose closure arguments the purity pass inspects:
-/// every public entry of the engine that takes a mapper and a reducer. A
-/// runner missing here takes its call sites out of the scan without a
-/// sound, so `haten2-analyze` asserts that every registered kernel and
-/// every annotated reducer is among the sites the scan reports.
-const JOB_RUNNERS: &[&str] = &[
-    "run_job",
-    "run_job_streaming",
-    "run_job_collect",
-    "run_job_dfs",
-    "run_job_dfs_recovering",
+/// The job runners whose closure arguments the purity pass inspects —
+/// every public entry of the engine that takes a reducer — each with the
+/// number of UDFs a call passes, the reducer last: a mapper and a
+/// reducer, or a reducer alone where the map ran before the job
+/// (`run_job_written`). A runner missing here takes its call sites out of
+/// the scan without a sound, so `haten2-analyze` asserts that every
+/// registered kernel and every annotated reducer is among the sites the
+/// scan reports.
+const JOB_RUNNERS: &[(&str, usize)] = &[
+    ("run_job", 2),
+    ("run_job_streaming", 2),
+    ("run_job_collect", 2),
+    ("run_job_written", 1),
+    ("run_job_dfs", 2),
+    ("run_job_dfs_recovering", 2),
 ];
 
 fn contains_token(hay: &str, needle: &str) -> Option<usize> {
@@ -692,7 +696,7 @@ pub fn scan_udf_purity(
     };
 
     let local_fns = fn_bodies(&st.code[..test_cutoff]);
-    for runner in JOB_RUNNERS {
+    for &(runner, udfs) in JOB_RUNNERS {
         for (call_start, args) in find_calls(&st.code, runner) {
             if call_start >= test_cutoff {
                 continue;
@@ -707,7 +711,7 @@ pub fn scan_udf_purity(
                 })
                 .collect();
             for (ci, &closure) in closures.iter().enumerate() {
-                let is_reducer = ci + 1 == closures.len() && closures.len() >= 2;
+                let is_reducer = ci + 1 == closures.len() && closures.len() >= udfs;
                 // The closure, then the same-file functions it calls.
                 let callees = local_fns
                     .iter()
@@ -909,6 +913,46 @@ fn plain() {
             .map(|r| (r.site.as_str(), r.has_float_reduction))
             .collect();
         assert_eq!(seen, [("delegating", true), ("plain", false)]);
+    }
+
+    #[test]
+    fn a_reducer_alone_is_a_reducer_where_the_map_ran_before_the_job() {
+        // `run_job_written` takes no mapper: its one closure is the
+        // reducer, and is held to the same rules.
+        let src = r#"
+fn fold(k: u64, vals: impl Iterator<Item = f64>, emit: &mut dyn FnMut(u64, f64)) {
+    let mut acc = 0.0;
+    for v in vals { acc += v; }
+    emit(k, acc);
+}
+fn merging(input: Input) {
+    let spec = JobSpec::named(name.to_string());
+    match input {
+        Input::Mapped(f) => run_job_collect(c, spec, &f, |k, v, e| e(*k, *v), |k, vals, emit| {
+            fold(*k, vals, emit)
+        }),
+        Input::Written(w) => run_job_written(c, spec, w, 8, |k, vals, emit| fold(*k, vals, emit)),
+    }
+}
+fn clocked(w: Written) {
+    run_job_written(c, JobSpec::named("clocked"), w, 8, |k, _vals, emit| emit(*k, Instant::now()));
+}
+"#;
+        let (findings, reducers) = scan_udf_purity(Path::new("mem.rs"), src, &|s| s == "merging");
+        let seen: Vec<_> = reducers
+            .iter()
+            .map(|r| (r.site.as_str(), r.line, r.has_float_reduction))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                ("merging", 10, true),
+                ("merging", 13, true),
+                ("clocked", 17, false)
+            ]
+        );
+        let rules: Vec<_> = findings.iter().map(|f| (f.rule, f.site.as_str())).collect();
+        assert_eq!(rules, [("no-wall-clock", "clocked")]);
     }
 
     #[test]

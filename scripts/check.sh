@@ -31,7 +31,7 @@ if [[ "${1:-}" == "--sanitize" ]]; then
     fi
     host="$(rustc -vV | sed -n 's/^host: //p')"
     if rustup component list --toolchain nightly 2>/dev/null | grep -q 'rust-src.*(installed)'; then
-        echo "==> TSan: pool/arena/sched/parallel-reduce/reload/pipeline tests (suppressions: scripts/tsan.supp)"
+        echo "==> TSan: pool/arena/map-output/sched/parallel-reduce/reload/pipeline tests (suppressions: scripts/tsan.supp)"
         # TSan only instruments our code unless std is rebuilt; harness-internal
         # reports are filtered by the documented suppressions file. The
         # filters are test-name substrings: `level_split` is the per-level
@@ -40,17 +40,21 @@ if [[ "${1:-}" == "--sanitize" ]]; then
         # the `first_failed` atomic of the reduce phase, `reload` the
         # durable DFS decoding a spilled dataset's blocks on the shared
         # pool (thread counts 1 to 4, a reload that fails part-way, two
-        # readers at once, nested in a job).
+        # readers at once, nested in a job), and `map_output` the map-output
+        # buffer and the job that starts from one (its buckets sealed on
+        # the pool at threads 1 to 4, under a fault plan too). A written
+        # output's one reader (`TakeOnce`) is tested under `sched`.
         tsan() {
             RUSTFLAGS="-Zsanitizer=thread" \
             TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp" \
             cargo +nightly test -Zbuild-std --target "$host" "$@"
         }
         tsan -p haten2-mapreduce --features race-detect -- pool arena sched race \
-            level_split parallel_reduce reload
-        # Every pipeline (and both merges over sharded input) under both scheduler
-        # modes, with the bit-identity digests still asserted; and the same
-        # kernels at three to five join sides on the bare cluster.
+            level_split parallel_reduce reload map_output
+        # Every pipeline (and both merges over sharded and over written input)
+        # under both scheduler modes, with the bit-identity digests still
+        # asserted; and the same kernels at three to five join sides on the
+        # bare cluster.
         tsan -p haten2-core --test golden_pipelines --test sharded_merge --test nway_properties
     else
         echo "==> TSan SKIPPED: rust-src not installed (rustup +nightly component add rust-src)"
