@@ -9,19 +9,21 @@
 //! slot 0 *is* the target mode.
 
 use haten2_tensor::CooTensor3;
+use std::borrow::Cow;
 
 /// Permute `t` so that `target` becomes mode 0 and the other two modes
 /// follow in ascending original order. Returns the permuted tensor and the
-/// permutation `perm` (canonical position → original mode).
-pub fn canonicalize(t: &CooTensor3, target: usize) -> (CooTensor3, [usize; 3]) {
+/// permutation `perm` (canonical position → original mode). Target mode 0
+/// moves nothing, so `t` itself is returned, borrowed.
+pub fn canonicalize(t: &CooTensor3, target: usize) -> (Cow<'_, CooTensor3>, [usize; 3]) {
     assert!(target < 3, "target mode must be 0, 1 or 2");
     let others: Vec<usize> = (0..3).filter(|&m| m != target).collect();
     let perm = [target, others[0], others[1]];
     if perm == [0, 1, 2] {
-        return (t.clone(), perm);
+        return (Cow::Borrowed(t), perm);
     }
     let canon = t.permute(perm).expect("permutation preserves bounds");
-    (canon, perm)
+    (Cow::Owned(canon), perm)
 }
 
 #[cfg(test)]
@@ -42,7 +44,8 @@ mod tests {
         let t = sample();
         let (c, perm) = canonicalize(&t, 0);
         assert_eq!(perm, [0, 1, 2]);
-        assert_eq!(c, t);
+        assert!(matches!(c, Cow::Borrowed(_)), "the identity is not copied");
+        assert_eq!(*c, t);
     }
 
     #[test]

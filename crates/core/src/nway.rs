@@ -31,7 +31,7 @@
 
 use crate::als::{parafac_sweeps, tucker_fit, tucker_sweeps, Projection};
 use crate::ops::{cross_merge_job, imhp_job, pairwise_merge_job, MergeInput, TensorRecords};
-use crate::records::Ix4;
+use crate::records::{check_columns, Ix4};
 use crate::{CoreError, Result};
 use haten2_linalg::{thin_qr, Mat};
 use haten2_mapreduce::{Cluster, RunMetrics};
@@ -45,9 +45,9 @@ fn invalid<T>(detail: String) -> Result<T> {
 
 /// The join modes of a kernel call — every mode but `mode`, ascending —
 /// once the call is known to be valid: order ≥ 2, one factor per mode,
-/// `mode` in range, every join factor as tall as its mode, and (the
-/// MTTKRP's `equal_cols`) all of them equally wide. The target mode's
-/// factor is not read.
+/// `mode` in range, every join factor as tall as its mode and at most
+/// `u32::MAX` wide, and (the MTTKRP's `equal_cols`) all of them equally
+/// wide. The target mode's factor is not read.
 fn join_modes(
     x: &DynTensor,
     mode: usize,
@@ -74,6 +74,7 @@ fn join_modes(
         if equal_cols && f.cols() != cols {
             return invalid(format!("factor {m} has {} columns, not {cols}", f.cols()));
         }
+        check_columns(&format!("factor {m} width"), f.cols())?;
     }
     Ok(others)
 }

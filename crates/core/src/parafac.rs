@@ -17,6 +17,7 @@
 
 use crate::canon::canonicalize;
 use crate::plan::{pipeline_for, run_pipeline, Bindings, Decomp};
+use crate::records::check_columns;
 use crate::{CoreError, Result, Variant};
 use haten2_linalg::Mat;
 use haten2_mapreduce::Cluster;
@@ -71,6 +72,7 @@ pub fn mttkrp(
             f2.cols()
         )));
     }
+    check_columns("mttkrp: rank", f1.cols())?;
     let (xc, _perm) = canonicalize(x, mode);
     let d = xc.dims();
     if f1.rows() != d[1] as usize || f2.rows() != d[2] as usize {

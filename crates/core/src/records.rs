@@ -9,6 +9,7 @@
 //! ordinal above it — see [`crate::ops`]), so no record is wider than this
 //! whatever the order.
 
+use crate::{CoreError, Result};
 use haten2_mapreduce::EstimateSize;
 use haten2_tensor::CooTensor3;
 
@@ -117,28 +118,47 @@ impl EstimateSize for ImhpVal {
 /// `(j, k)` is a join label: the merges compare it for equality, to pair a
 /// value with the other sides' values of the same nonzero, and never read
 /// it as an index. Any injective label of the nonzero will do.
+///
+/// Laid out as the three 8-byte words `j`, `k`, `v`, then the `u32`
+/// column `d` beside the `side` byte: 32 bytes in memory, priced at 33
+/// (`FIXED_BYTES`, the width the cost model and every byte counter use).
+/// A column index never exceeds the rank or a core size, and the fronts
+/// refuse either above `u32::MAX` before a job runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergeVal {
-    /// The join side: 0 = `T'` (carries `X`'s values), 1 = `T''`, ….
-    pub side: u8,
     /// First half of the nonzero's label (the mode-1 index at N = 3).
     pub j: u64,
     /// Second half of the label (the mode-2 index at N = 3).
     pub k: u64,
-    /// Factor-column index (q or r).
-    pub d: u64,
     /// Value.
     pub v: f64,
+    /// Factor-column index (q or r).
+    pub d: u32,
+    /// The join side: 0 = `T'` (carries `X`'s values), 1 = `T''`, ….
+    pub side: u8,
 }
 
 impl EstimateSize for MergeVal {
-    // side + j + k + d + v. Declared fixed so the two largest jobs' input
-    // splits and reduce groups are sized in O(1), not record by record.
+    // side + j + k + d + v, the column priced at the 8 bytes it has on the
+    // wire. Declared fixed so the two largest jobs' input splits and reduce
+    // groups are sized in O(1), not record by record.
     const FIXED_BYTES: Option<usize> = Some(1 + 8 + 8 + 8 + 8);
 
     fn est_bytes(&self) -> usize {
         1 + 8 + 8 + 8 + 8
     }
+}
+
+/// Refuse a factor-column count — a rank, a core size — above `u32::MAX`,
+/// the widest a [`MergeVal`] column index holds. Every kernel front checks
+/// its counts with this before it submits a job.
+pub(crate) fn check_columns(what: &str, columns: usize) -> Result<()> {
+    if u32::try_from(columns).is_err() {
+        return Err(CoreError::InvalidArgument(format!(
+            "{what} {columns} is above u32::MAX, the widest merge column index"
+        )));
+    }
+    Ok(())
 }
 
 /// Convert a canonical 3-way tensor into `(Ix4, f64)` records (slot 3 = 0).
@@ -174,8 +194,11 @@ mod tests {
         assert_eq!(merge.est_bytes(), 33);
         assert_eq!(MergeVal::FIXED_BYTES, Some(33));
         // The key rides beside the value in every shuffle bucket; the
-        // value does not carry a second copy of it.
-        assert_eq!(std::mem::size_of::<MergeVal>(), 40);
+        // value does not carry a second copy of it, and its column index
+        // is a `u32` beside the side byte.
+        assert_eq!(std::mem::size_of::<MergeVal>(), 32);
+        // Never wider in memory than on the wire.
+        assert!(std::mem::size_of::<MergeVal>() <= MergeVal::FIXED_BYTES.unwrap());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 
 use crate::canon::canonicalize;
 use crate::plan::{pipeline_for, run_pipeline, Bindings, Decomp};
+use crate::records::check_columns;
 use crate::{CoreError, Result, Variant};
 use haten2_linalg::Mat;
 use haten2_mapreduce::Cluster;
@@ -80,6 +81,8 @@ pub fn project(
             "mode {mode} out of range"
         )));
     }
+    check_columns("project: core size", u1.rows())?;
+    check_columns("project: core size", u2.rows())?;
     let (xc, perm) = canonicalize(x, mode);
     let d = xc.dims();
     if u1.cols() != d[1] as usize || u2.cols() != d[2] as usize {
@@ -139,7 +142,7 @@ mod tests {
         let t = ttm(x, others[0], u1).unwrap();
         let y = ttm(&t, others[1], u2).unwrap();
         let (canon, _) = crate::canon::canonicalize(&y, mode);
-        canon
+        canon.into_owned()
     }
 
     fn check_variant(variant: Variant) {

@@ -5,12 +5,13 @@
 // policy only here).
 #![allow(clippy::unwrap_used)]
 
+use haten2_core::nway::{nway_mttkrp, nway_tucker_project};
 use haten2_core::parafac::mttkrp;
 use haten2_core::tucker::{project, ProjectOptions};
-use haten2_core::{parafac_als, tucker_als, AlsOptions, Variant};
+use haten2_core::{parafac_als, tucker_als, AlsOptions, CoreError, Variant};
 use haten2_linalg::Mat;
 use haten2_mapreduce::{Cluster, ClusterConfig};
-use haten2_tensor::{CooTensor3, Entry3};
+use haten2_tensor::{CooTensor3, DynTensor, Entry3};
 
 fn single_machine() -> Cluster {
     Cluster::new(ClusterConfig {
@@ -27,6 +28,53 @@ fn empty_tensor_mttkrp_is_zero() {
         let m = mttkrp(&single_machine(), variant, &x, 0, &b, &b).unwrap();
         assert!(m.max_abs() == 0.0, "{variant}");
     }
+}
+
+/// A merge record holds its factor column in a `u32`: every kernel front
+/// refuses a rank or core size above `u32::MAX` before it submits a job.
+/// The tensor is empty and every mode has size 0, so the factors hold no
+/// elements whatever their width, and nothing but that check refuses them.
+#[test]
+fn a_column_count_above_u32_max_is_refused_before_any_job() {
+    let wide = u32::MAX as usize + 1;
+    let x = CooTensor3::new([0, 0, 0]);
+    let x_n = DynTensor::new(vec![0, 0, 0]);
+    let (factor, transposed) = (Mat::zeros(0, wide), Mat::zeros(wide, 0));
+    let narrow = Mat::zeros(0, 1);
+    let cluster = single_machine();
+    let opts = ProjectOptions::default();
+    let refused = [
+        mttkrp(&cluster, Variant::Dri, &x, 0, &factor, &factor).map(drop),
+        project(
+            &cluster,
+            Variant::Dri,
+            &x,
+            0,
+            &transposed,
+            &narrow.transpose(),
+            &opts,
+        )
+        .map(drop),
+        project(
+            &cluster,
+            Variant::Dri,
+            &x,
+            0,
+            &narrow.transpose(),
+            &transposed,
+            &opts,
+        )
+        .map(drop),
+        nway_mttkrp(&cluster, &x_n, 0, &[&narrow, &factor, &factor]).map(drop),
+        nway_tucker_project(&cluster, &x_n, 0, &[&narrow, &narrow, &factor]).map(drop),
+    ];
+    for (call, result) in refused.into_iter().enumerate() {
+        assert!(
+            matches!(&result, Err(CoreError::InvalidArgument(m)) if m.contains("u32::MAX")),
+            "call {call}: {result:?}"
+        );
+    }
+    assert_eq!(cluster.metrics().total_jobs(), 0);
 }
 
 #[test]
