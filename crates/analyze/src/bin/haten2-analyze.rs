@@ -1,13 +1,13 @@
 //! CLI for the static plan analyzer.
 //!
 //! * `--verify-paper-table` — check all eight registered pipelines against
-//!   the paper's Tables III/IV, certify their recoverability under the
-//!   symbolic fault budget, run the determinism scan, and print the report
+//!   the paper's Tables III/IV, certify them race-free, run the
+//!   determinism scan, and print the report
 //!   (this is what `cargo xtask analyze` commits to `ANALYSIS.md`). Exits
 //!   non-zero on any violation.
-//! * `--reject-demo` — run deliberately defective plans/specs through the
+//! * `--reject-demo` — run deliberately defective plans through the
 //!   analyzer and print the diagnostics, proving that malformed plans are
-//!   rejected naming the offending job, dataset, or sweep — including
+//!   rejected naming the offending job or dataset — including
 //!   seeded racy batches and communication lies (wrong closed form,
 //!   under-declared shuffle volume). Exits non-zero if any demo plan
 //!   slips through.
@@ -23,9 +23,9 @@ fn usage() -> ExitCode {
         "usage: haten2-analyze [--format md|json] [--verify-paper-table] [--reject-demo] [--determinism]\n\
          \n\
          --verify-paper-table  verify all 8 pipelines against the paper's cost\n\
-         \x20                     tables, certify recoverability, scan UDF purity,\n\
+         \x20                     tables, certify race freedom, scan UDF purity,\n\
          \x20                     and print the report\n\
-         --reject-demo         show that defective plans and recovery specs are\n\
+         --reject-demo         show that defective plans are\n\
          \x20                     rejected with diagnostics naming the offender\n\
          --determinism         print only the UDF-purity scan verdict\n\
          --format md|json      report format for --verify-paper-table (default md)"
@@ -127,7 +127,7 @@ fn reject_demo() -> bool {
     if all_rejected {
         println!(
             "all demo plans rejected, each diagnostic names the offending \
-             job, dataset, sweep, or racing pair"
+             job, dataset, or racing pair"
         );
     }
     all_rejected

@@ -138,7 +138,6 @@ pub fn regime_envs() -> Vec<Env> {
                             rank_q,
                             rank_r,
                             machines: 10,
-                            faults: 1,
                             reducer_memory,
                         });
                     }

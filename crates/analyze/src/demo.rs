@@ -1,30 +1,27 @@
 //! Deliberately malformed plans, for demonstrating (and regression-testing)
 //! that the analyzer rejects them with diagnostics naming the offending
-//! job, dataset, or sweep. The `--reject-demo` CLI flag runs these;
+//! job or dataset. The `--reject-demo` CLI flag runs these;
 //! `README.md` walks through the first one.
 
-use crate::recovery::certify;
 use crate::{analyze_graph, cost::paper_claim, cost::regime_envs, Violation};
-use haten2_core::{plan_for, recovery_for, Decomp, Variant};
-use haten2_mapreduce::{CheckpointPolicy, JobGraph, PlanJob, RecoverySpec, SymExpr};
+use haten2_core::{plan_for, Decomp, Variant};
+use haten2_mapreduce::{JobGraph, PlanJob, SymExpr};
 
-/// One rejection scenario: a malformed plan (or sound plan with a defective
-/// recovery spec) plus the violation the analyzer must produce for it.
+/// One rejection scenario: a malformed plan plus the violation the
+/// analyzer must produce for it.
 pub struct Rejection {
     /// Human-readable description of the injected defect.
     pub defect: &'static str,
     /// The (possibly corrupted) graph.
     pub graph: JobGraph,
-    /// When present, the recoverability pass also runs under this spec.
-    pub spec: Option<RecoverySpec>,
-    /// The offending job / dataset / sweep some diagnostic must name.
+    /// The offending job or dataset some diagnostic must name.
     pub must_name: &'static str,
     /// Predicate: does this violation list constitute a correct rejection?
     pub matches: fn(&[Violation]) -> bool,
 }
 
 /// The demo scenarios, each a one-edit corruption of a real registered
-/// pipeline (or of its recovery spec).
+/// pipeline.
 pub fn rejections() -> Vec<Rejection> {
     let mut out = Vec::new();
 
@@ -35,7 +32,6 @@ pub fn rejections() -> Vec<Rejection> {
     out.push(Rejection {
         defect: "crossmerge reads 't_typo', which no job writes",
         graph: g,
-        spec: None,
         must_name: "tucker-dri-crossmerge",
         matches: |v| {
             v.iter().any(|v| {
@@ -58,7 +54,6 @@ pub fn rejections() -> Vec<Rejection> {
     out.push(Rejection {
         defect: "'rogue-refresh' overwrites 't_prime' while the IMHP output is still unread",
         graph: g,
-        spec: None,
         must_name: "rogue-refresh",
         matches: |v| {
             v.iter().any(|v| {
@@ -82,7 +77,6 @@ pub fn rejections() -> Vec<Rejection> {
     out.push(Rejection {
         defect: "extra job 'rogue-scan' writes unread 'scratch' and breaks the 2-job claim",
         graph: g,
-        spec: None,
         must_name: "rogue-scan",
         matches: |v| {
             let unused = v.iter().any(|v| {
@@ -96,52 +90,12 @@ pub fn rejections() -> Vec<Rejection> {
         },
     });
 
-    // 4. Lineage gap: the plan is sound, but the pipeline's recovery spec
-    //    registers no recipe for T' — losing it mid-run is unrecoverable.
-    let mut g = plan_for(Decomp::Tucker, Variant::Dri);
-    g.name = "tucker-dri(lineage-gap)".to_string();
-    let mut spec = recovery_for(Decomp::Tucker, Variant::Dri, 0);
-    spec.covered.remove("t_prime");
-    out.push(Rejection {
-        defect: "recovery spec drops the lineage recipe for intermediate 't_prime'",
-        graph: g,
-        spec: Some(spec),
-        must_name: "t_prime",
-        matches: |v| {
-            v.iter().any(|v| {
-                matches!(v, Violation::UnrecoverableDataset { dataset, .. }
-                    if dataset == "t_prime")
-            })
-        },
-    });
-
-    // 5. Checkpoint gap: the driver checkpoints only every 2nd sweep, so a
-    //    crash after sweep 1 recomputes it from scratch.
-    let mut g = plan_for(Decomp::Parafac, Variant::Dri);
-    g.name = "parafac-dri(checkpoint-gap)".to_string();
-    let mut spec = recovery_for(Decomp::Parafac, Variant::Dri, 4);
-    spec.checkpoint = Some(CheckpointPolicy {
-        every: 2,
-        sweeps: 4,
-    });
-    out.push(Rejection {
-        defect: "checkpoint policy skips odd sweeps; completed sweep 1 is uncovered",
-        graph: g,
-        spec: Some(spec),
-        must_name: "sweep 1",
-        matches: |v| {
-            v.iter()
-                .any(|v| matches!(v, Violation::CheckpointGap { sweep, .. } if *sweep == 1))
-        },
-    });
-
     out
 }
 
-/// Run every demo scenario through the full analyzer (dataflow + cost,
-/// plus recoverability when the scenario carries a spec). Returns, per
-/// scenario, the violations produced and whether they constitute a correct
-/// rejection.
+/// Run every demo scenario through the full analyzer (dataflow + cost).
+/// Returns, per scenario, the violations produced and whether they
+/// constitute a correct rejection.
 pub fn run_rejections() -> Vec<(Rejection, Vec<Violation>, bool)> {
     let envs = regime_envs();
     rejections()
@@ -154,10 +108,7 @@ pub fn run_rejections() -> Vec<(Rejection, Vec<Violation>, bool)> {
                 Decomp::Parafac
             };
             let claim = paper_claim(decomp, Variant::Dri);
-            let mut v = analyze_graph(&r.graph, &claim, &envs);
-            if let Some(spec) = &r.spec {
-                v.extend(certify(&r.graph, spec).violations);
-            }
+            let v = analyze_graph(&r.graph, &claim, &envs);
             let ok = (r.matches)(&v) && v.iter().any(|x| format!("{x}").contains(r.must_name));
             (r, v, ok)
         })
@@ -171,7 +122,7 @@ mod tests {
     #[test]
     fn every_demo_plan_is_rejected_naming_the_offender() {
         let results = run_rejections();
-        assert_eq!(results.len(), 5);
+        assert_eq!(results.len(), 3);
         for (r, violations, ok) in results {
             assert!(ok, "{}: got {violations:?}", r.defect);
             assert!(
@@ -182,29 +133,6 @@ mod tests {
                 r.defect,
                 r.must_name
             );
-        }
-    }
-
-    #[test]
-    fn recovery_scenarios_reject_only_via_the_recovery_pass() {
-        // The lineage-gap and checkpoint-gap graphs are *sound* plans; the
-        // dataflow and cost passes must stay clean so the rejection is
-        // attributable to the recoverability certificate alone.
-        let envs = regime_envs();
-        for (r, _, _) in run_rejections() {
-            if r.spec.is_some() {
-                let decomp = if r.graph.name.starts_with("tucker") {
-                    Decomp::Tucker
-                } else {
-                    Decomp::Parafac
-                };
-                let claim = paper_claim(decomp, Variant::Dri);
-                assert!(
-                    analyze_graph(&r.graph, &claim, &envs).is_empty(),
-                    "{}: graph itself should be well-formed",
-                    r.defect
-                );
-            }
         }
     }
 }

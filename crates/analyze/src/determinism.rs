@@ -8,9 +8,8 @@
 //! assumption checkable:
 //!
 //! * **Source scan** — every closure passed to the engine's job runners
-//!   (`run_job`, `run_job_streaming`, `run_job_collect`, `run_job_written`,
-//!   `run_job_dfs`, `run_job_dfs_recovering`) in `crates/mapreduce/src/pipeline.rs` and
-//!   the `crates/core` pipelines is scanned by
+//!   (`run_job`, `run_job_streaming`, `run_job_collect`, `run_job_written`)
+//!   in the `crates/core` pipelines is scanned by
 //!   [`haten2_srcscan::scan_udf_purity`] for nondeterminism sources:
 //!   unordered `HashMap`/`HashSet` iteration feeding emits, wall-clock
 //!   reads, thread-id dependence, and float reductions not declared
@@ -47,15 +46,12 @@ impl DeterminismReport {
     }
 }
 
-/// The library sources whose job-runner closures the pass scans: the
-/// engine's pipeline layer plus every `haten2-core` pipeline module.
+/// The library sources whose job-runner closures the pass scans: every
+/// `haten2-core` pipeline module.
 fn scan_targets(root: &Path) -> Vec<PathBuf> {
-    let mut files = vec![root.join("crates/mapreduce/src/pipeline.rs")];
-    let mut core = Vec::new();
-    rs_files(&root.join("crates/core/src"), &mut core);
-    core.sort();
-    files.extend(core);
-    files.retain(|f| f.exists());
+    let mut files = Vec::new();
+    rs_files(&root.join("crates/core/src"), &mut files);
+    files.sort();
     files
 }
 

@@ -9,7 +9,6 @@
 //!   "ok": true,
 //!   "envs_checked": 288,
 //!   "rows": [ {"graph": "...", "verdict": "verified", ...}, ... ],
-//!   "recovery": [ {"graph": "...", "certified": true, ...}, ... ],
 //!   "races": [ {"graph": "...", "certified": true, ...}, ... ],
 //!   "comm": [ {"graph": "...", "shuffle": "...", "bound": "...", ...}, ... ],
 //!   "determinism": {"ok": true, "files_scanned": 13, "violations": []},
@@ -48,8 +47,8 @@ fn esc(s: &str) -> String {
 
 fn env_json(e: &Env) -> String {
     format!(
-        "{{\"nnz\":{},\"dim_i\":{},\"dim_j\":{},\"dim_k\":{},\"rank_q\":{},\"rank_r\":{},\"machines\":{},\"faults\":{},\"reducer_memory\":{}}}",
-        e.nnz, e.dim_i, e.dim_j, e.dim_k, e.rank_q, e.rank_r, e.machines, e.faults, e.reducer_memory
+        "{{\"nnz\":{},\"dim_i\":{},\"dim_j\":{},\"dim_k\":{},\"rank_q\":{},\"rank_r\":{},\"machines\":{},\"reducer_memory\":{}}}",
+        e.nnz, e.dim_i, e.dim_j, e.dim_k, e.rank_q, e.rank_r, e.machines, e.reducer_memory
     )
 }
 
@@ -62,10 +61,6 @@ fn pass_of(v: &Violation) -> &'static str {
         Violation::CostMismatch { .. }
         | Violation::JobCountMismatch { .. }
         | Violation::TensorReadMismatch { .. } => "cost",
-        Violation::UnrecoverableDataset { .. }
-        | Violation::LineageCycle { .. }
-        | Violation::RederivationTooDeep { .. }
-        | Violation::CheckpointGap { .. } => "recovery",
         Violation::NondeterministicUdf { .. } | Violation::AnnotationMismatch { .. } => {
             "determinism"
         }
@@ -132,36 +127,6 @@ pub fn violation_json(v: &Violation) -> String {
         } => format!(
             "\"kind\":\"tensor-read-mismatch\",\"graph\":\"{}\",\"derived\":\"{}\",\"claimed\":\"{}\",\"env\":{},\"derived_val\":{},\"claimed_val\":{}",
             esc(graph), esc(derived), esc(claimed), env_json(env), derived_val, claimed_val
-        ),
-        Violation::UnrecoverableDataset {
-            dataset,
-            reader,
-            cause,
-        } => format!(
-            "\"kind\":\"unrecoverable-dataset\",\"dataset\":\"{}\",\"reader\":\"{}\",\"cause\":\"{}\"",
-            esc(dataset),
-            esc(reader),
-            esc(cause)
-        ),
-        Violation::LineageCycle { graph, dataset } => format!(
-            "\"kind\":\"lineage-cycle\",\"graph\":\"{}\",\"dataset\":\"{}\"",
-            esc(graph),
-            esc(dataset)
-        ),
-        Violation::RederivationTooDeep {
-            dataset,
-            depth,
-            bound,
-        } => format!(
-            "\"kind\":\"rederivation-too-deep\",\"dataset\":\"{}\",\"depth\":{},\"bound\":{}",
-            esc(dataset),
-            depth,
-            bound
-        ),
-        Violation::CheckpointGap { graph, sweep } => format!(
-            "\"kind\":\"checkpoint-gap\",\"graph\":\"{}\",\"sweep\":{}",
-            esc(graph),
-            sweep
         ),
         Violation::NondeterministicUdf {
             file,
@@ -264,24 +229,6 @@ pub fn full_json(report: &Report) -> String {
     }
     out.push_str("],");
 
-    out.push_str("\"recovery\":[");
-    for (i, r) in report.rows.iter().enumerate() {
-        let c = &r.recovery;
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"graph\":\"{}\",\"certified\":{},\"per_fault_worst\":\"{}\",\"total_bound\":\"{}\",\"max_depth\":{}}}",
-            esc(&c.graph),
-            c.certified(),
-            esc(&c.bound.per_fault_worst.to_string()),
-            esc(&c.bound.total.to_string()),
-            c.bound.max_depth
-        );
-    }
-    out.push_str("],");
-
     out.push_str("\"races\":[");
     for (i, r) in report.rows.iter().enumerate() {
         let c = &r.races;
@@ -344,14 +291,13 @@ mod tests {
 
     #[test]
     fn violation_objects_are_wellformed() {
-        let v = Violation::UnrecoverableDataset {
-            dataset: "t_prime".to_string(),
-            reader: "merge \"job\"".to_string(),
-            cause: "no recipe".to_string(),
+        let v = Violation::DanglingRead {
+            job: "merge \"job\"".to_string(),
+            dataset: "t_typo".to_string(),
         };
         let j = violation_json(&v);
-        assert!(j.starts_with("{\"pass\":\"recovery\""));
-        assert!(j.contains("\"kind\":\"unrecoverable-dataset\""));
+        assert!(j.starts_with("{\"pass\":\"dataflow\""));
+        assert!(j.contains("\"kind\":\"dangling-read\""));
         assert!(j.contains("\\\"job\\\""), "quotes escaped: {j}");
         assert!(j.ends_with('}'));
     }
@@ -478,7 +424,6 @@ mod tests {
             "{}",
             &doc[..60.min(doc.len())]
         );
-        assert!(doc.contains("\"recovery\":["));
         assert!(doc.contains("\"races\":["));
         assert!(doc.contains("\"violations\":[]"));
         // Balanced braces/brackets outside strings = structurally sound.

@@ -30,13 +30,6 @@
 //!   lower bounds (memory-independent and memory-dependent) from the
 //!   pipeline's registered [`haten2_core::CommSpec`], and certifies the
 //!   symbolic gap ratio.
-//! * **Recoverability pass** ([`recovery::certify`]) — given a pipeline's
-//!   declared [`RecoverySpec`](haten2_mapreduce::RecoverySpec) and the
-//!   symbolic fault budget `k`, proves lineage closure (every read is
-//!   durable or re-derivable), cycle-free re-derivation within the
-//!   runtime's depth guard, checkpoint coverage of every ALS sweep, and a
-//!   symbolic worst-case recovery bound `k · max(chains)` printed next to
-//!   the paper's job counts.
 //! * **Determinism pass** ([`determinism::check_determinism`]) — scans
 //!   the map/reduce closures of the pipelines' kernels (via
 //!   `haten2-srcscan`) for UDF impurity: unordered `HashMap`/`HashSet`
@@ -59,12 +52,12 @@
 //!   they scan text, not plans.
 //!
 //! Every violation is a [`Violation`] whose `Display` names the offending
-//! job, dataset, sweep, or source site. `cargo run -p haten2-analyze --
+//! job, dataset, or source site. `cargo run -p haten2-analyze --
 //! --verify-paper-table` renders the full verification report (committed
 //! as `ANALYSIS.md`, staleness-gated by `cargo xtask analyze`);
-//! `--reject-demo` proves the analyzer rejects deliberately mis-wired or
-//! under-covered plans ([`demo`]); `--format json` emits one stable JSON
-//! object per violation for tooling.
+//! `--reject-demo` proves the analyzer rejects deliberately mis-wired
+//! plans ([`demo`]); `--format json` emits one stable JSON object per
+//! violation for tooling.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -78,7 +71,6 @@ pub mod fixture;
 pub mod io;
 pub mod json;
 pub mod races;
-pub mod recovery;
 pub mod report;
 
 pub use comm::{check_comm, comm_table, shuffle_claim, CommRow, COMM_RULES};
@@ -88,7 +80,6 @@ pub use determinism::{check_determinism, check_plan_consistency, DeterminismRepo
 pub use fixture::{load_plan_fixture, run_plan_fixture, PlanFixture};
 pub use io::{durable_io_table, tensor_record_bytes, DurableIoRow};
 pub use races::{check_races, race_certified, GraphRaceCert};
-pub use recovery::{certify, Certification, RecoveryBound};
 pub use report::{verify_paper_table, Report, RowVerdict};
 
 use haten2_mapreduce::{Env, JobGraph};
@@ -169,43 +160,6 @@ pub enum Violation {
         derived_val: u128,
         /// Claimed value on `env`.
         claimed_val: u128,
-    },
-    /// A job reads a dataset whose loss the plan cannot recover from:
-    /// no lineage recipe covers it (or its producer chain never roots at a
-    /// durable input).
-    UnrecoverableDataset {
-        /// The dataset whose loss is fatal.
-        dataset: String,
-        /// The job whose read hits the gap.
-        reader: String,
-        /// Why the dataset is unrecoverable.
-        cause: String,
-    },
-    /// A dataset's producer chain is cyclic, so re-derivation can never
-    /// terminate.
-    LineageCycle {
-        /// Graph the cycle lives in.
-        graph: String,
-        /// A dataset on the cycle.
-        dataset: String,
-    },
-    /// A dataset's re-derivation chain is deeper than the runtime's
-    /// recursion guard, so a recovery the plan relies on would be aborted.
-    RederivationTooDeep {
-        /// The dataset at the end of the chain.
-        dataset: String,
-        /// Static chain depth.
-        depth: usize,
-        /// The runtime bound ([`haten2_mapreduce::MAX_RECOVERY_DEPTH`]).
-        bound: usize,
-    },
-    /// An iterative driver leaves a completed ALS sweep uncovered by any
-    /// checkpoint, so a crash recomputes finished work.
-    CheckpointGap {
-        /// Graph (pipeline) the policy belongs to.
-        graph: String,
-        /// First sweep no checkpoint covers.
-        sweep: usize,
     },
     /// A map/reduce closure contains a nondeterminism source (unordered
     /// iteration feeding emits, wall clock, thread identity, or an
@@ -314,10 +268,6 @@ impl Violation {
             Violation::CostMismatch { .. } => "cost-mismatch",
             Violation::JobCountMismatch { .. } => "job-count-mismatch",
             Violation::TensorReadMismatch { .. } => "tensor-read-mismatch",
-            Violation::UnrecoverableDataset { .. } => "unrecoverable-dataset",
-            Violation::LineageCycle { .. } => "lineage-cycle",
-            Violation::RederivationTooDeep { .. } => "rederivation-too-deep",
-            Violation::CheckpointGap { .. } => "checkpoint-gap",
             Violation::NondeterministicUdf { .. } => "nondeterministic-udf",
             Violation::AnnotationMismatch { .. } => "annotation-mismatch",
             Violation::UndeclaredEffect { .. } => "undeclared-effect",
@@ -399,34 +349,6 @@ impl std::fmt::Display for Violation {
                  {claimed}; at {} the jobs read the big input {derived_val} times but \
                  the variant claims {claimed_val}",
                 fmt_env(env)
-            ),
-            Violation::UnrecoverableDataset {
-                dataset,
-                reader,
-                cause,
-            } => write!(
-                f,
-                "unrecoverable dataset: job '{reader}' reads '{dataset}', whose loss \
-                 cannot be re-derived ({cause})"
-            ),
-            Violation::LineageCycle { graph, dataset } => write!(
-                f,
-                "lineage cycle in graph '{graph}': re-deriving dataset '{dataset}' \
-                 requires itself, so recovery can never terminate"
-            ),
-            Violation::RederivationTooDeep {
-                dataset,
-                depth,
-                bound,
-            } => write!(
-                f,
-                "re-derivation too deep: recovering dataset '{dataset}' re-runs a \
-                 chain of {depth} jobs, past the runtime recursion guard of {bound}"
-            ),
-            Violation::CheckpointGap { graph, sweep } => write!(
-                f,
-                "checkpoint gap in '{graph}': completed sweep {sweep} is covered by \
-                 no checkpoint, so a crash recomputes it"
             ),
             Violation::NondeterministicUdf {
                 file,

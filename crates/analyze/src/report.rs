@@ -1,22 +1,16 @@
 //! Full verification report: every registered pipeline against its paper
-//! row, its recoverability certificate, and the workspace determinism
-//! scan, rendered as the markdown committed to `ANALYSIS.md`.
+//! row, its race certificate, and the workspace determinism scan, rendered
+//! as the markdown committed to `ANALYSIS.md`.
 
 use crate::comm::{check_comm, comm_table, shuffle_claim, witness_env, CommRow};
 use crate::cost::{paper_claim, regime_envs, PaperClaim};
 use crate::determinism::{check_determinism, DeterminismReport};
 use crate::io::{durable_io_table, tensor_record_bytes, DurableIoRow};
 use crate::races::{check_races, GraphRaceCert};
-use crate::recovery::{certify, Certification};
 use crate::{analyze_graph, Violation};
-use haten2_core::{comm_for, plan_for, recovery_for, Decomp, Variant};
+use haten2_core::{comm_for, plan_for, Decomp, Variant};
 use haten2_mapreduce::SymExpr;
 use std::fmt::Write as _;
-
-/// Sweeps assumed for the iterative-driver checkpoint certificate. Any
-/// positive value exercises the coverage check; three matches the chaos
-/// sweeps and the README examples.
-pub const REPORT_SWEEPS: usize = 3;
 
 /// Verdict for one (decomposition × variant) pipeline.
 pub struct RowVerdict {
@@ -35,8 +29,6 @@ pub struct RowVerdict {
     /// Template name of the job whose intermediate data dominates (attains
     /// the max on the regime grid).
     pub dominant_job: String,
-    /// Recoverability certificate under the symbolic fault budget `k`.
-    pub recovery: Certification,
     /// Race certificate: unordered-conflict + serializability over the
     /// expanded instances of the graph.
     pub races: GraphRaceCert,
@@ -64,11 +56,11 @@ pub struct Report {
 
 impl Report {
     /// `true` when every pipeline matches its paper row, certifies as
-    /// recoverable, and the determinism scan is clean.
+    /// race-free, and the determinism scan is clean.
     pub fn ok(&self) -> bool {
         self.rows
             .iter()
-            .all(|r| r.violations.is_empty() && r.recovery.certified() && r.races.certified())
+            .all(|r| r.violations.is_empty() && r.races.certified())
             && self.determinism.ok()
             && self.comm_violations.is_empty()
             && self.comm.iter().all(|c| !c.gap_unbounded_in_nnz)
@@ -78,12 +70,7 @@ impl Report {
     pub fn violations(&self) -> Vec<&Violation> {
         self.rows
             .iter()
-            .flat_map(|r| {
-                r.violations
-                    .iter()
-                    .chain(r.recovery.violations.iter())
-                    .chain(r.races.violations.iter())
-            })
+            .flat_map(|r| r.violations.iter().chain(r.races.violations.iter()))
             .chain(self.determinism.violations.iter())
             .chain(self.comm_violations.iter())
             .collect()
@@ -103,11 +90,7 @@ impl Report {
              (`haten2_analyze::cost::regime_envs`), alongside the dataflow \
              well-formedness pass. Expressions count map-output records \
              (the engine's `map_output_records`); dimensions are canonical \
-             (`I` = target mode). The *recovery bound* column is the \
-             worst-case records recomputed under a symbolic fault budget \
-             `k` — the cost of re-deriving the most expensive lost dataset \
-             through its full lineage chain, times `k` \
-             (`haten2_analyze::recovery::certify`). The *critical path* \
+             (`I` = target mode). The *critical path* \
              column is the longest read-after-write chain in the job DAG \
              (`JobGraph::critical_path_jobs`): the sequential-round floor \
              the concurrent scheduler cannot beat, shown beside the \
@@ -126,16 +109,15 @@ impl Report {
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
-                "| Variant | Max intermediate data | Total jobs | Critical path (jobs) | Recovery bound (k faults) | Tensor reads | Dominant job | Races | Verdict |"
+                "| Variant | Max intermediate data | Total jobs | Critical path (jobs) | Tensor reads | Dominant job | Races | Verdict |"
             );
-            let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|");
+            let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
             for r in self.rows.iter().filter(|r| r.decomp == decomp) {
-                let verdict =
-                    if r.violations.is_empty() && r.recovery.certified() && r.races.certified() {
-                        "verified"
-                    } else {
-                        "VIOLATED"
-                    };
+                let verdict = if r.violations.is_empty() && r.races.certified() {
+                    "verified"
+                } else {
+                    "VIOLATED"
+                };
                 let races = if r.races.certified() {
                     format!("race-free ({} jobs)", r.races.jobs_checked)
                 } else {
@@ -143,12 +125,11 @@ impl Report {
                 };
                 let _ = writeln!(
                     out,
-                    "| {} | {} | {} | {} | {} | {} | `{}` | {} | {} |",
+                    "| {} | {} | {} | {} | {} | `{}` | {} | {} |",
                     r.variant,
                     r.claim.max_intermediate,
                     r.claim.total_jobs,
                     r.critical_path,
-                    r.recovery.bound.total,
                     r.claim.tensor_reads,
                     r.dominant_job,
                     races,
@@ -277,36 +258,6 @@ impl Report {
         );
 
         let _ = writeln!(out);
-        let _ = writeln!(out, "## Recoverability");
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "Each pipeline's lineage closure was proven rooted at durable \
-             driver inputs, cycle-free, and no deeper than the runtime \
-             recursion guard ({} jobs); iterative drivers checkpoint every \
-             completed sweep (policy checked over {} sweeps), so a crash \
-             resumes without recomputing finished work.",
-            haten2_mapreduce::MAX_RECOVERY_DEPTH,
-            REPORT_SWEEPS
-        );
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "| Pipeline | Certified | Max re-derivation depth | Worst single-fault cost |"
-        );
-        let _ = writeln!(out, "|---|---|---|---|");
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "| `{}` | {} | {} | {} |",
-                r.graph,
-                if r.recovery.certified() { "yes" } else { "NO" },
-                r.recovery.bound.max_depth,
-                r.recovery.bound.per_fault_worst
-            );
-        }
-
-        let _ = writeln!(out);
         let _ = writeln!(out, "## Race certification");
         let _ = writeln!(out);
         let _ = writeln!(
@@ -375,7 +326,7 @@ impl Report {
 }
 
 /// Verify all eight registered pipelines against the paper's cost tables,
-/// certify their recoverability, and run the workspace determinism scan.
+/// certify them race-free, and run the workspace determinism scan.
 pub fn verify_paper_table() -> Report {
     let envs = regime_envs();
     let sample = envs[0];
@@ -386,7 +337,6 @@ pub fn verify_paper_table() -> Report {
             let claim = paper_claim(decomp, variant);
             let violations = analyze_graph(&graph, &claim, &envs);
             let critical_path = graph.critical_path_jobs();
-            let recovery = certify(&graph, &recovery_for(decomp, variant, REPORT_SWEEPS));
             let max = graph.max_intermediate_records();
             let dominant_job = graph
                 .jobs
@@ -406,7 +356,6 @@ pub fn verify_paper_table() -> Report {
                 claim,
                 critical_path,
                 dominant_job,
-                recovery,
                 races,
                 violations,
             });
@@ -442,9 +391,6 @@ mod tests {
         let report = verify_paper_table();
         assert!(report.ok(), "{:?}", report.violations());
         assert_eq!(report.rows.len(), 8);
-        for r in &report.rows {
-            assert!(r.recovery.certified(), "{} not recoverable", r.graph);
-        }
     }
 
     #[test]
@@ -458,12 +404,7 @@ mod tests {
         assert!(md.contains("verified"));
         assert!(!md.contains("VIOLATED"));
         assert!(md.contains("nnz·(Q + R)"));
-        // The recovery bound is symbolic in the fault budget and sits in
-        // the main table, next to the paper's job counts.
-        assert!(md.contains("Recovery bound (k faults)"));
-        assert!(md.contains("k·"), "symbolic fault budget missing:\n{md}");
         assert!(md.contains("Critical path (jobs)"));
-        assert!(md.contains("## Recoverability"));
         assert!(md.contains("## Durable I/O floor"));
         assert!(md.contains("Read amplification"));
         assert!(md.contains("## Race certification"));

@@ -17,7 +17,7 @@
 
 use haten2_core::parafac::mttkrp;
 use haten2_core::tucker::{project, ProjectOptions};
-use haten2_core::{env_for, plan_for, recovery_for, Decomp, Variant};
+use haten2_core::{env_for, plan_for, Decomp, Variant};
 use haten2_linalg::Mat;
 use haten2_mapreduce::{Cluster, ClusterConfig, JobInstance};
 use haten2_tensor::{CooTensor3, Entry3};
@@ -191,24 +191,6 @@ proptest! {
                 variant,
                 m.max_intermediate_records(),
                 graph.max_intermediate_records().eval(&env)
-            );
-            // Recovery leg: the certified single-fault recovery bound must
-            // dominate the metered run's largest intermediate — losing that
-            // dataset costs at least re-materialising it. `env_for` pins a
-            // single-fault budget, so `total` is comparable directly.
-            let cert = haten2_analyze::certify(&graph, &recovery_for(Decomp::Tucker, variant, 0));
-            prop_assert!(
-                cert.certified(),
-                "tucker {}: pipeline not statically recoverable: {:?}",
-                variant,
-                cert.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>()
-            );
-            prop_assert!(
-                (m.max_intermediate_records() as u128) <= cert.bound.total.eval(&env),
-                "tucker {}: metered max intermediate {} exceeds recovery bound {}",
-                variant,
-                m.max_intermediate_records(),
-                cert.bound.total.eval(&env)
             );
         }
     }
@@ -415,40 +397,6 @@ fn measured_critical_paths_match_symbolic_depths() {
         r.sim_sequential_s,
         r.sim_makespan_s
     );
-}
-
-#[test]
-fn recovery_bounds_dominate_static_intermediates() {
-    // Static-only closure of the same loop: on every regime env, the
-    // worst single-fault recovery cost certified for a pipeline must be
-    // at least the pipeline's own max-intermediate bound (re-deriving the
-    // largest lost dataset re-emits at least its records), and the total
-    // bound must scale linearly in the fault budget `k`.
-    for decomp in [Decomp::Tucker, Decomp::Parafac] {
-        for variant in Variant::ALL {
-            let graph = plan_for(decomp, variant);
-            let cert = haten2_analyze::certify(&graph, &recovery_for(decomp, variant, 0));
-            assert!(cert.certified(), "{}: {:?}", graph.name, cert.violations);
-            for env in haten2_analyze::regime_envs() {
-                let worst = cert.bound.per_fault_worst.eval(&env);
-                let max_inter = graph.max_intermediate_records().eval(&env);
-                assert!(
-                    worst >= max_inter,
-                    "{}: per-fault recovery bound {worst} below max intermediate {max_inter}",
-                    graph.name
-                );
-                for k in [0u64, 1, 2, 5] {
-                    let faulty = haten2_mapreduce::Env { faults: k, ..env };
-                    assert_eq!(
-                        cert.bound.total.eval(&faulty),
-                        (k as u128).saturating_mul(cert.bound.per_fault_worst.eval(&faulty)),
-                        "{}: total bound is not k x per-fault worst at k={k}",
-                        graph.name
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[test]

@@ -39,10 +39,8 @@
 
 pub mod restart;
 
-use haten2_analyze::{certify, race_certified};
-use haten2_core::{
-    parafac_als, plan_for, recovery_for, tucker_als, AlsOptions, CoreError, Decomp, Variant,
-};
+use haten2_analyze::race_certified;
+use haten2_core::{parafac_als, tucker_als, AlsOptions, CoreError, Decomp, Variant};
 use haten2_mapreduce::{Cluster, ClusterConfig, FaultPlan, MrError, SchedulerMode};
 use haten2_tensor::{CooTensor3, Entry3};
 
@@ -97,13 +95,8 @@ pub struct Outcome {
     pub speculative: usize,
     /// Workers blacklisted.
     pub blacklisted: usize,
-    /// DFS read retries endured.
-    pub dfs_retries: usize,
     /// Simulated seconds spent on recovery (backoff + straggler delay).
     pub recovery_sim_time_s: f64,
-    /// Did the static recoverability pass (`haten2_analyze::certify`)
-    /// certify this pipeline's plan under its declared recovery spec?
-    pub static_certified: bool,
     /// Did the static races pass (`haten2_analyze::race_certified`)
     /// certify this pipeline's batch program conflict-free?
     pub race_certified: bool,
@@ -146,18 +139,6 @@ impl ChaosReport {
     /// True when no run violated the invariant.
     pub fn ok(&self) -> bool {
         self.violations().is_empty()
-    }
-
-    /// Static ⊆ dynamic cross-validation failures: runs the *runtime*
-    /// recovered transparently (bit-identical output under faults) on a
-    /// pipeline the *static* recoverability pass refused to certify. Each
-    /// such row means the analyzer is under-approximating: a schedule the
-    /// fault subsystem provably survives was rejected on paper.
-    pub fn cross_validation_failures(&self) -> Vec<&Outcome> {
-        self.outcomes
-            .iter()
-            .filter(|o| o.status == Status::Identical && !o.static_certified)
-            .collect()
     }
 
     /// Static ⊆ dynamic cross-validation for the *race* certificates, in
@@ -230,11 +211,7 @@ fn opts_for(variant: Variant, sweeps: usize) -> AlsOptions {
 /// Is this error an exhausted-retry-budget failure (correct under heavy
 /// schedules) rather than a genuine divergence?
 fn is_fault_exhaustion(err: &CoreError) -> bool {
-    matches!(
-        err,
-        CoreError::MapReduce(MrError::TaskFailed { .. })
-            | CoreError::MapReduce(MrError::DfsReadFailed { .. })
-    )
+    matches!(err, CoreError::MapReduce(MrError::TaskFailed { .. }))
 }
 
 /// Run one pipeline on `c`, returning its output fingerprint.
@@ -279,20 +256,13 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     for decomp in ["parafac", "tucker"] {
         for variant in Variant::ALL {
             let pipeline = format!("{decomp}/{}", variant.name());
-            // Static verdict for the same (pipeline, sweeps) the dynamic
-            // runs exercise, for the static ⊆ dynamic cross-validation.
+            // Static race verdict for the same pipeline, for the race
+            // cross-validation against the dynamic detector.
             let d = if decomp == "parafac" {
                 Decomp::Parafac
             } else {
                 Decomp::Tucker
             };
-            let static_certified = certify(
-                &plan_for(d, variant),
-                &recovery_for(d, variant, opts.sweeps),
-            )
-            .certified();
-            // Static race verdict for the same pipeline, for the race
-            // cross-validation against the dynamic detector.
             let statically_race_free = race_certified(d, variant);
             let clean = run_pipeline(
                 &cluster(opts.machines, None, SchedulerMode::Dag),
@@ -348,9 +318,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
                     retries: m.total_task_retries(),
                     speculative: m.total_speculative_launched(),
                     blacklisted: m.total_workers_blacklisted(),
-                    dfs_retries: m.total_dfs_read_retries(),
                     recovery_sim_time_s: m.total_recovery_sim_time_s(),
-                    static_certified,
                     race_certified: statically_race_free,
                     dynamic_races: c.race_reports().len() + seq_cluster.race_reports().len(),
                 });

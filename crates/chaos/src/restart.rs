@@ -63,7 +63,6 @@ fn base_opts(prefix: Option<String>) -> AlsOptions {
         max_iters: SWEEPS,
         tol: 0.0,
         checkpoint_prefix: prefix,
-        checkpoint_every: 1,
         ..AlsOptions::with_variant(Variant::Dri)
     }
 }

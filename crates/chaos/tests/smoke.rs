@@ -34,21 +34,6 @@ fn all_eight_pipelines_are_fault_transparent() {
             );
         }
     }
-    // Static ⊆ dynamic: every schedule the runtime recovered from runs on
-    // a plan the static recoverability pass certified — and on this tree
-    // the static pass certifies all eight pipelines outright.
-    assert!(
-        report.cross_validation_failures().is_empty(),
-        "runtime recovered on statically-uncertified plans: {:?}",
-        report.cross_validation_failures()
-    );
-    for o in &report.outcomes {
-        assert!(
-            o.static_certified,
-            "{} not statically certified",
-            o.pipeline
-        );
-    }
 }
 
 #[test]

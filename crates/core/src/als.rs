@@ -45,13 +45,11 @@ pub struct AlsOptions {
     /// Adds one job per sweep; results are identical.
     pub distributed_fit: bool,
     /// When set, save a checkpoint (factors + sweep marker) under this
-    /// path prefix after every [`AlsOptions::checkpoint_every`]-th
-    /// completed sweep, so a mid-run crash can resume via
+    /// path prefix after every completed sweep, so a mid-run crash
+    /// recomputes no finished sweep and can resume via
     /// [`crate::checkpoint::parafac_als_checkpointed`] /
     /// [`crate::checkpoint::tucker_als_checkpointed`].
     pub checkpoint_prefix: Option<String>,
-    /// Checkpoint cadence in sweeps (values below 1 behave as 1).
-    pub checkpoint_every: usize,
     /// Absolute index of the first sweep this call runs (non-zero when
     /// resuming from a checkpoint). Keeps sweep-seeded randomness — the
     /// Tucker singular-vector kernel's seeds — aligned with the uninterrupted
@@ -69,7 +67,6 @@ impl Default for AlsOptions {
             use_combiner: false,
             distributed_fit: false,
             checkpoint_prefix: None,
-            checkpoint_every: 1,
             first_sweep: 0,
         }
     }

@@ -90,8 +90,8 @@ pub fn load_sweep_marker(prefix: &str) -> Result<Option<usize>> {
     Ok(Some(text.trim().parse().map_err(io_err)?))
 }
 
-/// Checkpoint hook called by the PARAFAC sweep loop: saves state + sweep
-/// marker when `opts` enables checkpointing and the cadence hits. On a
+/// Checkpoint hook called by the PARAFAC sweep loop after every sweep:
+/// saves state + sweep marker when `opts` enables checkpointing. On a
 /// durable cluster the factor state is also snapshotted into the DFS
 /// block store *before* the marker commits, so a restarted driver that
 /// sees the marker is guaranteed to find the matching durable state.
@@ -105,9 +105,6 @@ pub(crate) fn maybe_save_parafac(
     let Some(prefix) = &opts.checkpoint_prefix else {
         return Ok(());
     };
-    if !(sweep + 1).is_multiple_of(opts.checkpoint_every.max(1)) {
-        return Ok(());
-    }
     save_parafac_state(lambda, factors, prefix)?;
     if cluster.dfs().is_durable() {
         crate::store::persist_parafac_state(cluster, prefix, lambda, factors)?;
@@ -126,9 +123,6 @@ pub(crate) fn maybe_save_tucker(
     let Some(prefix) = &opts.checkpoint_prefix else {
         return Ok(());
     };
-    if !(sweep + 1).is_multiple_of(opts.checkpoint_every.max(1)) {
-        return Ok(());
-    }
     save_tucker_state(core, factors, prefix)?;
     if cluster.dfs().is_durable() {
         crate::store::persist_tucker_state(cluster, prefix, core, factors)?;
@@ -488,7 +482,7 @@ mod tests {
         let clean =
             parafac_als(&Cluster::new(ClusterConfig::with_machines(3)), &x, 2, &base).unwrap();
 
-        // Jobs per sweep, to aim the crash inside sweep 2.
+        // Jobs per sweep, to aim each crash inside a chosen sweep.
         let probe = Cluster::new(ClusterConfig::with_machines(3));
         parafac_als(
             &probe,
@@ -502,29 +496,36 @@ mod tests {
         .unwrap();
         let per_sweep = probe.metrics().total_jobs();
 
-        let (dir, prefix) = tmp_prefix("crash_resume_pf");
-        let opts = AlsOptions {
-            checkpoint_prefix: Some(prefix.clone()),
-            ..base
-        };
+        // A crash inside sweep k finds every finished sweep checkpointed:
+        // the marker reads k - 1 and the resumed run replays exactly.
+        for k in 2..=base.max_iters {
+            let (dir, prefix) = tmp_prefix(&format!("crash_resume_pf{k}"));
+            let opts = AlsOptions {
+                checkpoint_prefix: Some(prefix.clone()),
+                ..base.clone()
+            };
+            let crash = crashing_cluster(per_sweep * (k - 1) + 1);
+            let err = parafac_als_checkpointed(&crash, &x, 2, &opts).unwrap_err();
+            assert!(err.to_string().contains("retry budget"), "got: {err}");
+            assert_eq!(
+                load_sweep_marker(&prefix).unwrap(),
+                Some(k - 1),
+                "sweep {k}"
+            );
 
-        // Crash during sweep 2: sweep 1 is checkpointed, the run dies.
-        let err =
-            parafac_als_checkpointed(&crashing_cluster(per_sweep + 1), &x, 2, &opts).unwrap_err();
-        assert!(err.to_string().contains("retry budget"), "got: {err}");
-        assert_eq!(load_sweep_marker(&prefix).unwrap(), Some(1));
-
-        // Resume on a healthy cluster: remaining sweeps replay exactly.
-        let resumed =
-            parafac_als_checkpointed(&Cluster::new(ClusterConfig::with_machines(3)), &x, 2, &opts)
-                .unwrap();
-        assert_eq!(resumed.iterations, 3, "3 of 4 sweeps remained");
-        assert_eq!(resumed.lambda, clean.lambda, "lambda must be bit-identical");
-        assert_eq!(
-            resumed.factors, clean.factors,
-            "factors must be bit-identical"
-        );
-        std::fs::remove_dir_all(dir).unwrap();
+            let healthy = Cluster::new(ClusterConfig::with_machines(3));
+            let resumed = parafac_als_checkpointed(&healthy, &x, 2, &opts).unwrap();
+            assert_eq!(resumed.iterations, base.max_iters - (k - 1), "sweep {k}");
+            assert_eq!(
+                resumed.lambda, clean.lambda,
+                "sweep {k}: lambda must be bit-identical"
+            );
+            assert_eq!(
+                resumed.factors, clean.factors,
+                "sweep {k}: factors must be bit-identical"
+            );
+            std::fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     #[test]
@@ -556,31 +557,34 @@ mod tests {
         .unwrap();
         let per_sweep = probe.metrics().total_jobs();
 
-        let (dir, prefix) = tmp_prefix("crash_resume_tk");
-        let opts = AlsOptions {
-            checkpoint_prefix: Some(prefix.clone()),
-            ..base
-        };
+        for k in 2..=base.max_iters {
+            let (dir, prefix) = tmp_prefix(&format!("crash_resume_tk{k}"));
+            let opts = AlsOptions {
+                checkpoint_prefix: Some(prefix.clone()),
+                ..base.clone()
+            };
+            let crash = crashing_cluster(per_sweep * (k - 1) + 1);
+            let err = tucker_als_checkpointed(&crash, &x, [2, 2, 2], &opts).unwrap_err();
+            assert!(err.to_string().contains("retry budget"), "got: {err}");
+            assert_eq!(
+                load_sweep_marker(&prefix).unwrap(),
+                Some(k - 1),
+                "sweep {k}"
+            );
 
-        let err = tucker_als_checkpointed(&crashing_cluster(per_sweep + 1), &x, [2, 2, 2], &opts)
-            .unwrap_err();
-        assert!(err.to_string().contains("retry budget"), "got: {err}");
-        assert_eq!(load_sweep_marker(&prefix).unwrap(), Some(1));
-
-        let resumed = tucker_als_checkpointed(
-            &Cluster::new(ClusterConfig::with_machines(3)),
-            &x,
-            [2, 2, 2],
-            &opts,
-        )
-        .unwrap();
-        assert_eq!(resumed.iterations, 2, "2 of 3 sweeps remained");
-        assert_eq!(
-            resumed.factors, clean.factors,
-            "factors must be bit-identical"
-        );
-        assert_eq!(resumed.core, clean.core, "core must be bit-identical");
-        std::fs::remove_dir_all(dir).unwrap();
+            let healthy = Cluster::new(ClusterConfig::with_machines(3));
+            let resumed = tucker_als_checkpointed(&healthy, &x, [2, 2, 2], &opts).unwrap();
+            assert_eq!(resumed.iterations, base.max_iters - (k - 1), "sweep {k}");
+            assert_eq!(
+                resumed.factors, clean.factors,
+                "sweep {k}: factors must be bit-identical"
+            );
+            assert_eq!(
+                resumed.core, clean.core,
+                "sweep {k}: core must be bit-identical"
+            );
+            std::fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub use compress::parafac_via_compression;
 pub use missing::{parafac_missing, MissingParafacResult};
 pub use nonneg::{nonneg_parafac, NonnegParafacResult};
 pub use plan::{
-    comm_assoc_annotation, comm_for, env_for, is_comm_assoc_site, plan_for, recovery_for, CommSpec,
-    Decomp, ReducerAnnotation, COMM_ASSOC_REDUCERS,
+    comm_assoc_annotation, comm_for, env_for, is_comm_assoc_site, plan_for, CommSpec, Decomp,
+    ReducerAnnotation, COMM_ASSOC_REDUCERS,
 };
 pub use records::Ix4;
 pub use store::{

@@ -44,7 +44,7 @@ use crate::Variant;
 use haten2_linalg::Mat;
 use haten2_mapreduce::{
     dataset_base, datasets_overlap, Batch, Cluster, Env, EstimateSize, JobCtx, JobGraph, JobHandle,
-    JobInstance, MrError, PlanJob, RecoverySpec, SymExpr, TakeOnce, RECORD_FRAMING_BYTES,
+    JobInstance, MrError, PlanJob, SymExpr, TakeOnce, RECORD_FRAMING_BYTES,
 };
 use haten2_tensor::CooTensor3;
 
@@ -88,9 +88,6 @@ pub fn env_for(dims: [u64; 3], nnz: usize, q: usize, r: usize, machines: usize) 
         rank_q: q as u64,
         rank_r: r as u64,
         machines: machines as u64,
-        // A single-fault budget is the default contract the recoverability
-        // pass certifies (and the chaos sweeps inject).
-        faults: 1,
         // Default per-reducer memory budget: 1 MiB, matching the order of
         // the spill benchmark's per-machine budgets. Comfortably above the
         // `Mr ≥ 8·max(Q, R)` regime floor the communication bounds assume;
@@ -789,30 +786,6 @@ pub fn run_pipeline(
     Ok(y)
 }
 
-/// The static recovery contract of one pipeline: every graph-produced
-/// dataset is declared covered by a lineage recipe, and iterative (ALS)
-/// invocations checkpoint after every sweep. The recoverability pass in
-/// `haten2-analyze` certifies this spec against the [`plan_for`] graph.
-///
-/// It is a contract, not a description of [`run_pipeline`]: the
-/// pipelines keep their intermediates in job handles and register no
-/// lineage recipe. What the contract promises is exercised where datasets
-/// do live on the DFS — `haten2_mapreduce::run_job_dfs_recovering`'s tests
-/// re-derive lost datasets through registered recipes, and the
-/// checkpointed ALS drivers ([`crate::checkpoint`]) write the per-sweep
-/// checkpoints.
-pub fn recovery_for(decomp: Decomp, variant: Variant, sweeps: usize) -> RecoverySpec {
-    let graph = plan_for(decomp, variant);
-    let mut spec = RecoverySpec::new();
-    for ds in graph.produced_datasets() {
-        spec = spec.cover(&ds);
-    }
-    if sweeps > 0 {
-        spec = spec.checkpoint(1, sweeps);
-    }
-    spec
-}
-
 /// Communication-bound metadata one pipeline registers: the parameters
 /// that instantiate the Ballard–Rouse MTTKRP communication lower bounds
 /// (arXiv:1708.07401) for it. The analyzer's `comm` pass combines these
@@ -936,7 +909,6 @@ mod tests {
                 rank_q: 1 + s,
                 rank_r: 2 + s,
                 machines: 4 * s,
-                faults: 1,
                 reducer_memory: 1 << 20,
             });
         }
@@ -1052,25 +1024,6 @@ mod tests {
                         "{decomp} {variant}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn recovery_spec_covers_every_intermediate_read() {
-        for decomp in Decomp::ALL {
-            for variant in Variant::ALL {
-                let g = plan_for(decomp, variant);
-                let spec = recovery_for(decomp, variant, 3);
-                for ds in g.intermediate_reads() {
-                    assert!(
-                        spec.covered.contains(&ds),
-                        "{decomp} {variant}: intermediate read '{ds}' uncovered"
-                    );
-                }
-                let cp = spec.checkpoint.expect("sweeps > 0 implies a policy");
-                assert_eq!(cp.every, 1);
-                assert_eq!(cp.sweeps, 3);
             }
         }
     }

@@ -238,16 +238,6 @@ impl Cluster {
             .push(job);
     }
 
-    /// Amend the most recently recorded job's metrics (the pipeline layer
-    /// attributes DFS retries and lineage recoveries to the job they
-    /// delayed). No-op when no job has run.
-    pub(crate) fn annotate_last(&self, f: impl FnOnce(&mut JobMetrics)) {
-        let mut guard = self.metrics.lock().expect("metrics lock poisoned");
-        if let Some(last) = guard.jobs.last_mut() {
-            f(last);
-        }
-    }
-
     /// Snapshot of all metrics so far.
     pub fn metrics(&self) -> RunMetrics {
         self.metrics.lock().expect("metrics lock poisoned").clone()

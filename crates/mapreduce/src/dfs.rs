@@ -763,8 +763,8 @@ impl Dfs {
 
     /// Fetch a dataset that must exist, with the typed error instead of
     /// `None`: [`crate::MrError::DatasetMissing`] names the reading job and
-    /// the dataset, so recovery layers (retry, lineage) can react instead
-    /// of panicking on an `unwrap`; durable I/O failures surface as
+    /// the dataset, so the caller gets a typed error instead of panicking
+    /// on an `unwrap`; durable I/O failures surface as
     /// [`crate::MrError::StorageFailed`]. A single metered lookup — there
     /// is no separate existence probe whose answer could go stale before
     /// the fetch.
@@ -1120,6 +1120,28 @@ mod tests {
         assert!(total >= min && total <= max && (total - min).is_multiple_of(24));
         // Live bytes settled on exactly the last generation written.
         assert!(dfs.live_bytes() == 8 || dfs.live_bytes() == 32);
+    }
+
+    #[test]
+    fn missing_dataset_fails_cleanly() {
+        let err = Dfs::new()
+            .get_required::<(u64, u64)>("orphan", "nope")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            crate::MrError::DatasetMissing {
+                job: "orphan".into(),
+                dataset: "nope".into()
+            }
+        );
+    }
+
+    #[test]
+    fn type_mismatch_is_missing() {
+        let dfs = Dfs::new();
+        dfs.put("x", vec![1u64, 2, 3]).unwrap(); // not (K, V) pairs
+        let err = dfs.get_required::<(u64, u64)>("typed", "x").unwrap_err();
+        assert!(matches!(err, crate::MrError::DatasetMissing { .. }));
     }
 
     #[test]

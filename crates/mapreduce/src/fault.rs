@@ -1,5 +1,5 @@
 //! Deterministic fault injection: seeded schedules of task failures,
-//! worker crashes, stragglers, and DFS read errors.
+//! worker crashes and stragglers.
 //!
 //! A [`FaultPlan`] is a *pure function* from (job, task, attempt) to fault
 //! decisions, driven by the vendored ChaCha `StdRng`. Both executors — the
@@ -23,10 +23,6 @@
 //!   time. With speculation enabled a backup attempt launches once the
 //!   task is one nominal duration late and wins iff the original would
 //!   finish after `2 ×` nominal — Hadoop's speculative execution.
-//! * **Transient DFS read errors** — a pipeline read fails and is retried
-//!   with backoff ([`FaultPlan::dfs_read_fails`]).
-//! * **Dataset loss** — a DFS dataset disappears before a read
-//!   ([`FaultPlan::dataset_lost`]), exercising lineage re-derivation.
 //!
 //! All retry delays come from the single shared helper
 //! [`RetryPolicy::backoff_s`]; `cargo xtask lint` (rule `shared-backoff`)
@@ -43,8 +39,8 @@ pub const SPECULATIVE_FINISH_FACTOR: f64 = 2.0;
 /// Bounded-retry policy with exponential simulated-time backoff.
 ///
 /// The **shared backoff helper** for every retry site in the workspace:
-/// engine task retries, DFS read retries, and lineage re-derivation all
-/// charge delays through [`RetryPolicy::backoff_s`].
+/// map and reduce task retries charge delays through
+/// [`RetryPolicy::backoff_s`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum attempts per task (first attempt included). A task whose
@@ -99,11 +95,6 @@ pub struct FaultPlan {
     pub straggle_factor_max: f64,
     /// Launch speculative backup attempts for stragglers.
     pub speculation: bool,
-    /// Probability one DFS read attempt fails transiently.
-    pub dfs_transient_p: f64,
-    /// Probability a DFS dataset is lost (deleted) right before a
-    /// lineage-aware pipeline stage reads it.
-    pub dataset_loss_p: f64,
     /// Legacy deterministic knob: every `n`-th map task fails exactly once
     /// (the engine's original `fail_every_nth_task` behaviour).
     pub fail_every_nth: Option<usize>,
@@ -128,8 +119,6 @@ impl Default for FaultPlan {
             straggle_p: 0.0,
             straggle_factor_max: 4.0,
             speculation: true,
-            dfs_transient_p: 0.0,
-            dataset_loss_p: 0.0,
             fail_every_nth: None,
             kill_at_job: None,
             retry: RetryPolicy::default(),
@@ -240,8 +229,6 @@ mod salt {
     pub const REDUCE_FAIL: u64 = 3;
     pub const STRAGGLE: u64 = 4;
     pub const STRAGGLE_FACTOR: u64 = 5;
-    pub const DFS_READ: u64 = 6;
-    pub const DATASET_LOSS: u64 = 7;
 }
 
 impl FaultPlan {
@@ -271,7 +258,6 @@ impl FaultPlan {
             worker_crash_p: 0.05,
             straggle_p: 0.10,
             straggle_factor_max: 6.0,
-            dfs_transient_p: 0.10,
             retry: RetryPolicy {
                 max_attempts: 8,
                 ..RetryPolicy::default()
@@ -295,8 +281,6 @@ impl FaultPlan {
             && self.reduce_fail_p == 0.0
             && self.worker_crash_p == 0.0
             && self.straggle_p == 0.0
-            && self.dfs_transient_p == 0.0
-            && self.dataset_loss_p == 0.0
             && self.fail_every_nth.is_none_or(|n| n == 0)
             && self.kill_at_job.is_none()
     }
@@ -308,31 +292,6 @@ impl FaultPlan {
     fn draw(&self, salt_kind: u64, key: u64, a: u64, b: u64) -> f64 {
         let packed = mix(self.seed ^ mix(key ^ mix(salt_kind ^ mix(a ^ mix(b)))));
         StdRng::seed_from_u64(packed).gen::<f64>()
-    }
-
-    /// Whether DFS read attempt `attempt` of `dataset` by `job` fails
-    /// transiently.
-    pub fn dfs_read_fails(&self, job: &str, dataset: &str, attempt: usize) -> bool {
-        self.dfs_transient_p > 0.0
-            && self.draw(
-                salt::DFS_READ,
-                fnv1a(job.as_bytes()),
-                fnv1a(dataset.as_bytes()),
-                attempt as u64,
-            ) < self.dfs_transient_p
-    }
-
-    /// Whether `dataset` is lost (deleted from the DFS) right before `job`
-    /// reads it. At most once per (job, dataset) pair — the re-derived
-    /// copy survives.
-    pub fn dataset_lost(&self, job: &str, dataset: &str) -> bool {
-        self.dataset_loss_p > 0.0
-            && self.draw(
-                salt::DATASET_LOSS,
-                fnv1a(job.as_bytes()),
-                fnv1a(dataset.as_bytes()),
-                0,
-            ) < self.dataset_loss_p
     }
 
     /// Expand the plan into the complete fault schedule for one job.
@@ -580,22 +539,5 @@ mod tests {
             let factor = f.straggle_factor.expect("all tasks straggle");
             assert!((2.0..=5.0).contains(&factor), "factor {factor}");
         }
-    }
-
-    #[test]
-    fn dfs_decisions_depend_on_attempt() {
-        let plan = FaultPlan {
-            dfs_transient_p: 0.5,
-            ..FaultPlan::default()
-        };
-        // With p = 0.5 over 64 attempts, both outcomes must occur.
-        let outcomes: Vec<bool> = (0..64).map(|a| plan.dfs_read_fails("j", "d", a)).collect();
-        assert!(outcomes.iter().any(|&b| b));
-        assert!(outcomes.iter().any(|&b| !b));
-        // And are reproducible.
-        assert_eq!(
-            plan.dfs_read_fails("j", "d", 3),
-            plan.dfs_read_fails("j", "d", 3)
-        );
     }
 }

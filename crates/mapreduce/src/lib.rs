@@ -27,11 +27,10 @@
 //!   disk-access saving of HaTen2-DRI (the input tensor is read once, not
 //!   twice) is observable.
 //! * **Fault injection and recovery** — a seeded [`fault::FaultPlan`]
-//!   schedules task failures, worker crashes, stragglers, and DFS faults;
-//!   the engine recovers with bounded retries + simulated-time backoff,
-//!   speculative re-execution, worker blacklisting, and lineage
-//!   re-derivation of lost datasets ([`lineage::Lineage`]) — all expanded
-//!   deterministically so results stay bit-identical to fault-free runs.
+//!   schedules task failures, worker crashes and stragglers; the engine
+//!   recovers with bounded retries + simulated-time backoff, speculative
+//!   re-execution and worker blacklisting — all expanded deterministically
+//!   so results stay bit-identical to fault-free runs.
 //! * **A sequential oracle** — [`reference::run_job_reference`] is a
 //!   straight-line, single-threaded executor with the same observable
 //!   semantics; property tests hold the pooled engine to it bit-for-bit.
@@ -63,10 +62,8 @@ pub mod dfs;
 pub mod fault;
 mod fill;
 pub mod job;
-pub mod lineage;
 pub mod metrics;
 pub mod persist;
-pub mod pipeline;
 pub mod plan;
 pub mod pool;
 #[cfg(feature = "race-detect")]
@@ -84,13 +81,9 @@ pub use job::{
     concat_partitions, key_slice, run_job, run_job_collect, run_job_streaming, run_job_written,
     Combiner, JobSite, JobSpec, MapInput, RECORD_FRAMING_BYTES,
 };
-pub use lineage::{Lineage, MAX_RECOVERY_DEPTH};
 pub use metrics::{BatchReport, JobMetrics, RunMetrics};
 pub use persist::{decode_records, encode_records, Persist};
-pub use pipeline::{run_job_dfs, run_job_dfs_recovering};
-pub use plan::{
-    dataset_base, CheckpointPolicy, Env, JobGraph, JobInstance, PlanJob, RecoverySpec, SymExpr, Var,
-};
+pub use plan::{dataset_base, Env, JobGraph, JobInstance, PlanJob, SymExpr, Var};
 pub use pool::WorkerPool;
 #[cfg(feature = "race-detect")]
 pub use race::RaceReport;
@@ -148,30 +141,6 @@ pub enum MrError {
         job: String,
         /// The dataset name.
         dataset: String,
-    },
-    /// Transient DFS read errors persisted past the retry budget.
-    DfsReadFailed {
-        /// Job whose input read kept failing.
-        job: String,
-        /// The dataset being read.
-        dataset: String,
-        /// Attempts made before giving up.
-        attempts: usize,
-    },
-    /// A lost dataset has no registered lineage recipe to re-derive it.
-    LineageMissing {
-        /// The unrecoverable dataset.
-        dataset: String,
-    },
-    /// A lineage recipe was registered under a different producing job
-    /// than the pipeline's [`plan::JobGraph`] declares.
-    LineageMismatch {
-        /// The dataset in question.
-        dataset: String,
-        /// Producer named at registration.
-        registered: String,
-        /// Producer the plan declares.
-        planned: String,
     },
     /// A scheduler batch disagreed with the static plan: a submitted job
     /// does not match any [`plan::JobGraph`] template, declared reads or
@@ -245,21 +214,12 @@ impl std::fmt::Display for MrError {
             MrError::DatasetMissing { job, dataset } => {
                 write!(f, "job '{job}': DFS dataset '{dataset}' missing or wrong type")
             }
-            MrError::DfsReadFailed { job, dataset, attempts } => {
-                write!(
-                    f,
-                    "job '{job}': reading DFS dataset '{dataset}' failed transiently {attempts} times, budget exhausted"
-                )
-            }
             MrError::SpillCapacityExceeded { dataset, requested_bytes, live_bytes, capacity_bytes } => write!(
                 f,
                 "dataset '{dataset}': put of {requested_bytes} B would push live DFS bytes ({live_bytes} B) past capacity {capacity_bytes} B"
             ),
             MrError::StorageFailed { dataset, op, detail } => {
                 write!(f, "dataset '{dataset}': durable storage {op} failed: {detail}")
-            }
-            MrError::LineageMissing { dataset } => {
-                write!(f, "dataset '{dataset}' lost and no lineage recipe can re-derive it")
             }
             MrError::PlanViolation { job, detail } => {
                 write!(f, "job '{job}': plan violation: {detail}")
@@ -268,12 +228,6 @@ impl std::fmt::Display for MrError {
                 write!(
                     f,
                     "job '{job}': duplicate write: dataset shard '{dataset}' is already written by job '{prior_job}'"
-                )
-            }
-            MrError::LineageMismatch { dataset, registered, planned } => {
-                write!(
-                    f,
-                    "dataset '{dataset}' registered with producer '{registered}' but the plan declares '{planned}'"
                 )
             }
         }

@@ -43,10 +43,6 @@ pub struct JobMetrics {
     /// Speculative attempts that finished before the straggler they
     /// shadowed.
     pub speculative_wins: usize,
-    /// Transient DFS read failures retried by the pipeline layer.
-    pub dfs_read_retries: usize,
-    /// Lost DFS datasets re-derived through lineage before this job ran.
-    pub lineage_recoveries: usize,
     /// Simulated seconds spent on recovery: retry backoff plus straggler
     /// delay (net of speculative wins). Included in `sim_time_s`.
     pub recovery_sim_time_s: f64,
@@ -232,16 +228,6 @@ impl RunMetrics {
         self.jobs.iter().map(|j| j.workers_blacklisted).sum()
     }
 
-    /// Total transient DFS read retries across the run.
-    pub fn total_dfs_read_retries(&self) -> usize {
-        self.jobs.iter().map(|j| j.dfs_read_retries).sum()
-    }
-
-    /// Total lineage re-derivations across the run.
-    pub fn total_lineage_recoveries(&self) -> usize {
-        self.jobs.iter().map(|j| j.lineage_recoveries).sum()
-    }
-
     /// Total simulated time spent on recovery (backoff + straggler delay).
     pub fn total_recovery_sim_time_s(&self) -> f64 {
         self.jobs.iter().map(|j| j.recovery_sim_time_s).sum()
@@ -345,8 +331,6 @@ mod tests {
             speculative_launched: 2,
             speculative_wins: 1,
             workers_blacklisted: 1,
-            dfs_read_retries: 3,
-            lineage_recoveries: 1,
             recovery_sim_time_s: 5.0,
             ..Default::default()
         });
@@ -360,8 +344,6 @@ mod tests {
         assert_eq!(run.total_speculative_launched(), 2);
         assert_eq!(run.total_speculative_wins(), 1);
         assert_eq!(run.total_workers_blacklisted(), 1);
-        assert_eq!(run.total_dfs_read_retries(), 3);
-        assert_eq!(run.total_lineage_recoveries(), 1);
         assert!((run.total_recovery_sim_time_s() - 6.5).abs() < 1e-12);
     }
 

@@ -54,9 +54,6 @@ pub enum Var {
     RankR,
     /// Number of cluster machines.
     Machines,
-    /// Symbolic fault budget `k` of the recoverability pass (how many
-    /// dataset losses / task crashes a schedule may inject).
-    Faults,
     /// Per-reducer memory budget in bytes (`Mr`) — the fast-memory size
     /// of the Ballard–Rouse communication lower bounds.
     ReducerMemory,
@@ -73,7 +70,6 @@ impl Var {
             Var::RankQ => "Q",
             Var::RankR => "R",
             Var::Machines => "M",
-            Var::Faults => "k",
             Var::ReducerMemory => "Mr",
         }
     }
@@ -97,8 +93,6 @@ pub struct Env {
     pub rank_r: u64,
     /// Cluster machines.
     pub machines: u64,
-    /// Fault budget `k` (losses the recoverability pass must absorb).
-    pub faults: u64,
     /// Per-reducer memory budget `Mr` in bytes.
     pub reducer_memory: u64,
 }
@@ -114,7 +108,6 @@ impl Env {
             Var::RankQ => self.rank_q,
             Var::RankR => self.rank_r,
             Var::Machines => self.machines,
-            Var::Faults => self.faults,
             Var::ReducerMemory => self.reducer_memory,
         }) as u128
     }
@@ -179,11 +172,6 @@ impl SymExpr {
     /// `R`.
     pub fn rank_r() -> SymExpr {
         SymExpr::Var(Var::RankR)
-    }
-
-    /// `k` (fault budget).
-    pub fn faults() -> SymExpr {
-        SymExpr::Var(Var::Faults)
     }
 
     /// `M` (cluster machines).
@@ -252,6 +240,17 @@ impl SymExpr {
         }
     }
 
+    /// Whether `Display` prints an unparenthesized `/` at this
+    /// expression's top level: a quotient, or a product whose leftmost
+    /// factor is one (right-hand quotients are always parenthesized).
+    fn shows_div(&self) -> bool {
+        match self {
+            SymExpr::Div(..) => true,
+            SymExpr::Mul(a, _) => a.shows_div(),
+            _ => false,
+        }
+    }
+
     fn fmt_child(&self, child: &SymExpr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if child.precedence() < self.precedence() {
             write!(f, "({child})")
@@ -275,9 +274,10 @@ impl fmt::Display for SymExpr {
                 self.fmt_child(a, f)?;
                 f.write_str("·")?;
                 // `·` and `/` share a precedence level but only `·` is
-                // associative: a divisor on the right must keep its parens
-                // so `x·(a / b)` does not re-read as `(x·a) / b`.
-                if matches!(**b, SymExpr::Div(..)) {
+                // associative: a right operand that shows a `/` must keep
+                // its parens so `x·(a / b)` does not re-read as
+                // `(x·a) / b`, nor `x·(a / b·c)` as `(x·a) / b·c`.
+                if b.shows_div() {
                     write!(f, "({b})")
                 } else {
                     self.fmt_child(b, f)
@@ -467,7 +467,6 @@ impl Parser<'_> {
                     Var::RankQ,
                     Var::RankR,
                     Var::Machines,
-                    Var::Faults,
                     Var::ReducerMemory,
                 ]
                 .into_iter()
@@ -599,50 +598,6 @@ impl PlanJob {
     /// registry annotation and its generated property test).
     pub fn comm_assoc(mut self) -> Self {
         self.comm_assoc = true;
-        self
-    }
-}
-
-/// Checkpoint configuration of an iterative (ALS) driver, as the plan
-/// publishes it: sweeps run, and a checkpoint written every `every`
-/// sweeps. The recoverability pass proves every completed sweep is covered
-/// (`every == 1`), so a crash never recomputes finished work.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// A checkpoint is written after every `every`-th completed sweep.
-    pub every: usize,
-    /// Total ALS sweeps the driver runs.
-    pub sweeps: usize,
-}
-
-/// Static recovery contract of one pipeline: which datasets carry lineage
-/// recipes, plus the iterative driver's checkpoint policy when there is
-/// one. The recoverability pass checks this declaration against the
-/// pipeline's [`JobGraph`] — every non-input dataset any job reads must be
-/// covered.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoverySpec {
-    /// Datasets with a registered lineage recipe (re-derivable on loss).
-    pub covered: std::collections::BTreeSet<String>,
-    /// Checkpoint policy of the enclosing iterative driver, if any.
-    pub checkpoint: Option<CheckpointPolicy>,
-}
-
-impl RecoverySpec {
-    /// Empty spec: nothing covered, no checkpointing.
-    pub fn new() -> Self {
-        RecoverySpec::default()
-    }
-
-    /// Declare `dataset` covered by a lineage recipe.
-    pub fn cover(mut self, dataset: &str) -> Self {
-        self.covered.insert(dataset.to_string());
-        self
-    }
-
-    /// Attach a checkpoint policy.
-    pub fn checkpoint(mut self, every: usize, sweeps: usize) -> Self {
-        self.checkpoint = Some(CheckpointPolicy { every, sweeps });
         self
     }
 }
@@ -802,16 +757,8 @@ impl JobGraph {
             .unwrap_or(SymExpr::Const(0))
     }
 
-    /// The job template that writes `dataset` — the lineage of an
-    /// intermediate: when the dataset is lost, re-running this job (after
-    /// re-deriving *its* inputs) reconstructs it. Returns `None` for
-    /// driver-provided inputs and unknown names.
-    pub fn producer_of(&self, dataset: &str) -> Option<&str> {
-        self.producer_job(dataset).map(|j| j.name.as_str())
-    }
-
-    /// The full job template that writes `dataset` (costs included) — what
-    /// the recoverability pass charges when the dataset must be re-derived.
+    /// The job template that writes `dataset`, whatever shard it names.
+    /// Returns `None` for driver-provided inputs and unknown names.
     pub fn producer_job(&self, dataset: &str) -> Option<&PlanJob> {
         let base = dataset_base(dataset);
         self.jobs
@@ -823,34 +770,6 @@ impl JobGraph {
     pub fn is_input(&self, dataset: &str) -> bool {
         let base = dataset_base(dataset);
         self.inputs.iter().any(|d| d == base)
-    }
-
-    /// Base name of every dataset produced by some job of this graph, in
-    /// first-writer order (no duplicates) — the set a complete
-    /// [`RecoverySpec`] covers.
-    pub fn produced_datasets(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for w in self.jobs.iter().flat_map(|j| &j.writes) {
-            let base = dataset_base(w);
-            if !out.iter().any(|d| d == base) {
-                out.push(base.to_string());
-            }
-        }
-        out
-    }
-
-    /// Base name of every dataset some job reads that is *not* a
-    /// driver-provided input, in first-reader order — exactly the reads
-    /// that depend on lineage for recovery.
-    pub fn intermediate_reads(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for r in self.jobs.iter().flat_map(|j| &j.reads) {
-            let base = dataset_base(r);
-            if !self.is_input(base) && !out.iter().any(|d| d == base) {
-                out.push(base.to_string());
-            }
-        }
-        out
     }
 
     /// The template a concrete job name instantiates: exact match for
@@ -883,7 +802,6 @@ impl JobGraph {
             rank_q: 2,
             rank_r: 3,
             machines: 4,
-            faults: 1,
             reducer_memory: 1 << 20,
         };
         let input_records: u128 = t
@@ -1007,7 +925,6 @@ mod tests {
             rank_q: 2,
             rank_r: 3,
             machines: 8,
-            faults: 1,
             reducer_memory: 1 << 20,
         }
     }
@@ -1038,7 +955,6 @@ mod tests {
                 rank_q: s,
                 rank_r: 2 * s,
                 machines: 4,
-                faults: s % 3,
                 reducer_memory: 100 * s,
             })
             .collect();
@@ -1099,6 +1015,9 @@ mod tests {
         assert_eq!(rhs_mul.to_string(), "nnz / (Q·R)");
         let mul_of_div = SymExpr::dim_i() * (SymExpr::nnz() / SymExpr::machines());
         assert_eq!(mul_of_div.to_string(), "I·(nnz / M)");
+        let mul_of_div_chain =
+            SymExpr::dim_i() * (SymExpr::nnz() / SymExpr::machines() * SymExpr::dim_j());
+        assert_eq!(mul_of_div_chain.to_string(), "I·(nnz / M·J)");
         let sum = SymExpr::nnz() / SymExpr::machines() + SymExpr::dim_j();
         assert_eq!(sum.to_string(), "nnz / M + J");
     }
@@ -1116,6 +1035,7 @@ mod tests {
             ),
             SymExpr::dim_i() * (SymExpr::nnz() / SymExpr::machines()),
             SymExpr::nnz() / SymExpr::machines() / SymExpr::rank_q(),
+            SymExpr::dim_i() * (SymExpr::nnz() / SymExpr::machines() * SymExpr::dim_j()),
         ];
         let e = env();
         for x in exprs {
@@ -1292,13 +1212,12 @@ mod tests {
             (&vec!["t#1".into()], &vec!["y#1".into()])
         );
 
-        // Producers, lineage sets and depth are questions about datasets,
-        // whatever shard a template names.
-        assert_eq!(g.producer_of("t"), Some("a{}"));
-        assert_eq!(g.producer_of("t#1"), Some("a{}"));
-        assert_eq!(g.producer_of("x"), None);
-        assert_eq!(g.produced_datasets(), ["t", "y", "z"]);
-        assert_eq!(g.intermediate_reads(), ["t", "y"]);
+        // Producers and depth are questions about datasets, whatever shard
+        // a template names.
+        let producer = |d: &str| g.producer_job(d).map(|j| j.name.as_str());
+        assert_eq!(producer("t"), Some("a{}"));
+        assert_eq!(producer("t#1"), Some("a{}"));
+        assert_eq!(producer("x"), None);
         assert_eq!(g.critical_path_jobs(), SymExpr::Const(3));
 
         g.rank_major = true;

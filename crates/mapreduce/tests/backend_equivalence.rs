@@ -16,8 +16,8 @@
 use haten2_blockstore::segment::segment_file_name;
 use haten2_blockstore::{BlockStore, DatasetIo, StoreOptions, StoreStats, BLOCK_TARGET_BYTES};
 use haten2_mapreduce::{
-    run_job, run_job_dfs, Cluster, ClusterConfig, Dfs, DfsBackend, DurableConfig, EstimateSize,
-    JobSpec, MrError, Persist, SpillStats,
+    run_job, Cluster, ClusterConfig, Dfs, DfsBackend, DurableConfig, EstimateSize, JobSpec,
+    MrError, Persist, SpillStats,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -83,15 +83,15 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         let run = |cluster: &Cluster| -> Result<Vec<(u64, u64)>, MrError> {
             cluster.dfs().put("in", input.clone())?;
-            run_job_dfs(
+            let stored = cluster.dfs().get_required::<(u64, u64)>("sum", "in")?;
+            let out = run_job(
                 cluster,
-                cluster.dfs(),
                 JobSpec::named("sum"),
-                "in",
-                "out",
+                &stored,
                 |k: &u64, v: &u64, emit| emit(*k, *v),
                 |k, vals, emit| emit(*k, vals.iter().sum::<u64>()),
             )?;
+            cluster.dfs().put("out", out)?;
             let mut out = cluster.dfs().get::<(u64, u64)>("out").unwrap().to_vec();
             out.sort();
             Ok(out)

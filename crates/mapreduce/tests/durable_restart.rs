@@ -1,17 +1,13 @@
 //! Durable-backend restart semantics at the engine level: datasets written
 //! through a [`DfsBackend::Durable`] cluster reopen from disk in a fresh
-//! cluster over the same directory, and lineage re-derivation works
-//! against the *reloaded* inputs — losing an intermediate after a restart
-//! re-runs its producer from the segment files, bit-identically.
+//! cluster over the same directory, and re-deriving an intermediate works
+//! against the *reloaded* inputs — losing it after a restart and re-running
+//! its producer from the segment files reproduces it bit-identically.
 
 #![allow(clippy::unwrap_used)]
 
-use haten2_mapreduce::{
-    run_job_dfs, run_job_dfs_recovering, Cluster, ClusterConfig, DfsBackend, DurableConfig,
-    JobSpec, Lineage,
-};
+use haten2_mapreduce::{run_job, Cluster, ClusterConfig, DfsBackend, DurableConfig, JobSpec};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -29,16 +25,18 @@ fn durable_cluster(dir: &PathBuf) -> Cluster {
     })
 }
 
-fn count_job(cluster: &Cluster) -> haten2_mapreduce::Result<usize> {
-    run_job_dfs(
+/// The producer of `counts`: reads `logs` from the DFS, writes `counts`.
+fn count_job(cluster: &Cluster) -> haten2_mapreduce::Result<()> {
+    let logs = cluster.dfs().get_required::<(u64, u64)>("count", "logs")?;
+    let counts = run_job(
         cluster,
-        cluster.dfs(),
         JobSpec::named("count"),
-        "logs",
-        "counts",
+        &logs,
         |_: &u64, v: &u64, emit| emit(*v, 1u64),
         |k, vals, emit| emit(*k, vals.len() as u64),
-    )
+    )?;
+    cluster.dfs().put("counts", counts)?;
+    Ok(())
 }
 
 #[test]
@@ -60,7 +58,7 @@ fn lineage_rederives_from_durably_reloaded_source_after_restart() {
 
     // Phase 2: a fresh cluster over the same directory sees both datasets
     // without any puts — the manifest replay recovered them.
-    let cluster = Arc::new(durable_cluster(&dir));
+    let cluster = durable_cluster(&dir);
     assert!(
         cluster.dfs().contains("logs"),
         "source must survive restart"
@@ -70,30 +68,24 @@ fn lineage_rederives_from_durably_reloaded_source_after_restart() {
         "intermediate must survive restart"
     );
 
-    // Lose the intermediate *after* the restart. The recipe must re-run
-    // the producer against the source reloaded from segment files.
+    // Lose the intermediate *after* the restart, then re-run its producer
+    // against the source reloaded from segment files.
     assert!(cluster.dfs().delete("counts").unwrap());
-    let lineage = Lineage::new();
-    let recipe_cluster = Arc::clone(&cluster);
-    lineage
-        .register("counts", "count", move || {
-            count_job(&recipe_cluster).map(|_| ())
-        })
+    count_job(&cluster).unwrap();
+    let counts = cluster
+        .dfs()
+        .get_required::<(u64, u64)>("max", "counts")
         .unwrap();
-
-    run_job_dfs_recovering(
+    let max = run_job(
         &cluster,
-        cluster.dfs(),
-        &lineage,
         JobSpec::named("max"),
-        "counts",
-        "max",
+        &counts,
         |_: &u64, c: &u64, emit| emit(0u8, *c),
         |_, vals, emit| emit(0u8, vals.into_iter().max().unwrap_or(0)),
     )
     .unwrap();
+    cluster.dfs().put("max", max).unwrap();
 
-    assert_eq!(lineage.recoveries(), 1, "the lost input must be re-derived");
     // The re-derived intermediate matches the pre-restart bits exactly,
     // because the source round-tripped through the block store losslessly.
     let rederived = cluster.dfs().get::<(u64, u64)>("counts").unwrap();

@@ -9,7 +9,7 @@
 use haten2_mapreduce::{Env, SymExpr};
 use proptest::prelude::*;
 
-fn env(nnz: u64, dims: [u64; 3], q: u64, r: u64, faults: u64) -> Env {
+fn env(nnz: u64, dims: [u64; 3], q: u64, r: u64, machines: u64) -> Env {
     Env {
         nnz,
         dim_i: dims[0],
@@ -17,8 +17,7 @@ fn env(nnz: u64, dims: [u64; 3], q: u64, r: u64, faults: u64) -> Env {
         dim_k: dims[2],
         rank_q: q,
         rank_r: r,
-        machines: 10,
-        faults,
+        machines,
         // Varies with the other knobs so `Mr`-dependent expressions are
         // distinguishable on the probe grid (coprime-ish, never zero).
         reducer_memory: 8 * (q + r) + nnz % 97,
@@ -49,10 +48,11 @@ fn splitmix(s: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A random expression of bounded depth over all seven classic variables.
-/// Division-free: the grid-equivalence net below is calibrated for the
-/// `(+, ·, max)` fragment the cost pass uses; [`gen_expr_div`] adds `/`
-/// and the `M`/`Mr` atoms for the communication-pass fragment.
+/// A random expression of bounded depth over seven variables (`nnz`, the
+/// three dimensions, both ranks and `M`). Division-free: the
+/// grid-equivalence net below is calibrated for the `(+, ·, max)` fragment
+/// the cost pass uses; [`gen_expr_div`] adds `/` and the `Mr` atom for the
+/// communication-pass fragment.
 fn gen_expr(s: &mut u64, depth: usize) -> SymExpr {
     let roll = splitmix(s);
     if depth == 0 || roll.is_multiple_of(4) {
@@ -64,7 +64,7 @@ fn gen_expr(s: &mut u64, depth: usize) -> SymExpr {
             4 => SymExpr::dim_k(),
             5 => SymExpr::rank_q(),
             6 => SymExpr::rank_r(),
-            _ => SymExpr::faults(),
+            _ => SymExpr::machines(),
         }
     } else {
         let a = gen_expr(s, depth - 1);
@@ -83,7 +83,7 @@ fn gen_expr(s: &mut u64, depth: usize) -> SymExpr {
 fn gen_expr_div(s: &mut u64, depth: usize) -> SymExpr {
     let roll = splitmix(s);
     if depth == 0 || roll.is_multiple_of(4) {
-        match splitmix(s) % 10 {
+        match splitmix(s) % 9 {
             0 => SymExpr::c(splitmix(s) % 60),
             1 => SymExpr::nnz(),
             2 => SymExpr::dim_i(),
@@ -92,8 +92,7 @@ fn gen_expr_div(s: &mut u64, depth: usize) -> SymExpr {
             5 => SymExpr::rank_q(),
             6 => SymExpr::rank_r(),
             7 => SymExpr::machines(),
-            8 => SymExpr::reducer_memory(),
-            _ => SymExpr::faults(),
+            _ => SymExpr::reducer_memory(),
         }
     } else {
         let a = gen_expr_div(s, depth - 1);
@@ -171,11 +170,11 @@ fn overflow_detection_near_u64_max() {
 
 #[test]
 fn zero_denominator_saturates_and_checked_eval_refuses() {
-    // faults = 0 in this env, so any ratio over `k` divides by zero: the
-    // saturating eval pins to the ceiling (an unbounded gap compares above
-    // everything), the checked eval refuses.
+    // machines = 0 in this env, so any ratio over `M` divides by zero:
+    // the saturating eval pins to the ceiling (an unbounded gap compares
+    // above everything), the checked eval refuses.
     let degenerate = env(1_000, [10, 10, 10], 2, 3, 0);
-    let ratio = SymExpr::nnz() / SymExpr::faults();
+    let ratio = SymExpr::nnz() / SymExpr::machines();
     assert_eq!(ratio.eval(&degenerate), u128::MAX);
     assert_eq!(ratio.eval_checked(&degenerate), None);
     // Saturation keeps max() monotone: the unbounded ratio dominates.
@@ -222,7 +221,7 @@ fn floor_division_is_left_associative_not_regroupable() {
 #[test]
 fn saturated_comparisons_stay_monotone() {
     // Saturation maps "too big" to the top instead of wrapping past a
-    // smaller value — the property the recovery pass's argmax relies on.
+    // smaller value — the property the passes' bound comparisons rely on.
     let huge = env(u64::MAX, [u64::MAX, u64::MAX, 1], 1, 1, 1);
     let overflowing = SymExpr::nnz() * SymExpr::nnz() * SymExpr::dim_i();
     let small = SymExpr::nnz();

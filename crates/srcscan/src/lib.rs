@@ -246,7 +246,7 @@ pub fn matching_close(code: &str, open: usize) -> Option<usize> {
 /// Every call of `callee` in the code view, as `(name_start, args_region)`
 /// where `args_region` is the byte range *between* the call's parentheses.
 /// `callee` must be a standalone token followed by `(` (whitespace
-/// allowed), so `run_job` does not match `run_job_dfs`.
+/// allowed), so `run_job` does not match `run_job_written`.
 pub fn find_calls(code: &str, callee: &str) -> Vec<(usize, (usize, usize))> {
     let mut out = Vec::new();
     let b = code.as_bytes();
@@ -508,8 +508,6 @@ const JOB_RUNNERS: &[(&str, usize)] = &[
     ("run_job_streaming", 2),
     ("run_job_collect", 2),
     ("run_job_written", 1),
-    ("run_job_dfs", 2),
-    ("run_job_dfs_recovering", 2),
 ];
 
 fn contains_token(hay: &str, needle: &str) -> Option<usize> {
@@ -796,11 +794,11 @@ mod tests {
             enclosing_fn_name(&st.code, calls[0].0),
             Some("outer".to_string())
         );
-        // run_job must not match run_job_dfs.
-        let src2 = "run_job_dfs(a, b)";
+        // run_job must not match run_job_written.
+        let src2 = "run_job_written(a, b)";
         let st2 = SourceText::parse(src2);
         assert!(find_calls(&st2.code, "run_job").is_empty());
-        assert_eq!(find_calls(&st2.code, "run_job_dfs").len(), 1);
+        assert_eq!(find_calls(&st2.code, "run_job_written").len(), 1);
     }
 
     #[test]

@@ -22,12 +22,6 @@
 //!   comment within the preceding lines.
 //! * **no-debug-macros** — `dbg!(` and `todo!(` are banned everywhere,
 //!   including tests.
-//! * **no-direct-run-job-dfs** — calling `run_job_dfs` /
-//!   `run_job_dfs_recovering` directly is banned in library sources
-//!   outside the `crates/mapreduce` pipeline module that defines them:
-//!   driver crates must submit work through the DAG scheduler's `Batch`,
-//!   which validates declared reads/writes against the plan and commits
-//!   results in submission order.
 //! * **shared-backoff** — retry backoff arithmetic is banned in library
 //!   sources outside `crates/mapreduce/src/fault.rs`: every retry site
 //!   must charge delays through the one `RetryPolicy::backoff_s` helper so
@@ -132,21 +126,6 @@ pub const RULES: &[Rule] = &[
         scope: Scope::Everywhere,
         message: "debugging leftovers must not land",
         exempt: &[],
-        applies_to: &[],
-        applies_under: &[],
-    },
-    Rule {
-        id: "no-direct-run-job-dfs",
-        patterns: &["run_job_dfs"],
-        scope: Scope::LibraryCode,
-        message: "driver code must submit DFS-backed jobs through the scheduler \
-                  (haten2_mapreduce::Batch) so dependency validation and the \
-                  deterministic commit order apply; direct run_job_dfs calls are \
-                  reserved for the pipeline helpers in crates/mapreduce",
-        exempt: &[
-            "crates/mapreduce/src/pipeline.rs",
-            "crates/mapreduce/src/lib.rs",
-        ],
         applies_to: &[],
         applies_under: &[],
     },

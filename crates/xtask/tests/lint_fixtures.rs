@@ -22,7 +22,6 @@ const LINT_FIXTURES: &[(&str, &str)] = &[
     ("no_default_hasher.rs", "no-default-hasher"),
     ("no_unwrap.rs", "no-unwrap"),
     ("no_debug_macros.rs", "no-debug-macros"),
-    ("no_direct_run_job_dfs.rs", "no-direct-run-job-dfs"),
     ("shared_backoff.rs", "shared-backoff"),
     ("no_per_record_alloc.rs", "no-per-record-alloc"),
     ("no_direct_fs.rs", "no-direct-fs"),
