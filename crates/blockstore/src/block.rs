@@ -1,8 +1,9 @@
 //! The block: the unit a dataset is stored, checksummed and read in.
 //!
 //! A dataset's extent is `[directory][block 0][block 1]…`. Each block is a
-//! run of whole records, encoded on its own ([`crate::codec`]: zero-RLE,
-//! or raw when that does not shrink it) and checksummed on its own, so
+//! run of whole records, encoded on its own ([`crate::codec`]: word-granular
+//! zero suppression by default, raw when that does not shrink it; blocks
+//! of older stores may be zero-RLE) and checksummed on its own, so
 //! readers can fetch, verify and decode blocks independently — on
 //! different threads, or one at a time through a small reused buffer —
 //! instead of materialising the dataset's bytes. The directory has one
@@ -146,14 +147,16 @@ mod tests {
         let zeros = vec![0u8; 4096];
         let dense: Vec<u8> = (1..=255u8).cycle().take(300).collect();
         let blocks = [
-            EncodedBlock::encode(Codec::ZeroRle, &zeros, 512),
-            EncodedBlock::encode(Codec::ZeroRle, &dense, 300),
+            EncodedBlock::encode(Codec::Words, &zeros, 512),
+            EncodedBlock::encode(Codec::Words, &dense, 300),
             EncodedBlock::encode(Codec::Raw, &[], 0),
+            EncodedBlock::encode(Codec::ZeroRle, &zeros, 512),
         ];
-        assert_eq!(blocks[0].entry().codec, Codec::ZeroRle);
+        assert_eq!(blocks[0].entry().codec, Codec::Words);
         assert_eq!(blocks[1].entry().codec, Codec::Raw);
+        assert_eq!(blocks[3].entry().codec, Codec::ZeroRle);
         let bytes = encode_directory(&blocks);
-        assert_eq!(bytes.len(), 3 * ENTRY_BYTES);
+        assert_eq!(bytes.len(), 4 * ENTRY_BYTES);
         let back = parse_directory(&bytes).unwrap();
         let want: Vec<BlockEntry> = blocks.iter().map(|b| *b.entry()).collect();
         assert_eq!(back, want);
@@ -172,7 +175,7 @@ mod tests {
     #[test]
     fn raw_stored_block_borrows_until_detached() {
         let dense: Vec<u8> = (1..=200u8).collect();
-        let block = EncodedBlock::encode(Codec::ZeroRle, &dense, 200);
+        let block = EncodedBlock::encode(Codec::Words, &dense, 200);
         assert_eq!(block.stored().as_ptr(), dense.as_ptr());
         let owned = block.into_owned();
         assert_ne!(owned.stored().as_ptr(), dense.as_ptr());

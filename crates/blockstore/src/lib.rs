@@ -25,8 +25,10 @@
 //!   downward: manifest frame → block directory → block.
 //! * **Codec** ([`codec`]) — optional per-block compression. Sparse
 //!   tensor payloads are index-heavy (`u64` slots whose high bytes are
-//!   almost always zero), so a byte-level zero-run codec already removes
-//!   most of the wire volume without burning CPU on entropy coding.
+//!   almost always zero), so suppressing each word's zero high bytes
+//!   removes most of the wire volume without burning CPU on entropy
+//!   coding. The byte zero-run codec older stores were written with is
+//!   still read.
 //! * **Store** ([`store`]) — the façade tying them together:
 //!   `put_blocks`/`directory`/`read_block` of named datasets (and
 //!   `put`/`get` of byte blobs over the same blocks) plus `delete`, with

@@ -63,7 +63,7 @@ impl StoreOptions {
     pub fn new(dir: impl Into<PathBuf>) -> StoreOptions {
         StoreOptions {
             dir: dir.into(),
-            codec: Codec::ZeroRle,
+            codec: Codec::Words,
             segment_rotate_bytes: DEFAULT_SEGMENT_ROTATE_BYTES,
         }
     }

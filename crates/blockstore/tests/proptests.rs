@@ -1,10 +1,12 @@
-//! Property tests: codec round-trips and store recovery over random data,
-//! and the block layout's round-trip and corruption behaviour at every
-//! block of a many-block extent.
+//! Property tests: codec round-trips, strictness and robustness over
+//! random data, store recovery, and the block layout's round-trip and
+//! corruption behaviour at every block of a many-block extent.
 
 #![allow(clippy::unwrap_used)]
 
-use haten2_blockstore::codec::{decode, encode_auto, zero_rle_decode, zero_rle_encode};
+use haten2_blockstore::codec::{
+    decode, encode_auto, words_decode, words_encode, zero_rle_decode, zero_rle_encode,
+};
 use haten2_blockstore::segment::segment_file_name;
 use haten2_blockstore::{BlobMeta, BlockBuf, BlockStore, Codec, StoreOptions, BLOCK_TARGET_BYTES};
 use proptest::prelude::*;
@@ -90,7 +92,7 @@ fn blocks_are_readable_independently_and_in_any_order() {
     let meta = store.put("x", "u8", &payload, 7, 7).unwrap();
     let directory = store.directory("x", meta).unwrap();
     let codecs: Vec<Codec> = directory.entries().iter().map(|e| e.codec).collect();
-    assert!(codecs.contains(&Codec::Raw) && codecs.contains(&Codec::ZeroRle));
+    assert!(codecs.contains(&Codec::Raw) && codecs.contains(&Codec::Words));
     let mut buf = BlockBuf::default();
     for index in (0..directory.entries().len()).rev() {
         let start = index * BLOCK_TARGET_BYTES;
@@ -165,7 +167,95 @@ fn an_extent_truncated_at_any_block_boundary_is_an_error() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Little-endian words of 0 to 8 significant bytes each, cut to a length
+/// of 0 to 4096 bytes (rarely a multiple of the codec's 16-byte pair).
+fn word_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let words = proptest::collection::vec((0u32..=8, any::<u64>()), 0..=512);
+    (words, 0usize..=4096).prop_map(|(words, len)| {
+        let mut raw: Vec<u8> = (words.iter())
+            .flat_map(|&(n, w)| {
+                let mask = if n == 0 { 0 } else { u64::MAX >> (64 - 8 * n) };
+                (w & mask).to_le_bytes()
+            })
+            .collect();
+        raw.truncate(len);
+        raw
+    })
+}
+
 proptest! {
+    #[test]
+    fn words_roundtrip_at_any_length(raw in word_bytes()) {
+        let enc = words_encode(&raw);
+        prop_assert_eq!(words_decode(&enc, raw.len()).unwrap(), raw);
+    }
+
+    #[test]
+    fn every_cut_of_a_word_stream_fails(raw in word_bytes(), at in any::<u64>()) {
+        let enc = words_encode(&raw);
+        // One cut drawn at random, and the last byte lost.
+        let cut = usize::try_from(at % enc.len() as u64).unwrap();
+        prop_assert!(words_decode(&enc[..cut], raw.len()).is_err(), "cut at {}", cut);
+        prop_assert!(words_decode(&enc[..enc.len() - 1], raw.len()).is_err());
+    }
+
+    #[test]
+    fn a_trailing_byte_fails(raw in word_bytes(), extra in any::<u8>()) {
+        let mut enc = words_encode(&raw);
+        enc.push(extra);
+        prop_assert!(words_decode(&enc, raw.len()).is_err());
+    }
+
+    #[test]
+    fn a_nibble_of_nine_to_fifteen_fails(raw in word_bytes(), nibble in 9u8..=15, high in any::<bool>(), pick in any::<u64>()) {
+        prop_assume!(raw.len() >= 16);
+        let enc = words_encode(&raw);
+        // Walk the tags to a random pair's and overwrite one nibble.
+        let pairs = raw.len() / 16;
+        let target = usize::try_from(pick % pairs as u64).unwrap();
+        // Past the varint of the length (one byte below 128, else two).
+        let mut pos = if raw.len() < 128 { 1 } else { 2 };
+        for _ in 0..target {
+            pos += 1 + usize::from(enc[pos] & 0xf) + usize::from(enc[pos] >> 4);
+        }
+        let mut bad = enc.clone();
+        bad[pos] = if high { (bad[pos] & 0x0f) | (nibble << 4) } else { (bad[pos] & 0xf0) | nibble };
+        let err = words_decode(&bad, raw.len()).unwrap_err();
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_declared_length_off_by_one_fails(raw in word_bytes()) {
+        let enc = words_encode(&raw);
+        prop_assert!(words_decode(&enc, raw.len() + 1).is_err());
+        if !raw.is_empty() {
+            prop_assert!(words_decode(&enc, raw.len() - 1).is_err());
+        }
+    }
+
+    #[test]
+    fn incompressible_blocks_are_stored_raw(raw in proptest::collection::vec(1u8..=255, 0..=4096)) {
+        // No zero byte: every word has all 8 significant bytes, so the
+        // stream is the payload plus its tags and never shrinks.
+        let (codec, stored) = encode_auto(Codec::Words, &raw);
+        prop_assert_eq!(codec, Codec::Raw);
+        prop_assert_eq!(&stored[..], &raw[..]);
+    }
+
+    #[test]
+    fn decoders_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        raw_len in 0usize..8192,
+    ) {
+        // `Ok` or `Err`; the property is that this returns at all.
+        let mut scratch = Vec::new();
+        for codec in [Codec::Raw, Codec::ZeroRle, Codec::Words] {
+            let _ = decode(codec, &bytes, raw_len, &mut scratch);
+        }
+        let _ = words_decode(&bytes, raw_len);
+        let _ = zero_rle_decode(&bytes, raw_len);
+    }
+
     #[test]
     fn zero_rle_roundtrips(raw in proptest::collection::vec(any::<u8>(), 0..512)) {
         let enc = zero_rle_encode(&raw);
@@ -182,9 +272,11 @@ proptest! {
             raw.push(byte);
             raw.extend(std::iter::repeat_n(0u8, pad));
         }
-        let (codec, stored) = encode_auto(Codec::ZeroRle, &raw);
         let mut scratch = Vec::new();
-        prop_assert_eq!(decode(codec, &stored, raw.len(), &mut scratch).unwrap(), &raw[..]);
+        for preferred in [Codec::ZeroRle, Codec::Words] {
+            let (codec, stored) = encode_auto(preferred, &raw);
+            prop_assert_eq!(decode(codec, &stored, raw.len(), &mut scratch).unwrap(), &raw[..]);
+        }
     }
 
     #[test]

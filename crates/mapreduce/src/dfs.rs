@@ -32,11 +32,12 @@
 //! property tests can hold the two to identical behaviour.
 
 use crate::fill::{fill_parts, Part};
-use crate::persist::Persist;
+use crate::persist::{parse_records, Persist};
 use crate::pool::SharedPool;
 use crate::size::{slice_est_bytes, EstimateSize};
 use haten2_blockstore::{
-    BlockBuf, BlockDirectory, BlockStore, Codec, EncodedBlock, StoreOptions, BLOCK_TARGET_BYTES,
+    BlockBuf, BlockDirectory, BlockEntry, BlockStore, Codec, EncodedBlock, StoreOptions,
+    BLOCK_TARGET_BYTES,
 };
 use std::any::Any;
 use std::collections::HashMap;
@@ -81,7 +82,7 @@ impl DurableConfig {
     pub fn new(dir: impl Into<PathBuf>) -> DurableConfig {
         DurableConfig {
             dir: dir.into(),
-            codec: Codec::ZeroRle,
+            codec: Codec::Words,
             memory_budget_bytes: None,
             segment_rotate_bytes: haten2_blockstore::store::DEFAULT_SEGMENT_ROTATE_BYTES,
         }
@@ -669,8 +670,10 @@ impl Dfs {
     /// two block-sized buffers and parses straight into its range's own
     /// stretch of that `Vec` ([`fill_parts`]), so no record is copied after
     /// it is parsed and the result does not depend on how many executors
-    /// there were. A range parses exactly its blocks' directory counts, and
-    /// the `Vec` is claimed only when every range is full; if a range
+    /// there were. The directory's lengths are checked before anything is
+    /// reserved ([`check_directory`]). A range parses exactly its blocks'
+    /// directory counts ([`parse_records`]), and the `Vec` is claimed only
+    /// when every range is full; if a range
     /// fails, the first failure in block order is returned and every record
     /// already parsed is dropped.
     fn decode_blocks<T>(
@@ -688,15 +691,7 @@ impl Dfs {
             detail,
         };
         let entries = dir.entries();
-        // Bound the reservation by the data: a record of a sized type
-        // occupies at least one wire byte.
-        let sized = std::mem::size_of::<T>() > 0;
-        if let Some(b) = (entries.iter()).position(|e| sized && e.records > e.raw_len) {
-            return Err(malformed(format!(
-                "block {b} declares {} records in {} bytes",
-                entries[b].records, entries[b].raw_len
-            )));
-        }
+        check_directory::<T>(entries).map_err(malformed)?;
         let ranges = self.block_ranges(entries.len());
         let lens: Vec<usize> = (ranges.iter())
             .map(|range| {
@@ -710,23 +705,8 @@ impl Dfs {
                 let raw = store
                     .read_block(dir, b, &mut buf)
                     .map_err(|e| storage_error(name, "get", &e))?;
-                let mut pos = 0usize;
-                for _ in 0..entries[b].records {
-                    let record = T::read_record(raw, &mut pos).ok_or_else(|| {
-                        malformed(format!(
-                            "malformed {} record at byte {pos} of block {b}",
-                            T::type_tag()
-                        ))
-                    })?;
-                    part.push(record);
-                }
-                if pos != raw.len() {
-                    return Err(malformed(format!(
-                        "block {b} holds {} bytes past its {} records",
-                        raw.len() - pos,
-                        entries[b].records
-                    )));
-                }
+                parse_records(raw, Some(entries[b].records), |record| part.push(record))
+                    .map_err(|detail| malformed(format!("block {b}: {detail}")))?;
             }
             Ok(())
         };
@@ -924,6 +904,42 @@ fn block_cuts<T: EstimateSize>(records: &[T]) -> Vec<usize> {
         cuts.push(records.len());
     }
     cuts
+}
+
+/// Refuse a block directory whose lengths no block of `T` written by this
+/// store could have, before anything is reserved for its records: a row
+/// must declare exactly `records × WIDTH` bytes for a fixed-width `T` (at
+/// least one byte per record of any other sized `T`), and no more bytes
+/// than its codec can expand its stored length to. A row that passes
+/// bounds the reservation by its stored bytes — up to the codec's
+/// expansion, which `ZeroRle` does not bound.
+fn check_directory<T: Persist>(entries: &[BlockEntry]) -> Result<(), String> {
+    let width = T::WIDTH.filter(|&w| w > 0);
+    let sized = std::mem::size_of::<T>() > 0;
+    for (b, e) in entries.iter().enumerate() {
+        let fits = match width {
+            Some(w) => e.records.checked_mul(w as u64) == Some(e.raw_len),
+            None => !sized || e.records <= e.raw_len,
+        };
+        if !fits {
+            return Err(format!(
+                "block {b} declares {} {} records in {} bytes",
+                e.records,
+                T::type_tag(),
+                e.raw_len
+            ));
+        }
+        if e.codec
+            .max_raw_len(e.stored_len)
+            .is_some_and(|max| e.raw_len > max)
+        {
+            return Err(format!(
+                "block {b} declares {} bytes from {} stored {:?} bytes",
+                e.raw_len, e.stored_len, e.codec
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn storage_error(dataset: &str, op: &'static str, e: &std::io::Error) -> crate::MrError {
@@ -1375,6 +1391,65 @@ mod tests {
         dfs.get::<u64>("a").unwrap();
         dfs.get::<u64>("b").unwrap();
         assert_eq!(dfs.total_bytes_read(), before + 1600);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reload_refuses_a_directory_that_overstates_its_lengths() {
+        type Rec = ((u64, u64, u64, u64), f64);
+        let row = |stored_len, raw_len, records, codec| BlockEntry {
+            stored_len,
+            raw_len,
+            records,
+            codec,
+            checksum: 0,
+        };
+        let honest = row(3_000, 40_000, 1_000, Codec::Words);
+        assert_eq!(check_directory::<Rec>(&[honest]), Ok(()));
+        // A row whose checksum would pass but whose lengths no block of
+        // 40-byte records written by this store has: each is refused
+        // before a 40 × 2⁴⁰-byte reservation could be attempted.
+        let huge = 1u64 << 40;
+        for forged in [
+            row(3_000, huge * 40, huge, Codec::Words),
+            row(3_000, 40 * 3_001, 3_001, Codec::Raw),
+            row(3_000, 40_000, 999, Codec::Words),
+            row(3_000, 40_000, 1_000, Codec::Raw),
+            row(10, huge, huge / 40, Codec::ZeroRle),
+        ] {
+            let err = check_directory::<Rec>(&[honest, forged]).unwrap_err();
+            assert!(err.starts_with("block 1 declares"), "{forged:?}: {err}");
+        }
+        // A variable-width type still needs a byte per record.
+        assert!(check_directory::<String>(&[row(10, 10, 11, Codec::Raw)]).is_err());
+        assert!(check_directory::<String>(&[row(10, 10, 10, Codec::Raw)]).is_ok());
+
+        // Through a reload: a dataset of `u64` read back by a type of the
+        // same tag but twice the width fails as a decode, not a panic.
+        #[derive(Debug)]
+        struct Wide(#[allow(dead_code)] u64);
+        impl Persist for Wide {
+            fn type_tag() -> String {
+                u64::type_tag()
+            }
+            fn write_record(&self, out: &mut Vec<u8>) {
+                self.0.write_record(out);
+            }
+            fn read_record(bytes: &[u8], pos: &mut usize) -> Option<Self> {
+                u64::read_record(bytes, pos).map(Wide)
+            }
+            const WIDTH: Option<usize> = Some(16);
+        }
+        let dir = tmpdir("forged");
+        let dfs = Dfs::durable(&DurableConfig::new(&dir).memory_budget(0), None).unwrap();
+        dfs.put("x", (0..100u64).collect()).unwrap();
+        match dfs.get_required::<Wide>("job", "x").unwrap_err() {
+            crate::MrError::StorageFailed { op, detail, .. } => {
+                assert_eq!(op, "decode");
+                assert!(detail.contains("800 bytes"), "{detail}");
+            }
+            other => panic!("expected a decode failure, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

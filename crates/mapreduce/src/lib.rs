@@ -82,7 +82,7 @@ pub use job::{
     Combiner, JobSite, JobSpec, MapInput, RECORD_FRAMING_BYTES,
 };
 pub use metrics::{BatchReport, JobMetrics, RunMetrics};
-pub use persist::{decode_records, encode_records, Persist};
+pub use persist::{decode_records, encode_records, parse_records, Persist};
 pub use plan::{dataset_base, Env, JobGraph, JobInstance, PlanJob, SymExpr, Var};
 pub use pool::WorkerPool;
 #[cfg(feature = "race-detect")]

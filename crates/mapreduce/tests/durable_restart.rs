@@ -1,12 +1,17 @@
 //! Durable-backend restart semantics at the engine level: datasets written
 //! through a [`DfsBackend::Durable`] cluster reopen from disk in a fresh
-//! cluster over the same directory, and re-deriving an intermediate works
-//! against the *reloaded* inputs — losing it after a restart and re-running
-//! its producer from the segment files reproduces it bit-identically.
+//! cluster over the same directory; an intermediate lost after the restart
+//! is re-derived by re-running its producer against the source reloaded
+//! from the segment files, bit-identically; and a store written in the
+//! zero-run codec stays readable after the default codec changed, new
+//! datasets joining it in the new one.
 
 #![allow(clippy::unwrap_used)]
 
-use haten2_mapreduce::{run_job, Cluster, ClusterConfig, DfsBackend, DurableConfig, JobSpec};
+use haten2_blockstore::{BlockStore, StoreOptions};
+use haten2_mapreduce::{
+    run_job, Cluster, ClusterConfig, Codec, DfsBackend, DurableConfig, JobSpec,
+};
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -40,8 +45,8 @@ fn count_job(cluster: &Cluster) -> haten2_mapreduce::Result<()> {
 }
 
 #[test]
-fn lineage_rederives_from_durably_reloaded_source_after_restart() {
-    let dir = tmp_dir("lineage");
+fn lost_intermediate_rederives_from_durably_reloaded_source_after_restart() {
+    let dir = tmp_dir("rederive");
 
     // Phase 1: a durable cluster ingests the source and derives the
     // intermediate, then the "process" dies (cluster dropped).
@@ -160,5 +165,71 @@ fn blocks_written_by_one_process_are_read_by_the_next() {
         let io = reader.dfs().durable_dataset_io().unwrap();
         assert_eq!(io["tensor"].bytes_read, 40 * 130_000);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The codec of every block of each dataset in the store at `dir`.
+fn codecs_by_dataset(dir: &PathBuf) -> Vec<(String, Vec<Codec>)> {
+    let store = BlockStore::open(StoreOptions::new(dir)).unwrap();
+    (store.datasets().into_iter())
+        .map(|name| {
+            let meta = store.meta(&name).unwrap();
+            let directory = store.directory(&name, meta).unwrap();
+            let codecs = directory.entries().iter().map(|e| e.codec).collect();
+            (name, codecs)
+        })
+        .collect()
+}
+
+#[test]
+fn zero_rle_stores_stay_readable_under_the_word_codec_default() {
+    let dir = tmp_dir("codecs");
+    let tensor: Vec<((u64, u64, u64, u64), f64)> = (0..20_000u64)
+        .map(|i| ((i % 4099, i % 577, i % 13, 0), (i as f64).sqrt() - 50.0))
+        .collect();
+    let rows: Vec<(u64, Vec<u64>)> = (0..4_000u64)
+        .map(|i| (i, (0..i % 50).map(|j| i * j).collect()))
+        .collect();
+    {
+        let old = Cluster::new(ClusterConfig {
+            dfs: DfsBackend::Durable(DurableConfig::new(&dir).codec(Codec::ZeroRle)),
+            ..ClusterConfig::with_machines(3)
+        });
+        old.dfs().put("tensor", tensor.clone()).unwrap();
+        old.dfs().put("rows", rows.clone()).unwrap();
+    }
+    assert_eq!(DurableConfig::new(&dir).codec, Codec::Words);
+    {
+        // Reopened at the default, spilling everything: every read below
+        // is a reload of the zero-run blocks.
+        let cluster = Cluster::new(ClusterConfig {
+            dfs: DfsBackend::Durable(DurableConfig::new(&dir).memory_budget(0)),
+            ..ClusterConfig::with_machines(3)
+        });
+        let dfs = cluster.dfs();
+        let back = dfs.get::<((u64, u64, u64, u64), f64)>("tensor").unwrap();
+        assert_eq!(back.len(), tensor.len());
+        assert!(
+            (back.iter().zip(&tensor)).all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+        );
+        assert_eq!(*dfs.get::<(u64, Vec<u64>)>("rows").unwrap(), rows);
+        assert_eq!(dfs.spill_stats().reload_events, 2);
+        dfs.put("tensor2", tensor.clone()).unwrap();
+        dfs.put("rows2", rows.clone()).unwrap();
+        assert_eq!(*dfs.get::<(u64, Vec<u64>)>("rows2").unwrap(), rows);
+    }
+    // One store now holds both codecs: the old datasets' blocks as they
+    // were written, the new ones' in the word codec.
+    let codecs = codecs_by_dataset(&dir);
+    for (name, blocks) in &codecs {
+        let want = if name.ends_with('2') {
+            Codec::Words
+        } else {
+            Codec::ZeroRle
+        };
+        assert!(blocks.len() > 1, "{name}: several blocks");
+        assert!(blocks.iter().all(|&c| c == want), "{name}: {blocks:?}");
+    }
+    assert_eq!(codecs.len(), 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
