@@ -1,16 +1,15 @@
 //! CLI for the static plan analyzer.
 //!
 //! * `--verify-paper-table` — check all eight registered pipelines against
-//!   the paper's Tables III/IV, certify them race-free, run the
+//!   the paper's Tables III/IV and the communication bounds, run the
 //!   determinism scan, and print the report
 //!   (this is what `cargo xtask analyze` commits to `ANALYSIS.md`). Exits
 //!   non-zero on any violation.
 //! * `--reject-demo` — run deliberately defective plans through the
 //!   analyzer and print the diagnostics, proving that malformed plans are
 //!   rejected naming the offending job or dataset — including
-//!   seeded racy batches and communication lies (wrong closed form,
-//!   under-declared shuffle volume). Exits non-zero if any demo plan
-//!   slips through.
+//!   communication lies (wrong closed form, under-declared shuffle
+//!   volume). Exits non-zero if any demo plan slips through.
 //! * `--determinism` — print only the UDF-purity scan verdict.
 //! * `--format md|json` — report format for `--verify-paper-table`
 //!   (default `md`). JSON output is a single stable document with one
@@ -23,8 +22,8 @@ fn usage() -> ExitCode {
         "usage: haten2-analyze [--format md|json] [--verify-paper-table] [--reject-demo] [--determinism]\n\
          \n\
          --verify-paper-table  verify all 8 pipelines against the paper's cost\n\
-         \x20                     tables, certify race freedom, scan UDF purity,\n\
-         \x20                     and print the report\n\
+         \x20                     tables and communication bounds, scan UDF\n\
+         \x20                     purity, and print the report\n\
          --reject-demo         show that defective plans are\n\
          \x20                     rejected with diagnostics naming the offender\n\
          --determinism         print only the UDF-purity scan verdict\n\
@@ -86,25 +85,6 @@ fn reject_demo() -> bool {
             );
         }
     }
-    for r in haten2_analyze::races::run_race_rejections() {
-        println!("## {} — {}", r.graph, r.defect);
-        if r.violations.is_empty() {
-            println!("NOT REJECTED (races pass found nothing)\n");
-        } else {
-            for v in &r.violations {
-                println!("- {v}");
-            }
-            println!();
-        }
-        if !r.rejected {
-            all_rejected = false;
-            eprintln!(
-                "seeded racing batch '{}' ({}) was not rejected naming jobs \
-                 '{}'/'{}' and dataset '{}'",
-                r.graph, r.defect, r.job_a, r.job_b, r.dataset
-            );
-        }
-    }
     let envs = haten2_analyze::cost::regime_envs();
     for r in haten2_analyze::comm::run_comm_rejections(&envs) {
         println!("## {} — {}", r.graph, r.defect);
@@ -127,7 +107,7 @@ fn reject_demo() -> bool {
     if all_rejected {
         println!(
             "all demo plans rejected, each diagnostic names the offending \
-             job, dataset, or racing pair"
+             job or dataset"
         );
     }
     all_rejected

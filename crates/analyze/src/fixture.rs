@@ -1,6 +1,6 @@
 //! `.plan` fixtures: tiny textual job graphs for the known-bad corpus.
 //!
-//! The lint/purity/effect rules have known-bad *source* fixtures under
+//! The lint and purity rules have known-bad *source* fixtures under
 //! `crates/xtask/tests/fixtures/`; the communication rules operate on
 //! plan IR, not source text, so their corpus entries are
 //! `.plan` files — a line-oriented description of a [`JobGraph`] plus the

@@ -1,15 +1,14 @@
 //! Machine-readable analyzer output (`haten2-analyze --format json`).
 //!
 //! Hand-rolled serialization — the workspace vendors no serde — with a
-//! deliberately stable schema so CI and the chaos cross-validator can
-//! consume verdicts without parsing markdown:
+//! deliberately stable schema so CI and other tooling can consume
+//! verdicts without parsing markdown:
 //!
 //! ```json
 //! {
 //!   "ok": true,
 //!   "envs_checked": 288,
 //!   "rows": [ {"graph": "...", "verdict": "verified", ...}, ... ],
-//!   "races": [ {"graph": "...", "certified": true, ...}, ... ],
 //!   "comm": [ {"graph": "...", "shuffle": "...", "bound": "...", ...}, ... ],
 //!   "determinism": {"ok": true, "files_scanned": 13, "violations": []},
 //!   "violations": [ {"pass": "...", "kind": "...", ...}, ... ]
@@ -64,9 +63,6 @@ fn pass_of(v: &Violation) -> &'static str {
         Violation::NondeterministicUdf { .. } | Violation::AnnotationMismatch { .. } => {
             "determinism"
         }
-        Violation::UndeclaredEffect { .. }
-        | Violation::UnorderedConflict { .. }
-        | Violation::OverDeclaredRead { .. } => "races",
         Violation::ShuffleMismatch { .. } | Violation::CommBoundExceeded { .. } => "comm",
     }
 }
@@ -147,27 +143,6 @@ pub fn violation_json(v: &Violation) -> String {
             "\"kind\":\"annotation-mismatch\",\"graph\":\"{}\",\"job\":\"{}\",\"op\":\"{}\",\"detail\":\"{}\"",
             esc(graph), esc(job), esc(op), esc(detail)
         ),
-        Violation::UndeclaredEffect { site, job, dataset } => format!(
-            "\"kind\":\"undeclared-effect\",\"site\":\"{}\",\"job\":\"{}\",\"dataset\":\"{}\"",
-            esc(site),
-            esc(job),
-            esc(dataset)
-        ),
-        Violation::UnorderedConflict {
-            scope,
-            job_a,
-            job_b,
-            dataset,
-        } => format!(
-            "\"kind\":\"unordered-conflict\",\"scope\":\"{}\",\"job_a\":\"{}\",\"job_b\":\"{}\",\"dataset\":\"{}\"",
-            esc(scope), esc(job_a), esc(job_b), esc(dataset)
-        ),
-        Violation::OverDeclaredRead { site, job, dataset } => format!(
-            "\"kind\":\"over-declared-read\",\"site\":\"{}\",\"job\":\"{}\",\"dataset\":\"{}\"",
-            esc(site),
-            esc(job),
-            esc(dataset)
-        ),
         Violation::ShuffleMismatch {
             graph,
             derived,
@@ -225,22 +200,6 @@ pub fn full_json(report: &Report) -> String {
             esc(&r.claim.tensor_reads.to_string()),
             esc(&r.dominant_job),
             verdict
-        );
-    }
-    out.push_str("],");
-
-    out.push_str("\"races\":[");
-    for (i, r) in report.rows.iter().enumerate() {
-        let c = &r.races;
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"graph\":\"{}\",\"certified\":{},\"jobs_checked\":{}}}",
-            esc(&c.graph),
-            c.certified(),
-            c.jobs_checked
         );
     }
     out.push_str("],");
@@ -303,43 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn race_violation_objects_carry_pair_and_dataset() {
-        // The races pass emits one object per finding; an unordered
-        // conflict must name both jobs of the racing pair and the
-        // dataset, mirroring the runtime's two-job PlanViolation and
-        // DuplicateWrite messages.
-        let v = Violation::UnorderedConflict {
-            scope: "parafac-naive".to_string(),
-            job_a: "parafac-naive-xb1".to_string(),
-            job_b: "parafac-naive-tc1".to_string(),
-            dataset: "t#1".to_string(),
-        };
-        let j = violation_json(&v);
-        assert!(j.starts_with("{\"pass\":\"races\""));
-        assert!(j.contains("\"kind\":\"unordered-conflict\""));
-        assert!(j.contains("\"job_a\":\"parafac-naive-xb1\""));
-        assert!(j.contains("\"job_b\":\"parafac-naive-tc1\""));
-        assert!(j.contains("\"dataset\":\"t#1\""));
-        for v in [
-            Violation::UndeclaredEffect {
-                site: "core/src/ops.rs:10".to_string(),
-                job: "a".to_string(),
-                dataset: "d#0".to_string(),
-            },
-            Violation::OverDeclaredRead {
-                site: "core/src/ops.rs:11".to_string(),
-                job: "b".to_string(),
-                dataset: "d".to_string(),
-            },
-        ] {
-            let j = violation_json(&v);
-            assert!(j.starts_with("{\"pass\":\"races\""), "{j}");
-            assert!(j.contains("\"site\":"), "{j}");
-            assert!(j.contains("\"display\":"), "{j}");
-        }
-    }
-
-    #[test]
     fn comm_violation_objects_carry_expressions_and_envs() {
         // The comm pass's objects follow the same shape as the
         // cost pass: symbolic expressions as strings, the counterexample
@@ -378,8 +300,7 @@ mod tests {
 
     #[test]
     fn comm_section_covers_every_pipeline_with_full_schema() {
-        // Mirrors the races-section coverage test: one object per
-        // pipeline, every schema key present.
+        // One object per pipeline, every schema key present.
         let report = crate::verify_paper_table();
         let doc = full_json(&report);
         assert!(doc.contains("\"comm\":["));
@@ -407,7 +328,6 @@ mod tests {
                 c.graph
             );
         }
-        assert!(doc.contains("\"certified\":true"));
     }
 
     #[test]
@@ -424,7 +344,6 @@ mod tests {
             "{}",
             &doc[..60.min(doc.len())]
         );
-        assert!(doc.contains("\"races\":["));
         assert!(doc.contains("\"violations\":[]"));
         // Balanced braces/brackets outside strings = structurally sound.
         let (mut depth, mut in_str, mut escp) = (0i64, false, false);

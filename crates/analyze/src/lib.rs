@@ -37,19 +37,15 @@
 //!   float reductions not declared commutative-associative in plan
 //!   metadata (each declaration is property-checked by a generated
 //!   proptest per reducer).
-//! * **Races pass** ([`races::check_races`]) — the pipelines' submitter
-//!   declares exactly what a graph expands to and gives a job nothing its
-//!   declared reads do not name, so the pass expands every registered
-//!   graph at a witness environment and certifies that no two jobs
-//!   unordered by declared dependencies conflict — plus an
-//!   adversarial-schedule replay showing every topological order commutes
-//!   with the submission-order oracle. The `race-detect` feature of the
-//!   engine is the dynamic counterpart; the chaos harness cross-validates
-//!   the two.
 //! * **Lint pass** — source-level rules (forbidden APIs, undocumented
 //!   `unsafe`, `unwrap` in library code) live in the `xtask` package
 //!   (`cargo xtask lint`), layered on the same `haten2-srcscan` scanner:
 //!   they scan text, not plans.
+//!
+//! Races are not a static pass: the engine rules them out where jobs run
+//! (`haten2_mapreduce::sched`), refusing any read of an undeclared
+//! dependency, a second writer of a shard, or a DFS write from inside a
+//! job.
 //!
 //! Every violation is a [`Violation`] whose `Display` names the offending
 //! job, dataset, or source site. `cargo run -p haten2-analyze --
@@ -70,7 +66,6 @@ pub mod determinism;
 pub mod fixture;
 pub mod io;
 pub mod json;
-pub mod races;
 pub mod report;
 
 pub use comm::{check_comm, comm_table, shuffle_claim, CommRow, COMM_RULES};
@@ -79,7 +74,6 @@ pub use dataflow::check_dataflow;
 pub use determinism::{check_determinism, check_plan_consistency, DeterminismReport};
 pub use fixture::{load_plan_fixture, run_plan_fixture, PlanFixture};
 pub use io::{durable_io_table, tensor_record_bytes, DurableIoRow};
-pub use races::{check_races, race_certified, GraphRaceCert};
 pub use report::{verify_paper_table, Report, RowVerdict};
 
 use haten2_mapreduce::{Env, JobGraph};
@@ -188,40 +182,6 @@ pub enum Violation {
         /// What disagrees.
         detail: String,
     },
-    /// A submitted closure touches a dataset its declaration omits, so
-    /// the DAG scheduler cannot order the access.
-    UndeclaredEffect {
-        /// Where the effect was inferred: `file:line` for a source
-        /// finding, the graph name for an instance-level one.
-        site: String,
-        /// Offending job (template or instance).
-        job: String,
-        /// The dataset the body touches without declaring.
-        dataset: String,
-    },
-    /// Two jobs with no declared-dependency path between them conflict on
-    /// a dataset (write/write or read/write) — the scheduler may run them
-    /// concurrently.
-    UnorderedConflict {
-        /// Batch or graph the racing pair lives in.
-        scope: String,
-        /// Earlier job of the racing pair.
-        job_a: String,
-        /// Later job of the racing pair.
-        job_b: String,
-        /// The dataset both touch.
-        dataset: String,
-    },
-    /// A declared read of an intermediate dataset the closure never
-    /// consumes — a stale declaration that over-serializes the schedule.
-    OverDeclaredRead {
-        /// Where the declaration lives: `file:line` or the graph name.
-        site: String,
-        /// Job carrying the stale declaration.
-        job: String,
-        /// The declared-but-unused dataset.
-        dataset: String,
-    },
     /// The graph-derived total shuffle volume disagrees with the
     /// hand-reconstructed closed form on some regime environment.
     ShuffleMismatch {
@@ -270,9 +230,6 @@ impl Violation {
             Violation::TensorReadMismatch { .. } => "tensor-read-mismatch",
             Violation::NondeterministicUdf { .. } => "nondeterministic-udf",
             Violation::AnnotationMismatch { .. } => "annotation-mismatch",
-            Violation::UndeclaredEffect { .. } => "undeclared-effect",
-            Violation::UnorderedConflict { .. } => "unordered-conflict",
-            Violation::OverDeclaredRead { .. } => "over-declared-read",
             Violation::ShuffleMismatch { .. } => "shuffle-mismatch",
             Violation::CommBoundExceeded { .. } => "comm-bound-exceeded",
         }
@@ -370,29 +327,6 @@ impl std::fmt::Display for Violation {
                 f,
                 "annotation mismatch in graph '{graph}', job '{job}' (op '{op}'): \
                  {detail}"
-            ),
-            Violation::UndeclaredEffect { site, job, dataset } => write!(
-                f,
-                "undeclared effect at {site}: job '{job}' touches dataset \
-                 '{dataset}' without declaring it, so the scheduler cannot \
-                 order the access"
-            ),
-            Violation::UnorderedConflict {
-                scope,
-                job_a,
-                job_b,
-                dataset,
-            } => write!(
-                f,
-                "unordered conflict in {scope}: jobs '{job_a}' and '{job_b}' \
-                 both touch dataset '{dataset}' with no declared-dependency \
-                 path between them — the DAG scheduler may race them"
-            ),
-            Violation::OverDeclaredRead { site, job, dataset } => write!(
-                f,
-                "over-declared read at {site}: job '{job}' declares a read of \
-                 '{dataset}' its body never consumes, over-serializing the \
-                 schedule"
             ),
             Violation::ShuffleMismatch {
                 graph,

@@ -1,12 +1,11 @@
 //! Full verification report: every registered pipeline against its paper
-//! row, its race certificate, and the workspace determinism scan, rendered
-//! as the markdown committed to `ANALYSIS.md`.
+//! row, its durable I/O floor and communication bound, and the workspace
+//! determinism scan, rendered as the markdown committed to `ANALYSIS.md`.
 
 use crate::comm::{check_comm, comm_table, shuffle_claim, witness_env, CommRow};
 use crate::cost::{paper_claim, regime_envs, PaperClaim};
 use crate::determinism::{check_determinism, DeterminismReport};
 use crate::io::{durable_io_table, tensor_record_bytes, DurableIoRow};
-use crate::races::{check_races, GraphRaceCert};
 use crate::{analyze_graph, Violation};
 use haten2_core::{comm_for, plan_for, Decomp, Variant};
 use haten2_mapreduce::SymExpr;
@@ -29,9 +28,6 @@ pub struct RowVerdict {
     /// Template name of the job whose intermediate data dominates (attains
     /// the max on the regime grid).
     pub dominant_job: String,
-    /// Race certificate: unordered-conflict + serializability over the
-    /// expanded instances of the graph.
-    pub races: GraphRaceCert,
     /// Dataflow/cost violations (empty = the row verifies).
     pub violations: Vec<Violation>,
 }
@@ -55,12 +51,10 @@ pub struct Report {
 }
 
 impl Report {
-    /// `true` when every pipeline matches its paper row, certifies as
-    /// race-free, and the determinism scan is clean.
+    /// `true` when every pipeline matches its paper row and communication
+    /// bound, and the determinism scan is clean.
     pub fn ok(&self) -> bool {
-        self.rows
-            .iter()
-            .all(|r| r.violations.is_empty() && r.races.certified())
+        self.rows.iter().all(|r| r.violations.is_empty())
             && self.determinism.ok()
             && self.comm_violations.is_empty()
             && self.comm.iter().all(|c| !c.gap_unbounded_in_nnz)
@@ -70,7 +64,7 @@ impl Report {
     pub fn violations(&self) -> Vec<&Violation> {
         self.rows
             .iter()
-            .flat_map(|r| r.violations.iter().chain(r.races.violations.iter()))
+            .flat_map(|r| r.violations.iter())
             .chain(self.determinism.violations.iter())
             .chain(self.comm_violations.iter())
             .collect()
@@ -109,30 +103,24 @@ impl Report {
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
-                "| Variant | Max intermediate data | Total jobs | Critical path (jobs) | Tensor reads | Dominant job | Races | Verdict |"
+                "| Variant | Max intermediate data | Total jobs | Critical path (jobs) | Tensor reads | Dominant job | Verdict |"
             );
-            let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
+            let _ = writeln!(out, "|---|---|---|---|---|---|---|");
             for r in self.rows.iter().filter(|r| r.decomp == decomp) {
-                let verdict = if r.violations.is_empty() && r.races.certified() {
+                let verdict = if r.violations.is_empty() {
                     "verified"
                 } else {
                     "VIOLATED"
                 };
-                let races = if r.races.certified() {
-                    format!("race-free ({} jobs)", r.races.jobs_checked)
-                } else {
-                    "RACY".to_string()
-                };
                 let _ = writeln!(
                     out,
-                    "| {} | {} | {} | {} | {} | `{}` | {} | {} |",
+                    "| {} | {} | {} | {} | {} | `{}` | {} |",
                     r.variant,
                     r.claim.max_intermediate,
                     r.claim.total_jobs,
                     r.critical_path,
                     r.claim.tensor_reads,
                     r.dominant_job,
-                    races,
                     verdict
                 );
             }
@@ -258,36 +246,6 @@ impl Report {
         );
 
         let _ = writeln!(out);
-        let _ = writeln!(out, "## Race certification");
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "The pipelines' one submitter (`haten2_core::plan::run_pipeline`) \
-             submits exactly the `(name, reads, writes)` sequence a graph \
-             expands to and hands each job the shards its declared reads \
-             name and nothing else, so the graph is the batch program. Each \
-             registered graph was expanded at a witness environment (Q=2, R=3) \
-             and every pair of jobs with no declared-dependency path between \
-             them was proven conflict-free (no write/write or read/write \
-             overlap under shard naming). An adversarial latest-ready-first \
-             replay of the declared DAG observed the same last-writer for \
-             every read as submission order, so every topological order the \
-             DAG scheduler may choose commutes with the sequential oracle."
-        );
-        let _ = writeln!(out);
-        let _ = writeln!(out, "| Pipeline | Race-free | Job instances checked |");
-        let _ = writeln!(out, "|---|---|---|");
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "| `{}` | {} | {} |",
-                r.graph,
-                if r.races.certified() { "yes" } else { "NO" },
-                r.races.jobs_checked
-            );
-        }
-
-        let _ = writeln!(out);
         let _ = writeln!(out, "## Determinism");
         let _ = writeln!(out);
         let _ = writeln!(
@@ -325,8 +283,8 @@ impl Report {
     }
 }
 
-/// Verify all eight registered pipelines against the paper's cost tables,
-/// certify them race-free, and run the workspace determinism scan.
+/// Verify all eight registered pipelines against the paper's cost tables
+/// and communication bounds, and run the workspace determinism scan.
 pub fn verify_paper_table() -> Report {
     let envs = regime_envs();
     let sample = envs[0];
@@ -344,11 +302,6 @@ pub fn verify_paper_table() -> Report {
                 .find(|j| j.records.eval(&sample) == max.eval(&sample))
                 .map(|j| j.name.clone())
                 .unwrap_or_default();
-            let races = check_races()
-                .iter()
-                .find(|c| c.decomp == decomp && c.variant == variant)
-                .cloned()
-                .expect("the races pass certifies every registered pipeline");
             rows.push(RowVerdict {
                 decomp,
                 variant,
@@ -356,7 +309,6 @@ pub fn verify_paper_table() -> Report {
                 claim,
                 critical_path,
                 dominant_job,
-                races,
                 violations,
             });
         }
@@ -407,9 +359,6 @@ mod tests {
         assert!(md.contains("Critical path (jobs)"));
         assert!(md.contains("## Durable I/O floor"));
         assert!(md.contains("Read amplification"));
-        assert!(md.contains("## Race certification"));
-        assert!(md.contains("race-free ("), "races column missing:\n{md}");
-        assert!(!md.contains("RACY"));
         assert!(md.contains("## Communication certification"));
         assert!(md.contains("Applicable lower bound"));
         assert!(md.contains("arXiv:1708.07401"));

@@ -29,18 +29,10 @@
 //! The harness also aggregates the recovery counters, so callers can
 //! assert the invariant was exercised (retries actually happened) rather
 //! than vacuously true.
-//!
-//! Every cluster is built with the engine's `race-detect` feature
-//! compiled in: a per-dataset last-writer/readers detector inside the
-//! DFS flags any pair of unordered conflicting accesses during the
-//! sweep. Its verdict is cross-validated against the static races pass
-//! ([`haten2_analyze::race_certified`]) in both directions — see
-//! [`ChaosReport::race_cross_validation_failures`].
 
 pub mod restart;
 
-use haten2_analyze::race_certified;
-use haten2_core::{parafac_als, tucker_als, AlsOptions, CoreError, Decomp, Variant};
+use haten2_core::{parafac_als, tucker_als, AlsOptions, CoreError, Variant};
 use haten2_mapreduce::{Cluster, ClusterConfig, FaultPlan, MrError, SchedulerMode};
 use haten2_tensor::{CooTensor3, Entry3};
 
@@ -97,13 +89,6 @@ pub struct Outcome {
     pub blacklisted: usize,
     /// Simulated seconds spent on recovery (backoff + straggler delay).
     pub recovery_sim_time_s: f64,
-    /// Did the static races pass (`haten2_analyze::race_certified`)
-    /// certify this pipeline's batch program conflict-free?
-    pub race_certified: bool,
-    /// Races the dynamic detector flagged across the run's clusters
-    /// (DAG + sequential replay). The static certificate claims this is
-    /// zero; any nonzero count is a cross-validation failure.
-    pub dynamic_races: usize,
 }
 
 /// Aggregated result of a chaos sweep.
@@ -139,27 +124,6 @@ impl ChaosReport {
     /// True when no run violated the invariant.
     pub fn ok(&self) -> bool {
         self.violations().is_empty()
-    }
-
-    /// Static ⊆ dynamic cross-validation for the *race* certificates, in
-    /// both directions: a pipeline the static races pass certified must
-    /// never trip the dynamic detector (a flagged race disproves the
-    /// certificate), and a run the detector finds race-free end-to-end on
-    /// a pipeline the static pass refused to certify means the analyzer
-    /// is under-approximating.
-    pub fn race_cross_validation_failures(&self) -> Vec<&Outcome> {
-        self.outcomes
-            .iter()
-            .filter(|o| {
-                (o.race_certified && o.dynamic_races > 0)
-                    || (!o.race_certified && o.dynamic_races == 0)
-            })
-            .collect()
-    }
-
-    /// Total dynamic races flagged across every run (must be zero).
-    pub fn total_dynamic_races(&self) -> usize {
-        self.outcomes.iter().map(|o| o.dynamic_races).sum()
     }
 }
 
@@ -256,14 +220,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     for decomp in ["parafac", "tucker"] {
         for variant in Variant::ALL {
             let pipeline = format!("{decomp}/{}", variant.name());
-            // Static race verdict for the same pipeline, for the race
-            // cross-validation against the dynamic detector.
-            let d = if decomp == "parafac" {
-                Decomp::Parafac
-            } else {
-                Decomp::Tucker
-            };
-            let statically_race_free = race_certified(d, variant);
             let clean = run_pipeline(
                 &cluster(opts.machines, None, SchedulerMode::Dag),
                 &x,
@@ -319,8 +275,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
                     speculative: m.total_speculative_launched(),
                     blacklisted: m.total_workers_blacklisted(),
                     recovery_sim_time_s: m.total_recovery_sim_time_s(),
-                    race_certified: statically_race_free,
-                    dynamic_races: c.race_reports().len() + seq_cluster.race_reports().len(),
                 });
             }
         }

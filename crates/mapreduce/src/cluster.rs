@@ -157,8 +157,6 @@ pub struct Cluster {
     batch_reports: Mutex<Vec<BatchReport>>,
     pool: Arc<SharedPool>,
     epoch: Instant,
-    #[cfg(feature = "race-detect")]
-    races: Mutex<Vec<crate::race::RaceReport>>,
 }
 
 impl Cluster {
@@ -197,8 +195,6 @@ impl Cluster {
             batch_reports: Mutex::new(Vec::new()),
             pool,
             epoch: Instant::now(),
-            #[cfg(feature = "race-detect")]
-            races: Mutex::new(Vec::new()),
         })
     }
 
@@ -287,27 +283,6 @@ impl Cluster {
         self.batch_reports
             .lock()
             .expect("batch reports lock poisoned")
-            .clone()
-    }
-
-    /// Record the dynamic race detector's findings for one completed
-    /// batch run.
-    #[cfg(feature = "race-detect")]
-    pub(crate) fn record_races(&self, reports: Vec<crate::race::RaceReport>) {
-        self.races
-            .lock()
-            .expect("race reports lock poisoned")
-            .extend(reports);
-    }
-
-    /// Every race the dynamic detector flagged on this cluster so far.
-    /// Only exists under the `race-detect` feature; the chaos harness
-    /// cross-validates this against the static certification.
-    #[cfg(feature = "race-detect")]
-    pub fn race_reports(&self) -> Vec<crate::race::RaceReport> {
-        self.races
-            .lock()
-            .expect("race reports lock poisoned")
             .clone()
     }
 }

@@ -363,8 +363,7 @@ impl Dfs {
     where
         T: EstimateSize + Persist + Send + Sync + 'static,
     {
-        #[cfg(feature = "race-detect")]
-        crate::race::ambient_write(name);
+        crate::sched::refuse_dfs_write_in_job("put", name)?;
         let bytes = slice_est_bytes(&records);
         // Encode before taking the namespace lock: the pool broadcast
         // inside helps drain other jobs' queued tasks while it waits, and
@@ -545,8 +544,10 @@ impl Dfs {
     ///
     /// Fails with [`crate::MrError::SpillCapacityExceeded`] when the put
     /// would push aggregate live bytes past the configured capacity
-    /// (identically on both backends), and with
-    /// [`crate::MrError::StorageFailed`] on durable-backend I/O errors.
+    /// (identically on both backends), with
+    /// [`crate::MrError::StorageFailed`] on durable-backend I/O errors, and
+    /// with [`crate::MrError::PlanViolation`] when called from inside a
+    /// running batch job (the DFS is written between batches).
     pub fn put<T>(&self, name: &str, records: Vec<T>) -> crate::Result<usize>
     where
         T: EstimateSize + Persist + Send + Sync + 'static,
@@ -583,8 +584,6 @@ impl Dfs {
     where
         T: Persist + Send + Sync + 'static,
     {
-        #[cfg(feature = "race-detect")]
-        crate::race::ambient_read(name);
         // Fast path: resident entry under the read lock.
         {
             let guard = self.datasets.read().expect("dfs lock poisoned");
@@ -761,10 +760,10 @@ impl Dfs {
 
     /// Remove a dataset; returns true when it existed. On the durable
     /// backend the deletion is committed to the manifest, so it also
-    /// survives a restart.
+    /// survives a restart. Like [`Dfs::put`], refused with
+    /// [`crate::MrError::PlanViolation`] from inside a running batch job.
     pub fn delete(&self, name: &str) -> crate::Result<bool> {
-        #[cfg(feature = "race-detect")]
-        crate::race::ambient_write(name);
+        crate::sched::refuse_dfs_write_in_job("delete", name)?;
         let mut guard = self.datasets.write().expect("dfs lock poisoned");
         let Some(stored) = guard.remove(name) else {
             return Ok(false);

@@ -46,6 +46,9 @@
 //!   are keyed by submission index, so outputs, DFS contents, and metrics
 //!   stay bit-identical to sequential execution
 //!   ([`cluster::SchedulerMode::Sequential`] is the in-tree oracle).
+//!   Races are ruled out where jobs run: a job reads only its declared
+//!   dependencies' outputs, each shard has one writer per batch, and a
+//!   [`Dfs`] write from inside a running job is refused.
 
 // The workspace's two unsafe sites live here, each behind a narrowly
 // scoped `#[allow]` with a SAFETY argument and its own tests: the lifetime
@@ -66,8 +69,6 @@ pub mod metrics;
 pub mod persist;
 pub mod plan;
 pub mod pool;
-#[cfg(feature = "race-detect")]
-pub mod race;
 pub mod reference;
 pub mod sched;
 pub mod size;
@@ -85,19 +86,17 @@ pub use metrics::{BatchReport, JobMetrics, RunMetrics};
 pub use persist::{decode_records, encode_records, parse_records, Persist};
 pub use plan::{dataset_base, Env, JobGraph, JobInstance, PlanJob, SymExpr, Var};
 pub use pool::WorkerPool;
-#[cfg(feature = "race-detect")]
-pub use race::RaceReport;
 pub use reference::{run_job_reference, run_job_reference_streaming};
 pub use sched::{datasets_overlap, Batch, BatchResults, JobCtx, JobHandle, TakeOnce};
 pub use size::EstimateSize;
 
-/// Whether the dynamic race detector is compiled into this build of the
-/// engine. Debug tooling (the chaos sweep) turns it on; measured builds
-/// must not — the benchmark (`benchmark/`) asserts this at startup so the
-/// detector's cost can never leak into a measured number.
+/// Always `false`: the engine has no dynamic race detector. Races are
+/// ruled out where jobs run ([`JobCtx::get`], [`Batch::submit`], and the
+/// refusal of [`Dfs`] writes from inside a running job). Kept only because
+/// the benchmark (`benchmark/`) still asserts it at startup.
 #[must_use]
 pub const fn race_detector_compiled() -> bool {
-    cfg!(feature = "race-detect")
+    false
 }
 
 /// Errors surfaced by the MapReduce engine.
@@ -144,8 +143,9 @@ pub enum MrError {
     },
     /// A scheduler batch disagreed with the static plan: a submitted job
     /// does not match any [`plan::JobGraph`] template, declared reads or
-    /// writes that the plan does not, ran a job it never declared, or
-    /// touched an output it never claimed as a dependency.
+    /// writes that the plan does not, ran a job it never declared,
+    /// touched an output it never claimed as a dependency, or wrote or
+    /// deleted a [`Dfs`] dataset while running.
     PlanViolation {
         /// The offending job (or batch) name.
         job: String,
@@ -181,9 +181,9 @@ pub enum MrError {
     },
     /// Two jobs of the same batch declared a write to the *same exact*
     /// dataset shard. The scheduler would silently serialize them into a
-    /// last-writer-wins WAW edge; rejecting at submission time keeps every
-    /// shard single-writer, which is what the static race certification
-    /// assumes.
+    /// last-writer-wins WAW edge, and a reader declaring the shard could
+    /// not tell which output it names; rejecting at submission time keeps
+    /// every shard single-writer.
     DuplicateWrite {
         /// Job whose submission was rejected.
         job: String,

@@ -7,7 +7,7 @@
 //! mutually independent. A [`Batch`] holds those jobs with declared
 //! dataset read/write sets — the HaTen2 pipelines' declarations are read
 //! off their [`JobGraph`] by one submitter (`haten2_core::plan`), so what
-//! is declared is what the analyzer certified; [`Batch::run`] builds the
+//! is declared is the graph the analyzer checks; [`Batch::run`] builds the
 //! dependency DAG, validates it against that
 //! [`JobGraph`], and dispatches any job whose inputs are available onto
 //! the cluster's shared [`crate::pool::WorkerPool`], interleaving map and
@@ -44,6 +44,15 @@
 //! name the same shard — so per-column writers `t#0`, `t#1`, … are
 //! mutually independent while a reader of `t` depends on all of them.
 //!
+//! **No races.** Two jobs with no dependency path between them may run
+//! at once, so each is held to its declarations where it runs:
+//! [`JobCtx::get`] refuses the output of a job that is not a declared
+//! dependency, [`Batch::submit`] refuses a second writer of a shard, a
+//! committed output is written once (a `OnceLock`, or a [`TakeOnce`] with
+//! one reader), and a [`crate::Dfs`] write or delete from inside a running
+//! job's closure is refused. Each refusal is a typed error, never a wrong
+//! answer; the DFS is written by driver code between batches.
+//!
 //! **Liveness.** Scheduler workers never block: each loops popping ready
 //! jobs and exits when the queue is momentarily empty; the worker that
 //! completes a job enqueues (and can itself execute) newly-ready
@@ -77,8 +86,48 @@ use crate::job::JobSite;
 use crate::metrics::{BatchReport, JobMetrics, RunMetrics};
 use crate::plan::{dataset_base, JobGraph};
 use crate::MrError;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+thread_local! {
+    /// The batch job whose closure this thread is running, if any.
+    static RUNNING_JOB: RefCell<Option<String>> = const { RefCell::new(None) };
+}
+
+/// Marks the current thread as running job `name` until dropped, then
+/// restores the job it ran before: a pool thread waiting on one job's
+/// tasks may run another job's closure nested inside.
+struct RunningJob(Option<String>);
+
+impl RunningJob {
+    fn enter(name: &str) -> RunningJob {
+        RunningJob(RUNNING_JOB.with(|c| c.replace(Some(name.to_string()))))
+    }
+}
+
+impl Drop for RunningJob {
+    fn drop(&mut self) {
+        RUNNING_JOB.with(|c| *c.borrow_mut() = self.0.take());
+    }
+}
+
+/// Refuse a [`crate::Dfs`] write (`op` on `dataset`) from inside a
+/// running batch job. The scheduler orders jobs by their declared
+/// datasets only, so a write it cannot see could race with any job
+/// unordered with the writer; the DFS is for driver code between batches.
+pub(crate) fn refuse_dfs_write_in_job(op: &str, dataset: &str) -> crate::Result<()> {
+    RUNNING_JOB.with(|c| match &*c.borrow() {
+        Some(job) => Err(MrError::PlanViolation {
+            job: job.clone(),
+            detail: format!(
+                "job '{job}' tried to {op} DFS dataset '{dataset}' while running; \
+                 the DFS is written only between batches"
+            ),
+        }),
+        None => Ok(()),
+    })
+}
 
 /// A submitted job's future output. Cheap to clone; downstream jobs
 /// capture clones and read them through [`JobCtx::get`], the driver takes
@@ -173,16 +222,6 @@ pub struct JobCtx<'c> {
     /// Pool executors granted to this job's task broadcasts, fixed when
     /// the batch starts (see [`level_split`]).
     task_executors: usize,
-    /// The batch's dynamic race detector.
-    #[cfg(feature = "race-detect")]
-    detector: &'c Arc<crate::race::Detector>,
-    /// This job's submission index *within the batch* (the detector's job
-    /// numbering; `job_index` is the cluster-global one).
-    #[cfg(feature = "race-detect")]
-    batch_index: usize,
-    /// Every batch job's declared write set, for attributing handle reads.
-    #[cfg(feature = "race-detect")]
-    batch_writes: &'c [Vec<String>],
 }
 
 impl JobCtx<'_> {
@@ -202,36 +241,10 @@ impl JobCtx<'_> {
                 ),
             });
         }
-        #[cfg(feature = "race-detect")]
-        self.note_handle_read(handle.idx);
         handle.slot.get().ok_or_else(|| MrError::PlanViolation {
             job: self.name.to_string(),
             detail: format!("dependency '{}' has no output yet", handle.name),
         })
-    }
-
-    /// Like [`JobCtx::get`] but *without* the declared-dependency check:
-    /// a deliberate backdoor for the race-detection test harness, which
-    /// needs to drive the dynamic detector past the static gate. The read
-    /// is still reported to the detector. Debug tooling only — never call
-    /// this from a pipeline.
-    #[cfg(feature = "race-detect")]
-    #[doc(hidden)]
-    pub fn get_raced<'h, T>(&self, handle: &'h JobHandle<T>) -> crate::Result<&'h T> {
-        self.note_handle_read(handle.idx);
-        handle.slot.get().ok_or_else(|| MrError::PlanViolation {
-            job: self.name.to_string(),
-            detail: format!("dependency '{}' has no output yet", handle.name),
-        })
-    }
-
-    /// Report reading the producing job's declared outputs to the batch's
-    /// race detector.
-    #[cfg(feature = "race-detect")]
-    fn note_handle_read(&self, producer: usize) {
-        for w in &self.batch_writes[producer] {
-            self.detector.note_read(self.batch_index, w);
-        }
     }
 }
 
@@ -428,9 +441,11 @@ impl<'a> Batch<'a> {
     /// Two jobs of one batch declaring a write to the *same exact* shard
     /// are rejected here with [`MrError::DuplicateWrite`]: the scheduler
     /// would otherwise serialize them into a silent last-writer-wins WAW
-    /// edge, and the static race certification assumes every shard has a
-    /// single writer per batch. (`t#0` vs `t#1` is fine; `t#0` vs an
-    /// unsharded `t` is an ordinary WAW dependency, not a duplicate.)
+    /// edge, and a reader declaring the shard could not tell which of the
+    /// two outputs it names. One writer per shard per batch keeps every
+    /// declared shard read naming exactly one output. (`t#0` vs `t#1` is
+    /// fine; `t#0` vs an unsharded `t` is an ordinary WAW dependency, not a
+    /// duplicate.)
     pub fn submit<T, F>(
         &mut self,
         name: impl Into<String>,
@@ -567,20 +582,6 @@ impl<'a> Batch<'a> {
             SchedulerMode::Dag => level_split(&depth, threads),
         };
 
-        // Dynamic race detection: every job registers its transitive
-        // declared-dependency ancestors, then accesses are reported as
-        // they happen — declared reads at job start, handle reads at
-        // `JobCtx::get`, direct DFS traffic through the ambient thread
-        // scope, declared writes at (submission-order) commit.
-        #[cfg(feature = "race-detect")]
-        let detector = Arc::new(crate::race::Detector::new());
-        #[cfg(feature = "race-detect")]
-        for (j, job) in jobs.iter().enumerate() {
-            detector.register_job(j, &job.name, &preds[j]);
-        }
-        #[cfg(feature = "race-detect")]
-        let write_sets: Vec<Vec<String>> = jobs.iter().map(|j| j.writes.clone()).collect();
-
         let ctx_for = |j: usize| JobCtx {
             cluster,
             graph,
@@ -590,15 +591,10 @@ impl<'a> Batch<'a> {
             metrics: &metrics[j],
             preds: &preds[j],
             task_executors: task_executors[j],
-            #[cfg(feature = "race-detect")]
-            detector: &detector,
-            #[cfg(feature = "race-detect")]
-            batch_index: j,
-            #[cfg(feature = "race-detect")]
-            batch_writes: &write_sets,
         };
-        // Run the job's closure and turn "returned Ok without running its
-        // declared job" into the violation it is.
+        // Run the job's closure, marked as running so that it cannot write
+        // the DFS, and turn "returned Ok without running its declared job"
+        // into the violation it is.
         let execute = |j: usize| -> Status {
             let f = jobs[j]
                 .run
@@ -606,12 +602,7 @@ impl<'a> Batch<'a> {
                 .expect("job closure lock poisoned")
                 .take()
                 .expect("job dispatched once");
-            #[cfg(feature = "race-detect")]
-            let _race_scope = crate::race::JobScope::enter(Arc::clone(&detector), j);
-            #[cfg(feature = "race-detect")]
-            for r in &jobs[j].reads {
-                detector.note_read(j, r);
-            }
+            let _running = RunningJob::enter(&jobs[j].name);
             match f(&ctx_for(j)) {
                 Ok(()) if metrics[j].get().is_some() => Status::Done,
                 Ok(()) => Status::Failed(MrError::PlanViolation {
@@ -648,13 +639,6 @@ impl<'a> Batch<'a> {
                             .expect("done job stashed metrics")
                             .clone();
                         cluster.record(m.clone());
-                        #[cfg(feature = "race-detect")]
-                        {
-                            for w in &jobs[cur.next].writes {
-                                detector.note_write(cur.next, w);
-                            }
-                            detector.commit(cur.next);
-                        }
                         cur.committed.push(m);
                         cur.next += 1;
                     }
@@ -693,12 +677,6 @@ impl<'a> Batch<'a> {
                 &advance_commit,
             ),
         };
-
-        // Surface flagged races on the cluster regardless of batch outcome
-        // — a failing batch can still race, and the chaos harness wants
-        // both signals.
-        #[cfg(feature = "race-detect")]
-        cluster.record_races(detector.reports());
 
         // ---- Surface the submission-order outcome ------------------------
         // Dependency edges only point backwards, so a skipped job always
@@ -825,9 +803,12 @@ fn lpt_pick(queue: &mut Vec<usize>, est: &dyn Fn(usize) -> f64) -> Option<usize>
 }
 
 /// Shard-aware dataset overlap: same base, and either side unsharded or
-/// the same shard. Public because the static race-certification pass in
-/// `haten2-analyze` (and the dynamic detector's conflict test) must agree
-/// with the scheduler's dependency inference on what conflicts.
+/// the same shard. Two jobs whose declarations overlap get a dependency
+/// edge; two that do not may run at once, which is safe because each job
+/// reads and writes only what it declares (see the module docs). Public
+/// because the pipelines' submitter (`haten2_core::plan`) resolves a
+/// job's inputs by the same rule, so a job is handed exactly the outputs
+/// of the jobs it is ordered after.
 pub fn datasets_overlap(a: &str, b: &str) -> bool {
     let (base_a, shard_a) = split_shard(a);
     let (base_b, shard_b) = split_shard(b);
@@ -1476,6 +1457,27 @@ mod tests {
         assert!(!datasets_overlap("t#3", "t#4"));
         assert!(!datasets_overlap("t", "u"));
         assert!(!datasets_overlap("t#1", "u#1"));
+    }
+
+    #[test]
+    fn running_job_scope_nests_and_restores() {
+        let refused_as = |job_name: &str| {
+            matches!(refuse_dfs_write_in_job("put", "d"),
+                Err(MrError::PlanViolation { job, detail })
+                    if job == job_name && detail.contains("put DFS dataset 'd'"))
+        };
+        assert!(refuse_dfs_write_in_job("put", "d").is_ok());
+        {
+            let _outer = RunningJob::enter("outer");
+            assert!(refused_as("outer"));
+            {
+                // A pool thread waiting on `outer`'s tasks runs `inner`.
+                let _inner = RunningJob::enter("inner");
+                assert!(refused_as("inner"));
+            }
+            assert!(refused_as("outer"));
+        }
+        assert!(refuse_dfs_write_in_job("delete", "d").is_ok());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!   suppression in the workspace with its justification; exits non-zero
 //!   if any suppression is reasonless.
 //! * `cargo xtask analyze [--write]` — the unified static-analysis gate:
-//!   source lint, paper-table + race + determinism verification,
+//!   source lint, paper-table + communication + determinism verification,
 //!   the `ANALYSIS.md` staleness check (`--write` refreshes the file
 //!   instead of failing), the rejection demo, and a JSON-output smoke
 //!   check.
@@ -92,7 +92,7 @@ fn analyze(write: bool) -> ExitCode {
         ok = false;
     }
 
-    println!("==> xtask analyze: paper table + races + determinism");
+    println!("==> xtask analyze: paper table + communication + determinism");
     let (verified, report) = run_analyzer(&root, &["--verify-paper-table"]);
     ok &= verified;
 
@@ -158,8 +158,8 @@ fn usage() -> ExitCode {
          lint                run the source-level lint pass\n\
          lint --list-allows  print every lint:allow suppression with its reason\n\
          analyze             full static-analysis gate (lint, paper table,\n\
-         \x20                   races, determinism, ANALYSIS.md staleness,\n\
-         \x20                   rejection demo, JSON smoke)\n\
+         \x20                   communication, determinism, ANALYSIS.md\n\
+         \x20                   staleness, rejection demo, JSON smoke)\n\
          analyze --write     same, but refresh ANALYSIS.md instead of failing"
     );
     ExitCode::from(2)

@@ -1,8 +1,6 @@
 //! The known-bad corpus: one fixture per lint, UDF-purity and plan rule,
 //! each tripping its rule exactly once — so a rule that stops firing (or
-//! starts double-reporting) fails here, not in review. (The race rules
-//! take batch programs, not files; their known-bad cases are the seeded
-//! mutants of `haten2_analyze::races::run_race_rejections`.)
+//! starts double-reporting) fails here, not in review.
 
 #![allow(clippy::unwrap_used)]
 

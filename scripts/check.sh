@@ -49,8 +49,8 @@ if [[ "${1:-}" == "--sanitize" ]]; then
             TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp" \
             cargo +nightly test -Zbuild-std --target "$host" "$@"
         }
-        tsan -p haten2-mapreduce --features race-detect -- pool arena sched race \
-            level_split parallel_reduce reload map_output
+        tsan -p haten2-mapreduce -- pool arena sched level_split parallel_reduce \
+            reload map_output
         # Every pipeline (and both merges over sharded and over written input)
         # under both scheduler modes, with the bit-identity digests still
         # asserted; and the same kernels at three to five join sides on the
@@ -81,7 +81,7 @@ GATES=(
     "order-4 end to end (N-way PARAFAC + Tucker; tier-1 only compiles it)|cargo run --release --example four_way_logs"
     "clippy|cargo clippy --workspace --all-targets -- -D warnings"
     "rustfmt|cargo fmt --check"
-    "chaos smoke (fault transparency + static/dynamic race cross-validation)|cargo run -p haten2-chaos --release --bin haten2-chaos -- --seeds 2 --seed-base 7"
+    "chaos smoke (fault transparency)|cargo run -p haten2-chaos --release --bin haten2-chaos -- --seeds 2 --seed-base 7"
     "analyze (lint, paper tables + ANALYSIS.md staleness, reject demo, determinism, JSON smoke)|cargo xtask analyze"
     "lint allows (every lint:allow carries a justification)|cargo xtask lint --list-allows"
     "benchmark tests (incl. BENCHMARK.json == code)|cargo test --offline --manifest-path benchmark/Cargo.toml -q"
