@@ -24,6 +24,7 @@
 
 use crate::Violation;
 use haten2_core::{is_comm_assoc_site, plan_for, Decomp, Variant};
+use haten2_mapreduce::JobGraph;
 use haten2_srcscan::{rs_files, scan_udf_purity, workspace_root, ReducerSite};
 use std::path::{Path, PathBuf};
 
@@ -39,8 +40,9 @@ pub struct DeterminismReport {
 }
 
 impl DeterminismReport {
-    /// `true` when no scanned closure violates a purity rule and the plan
-    /// annotations are consistent with the registry.
+    /// `true` when every target file was read, no scanned closure violates
+    /// a purity rule, and the plan annotations are consistent with the
+    /// registry.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
     }
@@ -55,16 +57,25 @@ fn scan_targets(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Run the source-scan half of the pass on the workspace rooted at `root`.
+/// Run the pass on the workspace rooted at `root`: scan its sources, then
+/// check every registered graph's annotations. A target file that cannot
+/// be read as UTF-8 text is a violation, not a skip.
 pub fn scan_workspace(root: &Path) -> DeterminismReport {
     let mut violations = Vec::new();
     let mut reducers = Vec::new();
-    let files = scan_targets(root);
-    let files_scanned = files.len();
-    for file in files {
-        let Ok(text) = std::fs::read_to_string(&file) else {
-            continue;
+    let mut files_scanned = 0;
+    for file in scan_targets(root) {
+        let text = match std::fs::read_to_string(&file) {
+            Ok(text) => text,
+            Err(e) => {
+                violations.push(Violation::UnreadableSource {
+                    file: file.display().to_string(),
+                    error: e.to_string(),
+                });
+                continue;
+            }
         };
+        files_scanned += 1;
         let (findings, mut sites) = scan_udf_purity(&file, &text, &is_comm_assoc_site);
         for f in findings {
             violations.push(Violation::NondeterministicUdf {
@@ -77,7 +88,11 @@ pub fn scan_workspace(root: &Path) -> DeterminismReport {
         }
         reducers.append(&mut sites);
     }
-    violations.extend(check_plan_consistency());
+    for decomp in Decomp::ALL {
+        for variant in Variant::ALL {
+            violations.extend(check_plan_consistency(&plan_for(decomp, variant)));
+        }
+    }
     DeterminismReport {
         violations,
         reducers,
@@ -90,47 +105,39 @@ pub fn check_determinism() -> DeterminismReport {
     scan_workspace(&workspace_root())
 }
 
-/// The plan-consistency half: `comm_assoc` flags on every registered graph
-/// must agree with the annotation registry, in both directions.
-pub fn check_plan_consistency() -> Vec<Violation> {
+/// The plan-consistency half: `graph`'s `comm_assoc` flags must agree
+/// with the annotation registry, in both directions.
+pub fn check_plan_consistency(graph: &JobGraph) -> Vec<Violation> {
     let mut violations = Vec::new();
-    for decomp in Decomp::ALL {
-        for variant in Variant::ALL {
-            let g = plan_for(decomp, variant);
-            for job in &g.jobs {
-                let Some(op) = job.op.as_deref() else {
-                    violations.push(Violation::AnnotationMismatch {
-                        graph: g.name.clone(),
-                        job: job.name.clone(),
-                        op: "<none>".to_string(),
-                        detail: "job declares no reducer op; the determinism pass \
-                                 cannot match it against the registry"
-                            .to_string(),
-                    });
-                    continue;
-                };
-                let registered = is_comm_assoc_site(op);
-                if job.comm_assoc && !registered {
-                    violations.push(Violation::AnnotationMismatch {
-                        graph: g.name.clone(),
-                        job: job.name.clone(),
-                        op: op.to_string(),
-                        detail: "declared comm_assoc but the reducer registry has no \
-                                 entry (so no property test covers the claim)"
-                            .to_string(),
-                    });
-                }
-                if !job.comm_assoc && registered {
-                    violations.push(Violation::AnnotationMismatch {
-                        graph: g.name.clone(),
-                        job: job.name.clone(),
-                        op: op.to_string(),
-                        detail: "registry declares the reducer comm-assoc but the plan \
-                                 does not flag the job"
-                            .to_string(),
-                    });
-                }
-            }
+    for job in &graph.jobs {
+        let mismatch = |op: &str, detail: &str| Violation::AnnotationMismatch {
+            graph: graph.name.clone(),
+            job: job.name.clone(),
+            op: op.to_string(),
+            detail: detail.to_string(),
+        };
+        let Some(op) = job.op.as_deref() else {
+            violations.push(mismatch(
+                "<none>",
+                "job declares no reducer op; the determinism pass cannot match it \
+                 against the registry",
+            ));
+            continue;
+        };
+        let registered = is_comm_assoc_site(op);
+        if job.comm_assoc && !registered {
+            violations.push(mismatch(
+                op,
+                "declared comm_assoc but the reducer registry has no entry (so no \
+                 property test covers the claim)",
+            ));
+        }
+        if !job.comm_assoc && registered {
+            violations.push(mismatch(
+                op,
+                "registry declares the reducer comm-assoc but the plan does not flag \
+                 the job",
+            ));
         }
     }
     violations
@@ -222,5 +229,25 @@ fn seeded() {
         assert!(findings
             .iter()
             .any(|f| f.rule == "unannotated-float-reduction"));
+    }
+
+    #[test]
+    fn unreadable_source_fails_the_report_naming_the_file() {
+        let root = std::env::temp_dir().join(format!("haten2-determinism-{}", std::process::id()));
+        let src = root.join("crates/core/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(src.join("latin1.rs"), b"// caf\xe9\nfn f() {}\n").unwrap();
+        let report = scan_workspace(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert!(!report.ok(), "a non-UTF-8 source passed the scan");
+        assert_eq!(report.files_scanned, 0);
+        assert!(
+            report.violations.iter().any(|v| matches!(
+                v,
+                Violation::UnreadableSource { file, .. } if file.ends_with("latin1.rs")
+            )),
+            "{:?}",
+            report.violations
+        );
     }
 }

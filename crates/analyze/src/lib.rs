@@ -36,7 +36,7 @@
 //!   iteration feeding emits, wall-clock reads, thread-id dependence, and
 //!   float reductions not declared commutative-associative in plan
 //!   metadata (each declaration is property-checked by a generated
-//!   proptest per reducer).
+//!   proptest per reducer). A source file it cannot read fails the pass.
 //! * **Lint pass** — source-level rules (forbidden APIs, undocumented
 //!   `unsafe`, `unwrap` in library code) live in the `xtask` package
 //!   (`cargo xtask lint`), layered on the same `haten2-srcscan` scanner:
@@ -51,9 +51,8 @@
 //! job, dataset, or source site. `cargo run -p haten2-analyze --
 //! --verify-paper-table` renders the full verification report (committed
 //! as `ANALYSIS.md`, staleness-gated by `cargo xtask analyze`);
-//! `--reject-demo` proves the analyzer rejects deliberately mis-wired
-//! plans ([`demo`]); `--format json` emits one stable JSON object per
-//! violation for tooling.
+//! `--reject-demo` runs the one table of known-bad plans ([`demo`]) and
+//! proves each is rejected with the diagnostics its row lists.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -63,16 +62,13 @@ pub mod cost;
 pub mod dataflow;
 pub mod demo;
 pub mod determinism;
-pub mod fixture;
 pub mod io;
-pub mod json;
 pub mod report;
 
-pub use comm::{check_comm, comm_table, shuffle_claim, CommRow, COMM_RULES};
+pub use comm::{check_comm, comm_table, shuffle_claim, CommRow};
 pub use cost::{paper_claim, regime_envs, PaperClaim};
 pub use dataflow::check_dataflow;
 pub use determinism::{check_determinism, check_plan_consistency, DeterminismReport};
-pub use fixture::{load_plan_fixture, run_plan_fixture, PlanFixture};
 pub use io::{durable_io_table, tensor_record_bytes, DurableIoRow};
 pub use report::{verify_paper_table, Report, RowVerdict};
 
@@ -170,6 +166,14 @@ pub enum Violation {
         /// Rule rationale.
         message: String,
     },
+    /// A source file the determinism pass must scan could not be read as
+    /// UTF-8 text, so its closures went unchecked.
+    UnreadableSource {
+        /// The file.
+        file: String,
+        /// Why reading it failed.
+        error: String,
+    },
     /// A plan's `comm_assoc` flag disagrees with the reducer-annotation
     /// registry (in either direction).
     AnnotationMismatch {
@@ -218,8 +222,8 @@ pub enum Violation {
 }
 
 impl Violation {
-    /// Stable kebab-case rule id of this violation — the name the fixture
-    /// corpus and the JSON output key on.
+    /// Stable kebab-case rule id of this violation — the name the
+    /// rejection table ([`demo`]) keys on.
     pub fn kind(&self) -> &'static str {
         match self {
             Violation::DanglingRead { .. } => "dangling-read",
@@ -229,6 +233,7 @@ impl Violation {
             Violation::JobCountMismatch { .. } => "job-count-mismatch",
             Violation::TensorReadMismatch { .. } => "tensor-read-mismatch",
             Violation::NondeterministicUdf { .. } => "nondeterministic-udf",
+            Violation::UnreadableSource { .. } => "unreadable-source",
             Violation::AnnotationMismatch { .. } => "annotation-mismatch",
             Violation::ShuffleMismatch { .. } => "shuffle-mismatch",
             Violation::CommBoundExceeded { .. } => "comm-bound-exceeded",
@@ -317,6 +322,11 @@ impl std::fmt::Display for Violation {
                 f,
                 "nondeterministic UDF at {file}:{line} [{rule}] in site '{site}': \
                  {message}"
+            ),
+            Violation::UnreadableSource { file, error } => write!(
+                f,
+                "unreadable source: {file} was not scanned for nondeterministic \
+                 UDFs: {error}"
             ),
             Violation::AnnotationMismatch {
                 graph,

@@ -484,8 +484,9 @@ impl SymExpr {
     /// `/`, `max(a, b)` and parentheses. `·` and `/` share a precedence
     /// level above `+` and associate left, matching `Display`'s
     /// parenthesization, so `parse(e.to_string())` evaluates identically to
-    /// `e` on every environment. Returns `None` on any malformed input —
-    /// used by the analyzer's plan-fixture loader, never by pipelines.
+    /// `e` on every environment. Returns `None` on any malformed input.
+    /// It backs the `Display` round-trip tests (`tests/symexpr.rs`), the
+    /// oracle that the printed form is unambiguous; no pipeline parses.
     pub fn parse(s: &str) -> Option<SymExpr> {
         let toks = lex(s)?;
         let mut p = Parser {

@@ -1,5 +1,5 @@
-//! The known-bad corpus: one fixture per lint, UDF-purity and plan rule,
-//! each tripping its rule exactly once — so a rule that stops firing (or
+//! The known-bad corpus: one fixture per lint and UDF-purity rule, each
+//! tripping its rule exactly once — so a rule that stops firing (or
 //! starts double-reporting) fails here, not in review.
 
 #![allow(clippy::unwrap_used)]
@@ -37,13 +37,6 @@ const PURITY_FIXTURES: &[(&str, &str)] = &[
     ),
 ];
 
-/// `.plan` fixtures exercised through the communication pass
-/// (`haten2_analyze::fixture`).
-const PLAN_FIXTURES: &[(&str, &str)] = &[
-    ("shuffle_mismatch.plan", "shuffle-mismatch"),
-    ("comm_bound_exceeded.plan", "comm-bound-exceeded"),
-];
-
 #[test]
 fn each_lint_fixture_fires_its_rule_exactly_once() {
     for (file, rule) in LINT_FIXTURES {
@@ -78,27 +71,6 @@ fn each_purity_fixture_fires_its_rule_exactly_once() {
 }
 
 #[test]
-fn each_plan_fixture_fires_its_rule_exactly_once() {
-    for (file, rule) in PLAN_FIXTURES {
-        let path = fixture(file);
-        let fx = haten2_analyze::load_plan_fixture(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
-        assert_eq!(
-            fx.expects,
-            vec![rule.to_string()],
-            "{file}: fixture's own 'expect' disagrees with the corpus table"
-        );
-        let violations = haten2_analyze::run_plan_fixture(&fx);
-        let fired: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-        assert_eq!(
-            violations.len(),
-            1,
-            "{file}: expected 1 violation, got {fired:?}"
-        );
-        assert_eq!(violations[0].kind(), *rule, "{file}: fired {fired:?}");
-    }
-}
-
-#[test]
 fn purity_fixtures_go_quiet_when_the_site_is_annotated() {
     // The float-fold fixture is legal once the plan declares the reducer
     // commutative-associative — exactly the contract the generated
@@ -128,22 +100,11 @@ fn every_rule_has_a_fixture() {
             "purity rule '{id}' has no known-bad fixture"
         );
     }
-    let plan_covered: Vec<&str> = PLAN_FIXTURES.iter().map(|(_, r)| *r).collect();
-    for (id, _) in haten2_analyze::COMM_RULES {
-        assert!(
-            plan_covered.contains(id),
-            "communication rule '{id}' has no known-bad fixture"
-        );
-    }
-    for (file, _) in LINT_FIXTURES
-        .iter()
-        .chain(PURITY_FIXTURES)
-        .chain(PLAN_FIXTURES)
-    {
+    for (file, _) in LINT_FIXTURES.iter().chain(PURITY_FIXTURES) {
         assert!(fixture(file).exists(), "missing fixture {file}");
     }
     // One file per rule (`undocumented-unsafe` is the one lint outside
     // `RULES`), so a deleted rule cannot leave its fixture behind.
-    let rules = RULES.len() + 1 + PURITY_RULES.len() + haten2_analyze::COMM_RULES.len();
+    let rules = RULES.len() + 1 + PURITY_RULES.len();
     assert_eq!(std::fs::read_dir(fixture("")).unwrap().count(), rules);
 }

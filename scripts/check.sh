@@ -82,7 +82,7 @@ GATES=(
     "clippy|cargo clippy --workspace --all-targets -- -D warnings"
     "rustfmt|cargo fmt --check"
     "chaos smoke (fault transparency)|cargo run -p haten2-chaos --release --bin haten2-chaos -- --seeds 2 --seed-base 7"
-    "analyze (lint, paper tables + ANALYSIS.md staleness, reject demo, determinism, JSON smoke)|cargo xtask analyze"
+    "analyze (lint, paper tables + ANALYSIS.md staleness with the determinism scan inside, reject demo)|cargo xtask analyze"
     "lint allows (every lint:allow carries a justification)|cargo xtask lint --list-allows"
     "benchmark tests (incl. BENCHMARK.json == code)|cargo test --offline --manifest-path benchmark/Cargo.toml -q"
     "perf smoke (four workloads, self-checked samples)|cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --quick --out $smoke_out/run.json"
