@@ -27,6 +27,14 @@
 //!   one collector; a job whose output feeds another job supplies its own,
 //!   and writes the next job's input shards, or the next job's map output,
 //!   directly.
+//! * Columns of 128 KiB or more are not the allocator's. They come from
+//!   and go back to the cluster's column recycler ([`crate::recycle`]): a
+//!   hinted bucket and the sort scratch take the best fit on its shelf,
+//!   and a full bucket (unhinted, or filled by a [`Collect`] for the next
+//!   job) grows into one. Sealing trims each bucket to its length and
+//!   hands back the scratch. A reduce task hands back both columns of
+//!   every run it drained ([`RunCursor::into_columns`]; the values stream
+//!   out of a `VecDeque`, so their column comes back whole).
 //!
 //! Byte accounting is column-wise: `slice_est_bytes(keys) +
 //! slice_est_bytes(vals)` equals the seed's tuple-wise sum exactly
@@ -34,8 +42,10 @@
 //! stay bit-identical to the reference executor.
 
 use crate::job::{Combiner, Partitioner};
+use crate::recycle;
 use crate::size::{slice_est_bytes, EstimateSize};
 use crate::RECORD_FRAMING_BYTES as FRAMING_BYTES;
+use std::collections::VecDeque;
 use std::hash::Hash;
 
 /// A growable pair of key/value columns — the SoA replacement for
@@ -45,18 +55,38 @@ pub(crate) struct ColumnBuffer<K, V> {
     vals: Vec<V>,
 }
 
-impl<K, V> ColumnBuffer<K, V> {
-    /// Empty buffer with both columns pre-sized to `cap`.
+impl<K: Send + 'static, V: Send + 'static> ColumnBuffer<K, V> {
+    /// Empty buffer with both columns pre-sized to `cap`, recycled where
+    /// they take part ([`recycle::with_capacity`]).
     pub(crate) fn with_capacity(cap: usize) -> Self {
         ColumnBuffer {
-            keys: Vec::with_capacity(cap),
-            vals: Vec::with_capacity(cap),
+            keys: recycle::with_capacity(cap),
+            vals: recycle::with_capacity(cap),
         }
     }
 
+    /// Append one record. The only per-record append in the hot path. A
+    /// full column grows through [`recycle::grow`].
+    #[inline]
+    pub(crate) fn push(&mut self, key: K, val: V) {
+        if self.keys.len() == self.keys.capacity() {
+            recycle::grow(&mut self.keys);
+        }
+        if self.vals.len() == self.vals.capacity() {
+            recycle::grow(&mut self.vals);
+        }
+        self.keys.push(key);
+        self.vals.push(val);
+    }
+}
+
+impl<K, V> ColumnBuffer<K, V> {
     /// Empty buffer with no reservation.
     pub(crate) fn new() -> Self {
-        ColumnBuffer::with_capacity(0)
+        ColumnBuffer {
+            keys: Vec::new(),
+            vals: Vec::new(),
+        }
     }
 }
 
@@ -67,13 +97,6 @@ impl<K, V> Default for ColumnBuffer<K, V> {
 }
 
 impl<K, V> ColumnBuffer<K, V> {
-    /// Append one record. The only per-record append in the hot path.
-    #[inline]
-    pub(crate) fn push(&mut self, key: K, val: V) {
-        self.keys.push(key);
-        self.vals.push(val);
-    }
-
     /// Records stored.
     pub(crate) fn len(&self) -> usize {
         self.keys.len()
@@ -144,10 +167,11 @@ impl<K: Ord + EstimateSize, V> ColumnBuffer<K, V> {
         }
         let mut dest = sort_destinations(&self.keys);
         apply_destinations(&mut dest, &mut self.keys, &mut self.vals);
+        recycle::give(dest);
     }
 }
 
-impl<K: Clone + Ord, V> ColumnBuffer<K, V> {
+impl<K: Clone + Ord + Send + 'static, V: Send + 'static> ColumnBuffer<K, V> {
     /// Apply a map-side combiner to each key group of the (sorted) buffer.
     /// Same contract as the seed's `combine_bucket`: values reach the
     /// combiner in emission order; output stays key-sorted.
@@ -171,8 +195,11 @@ impl<K: Clone + Ord, V> ColumnBuffer<K, V> {
 }
 
 impl<K: EstimateSize, V: EstimateSize> ColumnBuffer<K, V> {
-    /// Seal into an immutable sorted run carrying precomputed wire bytes.
-    pub(crate) fn seal(self, bytes: usize) -> ColumnRun<K, V> {
+    /// Seal into an immutable sorted run carrying precomputed wire bytes,
+    /// each column trimmed to its length ([`recycle::trim`]).
+    pub(crate) fn seal(mut self, bytes: usize) -> ColumnRun<K, V> {
+        recycle::trim(&mut self.keys);
+        recycle::trim(&mut self.vals);
         ColumnRun {
             keys: self.keys,
             vals: self.vals,
@@ -205,16 +232,13 @@ impl<K, V> MapOutput<K, V> {
     /// Empty buckets for `partitions` reduce partitions (at least one).
     #[must_use]
     pub fn new(partitions: usize) -> Self {
-        MapOutput::with_bucket_capacity(partitions, 0)
+        MapOutput::from_buckets(partitions, |_| ColumnBuffer::new())
     }
 
-    /// Empty buckets with both columns of each pre-sized to `cap`.
-    pub(crate) fn with_bucket_capacity(partitions: usize, cap: usize) -> Self {
+    fn from_buckets(partitions: usize, bucket: impl FnMut(usize) -> ColumnBuffer<K, V>) -> Self {
         let partitioner = Partitioner::new(partitions);
         MapOutput {
-            buckets: (0..partitioner.partitions())
-                .map(|_| ColumnBuffer::with_capacity(cap))
-                .collect(),
+            buckets: (0..partitioner.partitions()).map(bucket).collect(),
             partitioner,
             last: 0,
             inputs: 0,
@@ -251,7 +275,14 @@ impl<K, V> MapOutput<K, V> {
     }
 }
 
-impl<K: Hash + PartialEq, V> MapOutput<K, V> {
+impl<K: Send + 'static, V: Send + 'static> MapOutput<K, V> {
+    /// Empty buckets with both columns of each pre-sized to `cap`.
+    pub(crate) fn with_bucket_capacity(partitions: usize, cap: usize) -> Self {
+        MapOutput::from_buckets(partitions, |_| ColumnBuffer::with_capacity(cap))
+    }
+}
+
+impl<K: Hash + PartialEq + Send + 'static, V: Send + 'static> MapOutput<K, V> {
     /// Append one record to its partition's bucket.
     #[inline]
     pub fn emit(&mut self, key: K, val: V) {
@@ -277,15 +308,14 @@ pub(crate) struct Sealed<K, V> {
     pub(crate) bytes: usize,
 }
 
-impl<K: Ord + EstimateSize, V: EstimateSize> MapOutput<K, V> {
+impl<K: Clone + Ord + EstimateSize + Send + 'static, V: EstimateSize + Send + 'static>
+    MapOutput<K, V>
+{
     /// Sort each non-empty bucket by key — stably, so emission order
     /// survives within equal keys and reducers merge instead of
     /// re-sorting — apply `combiner`, and seal the buckets into runs. The
     /// buckets are left empty, ready to be filled again.
-    pub(crate) fn seal(&mut self, combiner: Option<Combiner<'_, K, V>>) -> Sealed<K, V>
-    where
-        K: Clone,
-    {
+    pub(crate) fn seal(&mut self, combiner: Option<Combiner<'_, K, V>>) -> Sealed<K, V> {
         let mut sealed = Sealed {
             runs: Vec::new(),
             records: 0,
@@ -371,7 +401,10 @@ pub(crate) fn sort_destinations<K: Ord + EstimateSize>(keys: &[K]) -> Vec<u32> {
             }
         }
     }
-    invert(&sort_permutation(keys))
+    let perm = sort_permutation(keys);
+    let dest = invert(&perm);
+    recycle::give(perm);
+    dest
 }
 
 /// Counting sort over the images `min ..= min + span`: one counter per
@@ -380,7 +413,7 @@ pub(crate) fn sort_destinations<K: Ord + EstimateSize>(keys: &[K]) -> Vec<u32> {
 /// their order.
 fn counting_destinations<K>(keys: &[K], image: fn(&K) -> u64, min: u64, span: u64) -> Vec<u32> {
     let counter = |k: &K| (image(k) - min) as usize;
-    let mut next = vec![0u32; span as usize + 1];
+    let mut next = recycle::zeroed(span as usize + 1);
     for k in keys {
         next[counter(k)] += 1;
     }
@@ -388,13 +421,14 @@ fn counting_destinations<K>(keys: &[K], image: fn(&K) -> u64, min: u64, span: u6
     for c in &mut next {
         (sum, *c) = (sum + *c, sum);
     }
-    keys.iter()
-        .map(|k| {
-            let slot = &mut next[counter(k)];
-            *slot += 1;
-            *slot - 1
-        })
-        .collect()
+    let mut dest = recycle::with_capacity(keys.len());
+    dest.extend(keys.iter().map(|k| {
+        let slot = &mut next[counter(k)];
+        *slot += 1;
+        *slot - 1
+    }));
+    recycle::give(next);
+    dest
 }
 
 /// Stable sort permutation over `keys`: `perm[rank]` is the index of the
@@ -402,7 +436,8 @@ fn counting_destinations<K>(keys: &[K], image: fn(&K) -> u64, min: u64, span: u6
 /// compared to shuffling 16–24-byte record tuples.
 pub(crate) fn sort_permutation<K: Ord>(keys: &[K]) -> Vec<u32> {
     debug_assert!(keys.len() <= u32::MAX as usize);
-    let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
+    let mut perm = recycle::with_capacity(keys.len());
+    perm.extend(0..keys.len() as u32);
     // Stable, so emission order survives within equal keys.
     perm.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
     perm
@@ -410,7 +445,7 @@ pub(crate) fn sort_permutation<K: Ord>(keys: &[K]) -> Vec<u32> {
 
 /// A permutation's destinations: `dest[perm[rank]] = rank`.
 fn invert(perm: &[u32]) -> Vec<u32> {
-    let mut dest = vec![0u32; perm.len()];
+    let mut dest = recycle::zeroed(perm.len());
     for (rank, &source) in (0u32..).zip(perm) {
         dest[source as usize] = rank;
     }
@@ -434,11 +469,13 @@ pub(crate) fn apply_destinations<K, V>(dest: &mut [u32], keys: &mut [K], vals: &
 }
 
 /// A read cursor over one sorted [`ColumnRun`]: keys stay addressable as a
-/// slice (for group prefix counting) while values stream out by move.
+/// slice (for group prefix counting) while values stream out by move. The
+/// values are a `VecDeque` over the run's value column, so a drained
+/// cursor gives its column back ([`RunCursor::into_columns`]).
 pub(crate) struct RunCursor<K, V> {
     keys: Vec<K>,
     pos: usize,
-    vals: std::vec::IntoIter<V>,
+    vals: VecDeque<V>,
 }
 
 impl<K, V> RunCursor<K, V> {
@@ -447,8 +484,16 @@ impl<K, V> RunCursor<K, V> {
         RunCursor {
             keys,
             pos: 0,
-            vals: vals.into_iter(),
+            vals: VecDeque::from(vals),
         }
+    }
+
+    /// The run's two columns, emptied, for [`recycle::give`].
+    pub(crate) fn into_columns(self) -> (Vec<K>, Vec<V>) {
+        let (mut keys, mut vals) = (self.keys, self.vals);
+        keys.clear();
+        vals.clear();
+        (keys, Vec::from(vals))
     }
 
     /// The key at the cursor, if any records remain.
@@ -466,14 +511,16 @@ impl<K, V> RunCursor<K, V> {
     /// Values at and after the cursor, parallel to [`RunCursor::pending_keys`].
     #[inline]
     pub(crate) fn pending_vals(&self) -> &[V] {
-        self.vals.as_slice()
+        // Built from a `Vec` and only ever popped at the front, the deque
+        // stays in one piece.
+        self.vals.as_slices().0
     }
 
     /// Advance past the current record, yielding its value by move.
     #[inline]
     fn next_val(&mut self) -> V {
         self.pos += 1;
-        self.vals.next().expect("cursor columns in lockstep")
+        self.vals.pop_front().expect("cursor columns in lockstep")
     }
 }
 
@@ -662,6 +709,23 @@ mod tests {
         let group = GroupValues::new(&mut cursors, &key, &[0, 1, 0], 1);
         assert_eq!(group.collect::<Vec<_>>(), vec![30]);
         assert!(cursors.iter().all(|c| c.peek_key().is_none()));
+    }
+
+    #[test]
+    fn cursor_gives_back_both_columns() {
+        let keys = vec![1u64, 1, 2];
+        let vals: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        let buffers = (keys.as_ptr(), vals.as_ptr());
+        let mut cursors = [RunCursor::from_columns(keys, vals)];
+        let key = 1u64;
+        let group = GroupValues::new(&mut cursors, &key, &[2], 2);
+        assert_eq!(group.collect::<Vec<_>>(), ["a", "b"]);
+        // "c" is left in the cursor; giving the columns back drops it.
+        let [cursor] = cursors;
+        let (keys, vals) = cursor.into_columns();
+        assert!(keys.is_empty() && vals.is_empty());
+        assert_eq!((keys.as_ptr(), vals.as_ptr()), buffers);
+        assert_eq!((keys.capacity(), vals.capacity()), (3, 3));
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::dfs::{Dfs, DfsBackend};
 use crate::fault::FaultPlan;
 use crate::metrics::{BatchReport, JobMetrics, RunMetrics};
 use crate::pool::{SharedPool, WorkerPool};
+use crate::recycle::Recycler;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -156,6 +157,8 @@ pub struct Cluster {
     metrics: Mutex<RunMetrics>,
     batch_reports: Mutex<Vec<BatchReport>>,
     pool: Arc<SharedPool>,
+    /// Shuffle columns handed from job to job ([`crate::recycle`]).
+    recycler: Arc<Recycler>,
     epoch: Instant,
 }
 
@@ -194,6 +197,7 @@ impl Cluster {
             metrics: Mutex::new(RunMetrics::default()),
             batch_reports: Mutex::new(Vec::new()),
             pool,
+            recycler: Arc::default(),
             epoch: Instant::now(),
         })
     }
@@ -224,6 +228,11 @@ impl Cluster {
     /// pool is empty and jobs run inline.
     pub fn pool(&self) -> &WorkerPool {
         self.pool.get()
+    }
+
+    /// The shelf of shuffle columns this cluster's jobs hand on.
+    pub(crate) fn recycler(&self) -> &Arc<Recycler> {
+        &self.recycler
     }
 
     /// Record a finished job's metrics.

@@ -59,12 +59,13 @@ use crate::arena::{ColumnRun, RunCursor, Sealed};
 use crate::cluster::{Cluster, CostModel};
 use crate::fault::JobFaultSchedule;
 use crate::metrics::JobMetrics;
+use crate::recycle::{self, JobColumns};
 use crate::size::{slice_est_bytes, EstimateSize};
 use crate::MrError;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub use crate::arena::{Collect, GroupValues, MapOutput};
@@ -400,8 +401,8 @@ pub fn run_job<KI, VI, KM, VM, KO, VO, M, R>(
 where
     KI: Sync + EstimateSize,
     VI: Sync + EstimateSize,
-    KM: Clone + Ord + Hash + Send + EstimateSize,
-    VM: Send + EstimateSize,
+    KM: Clone + Ord + Hash + Send + EstimateSize + 'static,
+    VM: Send + EstimateSize + 'static,
     KO: Send + EstimateSize,
     VO: Send + EstimateSize,
     M: Fn(&KI, &VI, &mut dyn FnMut(KM, VM)) + Sync,
@@ -457,8 +458,8 @@ pub fn run_job_streaming<KI, VI, KM, VM, KO, VO, M, R>(
 where
     KI: Sync + EstimateSize,
     VI: Sync + EstimateSize,
-    KM: Clone + Ord + Hash + Send + EstimateSize,
-    VM: Send + EstimateSize,
+    KM: Clone + Ord + Hash + Send + EstimateSize + 'static,
+    VM: Send + EstimateSize + 'static,
     KO: Send + EstimateSize,
     VO: Send + EstimateSize,
     M: Fn(&KI, &VI, &mut dyn FnMut(KM, VM)) + Sync,
@@ -541,8 +542,8 @@ pub fn run_job_collect<I, KM, VM, KO, VO, M, R, C>(
 ) -> crate::Result<Vec<C>>
 where
     I: MapInput + ?Sized,
-    KM: Clone + Ord + Hash + Send + EstimateSize,
-    VM: Send + EstimateSize,
+    KM: Clone + Ord + Hash + Send + EstimateSize + 'static,
+    VM: Send + EstimateSize + 'static,
     KO: EstimateSize,
     VO: EstimateSize,
     M: Fn(&I::Key, &I::Val, &mut dyn FnMut(KM, VM)) + Sync,
@@ -565,8 +566,8 @@ fn run_job_inner<I, KM, VM, KO, VO, M, R, C, T>(
 ) -> crate::Result<T>
 where
     I: MapInput + ?Sized,
-    KM: Clone + Ord + Hash + Send + EstimateSize,
-    VM: Send + EstimateSize,
+    KM: Clone + Ord + Hash + Send + EstimateSize + 'static,
+    VM: Send + EstimateSize + 'static,
     KO: EstimateSize,
     VO: EstimateSize,
     M: Fn(&I::Key, &I::Val, &mut dyn FnMut(KM, VM)) + Sync,
@@ -580,9 +581,10 @@ where
     let (num_reducers, splits) = (job.num_reducers, job.splits);
 
     // ---- Map phase -------------------------------------------------------
-    // A task's buckets: either a fresh hint-capacity output (its column
-    // reservations are the point of the emit hint) or the executor's
-    // recycled scratch output. Sealing `mem::take`s the filled cells, so
+    // A task's buckets: either a hint-capacity output (its column
+    // reservations, from the cluster's recycler where they reach its
+    // threshold, are the point of the emit hint) or the executor's reused
+    // scratch output. Sealing `mem::take`s the filled cells, so
     // after a task the scratch holds empty zero-capacity buffers again —
     // reuse saves the per-task construction and drop of a
     // `num_reducers`-sized vector, a measurable constant for tiny jobs on
@@ -613,7 +615,7 @@ where
         ((split.len(), input_bytes), out.seal(spec.combiner))
     };
     let sched = &job.sched;
-    let tasks = run_tasks(site.cluster(), job.threads, splits.tasks, |t, scratch| {
+    let tasks = run_tasks(&job, splits.tasks, |t, scratch| {
         // Scheduled task failures: each failed attempt runs the mapper
         // and discards its output (wasted work), then the task retries.
         if let Some(s) = sched {
@@ -695,8 +697,8 @@ pub fn run_job_written<KM, VM, KO, VO, R, C>(
     reducer: R,
 ) -> crate::Result<Vec<C>>
 where
-    KM: Clone + Ord + Hash + Send + EstimateSize,
-    VM: Send + EstimateSize,
+    KM: Clone + Ord + Hash + Send + EstimateSize + 'static,
+    VM: Send + EstimateSize + 'static,
     KO: EstimateSize,
     VO: EstimateSize,
     R: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
@@ -718,7 +720,7 @@ where
     // ---- Map phase: sort and seal what was written, output by output ---
     let cells: Vec<Mutex<Option<MapOutput<KM, VM>>>> =
         written.into_iter().map(|w| Mutex::new(Some(w))).collect();
-    let outputs = run_tasks(site.cluster(), job.threads, cells.len(), |t, _: &mut ()| {
+    let outputs = run_tasks(&job, cells.len(), |t, _: &mut ()| {
         let taken = cells[t].lock().expect("written cell poisoned").take();
         taken
             .expect("written output sealed once")
@@ -733,12 +735,12 @@ where
     finish(job, inputs, outputs, reducer, |partitions| partitions)
 }
 
-/// Run tasks `0..tasks` on up to `threads` pool executors, each executor
-/// handing its tasks one scratch value of its own, and return their
-/// results in task order.
-fn run_tasks<X: Default, T: Send>(
-    cluster: &Cluster,
-    threads: usize,
+/// Run `job`'s tasks `0..tasks` on up to its `threads` pool executors,
+/// each executor handing its tasks one scratch value of its own and
+/// taking columns from the job's recycler, and return their results in
+/// task order.
+fn run_tasks<S: JobSite, X: Default, T: Send>(
+    job: &Started<'_, S>,
     tasks: usize,
     task: impl Fn(usize, &mut X) -> T + Sync,
 ) -> Vec<T> {
@@ -749,9 +751,12 @@ fn run_tasks<X: Default, T: Send>(
     // bound would leak a `Sync` requirement onto key/value types.)
     let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
     let counter = AtomicUsize::new(0);
-    cluster
+    let columns = &job.columns;
+    job.site
+        .cluster()
         .pool()
-        .broadcast(threads.min(tasks).max(1), &|_executor| {
+        .broadcast(job.threads.min(tasks).max(1), &|_executor| {
+            let _columns = columns.enter();
             let mut scratch = X::default();
             loop {
                 let t = counter.fetch_add(1, Ordering::Relaxed);
@@ -783,6 +788,8 @@ struct Started<'s, S> {
     threads: usize,
     splits: Splits,
     sched: Option<JobFaultSchedule>,
+    /// The job's columns; the job ends for the recycler when it drops.
+    columns: Arc<JobColumns>,
 }
 
 /// How a job's input splits into map tasks: contiguous ranges of `len`
@@ -849,6 +856,7 @@ impl<'s, S: JobSite> Started<'s, S> {
             threads: site.task_parallelism(cfg.threads.max(1)).max(1),
             splits,
             sched,
+            columns: JobColumns::new(cluster.recycler()),
         })
     }
 }
@@ -867,8 +875,8 @@ fn finish<S, KM, VM, KO, VO, R, C, T>(
 ) -> crate::Result<T>
 where
     S: JobSite,
-    KM: Clone + Ord + Send + EstimateSize,
-    VM: Send + EstimateSize,
+    KM: Clone + Ord + Send + EstimateSize + 'static,
+    VM: Send + EstimateSize + 'static,
     KO: EstimateSize,
     VO: EstimateSize,
     R: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
@@ -882,6 +890,7 @@ where
         num_reducers,
         threads,
         sched,
+        columns,
         ..
     } = job;
     let cluster = site.cluster();
@@ -1028,6 +1037,11 @@ where
             // the next group starts at a clean cursor position.
             group.for_each(drop);
         }
+        for cursor in cursors {
+            let (keys, vals) = cursor.into_columns();
+            recycle::give(keys);
+            recycle::give(vals);
+        }
         Ok(ReduceTaskResult {
             output: out,
             groups,
@@ -1070,47 +1084,50 @@ where
 
     cluster
         .pool()
-        .broadcast(threads.min(num_reducers), &|_executor| loop {
-            // Claims only grow, so once a smaller partition failed this
-            // executor has nothing left worth reducing.
-            let p = part_counter.fetch_add(1, Ordering::Relaxed);
-            if p >= num_reducers || first_failed.load(Ordering::Relaxed) < p {
-                break;
-            }
-            // Scheduled reduce-task budget exhaustion surfaces exactly like
-            // any other per-partition failure: smallest partition wins.
-            if let Some(f) = sched.as_ref().map(|s| &s.reduce[p]) {
-                if f.exhausted {
-                    fail(
-                        p,
-                        MrError::TaskFailed {
-                            job: name.clone(),
-                            phase: "reduce",
-                            task: p,
-                            attempts: f.failed_attempts,
-                        },
-                    );
+        .broadcast(threads.min(num_reducers), &|_executor| {
+            let _columns = columns.enter();
+            loop {
+                // Claims only grow, so once a smaller partition failed this
+                // executor has nothing left worth reducing.
+                let p = part_counter.fetch_add(1, Ordering::Relaxed);
+                if p >= num_reducers || first_failed.load(Ordering::Relaxed) < p {
                     break;
                 }
-            }
-            let runs = partition_cells[p]
-                .lock()
-                .expect("partition cell poisoned")
-                .take()
-                .expect("partition visited once");
-            match reduce_partition(p, runs, &first_failed) {
-                Ok(result) => {
-                    let prev = reduce_slots[p]
-                        .lock()
-                        .expect("reduce slot poisoned")
-                        .replace(result);
-                    assert!(prev.is_none(), "partition reduced once");
+                // Scheduled reduce-task budget exhaustion surfaces exactly like
+                // any other per-partition failure: smallest partition wins.
+                if let Some(f) = sched.as_ref().map(|s| &s.reduce[p]) {
+                    if f.exhausted {
+                        fail(
+                            p,
+                            MrError::TaskFailed {
+                                job: name.clone(),
+                                phase: "reduce",
+                                task: p,
+                                attempts: f.failed_attempts,
+                            },
+                        );
+                        break;
+                    }
                 }
-                Err(Some(err)) => {
-                    fail(p, err);
-                    break;
+                let runs = partition_cells[p]
+                    .lock()
+                    .expect("partition cell poisoned")
+                    .take()
+                    .expect("partition visited once");
+                match reduce_partition(p, runs, &first_failed) {
+                    Ok(result) => {
+                        let prev = reduce_slots[p]
+                            .lock()
+                            .expect("reduce slot poisoned")
+                            .replace(result);
+                        assert!(prev.is_none(), "partition reduced once");
+                    }
+                    Err(Some(err)) => {
+                        fail(p, err);
+                        break;
+                    }
+                    Err(None) => break,
                 }
-                Err(None) => break,
             }
         });
 
@@ -1153,6 +1170,7 @@ where
     metrics.started_s = started_s;
     metrics.finished_s = started_s + metrics.wall_time_s;
     metrics.sim_time_s = CostModel::job_time_s(cfg, &metrics);
+    (metrics.recycled_column_bytes, metrics.fresh_column_bytes) = columns.bytes();
     site.commit_metrics(metrics);
     Ok(output)
 }

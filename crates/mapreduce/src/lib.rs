@@ -69,6 +69,7 @@ pub mod metrics;
 pub mod persist;
 pub mod plan;
 pub mod pool;
+mod recycle;
 pub mod reference;
 pub mod sched;
 pub mod size;

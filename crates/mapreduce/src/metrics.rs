@@ -4,8 +4,10 @@
 //! the paper are bounds on `map_output_records` (max intermediate data) and
 //! on the number of jobs; Figures 1/7/8 plot (simulated) running time.
 
+use std::fmt;
+
 /// Counters for one MapReduce job.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct JobMetrics {
     /// Job name (used for grouping in reports).
     pub name: String,
@@ -73,11 +75,94 @@ pub struct JobMetrics {
     pub reduce_s: f64,
     /// Host seconds assembling the output in partition order.
     pub assemble_s: f64,
+    /// Capacity bytes of the shuffle columns this job's tasks took from
+    /// the cluster's recycler: map output buckets, sort scratch, and the
+    /// next job's buckets its reduce tasks wrote. Only columns of 128 KiB
+    /// or more are counted. Host-side: which column a task gets depends
+    /// on timing.
+    pub recycled_column_bytes: usize,
+    /// Capacity bytes of such columns the allocator had to provide
+    /// because no recycled one fitted. Host-side, like the field above.
+    pub fresh_column_bytes: usize,
+}
+
+/// Every field in declaration order, except that the two host-side column
+/// counters are left out while both are zero, as
+/// [`JobMetrics::without_host_time`] leaves them. Printed metrics of runs
+/// that differ only in host time (which `golden_pipelines.rs` digests)
+/// thus read as they did before those counters existed.
+impl fmt::Debug for JobMetrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Exhaustive, so a new field cannot be left out.
+        let JobMetrics {
+            name,
+            map_input_records,
+            map_input_bytes,
+            map_output_records,
+            map_output_bytes,
+            shuffle_records,
+            shuffle_bytes,
+            reduce_groups,
+            reduce_output_records,
+            reduce_output_bytes,
+            max_group_bytes,
+            task_retries,
+            reduce_task_retries,
+            workers_blacklisted,
+            speculative_launched,
+            speculative_wins,
+            recovery_sim_time_s,
+            sim_time_s,
+            wall_time_s,
+            started_s,
+            finished_s,
+            task_executors,
+            map_s,
+            shuffle_s,
+            reduce_s,
+            assemble_s,
+            recycled_column_bytes,
+            fresh_column_bytes,
+        } = self;
+        let mut s = f.debug_struct("JobMetrics");
+        s.field("name", name)
+            .field("map_input_records", map_input_records)
+            .field("map_input_bytes", map_input_bytes)
+            .field("map_output_records", map_output_records)
+            .field("map_output_bytes", map_output_bytes)
+            .field("shuffle_records", shuffle_records)
+            .field("shuffle_bytes", shuffle_bytes)
+            .field("reduce_groups", reduce_groups)
+            .field("reduce_output_records", reduce_output_records)
+            .field("reduce_output_bytes", reduce_output_bytes)
+            .field("max_group_bytes", max_group_bytes)
+            .field("task_retries", task_retries)
+            .field("reduce_task_retries", reduce_task_retries)
+            .field("workers_blacklisted", workers_blacklisted)
+            .field("speculative_launched", speculative_launched)
+            .field("speculative_wins", speculative_wins)
+            .field("recovery_sim_time_s", recovery_sim_time_s)
+            .field("sim_time_s", sim_time_s)
+            .field("wall_time_s", wall_time_s)
+            .field("started_s", started_s)
+            .field("finished_s", finished_s)
+            .field("task_executors", task_executors)
+            .field("map_s", map_s)
+            .field("shuffle_s", shuffle_s)
+            .field("reduce_s", reduce_s)
+            .field("assemble_s", assemble_s);
+        if (*recycled_column_bytes, *fresh_column_bytes) != (0, 0) {
+            s.field("recycled_column_bytes", recycled_column_bytes)
+                .field("fresh_column_bytes", fresh_column_bytes);
+        }
+        s.finish()
+    }
 }
 
 impl JobMetrics {
     /// This job's metrics with every host-side field zeroed: the timeline
-    /// stamps, the per-phase timers and the executor grant. Host
+    /// stamps, the per-phase timers, the executor grant and the column
+    /// recycler's counters. Host
     /// scheduling decides those, so they are the only fields allowed to
     /// differ between executors, scheduler modes and thread counts — the
     /// one definition of "excluded from bit-identity" every equivalence
@@ -94,6 +179,8 @@ impl JobMetrics {
             shuffle_s: 0.0,
             reduce_s: 0.0,
             assemble_s: 0.0,
+            recycled_column_bytes: 0,
+            fresh_column_bytes: 0,
             ..self.clone()
         }
     }

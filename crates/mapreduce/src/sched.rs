@@ -75,11 +75,14 @@
 //! **Dispatch order.** Ready jobs are popped
 //! longest-processing-time-first by estimated cost — the bytes a job's
 //! finished predecessors fed it — so the job with the most to read starts
-//! first instead of straggling behind its lighter siblings. When the
-//! estimate is wrong, the per-task speculative re-execution inside
-//! [`crate::job::run_job`] remains the straggler fallback. Estimates only
-//! reorder execution; the commit order (and with it every output and
-//! metric) is untouched.
+//! first instead of straggling behind its lighter siblings. Nothing backs
+//! up a job the estimate misjudged: speculative execution (DESIGN.md §5)
+//! is a simulated-time charge under a [`crate::FaultPlan`]
+//! ([`crate::TaskFaults`]), and no task ever runs twice on the host. A
+//! misjudged job just starts later, on the executors its dependency
+//! level was granted, so a wrong estimate costs host wall time (the
+//! batch's makespan) and nothing else. Estimates only reorder execution;
+//! the commit order (and with it every output and metric) is untouched.
 
 use crate::cluster::{Cluster, SchedulerMode};
 use crate::job::JobSite;

@@ -12,11 +12,13 @@
 # the drivers' own.
 #
 # `--sanitize` runs the dynamic-analysis lane instead: ThreadSanitizer over
-# the concurrency tests (worker pool, arena, DAG scheduler and its per-level
+# the concurrency tests (worker pool, arena, the column recycler's shared
+# shelf, DAG scheduler and its per-level
 # pool split, parallel-reduce failure, the durable DFS's block-parallel
 # reload — concurrent and nested in a job — the eight pipelines end to end
 # through the one submitter, and the N-way fronts on the same kernels) and
-# Miri over the arena and the in-place assembly of a reloaded
+# Miri over the arena (the run cursor that hands its columns back
+# included) and the in-place assembly of a reloaded
 # dataset (`fill.rs`, one of the crate's two unsafe sites). Both
 # need nightly tooling; each step is skipped with a notice when its
 # toolchain component is absent, so the lane degrades gracefully on
@@ -31,7 +33,7 @@ if [[ "${1:-}" == "--sanitize" ]]; then
     fi
     host="$(rustc -vV | sed -n 's/^host: //p')"
     if rustup component list --toolchain nightly 2>/dev/null | grep -q 'rust-src.*(installed)'; then
-        echo "==> TSan: pool/arena/map-output/sched/parallel-reduce/reload/pipeline tests (suppressions: scripts/tsan.supp)"
+        echo "==> TSan: pool/arena/recycle/map-output/sched/parallel-reduce/reload/pipeline tests (suppressions: scripts/tsan.supp)"
         # TSan only instruments our code unless std is rebuilt; harness-internal
         # reports are filtered by the documented suppressions file. The
         # filters are test-name substrings: `level_split` is the per-level
@@ -44,12 +46,16 @@ if [[ "${1:-}" == "--sanitize" ]]; then
         # buffer and the job that starts from one (its buckets sealed on
         # the pool at threads 1 to 4, under a fault plan too). A written
         # output's one reader (`TakeOnce`) is tested under `sched`.
+        # `recycle` is the column recycler, whose shelf every pool thread
+        # takes from and gives to: its unit tests and a long-lived
+        # cluster's mixed job sequence (`tests/recycler.rs`, a DAG batch
+        # included) at three threads.
         tsan() {
             RUSTFLAGS="-Zsanitizer=thread" \
             TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp" \
             cargo +nightly test -Zbuild-std --target "$host" "$@"
         }
-        tsan -p haten2-mapreduce -- pool arena sched level_split parallel_reduce \
+        tsan -p haten2-mapreduce -- pool arena recycle sched level_split parallel_reduce \
             reload map_output
         # Every pipeline (and both merges over sharded and over written input)
         # under both scheduler modes, with the bit-identity digests still
