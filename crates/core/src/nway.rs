@@ -116,7 +116,7 @@ pub fn nway_mttkrp(cluster: &Cluster, x: &DynTensor, mode: usize, factors: &[&Ma
     let y = pairwise_merge_job(cluster, &name, expanded, rank as u64)?;
 
     let mut m = Mat::zeros(x.dims()[mode] as usize, rank);
-    for ((i, r, _, _), v) in y {
+    for &((i, r, _, _), v) in y.iter().flatten() {
         m.add_at(i as usize, r as usize, v);
     }
     Ok(m)
@@ -199,15 +199,17 @@ pub fn nway_tucker_project(
     let widths: Vec<u64> = others.iter().map(|&m| factors[m].cols() as u64).collect();
     let expanded = expand(cluster, x, mode, &others, factors)?;
     let name = format!("nway-crossmerge-mode{mode}");
-    let mut y_records = cross_merge_job(cluster, &name, expanded, &widths)?;
+    let partitions = cross_merge_job(cluster, &name, expanded, &widths)?;
 
     // `((i, q₁, columns, 0), y)`, one nonzero record per cell; `columns` is
     // row-major over `widths[1..]`, so record order is index order and the
-    // tensor is built coalesced.
-    y_records.sort_unstable_by_key(|&(ix, _)| ix);
+    // tensor is built coalesced. The cells are sorted by reference, left
+    // where the reduce tasks wrote them.
+    let mut cells: Vec<&(Ix4, f64)> = partitions.iter().flatten().collect();
+    cells.sort_unstable_by_key(|&&(ix, _)| ix);
     let mut y = DynTensor::new([&[x.dims()[mode]], widths.as_slice()].concat());
     let mut idx = vec![0; x.order()];
-    for ((i, q1, mut columns, _), v) in y_records {
+    for &((i, q1, mut columns, _), v) in cells {
         (idx[0], idx[1]) = (i, q1);
         for (q, &width) in idx[2..].iter_mut().zip(&widths[1..]).rev() {
             (*q, columns) = (columns % width, columns / width);

@@ -2,7 +2,8 @@
 //!
 //! Every function here submits exactly one MapReduce job (the unit the
 //! paper's job counts are stated in) and returns its output as `(Ix4, f64)`
-//! records in the canonical orientation of [`crate::canon`]:
+//! records in the canonical orientation of [`crate::canon`], as its reduce
+//! tasks wrote them ([`Partitions`]):
 //!
 //! * [`naive_ttv_job`] — the broadcast n-mode vector product of
 //!   HaTen2-Naive (§III-B1). Intermediate data `nnz + |v|·(fibers)`.
@@ -59,6 +60,10 @@
 //! A record of the expansion is written once, where the merge's reducer
 //! will read it.
 //!
+//! Nor does a kernel concatenate what its job wrote: it returns the reduce
+//! partitions, and a reader takes them as the dataset's shards, the way a
+//! Hadoop job reads its predecessor's part files where they lie.
+//!
 //! [`JobSite`]: haten2_mapreduce::JobSite
 //! [`Cluster`]: haten2_mapreduce::Cluster
 
@@ -66,8 +71,8 @@ use crate::records::{shards_len, HadVal, ImhpRec, ImhpVal, Ix4, MergeVal, NaiveV
 use haten2_linalg::Mat;
 use haten2_mapreduce::size::slice_est_bytes;
 use haten2_mapreduce::{
-    concat_partitions, run_job_collect, run_job_written, Collect, EstimateSize, JobSite, JobSpec,
-    MapInput, MapOutput, MrError, Result,
+    run_job_collect, run_job_written, Collect, EstimateSize, JobSite, JobSpec, MapInput, MapOutput,
+    MrError, Result,
 };
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -75,6 +80,12 @@ use std::ops::Range;
 
 /// Tensor records in the canonical `(Ix4, f64)` form.
 pub type TensorRecords = Vec<(Ix4, f64)>;
+
+/// A job's output as its reduce tasks left it: one list of records per
+/// reduce partition, in partition order. Read as shards, it is the dataset
+/// the concatenation would be; [`haten2_mapreduce::concat_partitions`]
+/// makes that concatenation where one `Vec` is wanted.
+pub type Partitions = Vec<TensorRecords>;
 
 /// One shard of a dataset: the records one task wrote, where it left them.
 type Shard<'a> = &'a [(Ix4, f64)];
@@ -258,7 +269,7 @@ pub fn hadamard_vec_job(
     join_pos: usize,
     v: &[f64],
     tag_slot3: Option<u64>,
-) -> Result<Vec<(Ix4, f64)>> {
+) -> Result<Partitions> {
     let input = tv_feed(entries, v);
     let out = run_job_collect(
         site,
@@ -293,7 +304,7 @@ pub fn hadamard_vec_job(
             }
         },
     )?;
-    Ok(concat_partitions(out))
+    Ok(out)
 }
 
 /// `Collapse(X)ₚₒₛ` (Definition 2) as one job: zero out slot `drop_pos` and
@@ -310,7 +321,7 @@ pub fn collapse_job(
     entries: Shards<'_>,
     drop_pos: usize,
     use_combiner: bool,
-) -> Result<Vec<(Ix4, f64)>> {
+) -> Result<Partitions> {
     let input = stored_feed(entries);
     let combiner = |_: &Ix4, vals: Vec<f64>| vec![vals.iter().sum::<f64>()];
     let spec = if use_combiner {
@@ -330,7 +341,7 @@ pub fn collapse_job(
             }
         },
     )?;
-    Ok(concat_partitions(out))
+    Ok(out)
 }
 
 /// The naive broadcast n-mode vector product (§III-B1): contract slot
@@ -351,7 +362,7 @@ pub fn naive_ttv_job(
     dims: [u64; 4],
     contract_pos: usize,
     v: &[f64],
-) -> Result<Vec<(Ix4, f64)>> {
+) -> Result<Partitions> {
     // Feasibility pre-check against cluster capacity.
     let fibers: u128 = (0..4)
         .filter(|&p| p != contract_pos)
@@ -424,7 +435,7 @@ pub fn naive_ttv_job(
             }
         },
     )?;
-    Ok(concat_partitions(out))
+    Ok(out)
 }
 
 /// The factor rows one side of an IMHP-style join reads: row `idx` of the
@@ -964,7 +975,7 @@ pub fn cross_merge_job(
     name: &str,
     input: MergeInput<'_>,
     widths: &[u64],
-) -> Result<Vec<(Ix4, f64)>> {
+) -> Result<Partitions> {
     assert_eq!(input.sides(), widths.len(), "one column count per side");
     let spec = JobSpec::named(name.to_string());
     let out = match input {
@@ -983,7 +994,7 @@ pub fn cross_merge_job(
             |i, vals, emit| cross_merge_fold(*i, widths, vals, emit),
         )?,
     };
-    Ok(concat_partitions(out))
+    Ok(out)
 }
 
 /// `PairwiseMerge(T', T'', …)₍₀₎` (Definition 4) as one job over the
@@ -1000,7 +1011,7 @@ pub fn pairwise_merge_job(
     name: &str,
     input: MergeInput<'_>,
     rank: u64,
-) -> Result<Vec<(Ix4, f64)>> {
+) -> Result<Partitions> {
     let sides = input.sides();
     let spec = JobSpec::named(name.to_string());
     let out = match input {
@@ -1019,7 +1030,7 @@ pub fn pairwise_merge_job(
             |i, vals, emit| pairwise_merge_fold(*i, sides, rank, vals, emit),
         )?,
     };
-    Ok(concat_partitions(out))
+    Ok(out)
 }
 
 /// Distributed model inner product `⟨X, X̂⟩` for a PARAFAC model

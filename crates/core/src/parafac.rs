@@ -84,7 +84,8 @@ pub fn mttkrp(
             f2.cols()
         )));
     }
-    // Every variant's `y` is `((i, r, 0, 0), v)`.
+    // Every variant's `y` is `((i, r, 0, 0), v)`, folded shard by shard
+    // where its jobs' reduce tasks wrote it.
     let y = run_pipeline(
         cluster,
         &pipeline_for(Decomp::Parafac, variant),
@@ -96,7 +97,7 @@ pub fn mttkrp(
         },
     )?;
     let mut m = Mat::zeros(d[0] as usize, f1.cols());
-    for (ix, v) in y {
+    for &(ix, v) in y.iter().flatten() {
         m.add_at(ix.0 as usize, ix.1 as usize, v);
     }
     Ok(m)
@@ -125,6 +126,9 @@ mod tests {
         CooTensor3::from_entries(dims, entries).unwrap()
     }
 
+    /// `variant` against the dense MTTKRP on clusters of 1, 3, 4 and 8
+    /// machines — a dataset arrives in as many shards as its producer had
+    /// reduce partitions — and the intermediate data the same on each.
     fn check_variant(variant: Variant) {
         let x = random_coo([4, 5, 3], 20, 21);
         let mut rng = StdRng::seed_from_u64(22);
@@ -135,20 +139,28 @@ mod tests {
         let factors = [&a, &b, &c];
         for mode in 0..3 {
             let others: Vec<usize> = (0..3).filter(|&m| m != mode).collect();
-            let cluster = Cluster::new(ClusterConfig::with_machines(4));
-            let m = mttkrp(
-                &cluster,
-                variant,
-                &x,
-                mode,
-                factors[others[0]],
-                factors[others[1]],
-            )
-            .unwrap();
             let want = mttkrp_dense(&x, mode, [&a, &b, &c]).unwrap();
+            let mut intermediate = Vec::new();
+            for machines in [1, 3, 4, 8] {
+                let cluster = Cluster::new(ClusterConfig::with_machines(machines));
+                let m = mttkrp(
+                    &cluster,
+                    variant,
+                    &x,
+                    mode,
+                    factors[others[0]],
+                    factors[others[1]],
+                )
+                .unwrap();
+                assert!(
+                    m.approx_eq(&want, 1e-9),
+                    "{variant} mode {mode}, {machines} machines:\ngot\n{m}\nwant\n{want}"
+                );
+                intermediate.push(cluster.metrics().total_intermediate_records());
+            }
             assert!(
-                m.approx_eq(&want, 1e-9),
-                "{variant} mode {mode}:\ngot\n{m}\nwant\n{want}"
+                intermediate.iter().all(|&n| n == intermediate[0]),
+                "{variant} mode {mode}: intermediate records {intermediate:?} on 1, 3, 4, 8 machines"
             );
         }
     }

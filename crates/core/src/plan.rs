@@ -37,7 +37,7 @@
 
 use crate::ops::{
     collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots, naive_ttv_job,
-    pairwise_merge_job, with_slot, MergeInput, Shards, TensorRecords, WrittenSide,
+    pairwise_merge_job, with_slot, MergeInput, Partitions, Shards, WrittenSide,
 };
 use crate::records::{tensor_records, HadVal, ImhpVal, Ix4, MergeVal, NaiveVal};
 use crate::Variant;
@@ -241,10 +241,11 @@ impl Relabel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// [`naive_ttv_job`]: contract the slot of the side against its row.
-    /// Slot 1 of the tensor read is as wide as the shards read: the
-    /// per-column results of an earlier stage stack along it, one shard
-    /// per instance (only [`Kernel::Imhp`] writes a dataset in more than
-    /// one shard, and nothing per-column reads it).
+    /// Slot 1 of the tensor read is as wide as the number of instances
+    /// that wrote it: the per-column results of an earlier stage stack
+    /// along it, one instance's output per index. (A dataset is published
+    /// in its producer's reduce partitions, so its shard count says
+    /// nothing about its width.)
     NaiveTtv(Side),
     /// [`hadamard_vec_job`]: join the slot of the side with its row; `true`
     /// tags slot 3 of every output record with the instance index.
@@ -286,30 +287,33 @@ impl Kernel {
         reads: Vec<Read<'_>>,
         bound: &Bindings<'_>,
     ) -> haten2_mapreduce::Result<Written> {
-        let (mut lists, mut taken) = (Vec::new(), Vec::new());
+        let (mut lists, mut producers, mut taken) = (Vec::new(), Vec::new(), Vec::new());
         for read in reads {
             match read {
-                Read::Shards(shards) => lists.push(shards),
+                Read::Shards { shards, sources } => {
+                    lists.push(shards);
+                    producers.push(sources);
+                }
                 Read::Taken(side) => taken.push(side),
             }
         }
         let shards: Vec<Shards<'_>> = lists.iter().map(Vec::as_slice).collect();
-        let one_shard = |records: TensorRecords| vec![Dataset::Shards(vec![records])];
+        let published = |partitions: Partitions| vec![Dataset::Shards(partitions)];
         let widths = [bound.u1.rows() as u64, bound.u2.rows() as u64];
         let rank = widths[0];
         Ok(match (self, shards.as_slice(), taken.len()) {
             (Kernel::NaiveTtv(side), [entries], 0) => {
                 let [d0, _, d2] = bound.x.dims();
-                let dims = [d0, entries.len() as u64, d2, 1];
+                let dims = [d0, producers[0] as u64, d2, 1];
                 let row = side.row(bound, i);
-                one_shard(naive_ttv_job(ctx, name, entries, dims, side.slot(), row)?)
+                published(naive_ttv_job(ctx, name, entries, dims, side.slot(), row)?)
             }
             (Kernel::HadamardVec(side, tag), [entries], 0) => {
                 let (row, tag) = (side.row(bound, i), tag.then_some(i as u64));
-                one_shard(hadamard_vec_job(ctx, name, entries, side.slot(), row, tag)?)
+                published(hadamard_vec_job(ctx, name, entries, side.slot(), row, tag)?)
             }
             (Kernel::Collapse(drop), [entries], 0) => {
-                one_shard(collapse_job(ctx, name, entries, drop, bound.use_combiner)?)
+                published(collapse_job(ctx, name, entries, drop, bound.use_combiner)?)
             }
             (Kernel::Imhp, [entries], 0) => {
                 let sides = imhp_job(ctx, name, entries, &[bound.u1, bound.u2], join_on_slots)?;
@@ -320,19 +324,19 @@ impl Kernel {
             }
             (Kernel::CrossMerge, sides @ [_, _], 0) => {
                 let input = MergeInput::Shards(sides);
-                one_shard(cross_merge_job(ctx, name, input, &widths)?)
+                published(cross_merge_job(ctx, name, input, &widths)?)
             }
             (Kernel::CrossMerge, [], 2) => {
                 let input = MergeInput::Written(taken);
-                one_shard(cross_merge_job(ctx, name, input, &widths)?)
+                published(cross_merge_job(ctx, name, input, &widths)?)
             }
             (Kernel::PairwiseMerge, sides @ [_, _], 0) => {
                 let input = MergeInput::Shards(sides);
-                one_shard(pairwise_merge_job(ctx, name, input, rank)?)
+                published(pairwise_merge_job(ctx, name, input, rank)?)
             }
             (Kernel::PairwiseMerge, [], 2) => {
                 let input = MergeInput::Written(taken);
-                one_shard(pairwise_merge_job(ctx, name, input, rank)?)
+                published(pairwise_merge_job(ctx, name, input, rank)?)
             }
             (kernel, shards, taken) => {
                 let detail = format!(
@@ -598,9 +602,9 @@ pub struct Bindings<'a> {
 
 /// One declared write, as the job that wrote it leaves it.
 enum Dataset {
-    /// The shards it was written in (one, for every kernel but IMHP),
-    /// borrowed where they lie by every reader.
-    Shards(Vec<TensorRecords>),
+    /// The shards it was written in — its job's reduce partitions, in
+    /// partition order — borrowed where they lie by every reader.
+    Shards(Partitions),
     /// An IMHP side, written as the merge's map output: its one reader
     /// takes it.
     Written(TakeOnce<WrittenSide>),
@@ -619,8 +623,13 @@ enum Source<'a> {
 
 /// One declared read, resolved.
 enum Read<'s> {
-    /// The shards of its sources, in order, borrowed where they are.
-    Shards(Vec<&'s [(Ix4, f64)]>),
+    /// The shards of its sources, in order, borrowed where they are, and
+    /// how many sources there were: one per bound dataset or producing
+    /// instance.
+    Shards {
+        shards: Vec<&'s [(Ix4, f64)]>,
+        sources: usize,
+    },
     /// The one written side it reads, taken.
     Taken(WrittenSide),
 }
@@ -650,7 +659,10 @@ impl Read<'_> {
                 },
             }
         }
-        Ok(Read::Shards(shards))
+        Ok(Read::Shards {
+            shards,
+            sources: sources.len(),
+        })
     }
 }
 
@@ -738,8 +750,10 @@ fn submit<'a>(
 }
 
 /// Execute `pipeline` on `cluster` with its symbols bound to `bound`, and
-/// return the records of its output dataset, its shards appended in
-/// submission order.
+/// return its output dataset as the shards it was written in: each
+/// writing job's reduce partitions, jobs in submission order. Read in
+/// that order they are the output's records; nothing is copied to hand
+/// them over.
 ///
 /// Between two jobs a dataset stays where it was written. A job publishes,
 /// per declared write, what its kernel wrote, and a kernel reading the
@@ -751,7 +765,7 @@ pub fn run_pipeline(
     cluster: &Cluster,
     pipeline: &Pipeline,
     bound: &Bindings<'_>,
-) -> crate::Result<TensorRecords> {
+) -> crate::Result<Partitions> {
     let machines = cluster.config().machines.max(1);
     let x = tensor_records(bound.x);
     let x_bin = pipeline
@@ -777,9 +791,7 @@ pub fn run_pipeline(
                     let detail = format!("output '{write}' written for a merge");
                     return Err(violation(&inst.name, detail).into());
                 };
-                for mut records in shards {
-                    y.append(&mut records);
-                }
+                y.extend(shards);
             }
         }
     }
@@ -1112,7 +1124,10 @@ mod tests {
             use_combiner: false,
         };
         let y = run_pipeline(cluster, pipeline, &bound)?;
-        Ok(y.into_iter().map(|(ix, v)| (ix, v.to_bits())).collect())
+        Ok(y.iter()
+            .flatten()
+            .map(|&(ix, v)| (ix, v.to_bits()))
+            .collect())
     }
 
     fn sequential_cluster(machines: usize, fault_plan: Option<FaultPlan>) -> Cluster {

@@ -94,7 +94,8 @@ pub fn project(
             u2.cols()
         )));
     }
-    // Every variant's `y` is `((i, q, r, 0), v)`.
+    // Every variant's `y` is `((i, q, r, 0), v)`, read shard by shard where
+    // its jobs' reduce tasks wrote it.
     let y = run_pipeline(
         cluster,
         &pipeline_for(Decomp::Tucker, variant),
@@ -105,10 +106,9 @@ pub fn project(
             use_combiner: opts.use_combiner,
         },
     )?;
-    let entries: Vec<Entry3> = y
-        .into_iter()
-        .map(|(ix, v)| Entry3::new(ix.0, ix.1, ix.2, v))
-        .collect();
+    let mut entries = Vec::with_capacity(y.iter().map(Vec::len).sum());
+    let records = y.iter().flatten();
+    entries.extend(records.map(|&(ix, v)| Entry3::new(ix.0, ix.1, ix.2, v)));
     let dims = [d[0], u1.rows() as u64, u2.rows() as u64];
     Ok(CooTensor3::from_entries(dims, entries)?)
 }
@@ -145,6 +145,9 @@ mod tests {
         canon.into_owned()
     }
 
+    /// `variant` against sequential `ttm` on clusters of 1, 3, 4 and 8
+    /// machines — a dataset arrives in as many shards as its producer had
+    /// reduce partitions — and the intermediate data the same on each.
     fn check_variant(variant: Variant) {
         let x = random_coo([4, 5, 3], 20, 42);
         let mut rng = StdRng::seed_from_u64(7);
@@ -152,31 +155,40 @@ mod tests {
             let others: Vec<usize> = (0..3).filter(|&m| m != mode).collect();
             let u1 = Mat::random(2, x.dims()[others[0]] as usize, &mut rng);
             let u2 = Mat::random(3, x.dims()[others[1]] as usize, &mut rng);
-            let cluster = Cluster::new(ClusterConfig::with_machines(4));
-            let y = project(
-                &cluster,
-                variant,
-                &x,
-                mode,
-                &u1,
-                &u2,
-                &ProjectOptions::default(),
-            )
-            .unwrap();
             let want = reference(&x, mode, &u1, &u2);
-            assert_eq!(y.dims(), want.dims(), "{variant} mode {mode}");
-            for e in want.entries() {
-                assert!(
-                    (y.get(e.i, e.j, e.k) - e.v).abs() < 1e-9,
-                    "{variant} mode {mode}: mismatch at ({},{},{}): {} vs {}",
-                    e.i,
-                    e.j,
-                    e.k,
-                    y.get(e.i, e.j, e.k),
-                    e.v
-                );
+            let mut intermediate = Vec::new();
+            for machines in [1, 3, 4, 8] {
+                let cluster = Cluster::new(ClusterConfig::with_machines(machines));
+                let y = project(
+                    &cluster,
+                    variant,
+                    &x,
+                    mode,
+                    &u1,
+                    &u2,
+                    &ProjectOptions::default(),
+                )
+                .unwrap();
+                let at = format!("{variant} mode {mode}, {machines} machines");
+                assert_eq!(y.dims(), want.dims(), "{at}");
+                for e in want.entries() {
+                    assert!(
+                        (y.get(e.i, e.j, e.k) - e.v).abs() < 1e-9,
+                        "{at}: mismatch at ({},{},{}): {} vs {}",
+                        e.i,
+                        e.j,
+                        e.k,
+                        y.get(e.i, e.j, e.k),
+                        e.v
+                    );
+                }
+                assert_eq!(y.nnz(), want.nnz(), "{at}: support");
+                intermediate.push(cluster.metrics().total_intermediate_records());
             }
-            assert_eq!(y.nnz(), want.nnz(), "{variant} mode {mode} support");
+            assert!(
+                intermediate.iter().all(|&n| n == intermediate[0]),
+                "{variant} mode {mode}: intermediate records {intermediate:?} on 1, 3, 4, 8 machines"
+            );
         }
     }
 

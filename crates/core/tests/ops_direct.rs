@@ -11,7 +11,7 @@ use haten2_core::ops::{
 };
 use haten2_core::records::tensor_records;
 use haten2_linalg::Mat;
-use haten2_mapreduce::{Cluster, ClusterConfig};
+use haten2_mapreduce::{concat_partitions, Cluster, ClusterConfig};
 use haten2_tensor::ops as reference;
 use haten2_tensor::{CooTensor3, Entry3};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -50,6 +50,7 @@ fn hadamard_vec_job_matches_reference() {
     let mut rng = StdRng::seed_from_u64(2);
     let v: Vec<f64> = (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let out = hadamard_vec_job(&cluster(), "t", &[&tensor_records(&x)], 1, &v, None).unwrap();
+    let out = concat_partitions(out);
     let want = reference::mode_hadamard_vec(&x, 1, &v).unwrap();
     assert_eq!(out.len(), want.nnz());
     for (ix, val) in out {
@@ -62,6 +63,7 @@ fn hadamard_vec_job_tags_slot3() {
     let x = sample(3);
     let v = vec![1.0; 6];
     let out = hadamard_vec_job(&cluster(), "t", &[&tensor_records(&x)], 1, &v, Some(7)).unwrap();
+    let out = concat_partitions(out);
     assert!(out.iter().all(|(ix, _)| ix.3 == 7));
 }
 
@@ -69,6 +71,7 @@ fn hadamard_vec_job_tags_slot3() {
 fn collapse_job_matches_reference() {
     let x = sample(4);
     let out = collapse_job(&cluster(), "t", &[&tensor_records(&x)], 1, false).unwrap();
+    let out = concat_partitions(out);
     let want = reference::collapse(&x, 1).unwrap();
     assert_eq!(out.len(), want.nnz());
     for (ix, val) in out {
@@ -80,8 +83,8 @@ fn collapse_job_matches_reference() {
 fn collapse_job_combiner_equivalent() {
     let x = sample(5);
     let records = tensor_records(&x);
-    let mut a = collapse_job(&cluster(), "t", &[&records], 2, false).unwrap();
-    let mut b = collapse_job(&cluster(), "t", &[&records], 2, true).unwrap();
+    let mut a = concat_partitions(collapse_job(&cluster(), "t", &[&records], 2, false).unwrap());
+    let mut b = concat_partitions(collapse_job(&cluster(), "t", &[&records], 2, true).unwrap());
     a.sort_by_key(|x| x.0);
     b.sort_by_key(|x| x.0);
     assert_eq!(a.len(), b.len());
@@ -98,6 +101,7 @@ fn naive_ttv_job_matches_reference() {
     let v: Vec<f64> = (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let dims4 = [5, 6, 4, 1];
     let out = naive_ttv_job(&cluster(), "t", &[&tensor_records(&x)], dims4, 1, &v).unwrap();
+    let out = concat_partitions(out);
     let want = reference::ttv(&x, 1, &v).unwrap();
     let got: HashMap<(u64, u64, u64), f64> = out
         .into_iter()
@@ -154,7 +158,7 @@ fn cross_merge_job_matches_reference() {
     let ct = Mat::random(2, 4, &mut rng);
     let c = cluster();
     let written = imhp(&c, "imhp", &x, &bt, &ct);
-    let merged = cross_merge_job(&c, "merge", written, &[3, 2]).unwrap();
+    let merged = concat_partitions(cross_merge_job(&c, "merge", written, &[3, 2]).unwrap());
     let want = reference::cross_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -175,7 +179,7 @@ fn pairwise_merge_job_matches_reference() {
     let ct = Mat::random(r, 4, &mut rng);
     let c = cluster();
     let written = imhp(&c, "imhp", &x, &bt, &ct);
-    let merged = pairwise_merge_job(&c, "merge", written, r as u64).unwrap();
+    let merged = concat_partitions(pairwise_merge_job(&c, "merge", written, r as u64).unwrap());
     let want = reference::pairwise_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),

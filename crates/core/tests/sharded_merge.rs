@@ -1,26 +1,28 @@
-//! Property tests: a merge's input is one dataset, however it is held.
+//! Property tests: a job's input is one dataset, however it is held.
 //!
 //! A merge reads its sides as shards, cut anywhere, or — in the DRI
 //! pipelines — takes them as IMHP's reduce tasks wrote them, already the
-//! merge's partitioned map output. Every form must be the same job as
-//! reading each side as one shard of the same records: same output bits,
-//! same metrics, on any cluster shape, under injected faults too.
+//! merge's partitioned map output. A per-column kernel reads the reduce
+//! partitions of the job before it as its shards. Every form must be the
+//! same job as reading each dataset as one shard of the same records: same
+//! output bits in the same order, same metrics, on any cluster shape, under
+//! injected faults too.
 
 #![allow(clippy::unwrap_used)]
 
 use haten2_core::ops::{
-    cross_merge_job, imhp_job, join_on_slots, pairwise_merge_job, MergeInput, Shards,
-    TensorRecords, WrittenSide,
+    collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots, naive_ttv_job,
+    pairwise_merge_job, MergeInput, Partitions, Shards, TensorRecords, WrittenSide,
 };
 use haten2_core::records::tensor_records;
 use haten2_core::Ix4;
 use haten2_linalg::Mat;
-use haten2_mapreduce::{Cluster, ClusterConfig, FaultPlan, JobMetrics};
+use haten2_mapreduce::{concat_partitions, Cluster, ClusterConfig, FaultPlan, JobMetrics, Result};
 use haten2_tensor::{CooTensor3, Entry3};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-type Merge = fn(&Cluster, MergeInput<'_>) -> haten2_mapreduce::Result<TensorRecords>;
+type Merge = fn(&Cluster, MergeInput<'_>) -> Result<Partitions>;
 
 fn bits(records: &[(Ix4, f64)]) -> Vec<(Ix4, u64)> {
     records.iter().map(|&(ix, v)| (ix, v.to_bits())).collect()
@@ -45,9 +47,9 @@ fn skewed_tensor() -> impl Strategy<Value = CooTensor3> {
     })
 }
 
-/// Where each merge runs: a fresh cluster of this shape, on which IMHP
-/// runs first, so the merge is job 1 — with the same fault schedule —
-/// whichever input it reads.
+/// Where each job under test runs: a fresh cluster of this shape, on
+/// which its producer runs first, so the job is job 1 — with the same
+/// fault schedule — whichever input it reads.
 struct Shape {
     machines: usize,
     threads: usize,
@@ -55,22 +57,39 @@ struct Shape {
 }
 
 impl Shape {
-    /// A fresh cluster, and the sides IMHP wrote on it.
-    fn imhp(&self, x: &CooTensor3, bt: &Mat, ct: &Mat) -> (Cluster, Vec<WrittenSide>) {
+    fn cluster(&self) -> Cluster {
         let mut cfg = ClusterConfig::with_machines(self.machines);
         cfg.threads = self.threads;
         cfg.fault_plan = self.faults.clone();
-        let cluster = Cluster::new(cfg);
+        Cluster::new(cfg)
+    }
+
+    /// A fresh cluster, and the sides IMHP wrote on it.
+    fn imhp(&self, x: &CooTensor3, bt: &Mat, ct: &Mat) -> (Cluster, Vec<WrittenSide>) {
+        let cluster = self.cluster();
         let entries = tensor_records(x);
         let written = imhp_job(&cluster, "imhp", &[&entries], &[bt, ct], join_on_slots).unwrap();
         (cluster, written)
     }
+
+    /// A fresh cluster, and the reduce partitions a per-column Hadamard
+    /// job, `x *̄₂ v` keyed on slot 1, wrote on it.
+    fn hadamard(&self, x: &CooTensor3, v: &[f64]) -> (Cluster, Partitions) {
+        let cluster = self.cluster();
+        let entries = tensor_records(x);
+        let partitions = hadamard_vec_job(&cluster, "had-b", &[&entries], 1, v, None).unwrap();
+        (cluster, partitions)
+    }
 }
 
-/// `merge` of `input` on `cluster`, with the metrics of the job it ran.
-fn metered(merge: Merge, cluster: &Cluster, input: MergeInput<'_>) -> (TensorRecords, JobMetrics) {
+/// What `job` wrote on `cluster`, its partitions concatenated, with the
+/// metrics of the job it ran.
+fn metered(
+    cluster: &Cluster,
+    job: impl FnOnce(&Cluster) -> Result<Partitions>,
+) -> (TensorRecords, JobMetrics) {
     let mark = cluster.jobs_run();
-    let records = merge(cluster, input).unwrap();
+    let records = concat_partitions(job(cluster).unwrap());
     let job = cluster.metrics_since(mark).jobs.remove(0);
     (records, job.without_host_time())
 }
@@ -86,11 +105,11 @@ fn check(merge: Merge, x: &CooTensor3, shape: &Shape, seed: u64) {
     let t_dprime = written[1].records();
     let one: [&[(Ix4, f64)]; 2] = [&t_prime, &t_dprime];
     let sides: [Shards<'_>; 2] = [&one[..1], &one[1..]];
-    let (whole, whole_metrics) = metered(merge, &cluster, MergeInput::Shards(&sides));
+    let (whole, whole_metrics) = metered(&cluster, |c| merge(c, MergeInput::Shards(&sides)));
 
     // IMHP's output as written, taken by the merge: the same job.
     let (cluster, written) = shape.imhp(x, &bt, &ct);
-    let (taken, taken_metrics) = metered(merge, &cluster, MergeInput::Written(written));
+    let (taken, taken_metrics) = metered(&cluster, |c| merge(c, MergeInput::Written(written)));
     assert_eq!(bits(&taken), bits(&whole), "as written");
     assert_eq!(taken_metrics, whole_metrics, "as written");
 
@@ -99,9 +118,36 @@ fn check(merge: Merge, x: &CooTensor3, shape: &Shape, seed: u64) {
     let cut: [&[(Ix4, f64)]; 3] = [a, &[], b];
     let sides: [Shards<'_>; 2] = [&cut, &one[1..]];
     let (cluster, _) = shape.imhp(x, &bt, &ct);
-    let (sharded, sharded_metrics) = metered(merge, &cluster, MergeInput::Shards(&sides));
+    let (sharded, sharded_metrics) = metered(&cluster, |c| merge(c, MergeInput::Shards(&sides)));
     assert_eq!(bits(&sharded), bits(&whole), "two-shard T'");
     assert_eq!(sharded_metrics, whole_metrics, "two-shard T'");
+}
+
+/// `kernel` over the partitions a Hadamard job wrote, read as its shards,
+/// against `kernel` over their concatenation, read as one shard.
+fn check_per_column(
+    kernel: impl Fn(&Cluster, Shards<'_>) -> Result<Partitions>,
+    x: &CooTensor3,
+    shape: &Shape,
+    seed: u64,
+) {
+    let v = column(seed, 6);
+
+    let (cluster, partitions) = shape.hadamard(x, &v);
+    let whole = concat_partitions(partitions);
+    let (want, want_metrics) = metered(&cluster, |c| kernel(c, &[&whole]));
+
+    let (cluster, partitions) = shape.hadamard(x, &v);
+    let shards: Vec<&[(Ix4, f64)]> = partitions.iter().map(Vec::as_slice).collect();
+    let (got, got_metrics) = metered(&cluster, |c| kernel(c, &shards));
+    assert_eq!(bits(&got), bits(&want), "{} shards", shards.len());
+    assert_eq!(got_metrics, want_metrics, "{} shards", shards.len());
+}
+
+/// A factor column of `len` rows, from `seed`.
+fn column(seed: u64, len: usize) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len).map(|_| rng.gen_range(-2.0..2.0)).collect()
 }
 
 fn shape(machines: usize, threads: usize, faulted: bool, seed: u64) -> Shape {
@@ -139,6 +185,52 @@ proptest! {
     ) {
         check(
             |c, sides| pairwise_merge_job(c, "pairwisemerge", sides, 3),
+            &x, &shape(machines, threads, faulted, seed), seed,
+        );
+    }
+
+    #[test]
+    fn sharded_hadamard_equals_the_one_shard_hadamard(
+        x in skewed_tensor(),
+        machines in 1usize..6,
+        threads in 1usize..5,
+        faulted in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let w = column(seed ^ 1, 5);
+        check_per_column(
+            |c, t| hadamard_vec_job(c, "had-c", t, 2, &w, Some(1)),
+            &x, &shape(machines, threads, faulted, seed), seed,
+        );
+    }
+
+    #[test]
+    fn sharded_collapse_equals_the_one_shard_collapse(
+        x in skewed_tensor(),
+        machines in 1usize..6,
+        threads in 1usize..5,
+        faulted in any::<bool>(),
+        combined in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        check_per_column(
+            |c, t| collapse_job(c, "collapse-j", t, 1, combined),
+            &x, &shape(machines, threads, faulted, seed), seed,
+        );
+    }
+
+    #[test]
+    fn sharded_naive_ttv_equals_the_one_shard_naive_ttv(
+        x in skewed_tensor(),
+        machines in 1usize..6,
+        threads in 1usize..5,
+        faulted in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let w = column(seed ^ 1, 5);
+        let dims = [x.dims()[0], 6, 5, 1];
+        check_per_column(
+            |c, t| naive_ttv_job(c, "naive-tc", t, dims, 2, &w),
             &x, &shape(machines, threads, faulted, seed), seed,
         );
     }

@@ -57,7 +57,8 @@ if [[ "${1:-}" == "--sanitize" ]]; then
         }
         tsan -p haten2-mapreduce -- pool arena recycle sched level_split parallel_reduce \
             reload map_output
-        # Every pipeline (and both merges over sharded and over written input)
+        # Every pipeline (and both merges over sharded and over written input,
+        # and the per-column kernels over a producer's reduce partitions)
         # under both scheduler modes, with the bit-identity digests still
         # asserted; and the same kernels at three to five join sides on the
         # bare cluster.
