@@ -2,8 +2,9 @@
 //!
 //! * `--verify-paper-table` — check all eight registered pipelines against
 //!   the paper's Tables III/IV and the communication bounds, run the
-//!   determinism scan, and print the markdown report (this is what
-//!   `cargo xtask analyze` commits to `ANALYSIS.md`). Exits non-zero on
+//!   determinism scan, and print the markdown report (committed as
+//!   `ANALYSIS.md`; regenerate it with `cargo run -q -p haten2-analyze
+//!   --release -- --verify-paper-table > ANALYSIS.md`). Exits non-zero on
 //!   any violation, the determinism scan's included.
 //! * `--reject-demo` — run every row of the known-bad plan table
 //!   (`haten2_analyze::demo`) through the passes its claim selects and
@@ -21,7 +22,8 @@ fn usage() -> ExitCode {
          \n\
          --verify-paper-table  verify all 8 pipelines against the paper's cost\n\
          \x20                     tables and communication bounds, scan UDF\n\
-         \x20                     purity, and print the report\n\
+         \x20                     purity, and print the report (the committed\n\
+         \x20                     ANALYSIS.md: --verify-paper-table > ANALYSIS.md)\n\
          --reject-demo         show that every known-bad plan is rejected\n\
          \x20                     with diagnostics naming the offender"
     );

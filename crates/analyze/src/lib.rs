@@ -37,10 +37,11 @@
 //!   float reductions not declared commutative-associative in plan
 //!   metadata (each declaration is property-checked by a generated
 //!   proptest per reducer). A source file it cannot read fails the pass.
-//! * **Lint pass** — source-level rules (forbidden APIs, undocumented
-//!   `unsafe`, `unwrap` in library code) live in the `xtask` package
-//!   (`cargo xtask lint`), layered on the same `haten2-srcscan` scanner:
-//!   they scan text, not plans.
+//!
+//! Source-level rules (no raw threads outside the `WorkerPool`, no
+//! `DefaultHasher`, no direct file I/O in the engine and drivers) are not a
+//! pass here: they are clippy's `disallowed-*` lints, set in the
+//! workspace's `clippy.toml` files.
 //!
 //! Races are not a static pass: the engine rules them out where jobs run
 //! (`haten2_mapreduce::sched`), refusing any read of an undeclared
@@ -50,12 +51,12 @@
 //! Every violation is a [`Violation`] whose `Display` names the offending
 //! job, dataset, or source site. `cargo run -p haten2-analyze --
 //! --verify-paper-table` renders the full verification report (committed
-//! as `ANALYSIS.md`, staleness-gated by `cargo xtask analyze`);
+//! as `ANALYSIS.md`; `report::tests::committed_analysis_md_is_current`
+//! fails when it is stale);
 //! `--reject-demo` runs the one table of known-bad plans ([`demo`]) and
 //! proves each is rejected with the diagnostics its row lists.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod comm;
 pub mod cost;

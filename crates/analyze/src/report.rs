@@ -370,6 +370,25 @@ mod tests {
         assert!(md.contains("## Determinism"));
     }
 
+    /// The committed `ANALYSIS.md` is the report this tree derives, byte
+    /// for byte: a change that moves a derived number must commit it.
+    #[test]
+    fn committed_analysis_md_is_current() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ANALYSIS.md");
+        let committed = std::fs::read_to_string(&path).unwrap();
+        let derived = verify_paper_table().to_markdown();
+        let first_diff = committed
+            .lines()
+            .zip(derived.lines())
+            .position(|(c, d)| c != d)
+            .map_or("its length".to_string(), |i| format!("line {}", i + 1));
+        assert!(
+            committed == derived,
+            "ANALYSIS.md is stale (first difference at {first_diff}); regenerate it with\n  \
+             cargo run -q -p haten2-analyze --release -- --verify-paper-table > ANALYSIS.md"
+        );
+    }
+
     /// Every registered pipeline's critical path is a rank-independent
     /// constant — that is the whole point of the DAG scheduler: the
     /// paper's `Q + R`-style job counts collapse to a fixed number of

@@ -23,7 +23,6 @@
 //!   the Lemma 3 estimate `nnz · Q` entries after the first product).
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod memory;
 pub mod parafac;

@@ -69,7 +69,10 @@ pub fn tucker_als_baseline(
 }
 
 /// [`tucker_als_baseline`] with an explicit [`MetMode`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the baseline's full parameter list, spelled out like the driver's"
+)]
 pub fn tucker_als_baseline_met(
     x: &CooTensor3,
     core_dims: [usize; 3],

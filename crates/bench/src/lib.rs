@@ -27,7 +27,6 @@
 //! | Lemma 3    | [`experiments::lemma3_nnz_estimate`] |
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod experiments;
 pub mod table;

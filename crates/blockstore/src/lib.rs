@@ -36,15 +36,15 @@
 //!   manifest entry that references it commits).
 //! * **Local FS façade** ([`localfs`]) — atomic, fsynced small-file
 //!   writes for the checkpoint layer, so *all* file I/O of the engine
-//!   crates is confined to this crate (the `no-direct-fs` lint enforces
-//!   it) and every write follows the same crash-consistency discipline.
+//!   crates is confined to this crate (`crates/{mapreduce,core}/clippy.toml`
+//!   ban `std::fs` there) and every write follows the same
+//!   crash-consistency discipline.
 //!
 //! The crate speaks bytes only: record typing, size estimation, and the
 //! spill/cache policy live in `haten2-mapreduce`'s `Dfs`, which drives
 //! this store through its `Durable` backend.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod block;
 pub mod checksum;

@@ -6,8 +6,9 @@
 //! discipline as the store proper: every write is staged to a temp file,
 //! fsynced, and atomically renamed into place, so a reader never observes
 //! a half-written checkpoint no matter where a crash lands. It also
-//! concentrates the engine's remaining direct file I/O in this crate,
-//! which the `no-direct-fs` lint then enforces workspace-wide.
+//! concentrates the engine's remaining direct file I/O in this crate:
+//! `crates/{mapreduce,core}/clippy.toml` ban `std::fs` in the engine and
+//! the drivers.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};

@@ -2,7 +2,7 @@
 //! random data, store recovery, and the block layout's round-trip and
 //! corruption behaviour at every block of a many-block extent.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_blockstore::codec::{
     decode, encode_auto, words_decode, words_encode, zero_rle_decode, zero_rle_encode,

@@ -9,7 +9,7 @@
 //! and read back (under a zero budget that read decodes segment files
 //! through the codec), and the decomposition runs on the reloaded copy.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_chaos::{chaos_tensor, fingerprint};
 use haten2_core::{load_tensor, parafac_als, persist_tensor, tucker_als, AlsOptions, Variant};

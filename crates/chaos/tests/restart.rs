@@ -6,7 +6,7 @@
 //! the `haten2-restart` orchestrator binary, which re-execs itself for
 //! the victim and resume phases so each phase is a separate OS process.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 #[test]
 fn kill_and_reexec_resumes_bit_identical() {

@@ -1,7 +1,7 @@
 //! Chaos smoke test: a small randomized sweep over all eight pipelines
 //! must uphold the fault-transparency invariant and actually inject work.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_chaos::{run_chaos, ChaosOptions, Status};
 

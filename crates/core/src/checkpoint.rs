@@ -330,6 +330,10 @@ pub fn load_tucker(prefix: &str) -> Result<(DenseTensor3, [Mat; 3])> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests clear their scratch checkpoint directories"
+)]
 mod tests {
     use super::*;
     use crate::als::{parafac_als, tucker_als};

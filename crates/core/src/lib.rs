@@ -24,7 +24,6 @@
 //! single-machine reference implementations in `haten2_tensor::ops`.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod als;
 pub mod canon;

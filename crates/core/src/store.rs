@@ -169,6 +169,10 @@ pub fn load_tucker_state(cluster: &Cluster, key: &str) -> Result<Option<(DenseTe
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests clear their scratch store directories"
+)]
 mod tests {
     use super::*;
     use haten2_mapreduce::{ClusterConfig, DfsBackend, DurableConfig};

@@ -3,7 +3,7 @@
 
 // Test code: `unwrap` is the assertion (allowed by the workspace clippy
 // policy only here).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_core::nway::{nway_mttkrp, nway_tucker_project};
 use haten2_core::parafac::mttkrp;

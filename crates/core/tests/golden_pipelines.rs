@@ -12,7 +12,7 @@
 //! exactly. After an *intended* change to a kernel, a record type or
 //! the cost model, re-record: the failure message prints the table.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_core::parafac::mttkrp;
 use haten2_core::tucker::{project, ProjectOptions};

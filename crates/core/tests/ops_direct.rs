@@ -3,7 +3,7 @@
 
 // Test code: `unwrap` is the assertion (allowed by the workspace clippy
 // policy only here).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_core::ops::{
     collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots,

@@ -9,7 +9,7 @@
 
 // Test code: `unwrap` is the assertion (allowed by the workspace clippy
 // policy only here).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_core::{comm_assoc_annotation, COMM_ASSOC_REDUCERS};
 use proptest::prelude::*;

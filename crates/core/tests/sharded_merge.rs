@@ -8,7 +8,7 @@
 //! output bits in the same order, same metrics, on any cluster shape, under
 //! injected faults too.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_core::ops::{
     collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots, naive_ttv_job,

@@ -25,7 +25,6 @@
 //!   scaled stand-in.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod datasets;
 pub mod discovery;

@@ -22,7 +22,6 @@
 //! `R×R` Gram matrices).
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod eigen;
 pub mod mat;

@@ -351,7 +351,10 @@ impl Mat {
     /// report norm 0.
     pub fn normalize_columns(&mut self) -> Vec<f64> {
         let mut norms = vec![0.0; self.cols];
-        #[allow(clippy::needless_range_loop)]
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "`j` indexes a column of `self` and `norms` alike"
+        )]
         for j in 0..self.cols {
             let mut s = 0.0;
             for i in 0..self.rows {

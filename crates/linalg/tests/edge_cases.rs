@@ -3,7 +3,7 @@
 
 // Test code: `unwrap` is the assertion (allowed by the workspace clippy
 // policy only here).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_linalg::{
     householder_qr, leading_left_singular_vectors, pinv, solve_spd, svd_small, sym_eigen, thin_qr,

@@ -21,6 +21,11 @@
 //!
 //! The defaults are 1 000 000 records and the store's default codec.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the example clears its scratch store directory"
+)]
+
 use std::collections::HashSet;
 use std::time::Instant;
 

@@ -6,9 +6,9 @@
 //! `Vec<V>`. This module replaces all three with columnar storage:
 //!
 //! * [`ColumnBuffer`] — keys and values in two contiguous arenas. Map
-//!   emit appends to both columns; nothing else in the engine's map and
-//!   shuffle path pushes per-record tuples (enforced by the
-//!   `no-per-record-alloc` lint).
+//!   emit appends to both columns ([`MapOutput::emit`] takes a key and a
+//!   value, never an owned tuple); nothing else in the engine's map and
+//!   shuffle path pushes per-record tuples.
 //! * Sorting computes each record's `u32` destination over the key column
 //!   ([`sort_destinations`]) and moves both columns there in place with
 //!   cycle-following swaps ([`apply_destinations`]) — the ranking never

@@ -962,6 +962,10 @@ impl std::fmt::Debug for Dfs {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests clear their scratch store directories and race readers on raw threads"
+)]
 mod tests {
     use super::*;
 
@@ -1426,7 +1430,7 @@ mod tests {
         // Through a reload: a dataset of `u64` read back by a type of the
         // same tag but twice the width fails as a decode, not a panic.
         #[derive(Debug)]
-        struct Wide(#[allow(dead_code)] u64);
+        struct Wide(#[allow(dead_code, reason = "never read: the test needs only its width")] u64);
         impl Persist for Wide {
             fn type_tag() -> String {
                 u64::type_tag()

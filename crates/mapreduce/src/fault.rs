@@ -25,8 +25,8 @@
 //!   finish after `2 ×` nominal — Hadoop's speculative execution.
 //!
 //! All retry delays come from the single shared helper
-//! [`RetryPolicy::backoff_s`]; `cargo xtask lint` (rule `shared-backoff`)
-//! rejects ad-hoc backoff arithmetic elsewhere.
+//! [`RetryPolicy::backoff_s`], which both executors charge through the same
+//! `TaskFaults::account_map`/`account_reduce`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -39,7 +39,7 @@ impl<T> Part<'_, T> {
 }
 
 impl<T> Drop for Part<'_, T> {
-    #[allow(unsafe_code)]
+    #[allow(unsafe_code, reason = "drops the records a part wrote; SAFETY below")]
     fn drop(&mut self) {
         let written: *mut [MaybeUninit<T>] = &mut self.slots[..self.filled];
         // SAFETY: by the invariant, `slots[..filled]` hold initialized
@@ -63,7 +63,7 @@ impl<T> Drop for Part<'_, T> {
 /// not at all, is a bug of `fill`'s and panics. On an error or a panic the
 /// `Vec` is never claimed: each part drops the records it holds, once, and
 /// the allocation is freed.
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "claims the filled `Vec`; SAFETY below")]
 pub(crate) fn fill_parts<T, E>(
     lens: &[usize],
     fill: impl for<'a> FnOnce(Vec<Part<'a, T>>) -> Result<Vec<Part<'a, T>>, E>,
@@ -99,6 +99,10 @@ pub(crate) fn fill_parts<T, E>(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests write each part on its own raw thread, as a pool worker would"
+)]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -57,7 +57,6 @@
 // Everything else in this crate is denied from adding more.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod arena;
 pub mod cluster;

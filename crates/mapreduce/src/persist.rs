@@ -301,18 +301,18 @@ macro_rules! persist_tuple {
                 let parts = [$($name::type_tag()),+];
                 format!("({})", parts.join(","))
             }
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the tuple's type parameters name its fields")]
             fn write_record(&self, out: &mut Vec<u8>) {
                 let ($($name,)+) = self;
                 $($name.write_record(out);)+
             }
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the tuple's type parameters name its fields")]
             fn read_record(bytes: &[u8], pos: &mut usize) -> Option<Self> {
                 $(let $name = $name::read_record(bytes, pos)?;)+
                 Some(($($name,)+))
             }
             const WIDTH: Option<usize> = sum_widths(&[$($name::WIDTH),+]);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the tuple's type parameters name its fields")]
             fn read_fixed(bytes: &[u8]) -> Option<Self> {
                 let mut at = 0;
                 $(let $name = {

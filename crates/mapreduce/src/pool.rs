@@ -89,6 +89,10 @@ impl WorkerPool {
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the pool owns the engine's OS threads; everything else broadcasts to it"
+        )]
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -128,7 +132,7 @@ impl WorkerPool {
     // `tests/pool_stress.rs`, which hammers pool reuse, nesting,
     // borrowed state, and panics at maximum thread counts under this
     // exact entry point.
-    #[allow(unsafe_code)]
+    #[allow(unsafe_code, reason = "the lifetime transmute; SAFETY below")]
     pub fn broadcast(&self, executors: usize, f: &(dyn Fn(usize) + Sync)) {
         let n = executors.max(1);
         let dispatched = (n - 1).min(self.workers);

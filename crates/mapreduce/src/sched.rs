@@ -722,7 +722,10 @@ impl<'a> Batch<'a> {
     ///
     /// Returns per-worker busy seconds (time spent inside `execute`),
     /// indexed by pool broadcast slot.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the DAG loop's shared state, passed once from `run`"
+    )]
     fn run_dag(
         &self,
         cluster: &Cluster,

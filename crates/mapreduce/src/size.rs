@@ -126,7 +126,7 @@ macro_rules! tuple_size {
                 acc
             };
             #[inline]
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the tuple's type parameters name its fields")]
             fn est_bytes(&self) -> usize {
                 let ($($name,)+) = self;
                 0 $(+ $name.est_bytes())+

@@ -11,7 +11,11 @@
 //! leak or double-drop a record (the `*reload*` tests run under TSan in
 //! `scripts/check.sh --sanitize`).
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests clear scratch stores, damage segment files and race two readers on raw threads"
+)]
 
 use haten2_blockstore::segment::segment_file_name;
 use haten2_blockstore::{BlockStore, DatasetIo, StoreOptions, StoreStats, BLOCK_TARGET_BYTES};

@@ -6,7 +6,11 @@
 //! zero-run codec stays readable after the default codec changed, new
 //! datasets joining it in the new one.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests clear their scratch store directories"
+)]
 
 use haten2_blockstore::{BlockStore, StoreOptions};
 use haten2_mapreduce::{

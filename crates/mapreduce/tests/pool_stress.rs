@@ -11,7 +11,7 @@
 //! a hang, or a miscount here rather than as silent memory corruption in
 //! a decomposition.
 
-#![allow(clippy::unwrap_used)] // test code: unwrap is the assertion
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_mapreduce::{run_job, Cluster, ClusterConfig, JobSpec, WorkerPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -4,7 +4,7 @@
 
 // Test code: `unwrap` is the assertion (allowed by the workspace clippy
 // policy only here).
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_mapreduce::{run_job, Cluster, ClusterConfig, FaultPlan, JobSpec};
 use proptest::prelude::*;

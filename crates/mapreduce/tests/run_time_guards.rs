@@ -17,7 +17,7 @@
 //! code between batches succeed.
 
 // Test code: `unwrap` is the assertion.
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
 use haten2_mapreduce::{
     run_job, Batch, Cluster, ClusterConfig, JobCtx, JobHandle, JobSite, JobSpec, MrError,

@@ -1,12 +1,10 @@
-//! Shared source-scanning machinery for the workspace's static passes.
+//! Source-scanning machinery for the analyzer's UDF-purity pass.
 //!
-//! Both text-level passes of the static analysis harness — the lint rules
-//! of `cargo xtask lint` and the UDF-purity determinism pass of
-//! `haten2-analyze` — need the same substrate: walk `.rs` files, separate
-//! *code* from comments and string literals, extract balanced regions, and
-//! honour `// lint:allow(<rule>) — <reason>` suppressions. This crate is
-//! that substrate, lifted out of the `xtask` binary so the analyzer can
-//! reuse it:
+//! The determinism pass of `haten2-analyze` scans text, not plans: it
+//! walks `.rs` files, separates *code* from comments and string literals,
+//! extracts balanced regions, and honours `// lint:allow(<rule>) —
+//! <reason>` suppressions. This crate is that substrate, and the pass
+//! itself:
 //!
 //! * [`SourceText`] — a tokenizer aware of line/nested-block comments,
 //!   string/raw-string/byte-string/char literals, and lifetimes. It
@@ -24,11 +22,13 @@
 //!   feeding emits, wall-clock reads, thread-id dependence, and float
 //!   reductions in reducers not declared commutative-associative in plan
 //!   metadata).
-//! * [`rs_files`], [`workspace_root`], [`is_suppressed`] — the shared
-//!   walking and suppression conventions.
+//! * [`rs_files`], [`workspace_root`] — walking the workspace.
+//!
+//! The workspace's API rules (no raw threads, no `DefaultHasher`, no
+//! direct file I/O in the engine) are clippy's `disallowed-*` lints, set in
+//! the `clippy.toml` files, not text scans.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 use std::path::{Path, PathBuf};
 
@@ -368,7 +368,7 @@ fn fn_bodies(code: &str) -> Vec<(String, (usize, usize))> {
 
 /// Whether a finding of `rule` on line `idx` (0-based) is suppressed by a
 /// `// lint:allow(<rule>)` marker on the same or the preceding raw line.
-pub fn is_suppressed(raw_lines: &[&str], idx: usize, rule: &str) -> bool {
+fn is_suppressed(raw_lines: &[&str], idx: usize, rule: &str) -> bool {
     let marker = format!("lint:allow({rule})");
     raw_lines.get(idx).is_some_and(|l| l.contains(&marker))
         || (idx > 0 && raw_lines[idx - 1].contains(&marker))
@@ -391,8 +391,8 @@ pub fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// The workspace root: walk up from the calling crate's manifest dir (or
 /// the CWD when cargo's env is absent) to the first `Cargo.toml` declaring
-/// `[workspace]`. Works both for xtask-style tools run from the root and
-/// for per-crate test harnesses run from `crates/<name>/`.
+/// `[workspace]`. Works both for tools run from the root and for per-crate
+/// test harnesses run from `crates/<name>/`.
 pub fn workspace_root() -> PathBuf {
     let start = std::env::var("CARGO_MANIFEST_DIR")
         .map(PathBuf::from)

@@ -88,7 +88,10 @@ impl DynTensor {
 
     /// Index slice of entry `e`.
     #[inline]
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "returns entry `e`'s index slice, not an `Index` impl's element"
+    )]
     pub fn index(&self, e: usize) -> &[u64] {
         let n = self.order();
         &self.indices[e * n..(e + 1) * n]

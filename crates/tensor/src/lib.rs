@@ -22,7 +22,6 @@
 //!   consumed.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod coo3;
 pub mod dense3;

@@ -4,9 +4,11 @@
 #
 # The default lane is stable-only and hermetic: it runs the GATES table
 # below top to bottom and stops at the first failure. `cargo test -q`
-# covers the whole workspace (root `default-members`); the two perf rows are
-# the repo's benchmark (`BENCHMARK.json`) in its quick mode: `run`, whose
-# samples check themselves against the Sequential oracle and
+# covers the whole workspace (root `default-members`), the `ANALYSIS.md`
+# staleness test included. Clippy's `-D warnings` holds the `clippy.toml`
+# rules, and the canary row keeps each of them falsifiable. The two perf
+# rows are the repo's benchmark (`BENCHMARK.json`) in its quick mode:
+# `run`, whose samples check themselves against the Sequential oracle and
 # `haten2-baseline`, and `trace`, whose re-assembled sweeps (the one caller
 # of the library kernels outside the drivers) must stay bit-identical to
 # the drivers' own.
@@ -89,8 +91,8 @@ GATES=(
     "clippy|cargo clippy --workspace --all-targets -- -D warnings"
     "rustfmt|cargo fmt --check"
     "chaos smoke (fault transparency)|cargo run -p haten2-chaos --release --bin haten2-chaos -- --seeds 2 --seed-base 7"
-    "analyze (lint, paper tables + ANALYSIS.md staleness with the determinism scan inside, reject demo)|cargo xtask analyze"
-    "lint allows (every lint:allow carries a justification)|cargo xtask lint --list-allows"
+    "clippy canary (each disallowed-* entry fires exactly once under each clippy.toml)|scripts/clippy_canary.sh"
+    "analyze (paper tables with the determinism scan inside, reject demo)|cargo run -q -p haten2-analyze --release -- --verify-paper-table --reject-demo"
     "benchmark tests (incl. BENCHMARK.json == code)|cargo test --offline --manifest-path benchmark/Cargo.toml -q"
     "perf smoke (four workloads, self-checked samples)|cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --quick --out $smoke_out/run.json"
     "traced pass smoke (re-assembled sweeps bit-identical to the drivers, shares sum to one)|cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- trace --quick --out $smoke_out/trace.json"

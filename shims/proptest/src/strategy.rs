@@ -142,7 +142,7 @@ macro_rules! tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the tuple's type parameters name its fields")]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)

@@ -47,7 +47,6 @@
 //! | [`haten2_data`]      | workload generators, KB synthesis, preprocessing, concept discovery |
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub use haten2_baseline as baseline;
 pub use haten2_core as core;
