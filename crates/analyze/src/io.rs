@@ -11,7 +11,7 @@
 //! ```
 //!
 //! with `passes` derived statically from the registered
-//! [`JobGraph::big_input_reads`] and `record_bytes` measured from the
+//! [`haten2_mapreduce::JobGraph::big_input_reads`] and `record_bytes` measured from the
 //! *actual* durable encoding of one tensor record (the
 //! [`haten2_mapreduce::Persist`] wire format for `(Ix4, f64)`), not a
 //! hand-maintained constant. The out-of-core optimum is a single pass —

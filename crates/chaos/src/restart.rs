@@ -19,7 +19,7 @@
 //!    the durable DFS, and resumes via `*_als_checkpointed`; the factor
 //!    snapshot comes from the block store (`crate::store` datasets
 //!    written before the sweep marker committed).
-//! 3. **orchestrator** ([`drive`], the `haten2-restart` binary) — runs
+//! 3. **orchestrator** ([`drive_one`], the `haten2-restart` binary) — runs
 //!    the clean decomposition in-process, spawns the two children via
 //!    [`std::env::current_exe`], and compares fingerprints.
 //!

@@ -191,7 +191,7 @@ pub fn resume_parafac(
 /// `max_iters − done` sweeps run with `first_sweep = done`, which makes
 /// the final factors **bit-identical** to an uninterrupted run (assuming
 /// the same tensor, options, and a tolerance that would not have stopped
-/// earlier). With no checkpoint present it is a plain [`parafac_als`]
+/// earlier). With no checkpoint present it is a plain [`crate::parafac_als`]
 /// that saves checkpoints as it goes.
 pub fn parafac_als_checkpointed(
     cluster: &Cluster,

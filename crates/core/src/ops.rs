@@ -60,9 +60,19 @@
 //! A record of the expansion is written once, where the merge's reducer
 //! will read it.
 //!
-//! Nor does a kernel concatenate what its job wrote: it returns the reduce
-//! partitions, and a reader takes them as the dataset's shards, the way a
-//! Hadoop job reads its predecessor's part files where they lie.
+//! Nor does a kernel concatenate what its job wrote: each reduce task
+//! writes its partition in chunks that stay below the engine's mmap
+//! threshold ([`Chunks`]), the kernel returns every partition's chunks in
+//! partition order, and a reader takes them as the dataset's shards, the
+//! way a Hadoop job reads its predecessor's part files where they lie.
+//!
+//! The join reducers (the Hadamard product, IMHP, the model inner
+//! product) hold nothing per group either: their small side — a vector
+//! coefficient or a factor row — is presented after the entries, so it is
+//! the last value of its group. They peek it
+//! ([`haten2_mapreduce::GroupValues::peek_last`]) and stream the entries
+//! past it, and a small-side value anywhere else is a panic
+//! (`SMALL_SIDE_NOT_LAST`).
 //!
 //! [`JobSite`]: haten2_mapreduce::JobSite
 //! [`Cluster`]: haten2_mapreduce::Cluster
@@ -71,21 +81,57 @@ use crate::records::{shards_len, HadVal, ImhpRec, ImhpVal, Ix4, MergeVal, NaiveV
 use haten2_linalg::Mat;
 use haten2_mapreduce::size::slice_est_bytes;
 use haten2_mapreduce::{
-    run_job_collect, run_job_written, Collect, EstimateSize, JobSite, JobSpec, MapInput, MapOutput,
-    MrError, Result,
+    run_job_collect, run_job_written, Chunks, Collect, EstimateSize, JobSite, JobSpec, MapInput,
+    MapOutput, MrError, Result,
 };
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// Tensor records in the canonical `(Ix4, f64)` form.
 pub type TensorRecords = Vec<(Ix4, f64)>;
 
-/// A job's output as its reduce tasks left it: one list of records per
-/// reduce partition, in partition order. Read as shards, it is the dataset
-/// the concatenation would be; [`haten2_mapreduce::concat_partitions`]
-/// makes that concatenation where one `Vec` is wanted.
+/// A job's output as its reduce tasks left it: each reduce partition as
+/// one or more chunks ([`Chunks`]), partitions in partition order and an
+/// empty partition as none. Read as shards, it is the dataset the
+/// concatenation would be; [`haten2_mapreduce::concat_partitions`] makes
+/// that concatenation where one `Vec` is wanted.
 pub type Partitions = Vec<TensorRecords>;
+
+/// What a tensor-valued job's reduce task writes its partition into.
+type Chunked = Chunks<Ix4, f64>;
+
+/// A tensor-valued job's [`Partitions`]: every reduce task's chunks,
+/// partition by partition.
+fn partitions(collected: Vec<Chunked>) -> Partitions {
+    collected
+        .into_iter()
+        .flat_map(Chunks::into_chunks)
+        .collect()
+}
+
+/// What a join reducer says when its small side is not the last value of
+/// its group.
+const SMALL_SIDE_NOT_LAST: &str =
+    "a small-side value before the last one: the feed must present the small side last";
+
+/// The entries of a join group, as `(ix, v)` in order: every value but the
+/// small side, which the feed presents last and the reducer has peeked
+/// when the group `held` one. A small-side value among them (one `entry`
+/// refuses) panics, naming the group.
+fn join_entries<V>(
+    group: (&'static str, impl fmt::Debug),
+    vals: impl ExactSizeIterator<Item = V>,
+    held: bool,
+    entry: fn(V) -> Option<(Ix4, f64)>,
+) -> impl Iterator<Item = (Ix4, f64)> {
+    let entries = vals.len() - usize::from(held);
+    vals.take(entries).map(move |v| match entry(v) {
+        Some(entry) => entry,
+        None => panic!("{} group {:?}: {SMALL_SIDE_NOT_LAST}", group.0, group.1),
+    })
+}
 
 /// One shard of a dataset: the records one task wrote, where it left them.
 type Shard<'a> = &'a [(Ix4, f64)];
@@ -280,31 +326,27 @@ pub fn hadamard_vec_job(
             TvRec::Coef(i, c) => emit(*i, HadVal::Coef(*c)),
         },
         // The coefficient is presented after the entries, so it is the
-        // last value of its group: the group is held, not streamed.
-        move |_, vals, emit| {
-            let vals: Vec<HadVal> = vals.collect();
-            let mut coef = None;
-            for v in &vals {
-                if let HadVal::Coef(c) = v {
-                    coef = Some(*c);
-                }
-            }
-            let Some(c) = coef else { return };
-            for v in vals {
-                if let HadVal::Ent(ix, val) = v {
-                    let out_ix = match tag_slot3 {
-                        Some(t) => with_slot(ix, 3, t),
-                        None => ix,
-                    };
-                    let prod = val * c;
-                    if prod != 0.0 {
-                        emit(out_ix, prod);
-                    }
+        // last value of its group: peeked, and the entries streamed.
+        move |i, vals, emit| {
+            let coef = match vals.peek_last() {
+                Some(&HadVal::Coef(c)) => Some(c),
+                _ => None,
+            };
+            let group = ("Hadamard", i);
+            for (ix, val) in join_entries(group, vals, coef.is_some(), HadVal::entry) {
+                let Some(c) = coef else { continue };
+                let out_ix = match tag_slot3 {
+                    Some(t) => with_slot(ix, 3, t),
+                    None => ix,
+                };
+                let prod = val * c;
+                if prod != 0.0 {
+                    emit(out_ix, prod);
                 }
             }
         },
     )?;
-    Ok(out)
+    Ok(partitions(out))
 }
 
 /// `Collapse(X)ₚₒₛ` (Definition 2) as one job: zero out slot `drop_pos` and
@@ -341,7 +383,7 @@ pub fn collapse_job(
             }
         },
     )?;
-    Ok(out)
+    Ok(partitions(out))
 }
 
 /// The naive broadcast n-mode vector product (§III-B1): contract slot
@@ -435,7 +477,7 @@ pub fn naive_ttv_job(
             }
         },
     )?;
-    Ok(out)
+    Ok(partitions(out))
 }
 
 /// The factor rows one side of an IMHP-style join reads: row `idx` of the
@@ -499,7 +541,7 @@ impl Collect<(u8, Ix4), f64> for MergeWriter {
 }
 
 /// One expanded side as [`imhp_job`]'s reduce tasks wrote it: already the
-/// merge's map output, every record mapped by [`merge_record`] and
+/// merge's map output, every record mapped by `merge_record` and
 /// bucketed by the merge's partitioner, one [`MapOutput`] per reduce task
 /// that wrote any, in partition order. A merge takes it by ownership
 /// ([`MergeInput::Written`]).
@@ -571,29 +613,24 @@ pub fn imhp_job(
             ImhpRec::Row(side, idx, row) => emit((*side, *idx), ImhpVal::Row(row.clone())),
         },
         // The factor row is presented after the entries, so it is the last
-        // value of its group: the group is held, not streamed.
+        // value of its group: peeked, and the entries streamed past it.
         |key, vals, emit| {
             let (side, _) = *key;
-            let vals: Vec<ImhpVal> = vals.collect();
-            let mut row: Option<&Vec<f64>> = None;
-            for v in &vals {
-                if let ImhpVal::Row(r) = v {
-                    row = Some(r);
-                }
-            }
-            let Some(row) = row else { return };
-            for v in &vals {
-                if let ImhpVal::Ent(ix, val) = v {
-                    for (d, &coef) in row.iter().enumerate() {
-                        if coef == 0.0 {
-                            continue;
-                        }
-                        let out_ix = with_slot(*ix, 3, d as u64);
-                        // T' carries X·B; every other side only its factor
-                        // (the bin(X) sides).
-                        let out_v = if side == 0 { val * coef } else { coef };
-                        emit((side, out_ix), out_v);
+            let row = match vals.peek_last() {
+                Some(ImhpVal::Row(row)) => Some(row.clone()),
+                _ => None,
+            };
+            for (ix, val) in join_entries(("IMHP", key), vals, row.is_some(), ImhpVal::entry) {
+                let Some(row) = &row else { continue };
+                for (d, &coef) in row.iter().enumerate() {
+                    if coef == 0.0 {
+                        continue;
                     }
+                    let out_ix = with_slot(ix, 3, d as u64);
+                    // T' carries X·B; every other side only its factor
+                    // (the bin(X) sides).
+                    let out_v = if side == 0 { val * coef } else { coef };
+                    emit((side, out_ix), out_v);
                 }
             }
         },
@@ -614,7 +651,7 @@ pub fn imhp_job(
 /// What a merge reads: the expanded datasets, side 0 (`T'`) first.
 pub enum MergeInput<'a> {
     /// Shards of `((i, a, b, d), v)` records, borrowed where they were
-    /// written, which the merge's own map tasks map ([`merge_feed`]).
+    /// written, which the merge's own map tasks map (`merge_feed`).
     /// DRN's per-column Hadamard jobs write these.
     Shards(&'a [Shards<'a>]),
     /// The sides [`imhp_job`] wrote, already mapped and partitioned: the
@@ -967,8 +1004,8 @@ fn pairwise_merge_fold(
 ///
 /// Keys on the target-mode index `i`, so the shuffle volume is
 /// `nnz·(Q+R)` — the Table III cost of HaTen2-DRN/DRI. Shards are read in
-/// place ([`merge_feed`]); written sides are taken and reduced from where
-/// IMHP's reduce tasks bucketed them ([`descending`]). Both inputs make
+/// place (`merge_feed`); written sides are taken and reduced from where
+/// IMHP's reduce tasks bucketed them (`descending`). Both inputs make
 /// the same job: same output bits, same metrics.
 pub fn cross_merge_job(
     site: &impl JobSite,
@@ -994,7 +1031,7 @@ pub fn cross_merge_job(
             |i, vals, emit| cross_merge_fold(*i, widths, vals, emit),
         )?,
     };
-    Ok(out)
+    Ok(partitions(out))
 }
 
 /// `PairwiseMerge(T', T'', …)₍₀₎` (Definition 4) as one job over the
@@ -1030,7 +1067,7 @@ pub fn pairwise_merge_job(
             |i, vals, emit| pairwise_merge_fold(*i, sides, rank, vals, emit),
         )?,
     };
-    Ok(out)
+    Ok(partitions(out))
 }
 
 /// Distributed model inner product `⟨X, X̂⟩` for a PARAFAC model
@@ -1061,27 +1098,22 @@ pub fn model_inner_product_job(
             ImhpRec::Ent(ix, v) => emit(ix.0, ImhpVal::Ent(*ix, *v)),
             ImhpRec::Row(_, i, row) => emit(*i, ImhpVal::Row(row.clone())),
         },
-        move |_, vals, emit| {
-            let vals: Vec<ImhpVal> = vals.collect();
-            let mut a_row: Option<&Vec<f64>> = None;
-            for v in &vals {
-                if let ImhpVal::Row(r) = v {
-                    a_row = Some(r);
-                }
-            }
-            let Some(a_row) = a_row else { return };
+        // A's row comes last, as in IMHP: peeked, and the slice streamed.
+        move |i, vals, emit| {
+            let a_row = match vals.peek_last() {
+                Some(ImhpVal::Row(row)) => Some(row.clone()),
+                _ => None,
+            };
+            let (group, held) = (("model inner product", i), a_row.is_some());
             let mut partial = 0.0;
-            for v in &vals {
-                if let ImhpVal::Ent(ix, val) = v {
-                    let mut model = 0.0;
-                    for r in 0..rank {
-                        model += lambda[r]
-                            * a_row[r]
-                            * b.get(ix.1 as usize, r)
-                            * c.get(ix.2 as usize, r);
-                    }
-                    partial += val * model;
+            for (ix, val) in join_entries(group, vals, held, ImhpVal::entry) {
+                let Some(a_row) = &a_row else { continue };
+                let mut model = 0.0;
+                for r in 0..rank {
+                    model +=
+                        lambda[r] * a_row[r] * b.get(ix.1 as usize, r) * c.get(ix.2 as usize, r);
                 }
+                partial += val * model;
             }
             if partial != 0.0 {
                 emit(0u8, partial);
@@ -1289,6 +1321,62 @@ mod tests {
             merge_val(1, (2, 2, 0), 1.0),
         ];
         fold(FOLDS[1], vals);
+    }
+
+    #[test]
+    fn join_entries_stream_every_value_but_the_small_side() {
+        let ent = |n: u64| ((n, 0, 0, 0), n as f64);
+        let vals = vec![
+            HadVal::Ent(ent(1).0, 1.0),
+            HadVal::Ent(ent(2).0, 2.0),
+            HadVal::Coef(0.5),
+        ];
+        let held = join_entries(
+            ("Hadamard", 3),
+            vals.clone().into_iter(),
+            true,
+            HadVal::entry,
+        );
+        assert_eq!(held.collect::<Vec<_>>(), [ent(1), ent(2)]);
+        let rows = vec![ImhpVal::Ent(ent(4).0, 4.0)];
+        let none = join_entries(("IMHP", (1, 3)), rows.into_iter(), false, ImhpVal::entry);
+        assert_eq!(none.collect::<Vec<_>>(), [ent(4)]);
+        assert_eq!(
+            join_entries(
+                ("IMHP", 0),
+                Vec::<ImhpVal>::new().into_iter(),
+                false,
+                ImhpVal::entry
+            )
+            .count(),
+            0
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "Hadamard group 3: a small-side value before the last one: the feed must present the small side last"
+    )]
+    fn hadamard_refuses_a_coefficient_before_an_entry() {
+        let vals = [
+            HadVal::Coef(0.5),
+            HadVal::Ent((1, 0, 0, 0), 1.0),
+            HadVal::Coef(0.5),
+        ];
+        join_entries(("Hadamard", 3), vals.into_iter(), true, HadVal::entry).for_each(drop);
+    }
+
+    #[test]
+    #[should_panic(expected = "IMHP group (1, 3): a small-side value before the last one")]
+    fn imhp_refuses_a_factor_row_before_an_entry() {
+        let vals = [ImhpVal::Row(vec![1.0]), ImhpVal::Ent((1, 0, 0, 0), 1.0)];
+        join_entries(
+            ("IMHP", (1u8, 3u64)),
+            vals.into_iter(),
+            false,
+            ImhpVal::entry,
+        )
+        .for_each(drop);
     }
 
     #[test]

@@ -127,8 +127,9 @@ mod tests {
     }
 
     /// `variant` against the dense MTTKRP on clusters of 1, 3, 4 and 8
-    /// machines — a dataset arrives in as many shards as its producer had
-    /// reduce partitions — and the intermediate data the same on each.
+    /// machines — a dataset arrives in a shard per chunk of each of its
+    /// producer's reduce partitions — and the intermediate data the same
+    /// on each.
     fn check_variant(variant: Variant) {
         let x = random_coo([4, 5, 3], 20, 21);
         let mut rng = StdRng::seed_from_u64(22);

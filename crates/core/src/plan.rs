@@ -244,8 +244,8 @@ pub enum Kernel {
     /// Slot 1 of the tensor read is as wide as the number of instances
     /// that wrote it: the per-column results of an earlier stage stack
     /// along it, one instance's output per index. (A dataset is published
-    /// in its producer's reduce partitions, so its shard count says
-    /// nothing about its width.)
+    /// in its producer's reduce partitions, each one or more chunks, so
+    /// its shard count says nothing about its width.)
     NaiveTtv(Side),
     /// [`hadamard_vec_job`]: join the slot of the side with its row; `true`
     /// tags slot 3 of every output record with the instance index.
@@ -603,7 +603,8 @@ pub struct Bindings<'a> {
 /// One declared write, as the job that wrote it leaves it.
 enum Dataset {
     /// The shards it was written in — its job's reduce partitions, in
-    /// partition order — borrowed where they lie by every reader.
+    /// partition order, each as one or more chunks ([`Partitions`]) —
+    /// borrowed where they lie by every reader.
     Shards(Partitions),
     /// An IMHP side, written as the merge's map output: its one reader
     /// takes it.
@@ -751,9 +752,9 @@ fn submit<'a>(
 
 /// Execute `pipeline` on `cluster` with its symbols bound to `bound`, and
 /// return its output dataset as the shards it was written in: each
-/// writing job's reduce partitions, jobs in submission order. Read in
-/// that order they are the output's records; nothing is copied to hand
-/// them over.
+/// writing job's reduce partitions, chunk by chunk, jobs in submission
+/// order. Read in that order they are the output's records; nothing is
+/// copied to hand them over.
 ///
 /// Between two jobs a dataset stays where it was written. A job publishes,
 /// per declared write, what its kernel wrote, and a kernel reading the

@@ -66,6 +66,17 @@ pub enum HadVal {
     Coef(f64),
 }
 
+impl HadVal {
+    /// The tensor entry, if this is one.
+    #[must_use]
+    pub fn entry(self) -> Option<(Ix4, f64)> {
+        match self {
+            HadVal::Ent(ix, v) => Some((ix, v)),
+            HadVal::Coef(_) => None,
+        }
+    }
+}
+
 impl EstimateSize for HadVal {
     fn est_bytes(&self) -> usize {
         1 + match self {
@@ -99,6 +110,17 @@ pub enum ImhpVal {
     Ent(Ix4, f64),
     /// Factor row for this join key.
     Row(Vec<f64>),
+}
+
+impl ImhpVal {
+    /// The tensor entry, if this is one.
+    #[must_use]
+    pub fn entry(self) -> Option<(Ix4, f64)> {
+        match self {
+            ImhpVal::Ent(ix, v) => Some((ix, v)),
+            ImhpVal::Row(_) => None,
+        }
+    }
 }
 
 impl EstimateSize for ImhpVal {

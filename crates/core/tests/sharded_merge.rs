@@ -17,7 +17,9 @@ use haten2_core::ops::{
 use haten2_core::records::tensor_records;
 use haten2_core::Ix4;
 use haten2_linalg::Mat;
-use haten2_mapreduce::{concat_partitions, Cluster, ClusterConfig, FaultPlan, JobMetrics, Result};
+use haten2_mapreduce::{
+    concat_partitions, Chunks, Cluster, ClusterConfig, FaultPlan, JobMetrics, Result,
+};
 use haten2_tensor::{CooTensor3, Entry3};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -232,6 +234,39 @@ proptest! {
         check_per_column(
             |c, t| naive_ttv_job(c, "naive-tc", t, dims, 2, &w),
             &x, &shape(machines, threads, faulted, seed), seed,
+        );
+    }
+}
+
+/// A Hadamard job whose partitions outgrow a chunk writes each as several
+/// shards, none longer than a chunk, and the next job reads them as it
+/// reads their concatenation.
+#[test]
+fn a_partition_longer_than_a_chunk_is_several_shards() {
+    let most = Chunks::<Ix4, f64>::chunk_len();
+    let mut rng = StdRng::seed_from_u64(11);
+    let dims = [60, 6, 60];
+    let entries = (0..3 * most)
+        .map(|_| {
+            let (i, j, k) = (
+                rng.gen_range(0..60),
+                rng.gen_range(0..6),
+                rng.gen_range(0..60),
+            );
+            Entry3::new(i, j, k, rng.gen_range(-2.0..2.0f64))
+        })
+        .collect();
+    let x = CooTensor3::from_entries(dims, entries).unwrap();
+    for machines in [1, 2] {
+        let shape = shape(machines, 2, false, 0);
+        let (_, partitions) = shape.hadamard(&x, &column(3, 6));
+        assert!(partitions.len() > machines, "{} shards", partitions.len());
+        assert!(partitions.iter().all(|p| !p.is_empty() && p.len() <= most));
+        check_per_column(
+            |c, t| collapse_job(c, "collapse-j", t, 1, false),
+            &x,
+            &shape,
+            3,
         );
     }
 }

@@ -5,36 +5,42 @@
 //! bytes per swap), and re-materialized every reduce group as an owned
 //! `Vec<V>`. This module replaces all three with columnar storage:
 //!
-//! * [`ColumnBuffer`] — keys and values in two contiguous arenas. Map
+//! * `ColumnBuffer` — keys and values in two contiguous arenas. Map
 //!   emit appends to both columns ([`MapOutput::emit`] takes a key and a
 //!   value, never an owned tuple); nothing else in the engine's map and
 //!   shuffle path pushes per-record tuples.
 //! * Sorting computes each record's `u32` destination over the key column
-//!   ([`sort_destinations`]) and moves both columns there in place with
-//!   cycle-following swaps ([`apply_destinations`]) — the ranking never
+//!   (`sort_destinations`) and moves both columns there in place with
+//!   cycle-following swaps (`apply_destinations`) — the ranking never
 //!   moves a value, and the move loop is O(n) swaps. A key type with an
 //!   integer image ([`EstimateSize::ORDER_IMAGE`]) is ranked by counting
 //!   when the bucket's key span is narrow for its length; any other
-//!   bucket by a comparison sort ([`sort_permutation`]).
-//! * [`MapOutput`] — one task's map output: a [`ColumnBuffer`] per reduce
+//!   bucket by a comparison sort (`sort_permutation`).
+//! * [`MapOutput`] — one task's map output: a `ColumnBuffer` per reduce
 //!   partition, filled through the job's partitioner. Map tasks fill one
 //!   each; a [`Collect`] may fill them for the next job.
-//! * [`ColumnRun`] — a sealed, immutable sorted run. The shuffle moves
-//!   these wholesale; reducers open them as [`RunCursor`]s and stream
-//!   each key group through [`GroupValues`] without materializing it.
+//! * `ColumnRun` — a sealed, immutable sorted run. The shuffle moves
+//!   these wholesale; reducers open them as `RunCursor`s and stream
+//!   each key group through [`GroupValues`] without materializing it. A
+//!   join reducer whose small side comes last reads it first
+//!   ([`GroupValues::peek_last`]) and streams the rest.
 //! * [`Collect`] — where a reduce task writes what its reducer emits. The
-//!   row-major `Vec<(K, V)>` callers of [`crate::job::run_job`] expect is
-//!   one collector; a job whose output feeds another job supplies its own,
-//!   and writes the next job's input shards, or the next job's map output,
-//!   directly.
+//!   collectors:
+//!   - `Vec<(K, V)>`, the row-major output callers of
+//!     [`crate::job::run_job`] expect;
+//!   - [`Chunks`], the same records in chunks that each stay below the
+//!     recycler's threshold, for a job whose output the next job reads as
+//!     shards: no output buffer is ever mapped fresh;
+//!   - a job's own, which writes the next job's input shards, or the
+//!     next job's map output, directly.
 //! * Columns of 128 KiB or more are not the allocator's. They come from
-//!   and go back to the cluster's column recycler ([`crate::recycle`]): a
-//!   hinted bucket and the sort scratch take the best fit on its shelf,
-//!   and a full bucket (unhinted, or filled by a [`Collect`] for the next
-//!   job) grows into one. Sealing trims each bucket to its length and
-//!   hands back the scratch. A reduce task hands back both columns of
-//!   every run it drained ([`RunCursor::into_columns`]; the values stream
-//!   out of a `VecDeque`, so their column comes back whole).
+//!   and go back to the cluster's column recycler (the private `recycle`
+//!   module): a hinted bucket and the sort scratch take the best fit on
+//!   its shelf, and a full bucket (unhinted, or filled by a [`Collect`]
+//!   for the next job) grows into one. Sealing trims each bucket to its
+//!   length and hands back the scratch. A reduce task hands back both
+//!   columns of every run it drained (the values stream out of a
+//!   `VecDeque`, so their column comes back whole).
 //!
 //! Byte accounting is column-wise: `slice_est_bytes(keys) +
 //! slice_est_bytes(vals)` equals the seed's tuple-wise sum exactly
@@ -140,6 +146,71 @@ impl<K: Send, V: Send> Collect<K, V> for Vec<(K, V)> {
     #[inline]
     fn collect(&mut self, key: K, val: V) {
         self.push((key, val));
+    }
+}
+
+/// Row-major output in chunks, for a job whose output the next job reads
+/// as shards: the records in emission order, in `Vec`s that each stay
+/// below the column recycler's threshold, so none is ever a fresh `mmap`
+/// faulted in a page at a time. The first chunk grows from empty as a
+/// `Vec` does, so a small partition holds no more than a `Vec` would; a
+/// full chunk is closed and the next one is allocated whole. The chunk
+/// length follows from the threshold and the record size alone.
+pub struct Chunks<K, V> {
+    full: Vec<Vec<(K, V)>>,
+    open: Vec<(K, V)>,
+}
+
+impl<K, V> Default for Chunks<K, V> {
+    fn default() -> Self {
+        Chunks {
+            full: Vec::new(),
+            open: Vec::new(),
+        }
+    }
+}
+
+impl<K, V> Chunks<K, V> {
+    /// Records a chunk holds at most.
+    #[must_use]
+    pub fn chunk_len() -> usize {
+        recycle::below_threshold::<(K, V)>()
+    }
+
+    /// The chunks, in emission order: none when nothing was collected,
+    /// and only the last one short of [`Chunks::chunk_len`].
+    #[must_use]
+    pub fn into_chunks(self) -> Vec<Vec<(K, V)>> {
+        let mut chunks = self.full;
+        if !self.open.is_empty() {
+            chunks.push(self.open);
+        }
+        chunks
+    }
+
+    /// Make room for one more record in the full open chunk: double it
+    /// as `Vec` does, up to the chunk length, else close it.
+    #[cold]
+    fn make_room(&mut self) {
+        let (capacity, most) = (self.open.capacity(), Self::chunk_len());
+        if capacity.saturating_mul(2) <= most {
+            self.open.reserve(1);
+        } else if capacity < most {
+            self.open.reserve_exact(most - capacity);
+        } else {
+            let next = Vec::with_capacity(most);
+            self.full.push(std::mem::replace(&mut self.open, next));
+        }
+    }
+}
+
+impl<K: Send, V: Send> Collect<K, V> for Chunks<K, V> {
+    #[inline]
+    fn collect(&mut self, key: K, val: V) {
+        if self.open.len() == self.open.capacity() {
+            self.make_room();
+        }
+        self.open.push((key, val));
     }
 }
 
@@ -580,6 +651,25 @@ impl<'a, K: Ord, V> GroupValues<'a, K, V> {
     pub fn is_empty(&self) -> bool {
         self.remaining == 0
     }
+
+    /// The group's last value, by reference, before or during iteration;
+    /// `None` once the group is drained. A join reducer whose small side
+    /// is presented after the records it joins reads it here, then
+    /// streams the records without holding the group.
+    pub fn peek_last(&self) -> Option<&V> {
+        if self.remaining == 0 {
+            return None;
+        }
+        // The last run holding any of the group: the current one, of
+        // which `left` values remain, or a later one not yet touched.
+        let last = self.counts.iter().rposition(|&c| c > 0)?;
+        let held = if last == self.run {
+            self.left
+        } else {
+            self.counts[last]
+        };
+        self.cursors[last].pending_vals().get(held as usize - 1)
+    }
 }
 
 impl<K: Ord, V> Iterator for GroupValues<'_, K, V> {
@@ -711,6 +801,165 @@ mod tests {
         assert!(cursors.iter().all(|c| c.peek_key().is_none()));
     }
 
+    /// Collect `n` records `(i, 2i)` into both collectors.
+    fn collected(n: u64) -> (Chunks<u64, u64>, Vec<(u64, u64)>) {
+        let (mut chunks, mut vec) = (Chunks::default(), Vec::new());
+        for i in 0..n {
+            chunks.collect(i, 2 * i);
+            vec.collect(i, 2 * i);
+        }
+        (chunks, vec)
+    }
+
+    #[test]
+    fn arena_chunks_stay_under_the_threshold_and_concatenate_to_the_vec() {
+        let most = Chunks::<u64, u64>::chunk_len();
+        assert_eq!(most, recycle::below_threshold::<(u64, u64)>());
+        for n in [most - 1, most, most + 1, 2 * most, 5 * most / 2] {
+            let (chunks, vec) = collected(n as u64);
+            let chunks = chunks.into_chunks();
+            assert_eq!(chunks.len(), n.div_ceil(most), "{n} records");
+            for chunk in &chunks {
+                assert!(!recycle::takes_part::<(u64, u64)>(chunk.capacity()));
+            }
+            assert!(chunks[..chunks.len() - 1].iter().all(|c| c.len() == most));
+            assert_eq!(chunks.concat(), vec, "{n} records");
+        }
+    }
+
+    #[test]
+    fn arena_chunks_of_a_small_partition_allocate_no_more_than_a_vec() {
+        let most = Chunks::<u64, u64>::chunk_len();
+        for n in [0, 1, 3, 4, 5, 9, 100, 1000, most / 2 + 1] {
+            let (chunks, vec) = collected(n as u64);
+            let chunks = chunks.into_chunks();
+            let capacity: usize = chunks.iter().map(Vec::capacity).sum();
+            assert!(
+                capacity <= vec.capacity(),
+                "{n}: {capacity} > {}",
+                vec.capacity()
+            );
+            assert_eq!(chunks.len(), usize::from(n > 0));
+            assert_eq!(chunks.concat(), vec);
+        }
+    }
+
+    /// A job whose partitions outgrow a chunk writes each as several
+    /// chunks, in order: partition by partition, they are the `Vec`
+    /// collector's output.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn arena_chunks_of_a_job_concatenate_to_the_vec_collector() {
+        use crate::job::{run_job_collect, JobSpec};
+        use crate::{Cluster, ClusterConfig};
+        let cluster = Cluster::new(ClusterConfig::with_machines(2));
+        let most = Chunks::<u64, u64>::chunk_len() as u64;
+        let input: Vec<(u64, u64)> = (0..3 * most).map(|i| (i % 7, i)).collect();
+        let map = |k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v);
+        let reduce =
+            |k: &u64, vals: &mut GroupValues<'_, u64, u64>, emit: &mut dyn FnMut(u64, u64)| {
+                vals.for_each(|v| emit(*k, v));
+            };
+        let chunked: Vec<Chunks<u64, u64>> = run_job_collect(
+            &cluster,
+            JobSpec::named("chunks"),
+            input.as_slice(),
+            map,
+            reduce,
+        )
+        .expect("job runs");
+        let whole: Vec<Vec<(u64, u64)>> = run_job_collect(
+            &cluster,
+            JobSpec::named("vec"),
+            input.as_slice(),
+            map,
+            reduce,
+        )
+        .expect("job runs");
+        assert_eq!(chunked.len(), whole.len());
+        let mut several = 0;
+        for (chunks, partition) in chunked.into_iter().zip(whole) {
+            let chunks = chunks.into_chunks();
+            several += usize::from(chunks.len() > 1);
+            assert_eq!(chunks.len(), partition.len().div_ceil(most as usize));
+            assert_eq!(chunks.concat(), partition);
+        }
+        assert!(several > 0, "no partition outgrew a chunk");
+    }
+
+    /// Cursors over `runs` of `(records of key 0, records of key 1)`, the
+    /// values numbered in run order, and the values of key 0 in order.
+    fn split_runs(runs: &[(usize, usize)]) -> (Vec<RunCursor<u64, u64>>, Vec<u64>) {
+        let mut next = 0u64;
+        let mut group = Vec::new();
+        let cursors = runs
+            .iter()
+            .map(|&(held, after)| {
+                let keys: Vec<u64> = (0..held + after).map(|r| u64::from(r >= held)).collect();
+                let vals: Vec<u64> = (next..next + keys.len() as u64).collect();
+                group.extend_from_slice(&vals[..held]);
+                next += keys.len() as u64;
+                RunCursor::from_columns(keys, vals)
+            })
+            .collect();
+        (cursors, group)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+        /// Before and at every step of iteration, `peek_last` is the last
+        /// value `collect` would yield, whichever runs hold the group
+        /// (runs holding none of it included); `None` once drained.
+        #[test]
+        fn arena_peek_last_is_the_last_value_of_the_group(
+            runs in vec((0usize..4, 0usize..3), 1..6),
+        ) {
+            let (mut cursors, want) = split_runs(&runs);
+            let counts: Vec<u32> = runs.iter().map(|&(held, _)| held as u32).collect();
+            let mut group = GroupValues::new(&mut cursors, &0, &counts, want.len());
+            for at in 0..want.len() {
+                prop_assert_eq!(group.peek_last(), want.last());
+                prop_assert_eq!(group.next(), Some(want[at]));
+            }
+            prop_assert_eq!(group.peek_last(), None);
+            prop_assert_eq!(group.next(), None);
+            prop_assert_eq!(group.peek_last(), None);
+        }
+    }
+
+    /// The engine's merged groups and the reference executor's one-cursor
+    /// groups peek the same last value their reducers then collect.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn arena_peek_last_in_the_engine_and_the_reference_executor() {
+        use crate::job::{run_job_streaming, JobSpec};
+        use crate::reference::run_job_reference_streaming;
+        use crate::{Cluster, ClusterConfig};
+        let input: Vec<(u64, u64)> = (0..500).map(|i| (i * i % 13, i)).collect();
+        let map = |k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v);
+        let reduce =
+            |k: &u64, vals: &mut GroupValues<'_, u64, u64>, emit: &mut dyn FnMut(u64, u64)| {
+                let last = vals.peek_last().copied();
+                let first = vals.next();
+                assert_eq!(
+                    vals.peek_last().copied(),
+                    last.filter(|_| !GroupValues::is_empty(vals))
+                );
+                let rest: Vec<u64> = vals.collect();
+                assert_eq!(rest.last().or(first.as_ref()).copied(), last);
+                emit(*k, last.expect("a group holds a value"));
+            };
+        let cluster = Cluster::new(ClusterConfig::with_machines(4));
+        let engine = run_job_streaming(&cluster, JobSpec::named("peek"), &input, map, reduce);
+        let reference =
+            run_job_reference_streaming(&cluster, JobSpec::named("peek"), &input, map, reduce);
+        assert_eq!(
+            engine.expect("engine runs"),
+            reference.expect("reference runs")
+        );
+    }
+
     #[test]
     fn cursor_gives_back_both_columns() {
         let keys = vec![1u64, 1, 2];
@@ -747,6 +996,8 @@ mod tests {
         assert!(counts(10, 10 * narrow - 1));
         assert!(!counts(10, 10 * narrow));
         assert!(!counts(u32::MAX as usize, u64::MAX));
+        // `CooTensor3::permute` ranks coordinates by the same rule.
+        assert_eq!(narrow, haten2_tensor::coo3::COUNTING_SPAN_PER_ENTRY);
     }
 
     /// The dispatcher's ranking of `keys`, and counting's forced whenever

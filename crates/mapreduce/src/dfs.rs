@@ -722,7 +722,7 @@ impl Dfs {
     /// stored type differs from `T`, or when a durable read fails (use
     /// [`Dfs::get_required`] to observe the typed error). Each call
     /// counts as one full read of the dataset, metered at snapshot time
-    /// (see [`Dfs::snapshot`]).
+    /// (see `Dfs::snapshot`).
     pub fn get<T>(&self, name: &str) -> Option<Arc<Vec<T>>>
     where
         T: Persist + Send + Sync + 'static,

@@ -14,7 +14,7 @@
 //! per-record tuple allocation), sorts each bucket by ranking every
 //! record's `u32` destination (by counting for an integer key of narrow
 //! span, by comparison otherwise), and hands the buckets to the shuffle as whole
-//! sealed [`crate::arena::ColumnRun`]s — the shuffle moves column `Vec`s, never
+//! sealed `ColumnRun`s — the shuffle moves column `Vec`s, never
 //! records, and its byte accounting is aggregated per bucket rather than
 //! per record. Reducers merge their partition's sorted runs instead of
 //! re-sorting, streaming each key group through [`GroupValues`] so a group
@@ -68,7 +68,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-pub use crate::arena::{Collect, GroupValues, MapOutput};
+pub use crate::arena::{Chunks, Collect, GroupValues, MapOutput};
 
 /// Per-record framing overhead (key length + value length prefixes), bytes.
 /// Public because the static plan analyzer reconstructs the engine's byte
@@ -267,7 +267,7 @@ pub(crate) fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
 }
 
 /// The reduce partition `key` is shuffled to among `slices` (clamped to at
-/// least 1): the *same* FNV-1a hash + modulus the shuffle [`Partitioner`]
+/// least 1): the *same* FNV-1a hash + modulus the shuffle `Partitioner`
 /// uses, so a caller can build inputs whose keys land on chosen partitions.
 #[must_use]
 pub fn key_slice<K: Hash>(key: &K, slices: usize) -> usize {

@@ -73,7 +73,7 @@ pub mod reference;
 pub mod sched;
 pub mod size;
 
-pub use arena::{Collect, GroupValues, MapOutput};
+pub use arena::{Chunks, Collect, GroupValues, MapOutput};
 pub use cluster::{Cluster, ClusterConfig, CostModel, SchedulerMode};
 pub use dfs::{Block, Dfs, DfsBackend, DurableConfig, SpillStats};
 pub use fault::{FaultPlan, JobFaultSchedule, RetryPolicy, TaskFaults};

@@ -14,7 +14,9 @@
 //!
 //! * only columns of at least [`MIN_BYTES`] take part. Smaller ones come
 //!   back from malloc's heap without a fault, and a job that touches no
-//!   large column never takes the recycler's lock;
+//!   large column never takes the recycler's lock. A collector that
+//!   stays out writes columns of at most [`below_threshold`] elements
+//!   (`arena::Chunks`, a reduce task's output);
 //! * a sealed bucket is trimmed to its length before it is shuffled
 //!   ([`crate::arena`]), so spare capacity does not travel;
 //! * a column no job has taken by the end of the job after the one that
@@ -48,8 +50,18 @@ fn bytes_of<T>(capacity: usize) -> usize {
 }
 
 /// Whether a column of `capacity` elements of `T` takes part.
-fn takes_part<T>(capacity: usize) -> bool {
+pub(crate) fn takes_part<T>(capacity: usize) -> bool {
     bytes_of::<T>(capacity) >= MIN_BYTES
+}
+
+/// The most elements of `T` a column can hold and still come from
+/// malloc's heap: its bytes plus the allocator's block overhead (a size
+/// word, then rounding up to two-word alignment) stay under
+/// [`MIN_BYTES`]. A column that never grows past this never takes part
+/// and is never mapped; at least one element.
+pub(crate) fn below_threshold<T>() -> usize {
+    let overhead = 3 * std::mem::size_of::<usize>();
+    ((MIN_BYTES - overhead) / std::mem::size_of::<T>().max(1)).max(1)
 }
 
 /// An empty column on the shelf.
@@ -404,6 +416,29 @@ mod tests {
         let (recycled, fresh) = job.bytes();
         assert_eq!(recycled, 8 * n * 8);
         assert_eq!(fresh, (other.capacity() - n) * 8);
+    }
+
+    #[test]
+    fn recycle_below_threshold_stays_out() {
+        fn check<T>() {
+            let most = below_threshold::<T>();
+            assert!(!takes_part::<T>(most));
+            // A block of that many bytes plus a size word, rounded up to
+            // two words, is still under the threshold.
+            let word = std::mem::size_of::<usize>();
+            let block = (bytes_of::<T>(most) + word).div_ceil(2 * word) * 2 * word;
+            assert!(block < MIN_BYTES, "{block} bytes");
+        }
+        check::<u8>();
+        check::<u64>();
+        check::<(u64, u64)>();
+        check::<((u64, u64, u64, u64), f64)>();
+        check::<[u8; 3]>();
+        assert_eq!(below_threshold::<[u8; MIN_BYTES]>(), 1);
+        assert_eq!(
+            below_threshold::<()>(),
+            MIN_BYTES - 3 * std::mem::size_of::<usize>()
+        );
     }
 
     #[test]

@@ -66,7 +66,7 @@
 //!
 //! **Pool split.** Scheduler workers and the jobs' own map/reduce tasks
 //! share one pool. [`Batch::run`] splits it statically per *dependency
-//! level* ([`level_split`]): a job alone at its depth keeps every
+//! level* (`level_split`): a job alone at its depth keeps every
 //! executor, a level at least `threads` wide runs its jobs' tasks inline,
 //! and no more scheduler workers start than the widest level holds — a
 //! chain drains on the caller alone. The grant is recorded as
@@ -339,7 +339,7 @@ impl BatchResults {
 
 /// A batch of jobs with declared dataset read/write sets, executed by
 /// [`Batch::run`] according to the cluster's
-/// [`SchedulerMode`](crate::cluster::SchedulerMode).
+/// [`SchedulerMode`].
 ///
 /// ```
 /// use haten2_mapreduce::{run_job, Batch, Cluster, ClusterConfig, JobSpec};
@@ -553,7 +553,7 @@ impl<'a> Batch<'a> {
     }
 
     /// Execute the batch on `cluster` per its configured
-    /// [`SchedulerMode`](crate::cluster::SchedulerMode). On success every
+    /// [`SchedulerMode`]. On success every
     /// job's metrics are recorded in submission order and a
     /// [`BatchReport`] is pushed; on failure the error of the
     /// (submission-order) first failed job is returned, with exactly the

@@ -34,6 +34,56 @@ impl Entry3 {
     }
 }
 
+/// Counting ranks a mode whose extent is below this many counters per
+/// entry; a wider one is ranked by comparison. The engine ranks its
+/// shuffle buckets by the same rule (`haten2_mapreduce::arena`), measured
+/// there: past it, the counters outgrow the records they rank.
+pub const COUNTING_SPAN_PER_ENTRY: u64 = 16;
+
+/// Sort `entries`, every index within `dims`, stably by `(i, j, k)`: by
+/// three stable counting passes — `k`, then `j`, then `i` — when every
+/// extent is narrow for their number, by comparison otherwise. Entries of
+/// one coordinate keep their order either way.
+fn sort_coordinates(entries: &mut Vec<Entry3>, dims: [u64; 3]) {
+    if !counts(entries.len(), dims) {
+        entries.sort_by_key(|e| (e.i, e.j, e.k));
+        return;
+    }
+    let mut scratch = Vec::new();
+    counting_pass(entries, &mut scratch, dims[2], |e| e.k);
+    counting_pass(&scratch, entries, dims[1], |e| e.j);
+    counting_pass(entries, &mut scratch, dims[0], |e| e.i);
+    *entries = scratch;
+}
+
+/// Whether `len` entries within `dims` are ranked by counting: every
+/// extent is narrow for their number.
+fn counts(len: usize, dims: [u64; 3]) -> bool {
+    let most = (len as u64).saturating_mul(COUNTING_SPAN_PER_ENTRY);
+    dims.iter().all(|&extent| extent < most)
+}
+
+/// `src` into `dst` stably by `key`, every key below `extent`: one counter
+/// per key turned into its first position, then each entry to its key's
+/// next free one.
+fn counting_pass(src: &[Entry3], dst: &mut Vec<Entry3>, extent: u64, key: impl Fn(&Entry3) -> u64) {
+    let mut next = vec![0usize; extent as usize];
+    for e in src {
+        next[key(e) as usize] += 1;
+    }
+    let mut sum = 0;
+    for c in &mut next {
+        (sum, *c) = (sum + *c, sum);
+    }
+    dst.clear();
+    dst.resize(src.len(), Entry3::new(0, 0, 0, 0.0));
+    for e in src {
+        let slot = &mut next[key(e) as usize];
+        dst[*slot] = *e;
+        *slot += 1;
+    }
+}
+
 /// A 3-way sparse tensor `X ∈ ℝ^{I×J×K}` stored as a coordinate list.
 ///
 /// Invariants: every stored entry is within bounds and has a nonzero value;
@@ -259,9 +309,11 @@ impl CooTensor3 {
     ///
     /// The result is the tensor [`CooTensor3::from_entries`] builds from the
     /// permuted entries, entry for entry and bit for bit, without hashing
-    /// every coordinate to get there: the entries are stably sorted and
-    /// coordinates left coinciding by [`CooTensor3::push_unchecked`] are
-    /// summed in stored order, the order `from_entries` adds them in.
+    /// every coordinate to get there: the entries are stably sorted — by
+    /// counting when every extent is narrow for their number
+    /// ([`COUNTING_SPAN_PER_ENTRY`]) — and coordinates left coinciding by
+    /// [`CooTensor3::push_unchecked`] are summed in stored order, the order
+    /// `from_entries` adds them in.
     pub fn permute(&self, perm: [usize; 3]) -> Result<CooTensor3> {
         let mut seen = [false; 3];
         for &p in &perm {
@@ -285,23 +337,20 @@ impl CooTensor3 {
             }
             entries.push(Entry3::new(i, j, k, e.v));
         }
-        entries.sort_by_key(|e| (e.i, e.j, e.k));
-        // Fold each run of equal coordinates into its first entry, then
-        // drop what summed to zero. (`from_entries` starts each sum from
-        // `0.0`, which differs only for a `-0.0` that is dropped either
-        // way.)
-        let mut merged: Vec<Entry3> = Vec::with_capacity(entries.len());
-        for e in entries {
-            match merged.last_mut() {
-                Some(last) if (last.i, last.j, last.k) == (e.i, e.j, e.k) => last.v += e.v,
-                _ => merged.push(e),
+        sort_coordinates(&mut entries, dims);
+        // Fold each run of equal coordinates into its first entry, in
+        // place, then drop what summed to zero. (`from_entries` starts
+        // each sum from `0.0`, which differs only for a `-0.0` that is
+        // dropped either way.)
+        entries.dedup_by(|e, kept| {
+            let same = (e.i, e.j, e.k) == (kept.i, kept.j, kept.k);
+            if same {
+                kept.v += e.v;
             }
-        }
-        merged.retain(|e| e.v != 0.0);
-        Ok(CooTensor3 {
-            dims,
-            entries: merged,
-        })
+            same
+        });
+        entries.retain(|e| e.v != 0.0);
+        Ok(CooTensor3 { dims, entries })
     }
 
     /// Elementwise sum of two same-shaped sparse tensors.
@@ -559,6 +608,103 @@ mod tests {
         dup.push_unchecked(Entry3::new(0, 1, 0, -4.0));
         let p = dup.permute([2, 1, 0]).unwrap();
         assert_eq!(p.entries(), [Entry3::new(1, 0, 1, 2.25)]);
+    }
+
+    /// `permute` as it stood before it ranked by counting: a stable
+    /// comparison sort, then the duplicates folded into a second `Vec`.
+    fn permute_by_comparison(t: &CooTensor3, perm: [usize; 3]) -> CooTensor3 {
+        let d = t.dims;
+        let dims = [d[perm[0]], d[perm[1]], d[perm[2]]];
+        let mut entries: Vec<Entry3> = t
+            .entries
+            .iter()
+            .map(|e| Entry3::new(e.index(perm[0]), e.index(perm[1]), e.index(perm[2]), e.v))
+            .collect();
+        entries.sort_by_key(|e| (e.i, e.j, e.k));
+        let mut merged: Vec<Entry3> = Vec::with_capacity(entries.len());
+        for e in entries {
+            match merged.last_mut() {
+                Some(last) if (last.i, last.j, last.k) == (e.i, e.j, e.k) => last.v += e.v,
+                _ => merged.push(e),
+            }
+        }
+        merged.retain(|e| e.v != 0.0);
+        CooTensor3 {
+            dims,
+            entries: merged,
+        }
+    }
+
+    /// Values that cancel in pairs, round differently summed in another
+    /// order, or are a signed zero.
+    const DRAWN: [f64; 8] = [1.0, -1.0, 0.1, -0.1, 1.0 / 3.0, 2.5, -2.5, -0.0];
+
+    const PERMS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Counting and the comparison fallback both give the comparison
+        /// sort's tensor, bit for bit: its order, duplicates summed in
+        /// arrival order, zero sums dropped. Small extents make coinciding
+        /// coordinates; `wide` (3: none) gives one mode an extent past the
+        /// counting cutoff, its indices still colliding.
+        #[test]
+        fn permute_equals_the_comparison_sort(
+            extents in proptest::collection::vec(1u64..6, 3),
+            wide in 0usize..4,
+            perm in 0usize..6,
+            raw in proptest::collection::vec((0u64..64, 0u64..64, 0u64..64, 0usize..DRAWN.len()), 0..80),
+        ) {
+            let wide_extent = (raw.len() as u64 + 1) * COUNTING_SPAN_PER_ENTRY + 7;
+            let mut dims = [extents[0], extents[1], extents[2]];
+            if wide < 3 {
+                dims[wide] = wide_extent;
+            }
+            let index = |mode: usize, r: u64| match mode == wide {
+                true => (r % 4) * (wide_extent / 4),
+                false => r % dims[mode],
+            };
+            let mut t = CooTensor3::new(dims);
+            for &(i, j, k, x) in &raw {
+                t.push_unchecked(Entry3::new(index(0, i), index(1, j), index(2, k), DRAWN[x]));
+            }
+            let bits = |t: &CooTensor3| -> Vec<(u64, u64, u64, u64)> {
+                t.entries.iter().map(|e| (e.i, e.j, e.k, e.v.to_bits())).collect()
+            };
+            let want = permute_by_comparison(&t, PERMS[perm]);
+            let got = t.permute(PERMS[perm]).expect("a permutation of in-bounds entries");
+            proptest::prop_assert_eq!(got.dims, want.dims);
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    #[test]
+    fn permute_counts_when_every_extent_is_narrow() {
+        assert!(counts(40, [639, 1, 639]));
+        assert!(!counts(40, [639, 640, 1]));
+        assert!(!counts(0, [1, 1, 1]));
+        assert!(!counts(usize::MAX, [u64::MAX, 1, 1]));
+        // 40 entries: extents up to 639 count, one of 640 compares. Both
+        // give the comparison sort's tensor.
+        for extent in [639, 640] {
+            let mut t = CooTensor3::new([639, 5, extent]);
+            for n in 0..40u64 {
+                let (i, k) = ((n * 37) % 639, (n * 53) % 639);
+                t.push_unchecked(Entry3::new(i, n % 5, k, 1.0 + n as f64));
+            }
+            for perm in PERMS {
+                let want = permute_by_comparison(&t, perm);
+                assert_eq!(t.permute(perm).unwrap(), want, "{extent} {perm:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 # below top to bottom and stops at the first failure. `cargo test -q`
 # covers the whole workspace (root `default-members`), the `ANALYSIS.md`
 # staleness test included. Clippy's `-D warnings` holds the `clippy.toml`
-# rules, and the canary row keeps each of them falsifiable. The two perf
+# rules, and the canary row keeps each of them falsifiable; rustdoc's
+# `-D warnings` keeps every intra-doc link resolving. The two perf
 # rows are the repo's benchmark (`BENCHMARK.json`) in its quick mode:
 # `run`, whose samples check themselves against the Sequential oracle and
 # `haten2-baseline`, and `trace`, whose re-assembled sweeps (the one caller
@@ -19,8 +20,9 @@
 # pool split, parallel-reduce failure, the durable DFS's block-parallel
 # reload — concurrent and nested in a job — the eight pipelines end to end
 # through the one submitter, and the N-way fronts on the same kernels) and
-# Miri over the arena (the run cursor that hands its columns back
-# included) and the in-place assembly of a reloaded
+# Miri over the arena (the run cursor that hands its columns back, the
+# chunked reduce collector and `GroupValues::peek_last` included) and the
+# in-place assembly of a reloaded
 # dataset (`fill.rs`, one of the crate's two unsafe sites). Both
 # need nightly tooling; each step is skipped with a notice when its
 # toolchain component is absent, so the lane degrades gracefully on
@@ -90,6 +92,7 @@ GATES=(
     "order-4 end to end (N-way PARAFAC + Tucker; tier-1 only compiles it)|cargo run --release --example four_way_logs"
     "clippy|cargo clippy --workspace --all-targets -- -D warnings"
     "rustfmt|cargo fmt --check"
+    "rustdoc (warnings are errors: dead intra-doc links, links to private items)|env RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps --workspace"
     "chaos smoke (fault transparency)|cargo run -p haten2-chaos --release --bin haten2-chaos -- --seeds 2 --seed-base 7"
     "clippy canary (each disallowed-* entry fires exactly once under each clippy.toml)|scripts/clippy_canary.sh"
     "analyze (paper tables with the determinism scan inside, reject demo)|cargo run -q -p haten2-analyze --release -- --verify-paper-table --reject-demo"

@@ -5,7 +5,7 @@ use crate::TestRng;
 use rand::Rng;
 use std::ops::{Range, RangeInclusive};
 
-/// Anything usable as the size argument of [`vec`]: a fixed length or a
+/// Anything usable as the size argument of [`vec()`]: a fixed length or a
 /// range of lengths.
 pub trait SizeRange {
     /// Draw a concrete length.
