@@ -1,15 +1,14 @@
 //! CLI for the static plan analyzer.
 //!
 //! * `--verify-paper-table` — check all eight registered pipelines against
-//!   the paper's Tables III/IV and the communication bounds, run the
-//!   determinism scan, and print the markdown report (committed as
-//!   `ANALYSIS.md`; regenerate it with `cargo run -q -p haten2-analyze
-//!   --release -- --verify-paper-table > ANALYSIS.md`). Exits non-zero on
-//!   any violation, the determinism scan's included.
+//!   the paper's Tables III/IV and the communication bounds, and print
+//!   the markdown report (committed as `ANALYSIS.md`; regenerate it with
+//!   `cargo run -q -p haten2-analyze --release -- --verify-paper-table >
+//!   ANALYSIS.md`). Exits non-zero on any violation.
 //! * `--reject-demo` — run every row of the known-bad plan table
 //!   (`haten2_analyze::demo`) through the passes its claim selects and
 //!   print the diagnostics, proving that defective plans — mis-wired
-//!   dataflow, cost and annotation lies, wrong or under-declared shuffle
+//!   dataflow, cost lies, wrong or under-declared shuffle
 //!   volumes — are rejected naming the offender. Exits non-zero if any
 //!   row is not rejected as it demands.
 
@@ -21,9 +20,9 @@ fn usage() -> ExitCode {
         "usage: haten2-analyze [--verify-paper-table] [--reject-demo]\n\
          \n\
          --verify-paper-table  verify all 8 pipelines against the paper's cost\n\
-         \x20                     tables and communication bounds, scan UDF\n\
-         \x20                     purity, and print the report (the committed\n\
-         \x20                     ANALYSIS.md: --verify-paper-table > ANALYSIS.md)\n\
+         \x20                     tables and communication bounds, and print\n\
+         \x20                     the report (the committed ANALYSIS.md:\n\
+         \x20                     --verify-paper-table > ANALYSIS.md)\n\
          --reject-demo         show that every known-bad plan is rejected\n\
          \x20                     with diagnostics naming the offender"
     );

@@ -5,15 +5,13 @@
 
 use crate::comm::{check_comm, shuffle_claim};
 use crate::cost::{paper_claim, PaperClaim};
-use crate::determinism::check_plan_consistency;
 use crate::{analyze_graph, Violation};
 use haten2_core::{comm_for, plan_for, CommSpec, Decomp, Variant};
 use haten2_mapreduce::{Env, JobGraph, PlanJob, SymExpr};
 
 /// The claim a known-bad plan is held to; it picks the passes that run.
 pub enum Claim {
-    /// A paper row (Tables III/IV): the dataflow, cost and
-    /// plan-annotation passes.
+    /// A paper row (Tables III/IV): the dataflow and cost passes.
     Paper(PaperClaim),
     /// A closed-form shuffle volume and the spec whose lower bounds apply:
     /// the communication pass.
@@ -45,11 +43,7 @@ impl Rejection {
     /// Run the passes the claim selects over `envs`.
     pub fn run(&self, envs: &[Env]) -> Vec<Violation> {
         match &self.claim {
-            Claim::Paper(claim) => {
-                let mut v = analyze_graph(&self.graph, claim, envs);
-                v.extend(check_plan_consistency(&self.graph));
-                v
-            }
+            Claim::Paper(claim) => analyze_graph(&self.graph, claim, envs),
             Claim::Comm { shuffle, spec } => check_comm(&self.graph, shuffle, spec, envs),
         }
     }
@@ -141,19 +135,6 @@ pub fn rejections() -> Vec<Rejection> {
         must_name: "tucker-dri(double-merge)",
     });
 
-    // The merge's float reduction is registered commutative-associative,
-    // but the plan no longer says so.
-    let mut g = plan_for(Decomp::Tucker, Variant::Dri);
-    g.name = "tucker-dri(unflagged-merge)".to_string();
-    g.jobs[1].comm_assoc = false;
-    out.push(Rejection {
-        defect: "crossmerge drops its comm_assoc flag, which the reducer registry sets",
-        graph: g,
-        claim: dri_claim(Decomp::Tucker),
-        fires: &["annotation-mismatch"],
-        must_name: "tucker-dri-crossmerge",
-    });
-
     // The DRI pipeline claimed with the DRN closed form: job integration
     // is exactly what separates their shuffle volumes.
     out.push(Rejection {
@@ -184,7 +165,6 @@ pub fn rejections() -> Vec<Rejection> {
             PlanJob::new("merge")
                 .reads(["t"])
                 .writes(["y"])
-                .comm_assoc()
                 .emits(n(), SymExpr::c(49) * n()),
         );
     out.push(Rejection {
@@ -229,14 +209,13 @@ mod tests {
     use crate::cost::regime_envs;
 
     /// The plan-level violation kinds; each must have a row.
-    const PLAN_KINDS: [&str; 9] = [
+    const PLAN_KINDS: [&str; 8] = [
         "dangling-read",
         "lost-write",
         "unused-dataset",
         "cost-mismatch",
         "job-count-mismatch",
         "tensor-read-mismatch",
-        "annotation-mismatch",
         "shuffle-mismatch",
         "comm-bound-exceeded",
     ];

@@ -30,18 +30,16 @@
 //!   lower bounds (memory-independent and memory-dependent) from the
 //!   pipeline's registered [`haten2_core::CommSpec`], and certifies the
 //!   symbolic gap ratio.
-//! * **Determinism pass** ([`determinism::check_determinism`]) — scans
-//!   the map/reduce closures of the pipelines' kernels (via
-//!   `haten2-srcscan`) for UDF impurity: unordered `HashMap`/`HashSet`
-//!   iteration feeding emits, wall-clock reads, thread-id dependence, and
-//!   float reductions not declared commutative-associative in plan
-//!   metadata (each declaration is property-checked by a generated
-//!   proptest per reducer). A source file it cannot read fails the pass.
 //!
 //! Source-level rules (no raw threads outside the `WorkerPool`, no
-//! `DefaultHasher`, no direct file I/O in the engine and drivers) are not a
-//! pass here: they are clippy's `disallowed-*` lints, set in the
+//! `DefaultHasher`, no direct file I/O in the engine and drivers, and in
+//! the drivers no clock, thread identity or hash-container iteration) are
+//! not a pass here: they are clippy's `disallowed-*` lints, set in the
 //! workspace's `clippy.toml` files.
+//!
+//! Determinism is not a pass either: the engine hands a key group's values
+//! to its reducer in one fixed order whatever the schedule, so a task's
+//! re-execution reproduces its output (DESIGN.md §6).
 //!
 //! Races are not a static pass: the engine rules them out where jobs run
 //! (`haten2_mapreduce::sched`), refusing any read of an undeclared
@@ -49,7 +47,7 @@
 //! job.
 //!
 //! Every violation is a [`Violation`] whose `Display` names the offending
-//! job, dataset, or source site. `cargo run -p haten2-analyze --
+//! job, dataset or graph. `cargo run -p haten2-analyze --
 //! --verify-paper-table` renders the full verification report (committed
 //! as `ANALYSIS.md`; `report::tests::committed_analysis_md_is_current`
 //! fails when it is stale);
@@ -62,14 +60,12 @@ pub mod comm;
 pub mod cost;
 pub mod dataflow;
 pub mod demo;
-pub mod determinism;
 pub mod io;
 pub mod report;
 
 pub use comm::{check_comm, comm_table, shuffle_claim, CommRow};
 pub use cost::{paper_claim, regime_envs, PaperClaim};
 pub use dataflow::check_dataflow;
-pub use determinism::{check_determinism, check_plan_consistency, DeterminismReport};
 pub use io::{durable_io_table, tensor_record_bytes, DurableIoRow};
 pub use report::{verify_paper_table, Report, RowVerdict};
 
@@ -152,41 +148,6 @@ pub enum Violation {
         /// Claimed value on `env`.
         claimed_val: u128,
     },
-    /// A map/reduce closure contains a nondeterminism source (unordered
-    /// iteration feeding emits, wall clock, thread identity, or an
-    /// undeclared float reduction).
-    NondeterministicUdf {
-        /// Source file of the closure.
-        file: String,
-        /// 1-based line of the offending token.
-        line: usize,
-        /// Purity rule id.
-        rule: String,
-        /// Reducer/mapper site label.
-        site: String,
-        /// Rule rationale.
-        message: String,
-    },
-    /// A source file the determinism pass must scan could not be read as
-    /// UTF-8 text, so its closures went unchecked.
-    UnreadableSource {
-        /// The file.
-        file: String,
-        /// Why reading it failed.
-        error: String,
-    },
-    /// A plan's `comm_assoc` flag disagrees with the reducer-annotation
-    /// registry (in either direction).
-    AnnotationMismatch {
-        /// Graph the job belongs to.
-        graph: String,
-        /// Offending job template.
-        job: String,
-        /// The reducer op named by the plan.
-        op: String,
-        /// What disagrees.
-        detail: String,
-    },
     /// The graph-derived total shuffle volume disagrees with the
     /// hand-reconstructed closed form on some regime environment.
     ShuffleMismatch {
@@ -233,9 +194,6 @@ impl Violation {
             Violation::CostMismatch { .. } => "cost-mismatch",
             Violation::JobCountMismatch { .. } => "job-count-mismatch",
             Violation::TensorReadMismatch { .. } => "tensor-read-mismatch",
-            Violation::NondeterministicUdf { .. } => "nondeterministic-udf",
-            Violation::UnreadableSource { .. } => "unreadable-source",
-            Violation::AnnotationMismatch { .. } => "annotation-mismatch",
             Violation::ShuffleMismatch { .. } => "shuffle-mismatch",
             Violation::CommBoundExceeded { .. } => "comm-bound-exceeded",
         }
@@ -312,32 +270,6 @@ impl std::fmt::Display for Violation {
                  {claimed}; at {} the jobs read the big input {derived_val} times but \
                  the variant claims {claimed_val}",
                 fmt_env(env)
-            ),
-            Violation::NondeterministicUdf {
-                file,
-                line,
-                rule,
-                site,
-                message,
-            } => write!(
-                f,
-                "nondeterministic UDF at {file}:{line} [{rule}] in site '{site}': \
-                 {message}"
-            ),
-            Violation::UnreadableSource { file, error } => write!(
-                f,
-                "unreadable source: {file} was not scanned for nondeterministic \
-                 UDFs: {error}"
-            ),
-            Violation::AnnotationMismatch {
-                graph,
-                job,
-                op,
-                detail,
-            } => write!(
-                f,
-                "annotation mismatch in graph '{graph}', job '{job}' (op '{op}'): \
-                 {detail}"
             ),
             Violation::ShuffleMismatch {
                 graph,

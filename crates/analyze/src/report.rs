@@ -1,10 +1,9 @@
 //! Full verification report: every registered pipeline against its paper
-//! row, its durable I/O floor and communication bound, and the workspace
-//! determinism scan, rendered as the markdown committed to `ANALYSIS.md`.
+//! row, its durable I/O floor and communication bound, rendered as the
+//! markdown committed to `ANALYSIS.md`.
 
 use crate::comm::{check_comm, comm_table, shuffle_claim, witness_env, CommRow};
 use crate::cost::{paper_claim, regime_envs, PaperClaim};
-use crate::determinism::{check_determinism, DeterminismReport};
 use crate::io::{durable_io_table, tensor_record_bytes, DurableIoRow};
 use crate::{analyze_graph, Violation};
 use haten2_core::{comm_for, plan_for, Decomp, Variant};
@@ -46,16 +45,13 @@ pub struct Report {
     /// Communication violations (shuffle-mismatch / comm-bound-exceeded
     /// across all pipelines; empty = certified).
     pub comm_violations: Vec<Violation>,
-    /// The UDF-purity scan over the workspace sources.
-    pub determinism: DeterminismReport,
 }
 
 impl Report {
     /// `true` when every pipeline matches its paper row and communication
-    /// bound, and the determinism scan is clean.
+    /// bound.
     pub fn ok(&self) -> bool {
         self.rows.iter().all(|r| r.violations.is_empty())
-            && self.determinism.ok()
             && self.comm_violations.is_empty()
             && self.comm.iter().all(|c| !c.gap_unbounded_in_nnz)
     }
@@ -65,7 +61,6 @@ impl Report {
         self.rows
             .iter()
             .flat_map(|r| r.violations.iter())
-            .chain(self.determinism.violations.iter())
             .chain(self.comm_violations.iter())
             .collect()
     }
@@ -245,31 +240,6 @@ impl Report {
              of the paper's §III-B4 claim."
         );
 
-        let _ = writeln!(out);
-        let _ = writeln!(out, "## Determinism");
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "{} source file(s) scanned for nondeterministic UDFs (unordered \
-             iteration feeding emits, wall-clock reads, thread-id \
-             dependence, undeclared float reductions); {} reducer site(s) \
-             seen, of which {} perform float reductions declared \
-             commutative-associative in the plan metadata and covered by \
-             generated property tests. Verdict: {}.",
-            self.determinism.files_scanned,
-            self.determinism.reducers.len(),
-            self.determinism
-                .reducers
-                .iter()
-                .filter(|r| r.has_float_reduction)
-                .count(),
-            if self.determinism.ok() {
-                "clean"
-            } else {
-                "VIOLATED"
-            }
-        );
-
         let violations = self.violations();
         if !violations.is_empty() {
             let _ = writeln!(out);
@@ -284,7 +254,7 @@ impl Report {
 }
 
 /// Verify all eight registered pipelines against the paper's cost tables
-/// and communication bounds, and run the workspace determinism scan.
+/// and communication bounds.
 pub fn verify_paper_table() -> Report {
     let envs = regime_envs();
     let sample = envs[0];
@@ -330,7 +300,6 @@ pub fn verify_paper_table() -> Report {
         durable_io: durable_io_table(),
         comm: comm_table(),
         comm_violations,
-        determinism: check_determinism(),
     }
 }
 
@@ -367,7 +336,6 @@ mod tests {
             "DRI-minimality note missing:\n{md}"
         );
         assert!(!md.contains("UNBOUNDED"));
-        assert!(md.contains("## Determinism"));
     }
 
     /// The committed `ANALYSIS.md` is the report this tree derives, byte

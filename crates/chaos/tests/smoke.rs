@@ -3,7 +3,7 @@
 
 #![allow(clippy::unwrap_used, reason = "test code: unwrap is the assertion")]
 
-use haten2_chaos::{run_chaos, ChaosOptions, Status};
+use haten2_chaos::{run_chaos, ChaosOptions};
 
 #[test]
 fn all_eight_pipelines_are_fault_transparent() {
@@ -33,21 +33,5 @@ fn all_eight_pipelines_are_fault_transparent() {
                 "missing pipeline {label}"
             );
         }
-    }
-}
-
-#[test]
-fn exhausted_runs_are_reported_not_failed() {
-    // A brutal schedule: tiny retry budget, heavy crash rate. Some runs
-    // will exhaust; none may diverge.
-    let mut opts = ChaosOptions {
-        seeds: 1,
-        seed_base: 3,
-        ..ChaosOptions::default()
-    };
-    opts.sweeps = 1;
-    let report = run_chaos(&opts);
-    for o in &report.outcomes {
-        assert!(!matches!(o.status, Status::Diverged(_)), "diverged: {o:?}");
     }
 }

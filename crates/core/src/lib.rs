@@ -24,6 +24,9 @@
 //! single-machine reference implementations in `haten2_tensor::ops`.
 
 #![forbid(unsafe_code)]
+// A `for` loop over a `HashMap` or `HashSet` visits keys in hash order; the
+// method forms of that iteration are banned in `clippy.toml`.
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod als;
 pub mod canon;
@@ -51,10 +54,7 @@ pub use checkpoint::{
 pub use compress::parafac_via_compression;
 pub use missing::{parafac_missing, MissingParafacResult};
 pub use nonneg::{nonneg_parafac, NonnegParafacResult};
-pub use plan::{
-    comm_assoc_annotation, comm_for, env_for, is_comm_assoc_site, plan_for, CommSpec, Decomp,
-    ReducerAnnotation, COMM_ASSOC_REDUCERS,
-};
+pub use plan::{comm_for, env_for, plan_for, CommSpec, Decomp};
 pub use records::Ix4;
 pub use store::{
     load_factor, load_parafac_state, load_tensor, load_tucker_state, persist_factor,

@@ -265,7 +265,7 @@ pub enum Kernel {
 
 impl Kernel {
     /// Name of the operation — what the template's [`PlanJob::op`] says,
-    /// and the site the determinism pass knows its reducer by.
+    /// and what the submitter checks before it runs the kernel.
     pub fn op(self) -> &'static str {
         match self {
             Kernel::NaiveTtv(_) => "naive_ttv_job",
@@ -352,9 +352,9 @@ impl Kernel {
 
 // ---- Templates: one constructor per kernel ---------------------------------
 //
-// Each declares, once, what every use of a kernel shares: its `op`, whether
-// its reducer is commutative-associative ([`COMM_ASSOC_REDUCERS`]), and its
-// cost as a function of the records one instance reads (`input`).
+// Each declares, once, what every use of a kernel shares: its `op`, which
+// the submitter matches to the kernel it runs, and its cost as a function of
+// the records one instance reads (`input`).
 
 /// A job template and the kernel its instances run.
 type Template = (PlanJob, Kernel);
@@ -371,7 +371,6 @@ fn template(
     let mut job = PlanJob::new(name).repeat(count).op(kernel.op());
     job.reads = reads.iter().map(|d| d.to_string()).collect();
     job.writes = writes.iter().map(|d| d.to_string()).collect();
-    job.comm_assoc = is_comm_assoc_site(kernel.op());
     (job.emits(records, bytes), kernel)
 }
 
@@ -837,75 +836,6 @@ pub fn comm_for(decomp: Decomp, _variant: Variant) -> CommSpec {
     }
 }
 
-/// One commutative-associative reducer annotation: the purity-pass site
-/// label it covers, plus a pure reference fold the generated property
-/// tests exercise (permutation and reassociation invariance, bit-exact on
-/// integer-valued inputs).
-pub struct ReducerAnnotation {
-    /// Site label the determinism pass reports for this reducer: the
-    /// enclosing function name for jobs named dynamically, or the job-name
-    /// template with `{…}` normalized to `{}`.
-    pub site: &'static str,
-    /// What the reducer folds, for the report.
-    pub summary: &'static str,
-    /// The reference fold (all registered reducers accumulate sums of
-    /// products; the products are per-record and order-free, so the fold
-    /// under test is addition).
-    pub reduce: fn(&[f64]) -> f64,
-}
-
-fn sum_fold(xs: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for &x in xs {
-        acc += x;
-    }
-    acc
-}
-
-/// Every reducer the plans declare commutative-associative
-/// ([`PlanJob::comm_assoc`]). The generated property tests in
-/// `crates/core/tests/reducer_properties.rs` derive one proptest per entry
-/// here; the determinism pass checks the set agrees with the `comm_assoc`
-/// flags on every registered graph.
-pub const COMM_ASSOC_REDUCERS: &[ReducerAnnotation] = &[
-    ReducerAnnotation {
-        site: "naive_ttv_job",
-        summary: "dot-product accumulation of entry×coefficient per fiber",
-        reduce: sum_fold,
-    },
-    ReducerAnnotation {
-        site: "collapse_job",
-        summary: "sum of coinciding entries after dropping one mode",
-        reduce: sum_fold,
-    },
-    ReducerAnnotation {
-        site: "cross_merge_job",
-        summary: "sum over nonzeros of the sides' products per (i, columns)",
-        reduce: sum_fold,
-    },
-    ReducerAnnotation {
-        site: "pairwise_merge_job",
-        summary: "sum over nonzeros of the sides' matched products per (i,r)",
-        reduce: sum_fold,
-    },
-    ReducerAnnotation {
-        site: "model_inner_product_job",
-        summary: "partial inner products ⟨X, X̂⟩ per target-mode slice",
-        reduce: sum_fold,
-    },
-];
-
-/// Whether the plan metadata declares the reducer at `site` (a purity-pass
-/// site label) commutative-associative.
-pub fn is_comm_assoc_site(site: &str) -> bool {
-    COMM_ASSOC_REDUCERS.iter().any(|a| a.site == site)
-}
-
-/// The annotation registered for `site`, when there is one.
-pub fn comm_assoc_annotation(site: &str) -> Option<&'static ReducerAnnotation> {
-    COMM_ASSOC_REDUCERS.iter().find(|a| a.site == site)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -968,27 +898,6 @@ mod tests {
         for decomp in Decomp::ALL {
             for inst in plan_for(decomp, Variant::Dri).expand(&env) {
                 assert!(inst.exact, "{decomp} DRI job {} must be exact", inst.name);
-            }
-        }
-    }
-
-    #[test]
-    fn comm_assoc_flags_agree_with_registry() {
-        // Plan-side `comm_assoc` and the annotation registry must declare
-        // the same set: a flag without a registry entry would dodge the
-        // generated property test, a registry entry without a flag would
-        // leave the determinism pass trusting an unpublished claim.
-        for decomp in Decomp::ALL {
-            for variant in Variant::ALL {
-                for job in &plan_for(decomp, variant).jobs {
-                    let op = job.op.as_deref().expect("every planned job names its op");
-                    assert_eq!(
-                        job.comm_assoc,
-                        is_comm_assoc_site(op),
-                        "{decomp} {variant} job {} (op {op})",
-                        job.name
-                    );
-                }
             }
         }
     }

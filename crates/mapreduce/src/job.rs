@@ -88,8 +88,7 @@ pub type Combiner<'a, KM, VM> = &'a (dyn Fn(&KM, Vec<VM>) -> Vec<VM> + Sync);
 /// Abstracting the site as a trait — rather than giving the scheduler its
 /// own entry point — keeps `run_job(site, spec, input, mapper, reducer)` a
 /// plain function call with identical argument positions at every driver
-/// site, which is the shape the UDF-purity scanner (`haten2-srcscan`)
-/// keys on when it certifies mapper/reducer closures deterministic.
+/// site, whether or not it runs in a batch.
 pub trait JobSite {
     /// The cluster the job executes on.
     fn cluster(&self) -> &Cluster;

@@ -528,16 +528,10 @@ pub struct PlanJob {
     /// `true` when `records`/`bytes` are exact in generic position (no
     /// zero factor entries, no cancellation); `false` for upper bounds.
     pub exact: bool,
-    /// The reducer operation this template applies, when the pipeline
-    /// names one (e.g. `collapse_job`) — the determinism pass matches it
-    /// against the commutative-associative registry.
+    /// The operation this template applies, when the pipeline names one
+    /// (e.g. `collapse_job`): the submitter in `haten2_core::plan` refuses
+    /// to run an instance whose op is not its kernel's.
     pub op: Option<String>,
-    /// Whether the plan declares this job's reducer commutative and
-    /// associative (so re-execution and input reordering cannot change its
-    /// output). Each `true` here must be backed by an entry in the
-    /// pipeline's reducer-annotation registry, which generates a property
-    /// test per annotated reducer.
-    pub comm_assoc: bool,
 }
 
 impl PlanJob {
@@ -553,7 +547,6 @@ impl PlanJob {
             bytes: SymExpr::c(0),
             exact: true,
             op: None,
-            comm_assoc: false,
         }
     }
 
@@ -592,13 +585,6 @@ impl PlanJob {
     /// Name the reducer operation this template applies.
     pub fn op(mut self, op: &str) -> Self {
         self.op = Some(op.to_string());
-        self
-    }
-
-    /// Declare the reducer commutative-associative (must be backed by a
-    /// registry annotation and its generated property test).
-    pub fn comm_assoc(mut self) -> Self {
-        self.comm_assoc = true;
         self
     }
 }

@@ -5,7 +5,11 @@
 //! thread counts, reducer counts, with and without a combiner —
 //! [`run_job`] must return the *same output in the same order* as
 //! [`run_job_reference`], and record the same [`JobMetrics`] (every field
-//! [`JobMetrics::without_host_time`] keeps). Failure behavior is held to
+//! [`JobMetrics::without_host_time`] keeps). Each emitted value carries its
+//! record's position and its place in the record, and the reducer and
+//! combiner fold their values order-sensitively, so the outputs agree only
+//! if every key group reaches its reducer in the same value order, not
+//! merely with the same values (DESIGN.md §3.1). Failure behavior is held to
 //! the same standard: capacity errors and reducer OOM errors are
 //! bit-identical at every thread count — concurrent reducers abandon a
 //! partition only when a *smaller* one failed, so the job reports the
@@ -49,9 +53,23 @@ type RunOutcome = (
     JobMetrics,
 );
 
+/// An order-sensitive fold (a polynomial hash): any two orders of the same
+/// values give different results, save by collision.
+fn fold(vals: &[u64]) -> u64 {
+    vals.iter().fold(0u64, |acc, &v| {
+        acc.wrapping_mul(0x0100_0000_01b3).wrapping_add(v)
+    })
+}
+
 fn run_both(cfg: ClusterConfig, input: &[(u64, Vec<u64>)], with_combiner: bool) -> RunOutcome {
-    let combiner: haten2_mapreduce::Combiner<'_, u64, u64> =
-        &|_k, vals| vec![vals.into_iter().sum()];
+    // Each record is keyed by its position, which the mapper puts into
+    // every value it emits.
+    let input: Vec<(u64, Vec<u64>)> = (0u64..)
+        .zip(input)
+        .map(|(pos, (_id, words))| (pos, words.clone()))
+        .collect();
+    let input = input.as_slice();
+    let combiner: haten2_mapreduce::Combiner<'_, u64, u64> = &|_k, vals| vec![fold(&vals)];
     let spec = |name: &str| {
         let s = JobSpec::named(name);
         if with_combiner {
@@ -60,13 +78,13 @@ fn run_both(cfg: ClusterConfig, input: &[(u64, Vec<u64>)], with_combiner: bool) 
             s
         }
     };
-    let mapper = |_id: &u64, words: &Vec<u64>, emit: &mut dyn FnMut(u64, u64)| {
-        for &w in words {
-            emit(w, 1);
+    let mapper = |pos: &u64, words: &Vec<u64>, emit: &mut dyn FnMut(u64, u64)| {
+        for (at, &w) in (0u64..).zip(words) {
+            emit(w, (pos << 8) | at);
         }
     };
-    let reducer = |word: &u64, ones: Vec<u64>, emit: &mut dyn FnMut(u64, u64)| {
-        emit(*word, ones.iter().sum());
+    let reducer = |word: &u64, vals: Vec<u64>, emit: &mut dyn FnMut(u64, u64)| {
+        emit(*word, fold(&vals));
     };
 
     let engine_cluster = Cluster::new(cfg.clone());

@@ -93,9 +93,8 @@ GATES=(
     "clippy|cargo clippy --workspace --all-targets -- -D warnings"
     "rustfmt|cargo fmt --check"
     "rustdoc (warnings are errors: dead intra-doc links, links to private items)|env RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps --workspace"
-    "chaos smoke (fault transparency)|cargo run -p haten2-chaos --release --bin haten2-chaos -- --seeds 2 --seed-base 7"
     "clippy canary (each disallowed-* entry fires exactly once under each clippy.toml)|scripts/clippy_canary.sh"
-    "analyze (paper tables with the determinism scan inside, reject demo)|cargo run -q -p haten2-analyze --release -- --verify-paper-table --reject-demo"
+    "analyze (paper tables, reject demo)|cargo run -q -p haten2-analyze --release -- --verify-paper-table --reject-demo"
     "benchmark tests (incl. BENCHMARK.json == code)|cargo test --offline --manifest-path benchmark/Cargo.toml -q"
     "perf smoke (four workloads, self-checked samples)|cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --quick --out $smoke_out/run.json"
     "traced pass smoke (re-assembled sweeps bit-identical to the drivers, shares sum to one)|cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- trace --quick --out $smoke_out/trace.json"

@@ -1,6 +1,8 @@
 //! One known-bad line per `disallowed-*` entry of the workspace's
 //! `clippy.toml` files. `scripts/clippy_canary.sh` lints this file under
-//! each of those files and fails unless every entry fires exactly once.
+//! each of those files and fails unless every entry fires exactly once. The
+//! files hold different sets: a line whose entry a file lacks is clean
+//! under it.
 //!
 //! The lines sit below a `#[cfg(test)]` helper, as library code does in
 //! `crates/mapreduce/src/recycle.rs`: a rule that stops at a file's first
@@ -53,5 +55,31 @@ impl Shelf {
         let _ = std::fs::File::open("a");
         let _ = std::fs::OpenOptions::new();
         let _ = std::fs::DirBuilder::new();
+    }
+
+    /// Clocks and thread identity, banned in `haten2-core`: a task's
+    /// output must be a function of its input.
+    pub fn clocks(&self) {
+        let _ = std::time::Instant::now();
+        let _ = std::time::SystemTime::now();
+        let _ = std::thread::current();
+    }
+
+    /// Hash-order iteration, banned in `haten2-core`.
+    pub fn hash_order(
+        &self,
+        mut map: std::collections::HashMap<u64, u64>,
+        mut set: std::collections::HashSet<u64>,
+    ) {
+        let _ = map.iter();
+        let _ = map.iter_mut();
+        let _ = map.keys();
+        let _ = map.values();
+        let _ = map.values_mut();
+        let _ = map.drain();
+        let _ = map.clone().into_keys();
+        let _ = map.into_values();
+        let _ = set.iter();
+        let _ = set.drain();
     }
 }

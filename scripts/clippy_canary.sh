@@ -3,7 +3,9 @@
 # falsifiable. It lints `scripts/clippy-canary`, which holds one known-bad
 # line per entry, under each file that scopes the rules (the root,
 # `crates/mapreduce`, `crates/core`), and fails unless each entry of that
-# file fires exactly once and nothing else fires.
+# file fires exactly once and nothing else fires. A line for an entry that
+# only one file holds (core's clock, thread-identity and hash-iteration
+# bans) fires under that file alone.
 #
 # A misspelt path fires nowhere, so it fails here. Clippy itself only warns
 # that such a path "does not refer to a reachable function", and
