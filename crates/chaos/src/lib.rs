@@ -34,25 +34,13 @@ use haten2_core::{parafac_als, tucker_als, AlsOptions, CoreError, Variant};
 use haten2_mapreduce::{Cluster, ClusterConfig, FaultPlan, SchedulerMode};
 use haten2_tensor::{CooTensor3, Entry3};
 
-/// Harness configuration.
+/// Harness configuration: which fault schedules run.
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
     /// Number of randomized fault schedules per pipeline.
     pub seeds: usize,
     /// First fault seed; schedule `i` uses `seed_base + i`.
     pub seed_base: u64,
-    /// ALS sweeps per decomposition (kept small: 8 pipelines × seeds).
-    pub sweeps: usize,
-}
-
-impl Default for ChaosOptions {
-    fn default() -> Self {
-        ChaosOptions {
-            seeds: 3,
-            seed_base: 0xC0FFEE,
-            sweeps: 2,
-        }
-    }
 }
 
 /// Outcome of one (pipeline, fault seed) run.
@@ -144,6 +132,9 @@ pub fn fingerprint(values: impl IntoIterator<Item = f64>) -> u64 {
 /// Simulated machines per cluster.
 const MACHINES: usize = 4;
 
+/// ALS sweeps per decomposition (kept small: 8 pipelines × seeds).
+const SWEEPS: usize = 2;
+
 fn cluster(plan: Option<FaultPlan>, scheduler: SchedulerMode) -> Cluster {
     Cluster::new(ClusterConfig {
         fault_plan: plan,
@@ -152,9 +143,9 @@ fn cluster(plan: Option<FaultPlan>, scheduler: SchedulerMode) -> Cluster {
     })
 }
 
-fn opts_for(variant: Variant, sweeps: usize) -> AlsOptions {
+fn opts_for(variant: Variant) -> AlsOptions {
     AlsOptions {
-        max_iters: sweeps,
+        max_iters: SWEEPS,
         tol: 0.0,
         ..AlsOptions::with_variant(variant)
     }
@@ -166,9 +157,8 @@ fn run_pipeline(
     x: &CooTensor3,
     decomp: &str,
     variant: Variant,
-    sweeps: usize,
 ) -> Result<u64, CoreError> {
-    let opts = opts_for(variant, sweeps);
+    let opts = opts_for(variant);
     match decomp {
         "parafac" => {
             let r = parafac_als(c, x, 2, &opts)?;
@@ -202,24 +192,18 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     for decomp in ["parafac", "tucker"] {
         for variant in Variant::ALL {
             let pipeline = format!("{decomp}/{}", variant.name());
-            let clean = run_pipeline(
-                &cluster(None, SchedulerMode::Dag),
-                &x,
-                decomp,
-                variant,
-                opts.sweeps,
-            )
-            .expect("fault-free pipeline must succeed");
+            let clean = run_pipeline(&cluster(None, SchedulerMode::Dag), &x, decomp, variant)
+                .expect("fault-free pipeline must succeed");
 
             for i in 0..opts.seeds {
                 let seed = opts.seed_base + i as u64;
                 let c = cluster(Some(FaultPlan::seeded(seed)), SchedulerMode::Dag);
-                let dag = run_pipeline(&c, &x, decomp, variant, opts.sweeps);
+                let dag = run_pipeline(&c, &x, decomp, variant);
                 // Scheduler cross-check: the same fault schedule replayed
                 // under sequential scheduling must agree bit-for-bit —
                 // same fingerprint or same typed error.
                 let seq_cluster = cluster(Some(FaultPlan::seeded(seed)), SchedulerMode::Sequential);
-                let seq = run_pipeline(&seq_cluster, &x, decomp, variant, opts.sweeps);
+                let seq = run_pipeline(&seq_cluster, &x, decomp, variant);
                 let status = match (&dag, &seq) {
                     (Ok(a), Ok(b)) if a != b => Status::Diverged(format!(
                         "scheduler divergence: dag {a:#018x} vs sequential {b:#018x}"

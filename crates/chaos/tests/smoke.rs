@@ -10,7 +10,6 @@ fn all_eight_pipelines_are_fault_transparent() {
     let report = run_chaos(&ChaosOptions {
         seeds: 2,
         seed_base: 7,
-        ..ChaosOptions::default()
     });
     // 2 decompositions × 4 variants × 2 seeds.
     assert_eq!(report.outcomes.len(), 16);

@@ -246,16 +246,7 @@ pub(crate) fn parafac_sweeps(
 ) -> Result<(Vec<f64>, Vec<f64>, usize)> {
     let last = factors.len() - 1;
     let rank = factors[last].cols();
-    // Hadamard product of the Gram matrices of every factor but `skip`.
-    let gram_product = |factors: &[Mat], skip: Option<usize>| {
-        let mut grams = (0..factors.len())
-            .filter(|&m| Some(m) != skip)
-            .map(|m| factors[m].gram());
-        let first = grams.next().expect("at least two factors");
-        grams
-            .try_fold(first, |g, next| g.hadamard(&next))
-            .map_err(CoreError::Linalg)
-    };
+    let mut grams = Grams(vec![None; factors.len()]);
     let mut lambda = vec![1.0; rank];
     let norm_x = norm_x_sq.sqrt();
 
@@ -267,9 +258,10 @@ pub(crate) fn parafac_sweeps(
         for mode in 0..=last {
             let m = mttkrp(mode, factors)?;
             // (F₁ᵀF₁ * F₂ᵀF₂ * …)†
-            let g = gram_product(factors, Some(mode))?;
+            let g = grams.product(factors, Some(mode))?;
             factors[mode] = m.matmul(&pinv(&g)?).map_err(CoreError::Linalg)?;
             lambda = factors[mode].normalize_columns();
+            grams.changed(mode);
             // Only the last is kept: an earlier `M` held across the next
             // kernel call would sit under its peak memory.
             if mode == last {
@@ -294,7 +286,7 @@ pub(crate) fn parafac_sweeps(
             }
         };
         // ‖X̂‖² = λᵀ (AᵀA * BᵀB * CᵀC * …) λ.
-        let g_all = gram_product(factors, None)?;
+        let g_all = grams.product(factors, None)?;
         let mut norm_model_sq = 0.0;
         for r in 0..rank {
             for s in 0..rank {
@@ -317,6 +309,33 @@ pub(crate) fn parafac_sweeps(
         }
     }
     Ok((lambda, fits, iterations))
+}
+
+/// Each factor's Gram matrix `FᵀF`, computed when first read and again
+/// only after the factor changes. An N-way ALS sweep then computes one
+/// Gram per factor update — the first sweep N − 1 more — where each
+/// update read N − 1 fresh ones and the fit N.
+struct Grams(Vec<Option<Mat>>);
+
+impl Grams {
+    /// The Hadamard product of the Gram matrices of every factor but
+    /// `skip`, in mode order.
+    fn product(&mut self, factors: &[Mat], skip: Option<usize>) -> Result<Mat> {
+        let modes = || (0..factors.len()).filter(move |&m| Some(m) != skip);
+        for m in modes() {
+            self.0[m].get_or_insert_with(|| factors[m].gram());
+        }
+        let mut grams = modes().map(|m| self.0[m].as_ref().expect("computed above"));
+        let first = grams.next().expect("at least two factors").clone();
+        grams
+            .try_fold(first, |g, next| g.hadamard(next))
+            .map_err(CoreError::Linalg)
+    }
+
+    /// Factor `mode` was updated: its Gram is recomputed when next read.
+    fn changed(&mut self, mode: usize) {
+        self.0[mode] = None;
+    }
 }
 
 /// Result of [`tucker_als`].
@@ -421,8 +440,7 @@ pub fn tucker_als_with_init(
         (opts.seed, opts.first_sweep),
         |mode, factors| {
             let (f1, f2) = others_of(factors, mode);
-            let (u1, u2) = (f1.transpose(), f2.transpose());
-            tucker::project(cluster, opts.variant, x, mode, &u1, &u2, &project_opts)
+            tucker::project_rows(cluster, opts.variant, x, mode, f1, f2, &project_opts)
         },
         |sweep, core, factors| {
             let abc = factors.try_into().expect("three factors");
@@ -554,6 +572,42 @@ mod tests {
     use haten2_mapreduce::ClusterConfig;
     use haten2_tensor::Entry3;
     use rand::Rng;
+
+    #[test]
+    fn cached_grams_are_the_fresh_products_bit_for_bit() {
+        // Two sweeps of updates over three factors: every product the loop
+        // reads equals the one computed from scratch in mode order, and
+        // only the Gram of the factor just updated is ever dropped.
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut factors: Vec<Mat> = (0..3).map(|n| Mat::random(4 + n, 3, &mut rng)).collect();
+        let fresh = |factors: &[Mat], skip: Option<usize>| {
+            let mut grams = (0..3)
+                .filter(|&m| Some(m) != skip)
+                .map(|m| factors[m].gram());
+            let first = grams.next().unwrap();
+            grams.fold(first, |g, next| g.hadamard(&next).unwrap())
+        };
+        let held = |grams: &Grams| grams.0.iter().map(Option::is_some).collect::<Vec<_>>();
+        let mut grams = Grams(vec![None; 3]);
+        for _ in 0..2 {
+            for mode in 0..3 {
+                let got = grams.product(&factors, Some(mode)).unwrap();
+                assert_eq!(
+                    got.data(),
+                    fresh(&factors, Some(mode)).data(),
+                    "mode {mode}"
+                );
+                factors[mode] = Mat::random(factors[mode].rows(), 3, &mut rng);
+                grams.changed(mode);
+                let mut want = vec![true; 3];
+                want[mode] = false;
+                assert_eq!(held(&grams), want, "mode {mode}");
+            }
+            let got = grams.product(&factors, None).unwrap();
+            assert_eq!(got.data(), fresh(&factors, None).data());
+            assert_eq!(held(&grams), [true; 3]);
+        }
+    }
 
     /// A low-rank tensor: X = Σ_r a_r ∘ b_r ∘ c_r with known rank.
     fn low_rank_tensor(dims: [u64; 3], rank: usize, seed: u64) -> CooTensor3 {

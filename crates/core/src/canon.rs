@@ -4,21 +4,29 @@
 //! defined for an arbitrary target mode, but the distributed kernels are
 //! written once for the canonical orientation: the target mode first, then
 //! the remaining two modes in ascending original order. `canonicalize`
-//! permutes a tensor into that orientation; the kernel outputs
+//! permutes a tensor into that orientation; `canonical_records` builds
+//! the records the kernels read in it, in one pass. The kernel outputs
 //! (`Y(x₀, q, r)` / `M(x₀, r)`) are already in caller coordinates because
 //! slot 0 *is* the target mode.
 
-use haten2_tensor::CooTensor3;
+use crate::records::{tensor_records, Ix4};
+use haten2_tensor::coo3::canonical_form;
+use haten2_tensor::{CooTensor3, Entry3};
 use std::borrow::Cow;
+
+/// Canonical position → original mode for target mode `target`.
+fn permutation(target: usize) -> [usize; 3] {
+    assert!(target < 3, "target mode must be 0, 1 or 2");
+    let others: Vec<usize> = (0..3).filter(|&m| m != target).collect();
+    [target, others[0], others[1]]
+}
 
 /// Permute `t` so that `target` becomes mode 0 and the other two modes
 /// follow in ascending original order. Returns the permuted tensor and the
 /// permutation `perm` (canonical position → original mode). Target mode 0
 /// moves nothing, so `t` itself is returned, borrowed.
 pub fn canonicalize(t: &CooTensor3, target: usize) -> (Cow<'_, CooTensor3>, [usize; 3]) {
-    assert!(target < 3, "target mode must be 0, 1 or 2");
-    let others: Vec<usize> = (0..3).filter(|&m| m != target).collect();
-    let perm = [target, others[0], others[1]];
+    let perm = permutation(target);
     if perm == [0, 1, 2] {
         return (Cow::Borrowed(t), perm);
     }
@@ -26,10 +34,29 @@ pub fn canonicalize(t: &CooTensor3, target: usize) -> (Cow<'_, CooTensor3>, [usi
     (Cow::Owned(canon), perm)
 }
 
+/// The canonical dims of `t` for target mode `target`, and its records in
+/// that orientation: `tensor_records(&canonicalize(t, target).0)`, record
+/// for record and bit for bit, built in one pass. Target mode 0 reads the
+/// entries as they are stored; the other two permute each entry straight
+/// into its record, then sort, fold and drop zeros as
+/// [`CooTensor3::permute`] does ([`canonical_form`]).
+pub(crate) fn canonical_records(t: &CooTensor3, target: usize) -> ([u64; 3], Vec<(Ix4, f64)>) {
+    let perm = permutation(target);
+    let dims = perm.map(|m| t.dims()[m]);
+    if target == 0 {
+        return (dims, tensor_records(t));
+    }
+    let permuted = |e: &Entry3| (e.index(perm[0]), e.index(perm[1]), e.index(perm[2]), 0);
+    let mut records: Vec<(Ix4, f64)> = t.entries().iter().map(|e| (permuted(e), e.v)).collect();
+    let coord = |&((i, j, k, _), _): &(Ix4, f64)| (i, j, k);
+    canonical_form(&mut records, dims, coord, |(_, v)| v);
+    (dims, records)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use haten2_tensor::Entry3;
+    use haten2_tensor::coo3::COUNTING_SPAN_PER_ENTRY;
 
     fn sample() -> CooTensor3 {
         CooTensor3::from_entries(
@@ -75,5 +102,75 @@ mod tests {
             assert!((c.fro_norm() - t.fro_norm()).abs() < 1e-12);
             assert_eq!(c.nnz(), t.nnz());
         }
+    }
+
+    /// `entries` stored as they come: repeats kept, in this order.
+    fn stored(dims: [u64; 3], entries: &[(u64, u64, u64, f64)]) -> CooTensor3 {
+        let mut t = CooTensor3::new(dims);
+        for &(i, j, k, v) in entries {
+            t.push_unchecked(Entry3::new(i, j, k, v));
+        }
+        t
+    }
+
+    #[test]
+    fn canonical_records_are_the_canonical_tensor_s_records_bit_for_bit() {
+        // Repeats that round differently summed in another order, a pair
+        // that cancels, a coordinate whose only value is tiny.
+        let repeats = [
+            (2, 1, 0, 0.1),
+            (0, 3, 4, 1.0),
+            (2, 1, 0, 0.2),
+            (1, 1, 1, 2.0),
+            (2, 1, 0, 0.3),
+            (0, 3, 4, -1.0),
+            (1, 0, 2, -1e-200),
+            (1, 1, 1, 1.0 / 3.0),
+        ];
+        let unsorted = stored([3, 4, 5], &repeats);
+        let mut sorted_entries = repeats;
+        sorted_entries.sort_by_key(|&(i, j, k, _)| (i, j, k));
+        let sorted = stored([3, 4, 5], &sorted_entries);
+        // Scaled by 1e-200, -1e-200 underflows to a stored -0.0: alone at
+        // (1, 0, 2), and first of a run at (2, 1, 0).
+        let mut signed_zero = stored([3, 4, 5], &[(2, 1, 0, -1e-200), (2, 1, 0, 0.5)]);
+        signed_zero.push_unchecked(Entry3::new(1, 0, 2, -1e-200));
+        signed_zero.push_unchecked(Entry3::new(0, 2, 1, 3.0));
+        signed_zero.scale(1e-200);
+        let minus_zero = (-0.0f64).to_bits();
+        let zeros = signed_zero
+            .entries()
+            .iter()
+            .filter(|e| e.v.to_bits() == minus_zero);
+        assert_eq!(zeros.count(), 2, "the scaled tensor stores two -0.0");
+        // Mode 1 is too wide to count for 9 entries: the comparison sort.
+        let wide_extent = 9 * COUNTING_SPAN_PER_ENTRY + 1;
+        let wide_entries: Vec<(u64, u64, u64, f64)> = (0..9u64)
+            .map(|n| (n % 2, (n * 97) % 3 * 50, n % 3, 1.0 + n as f64))
+            .collect();
+        let wide = stored([2, wide_extent, 3], &wide_entries);
+
+        let bits = |records: &[(Ix4, f64)]| -> Vec<(Ix4, u64)> {
+            records.iter().map(|&(ix, v)| (ix, v.to_bits())).collect()
+        };
+        for (label, t) in [
+            ("unsorted repeats", unsorted),
+            ("sorted repeats", sorted),
+            ("signed zero", signed_zero),
+            ("empty", CooTensor3::new([2, 3, 4])),
+            ("wide", wide),
+        ] {
+            for mode in 0..3 {
+                let (dims, got) = canonical_records(&t, mode);
+                let (want, _) = canonicalize(&t, mode);
+                assert_eq!(dims, want.dims(), "{label}, mode {mode}");
+                let want = tensor_records(&want);
+                assert_eq!(bits(&got), bits(&want), "{label}, mode {mode}");
+            }
+        }
+        // Mode 0 is read as stored; the others fold and drop.
+        let t = stored([3, 4, 5], &repeats);
+        assert_eq!(canonical_records(&t, 0).1.len(), 8);
+        assert_eq!(canonical_records(&t, 1).1.len(), 3);
     }
 }

@@ -92,12 +92,12 @@ fn expand(
     let entries: TensorRecords = (0..x.nnz())
         .map(|e| ((x.index(e)[mode], e as u64, 0, 0), x.value(e)))
         .collect();
-    let transposed: Vec<Mat> = others.iter().map(|&m| factors[m].transpose()).collect();
+    let sides: Vec<&Mat> = others.iter().map(|&m| factors[m]).collect();
     let written = imhp_job(
         cluster,
         &format!("nway-imhp-mode{mode}"),
         &[&entries],
-        &transposed.iter().collect::<Vec<_>>(),
+        &sides,
         |side, ix: &Ix4| x.index(ix.1 as usize)[others[side]],
     )?;
     Ok(MergeInput::Written(written))

@@ -13,7 +13,9 @@
 //! * [`imhp_job`] — the integrated n-mode **matrix** Hadamard products
 //!   `IMHP(X, B, C, …)` of HaTen2-DRI (§III-B4): computes `T' = X *₁ Bᵀ`,
 //!   `T'' = bin(X) *₂ Cᵀ` and every further `bin(X)` expansion in a single
-//!   job, reading `X` once, and writes them as the merge's map output.
+//!   job, reading `X` once, and writes them as the merge's map output. Its
+//!   sides are the factors themselves, untransposed: a factor row's
+//!   record names the row, and the reducer reads it in place.
 //! * [`cross_merge_job`] — `CrossMerge(T', T'', …)₍₀₎` (Definition 3/Lemma 1).
 //! * [`pairwise_merge_job`] — `PairwiseMerge(T', T'', …)₍₀₎` (Definition
 //!   4/Lemma 2).
@@ -52,7 +54,15 @@
 //! written in, in shard order, borrowed from whoever produced them. Every
 //! kernel reads them where they lie, through one [`MapInput`] (`Feed`)
 //! that builds each input record on the stack — no kernel copies a
-//! dataset to make its job's input. The one exception is the largest
+//! dataset to make its job's input. A factor is read where it lies too:
+//! the per-column kernels take one of its columns as a slice (a row of
+//! the factor's transpose, which the submitter makes once per call), and
+//! the joins with factor rows — IMHP, the model inner product — present
+//! each row as a record of its index and width, priced as the row's
+//! values, and their reducers read the row out of the factor they were
+//! handed.
+//!
+//! The one exception to reading in place is the largest
 //! intermediate, the paper's `nnz·(Q+R)` expansion: [`imhp_job`]'s reduce
 //! tasks run the merge's map function as they write `T'` and `T''`, into
 //! the merge's partitioned map output ([`WrittenSide`]), and the merge
@@ -480,13 +490,10 @@ pub fn naive_ttv_job(
     Ok(partitions(out))
 }
 
-/// The factor rows one side of an IMHP-style join reads: row `idx` of the
-/// `d × n` transposed factor `t` is column `idx`, gathered.
-fn factor_rows(side: u8, t: &Mat) -> impl Iterator<Item = ((), ImhpRec)> + '_ {
-    (0..t.cols()).map(move |idx| {
-        let col: Vec<f64> = (0..t.rows()).map(|d| t.get(d, idx)).collect();
-        ((), ImhpRec::Row(side, idx as u64, col))
-    })
+/// The factor rows one side of an IMHP-style join reads, each named by
+/// its index and width: the reducer reads row `idx` of `f` where it lies.
+fn factor_rows(side: u8, f: &Mat) -> impl Iterator<Item = ((), ImhpRec)> + '_ {
+    (0..f.rows()).map(move |idx| ((), ImhpRec::Row(side, idx as u64, f.cols())))
 }
 
 /// The merge's map function: an expanded record `((i, a, b, d), v)` of
@@ -571,16 +578,20 @@ pub fn join_on_slots(side: usize, ix: &Ix4) -> u64 {
 /// The integrated n-mode matrix Hadamard products `IMHP(X, B, C, …)`
 /// (§III-B4) as **one** job over `S = sides.len()` join sides: returns the
 /// `S` expanded datasets, side 0 first, where
-/// `T'[i,a,b,q] = X[i,a,b]·Bᵀ[q, join(0)]` carries the values of `X` and
-/// every later side `T''[i,a,b,r] = Cᵀ[r, join(s)]` is defined on the
+/// `T'[i,a,b,q] = X[i,a,b]·B[join(0), q]` carries the values of `X` and
+/// every later side `T''[i,a,b,r] = C[join(s), r]` is defined on the
 /// support of `X` (the `bin(X)` sides of Lemmas 1–2). `sides[s]` is the
-/// transposed factor of side `s`, `c_s × d_s`; `join(s, ix)` is the index
-/// the entry stored under `ix` joins side `s` on ([`join_on_slots`] for
-/// `(i, j, k, 0)` records). Slots 0–2 of an entry pass through untouched.
+/// factor of side `s` itself, untransposed, `d_s × c_s`; `join(s, ix)` is
+/// the index the entry stored under `ix` joins side `s` on
+/// ([`join_on_slots`] for `(i, j, k, 0)` records). Slots 0–2 of an entry
+/// pass through untouched.
 ///
 /// `X` is read once: the map input is `nnz + Σ d_s` records, an entry of
 /// the order-`S + 1` tensor priced as the `(S + 2)`-slot record the
-/// expansions make of it.
+/// expansions make of it. A factor row travels by name: its record
+/// carries the row's index and width ([`ImhpRec::Row`]), priced as the
+/// row's values, and the reducer reads the row where it lies in
+/// `sides[s]`.
 ///
 /// The expansions are written once, as the merge will read them: the
 /// job's reduce tasks run the merge's map function on every record they
@@ -596,7 +607,7 @@ pub fn imhp_job(
     join: impl Fn(usize, &Ix4) -> u64 + Sync,
 ) -> Result<Vec<WrittenSide>> {
     let n_sides = sides.len();
-    let rows = sides.iter().zip(0u8..).flat_map(|(t, s)| factor_rows(s, t));
+    let rows = sides.iter().zip(0u8..).flat_map(|(f, s)| factor_rows(s, f));
     // One more index slot per side beyond the 3-way record's two.
     let input = rows_feed(entries, ent3_bytes() + 8 * n_sides - 8 * 2, rows.collect());
 
@@ -610,18 +621,19 @@ pub fn imhp_job(
                     emit((s as u8, join(s, ix)), ImhpVal::Ent(*ix, *v));
                 }
             }
-            ImhpRec::Row(side, idx, row) => emit((*side, *idx), ImhpVal::Row(row.clone())),
+            ImhpRec::Row(side, idx, width) => emit((*side, *idx), ImhpVal::Row(*width)),
         },
         // The factor row is presented after the entries, so it is the last
-        // value of its group: peeked, and the entries streamed past it.
+        // value of its group: peeked, read where the factor lies, and the
+        // entries streamed past it.
         |key, vals, emit| {
-            let (side, _) = *key;
+            let (side, idx) = *key;
             let row = match vals.peek_last() {
-                Some(ImhpVal::Row(row)) => Some(row.clone()),
+                Some(ImhpVal::Row(_)) => Some(sides[usize::from(side)].row(idx as usize)),
                 _ => None,
             };
             for (ix, val) in join_entries(("IMHP", key), vals, row.is_some(), ImhpVal::entry) {
-                let Some(row) = &row else { continue };
+                let Some(row) = row else { continue };
                 for (d, &coef) in row.iter().enumerate() {
                     if coef == 0.0 {
                         continue;
@@ -1087,27 +1099,27 @@ pub fn model_inner_product_job(
 ) -> Result<f64> {
     let (a, b, c) = (factors[0], factors[1], factors[2]);
     let rank = a.cols();
-    let a_rows = (0..a.rows()).map(|i| ((), ImhpRec::Row(0, i as u64, a.row(i).to_vec())));
     let x = [x.as_slice()];
-    let input = rows_feed(&x, ent3_bytes(), a_rows.collect());
+    let input = rows_feed(&x, ent3_bytes(), factor_rows(0, a).collect());
     let out: Vec<Vec<(u8, f64)>> = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
         &input,
         |_, rec: &ImhpRec, emit| match rec {
             ImhpRec::Ent(ix, v) => emit(ix.0, ImhpVal::Ent(*ix, *v)),
-            ImhpRec::Row(_, i, row) => emit(*i, ImhpVal::Row(row.clone())),
+            ImhpRec::Row(_, i, width) => emit(*i, ImhpVal::Row(*width)),
         },
-        // A's row comes last, as in IMHP: peeked, and the slice streamed.
+        // A's row comes last, as in IMHP: peeked, read where A lies, and
+        // the slice streamed.
         move |i, vals, emit| {
             let a_row = match vals.peek_last() {
-                Some(ImhpVal::Row(row)) => Some(row.clone()),
+                Some(ImhpVal::Row(_)) => Some(a.row(*i as usize)),
                 _ => None,
             };
             let (group, held) = (("model inner product", i), a_row.is_some());
             let mut partial = 0.0;
             for (ix, val) in join_entries(group, vals, held, ImhpVal::entry) {
-                let Some(a_row) = &a_row else { continue };
+                let Some(a_row) = a_row else { continue };
                 let mut model = 0.0;
                 for r in 0..rank {
                     model +=
@@ -1157,9 +1169,9 @@ mod tests {
         let b: Vec<(Ix4, f64)> = (0..4).map(|n| ((n, 4, 5, 6), -(n as f64))).collect();
         let a_shards: [&[(Ix4, f64)]; 3] = [&a[..2], &[], &a[2..]];
         let b_shards: [&[(Ix4, f64)]; 2] = [&b[..3], &b[3..]];
-        let wrap = |side: u8, ix: &Ix4, v: f64| ((), ImhpRec::Row(side, ix.0, vec![v]));
+        let wrap = |side: u8, ix: &Ix4, _: f64| ((), ImhpRec::Row(side, ix.0, 1));
         let tail: Vec<((), ImhpRec)> = (0..3)
-            .map(|n| ((), ImhpRec::Row(9, n, vec![0.5; n as usize])))
+            .map(|n| ((), ImhpRec::Row(9, n, 2 * n as usize)))
             .collect();
         let record_bytes = wrap(0, &(0, 0, 0, 0), 0.0).1.est_bytes();
         let feed = Feed::new(
@@ -1369,7 +1381,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "IMHP group (1, 3): a small-side value before the last one")]
     fn imhp_refuses_a_factor_row_before_an_entry() {
-        let vals = [ImhpVal::Row(vec![1.0]), ImhpVal::Ent((1, 0, 0, 0), 1.0)];
+        let vals = [ImhpVal::Row(1), ImhpVal::Ent((1, 0, 0, 0), 1.0)];
         join_entries(
             ("IMHP", (1u8, 3u64)),
             vals.into_iter(),

@@ -15,7 +15,7 @@
 //! | DRN     | `2·nnz·R`        | `2R+1` | `2`           |
 //! | DRI     | `2·nnz·R`        | `2`    | `2`           |
 
-use crate::canon::canonicalize;
+use crate::canon::canonical_records;
 use crate::plan::{pipeline_for, run_pipeline, Bindings, Decomp};
 use crate::records::check_columns;
 use crate::{CoreError, Result, Variant};
@@ -73,8 +73,7 @@ pub fn mttkrp(
         )));
     }
     check_columns("mttkrp: rank", f1.cols())?;
-    let (xc, _perm) = canonicalize(x, mode);
-    let d = xc.dims();
+    let (d, records) = canonical_records(x, mode);
     if f1.rows() != d[1] as usize || f2.rows() != d[2] as usize {
         return Err(CoreError::InvalidArgument(format!(
             "mttkrp: factors are {}x{} and {}x{} for canonical dims {d:?}",
@@ -84,15 +83,17 @@ pub fn mttkrp(
             f2.cols()
         )));
     }
-    // Every variant's `y` is `((i, r, 0, 0), v)`, folded shard by shard
-    // where its jobs' reduce tasks wrote it.
+    // The factors are bound as they are: DRI's IMHP reads their rows in
+    // place. Every variant's `y` is `((i, r, 0, 0), v)`, folded shard by
+    // shard where its jobs' reduce tasks wrote it.
     let y = run_pipeline(
         cluster,
         &pipeline_for(Decomp::Parafac, variant),
         &Bindings {
-            x: &xc,
-            u1: &f1.transpose(),
-            u2: &f2.transpose(),
+            x: &records,
+            dims: d,
+            u1: f1,
+            u2: f2,
             use_combiner: false,
         },
     )?;

@@ -39,14 +39,13 @@ use crate::ops::{
     collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots, naive_ttv_job,
     pairwise_merge_job, with_slot, MergeInput, Partitions, Shards, WrittenSide,
 };
-use crate::records::{tensor_records, HadVal, ImhpVal, Ix4, MergeVal, NaiveVal};
+use crate::records::{HadVal, ImhpVal, Ix4, MergeVal, NaiveVal};
 use crate::Variant;
 use haten2_linalg::Mat;
 use haten2_mapreduce::{
     dataset_base, datasets_overlap, Batch, Cluster, Env, EstimateSize, JobCtx, JobGraph, JobHandle,
     JobInstance, MrError, PlanJob, SymExpr, TakeOnce, RECORD_FRAMING_BYTES,
 };
-use haten2_tensor::CooTensor3;
 
 /// Which decomposition a plan describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -135,7 +134,7 @@ pub fn imhp_ent_bytes() -> u64 {
 /// IMHP factor-row emission, excluding the per-element payload: `(u8,
 /// u64)` key + empty `ImhpVal::Row`.
 pub fn imhp_row_base_bytes() -> u64 {
-    (0u8, 0u64).est_bytes() as u64 + ImhpVal::Row(Vec::new()).est_bytes() as u64 + frame()
+    (0u8, 0u64).est_bytes() as u64 + ImhpVal::Row(0).est_bytes() as u64 + frame()
 }
 
 /// Per-element payload of an IMHP factor row.
@@ -182,14 +181,14 @@ fn c(v: u64) -> SymExpr {
 
 // ---- Kernels: what a template's instances run ------------------------------
 
-/// Which transposed factor feeds a per-column template. Instance `i`
-/// multiplies by row `i`, joining on the canonical mode the factor
-/// belongs to.
+/// Which factor feeds a per-column template, transposed. Instance `i`
+/// multiplies by row `i` of the transpose — column `i` of the factor —
+/// joining on the canonical mode the factor belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
-    /// `u1 ∈ ℝ^{Q×J}`, joined on slot 1.
+    /// `u1ᵀ ∈ ℝ^{Q×J}`, joined on slot 1.
     U1,
-    /// `u2 ∈ ℝ^{R×K}`, joined on slot 2.
+    /// `u2ᵀ ∈ ℝ^{R×K}`, joined on slot 2.
     U2,
 }
 
@@ -201,7 +200,7 @@ impl Side {
         }
     }
 
-    fn row<'a>(self, bound: &Bindings<'a>, instance: usize) -> &'a [f64] {
+    fn row<'a>(self, bound: &Bound<'a>, instance: usize) -> &'a [f64] {
         match self {
             Side::U1 => bound.u1.row(instance),
             Side::U2 => bound.u2.row(instance),
@@ -285,7 +284,7 @@ impl Kernel {
         name: &str,
         i: usize,
         reads: Vec<Read<'_>>,
-        bound: &Bindings<'_>,
+        bound: &Bound<'_>,
     ) -> haten2_mapreduce::Result<Written> {
         let (mut lists, mut producers, mut taken) = (Vec::new(), Vec::new(), Vec::new());
         for read in reads {
@@ -299,11 +298,11 @@ impl Kernel {
         }
         let shards: Vec<Shards<'_>> = lists.iter().map(Vec::as_slice).collect();
         let published = |partitions: Partitions| vec![Dataset::Shards(partitions)];
-        let widths = [bound.u1.rows() as u64, bound.u2.rows() as u64];
+        let widths = bound.widths;
         let rank = widths[0];
         Ok(match (self, shards.as_slice(), taken.len()) {
             (Kernel::NaiveTtv(side), [entries], 0) => {
-                let [d0, _, d2] = bound.x.dims();
+                let [d0, _, d2] = bound.dims;
                 let dims = [d0, producers[0] as u64, d2, 1];
                 let row = side.row(bound, i);
                 published(naive_ttv_job(ctx, name, entries, dims, side.slot(), row)?)
@@ -500,6 +499,12 @@ impl Pipeline {
         self
     }
 
+    /// Whether the pipeline joins entries with factor rows (IMHP), rather
+    /// than multiplying them by factor columns one instance per column.
+    fn joins_rows(&self) -> bool {
+        self.steps.iter().any(|&(kernel, _)| kernel == Kernel::Imhp)
+    }
+
     /// The last job's costs are worst-case bounds, not generic-position
     /// exact: it reads a dataset whose support is data-dependent.
     fn upper_bound(mut self) -> Self {
@@ -587,16 +592,32 @@ pub fn plan_for(decomp: Decomp, variant: Variant) -> JobGraph {
 
 /// What one call binds a pipeline's symbols to.
 pub struct Bindings<'a> {
-    /// The tensor in canonical orientation (target mode first): dataset
-    /// `x`, with `bin(x)` as dataset `x_bin` for the graphs that read it.
-    pub x: &'a CooTensor3,
-    /// Transposed factor of canonical mode 1, `Q × J`.
+    /// Dataset `x`: the tensor's records in canonical orientation, target
+    /// mode first. `bin(x)`, every value 1, is dataset `x_bin` for the
+    /// graphs that read it.
+    pub x: &'a [(Ix4, f64)],
+    /// The canonical dims of `x`, `[I, J, K]`.
+    pub dims: [u64; 3],
+    /// Factor of canonical mode 1, `J × Q`.
     pub u1: &'a Mat,
-    /// Transposed factor of canonical mode 2, `R × K`.
+    /// Factor of canonical mode 2, `K × R`.
     pub u2: &'a Mat,
     /// Map-side combiner in Collapse jobs (an ablation; the paper's cost
     /// model assumes none).
     pub use_combiner: bool,
+}
+
+/// The bindings as a pipeline's kernels read them: both factors in the
+/// orientation its kernels join them in — as themselves for IMHP, which
+/// reads each row where it lies, transposed for the per-column kernels,
+/// which multiply by one column each.
+struct Bound<'a> {
+    dims: [u64; 3],
+    u1: &'a Mat,
+    u2: &'a Mat,
+    /// `[Q, R]`.
+    widths: [u64; 2],
+    use_combiner: bool,
 }
 
 /// One declared write, as the job that wrote it leaves it.
@@ -684,7 +705,7 @@ fn submit<'a>(
     batch: &mut Batch<'a>,
     pipeline: &Pipeline,
     env: &Env,
-    bound: &'a Bindings<'a>,
+    bound: &'a Bound<'a>,
     datasets: &[(&str, &'a [(Ix4, f64)])],
 ) -> haten2_mapreduce::Result<Vec<(JobInstance, JobHandle<Written>)>> {
     let mut submitted: Vec<(JobInstance, JobHandle<Written>)> = Vec::new();
@@ -767,19 +788,32 @@ pub fn run_pipeline(
     bound: &Bindings<'_>,
 ) -> crate::Result<Partitions> {
     let machines = cluster.config().machines.max(1);
-    let x = tensor_records(bound.x);
-    let x_bin = pipeline
+    let x_bin: Option<Vec<(Ix4, f64)>> = pipeline
         .graph
         .is_input("x_bin")
-        .then(|| tensor_records(&bound.x.bin()));
-    let mut datasets = vec![("x", x.as_slice())];
+        .then(|| bound.x.iter().map(|&(ix, _)| (ix, 1.0)).collect());
+    let mut datasets = vec![("x", bound.x)];
     datasets.extend(x_bin.as_deref().map(|records| ("x_bin", records)));
 
-    let (q, r) = (bound.u1.rows(), bound.u2.rows());
-    let env = env_for(bound.x.dims(), x.len(), q, r, machines);
+    let (q, r) = (bound.u1.cols(), bound.u2.cols());
+    let env = env_for(bound.dims, bound.x.len(), q, r, machines);
+    // IMHP reads the factors' rows where they lie; the per-column kernels
+    // multiply by rows of the transposes.
+    let transposed = (!pipeline.joins_rows()).then(|| [bound.u1.transpose(), bound.u2.transpose()]);
+    let (u1, u2) = match &transposed {
+        Some([u1, u2]) => (u1, u2),
+        None => (bound.u1, bound.u2),
+    };
+    let kernels = Bound {
+        dims: bound.dims,
+        u1,
+        u2,
+        widths: [q as u64, r as u64],
+        use_combiner: bound.use_combiner,
+    };
 
     let mut batch = Batch::with_graph(&pipeline.graph);
-    let submitted = submit(&mut batch, pipeline, &env, bound, &datasets)?;
+    let submitted = submit(&mut batch, pipeline, &env, &kernels, &datasets)?;
     batch.run(cluster)?;
 
     let outputs = &pipeline.graph.outputs;
@@ -839,7 +873,9 @@ pub fn comm_for(decomp: Decomp, _variant: Variant) -> CommSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::records::tensor_records;
     use haten2_mapreduce::{FaultPlan, RetryPolicy};
+    use haten2_tensor::CooTensor3;
 
     fn sample_envs() -> Vec<Env> {
         let mut envs = Vec::new();
@@ -964,10 +1000,11 @@ mod tests {
         let x = sample_tensor();
         let (records, bin) = (tensor_records(&x), tensor_records(&x.bin()));
         let datasets = [("x", records.as_slice()), ("x_bin", bin.as_slice())];
-        let bound = Bindings {
-            x: &x,
+        let bound = Bound {
+            dims: x.dims(),
             u1: &Mat::zeros(q, 5),
             u2: &Mat::zeros(3, 6),
+            widths: [q as u64, 3],
             use_combiner: false,
         };
         let env = env_for(x.dims(), x.nnz(), q, 3, 4);
@@ -1027,10 +1064,16 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let x = sample_tensor();
+        let (records, u1, u2) = (
+            tensor_records(&x),
+            Mat::random(3, 5, &mut rng).transpose(),
+            Mat::random(3, 6, &mut rng).transpose(),
+        );
         let bound = Bindings {
-            x: &x,
-            u1: &Mat::random(3, 5, &mut rng),
-            u2: &Mat::random(3, 6, &mut rng),
+            x: &records,
+            dims: x.dims(),
+            u1: &u1,
+            u2: &u2,
             use_combiner: false,
         };
         let y = run_pipeline(cluster, pipeline, &bound)?;

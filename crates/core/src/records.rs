@@ -36,25 +36,33 @@ impl EstimateSize for TvRec {
 }
 
 /// Input record for the integrated `IMHP(X, B, C, …)` job: a tensor entry
-/// or a full factor-matrix row for one of the join sides.
+/// or a factor-matrix row for one of the join sides.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ImhpRec {
     /// Tensor entry.
     Ent(Ix4, f64),
-    /// Factor row `(side, index, row)`: side `s` joins on the index of the
-    /// `s`-th non-target mode with a row of that mode's factor — at two
-    /// sides, `Bᵀ` (length Q) on the mode-1 index and `Cᵀ` (length R) on
-    /// the mode-2 index.
-    Row(u8, u64, Vec<f64>),
+    /// Factor row `(side, index, width)`: side `s` joins on the index of
+    /// the `s`-th non-target mode with row `index` of that mode's factor,
+    /// `width` values wide — at two sides, a row of `B` (length Q) on the
+    /// mode-1 index and one of `C` (length R) on the mode-2 index. The
+    /// record names the row and the reducer reads it where the factor
+    /// lies; it is priced as the `Vec<f64>` of the row's values.
+    Row(u8, u64, usize),
 }
 
 impl EstimateSize for ImhpRec {
     fn est_bytes(&self) -> usize {
         1 + match self {
             ImhpRec::Ent(ix, v) => ix.est_bytes() + v.est_bytes(),
-            ImhpRec::Row(s, i, row) => s.est_bytes() + i.est_bytes() + row.est_bytes(),
+            ImhpRec::Row(s, i, width) => s.est_bytes() + i.est_bytes() + row_bytes(*width),
         }
     }
+}
+
+/// What a factor row of `width` values weighs on the wire: the `Vec<f64>`
+/// the row travels as, whether a record carries it or names it.
+fn row_bytes(width: usize) -> usize {
+    Vec::<f64>::new().est_bytes() + width * 0.0f64.est_bytes()
 }
 
 /// Intermediate value for Hadamard-style joins keyed on one tensor mode.
@@ -108,8 +116,10 @@ impl EstimateSize for NaiveVal {
 pub enum ImhpVal {
     /// Tensor entry routed to this join key.
     Ent(Ix4, f64),
-    /// Factor row for this join key.
-    Row(Vec<f64>),
+    /// Factor row for this join key, `width` values wide: the reducer
+    /// reads the key's row of the factor it joins. Priced as the
+    /// `Vec<f64>` of the row's values.
+    Row(usize),
 }
 
 impl ImhpVal {
@@ -118,7 +128,7 @@ impl ImhpVal {
     pub fn entry(self) -> Option<(Ix4, f64)> {
         match self {
             ImhpVal::Ent(ix, v) => Some((ix, v)),
-            ImhpVal::Row(_) => None,
+            ImhpVal::Row(..) => None,
         }
     }
 }
@@ -127,7 +137,7 @@ impl EstimateSize for ImhpVal {
     fn est_bytes(&self) -> usize {
         1 + match self {
             ImhpVal::Ent(ix, v) => ix.est_bytes() + v.est_bytes(),
-            ImhpVal::Row(row) => row.est_bytes(),
+            ImhpVal::Row(width) => row_bytes(*width),
         }
     }
 }
@@ -205,7 +215,7 @@ mod tests {
     fn record_sizes_positive() {
         assert!(TvRec::Ent((0, 0, 0, 0), 1.0).est_bytes() >= 40);
         assert!(TvRec::Coef(0, 1.0).est_bytes() >= 17);
-        assert!(ImhpRec::Row(0, 1, vec![1.0; 10]).est_bytes() >= 80);
+        assert!(ImhpRec::Row(0, 1, 10).est_bytes() >= 80);
         let merge = MergeVal {
             side: 0,
             j: 0,
@@ -221,6 +231,26 @@ mod tests {
         assert_eq!(std::mem::size_of::<MergeVal>(), 32);
         // Never wider in memory than on the wire.
         assert!(std::mem::size_of::<MergeVal>() <= MergeVal::FIXED_BYTES.unwrap());
+    }
+
+    #[test]
+    fn a_row_named_by_index_and_width_prices_as_its_values() {
+        // What a factor row record weighed when it carried the row.
+        for width in [1, 5, 10, 64] {
+            let row = vec![0.5; width];
+            let (side, idx) = (1u8, 7u64);
+            let carried = 1 + side.est_bytes() + idx.est_bytes() + row.est_bytes();
+            assert_eq!(
+                ImhpRec::Row(side, idx, width).est_bytes(),
+                carried,
+                "{width}"
+            );
+            assert_eq!(
+                ImhpVal::Row(width).est_bytes(),
+                1 + row.est_bytes(),
+                "{width}"
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! | DRN     | `nnz·(Q+R)`      | `Q+R+1` | `2`           |
 //! | DRI     | `nnz·(Q+R)`      | `2`     | `2`           |
 
-use crate::canon::canonicalize;
+use crate::canon::canonical_records;
 use crate::plan::{pipeline_for, run_pipeline, Bindings, Decomp};
 use crate::records::check_columns;
 use crate::{CoreError, Result, Variant};
@@ -76,18 +76,33 @@ pub fn project(
     u2: &Mat,
     opts: &ProjectOptions,
 ) -> Result<CooTensor3> {
+    let (u1, u2) = (u1.transpose(), u2.transpose());
+    project_rows(cluster, variant, x, mode, &u1, &u2, opts)
+}
+
+/// [`project`] with the factors bound as they are, `J × Q` and `K × R`
+/// rather than transposed: Tucker-ALS passes its factors this way, so
+/// DRI's IMHP reads their rows in place.
+pub(crate) fn project_rows(
+    cluster: &Cluster,
+    variant: Variant,
+    x: &CooTensor3,
+    mode: usize,
+    u1: &Mat,
+    u2: &Mat,
+    opts: &ProjectOptions,
+) -> Result<CooTensor3> {
     if mode > 2 {
         return Err(CoreError::InvalidArgument(format!(
             "mode {mode} out of range"
         )));
     }
-    check_columns("project: core size", u1.rows())?;
-    check_columns("project: core size", u2.rows())?;
-    let (xc, perm) = canonicalize(x, mode);
-    let d = xc.dims();
-    if u1.cols() != d[1] as usize || u2.cols() != d[2] as usize {
+    check_columns("project: core size", u1.cols())?;
+    check_columns("project: core size", u2.cols())?;
+    let (d, records) = canonical_records(x, mode);
+    if u1.rows() != d[1] as usize || u2.rows() != d[2] as usize {
         return Err(CoreError::InvalidArgument(format!(
-            "project: factors are {}x{} and {}x{} for canonical dims {d:?} (perm {perm:?})",
+            "project: factors are {}x{} and {}x{} (untransposed) for canonical dims {d:?} (mode {mode})",
             u1.rows(),
             u1.cols(),
             u2.rows(),
@@ -100,7 +115,8 @@ pub fn project(
         cluster,
         &pipeline_for(Decomp::Tucker, variant),
         &Bindings {
-            x: &xc,
+            x: &records,
+            dims: d,
             u1,
             u2,
             use_combiner: opts.use_combiner,
@@ -109,7 +125,7 @@ pub fn project(
     let mut entries = Vec::with_capacity(y.iter().map(Vec::len).sum());
     let records = y.iter().flatten();
     entries.extend(records.map(|&(ix, v)| Entry3::new(ix.0, ix.1, ix.2, v)));
-    let dims = [d[0], u1.rows() as u64, u2.rows() as u64];
+    let dims = [d[0], u1.cols() as u64, u2.cols() as u64];
     Ok(CooTensor3::from_entries(dims, entries)?)
 }
 

@@ -22,10 +22,12 @@ fn cluster() -> Cluster {
 }
 
 /// `IMHP(X, B, C)`: the two-sided job of the 3-way pipelines, `T'` and
-/// `T''` as the merge's map output its reduce tasks wrote.
+/// `T''` as the merge's map output its reduce tasks wrote. The job joins
+/// `B` and `C` themselves, the transposes of `bt` and `ct`.
 fn imhp(cluster: &Cluster, name: &str, x: &CooTensor3, bt: &Mat, ct: &Mat) -> MergeInput<'static> {
     let entries = tensor_records(x);
-    let written = imhp_job(cluster, name, &[&entries], &[bt, ct], join_on_slots).unwrap();
+    let (b, c) = (bt.transpose(), ct.transpose());
+    let written = imhp_job(cluster, name, &[&entries], &[&b, &c], join_on_slots).unwrap();
     MergeInput::Written(written)
 }
 
@@ -127,7 +129,8 @@ fn imhp_job_produces_both_expansions() {
     let bt = Mat::random(3, 6, &mut rng); // Q x J
     let ct = Mat::random(2, 4, &mut rng); // R x K
     let entries = tensor_records(&x);
-    let written = imhp_job(&cluster(), "t", &[&entries], &[&bt, &ct], join_on_slots).unwrap();
+    let (b, c) = (bt.transpose(), ct.transpose());
+    let written = imhp_job(&cluster(), "t", &[&entries], &[&b, &c], join_on_slots).unwrap();
     // Both sides, already mapped for the merge; read back as records they
     // are the expansions.
     let [tp, tdp]: [WrittenSide; 2] = written.try_into().ok().unwrap();

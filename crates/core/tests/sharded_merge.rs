@@ -66,11 +66,13 @@ impl Shape {
         Cluster::new(cfg)
     }
 
-    /// A fresh cluster, and the sides IMHP wrote on it.
+    /// A fresh cluster, and the sides IMHP wrote on it, joining `B` and
+    /// `C` themselves, the transposes of `bt` and `ct`.
     fn imhp(&self, x: &CooTensor3, bt: &Mat, ct: &Mat) -> (Cluster, Vec<WrittenSide>) {
         let cluster = self.cluster();
         let entries = tensor_records(x);
-        let written = imhp_job(&cluster, "imhp", &[&entries], &[bt, ct], join_on_slots).unwrap();
+        let (b, c) = (bt.transpose(), ct.transpose());
+        let written = imhp_job(&cluster, "imhp", &[&entries], &[&b, &c], join_on_slots).unwrap();
         (cluster, written)
     }
 

@@ -40,23 +40,43 @@ impl Entry3 {
 /// there: past it, the counters outgrow the records they rank.
 pub const COUNTING_SPAN_PER_ENTRY: u64 = 16;
 
-/// Sort `entries`, every index within `dims`, stably by `(i, j, k)`: by
-/// three stable counting passes — `k`, then `j`, then `i` — when every
-/// extent is narrow for their number, by comparison otherwise. Entries of
-/// one coordinate keep their order either way.
-fn sort_coordinates(entries: &mut Vec<Entry3>, dims: [u64; 3]) {
-    if !counts(entries.len(), dims) {
-        entries.sort_by_key(|e| (e.i, e.j, e.k));
-        return;
+/// Put coordinate records of any layout, each within `dims`, in the form
+/// [`CooTensor3::from_entries`] stores entries in, record for record and
+/// bit for bit: sorted stably by `(i, j, k)`, each run of one coordinate
+/// summed into its first record in stored order, and every record whose
+/// sum is zero dropped. (`from_entries` starts each sum from `0.0`, which
+/// differs only for a `-0.0` that is dropped either way.) `coord` reads a
+/// record's coordinate, `value` its value.
+///
+/// The records are ranked by three stable counting passes — `k`, then
+/// `j`, then `i` — when every extent is narrow for their number
+/// ([`COUNTING_SPAN_PER_ENTRY`]), by comparison otherwise.
+pub fn canonical_form<T: Copy>(
+    records: &mut Vec<T>,
+    dims: [u64; 3],
+    coord: impl Fn(&T) -> (u64, u64, u64),
+    value: impl Fn(&mut T) -> &mut f64,
+) {
+    if counts(records.len(), dims) {
+        let mut scratch = Vec::new();
+        counting_pass(records, &mut scratch, dims[2], |r| coord(r).2);
+        counting_pass(&scratch, records, dims[1], |r| coord(r).1);
+        counting_pass(records, &mut scratch, dims[0], |r| coord(r).0);
+        *records = scratch;
+    } else {
+        records.sort_by_key(&coord);
     }
-    let mut scratch = Vec::new();
-    counting_pass(entries, &mut scratch, dims[2], |e| e.k);
-    counting_pass(&scratch, entries, dims[1], |e| e.j);
-    counting_pass(entries, &mut scratch, dims[0], |e| e.i);
-    *entries = scratch;
+    records.dedup_by(|r, kept| {
+        let same = coord(r) == coord(kept);
+        if same {
+            *value(kept) += *value(r);
+        }
+        same
+    });
+    records.retain_mut(|r| *value(r) != 0.0);
 }
 
-/// Whether `len` entries within `dims` are ranked by counting: every
+/// Whether `len` records within `dims` are ranked by counting: every
 /// extent is narrow for their number.
 fn counts(len: usize, dims: [u64; 3]) -> bool {
     let most = (len as u64).saturating_mul(COUNTING_SPAN_PER_ENTRY);
@@ -64,22 +84,23 @@ fn counts(len: usize, dims: [u64; 3]) -> bool {
 }
 
 /// `src` into `dst` stably by `key`, every key below `extent`: one counter
-/// per key turned into its first position, then each entry to its key's
+/// per key turned into its first position, then each record to its key's
 /// next free one.
-fn counting_pass(src: &[Entry3], dst: &mut Vec<Entry3>, extent: u64, key: impl Fn(&Entry3) -> u64) {
+fn counting_pass<T: Copy>(src: &[T], dst: &mut Vec<T>, extent: u64, key: impl Fn(&T) -> u64) {
     let mut next = vec![0usize; extent as usize];
-    for e in src {
-        next[key(e) as usize] += 1;
+    for r in src {
+        next[key(r) as usize] += 1;
     }
     let mut sum = 0;
     for c in &mut next {
         (sum, *c) = (sum + *c, sum);
     }
     dst.clear();
-    dst.resize(src.len(), Entry3::new(0, 0, 0, 0.0));
-    for e in src {
-        let slot = &mut next[key(e) as usize];
-        dst[*slot] = *e;
+    let Some(&fill) = src.first() else { return };
+    dst.resize(src.len(), fill);
+    for r in src {
+        let slot = &mut next[key(r) as usize];
+        dst[*slot] = *r;
         *slot += 1;
     }
 }
@@ -309,11 +330,9 @@ impl CooTensor3 {
     ///
     /// The result is the tensor [`CooTensor3::from_entries`] builds from the
     /// permuted entries, entry for entry and bit for bit, without hashing
-    /// every coordinate to get there: the entries are stably sorted — by
-    /// counting when every extent is narrow for their number
-    /// ([`COUNTING_SPAN_PER_ENTRY`]) — and coordinates left coinciding by
-    /// [`CooTensor3::push_unchecked`] are summed in stored order, the order
-    /// `from_entries` adds them in.
+    /// every coordinate to get there: [`canonical_form`] sorts them stably
+    /// and sums the coordinates [`CooTensor3::push_unchecked`] left
+    /// coinciding in stored order, the order `from_entries` adds them in.
     pub fn permute(&self, perm: [usize; 3]) -> Result<CooTensor3> {
         let mut seen = [false; 3];
         for &p in &perm {
@@ -337,19 +356,7 @@ impl CooTensor3 {
             }
             entries.push(Entry3::new(i, j, k, e.v));
         }
-        sort_coordinates(&mut entries, dims);
-        // Fold each run of equal coordinates into its first entry, in
-        // place, then drop what summed to zero. (`from_entries` starts
-        // each sum from `0.0`, which differs only for a `-0.0` that is
-        // dropped either way.)
-        entries.dedup_by(|e, kept| {
-            let same = (e.i, e.j, e.k) == (kept.i, kept.j, kept.k);
-            if same {
-                kept.v += e.v;
-            }
-            same
-        });
-        entries.retain(|e| e.v != 0.0);
+        canonical_form(&mut entries, dims, |e| (e.i, e.j, e.k), |e| &mut e.v);
         Ok(CooTensor3 { dims, entries })
     }
 

@@ -19,7 +19,8 @@
 # shelf, DAG scheduler and its per-level
 # pool split, parallel-reduce failure, the durable DFS's block-parallel
 # reload — concurrent and nested in a job — the eight pipelines end to end
-# through the one submitter, and the N-way fronts on the same kernels) and
+# through the one submitter, the ALS drivers around them, and the N-way
+# fronts on the same kernels) and
 # Miri over the arena (the run cursor that hands its columns back, the
 # chunked reduce collector and `GroupValues::peek_last` included) and the
 # in-place assembly of a reloaded
@@ -64,9 +65,12 @@ if [[ "${1:-}" == "--sanitize" ]]; then
         # Every pipeline (and both merges over sharded and over written input,
         # and the per-column kernels over a producer's reduce partitions)
         # under both scheduler modes, with the bit-identity digests still
-        # asserted; and the same kernels at three to five join sides on the
-        # bare cluster.
-        tsan -p haten2-core --test golden_pipelines --test sharded_merge --test nway_properties
+        # asserted; the ALS drivers around them (`golden_als`: every PARAFAC
+        # variant, the N-way front and Tucker-DRI, two sweeps each under
+        # the DAG scheduler, their digests asserted); and the same kernels
+        # at three to five join sides on the bare cluster.
+        tsan -p haten2-core --test golden_pipelines --test golden_als --test sharded_merge \
+            --test nway_properties
     else
         echo "==> TSan SKIPPED: rust-src not installed (rustup +nightly component add rust-src)"
     fi
