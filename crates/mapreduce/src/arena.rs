@@ -9,13 +9,15 @@
 //!   emit appends to both columns ([`MapOutput::emit`] takes a key and a
 //!   value, never an owned tuple); nothing else in the engine's map and
 //!   shuffle path pushes per-record tuples.
-//! * Sorting computes each record's `u32` destination over the key column
-//!   (`sort_destinations`) and moves both columns there in place with
-//!   cycle-following swaps (`apply_destinations`) — the ranking never
-//!   moves a value, and the move loop is O(n) swaps. A key type with an
-//!   integer image ([`EstimateSize::ORDER_IMAGE`]) is ranked by counting
-//!   when the bucket's key span is narrow for its length; any other
-//!   bucket by a comparison sort (`sort_permutation`).
+//! * Sorting is out of place, in one pass: both columns move into a spare
+//!   pair the sealing task owns, which the bucket then keeps, and the
+//!   bucket's emptied columns become the spare for the next bucket. A key
+//!   type with an integer image ([`EstimateSize::ORDER_IMAGE`]) is sorted
+//!   by counting when the bucket's key span is narrow for its length:
+//!   each record goes straight to its key's next free slot
+//!   (`counting_scatter`). Any other bucket is sorted by comparison: the
+//!   records are gathered in the order of a `u32` permutation
+//!   (`sort_permutation`). The moves themselves are `crate::fill`'s.
 //! * [`MapOutput`] — one task's map output: a `ColumnBuffer` per reduce
 //!   partition, filled through the job's partitioner. Map tasks fill one
 //!   each; a [`Collect`] may fill them for the next job.
@@ -35,12 +37,13 @@
 //!     next job's map output, directly.
 //! * Columns of 128 KiB or more are not the allocator's. They come from
 //!   and go back to the cluster's column recycler (the private `recycle`
-//!   module): a hinted bucket and the sort scratch take the best fit on
-//!   its shelf, and a full bucket (unhinted, or filled by a [`Collect`]
-//!   for the next job) grows into one. Sealing trims each bucket to its
-//!   length and hands back the scratch. A reduce task hands back both
-//!   columns of every run it drained (the values stream out of a
-//!   `VecDeque`, so their column comes back whole).
+//!   module): a hinted bucket, a seal's spare pair and the sort scratch
+//!   take the best fit on its shelf, and a full bucket (unhinted, or
+//!   filled by a [`Collect`] for the next job) grows into one. Sealing
+//!   trims each sorted bucket to its length and hands back the last
+//!   spare and the sort scratch. A reduce task hands back both columns
+//!   of every run it drained (the values stream out of a `VecDeque`, so
+//!   their column comes back whole).
 //!
 //! Byte accounting is column-wise: `slice_est_bytes(keys) +
 //! slice_est_bytes(vals)` equals the seed's tuple-wise sum exactly
@@ -48,9 +51,9 @@
 //! stay bit-identical to the reference executor.
 
 use crate::job::{Combiner, Partitioner};
-use crate::recycle;
 use crate::size::{slice_est_bytes, EstimateSize};
 use crate::RECORD_FRAMING_BYTES as FRAMING_BYTES;
+use crate::{fill, recycle};
 use std::collections::VecDeque;
 use std::hash::Hash;
 
@@ -222,23 +225,48 @@ impl<K: EstimateSize, V: EstimateSize> ColumnBuffer<K, V> {
     }
 }
 
-impl<K: Ord + EstimateSize, V> ColumnBuffer<K, V> {
-    /// Stable sort by key: every record's destination is ranked over the
-    /// key column ([`sort_destinations`] — by counting when the key type
-    /// has an integer image of narrow span, by comparison otherwise), then
-    /// both columns move there in place. Emission order within equal keys
-    /// is preserved, so both rankings yield the same order.
-    pub(crate) fn sort_stable(&mut self) {
+impl<K: Ord + EstimateSize + Send + 'static, V: Send + 'static> ColumnBuffer<K, V> {
+    /// Stable sort by key, out of place: the records move in one pass into
+    /// `spare`, an empty pair, which then becomes this buffer, and this
+    /// buffer's emptied columns become `spare`. A key type with an integer
+    /// image of narrow span is sorted by counting (each record goes
+    /// straight to its key's next free slot), any other by comparison (the
+    /// records are gathered in [`sort_permutation`]'s order). Emission
+    /// order within equal keys is preserved, so both yield the same order.
+    pub(crate) fn sort_stable(&mut self, spare: &mut Self) {
         // Already-sorted detection first: a stable sort of sorted input is
         // the identity, and hash-partitioned buckets routinely hold a
         // single distinct key (low-cardinality jobs), so this O(n) scan
-        // saves the ranking's scratch on the hottest small-job path.
+        // saves the move and its scratch on the hottest small-job path.
         if self.keys.is_sorted() {
             return;
         }
-        let mut dest = sort_destinations(&self.keys);
-        apply_destinations(&mut dest, &mut self.keys, &mut self.vals);
-        recycle::give(dest);
+        assert_rankable(self.len());
+        spare.make_room(self.len());
+        let from = (&mut self.keys, &mut self.vals);
+        let into = (&mut spare.keys, &mut spare.vals);
+        match counting_span(from.0) {
+            Some((image, min, span)) => counting_scatter(from, into, image, min, span),
+            None => {
+                let perm = sort_permutation(from.0);
+                fill::gather(from, into, &perm);
+                recycle::give(perm);
+            }
+        }
+        std::mem::swap(self, spare);
+    }
+
+    /// Make room for `len` records in both (empty) columns: a column too
+    /// short goes back to the recycler for one that holds them.
+    fn make_room(&mut self, len: usize) {
+        if self.keys.capacity() < len {
+            recycle::give(std::mem::take(&mut self.keys));
+            self.keys = recycle::with_capacity(len);
+        }
+        if self.vals.capacity() < len {
+            recycle::give(std::mem::take(&mut self.vals));
+            self.vals = recycle::with_capacity(len);
+        }
     }
 }
 
@@ -385,13 +413,16 @@ impl<K: Clone + Ord + EstimateSize + Send + 'static, V: EstimateSize + Send + 's
     /// Sort each non-empty bucket by key — stably, so emission order
     /// survives within equal keys and reducers merge instead of
     /// re-sorting — apply `combiner`, and seal the buckets into runs. The
-    /// buckets are left empty, ready to be filled again.
+    /// buckets are left empty, ready to be filled again. One spare column
+    /// pair serves every bucket's sort: each bucket leaves its emptied
+    /// columns for the next, and the last one's go back to the recycler.
     pub(crate) fn seal(&mut self, combiner: Option<Combiner<'_, K, V>>) -> Sealed<K, V> {
         let mut sealed = Sealed {
             runs: Vec::new(),
             records: 0,
             bytes: 0,
         };
+        let mut spare = ColumnBuffer::new();
         for (p, slot) in (0u32..).zip(&mut self.buckets) {
             if slot.is_empty() {
                 continue;
@@ -401,7 +432,7 @@ impl<K: Clone + Ord + EstimateSize + Send + 'static, V: EstimateSize + Send + 's
             let bytes = bucket.est_bytes();
             sealed.records += bucket.len();
             sealed.bytes += bytes;
-            bucket.sort_stable();
+            bucket.sort_stable(&mut spare);
             let bytes = match combiner {
                 Some(combiner) => {
                     bucket.combine(combiner);
@@ -411,6 +442,8 @@ impl<K: Clone + Ord + EstimateSize + Send + 'static, V: EstimateSize + Send + 's
             };
             sealed.runs.push((p, bucket.seal(bytes)));
         }
+        recycle::give(spare.keys);
+        recycle::give(spare.vals);
         sealed
     }
 }
@@ -456,87 +489,69 @@ fn counts(len: usize, span: u64) -> bool {
     span < (len as u64).saturating_mul(COUNTING_SPAN_PER_RECORD)
 }
 
-/// Every record's rank in the stable key order: record `i` goes to
-/// `dest[i]`, the inverse of [`sort_permutation`]'s permutation. A key
-/// type with an [`EstimateSize::ORDER_IMAGE`] whose span is narrow for
-/// the bucket's length is ranked by counting; any other by comparison.
-pub(crate) fn sort_destinations<K: Ord + EstimateSize>(keys: &[K]) -> Vec<u32> {
-    debug_assert!(keys.len() <= u32::MAX as usize);
-    if let Some(image) = K::ORDER_IMAGE {
-        let mut images = keys.iter().map(image);
-        if let Some(first) = images.next() {
-            let (min, max) = images.fold((first, first), |(lo, hi), x| (lo.min(x), hi.max(x)));
-            let span = max - min;
-            if counts(keys.len(), span) {
-                return counting_destinations(keys, image, min, span);
-            }
-        }
-    }
-    let perm = sort_permutation(keys);
-    let dest = invert(&perm);
-    recycle::give(perm);
-    dest
+/// Panic unless a bucket of `len` records can be ranked: ranks and
+/// counters are `u32`, to halve the scratch a sort moves, and a longer
+/// bucket would wrap them.
+fn assert_rankable(len: usize) {
+    assert!(
+        u32::try_from(len).is_ok(),
+        "a bucket of {len} records is too long to rank in u32"
+    );
 }
 
-/// Counting sort over the images `min ..= min + span`: one counter per
-/// value turned into each value's first destination, and a record's
-/// destination is its value's next free slot, so records of one key keep
-/// their order.
-fn counting_destinations<K>(keys: &[K], image: fn(&K) -> u64, min: u64, span: u64) -> Vec<u32> {
+/// A key type's order-preserving integer image ([`EstimateSize::ORDER_IMAGE`]).
+type Image<K> = fn(&K) -> u64;
+
+/// The order image, minimum and span (max − min) of `keys` when they are
+/// sorted by counting: their type has an image and the span is narrow for
+/// their number ([`counts`]).
+fn counting_span<K: EstimateSize>(keys: &[K]) -> Option<(Image<K>, u64, u64)> {
+    let image = K::ORDER_IMAGE?;
+    let mut images = keys.iter().map(image);
+    let first = images.next()?;
+    let (min, max) = images.fold((first, first), |(lo, hi), x| (lo.min(x), hi.max(x)));
+    let span = max - min;
+    counts(keys.len(), span).then_some((image, min, span))
+}
+
+/// Counting sort over the images `min ..= min + span`, from the column
+/// pair `from` into the empty pair `into`: one counter per value turned
+/// into each value's first slot, and a record goes to its value's next
+/// free slot, so records of one key keep their order.
+fn counting_scatter<K, V>(
+    from: fill::Columns<'_, K, V>,
+    into: fill::Columns<'_, K, V>,
+    image: Image<K>,
+    min: u64,
+    span: u64,
+) {
     let counter = |k: &K| (image(k) - min) as usize;
     let mut next = recycle::zeroed(span as usize + 1);
-    for k in keys {
+    for k in from.0.iter() {
         next[counter(k)] += 1;
     }
     let mut sum = 0;
     for c in &mut next {
         (sum, *c) = (sum + *c, sum);
     }
-    let mut dest = recycle::with_capacity(keys.len());
-    dest.extend(keys.iter().map(|k| {
+    fill::scatter(from, into, |k| {
         let slot = &mut next[counter(k)];
         *slot += 1;
-        *slot - 1
-    }));
+        *slot as usize - 1
+    });
     recycle::give(next);
-    dest
 }
 
 /// Stable sort permutation over `keys`: `perm[rank]` is the index of the
 /// record holding that rank. `u32` indices halve the bytes moved per sort
-/// compared to shuffling 16–24-byte record tuples.
-pub(crate) fn sort_permutation<K: Ord>(keys: &[K]) -> Vec<u32> {
-    debug_assert!(keys.len() <= u32::MAX as usize);
+/// compared to shuffling 16–24-byte record tuples; [`assert_rankable`]
+/// has checked that `keys` fit them.
+fn sort_permutation<K: Ord>(keys: &[K]) -> Vec<u32> {
     let mut perm = recycle::with_capacity(keys.len());
     perm.extend(0..keys.len() as u32);
     // Stable, so emission order survives within equal keys.
     perm.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
     perm
-}
-
-/// A permutation's destinations: `dest[perm[rank]] = rank`.
-fn invert(perm: &[u32]) -> Vec<u32> {
-    let mut dest = recycle::zeroed(perm.len());
-    for (rank, &source) in (0u32..).zip(perm) {
-        dest[source as usize] = rank;
-    }
-    dest
-}
-
-/// Move both columns in place so that record `i` lands at `dest[i]`,
-/// using O(n) cycle-following swaps and no per-record allocation.
-/// Consumes `dest` as scratch.
-pub(crate) fn apply_destinations<K, V>(dest: &mut [u32], keys: &mut [K], vals: &mut [V]) {
-    debug_assert_eq!(dest.len(), keys.len());
-    debug_assert_eq!(dest.len(), vals.len());
-    for i in 0..dest.len() {
-        while dest[i] as usize != i {
-            let j = dest[i] as usize;
-            keys.swap(i, j);
-            vals.swap(i, j);
-            dest.swap(i, j);
-        }
-    }
 }
 
 /// A read cursor over one sorted [`ColumnRun`]: keys stay addressable as a
@@ -701,43 +716,82 @@ mod tests {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// `records` sorted by [`ColumnBuffer::sort_stable`], as `(key, value)`
+    /// pairs.
+    fn sorted<K, V>(records: impl IntoIterator<Item = (K, V)>) -> Vec<(K, V)>
+    where
+        K: Ord + EstimateSize + Send + 'static,
+        V: Send + 'static,
+    {
+        let mut buf = ColumnBuffer::new();
+        for (k, v) in records {
+            buf.push(k, v);
+        }
+        buf.sort_stable(&mut ColumnBuffer::new());
+        buf.keys.into_iter().zip(buf.vals).collect()
+    }
 
     #[test]
     fn permutation_sort_matches_tuple_sort_and_is_stable() {
         // Duplicate keys with distinguishable values: stability visible.
-        let mut buf: ColumnBuffer<u64, (u64, u64)> = ColumnBuffer::new();
         let records = [(3u64, 0u64), (1, 1), (3, 2), (2, 3), (1, 4), (3, 5)];
-        for (k, i) in records {
-            buf.push(k, (k, i));
-        }
-        buf.sort_stable();
-        let sorted: Vec<_> = buf.keys.into_iter().zip(buf.vals).collect();
         let mut expect: Vec<(u64, (u64, u64))> =
             records.iter().map(|&(k, i)| (k, (k, i))).collect();
         expect.sort_by_key(|a| a.0);
-        assert_eq!(sorted, expect);
+        assert_eq!(sorted(records.map(|(k, i)| (k, (k, i)))), expect);
     }
 
-    #[test]
-    fn apply_permutation_handles_rotations_and_identity() {
-        for perm_spec in [
-            vec![0u32, 1, 2, 3],
-            vec![3, 2, 1, 0],
-            vec![1, 2, 3, 0],
-            vec![3, 0, 1, 2],
-            vec![2, 0, 3, 1],
-        ] {
-            let mut keys = vec![10u64, 11, 12, 13];
-            let mut vals = vec!["a", "b", "c", "d"];
-            apply_destinations(&mut invert(&perm_spec), &mut keys, &mut vals);
-            let expect_keys: Vec<u64> = perm_spec.iter().map(|&p| 10 + p as u64).collect();
-            let expect_vals: Vec<&str> = perm_spec
-                .iter()
-                .map(|&p| ["a", "b", "c", "d"][p as usize])
-                .collect();
-            assert_eq!(keys, expect_keys, "perm {perm_spec:?}");
-            assert_eq!(vals, expect_vals, "perm {perm_spec:?}");
+    /// A value that counts its drops in `DROPS`.
+    struct Counted {
+        at: usize,
+    }
+
+    /// Drops of [`Counted`] so far; only the test below makes one.
+    static DROPS: AtomicUsize = AtomicUsize::new(0);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            DROPS.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Sorting moves records and drops none, on the counting path (a
+    /// narrow `u64` span) and the comparison path (a wide one, and a key
+    /// without an image); dropping the sorted buffer and the spare it
+    /// left drops each record once. The spare is the bucket's old pair.
+    #[test]
+    fn arena_sort_moves_each_record_and_drops_it_once_on_both_paths() {
+        let keys: [u64; 7] = [5, 2, 5, 0, 2, 7, 1];
+        let drops = || DROPS.load(Ordering::Relaxed);
+        for wide in [1, 1 << 40] {
+            let mut buf = ColumnBuffer::new();
+            for (at, &k) in keys.iter().enumerate() {
+                buf.push(k * wide, Counted { at });
+            }
+            let old = buf.keys.as_ptr();
+            let mut spare = ColumnBuffer::new();
+            let before = drops();
+            buf.sort_stable(&mut spare);
+            assert_eq!(drops(), before, "moved, not dropped");
+            let order: Vec<usize> = buf.vals.iter().map(|v| v.at).collect();
+            assert_eq!(order, [3, 6, 1, 4, 0, 2, 5], "span factor {wide}");
+            assert!(spare.is_empty() && spare.keys.as_ptr() == old);
+            drop((buf, spare));
+            assert_eq!(drops(), before + keys.len());
+        }
+        let records = keys.iter().enumerate().map(|(at, &k)| {
+            let key = (u8::from(k > 2), k.to_string());
+            (key, Counted { at })
+        });
+        let before = drops();
+        let pairs = sorted(records);
+        assert_eq!(drops(), before, "moved, not dropped");
+        let order: Vec<usize> = pairs.iter().map(|(_, v)| v.at).collect();
+        assert_eq!(order, [3, 6, 1, 4, 0, 2, 5]);
+        drop(pairs);
+        assert_eq!(drops(), before + keys.len());
     }
 
     #[test]
@@ -980,13 +1034,41 @@ mod tests {
     #[test]
     fn keys_without_an_image_sort_by_comparison() {
         let records = [((1u8, 9u64), 0), ((0, 9), 1), ((1, 2), 2), ((0, 9), 3)];
-        let mut buf: ColumnBuffer<(u8, u64), u32> = ColumnBuffer::new();
-        for (k, i) in records {
-            buf.push(k, i);
+        let want = [((0, 9), 1), ((0, 9), 3), ((1, 2), 2), ((1, 9), 0)];
+        assert_eq!(sorted::<(u8, u64), u32>(records), want);
+    }
+
+    /// Buckets sealed in one call share one spare pair: a bucket's sorted
+    /// columns are the previous bucket's emptied ones.
+    #[test]
+    fn arena_seal_hands_each_bucket_the_previous_one_s_columns() {
+        let mut out: MapOutput<u64, u64> = MapOutput::new(4);
+        for i in (0..400u64).rev() {
+            out.emit(i, i);
         }
-        buf.sort_stable();
-        assert_eq!(buf.keys, [(0, 9), (0, 9), (1, 2), (1, 9)]);
-        assert_eq!(buf.vals, [1, 3, 2, 0]);
+        let before: Vec<*const u64> = out.buckets.iter().map(|b| b.keys.as_ptr()).collect();
+        let runs = out.seal(None).runs;
+        assert_eq!(runs.len(), 4);
+        for (n, (p, run)) in runs.iter().enumerate() {
+            assert_eq!(*p as usize, n);
+            assert!(run.keys.is_sorted() && run.keys.len() == run.vals.len());
+            assert!(run.keys.iter().zip(&run.vals).all(|(k, v)| k == v));
+            if n > 0 {
+                assert_eq!(run.keys.as_ptr(), before[n - 1], "bucket {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn arena_buckets_rank_up_to_u32_max_records() {
+        assert_rankable(0);
+        assert_rankable(u32::MAX as usize);
+        let past = u32::MAX as usize + 1;
+        let message = std::panic::catch_unwind(|| assert_rankable(past))
+            .expect_err("a longer bucket panics")
+            .downcast::<String>()
+            .expect("a formatted message");
+        assert!(message.contains(&past.to_string()), "{message}");
     }
 
     #[test]
@@ -1000,21 +1082,44 @@ mod tests {
         assert_eq!(narrow, haten2_tensor::coo3::COUNTING_SPAN_PER_ENTRY);
     }
 
-    /// The dispatcher's ranking of `keys`, and counting's forced whenever
-    /// its counters fit, equal the comparison sort's. A destination vector
-    /// fixes where each of several equal keys goes, so equality is
-    /// stability too.
+    /// What [`ColumnBuffer::sort_stable`] leaves in the columns of a
+    /// bucket of `keys`, each value stamped with its record's position,
+    /// equals `slice::sort_by_key`'s stable order — and so do the counting
+    /// scatter, forced whenever its counters fit, and the comparison
+    /// gather, always forced. Equal keys are told apart by their stamps,
+    /// so equality is stability too.
     fn assert_rankings_match(keys: &[u64]) {
-        let want = invert(&sort_permutation(keys));
-        assert_eq!(sort_destinations(keys), want, "dispatch on {keys:?}");
+        let mut want: Vec<(u64, u32)> = keys.iter().copied().zip(0..).collect();
+        want.sort_by_key(|r| r.0);
+        let stamped = keys.iter().copied().zip(0u32..);
+        assert_eq!(sorted(stamped), want, "sort_stable on {keys:?}");
+        let perm = sort_permutation(keys);
+        let gathered = moved(keys, |from, into| fill::gather(from, into, &perm));
+        assert_eq!(gathered, want, "comparison on {keys:?}");
         let image = u64::ORDER_IMAGE.expect("u64 has an order image");
         if let (Some(&min), Some(&max)) = (keys.iter().min(), keys.iter().max()) {
             let span = max - min;
             if span <= 1 << 16 {
-                let counted = counting_destinations(keys, image, min, span);
+                let counted = moved(keys, |from, into| {
+                    counting_scatter(from, into, image, min, span);
+                });
                 assert_eq!(counted, want, "counting on {keys:?}");
             }
         }
+    }
+
+    /// `keys`, their values stamped with their positions, moved by `sort`
+    /// into an empty column pair, as `(key, stamp)` pairs. `sort` must
+    /// leave the source empty.
+    fn moved(
+        keys: &[u64],
+        sort: impl FnOnce(fill::Columns<'_, u64, u32>, fill::Columns<'_, u64, u32>),
+    ) -> Vec<(u64, u32)> {
+        let (mut keys, mut stamps) = (keys.to_vec(), (0..keys.len() as u32).collect());
+        let (mut into_keys, mut into_stamps) = (Vec::new(), Vec::new());
+        sort((&mut keys, &mut stamps), (&mut into_keys, &mut into_stamps));
+        assert!(keys.is_empty() && stamps.is_empty());
+        into_keys.into_iter().zip(into_stamps).collect()
     }
 
     /// A `len`-record column over `lo ..= lo + span`, shaped: all equal,

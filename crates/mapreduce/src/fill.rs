@@ -1,4 +1,5 @@
-//! One `Vec` filled in place by disjoint parts.
+//! `Vec`s filled in place: by disjoint parts, or by records moved out of
+//! another column pair.
 //!
 //! A spilled reload parses each contiguous range of a dataset's blocks on
 //! its own executor. [`fill_parts`] lets every range parse straight into
@@ -10,10 +11,21 @@
 //! failed or panicked — drops the records it holds, so on every path each
 //! record written is dropped exactly once.
 //!
+//! Sealing a shuffle bucket sorts its key and value columns out of place,
+//! into an empty pair, in one pass ([`crate::arena`]). [`scatter`] moves
+//! the records in index order, each to the slot a counting sort names;
+//! [`gather`] fills the slots in order, each from the record a sort
+//! permutation names. Neither needs `Clone`: a record is moved, never
+//! copied. Each marks the slots (or records) it has used in a bit set and
+//! panics on one out of range or named twice, so what it claims is
+//! checked where it claims it. A panic part-way leaks the records in
+//! flight rather than dropping any twice.
+//!
 //! This is the workspace's second `unsafe` site (the first is
-//! [`crate::WorkerPool::broadcast`]); its tests run under Miri in
-//! `scripts/check.sh --sanitize`.
+//! [`crate::WorkerPool::broadcast`]); its tests, and the arena's that sort
+//! through it, run under Miri in `scripts/check.sh --sanitize`.
 
+use crate::recycle;
 use std::mem::MaybeUninit;
 
 /// The next `len` slots of the `Vec` [`fill_parts`] is building, written
@@ -96,6 +108,120 @@ pub(crate) fn fill_parts<T, E>(
     // them made `records` the records' only owner.
     unsafe { records.set_len(total) };
     Ok(records)
+}
+
+/// A key column and a value column, borrowed to move records out of or
+/// into.
+pub(crate) type Columns<'a, K, V> = (&'a mut Vec<K>, &'a mut Vec<V>);
+
+/// The indices `0..len` a move has used, one bit each.
+struct Used {
+    words: Vec<u32>,
+    len: usize,
+}
+
+impl Used {
+    fn new(len: usize) -> Self {
+        Used {
+            words: recycle::zeroed(len.div_ceil(32)),
+            len,
+        }
+    }
+
+    /// Mark `i` used. Panics if it is out of range or already used.
+    #[inline]
+    fn mark(&mut self, i: usize) {
+        assert!(
+            i < self.len,
+            "index {i} out of range for {} records",
+            self.len
+        );
+        let (word, bit) = (&mut self.words[i / 32], 1 << (i % 32));
+        assert!(*word & bit == 0, "index {i} named twice");
+        *word |= bit;
+    }
+}
+
+impl Drop for Used {
+    fn drop(&mut self) {
+        recycle::give(std::mem::take(&mut self.words));
+    }
+}
+
+/// Check that `from` is a column pair of equal lengths and `into` an
+/// empty one, make room in `into` for every record, and return how many
+/// there are.
+fn begin<K, V>(from: &Columns<'_, K, V>, into: &mut Columns<'_, K, V>) -> usize {
+    let len = from.0.len();
+    assert!(
+        from.1.len() == len && into.0.is_empty() && into.1.is_empty(),
+        "moves a full column pair into an empty one"
+    );
+    into.0.reserve_exact(len);
+    into.1.reserve_exact(len);
+    len
+}
+
+/// Move every record of the column pair `from` into the empty pair
+/// `into`: record `i`, in index order, to the slot `to(&key)` names. Panics
+/// if a slot is out of range or named twice; then the records already
+/// moved are leaked and the rest dropped, none twice. `from` is left
+/// empty, its capacity kept.
+#[allow(unsafe_code, reason = "claims the filled columns; SAFETY below")]
+pub(crate) fn scatter<K, V>(
+    from: Columns<'_, K, V>,
+    mut into: Columns<'_, K, V>,
+    mut to: impl FnMut(&K) -> usize,
+) {
+    let len = begin(&from, &mut into);
+    let mut written = Used::new(len);
+    let slots = (into.0.spare_capacity_mut(), into.1.spare_capacity_mut());
+    for (key, val) in from.0.drain(..).zip(from.1.drain(..)) {
+        let slot = to(&key);
+        written.mark(slot);
+        slots.0[slot].write(key);
+        slots.1[slot].write(val);
+    }
+    // SAFETY: both drains yielded `len` records (`begin` checked the
+    // lengths), and each was written to a slot `written` had not marked
+    // before and that is below `len`, which `begin` reserved. So `len`
+    // distinct slots of `0..len` — all of them — hold initialized records
+    // that nothing else owns: the drains gave them up.
+    unsafe {
+        into.0.set_len(len);
+        into.1.set_len(len);
+    }
+}
+
+/// Move every record of the column pair `from` into the empty pair
+/// `into`: slot `r` gets record `order[r]`. Panics before moving any if
+/// `order` is not as long as the columns; panics if it names a record out
+/// of range or twice, and then the records already moved stay in `into`
+/// and the rest are leaked, none dropped twice. `from` is left empty, its
+/// capacity kept.
+#[allow(unsafe_code, reason = "moves records out of a column; SAFETY below")]
+pub(crate) fn gather<K, V>(from: Columns<'_, K, V>, mut into: Columns<'_, K, V>, order: &[u32]) {
+    let len = begin(&from, &mut into);
+    assert_eq!(order.len(), len, "an order names every record");
+    let mut taken = Used::new(len);
+    // SAFETY: a shorter length is always valid. From here the columns'
+    // records belong to this move, which reads each out at most once.
+    unsafe {
+        from.0.set_len(0);
+        from.1.set_len(0);
+    }
+    let records = (from.0.as_ptr(), from.1.as_ptr());
+    for &i in order {
+        let i = i as usize;
+        taken.mark(i);
+        // SAFETY: `i < len`, so both reads stay within the columns'
+        // first `len` slots, which held initialized records when their
+        // lengths were cut. `taken` had not marked `i` before, so this
+        // record has not been read out yet, and is read out only now.
+        let record = unsafe { (records.0.add(i).read(), records.1.add(i).read()) };
+        into.0.push(record.0);
+        into.1.push(record.1);
+    }
 }
 
 #[cfg(test)]
@@ -215,5 +341,143 @@ mod tests {
         });
         assert_eq!(failed.err(), Some("part 2"));
         assert_eq!(drops.load(Ordering::Relaxed), 8);
+    }
+
+    /// A record with no heap data that counts its drops, so that one
+    /// leaked by a failed move leaks no allocation.
+    struct Slot<'c> {
+        at: usize,
+        drops: &'c AtomicUsize,
+    }
+
+    impl Drop for Slot<'_> {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A key column `0..len` and a value column of `Slot`s.
+    fn slots(len: usize, drops: &AtomicUsize) -> (Vec<usize>, Vec<Slot<'_>>) {
+        (
+            (0..len).collect(),
+            (0..len).map(|at| Slot { at, drops }).collect(),
+        )
+    }
+
+    /// Scattering record `i` to slot `perm⁻¹[i]`, and gathering slot `r`
+    /// from record `perm[r]`, both lay the records out in `perm`'s order —
+    /// the identity, a reversal, rotations and a derangement — moving each
+    /// once and leaving the source empty with its capacity.
+    #[test]
+    fn scatter_and_gather_move_every_record_once_and_empty_the_source() {
+        let drops = AtomicUsize::new(0);
+        let perms: [[u32; 4]; 5] = [
+            [0, 1, 2, 3],
+            [3, 2, 1, 0],
+            [1, 2, 3, 0],
+            [3, 0, 1, 2],
+            [2, 0, 3, 1],
+        ];
+        for perm in perms {
+            let want = perm.map(|p| p as usize);
+            let slot_of = |&k: &usize| want.iter().position(|&p| p == k).expect("a permutation");
+            let (mut keys, mut vals) = slots(4, &drops);
+            let (mut into_keys, mut into_vals) = (Vec::new(), Vec::new());
+            scatter(
+                (&mut keys, &mut vals),
+                (&mut into_keys, &mut into_vals),
+                slot_of,
+            );
+            assert_eq!(into_keys, want, "scatter by {perm:?}");
+            assert!(into_vals.iter().map(|v| v.at).eq(want));
+            assert!(keys.is_empty() && vals.is_empty() && keys.capacity() >= 4);
+            // And by gathering, from a fresh source into the emptied one.
+            let mut source = slots(4, &drops);
+            gather(
+                (&mut source.0, &mut source.1),
+                (&mut keys, &mut vals),
+                &perm,
+            );
+            assert_eq!(keys, want, "gather by {perm:?}");
+            assert!(vals.iter().map(|v| v.at).eq(want));
+            assert!(source.0.is_empty() && source.1.is_empty());
+            assert_eq!(drops.load(Ordering::Relaxed), 0, "moved, not dropped");
+            drop((vals, into_vals));
+            assert_eq!(drops.swap(0, Ordering::Relaxed), 8);
+        }
+        let (mut none, mut into) = (slots(0, &drops), slots(0, &drops));
+        scatter(
+            (&mut none.0, &mut none.1),
+            (&mut into.0, &mut into.1),
+            |_| unreachable!(),
+        );
+        gather((&mut none.0, &mut none.1), (&mut into.0, &mut into.1), &[]);
+        assert!(into.0.is_empty());
+    }
+
+    /// A scatter whose destination panics part-way — on its own, or by
+    /// naming a slot twice or past the end — claims nothing: the records
+    /// moved are leaked, the one in hand and the rest dropped, none twice.
+    #[test]
+    fn scatter_that_panics_part_way_leaks_what_it_moved_and_never_drops_twice() {
+        let fail: [&dyn Fn(usize) -> usize; 3] = [
+            &|k| {
+                if k == 3 {
+                    panic!("destination fails")
+                } else {
+                    k
+                }
+            },
+            &|k| k.min(2),
+            &|k| k * 2,
+        ];
+        for (n, to) in fail.into_iter().enumerate() {
+            let drops = AtomicUsize::new(0);
+            let (mut keys, mut vals) = slots(6, &drops);
+            let (mut into_keys, mut into_vals) = (Vec::new(), Vec::new());
+            let failed = catch_unwind(AssertUnwindSafe(|| {
+                scatter(
+                    (&mut keys, &mut vals),
+                    (&mut into_keys, &mut into_vals),
+                    |&k| to(k),
+                );
+            }));
+            assert!(failed.is_err(), "destination {n}");
+            assert!(into_keys.is_empty() && into_vals.is_empty());
+            // Records 0..3 were moved (and leaked); 3..6 are dropped.
+            assert_eq!(drops.load(Ordering::Relaxed), 3, "destination {n}");
+            drop((keys, vals, into_keys, into_vals));
+            assert_eq!(drops.load(Ordering::Relaxed), 3, "destination {n}");
+        }
+    }
+
+    /// A gather whose order names a record twice or past the end panics:
+    /// the records moved stay in the target and are dropped with it, the
+    /// rest are leaked, none dropped twice. One of the wrong length panics
+    /// before it moves any, and the source keeps them all.
+    #[test]
+    fn gather_of_a_bad_order_panics_and_never_drops_twice() {
+        let orders = [
+            (&[2u32, 0, 2, 1][..], 2, 2),
+            (&[1, 9, 0, 2], 1, 1),
+            (&[0, 1], 0, 4),
+        ];
+        for (order, moved, dropped) in orders {
+            let drops = AtomicUsize::new(0);
+            let (mut keys, mut vals) = slots(4, &drops);
+            let (mut into_keys, mut into_vals) = (Vec::new(), Vec::new());
+            let failed = catch_unwind(AssertUnwindSafe(|| {
+                gather(
+                    (&mut keys, &mut vals),
+                    (&mut into_keys, &mut into_vals),
+                    order,
+                );
+            }));
+            assert!(failed.is_err(), "order {order:?}");
+            assert_eq!(into_vals.len(), moved, "order {order:?}");
+            assert_eq!(drops.load(Ordering::Relaxed), 0);
+            drop((keys, vals, into_keys, into_vals));
+            assert_eq!(drops.load(Ordering::Relaxed), dropped, "order {order:?}");
+        }
     }
 }

@@ -50,10 +50,11 @@
 //!   dependencies' outputs, each shard has one writer per batch, and a
 //!   [`Dfs`] write from inside a running job is refused.
 
-// The workspace's two unsafe sites live here, each behind a narrowly
-// scoped `#[allow]` with a SAFETY argument and its own tests: the lifetime
+// The workspace's two unsafe sites live here, each behind narrowly
+// scoped `#[allow]`s with SAFETY arguments and its own tests: the lifetime
 // erasure of `WorkerPool::broadcast` (`pool.rs`, stress-tested) and the
-// in-place assembly of a reloaded dataset (`fill.rs`, Miri-tested).
+// in-place fills of `fill.rs` (Miri-tested) — a reloaded dataset's
+// assembly, and the out-of-place moves that sort a shuffle bucket.
 // Everything else in this crate is denied from adding more.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

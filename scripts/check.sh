@@ -22,9 +22,11 @@
 # through the one submitter, the ALS drivers around them, and the N-way
 # fronts on the same kernels) and
 # Miri over the arena (the run cursor that hands its columns back, the
-# chunked reduce collector and `GroupValues::peek_last` included) and the
-# in-place assembly of a reloaded
-# dataset (`fill.rs`, one of the crate's two unsafe sites). Both
+# chunked reduce collector, `GroupValues::peek_last` and the out-of-place
+# bucket sort on both its paths included) and `fill.rs`, one of the
+# crate's two unsafe sites: the in-place assembly of a reloaded dataset,
+# and the scatter and gather that sort a bucket, their drop-counting
+# tests on a move that panics part-way included. Both
 # need nightly tooling; each step is skipped with a notice when its
 # toolchain component is absent, so the lane degrades gracefully on
 # stable-only hosts.
@@ -75,7 +77,7 @@ if [[ "${1:-}" == "--sanitize" ]]; then
         echo "==> TSan SKIPPED: rust-src not installed (rustup +nightly component add rust-src)"
     fi
     if rustup component list --toolchain nightly 2>/dev/null | grep -q 'miri.*(installed)'; then
-        echo "==> Miri: arena and in-place reload assembly tests"
+        echo "==> Miri: arena, in-place reload assembly and bucket-sort move tests"
         cargo +nightly miri test -p haten2-mapreduce arena fill::
     else
         echo "==> Miri SKIPPED: component not installed (rustup +nightly component add miri)"
