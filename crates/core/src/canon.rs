@@ -4,13 +4,13 @@
 //! defined for an arbitrary target mode, but the distributed kernels are
 //! written once for the canonical orientation: the target mode first, then
 //! the remaining two modes in ascending original order. `canonicalize`
-//! permutes a tensor into that orientation; `canonical_records` builds
-//! the records the kernels read in it, in one pass. The kernel outputs
-//! (`Y(x₀, q, r)` / `M(x₀, r)`) are already in caller coordinates because
-//! slot 0 *is* the target mode.
+//! permutes a tensor into that orientation; `CanonicalRecords` builds
+//! the records the kernels read in it, in one pass, into storage a caller
+//! keeps across modes. The kernel outputs (`Y(x₀, q, r)` / `M(x₀, r)`)
+//! are already in caller coordinates because slot 0 *is* the target mode.
 
-use crate::records::{tensor_records, Ix4};
-use haten2_tensor::coo3::canonical_form;
+use crate::records::{tensor_records_into, Ix4};
+use haten2_tensor::coo3::{canonical_form, CountingScratch};
 use haten2_tensor::{CooTensor3, Entry3};
 use std::borrow::Cow;
 
@@ -34,28 +34,62 @@ pub fn canonicalize(t: &CooTensor3, target: usize) -> (Cow<'_, CooTensor3>, [usi
     (Cow::Owned(canon), perm)
 }
 
-/// The canonical dims of `t` for target mode `target`, and its records in
-/// that orientation: `tensor_records(&canonicalize(t, target).0)`, record
-/// for record and bit for bit, built in one pass. Target mode 0 reads the
-/// entries as they are stored; the other two permute each entry straight
-/// into its record, then sort, fold and drop zeros as
-/// [`CooTensor3::permute`] does ([`canonical_form`]).
-pub(crate) fn canonical_records(t: &CooTensor3, target: usize) -> ([u64; 3], Vec<(Ix4, f64)>) {
-    let perm = permutation(target);
-    let dims = perm.map(|m| t.dims()[m]);
-    if target == 0 {
-        return (dims, tensor_records(t));
+/// One tensor's records in the canonical orientation of a target mode,
+/// rebuilt for each mode in the storage the mode before left, with the
+/// counting scratch that builds them. A PARAFAC-ALS call keeps one for all
+/// its sweeps: after its first mode, the records of every mode are written
+/// where the last mode's lay.
+#[derive(Debug, Default)]
+pub(crate) struct CanonicalRecords {
+    records: Vec<(Ix4, f64)>,
+    scratch: CountingScratch<(Ix4, f64)>,
+}
+
+impl CanonicalRecords {
+    /// The canonical dims of `t` for target mode `target`, and its records
+    /// in that orientation: `tensor_records(&canonicalize(t, target).0)`,
+    /// record for record and bit for bit, built in one pass. Target mode 0
+    /// reads the entries as they are stored; the other two permute each
+    /// entry straight into its record, then sort, fold and drop zeros as
+    /// [`CooTensor3::permute`] does ([`canonical_form`]).
+    pub(crate) fn build(&mut self, t: &CooTensor3, target: usize) -> ([u64; 3], &[(Ix4, f64)]) {
+        let perm = permutation(target);
+        let dims = perm.map(|m| t.dims()[m]);
+        if target == 0 {
+            tensor_records_into(t, &mut self.records);
+        } else {
+            let permuted = |e: &Entry3| {
+                (
+                    (e.index(perm[0]), e.index(perm[1]), e.index(perm[2]), 0),
+                    e.v,
+                )
+            };
+            canonical_form(
+                t.entries(),
+                permuted,
+                dims,
+                |&((i, j, k, _), _)| (i, j, k),
+                |(_, v)| v,
+                &mut self.records,
+                &mut self.scratch,
+            );
+        }
+        (dims, &self.records)
     }
-    let permuted = |e: &Entry3| (e.index(perm[0]), e.index(perm[1]), e.index(perm[2]), 0);
-    let mut records: Vec<(Ix4, f64)> = t.entries().iter().map(|e| (permuted(e), e.v)).collect();
-    let coord = |&((i, j, k, _), _): &(Ix4, f64)| (i, j, k);
-    canonical_form(&mut records, dims, coord, |(_, v)| v);
-    (dims, records)
+}
+
+/// [`CanonicalRecords::build`] into fresh storage, for a caller that
+/// builds one mode.
+pub(crate) fn canonical_records(t: &CooTensor3, target: usize) -> ([u64; 3], Vec<(Ix4, f64)>) {
+    let mut canon = CanonicalRecords::default();
+    let (dims, _) = canon.build(t, target);
+    (dims, canon.records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::records::tensor_records;
     use haten2_tensor::coo3::COUNTING_SPAN_PER_ENTRY;
 
     fn sample() -> CooTensor3 {
@@ -113,22 +147,24 @@ mod tests {
         t
     }
 
-    #[test]
-    fn canonical_records_are_the_canonical_tensor_s_records_bit_for_bit() {
-        // Repeats that round differently summed in another order, a pair
-        // that cancels, a coordinate whose only value is tiny.
-        let repeats = [
-            (2, 1, 0, 0.1),
-            (0, 3, 4, 1.0),
-            (2, 1, 0, 0.2),
-            (1, 1, 1, 2.0),
-            (2, 1, 0, 0.3),
-            (0, 3, 4, -1.0),
-            (1, 0, 2, -1e-200),
-            (1, 1, 1, 1.0 / 3.0),
-        ];
-        let unsorted = stored([3, 4, 5], &repeats);
-        let mut sorted_entries = repeats;
+    /// Repeats that round differently summed in another order, a pair
+    /// that cancels, a coordinate whose only value is tiny, as stored.
+    const REPEATS: [(u64, u64, u64, f64); 8] = [
+        (2, 1, 0, 0.1),
+        (0, 3, 4, 1.0),
+        (2, 1, 0, 0.2),
+        (1, 1, 1, 2.0),
+        (2, 1, 0, 0.3),
+        (0, 3, 4, -1.0),
+        (1, 0, 2, -1e-200),
+        (1, 1, 1, 1.0 / 3.0),
+    ];
+
+    /// The tensors the records are checked on: [`REPEATS`] unsorted and
+    /// sorted, stored `-0.0`s, no entry, and a mode too wide to count.
+    fn cases() -> [(&'static str, CooTensor3); 5] {
+        let unsorted = stored([3, 4, 5], &REPEATS);
+        let mut sorted_entries = REPEATS;
         sorted_entries.sort_by_key(|&(i, j, k, _)| (i, j, k));
         let sorted = stored([3, 4, 5], &sorted_entries);
         // Scaled by 1e-200, -1e-200 underflows to a stored -0.0: alone at
@@ -149,17 +185,22 @@ mod tests {
             .map(|n| (n % 2, (n * 97) % 3 * 50, n % 3, 1.0 + n as f64))
             .collect();
         let wide = stored([2, wide_extent, 3], &wide_entries);
-
-        let bits = |records: &[(Ix4, f64)]| -> Vec<(Ix4, u64)> {
-            records.iter().map(|&(ix, v)| (ix, v.to_bits())).collect()
-        };
-        for (label, t) in [
+        [
             ("unsorted repeats", unsorted),
             ("sorted repeats", sorted),
             ("signed zero", signed_zero),
             ("empty", CooTensor3::new([2, 3, 4])),
             ("wide", wide),
-        ] {
+        ]
+    }
+
+    fn bits(records: &[(Ix4, f64)]) -> Vec<(Ix4, u64)> {
+        records.iter().map(|&(ix, v)| (ix, v.to_bits())).collect()
+    }
+
+    #[test]
+    fn canonical_records_are_the_canonical_tensor_s_records_bit_for_bit() {
+        for (label, t) in cases() {
             for mode in 0..3 {
                 let (dims, got) = canonical_records(&t, mode);
                 let (want, _) = canonicalize(&t, mode);
@@ -169,8 +210,26 @@ mod tests {
             }
         }
         // Mode 0 is read as stored; the others fold and drop.
-        let t = stored([3, 4, 5], &repeats);
+        let t = stored([3, 4, 5], &REPEATS);
         assert_eq!(canonical_records(&t, 0).1.len(), 8);
         assert_eq!(canonical_records(&t, 1).1.len(), 3);
+    }
+
+    #[test]
+    fn every_mode_is_built_where_mode_zero_s_records_lie() {
+        // One buffer through modes 0, 1 and 2 holds each mode's fresh
+        // records bit for bit, and after mode 0 it never moves.
+        for (label, t) in cases() {
+            let mut canon = CanonicalRecords::default();
+            let mut storage = None;
+            for mode in 0..3 {
+                let (dims, got) = canon.build(&t, mode);
+                let (want_dims, want) = canonical_records(&t, mode);
+                assert_eq!(dims, want_dims, "{label}, mode {mode}");
+                assert_eq!(bits(got), bits(&want), "{label}, mode {mode}");
+                let at = *storage.get_or_insert(got.as_ptr());
+                assert_eq!(got.as_ptr(), at, "{label}, mode {mode}: reallocated");
+            }
+        }
     }
 }

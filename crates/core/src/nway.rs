@@ -109,17 +109,31 @@ fn expand(
 /// ignored); all must share the same column count `R`. Returns
 /// `M ∈ ℝ^{dims[mode]×R}`.
 pub fn nway_mttkrp(cluster: &Cluster, x: &DynTensor, mode: usize, factors: &[&Mat]) -> Result<Mat> {
+    let mut m = Mat::zeros(0, 0);
+    nway_mttkrp_into(cluster, x, mode, factors, &mut m)?;
+    Ok(m)
+}
+
+/// [`nway_mttkrp`] folded into `out`, zeroed to `dims[mode] × R` in the
+/// storage it has: N-way PARAFAC-ALS passes the factor `M` replaces.
+fn nway_mttkrp_into(
+    cluster: &Cluster,
+    x: &DynTensor,
+    mode: usize,
+    factors: &[&Mat],
+    out: &mut Mat,
+) -> Result<()> {
     let others = join_modes(x, mode, factors, true)?;
     let expanded = expand(cluster, x, mode, &others, factors)?;
     let name = format!("nway-pairwisemerge-mode{mode}");
     let rank = factors[others[0]].cols();
     let y = pairwise_merge_job(cluster, &name, expanded, rank as u64)?;
 
-    let mut m = Mat::zeros(x.dims()[mode] as usize, rank);
+    out.reset_zeros(x.dims()[mode] as usize, rank);
     for &((i, r, _, _), v) in y.iter().flatten() {
-        m.add_at(i as usize, r as usize, v);
+        out.add_at(i as usize, r as usize, v);
     }
-    Ok(m)
+    Ok(())
 }
 
 /// Result of [`nway_parafac_als`].
@@ -168,7 +182,10 @@ pub fn nway_parafac_als(
         &mut factors,
         norm_sq(x),
         (max_iters, tol),
-        |mode, factors| nway_mttkrp(cluster, x, mode, &factors.iter().collect::<Vec<_>>()),
+        |mode, factors, out| {
+            let factors: Vec<&Mat> = factors.iter().collect();
+            nway_mttkrp_into(cluster, x, mode, &factors, out)
+        },
         |_, _| Ok(None),
         |_, _, _| Ok(()),
     )?;

@@ -89,7 +89,6 @@
 
 use crate::records::{shards_len, HadVal, ImhpRec, ImhpVal, Ix4, MergeVal, NaiveVal, TvRec};
 use haten2_linalg::Mat;
-use haten2_mapreduce::size::slice_est_bytes;
 use haten2_mapreduce::{
     run_job_collect, run_job_written, Chunks, Collect, EstimateSize, JobSite, JobSpec, MapInput,
     MapOutput, MrError, Result,
@@ -157,25 +156,77 @@ pub type Shards<'a> = &'a [Shard<'a>];
 /// to the mapper as the record `wrap(tag, ix, v)`, built on the stack and
 /// priced at `record_bytes` — the wire size of the record *presented*,
 /// which is what `map_input_bytes` has always charged. `tail` follows: the
-/// factor rows or vector coefficients the job joins against, gathered up
-/// front because they are `O(J + K)`, not `O(nnz)`.
-struct Feed<'a, K, V, W> {
+/// factor rows or vector coefficients the job joins against, each made as
+/// it is presented ([`Tail`]).
+struct Feed<'a, W, T> {
     parts: Vec<(u8, Shard<'a>)>,
     /// Records in `parts`.
     in_place: usize,
     record_bytes: usize,
     wrap: W,
-    tail: Vec<(K, V)>,
+    tail: T,
 }
 
-impl<'a, K, V, W: Fn(u8, &Ix4, f64) -> (K, V)> Feed<'a, K, V, W> {
+/// The records a [`Feed`] presents after its shards, the `n`-th made by
+/// `record(n)` when it is presented.
+trait Tail {
+    type Record;
+
+    fn len(&self) -> usize;
+
+    fn record(&self, n: usize) -> Self::Record;
+}
+
+/// A tail held as a list: vector coefficients, or none at all.
+impl<R: Clone> Tail for Vec<R> {
+    type Record = R;
+
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn record(&self, n: usize) -> R {
+        self[n].clone()
+    }
+}
+
+/// A [`Feed`] whose tail is held as a list of `(K, V)` records.
+type ListedFeed<'a, K, V, W> = Feed<'a, W, Vec<(K, V)>>;
+
+/// The factor rows the join sides of an IMHP-style job read, side 0 first
+/// and each side's rows in order, made from the factors' shapes: `(rows,
+/// width)` per side. A row's record names it by its index and width, and
+/// the reducer reads the row where the factor lies.
+struct FactorRows(Vec<(usize, usize)>);
+
+impl FactorRows {
+    fn of(sides: &[&Mat]) -> Self {
+        FactorRows(sides.iter().map(|f| (f.rows(), f.cols())).collect())
+    }
+}
+
+impl Tail for FactorRows {
+    type Record = ((), ImhpRec);
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|&(rows, _)| rows).sum()
+    }
+
+    fn record(&self, n: usize) -> ((), ImhpRec) {
+        let mut row = n;
+        for (side, &(rows, width)) in (0u8..).zip(&self.0) {
+            if row < rows {
+                return ((), ImhpRec::Row(side, row as u64, width));
+            }
+            row -= rows;
+        }
+        panic!("factor row {n} of {}", self.len())
+    }
+}
+
+impl<'a, K, V, W: Fn(u8, &Ix4, f64) -> (K, V), T: Tail<Record = (K, V)>> Feed<'a, W, T> {
     /// `datasets` in presentation order, each `(tag, shards)`.
-    fn new(
-        datasets: &[(u8, &[Shard<'a>])],
-        record_bytes: usize,
-        wrap: W,
-        tail: Vec<(K, V)>,
-    ) -> Self {
+    fn new(datasets: &[(u8, &[Shard<'a>])], record_bytes: usize, wrap: W, tail: T) -> Self {
         let parts: Vec<_> = datasets
             .iter()
             .flat_map(|&(tag, shards)| shards.iter().map(move |&shard| (tag, shard)))
@@ -190,11 +241,12 @@ impl<'a, K, V, W: Fn(u8, &Ix4, f64) -> (K, V)> Feed<'a, K, V, W> {
     }
 }
 
-impl<K, V, W> MapInput for Feed<'_, K, V, W>
+impl<K, V, W, T> MapInput for Feed<'_, W, T>
 where
     K: EstimateSize + Sync,
     V: EstimateSize + Sync,
     W: Fn(u8, &Ix4, f64) -> (K, V) + Sync,
+    T: Tail<Record = (K, V)> + Sync,
 {
     type Key = K;
     type Val = V;
@@ -206,8 +258,9 @@ where
     fn est_bytes(&self, range: Range<usize>) -> usize {
         let in_place = range.end.min(self.in_place).saturating_sub(range.start);
         let tail_at = |record: usize| record.saturating_sub(self.in_place);
-        let tail = &self.tail[tail_at(range.start)..tail_at(range.end)];
-        in_place * self.record_bytes + slice_est_bytes(tail)
+        let tail = tail_at(range.start)..tail_at(range.end);
+        let tail_bytes: usize = tail.map(|n| self.tail.record(n).est_bytes()).sum();
+        in_place * self.record_bytes + tail_bytes
     }
 
     #[inline]
@@ -231,8 +284,9 @@ where
             left -= take;
             skip = 0;
         }
-        for (key, val) in &self.tail[skip..skip + left] {
-            f(key, val);
+        for n in skip..skip + left {
+            let (key, val) = self.tail.record(n);
+            f(&key, &val);
         }
     }
 }
@@ -240,7 +294,7 @@ where
 /// A dataset as its own job input: every record presented as it is stored.
 fn stored_feed<'a>(
     entries: Shards<'a>,
-) -> Feed<'a, Ix4, f64, impl Fn(u8, &Ix4, f64) -> (Ix4, f64) + Sync> {
+) -> ListedFeed<'a, Ix4, f64, impl Fn(u8, &Ix4, f64) -> (Ix4, f64) + Sync> {
     let record_bytes = <(Ix4, f64)>::FIXED_BYTES.expect("a tensor record is fixed-size");
     Feed::new(
         &[(0, entries)],
@@ -255,7 +309,7 @@ fn stored_feed<'a>(
 fn tv_feed<'a>(
     entries: Shards<'a>,
     v: &[f64],
-) -> Feed<'a, (), TvRec, impl Fn(u8, &Ix4, f64) -> ((), TvRec) + Sync> {
+) -> ListedFeed<'a, (), TvRec, impl Fn(u8, &Ix4, f64) -> ((), TvRec) + Sync> {
     let coefs = v.iter().enumerate().filter(|(_, &c)| c != 0.0);
     Feed::new(
         &[(0, entries)],
@@ -273,8 +327,8 @@ fn tv_feed<'a>(
 fn rows_feed<'a>(
     entries: Shards<'a>,
     entry_bytes: usize,
-    rows: Vec<((), ImhpRec)>,
-) -> Feed<'a, (), ImhpRec, impl Fn(u8, &Ix4, f64) -> ((), ImhpRec) + Sync> {
+    rows: FactorRows,
+) -> Feed<'a, impl Fn(u8, &Ix4, f64) -> ((), ImhpRec) + Sync, FactorRows> {
     Feed::new(
         &[(0, entries)],
         entry_bytes,
@@ -490,12 +544,6 @@ pub fn naive_ttv_job(
     Ok(partitions(out))
 }
 
-/// The factor rows one side of an IMHP-style join reads, each named by
-/// its index and width: the reducer reads row `idx` of `f` where it lies.
-fn factor_rows(side: u8, f: &Mat) -> impl Iterator<Item = ((), ImhpRec)> + '_ {
-    (0..f.rows()).map(move |idx| ((), ImhpRec::Row(side, idx as u64, f.cols())))
-}
-
 /// The merge's map function: an expanded record `((i, a, b, d), v)` of
 /// side `side`, keyed by its target-mode index `i`. The column `d` must
 /// fit the `u32` a [`MergeVal`] holds it in; the fronts refuse wider
@@ -607,9 +655,9 @@ pub fn imhp_job(
     join: impl Fn(usize, &Ix4) -> u64 + Sync,
 ) -> Result<Vec<WrittenSide>> {
     let n_sides = sides.len();
-    let rows = sides.iter().zip(0u8..).flat_map(|(f, s)| factor_rows(s, f));
     // One more index slot per side beyond the 3-way record's two.
-    let input = rows_feed(entries, ent3_bytes() + 8 * n_sides - 8 * 2, rows.collect());
+    let entry_bytes = ent3_bytes() + 8 * n_sides - 8 * 2;
+    let input = rows_feed(entries, entry_bytes, FactorRows::of(sides));
 
     let out: Vec<MergeWriter> = run_job_collect(
         site,
@@ -695,7 +743,7 @@ impl MergeInput<'_> {
 /// the same order for the written input.
 fn merge_feed<'a>(
     sides: &[Shards<'a>],
-) -> Feed<'a, u64, MergeVal, impl Fn(u8, &Ix4, f64) -> (u64, MergeVal) + Sync> {
+) -> ListedFeed<'a, u64, MergeVal, impl Fn(u8, &Ix4, f64) -> (u64, MergeVal) + Sync> {
     let tagged = sides
         .iter()
         .enumerate()
@@ -1100,7 +1148,7 @@ pub fn model_inner_product_job(
     let (a, b, c) = (factors[0], factors[1], factors[2]);
     let rank = a.cols();
     let x = [x.as_slice()];
-    let input = rows_feed(&x, ent3_bytes(), factor_rows(0, a).collect());
+    let input = rows_feed(&x, ent3_bytes(), FactorRows::of(&[a]));
     let out: Vec<Vec<(u8, f64)>> = run_job_collect(
         site,
         JobSpec::named(name.to_string()),
@@ -1198,6 +1246,33 @@ mod tests {
                     MapInput::est_bytes(flat.as_slice(), start..end),
                     "{start}..{end}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn factor_rows_present_and_price_each_side_s_rows_in_order() {
+        // Three sides, one without rows: the tail made from their shapes
+        // presents and prices every range as the listed rows would.
+        let sides = [Mat::zeros(3, 2), Mat::zeros(0, 5), Mat::zeros(2, 1)];
+        let sides: Vec<&Mat> = sides.iter().collect();
+        let listed: Vec<((), ImhpRec)> = (0u8..)
+            .zip(&sides)
+            .flat_map(|(s, f)| {
+                (0..f.rows()).map(move |i| ((), ImhpRec::Row(s, i as u64, f.cols())))
+            })
+            .collect();
+        assert_eq!(listed.len(), 5);
+        let entries: [(Ix4, f64); 2] = [((0, 1, 2, 0), 1.0), ((1, 0, 0, 0), -2.0)];
+        let shards: [&[(Ix4, f64)]; 1] = [&entries];
+        let made = rows_feed(&shards, ent3_bytes(), FactorRows::of(&sides));
+        let wrap = |_, ix: &Ix4, v| ((), ImhpRec::Ent(*ix, v));
+        let held = Feed::new(&[(0, &shards)], ent3_bytes(), wrap, listed);
+        assert_eq!(made.len(), held.len());
+        for start in 0..=held.len() {
+            for end in start..=held.len() {
+                assert_eq!(presented(&made, start..end), presented(&held, start..end));
+                assert_eq!(made.est_bytes(start..end), held.est_bytes(start..end));
             }
         }
     }

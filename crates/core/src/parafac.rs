@@ -15,9 +15,9 @@
 //! | DRN     | `2·nnz·R`        | `2R+1` | `2`           |
 //! | DRI     | `2·nnz·R`        | `2`    | `2`           |
 
-use crate::canon::canonical_records;
+use crate::canon::CanonicalRecords;
 use crate::plan::{pipeline_for, run_pipeline, Bindings, Decomp};
-use crate::records::check_columns;
+use crate::records::{check_columns, check_mode};
 use crate::{CoreError, Result, Variant};
 use haten2_linalg::Mat;
 use haten2_mapreduce::Cluster;
@@ -60,11 +60,26 @@ pub fn mttkrp(
     f1: &Mat,
     f2: &Mat,
 ) -> Result<Mat> {
-    if mode > 2 {
-        return Err(CoreError::InvalidArgument(format!(
-            "mode {mode} out of range"
-        )));
-    }
+    let mut m = Mat::zeros(0, 0);
+    let mut canon = CanonicalRecords::default();
+    mttkrp_into(cluster, variant, x, mode, [f1, f2], &mut canon, &mut m)?;
+    Ok(m)
+}
+
+/// [`mttkrp`] in storage the caller keeps: the target mode's records are
+/// built in `canon`'s, and `M` is folded into `out`, zeroed to
+/// `dims[mode] × R` in the storage it has. PARAFAC-ALS passes the factor
+/// `M` replaces, so a sweep's modes take no fresh memory for either.
+pub(crate) fn mttkrp_into(
+    cluster: &Cluster,
+    variant: Variant,
+    x: &CooTensor3,
+    mode: usize,
+    [f1, f2]: [&Mat; 2],
+    canon: &mut CanonicalRecords,
+    out: &mut Mat,
+) -> Result<()> {
+    check_mode(mode)?;
     if f1.cols() != f2.cols() {
         return Err(CoreError::InvalidArgument(format!(
             "mttkrp: rank mismatch {} vs {}",
@@ -73,7 +88,7 @@ pub fn mttkrp(
         )));
     }
     check_columns("mttkrp: rank", f1.cols())?;
-    let (d, records) = canonical_records(x, mode);
+    let (d, records) = canon.build(x, mode);
     if f1.rows() != d[1] as usize || f2.rows() != d[2] as usize {
         return Err(CoreError::InvalidArgument(format!(
             "mttkrp: factors are {}x{} and {}x{} for canonical dims {d:?}",
@@ -90,18 +105,18 @@ pub fn mttkrp(
         cluster,
         &pipeline_for(Decomp::Parafac, variant),
         &Bindings {
-            x: &records,
+            x: records,
             dims: d,
             u1: f1,
             u2: f2,
             use_combiner: false,
         },
     )?;
-    let mut m = Mat::zeros(d[0] as usize, f1.cols());
+    out.reset_zeros(d[0] as usize, f1.cols());
     for &(ix, v) in y.iter().flatten() {
-        m.add_at(ix.0 as usize, ix.1 as usize, v);
+        out.add_at(ix.0 as usize, ix.1 as usize, v);
     }
-    Ok(m)
+    Ok(())
 }
 
 #[cfg(test)]

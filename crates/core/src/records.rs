@@ -193,12 +193,27 @@ pub(crate) fn check_columns(what: &str, columns: usize) -> Result<()> {
     Ok(())
 }
 
+/// Refuse a 3-way target mode other than 0, 1 or 2.
+pub(crate) fn check_mode(mode: usize) -> Result<()> {
+    if mode > 2 {
+        return Err(CoreError::InvalidArgument(format!(
+            "mode {mode} out of range"
+        )));
+    }
+    Ok(())
+}
+
 /// Convert a canonical 3-way tensor into `(Ix4, f64)` records (slot 3 = 0).
 pub fn tensor_records(t: &CooTensor3) -> Vec<(Ix4, f64)> {
-    t.entries()
-        .iter()
-        .map(|e| ((e.i, e.j, e.k, 0), e.v))
-        .collect()
+    let mut records = Vec::new();
+    tensor_records_into(t, &mut records);
+    records
+}
+
+/// [`tensor_records`] written over `records`, in the storage it has.
+pub(crate) fn tensor_records_into(t: &CooTensor3, records: &mut Vec<(Ix4, f64)>) {
+    records.clear();
+    records.extend(t.entries().iter().map(|e| ((e.i, e.j, e.k, 0), e.v)));
 }
 
 /// Total records across the shards of one dataset.

@@ -20,7 +20,7 @@
 
 use crate::canon::canonical_records;
 use crate::plan::{pipeline_for, run_pipeline, Bindings, Decomp};
-use crate::records::check_columns;
+use crate::records::{check_columns, check_mode};
 use crate::{CoreError, Result, Variant};
 use haten2_linalg::Mat;
 use haten2_mapreduce::Cluster;
@@ -76,6 +76,10 @@ pub fn project(
     u2: &Mat,
     opts: &ProjectOptions,
 ) -> Result<CooTensor3> {
+    // Transposed, the core sizes are the rows: refused before a copy is made.
+    check_mode(mode)?;
+    check_columns("project: core size", u1.rows())?;
+    check_columns("project: core size", u2.rows())?;
     let (u1, u2) = (u1.transpose(), u2.transpose());
     project_rows(cluster, variant, x, mode, &u1, &u2, opts)
 }
@@ -92,11 +96,7 @@ pub(crate) fn project_rows(
     u2: &Mat,
     opts: &ProjectOptions,
 ) -> Result<CooTensor3> {
-    if mode > 2 {
-        return Err(CoreError::InvalidArgument(format!(
-            "mode {mode} out of range"
-        )));
-    }
+    check_mode(mode)?;
     check_columns("project: core size", u1.cols())?;
     check_columns("project: core size", u2.cols())?;
     let (d, records) = canonical_records(x, mode);

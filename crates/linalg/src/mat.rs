@@ -163,22 +163,38 @@ impl Mat {
             )));
         }
         let mut out = Mat::zeros(self.rows, other.cols);
-        // i-k-j loop order: stream through `other`'s rows, cache friendly for
-        // row-major storage.
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.get(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                let orow = other.row(k);
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(orow.iter()) {
-                    *o += aik * b;
-                }
-            }
+            mul_row(self.row(i), other, out.row_mut(i));
         }
         Ok(out)
+    }
+
+    /// `self ← self * other` in `self`'s own storage, for a square `other`
+    /// as wide as `self`. Each row is multiplied into one `cols`-wide
+    /// temporary by [`Mat::matmul`]'s loop and copied back, so the result
+    /// is `self.matmul(other)` bit for bit.
+    pub fn matmul_in_place(&mut self, other: &Mat) -> Result<()> {
+        if other.rows != self.cols || other.cols != self.cols {
+            return Err(LinalgError::DimensionMismatch(format!(
+                "matmul_in_place: {}x{} * {}x{}",
+                self.rows, self.cols, other.rows, other.cols
+            )));
+        }
+        let mut row = vec![0.0; self.cols];
+        for i in 0..self.rows {
+            row.fill(0.0);
+            mul_row(self.row(i), other, &mut row);
+            self.row_mut(i).copy_from_slice(&row);
+        }
+        Ok(())
+    }
+
+    /// Make `self` the `rows × cols` zero matrix in the storage it has,
+    /// which grows only when it is too small.
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
     }
 
     /// Gram matrix `selfᵀ * self` (`cols × cols`), exploiting symmetry.
@@ -389,6 +405,20 @@ impl Mat {
     }
 }
 
+/// `out += a * other` for one row `a` of a left factor: the i-k-j loop
+/// order streams through `other`'s rows, cache friendly for row-major
+/// storage, and skips a zero `a[k]`.
+fn mul_row(a: &[f64], other: &Mat, out: &mut [f64]) {
+    for (k, &aik) in a.iter().enumerate() {
+        if aik == 0.0 {
+            continue;
+        }
+        for (o, &b) in out.iter_mut().zip(other.row(k)) {
+            *o += aik * b;
+        }
+    }
+}
+
 impl std::fmt::Display for Mat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for i in 0..self.rows {
@@ -447,6 +477,71 @@ mod tests {
             a.matmul(&b),
             Err(LinalgError::DimensionMismatch(_))
         ));
+    }
+
+    #[test]
+    fn matmul_in_place_is_matmul_bit_for_bit() {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let bits = |m: &Mat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Tall and rectangular, with zero entries `matmul` skips (a zero
+        // row, zero columns, a -0.0), then 1x1.
+        let mut tall = Mat::random(7, 3, &mut rng);
+        for j in 0..3 {
+            tall.set(2, j, 0.0);
+        }
+        tall.set(4, 1, -0.0);
+        tall.set(5, 0, 0.0);
+        let mut square = Mat::random(3, 3, &mut rng);
+        square.scale_inplace(-1.5);
+        square.set(1, 2, 0.0);
+        let cases = [
+            (tall, square),
+            (
+                Mat::from_rows(&[vec![0.1]]).unwrap(),
+                Mat::from_rows(&[vec![3.0]]).unwrap(),
+            ),
+            (
+                Mat::from_rows(&[vec![0.0]]).unwrap(),
+                Mat::from_rows(&[vec![-2.0]]).unwrap(),
+            ),
+        ];
+        for (n, (a, b)) in cases.into_iter().enumerate() {
+            let want = a.matmul(&b).unwrap();
+            let mut got = a.clone();
+            let storage = got.data().as_ptr();
+            got.matmul_in_place(&b).unwrap();
+            assert_eq!(got.shape(), want.shape(), "case {n}");
+            assert_eq!(bits(&got), bits(&want), "case {n}");
+            assert_eq!(
+                got.data().as_ptr(),
+                storage,
+                "case {n}: updated where it lies"
+            );
+        }
+        // `other` must be square and as wide as `self`.
+        for other in [Mat::zeros(2, 2), Mat::zeros(3, 2), Mat::zeros(2, 3)] {
+            let mut a = Mat::zeros(4, 3);
+            assert!(matches!(
+                a.matmul_in_place(&other),
+                Err(LinalgError::DimensionMismatch(_))
+            ));
+            assert_eq!(
+                a,
+                Mat::zeros(4, 3),
+                "a refused product leaves `self` as it was"
+            );
+        }
+    }
+
+    #[test]
+    fn reset_zeros_reuses_storage_large_enough() {
+        let mut m = Mat::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
+        let storage = m.data().as_ptr();
+        m.reset_zeros(3, 2);
+        assert_eq!(m, Mat::zeros(3, 2));
+        assert_eq!(m.data().as_ptr(), storage);
+        m.reset_zeros(1, 1);
+        assert_eq!(m, Mat::zeros(1, 1));
     }
 
     #[test]

@@ -40,40 +40,67 @@ impl Entry3 {
 /// there: past it, the counters outgrow the records they rank.
 pub const COUNTING_SPAN_PER_ENTRY: u64 = 16;
 
-/// Put coordinate records of any layout, each within `dims`, in the form
-/// [`CooTensor3::from_entries`] stores entries in, record for record and
-/// bit for bit: sorted stably by `(i, j, k)`, each run of one coordinate
-/// summed into its first record in stored order, and every record whose
-/// sum is zero dropped. (`from_entries` starts each sum from `0.0`, which
-/// differs only for a `-0.0` that is dropped either way.) `coord` reads a
-/// record's coordinate, `value` its value.
+/// What [`canonical_form`]'s counting passes work in: a second record
+/// buffer and the per-key counters. A caller that puts one record set after
+/// another in canonical form keeps one, and each call reuses what the
+/// calls before it grew.
+#[derive(Debug)]
+pub struct CountingScratch<T> {
+    records: Vec<T>,
+    counters: Vec<usize>,
+}
+
+impl<T> Default for CountingScratch<T> {
+    fn default() -> Self {
+        CountingScratch {
+            records: Vec::new(),
+            counters: Vec::new(),
+        }
+    }
+}
+
+/// Write into `out` the records `src.map(record)`, each within `dims`, in
+/// the form [`CooTensor3::from_entries`] stores entries in, record for
+/// record and bit for bit: sorted stably by `(i, j, k)`, each run of one
+/// coordinate summed into its first record in stored order, and every
+/// record whose sum is zero dropped. (`from_entries` starts each sum from
+/// `0.0`, which differs only for a `-0.0` that is dropped either way.)
+/// `coord` reads a record's coordinate, `value` its value. What `out` held
+/// is replaced; its storage and `scratch`'s are reused.
 ///
-/// The records are ranked by three stable counting passes — `k`, then
-/// `j`, then `i` — when every extent is narrow for their number
-/// ([`COUNTING_SPAN_PER_ENTRY`]), by comparison otherwise.
-pub fn canonical_form<T: Copy>(
-    records: &mut Vec<T>,
+/// The records are ranked by three stable counting passes when every
+/// extent is narrow for their number ([`COUNTING_SPAN_PER_ENTRY`]): by `k`
+/// from `src` into `out`, building each record as it is placed, then by
+/// `j` into `scratch`, then by `i` back into `out`. Otherwise they are
+/// built into `out` and ranked by comparison.
+pub fn canonical_form<S, T: Copy>(
+    src: &[S],
+    record: impl Fn(&S) -> T,
     dims: [u64; 3],
     coord: impl Fn(&T) -> (u64, u64, u64),
     value: impl Fn(&mut T) -> &mut f64,
+    out: &mut Vec<T>,
+    scratch: &mut CountingScratch<T>,
 ) {
-    if counts(records.len(), dims) {
-        let mut scratch = Vec::new();
-        counting_pass(records, &mut scratch, dims[2], |r| coord(r).2);
-        counting_pass(&scratch, records, dims[1], |r| coord(r).1);
-        counting_pass(records, &mut scratch, dims[0], |r| coord(r).0);
-        *records = scratch;
+    if counts(src.len(), dims) {
+        let CountingScratch { records, counters } = scratch;
+        let same = |&r: &T| r;
+        counting_pass(src, &record, out, counters, dims[2], |r| coord(r).2);
+        counting_pass(out, same, records, counters, dims[1], |r| coord(r).1);
+        counting_pass(records, same, out, counters, dims[0], |r| coord(r).0);
     } else {
-        records.sort_by_key(&coord);
+        out.clear();
+        out.extend(src.iter().map(record));
+        out.sort_by_key(&coord);
     }
-    records.dedup_by(|r, kept| {
+    out.dedup_by(|r, kept| {
         let same = coord(r) == coord(kept);
         if same {
             *value(kept) += *value(r);
         }
         same
     });
-    records.retain_mut(|r| *value(r) != 0.0);
+    out.retain_mut(|r| *value(r) != 0.0);
 }
 
 /// Whether `len` records within `dims` are ranked by counting: every
@@ -83,24 +110,35 @@ fn counts(len: usize, dims: [u64; 3]) -> bool {
     dims.iter().all(|&extent| extent < most)
 }
 
-/// `src` into `dst` stably by `key`, every key below `extent`: one counter
-/// per key turned into its first position, then each record to its key's
-/// next free one.
-fn counting_pass<T: Copy>(src: &[T], dst: &mut Vec<T>, extent: u64, key: impl Fn(&T) -> u64) {
-    let mut next = vec![0usize; extent as usize];
-    for r in src {
-        next[key(r) as usize] += 1;
+/// `src.map(record)` into `dst` stably by `key`, every key below `extent`:
+/// one counter per key turned into its first position, then each record
+/// to its key's next free one.
+fn counting_pass<S, T: Copy>(
+    src: &[S],
+    record: impl Fn(&S) -> T,
+    dst: &mut Vec<T>,
+    counters: &mut Vec<usize>,
+    extent: u64,
+    key: impl Fn(&T) -> u64,
+) {
+    counters.clear();
+    counters.resize(extent as usize, 0);
+    for s in src {
+        counters[key(&record(s)) as usize] += 1;
     }
     let mut sum = 0;
-    for c in &mut next {
+    for c in counters.iter_mut() {
         (sum, *c) = (sum + *c, sum);
     }
     dst.clear();
-    let Some(&fill) = src.first() else { return };
+    let Some(fill) = src.first().map(&record) else {
+        return;
+    };
     dst.resize(src.len(), fill);
-    for r in src {
-        let slot = &mut next[key(r) as usize];
-        dst[*slot] = *r;
+    for s in src {
+        let r = record(s);
+        let slot = &mut counters[key(&r) as usize];
+        dst[*slot] = r;
         *slot += 1;
     }
 }
@@ -345,18 +383,29 @@ impl CooTensor3 {
         }
         let d = self.dims;
         let dims = [d[perm[0]], d[perm[1]], d[perm[2]]];
-        let mut entries = Vec::with_capacity(self.entries.len());
-        for e in &self.entries {
-            let (i, j, k) = (e.index(perm[0]), e.index(perm[1]), e.index(perm[2]));
-            if i >= dims[0] || j >= dims[1] || k >= dims[2] {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: format!("({i}, {j}, {k})"),
-                    dims: format!("{dims:?}"),
-                });
-            }
-            entries.push(Entry3::new(i, j, k, e.v));
+        let permuted =
+            |e: &Entry3| Entry3::new(e.index(perm[0]), e.index(perm[1]), e.index(perm[2]), e.v);
+        if let Some(e) = self
+            .entries
+            .iter()
+            .map(permuted)
+            .find(|e| e.i >= dims[0] || e.j >= dims[1] || e.k >= dims[2])
+        {
+            return Err(TensorError::IndexOutOfBounds {
+                index: format!("({}, {}, {})", e.i, e.j, e.k),
+                dims: format!("{dims:?}"),
+            });
         }
-        canonical_form(&mut entries, dims, |e| (e.i, e.j, e.k), |e| &mut e.v);
+        let mut entries = Vec::new();
+        canonical_form(
+            &self.entries,
+            permuted,
+            dims,
+            |e| (e.i, e.j, e.k),
+            |e| &mut e.v,
+            &mut entries,
+            &mut CountingScratch::default(),
+        );
         Ok(CooTensor3 { dims, entries })
     }
 

@@ -95,7 +95,7 @@ trap 'rm -rf "$smoke_out"' EXIT
 GATES=(
     "build|cargo build --release"
     "workspace tests|cargo test -q"
-    "order-4 end to end (N-way PARAFAC + Tucker; tier-1 only compiles it)|cargo run --release --example four_way_logs"
+    "order-4 end to end (N-way PARAFAC + Tucker; tier-1 asserts it in tests/four_way_logs.rs)|cargo run --release --example four_way_logs"
     "clippy|cargo clippy --workspace --all-targets -- -D warnings"
     "rustfmt|cargo fmt --check"
     "rustdoc (warnings are errors: dead intra-doc links, links to private items)|env RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps --workspace"
