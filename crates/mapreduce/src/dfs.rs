@@ -14,9 +14,11 @@
 //! * **Durable** ([`DfsBackend::Durable`]) — every `put` is written
 //!   through to a `haten2-blockstore` [`BlockStore`] (append-only
 //!   segments + checksummed manifest) *and* cached in memory. When the
-//!   resident cache exceeds the configured memory budget, least-recently
-//!   used datasets are **spilled**: their in-memory copy is dropped and
-//!   later reads reload them from the store through the page cache. A
+//!   resident cache exceeds the configured memory budget, datasets are
+//!   **spilled** (one that alone exceeds the budget first, otherwise the
+//!   least recently used): their in-memory copy leaves the cache and
+//!   later reads reload them from the store through the page cache, into
+//!   the allocation the last spill left behind when no reader holds it. A
 //!   restarted process reopens the same directory and finds every
 //!   committed dataset again — the property the chaos harness's
 //!   kill-and-reexec scenario asserts. A dataset goes to the store as HDFS
@@ -67,9 +69,13 @@ pub struct DurableConfig {
     /// encoding does not shrink it (every `f64` factor block does).
     pub codec: Codec,
     /// Resident-cache budget in estimated bytes: when the sum of
-    /// in-memory dataset copies exceeds this, LRU datasets are spilled
-    /// (their resident copy dropped; the durable copy remains the source
-    /// of truth). `None` keeps everything resident.
+    /// in-memory dataset copies exceeds this, datasets are spilled (their
+    /// resident copy given up; the durable copy remains the source of
+    /// truth). A dataset just written or read that alone exceeds the
+    /// budget is spilled first, on its own; otherwise the least recently
+    /// used go. Beyond the budget the store keeps one allocation: that of
+    /// the last copy it spilled, which the next reload decodes into.
+    /// `None` keeps everything resident.
     pub memory_budget_bytes: Option<usize>,
     /// Segment rotation threshold for the underlying store.
     pub segment_rotate_bytes: u64,
@@ -107,9 +113,11 @@ impl DurableConfig {
 /// mode).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
-    /// Resident copies dropped under memory pressure.
+    /// Resident copies given up under memory pressure.
     pub spill_events: usize,
-    /// Estimated bytes those drops released.
+    /// Estimated bytes of those copies. They leave the resident set at
+    /// once; the allocation of the last one stays with the store until
+    /// the next reload decodes into it or frees it.
     pub spilled_bytes: usize,
     /// Reads served by reloading a spilled dataset from the store.
     pub reload_events: usize,
@@ -237,6 +245,10 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Block<T> {
 struct DurableState {
     store: BlockStore,
     memory_budget_bytes: Option<usize>,
+    /// The resident copy the last spill gave up. The next reload decodes
+    /// into its allocation when it is a `Vec` of that reload's record type
+    /// that no reader still holds, and frees it otherwise.
+    spare: Mutex<Option<Arc<dyn Any + Send + Sync>>>,
     spill_events: AtomicUsize,
     spilled_bytes: AtomicUsize,
     reload_events: AtomicUsize,
@@ -327,6 +339,7 @@ impl Dfs {
             durable: Some(DurableState {
                 store,
                 memory_budget_bytes: config.memory_budget_bytes,
+                spare: Mutex::new(None),
                 spill_events: AtomicUsize::new(0),
                 spilled_bytes: AtomicUsize::new(0),
                 reload_events: AtomicUsize::new(0),
@@ -493,15 +506,28 @@ impl Dfs {
         encoded.into_iter().flatten().collect()
     }
 
-    /// Spill least-recently-used resident datasets until the resident set
-    /// fits the durable memory budget. `keep` (the dataset just touched)
-    /// is only spilled when nothing else is left to evict — a dataset
-    /// larger than the whole budget cannot stay resident.
+    /// Spill resident datasets until the resident set fits the durable
+    /// memory budget. `keep` (the dataset just touched) is spilled first,
+    /// on its own, when it alone exceeds the budget — it cannot stay
+    /// resident, and evicting the rest on its account would gain nothing;
+    /// otherwise it stays, and least-recently-used others go. Each spill
+    /// leaves its resident copy with the store as the spare the next
+    /// reload decodes into, replacing (and freeing) the one before.
     fn enforce_budget(&self, guard: &mut HashMap<String, Stored>, keep: &str) {
         let Some(d) = &self.durable else { return };
         let Some(budget) = d.memory_budget_bytes else {
             return;
         };
+        let spill = |s: &mut Stored| {
+            if let Payload::Resident(data) = std::mem::replace(&mut s.payload, Payload::Spilled) {
+                d.spill_events.fetch_add(1, Ordering::Relaxed);
+                d.spilled_bytes.fetch_add(s.bytes, Ordering::Relaxed);
+                let _prior = d.spare.lock().expect("spare lock poisoned").replace(data);
+            }
+        };
+        if let Some(s) = guard.get_mut(keep).filter(|s| s.bytes > budget) {
+            spill(s);
+        }
         loop {
             let resident: usize = guard
                 .values()
@@ -511,24 +537,15 @@ impl Dfs {
             if resident <= budget {
                 return;
             }
+            // `keep` now fits the budget on its own, so evicting every
+            // other dataset always brings the resident set within it.
             let victim = guard
-                .iter()
+                .iter_mut()
                 .filter(|(_, s)| matches!(s.payload, Payload::Resident(_)) && s.bytes > 0)
                 .filter(|(n, _)| n.as_str() != keep)
-                .min_by_key(|(_, s)| s.last_access.load(Ordering::Relaxed))
-                .map(|(n, _)| n.clone())
-                .or_else(|| {
-                    guard
-                        .get(keep)
-                        .filter(|s| matches!(s.payload, Payload::Resident(_)) && s.bytes > 0)
-                        .map(|_| keep.to_string())
-                });
-            let Some(victim) = victim else { return };
-            if let Some(s) = guard.get_mut(&victim) {
-                s.payload = Payload::Spilled;
-                d.spill_events.fetch_add(1, Ordering::Relaxed);
-                d.spilled_bytes.fetch_add(s.bytes, Ordering::Relaxed);
-            }
+                .min_by_key(|(_, s)| s.last_access.load(Ordering::Relaxed));
+            let Some((_, victim)) = victim else { return };
+            spill(victim);
         }
     }
 
@@ -578,8 +595,11 @@ impl Dfs {
     ///
     /// On the durable backend a spilled dataset is reloaded from the
     /// block store (checksum-verified, decoded through [`Persist`], and
-    /// re-cached as resident). `Ok(None)` means missing-or-wrong-type on
-    /// both backends; `Err` carries durable I/O failures.
+    /// re-cached as resident). The reload decodes into the allocation the
+    /// last spill left with the store when that is a `Vec<T>` no reader
+    /// still holds, so a snapshot a caller holds is never written over.
+    /// `Ok(None)` means missing-or-wrong-type on both backends; `Err`
+    /// carries durable I/O failures.
     fn snapshot<T>(&self, name: &str) -> crate::Result<Option<Arc<Vec<T>>>>
     where
         T: Persist + Send + Sync + 'static,
@@ -630,7 +650,13 @@ impl Dfs {
             .store
             .directory(name, meta)
             .map_err(|e| storage_error(name, "get", &e))?;
-        let records = self.decode_blocks::<T>(&d.store, name, &dir)?;
+        // Decode into the allocation the last spill left behind if it is a
+        // `Vec<T>` no reader still holds; otherwise free it first.
+        let spare = d.spare.lock().expect("spare lock poisoned").take();
+        let into = (spare.and_then(|spare| spare.downcast::<Vec<T>>().ok()))
+            .and_then(|spare| Arc::try_unwrap(spare).ok())
+            .unwrap_or_default();
+        let records = self.decode_blocks(into, &d.store, name, &dir)?;
         d.store.record_read(&dir);
         let typed = Arc::new(records);
         let est = usize::try_from(dir.meta().est_bytes).unwrap_or(usize::MAX);
@@ -663,10 +689,11 @@ impl Dfs {
         Ok(Some(typed))
     }
 
-    /// Read every block of `dir` and parse it into records, a contiguous
-    /// range of blocks per executor. One `Vec` of exactly the directory's
-    /// record count is reserved up front; each executor reads into its own
-    /// two block-sized buffers and parses straight into its range's own
+    /// Read every block of `dir` and parse it into `into`, a contiguous
+    /// range of blocks per executor. `into` is cleared and reserved up
+    /// front to hold the directory's record count, keeping its allocation
+    /// if that is large enough; each executor reads into its own two
+    /// block-sized buffers and parses straight into its range's own
     /// stretch of that `Vec` ([`fill_parts`]), so no record is copied after
     /// it is parsed and the result does not depend on how many executors
     /// there were. The directory's lengths are checked before anything is
@@ -677,6 +704,7 @@ impl Dfs {
     /// already parsed is dropped.
     fn decode_blocks<T>(
         &self,
+        into: Vec<T>,
         store: &BlockStore,
         name: &str,
         dir: &BlockDirectory,
@@ -709,7 +737,7 @@ impl Dfs {
             }
             Ok(())
         };
-        fill_parts(&lens, |parts| {
+        fill_parts(into, &lens, |parts| {
             let inputs: Vec<(Range<usize>, Part<'_, T>)> = ranges.into_iter().zip(parts).collect();
             let decoded = self.per_block_range(inputs, &|(range, mut part)| {
                 decode_range(range, &mut part).map(|()| part)
@@ -1468,6 +1496,127 @@ mod tests {
         // Still perfectly readable (reload each time).
         assert_eq!(dfs.get::<u64>("big").unwrap().len(), 100);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A dataset larger than the whole budget is spilled on its own when
+    /// it is written or read, and evicts nothing that fits.
+    #[test]
+    fn an_oversized_dataset_spills_on_its_own_and_evicts_nothing() {
+        let dir = tmpdir("oversize-alone");
+        let cfg = DurableConfig::new(&dir).memory_budget(1000);
+        let dfs = Dfs::durable(&cfg, None).unwrap();
+        dfs.put("a", vec![1u64; 100]).unwrap(); // 800 B, resident
+        dfs.put("big", vec![2u64; 250]).unwrap(); // 2000 B > budget
+        assert_eq!(*dfs.get::<u64>("big").unwrap(), vec![2u64; 250]);
+        assert_eq!(dfs.resident_bytes(), 800, "`a` stays resident");
+        let stats = dfs.spill_stats();
+        assert_eq!((stats.spill_events, stats.spilled_bytes), (2, 4000));
+        assert_eq!((stats.reload_events, stats.reloaded_bytes), (1, 2000));
+        assert_eq!(*dfs.get::<u64>("a").unwrap(), vec![1u64; 100]);
+        assert_eq!(dfs.spill_stats().reload_events, 1, "`a` is served resident");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `u64` records over three and a bit store blocks.
+    fn blocks_of_u64(seed: u64) -> Vec<u64> {
+        let n = 3 * BLOCK_TARGET_BYTES / 8 + 5;
+        (0..n as u64)
+            .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect()
+    }
+
+    #[test]
+    fn reload_decodes_into_the_allocation_its_last_spill_left_behind() {
+        let dir = tmpdir("reuse");
+        let dfs = Dfs::durable(&DurableConfig::new(&dir).memory_budget(0), None).unwrap();
+        let records = blocks_of_u64(1);
+        // The put's own `Vec`, with room to spare, is what its spill
+        // leaves behind: a reload into it keeps that capacity.
+        let mut put = Vec::with_capacity(records.len() + 1000);
+        put.extend_from_slice(&records);
+        let (at, capacity) = (put.as_ptr(), put.capacity());
+        dfs.put("x", put).unwrap();
+        for _ in 0..3 {
+            let again = dfs.get::<u64>("x").unwrap();
+            assert_eq!(*again, records);
+            assert_eq!((again.as_ptr(), again.capacity()), (at, capacity));
+        }
+        let stats = dfs.spill_stats();
+        assert_eq!((stats.spill_events, stats.reload_events), (4, 3));
+        assert_eq!(
+            dfs.store_stats().unwrap().gets,
+            3,
+            "every reload reads the store"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reload_leaves_a_snapshot_still_held_as_it_was() {
+        let dir = tmpdir("held");
+        let dfs = Dfs::durable(&DurableConfig::new(&dir).memory_budget(0), None).unwrap();
+        let (old, new) = (blocks_of_u64(1), blocks_of_u64(2));
+        dfs.put("x", old.clone()).unwrap();
+        let held = dfs.get::<u64>("x").unwrap();
+        // Reloaded while `held` is the spare: decoded elsewhere.
+        let again = dfs.get::<u64>("x").unwrap();
+        assert_ne!(again.as_ptr(), held.as_ptr());
+        assert_eq!(*again, old);
+        drop(again);
+        // A new generation of the same type and length, reloaded twice.
+        dfs.put("x", new.clone()).unwrap();
+        for _ in 0..2 {
+            assert_eq!(*dfs.get::<u64>("x").unwrap(), new);
+        }
+        assert_eq!(*held, old, "the held snapshot keeps its bits");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reload_of_another_record_type_frees_the_spare() {
+        let dir = tmpdir("other-type");
+        let dfs = Dfs::durable(&DurableConfig::new(&dir).memory_budget(0), None).unwrap();
+        dfs.put("pairs", vec![(1u64, 0.5f64); 100]).unwrap();
+        dfs.put("words", blocks_of_u64(3)).unwrap();
+        let words = dfs.get::<u64>("words").unwrap();
+        let spare = Arc::downgrade(&words);
+        drop(words);
+        assert!(spare.upgrade().is_some(), "the store keeps it as its spare");
+        let pairs = dfs.get::<(u64, f64)>("pairs").unwrap();
+        assert_eq!(*pairs, vec![(1u64, 0.5f64); 100]);
+        assert!(spare.upgrade().is_none(), "freed, not kept beside `pairs`");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reload_by_concurrent_readers_at_one_to_four_threads_is_identical() {
+        let records = blocks_of_u64(4);
+        for threads in 1..=4 {
+            let dir = tmpdir(&format!("readers{threads}"));
+            let cluster = crate::Cluster::new(crate::ClusterConfig {
+                threads,
+                dfs: DfsBackend::Durable(DurableConfig::new(&dir).memory_budget(0)),
+                ..crate::ClusterConfig::with_machines(2)
+            });
+            let dfs = cluster.dfs();
+            dfs.put("x", records.clone()).unwrap();
+            std::thread::scope(|s| {
+                let readers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| {
+                            (0..3).all(|_| *dfs.get_required::<u64>("r", "x").unwrap() == records)
+                        })
+                    })
+                    .collect();
+                for reader in readers {
+                    assert!(reader.join().unwrap(), "{threads} readers");
+                }
+            });
+            assert_eq!(dfs.reads_of("x"), Some(3 * threads));
+            assert_eq!(dfs.store_stats().unwrap().gets, 3 * threads as u64);
+            drop(cluster);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //!
 //! A spilled reload parses each contiguous range of a dataset's blocks on
 //! its own executor. [`fill_parts`] lets every range parse straight into
-//! its final stretch of the one exactly-sized `Vec` the [`crate::Dfs`]
-//! returns, so no record is copied after it is parsed: the allocation is
-//! reserved once, its spare capacity is cut (by `split_at_mut`) into one
-//! [`Part`] per range, and the `Vec` claims its length only once every
-//! part is back and full. A part that is dropped instead — its range
-//! failed or panicked — drops the records it holds, so on every path each
-//! record written is dropped exactly once.
+//! its final stretch of the one `Vec` the [`crate::Dfs`] returns, so no
+//! record is copied after it is parsed: the caller's `Vec` (the allocation
+//! an earlier spill left behind, or a new one) is cleared and reserved to
+//! fit, its spare capacity is cut (by `split_at_mut`) into one [`Part`]
+//! per range, and the `Vec` claims its length only once every part is
+//! back and full. A part that is dropped instead — its range failed or
+//! panicked — drops the records it holds, so on every path each record
+//! written is dropped exactly once.
 //!
 //! Sealing a shuffle bucket sorts its key and value columns out of place,
 //! into an empty pair, in one pass ([`crate::arena`]). [`scatter`] moves
@@ -66,22 +67,26 @@ impl<T> Drop for Part<'_, T> {
     }
 }
 
-/// A `Vec` of `lens.iter().sum()` records assembled in place from
-/// `lens.len()` parts, part `p` being the next `lens[p]` slots.
+/// `records` refilled with `lens.iter().sum()` records assembled in place
+/// from `lens.len()` parts, part `p` being the next `lens[p]` slots.
 ///
-/// `fill` receives the parts in order, writes each one full through
-/// [`Part::push`] — on any executors, in any order — and hands all of them
-/// back; an error it returns is passed on. A part that comes back short, or
-/// not at all, is a bug of `fill`'s and panics. On an error or a panic the
-/// `Vec` is never claimed: each part drops the records it holds, once, and
-/// the allocation is freed.
+/// `records` is cleared first, dropping what it held once, and keeps its
+/// allocation when that holds the new records; a shorter one grows
+/// (`reserve_exact`). `fill` receives the parts in order, writes each one
+/// full through [`Part::push`] — on any executors, in any order — and
+/// hands all of them back; an error it returns is passed on. A part that
+/// comes back short, or not at all, is a bug of `fill`'s and panics. On an
+/// error or a panic the `Vec` is never claimed: each part drops the
+/// records it holds, once, and the allocation is freed.
 #[allow(unsafe_code, reason = "claims the filled `Vec`; SAFETY below")]
 pub(crate) fn fill_parts<T, E>(
+    mut records: Vec<T>,
     lens: &[usize],
     fill: impl for<'a> FnOnce(Vec<Part<'a, T>>) -> Result<Vec<Part<'a, T>>, E>,
 ) -> Result<Vec<T>, E> {
     let total: usize = lens.iter().sum();
-    let mut records = Vec::with_capacity(total);
+    records.clear();
+    records.reserve_exact(total);
     let mut rest = &mut records.spare_capacity_mut()[..total];
     let mut parts = Vec::with_capacity(lens.len());
     for &len in lens {
@@ -96,12 +101,12 @@ pub(crate) fn fill_parts<T, E>(
     );
     // The records now belong to `records`; their parts must not drop them.
     parts.into_iter().for_each(std::mem::forget);
-    // SAFETY: `total <= capacity`: slicing the spare capacity to `total`
-    // above would have panicked otherwise. Slots `0..total` are
-    // initialized: the parts tile them in order (each bounds-checked
-    // `split_at_mut` takes the next `lens[p]`, so they fit in `..total`,
-    // and they cover all of it because `total` is their sum — had the sum
-    // wrapped, a split would have panicked). A `Part` is made only above,
+    // SAFETY: `total <= capacity`: slicing the spare capacity of the
+    // cleared `records` to `total` above would have panicked otherwise.
+    // Slots `0..total` are initialized: the parts tile them in order (each
+    // bounds-checked `split_at_mut` takes the next `lens[p]`, so they fit
+    // in `..total`, and they cover all of it because `total` is their sum
+    // — had the sum wrapped, a split would have panicked). A `Part` is made only above,
     // none is `Clone`, and the `for<'a>` bound keeps `fill` from handing
     // back a part of any other call as one of this call's, so `lens.len()`
     // full parts back are all of them, every slot written. Forgetting
@@ -273,21 +278,24 @@ mod tests {
     fn all_parts_full_is_one_vec_in_part_order() {
         let drops = AtomicUsize::new(0);
         let lens = [2, 0, 3, 1];
-        let records = fill_parts(&lens, |parts| Ok::<_, ()>(write(parts, &lens, &drops))).unwrap();
+        let records = fill_parts(Vec::new(), &lens, |parts| {
+            Ok::<_, ()>(write(parts, &lens, &drops))
+        })
+        .unwrap();
         let values: Vec<&str> = records.iter().map(|r| r.value.as_str()).collect();
         assert_eq!(values, ["0.0", "0.1", "2.0", "2.1", "2.2", "3.0"]);
         assert_eq!(drops.load(Ordering::Relaxed), 0, "claimed, not dropped");
         drop(records);
         assert_eq!(drops.load(Ordering::Relaxed), 6);
 
-        let units = fill_parts(&[3, 2], |mut parts| {
+        let units = fill_parts(Vec::new(), &[3, 2], |mut parts| {
             for part in &mut parts {
                 (0..part.slots.len()).for_each(|_| part.push(()));
             }
             Ok::<_, ()>(parts)
         });
         assert_eq!(units.unwrap().len(), 5);
-        let empty = fill_parts::<u8, ()>(&[], |parts| Ok(parts));
+        let empty = fill_parts::<u8, ()>(Vec::new(), &[], |parts| Ok(parts));
         assert!(empty.unwrap().is_empty());
     }
 
@@ -297,7 +305,7 @@ mod tests {
         let lens = [2, 3, 2];
         let fill_short = |take: [usize; 3], keep: usize| {
             catch_unwind(AssertUnwindSafe(|| {
-                fill_parts(&lens, |parts| {
+                fill_parts(Vec::new(), &lens, |parts| {
                     let mut parts = write(parts, &take, &drops);
                     parts.truncate(keep);
                     Ok::<_, ()>(parts)
@@ -311,7 +319,7 @@ mod tests {
         assert_eq!(drops.load(Ordering::Relaxed), 5 + 7);
         // So is one written past its end: the push panics, nothing is claimed.
         let overfull = catch_unwind(AssertUnwindSafe(|| {
-            fill_parts(&[1], |mut parts| {
+            fill_parts(Vec::new(), &[1], |mut parts| {
                 for i in 0..2 {
                     let value = i.to_string();
                     parts[0].push(Counted {
@@ -332,7 +340,7 @@ mod tests {
         let lens = [3, 3, 3];
         // The last part fails part-way, after the others are full: the
         // error is passed on and all eight records are dropped once.
-        let failed = fill_parts(&lens, |parts| {
+        let failed = fill_parts(Vec::new(), &lens, |parts| {
             let parts = write(parts, &[3, 3, 2], &drops);
             let results: Vec<Result<_, &str>> = (parts.into_iter().enumerate())
                 .map(|(p, part)| if p == 2 { Err("part 2") } else { Ok(part) })
@@ -341,6 +349,75 @@ mod tests {
         });
         assert_eq!(failed.err(), Some("part 2"));
         assert_eq!(drops.load(Ordering::Relaxed), 8);
+    }
+
+    /// `n` records named `"old{i}"` whose drops count in `drops`.
+    fn olds(n: usize, capacity: usize, drops: &AtomicUsize) -> Vec<Counted<'_>> {
+        let mut old = Vec::with_capacity(capacity);
+        old.extend((0..n).map(|i| Counted {
+            value: format!("old{i}"),
+            drops,
+        }));
+        old
+    }
+
+    /// Filling a given `Vec` drops its old records once, keeps its
+    /// allocation when that holds the new records, and grows a short one.
+    /// A fill that fails or panics drops the records it parsed and the
+    /// old ones once each, and frees the destination.
+    #[test]
+    fn filling_a_given_vec_reuses_its_allocation_and_drops_its_old_records_once() {
+        let (old, parsed) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let lens = [2, 3];
+        let roomy = olds(3, 8, &old);
+        let at = roomy.as_ptr();
+        let refilled = fill_parts(roomy, &lens, |parts| {
+            Ok::<_, ()>(write(parts, &lens, &parsed))
+        })
+        .unwrap();
+        assert_eq!(refilled.as_ptr(), at, "the allocation is kept");
+        let values: Vec<&str> = refilled.iter().map(|r| r.value.as_str()).collect();
+        assert_eq!(values, ["0.0", "0.1", "1.0", "1.1", "1.2"]);
+        assert_eq!(old.load(Ordering::Relaxed), 3, "old records dropped once");
+        assert_eq!(parsed.load(Ordering::Relaxed), 0);
+        // Refilled again, shorter, into the same allocation.
+        let refilled = fill_parts(refilled, &[1], |parts| {
+            Ok::<_, ()>(write(parts, &[1], &parsed))
+        })
+        .unwrap();
+        assert_eq!((refilled.as_ptr(), refilled.len()), (at, 1));
+        assert_eq!(parsed.swap(0, Ordering::Relaxed), 5);
+        drop(refilled);
+        assert_eq!(parsed.swap(0, Ordering::Relaxed), 1);
+
+        let short = olds(1, 1, &old);
+        let grown = fill_parts(short, &lens, |parts| {
+            Ok::<_, ()>(write(parts, &lens, &parsed))
+        })
+        .unwrap();
+        assert!(grown.len() == 5 && grown.capacity() >= 5);
+        assert_eq!(old.swap(0, Ordering::Relaxed), 3 + 1);
+        drop(grown);
+        assert_eq!(parsed.swap(0, Ordering::Relaxed), 5);
+
+        // An error: the second part fails after one record of three.
+        let failed = fill_parts(olds(4, 4, &old), &lens, |parts| {
+            drop(write(parts, &[2, 1], &parsed));
+            Err("part 1")
+        });
+        assert_eq!(failed.err(), Some("part 1"));
+        assert_eq!(old.swap(0, Ordering::Relaxed), 4);
+        assert_eq!(parsed.swap(0, Ordering::Relaxed), 3);
+        // A panic: the fill panics with both parts written in full.
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            fill_parts::<_, ()>(olds(2, 6, &old), &lens, |parts| {
+                let _written = write(parts, &lens, &parsed);
+                panic!("fill fails")
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(old.load(Ordering::Relaxed), 2);
+        assert_eq!(parsed.load(Ordering::Relaxed), 5);
     }
 
     /// A record with no heap data that counts its drops, so that one

@@ -24,9 +24,11 @@
 # Miri over the arena (the run cursor that hands its columns back, the
 # chunked reduce collector, `GroupValues::peek_last` and the out-of-place
 # bucket sort on both its paths included) and `fill.rs`, one of the
-# crate's two unsafe sites: the in-place assembly of a reloaded dataset,
-# and the scatter and gather that sort a bucket, their drop-counting
-# tests on a move that panics part-way included. Both
+# crate's two unsafe sites: the in-place assembly of a reloaded dataset
+# into the allocation its last spill left behind (its old records dropped
+# once, the allocation kept or grown), and the scatter and gather that
+# sort a bucket, their drop-counting tests on a fill that fails and on a
+# move that panics part-way included. Both
 # need nightly tooling; each step is skipped with a notice when its
 # toolchain component is absent, so the lane degrades gracefully on
 # stable-only hosts.
@@ -49,7 +51,10 @@ if [[ "${1:-}" == "--sanitize" ]]; then
         # the `first_failed` atomic of the reduce phase, `reload` the
         # durable DFS decoding a spilled dataset's blocks on the shared
         # pool (thread counts 1 to 4, a reload that fails part-way, two
-        # readers at once, nested in a job), and `map_output` the map-output
+        # readers at once, nested in a job) into the spare allocation its
+        # last spill left behind (reused once no reader holds it, a held
+        # snapshot untouched, concurrent readers at 1 to 4 threads), and
+        # `map_output` the map-output
         # buffer and the job that starts from one (its buckets sealed on
         # the pool at threads 1 to 4, under a fault plan too). A written
         # output's one reader (`TakeOnce`) is tested under `sched`.
@@ -77,7 +82,7 @@ if [[ "${1:-}" == "--sanitize" ]]; then
         echo "==> TSan SKIPPED: rust-src not installed (rustup +nightly component add rust-src)"
     fi
     if rustup component list --toolchain nightly 2>/dev/null | grep -q 'miri.*(installed)'; then
-        echo "==> Miri: arena, in-place reload assembly and bucket-sort move tests"
+        echo "==> Miri: arena, in-place reload assembly (into a reused Vec too) and bucket-sort move tests"
         cargo +nightly miri test -p haten2-mapreduce arena fill::
     else
         echo "==> Miri SKIPPED: component not installed (rustup +nightly component add miri)"
