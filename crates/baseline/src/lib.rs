@@ -29,7 +29,7 @@ pub mod parafac;
 pub mod tucker;
 
 pub use memory::MemoryMeter;
-pub use parafac::{parafac_als_baseline, BaselineParafac};
+pub use parafac::{parafac_als_baseline, parafac_als_baseline_from, BaselineParafac};
 pub use tucker::{tucker_als_baseline, tucker_als_baseline_met, BaselineTucker, MetMode};
 
 /// Errors from the single-machine baseline.

@@ -25,12 +25,9 @@ pub struct BaselineParafac {
     pub wall_time_s: f64,
 }
 
-/// Single-machine PARAFAC-ALS with memory accounting.
-///
-/// Mathematically identical to `haten2_core::parafac_als` but executed
-/// in-process, charging a [`MemoryMeter`] for the tensor, the factors, and
-/// the per-sweep MTTKRP working set; exceeding `memory_budget` aborts with
-/// [`BaselineError::Oom`].
+/// Single-machine PARAFAC-ALS with memory accounting, from factors drawn
+/// from `seed`: [`parafac_als_baseline_from`] of `dims[n] × rank` random
+/// factors, drawn mode by mode from one `StdRng`.
 pub fn parafac_als_baseline(
     x: &CooTensor3,
     rank: usize,
@@ -39,13 +36,54 @@ pub fn parafac_als_baseline(
     seed: u64,
     memory_budget: Option<usize>,
 ) -> Result<BaselineParafac> {
+    parafac_als_baseline_from(
+        x,
+        random_factors(x, rank, seed),
+        max_iters,
+        tol,
+        memory_budget,
+    )
+}
+
+/// `dims[n] × rank` factors of `x`, drawn mode by mode from one `StdRng`
+/// seeded with `seed`.
+fn random_factors(x: &CooTensor3, rank: usize, seed: u64) -> [Mat; 3] {
+    let mut rng = StdRng::seed_from_u64(seed);
+    x.dims().map(|d| Mat::random(d as usize, rank, &mut rng))
+}
+
+/// Single-machine PARAFAC-ALS with memory accounting, starting from
+/// `init`, one `dims[n] × R` factor per mode.
+///
+/// Mathematically identical to `haten2_core::parafac_als` but executed
+/// in-process, charging a [`MemoryMeter`] for the tensor, the factors, and
+/// the per-sweep MTTKRP working set; exceeding `memory_budget` aborts with
+/// [`BaselineError::Oom`].
+pub fn parafac_als_baseline_from(
+    x: &CooTensor3,
+    init: [Mat; 3],
+    max_iters: usize,
+    tol: f64,
+    memory_budget: Option<usize>,
+) -> Result<BaselineParafac> {
+    let rank = init[0].cols();
     if rank == 0 {
         return Err(BaselineError::InvalidArgument(
             "rank must be positive".into(),
         ));
     }
-    let started = std::time::Instant::now();
     let dims = x.dims();
+    for (n, f) in init.iter().enumerate() {
+        if (f.rows(), f.cols()) != (dims[n] as usize, rank) {
+            return Err(BaselineError::InvalidArgument(format!(
+                "init factor {n} is {}x{}, expected {}x{rank}",
+                f.rows(),
+                f.cols(),
+                dims[n]
+            )));
+        }
+    }
+    let started = std::time::Instant::now();
     let mut meter = MemoryMeter::new(memory_budget);
     meter.charge(coo_bytes(x.nnz()), "input tensor")?;
     for (n, &d) in dims.iter().enumerate() {
@@ -57,12 +95,7 @@ pub fn parafac_als_baseline(
         mat_bytes(dims.iter().map(|&d| d as usize).max().unwrap_or(0), rank) + x.nnz() * rank * 8;
     meter.charge(mttkrp_ws, "MTTKRP working set")?;
 
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut factors = [
-        Mat::random(dims[0] as usize, rank, &mut rng),
-        Mat::random(dims[1] as usize, rank, &mut rng),
-        Mat::random(dims[2] as usize, rank, &mut rng),
-    ];
+    let mut factors = init;
     let mut lambda = vec![1.0; rank];
     let norm_x_sq = x.fro_norm_sq();
     let norm_x = norm_x_sq.sqrt();

@@ -34,6 +34,12 @@ pub fn canonicalize(t: &CooTensor3, target: usize) -> (Cow<'_, CooTensor3>, [usi
     (Cow::Owned(canon), perm)
 }
 
+/// The dims of a tensor of dims `dims` in the canonical orientation of
+/// target mode `target`.
+pub(crate) fn canonical_dims(dims: [u64; 3], target: usize) -> [u64; 3] {
+    permutation(target).map(|m| dims[m])
+}
+
 /// One tensor's records in the canonical orientation of a target mode,
 /// rebuilt for each mode in the storage the mode before left, with the
 /// counting scratch that builds them. A PARAFAC-ALS call keeps one for all
@@ -54,7 +60,7 @@ impl CanonicalRecords {
     /// [`CooTensor3::permute`] does ([`canonical_form`]).
     pub(crate) fn build(&mut self, t: &CooTensor3, target: usize) -> ([u64; 3], &[(Ix4, f64)]) {
         let perm = permutation(target);
-        let dims = perm.map(|m| t.dims()[m]);
+        let dims = canonical_dims(t.dims(), target);
         if target == 0 {
             tensor_records_into(t, &mut self.records);
         } else {

@@ -31,7 +31,7 @@
 
 use crate::als::{parafac_sweeps, tucker_fit, tucker_sweeps, Projection};
 use crate::ops::{cross_merge_job, imhp_job, pairwise_merge_job, MergeInput, TensorRecords};
-use crate::records::{check_columns, Ix4};
+use crate::records::{Ix4, MergeLayout};
 use crate::{CoreError, Result};
 use haten2_linalg::{thin_qr, Mat};
 use haten2_mapreduce::{Cluster, RunMetrics};
@@ -44,16 +44,18 @@ fn invalid<T>(detail: String) -> Result<T> {
 }
 
 /// The join modes of a kernel call — every mode but `mode`, ascending —
-/// once the call is known to be valid: order ≥ 2, one factor per mode,
-/// `mode` in range, every join factor as tall as its mode and at most
-/// `u32::MAX` wide, and (the MTTKRP's `equal_cols`) all of them equally
-/// wide. The target mode's factor is not read.
+/// and the layout its merge records are packed in, once the call is known
+/// to be valid: order ≥ 2, one factor per mode, `mode` in range, every
+/// join factor as tall as its mode, (the MTTKRP's `equal_cols`) all of
+/// them equally wide, and the labels `(e, 0)`, the widest join factor's
+/// columns and the `N − 1` sides fitting a [`MergeLayout`]. The target
+/// mode's factor is not read.
 fn join_modes(
     x: &DynTensor,
     mode: usize,
     factors: &[&Mat],
     equal_cols: bool,
-) -> Result<Vec<usize>> {
+) -> Result<(Vec<usize>, MergeLayout)> {
     let n = x.order();
     if n < 2 {
         return invalid("tensor order must be ≥ 2".into());
@@ -74,20 +76,28 @@ fn join_modes(
         if equal_cols && f.cols() != cols {
             return invalid(format!("factor {m} has {} columns, not {cols}", f.cols()));
         }
-        check_columns(&format!("factor {m} width"), f.cols())?;
     }
-    Ok(others)
+    let widest = others.iter().copied().max_by_key(|&m| factors[m].cols());
+    let widest = widest.expect("order ≥ 2 leaves a join mode");
+    let layout = MergeLayout::new(
+        &format!("factor {widest} width"),
+        [x.nnz() as u64, 1],
+        factors[widest].cols(),
+        others.len(),
+    )?;
+    Ok((others, layout))
 }
 
 /// The IMHP job of target mode `mode`: `x` expanded against the factor of
 /// every mode in `others`, one side per join mode, as the merge's map
-/// output its reduce tasks wrote.
+/// output its reduce tasks wrote, packed by `layout`.
 fn expand(
     cluster: &Cluster,
     x: &DynTensor,
     mode: usize,
     others: &[usize],
     factors: &[&Mat],
+    layout: MergeLayout,
 ) -> Result<MergeInput<'static>> {
     let entries: TensorRecords = (0..x.nnz())
         .map(|e| ((x.index(e)[mode], e as u64, 0, 0), x.value(e)))
@@ -99,6 +109,7 @@ fn expand(
         &[&entries],
         &sides,
         |side, ix: &Ix4| x.index(ix.1 as usize)[others[side]],
+        layout,
     )?;
     Ok(MergeInput::Written(written))
 }
@@ -123,11 +134,11 @@ fn nway_mttkrp_into(
     factors: &[&Mat],
     out: &mut Mat,
 ) -> Result<()> {
-    let others = join_modes(x, mode, factors, true)?;
-    let expanded = expand(cluster, x, mode, &others, factors)?;
+    let (others, layout) = join_modes(x, mode, factors, true)?;
+    let expanded = expand(cluster, x, mode, &others, factors, layout)?;
     let name = format!("nway-pairwisemerge-mode{mode}");
     let rank = factors[others[0]].cols();
-    let y = pairwise_merge_job(cluster, &name, expanded, rank as u64)?;
+    let y = pairwise_merge_job(cluster, &name, expanded, rank as u64, layout)?;
 
     out.reset_zeros(x.dims()[mode] as usize, rank);
     for &((i, r, _, _), v) in y.iter().flatten() {
@@ -212,11 +223,11 @@ pub fn nway_tucker_project(
     mode: usize,
     factors: &[&Mat],
 ) -> Result<DynTensor> {
-    let others = join_modes(x, mode, factors, false)?;
+    let (others, layout) = join_modes(x, mode, factors, false)?;
     let widths: Vec<u64> = others.iter().map(|&m| factors[m].cols() as u64).collect();
-    let expanded = expand(cluster, x, mode, &others, factors)?;
+    let expanded = expand(cluster, x, mode, &others, factors, layout)?;
     let name = format!("nway-crossmerge-mode{mode}");
-    let partitions = cross_merge_job(cluster, &name, expanded, &widths)?;
+    let partitions = cross_merge_job(cluster, &name, expanded, &widths, layout)?;
 
     // `((i, q₁, columns, 0), y)`, one nonzero record per cell; `columns` is
     // row-major over `widths[1..]`, so record order is index order and the

@@ -87,11 +87,13 @@
 //! [`JobSite`]: haten2_mapreduce::JobSite
 //! [`Cluster`]: haten2_mapreduce::Cluster
 
-use crate::records::{shards_len, HadVal, ImhpRec, ImhpVal, Ix4, MergeVal, NaiveVal, TvRec};
+use crate::records::{
+    shards_len, HadVal, ImhpRec, ImhpVal, Ix4, MergeLayout, MergeVal, NaiveVal, TvRec,
+};
 use haten2_linalg::Mat;
 use haten2_mapreduce::{
-    run_job_collect, run_job_written, Chunks, Collect, EstimateSize, JobSite, JobSpec, MapInput,
-    MapOutput, MrError, Result,
+    run_job_collect, run_job_collect_with, run_job_written, Chunks, Collect, EstimateSize, JobSite,
+    JobSpec, MapInput, MapOutput, MrError, Result,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -545,15 +547,13 @@ pub fn naive_ttv_job(
 }
 
 /// The merge's map function: an expanded record `((i, a, b, d), v)` of
-/// side `side`, keyed by its target-mode index `i`. The column `d` must
-/// fit the `u32` a [`MergeVal`] holds it in; the fronts refuse wider
-/// ranks and core sizes before a job runs, so a wider one here panics.
+/// side `side`, keyed by its target-mode index `i`, its label, column and
+/// side packed by `layout`. The fronts build the layout from the call's
+/// extents, so a field wider than the layout says panics.
 #[inline]
-fn merge_record(side: u8, &(i, j, k, d): &Ix4, v: f64) -> (u64, MergeVal) {
-    let Ok(d) = u32::try_from(d) else {
-        panic!("merge side {side}: column {d} does not fit a u32 column index")
-    };
-    (i, MergeVal { j, k, v, d, side })
+fn merge_record(layout: &MergeLayout, side: u8, &(i, j, k, d): &Ix4, v: f64) -> (u64, MergeVal) {
+    let tag = layout.pack(side, j, k, d);
+    (i, MergeVal { v, tag })
 }
 
 /// What a merge's map input is priced at per record: the [`MergeVal`]
@@ -563,24 +563,19 @@ fn merge_record_bytes() -> usize {
 }
 
 /// IMHP's record writer: runs the merge's map ([`merge_record`]) on every
-/// record the reducer emits and writes the result straight into that
-/// side's [`MapOutput`], cut for the merge's partitions. What the engine
-/// counts and sizes is still the `((side, ix), v)` record the reducer
-/// emitted.
+/// record the reducer emits, packing with the call's `layout`, and writes
+/// the result straight into that side's [`MapOutput`], cut for the
+/// merge's partitions. What the engine counts and sizes is still the
+/// `((side, ix), v)` record the reducer emitted. [`imhp_job`] makes one
+/// per reduce task, with its layout.
 #[derive(Default)]
 struct MergeWriter {
     partitions: usize,
+    layout: MergeLayout,
     sides: Vec<MapOutput<u64, MergeVal>>,
 }
 
 impl Collect<(u8, Ix4), f64> for MergeWriter {
-    fn for_partitions(partitions: usize) -> Self {
-        MergeWriter {
-            partitions,
-            sides: Vec::new(),
-        }
-    }
-
     #[inline]
     fn collect(&mut self, (side, ix): (u8, Ix4), v: f64) {
         let s = usize::from(side);
@@ -588,7 +583,7 @@ impl Collect<(u8, Ix4), f64> for MergeWriter {
             let partitions = self.partitions;
             self.sides.resize_with(s + 1, || MapOutput::new(partitions));
         }
-        let (i, val) = merge_record(side, &ix, v);
+        let (i, val) = merge_record(&self.layout, side, &ix, v);
         let out = &mut self.sides[s];
         out.count_input();
         out.emit(i, val);
@@ -598,9 +593,12 @@ impl Collect<(u8, Ix4), f64> for MergeWriter {
 /// One expanded side as [`imhp_job`]'s reduce tasks wrote it: already the
 /// merge's map output, every record mapped by `merge_record` and
 /// bucketed by the merge's partitioner, one [`MapOutput`] per reduce task
-/// that wrote any, in partition order. A merge takes it by ownership
-/// ([`MergeInput::Written`]).
-pub struct WrittenSide(Vec<MapOutput<u64, MergeVal>>);
+/// that wrote any, in partition order, with the layout its records are
+/// packed in. A merge takes it by ownership ([`MergeInput::Written`]).
+pub struct WrittenSide {
+    parts: Vec<MapOutput<u64, MergeVal>>,
+    layout: MergeLayout,
+}
 
 impl WrittenSide {
     /// The side's records as `((i, a, b, d), v)`: reduce task by reduce
@@ -608,10 +606,12 @@ impl WrittenSide {
     /// Restricted to one target index `i`, that is the order a merge
     /// reads them in.
     pub fn records(&self) -> TensorRecords {
-        let mapped = self.0.iter().flat_map(MapOutput::records);
-        mapped
-            .map(|(&i, v)| ((i, v.j, v.k, u64::from(v.d)), v.v))
-            .collect()
+        let mapped = self.parts.iter().flat_map(MapOutput::records);
+        let unpack = |(&i, v): (&u64, &MergeVal)| {
+            let (_, j, k, d) = self.layout.unpack(v.tag);
+            ((i, j, k, d), v.v)
+        };
+        mapped.map(unpack).collect()
     }
 }
 
@@ -643,23 +643,25 @@ pub fn join_on_slots(side: usize, ix: &Ix4) -> u64 {
 ///
 /// The expansions are written once, as the merge will read them: the
 /// job's reduce tasks run the merge's map function on every record they
-/// emit and bucket it by the merge's partitioner ([`WrittenSide`]), so
-/// `T'` and `T''` never exist as shards and the merge starts at its
-/// shuffle. The job's metrics are those of writing the records: what the
-/// engine counts and sizes is each record the reducer emits.
+/// emit, packing it by `layout`, and bucket it by the merge's partitioner
+/// ([`WrittenSide`]), so `T'` and `T''` never exist as shards and the
+/// merge starts at its shuffle. The job's metrics are those of writing
+/// the records: what the engine counts and sizes is each record the
+/// reducer emits.
 pub fn imhp_job(
     site: &impl JobSite,
     name: &str,
     entries: Shards<'_>,
     sides: &[&Mat],
     join: impl Fn(usize, &Ix4) -> u64 + Sync,
+    layout: MergeLayout,
 ) -> Result<Vec<WrittenSide>> {
     let n_sides = sides.len();
     // One more index slot per side beyond the 3-way record's two.
     let entry_bytes = ent3_bytes() + 8 * n_sides - 8 * 2;
     let input = rows_feed(entries, entry_bytes, FactorRows::of(sides));
 
-    let out: Vec<MergeWriter> = run_job_collect(
+    let out: Vec<MergeWriter> = run_job_collect_with(
         site,
         JobSpec::named(name.to_string()),
         &input,
@@ -694,6 +696,11 @@ pub fn imhp_job(
                 }
             }
         },
+        |partitions| MergeWriter {
+            partitions,
+            layout,
+            sides: Vec::new(),
+        },
     )?;
     // Per reduce task, per side → per side, per reduce task.
     let mut written: Vec<Vec<MapOutput<u64, MergeVal>>> =
@@ -705,7 +712,8 @@ pub fn imhp_job(
             }
         }
     }
-    Ok(written.into_iter().map(WrittenSide).collect())
+    let side = |parts| WrittenSide { parts, layout };
+    Ok(written.into_iter().map(side).collect())
 }
 
 /// What a merge reads: the expanded datasets, side 0 (`T'`) first.
@@ -730,8 +738,8 @@ impl MergeInput<'_> {
 
 /// The shard input of a merge job: the expanded datasets in **descending**
 /// side order — `T''` first, then `T'`, at two sides — each stored
-/// `((i, a, b, d), v)` presented in place as [`merge_record`] maps it and
-/// priced at [`merge_record_bytes`].
+/// `((i, a, b, d), v)` presented in place as [`merge_record`] maps it by
+/// `layout` and priced at [`merge_record_bytes`].
 ///
 /// The order is the contract the merge reducers rest on. A key group's
 /// values reach a reducer in input order restricted to the key (the
@@ -743,22 +751,32 @@ impl MergeInput<'_> {
 /// the same order for the written input.
 fn merge_feed<'a>(
     sides: &[Shards<'a>],
+    layout: MergeLayout,
 ) -> ListedFeed<'a, u64, MergeVal, impl Fn(u8, &Ix4, f64) -> (u64, MergeVal) + Sync> {
     let tagged = sides
         .iter()
         .enumerate()
         .map(|(s, &dataset)| (s as u8, dataset));
     let descending: Vec<(u8, Shards<'a>)> = tagged.rev().collect();
-    Feed::new(&descending, merge_record_bytes(), merge_record, Vec::new())
+    let map = move |side, ix: &Ix4, v| merge_record(&layout, side, ix, v);
+    Feed::new(&descending, merge_record_bytes(), map, Vec::new())
 }
 
 /// The written input of a merge job, in [`merge_feed`]'s order: the last
 /// side first, each side's reduce tasks in partition order. A key's
 /// values sit in one bucket of each map output, in emission order, so a
 /// group reaches the reducer exactly as over the same records as shards.
-fn descending(sides: Vec<WrittenSide>) -> Vec<MapOutput<u64, MergeVal>> {
+/// Every side must be packed in the merge's `layout`.
+fn descending(sides: Vec<WrittenSide>, layout: MergeLayout) -> Vec<MapOutput<u64, MergeVal>> {
     let by_side = sides.into_iter().rev();
-    by_side.flat_map(|WrittenSide(parts)| parts).collect()
+    let parts = |side: WrittenSide| {
+        assert_eq!(
+            side.layout, layout,
+            "a written side packed in another layout"
+        );
+        side.parts
+    };
+    by_side.flat_map(parts).collect()
 }
 
 /// What a merge reducer says when its group is not in descending side
@@ -768,8 +786,8 @@ const SIDES_OUT_OF_ORDER: &str =
 
 /// The one hasher of the merge folds' lookup table: FxHash's
 /// rotate-xor-multiply step over whole words. Deterministic, unlike
-/// `RandomState`, and one multiply per word of the two-word labels the
-/// folds look up. The table is only probed, never iterated, so its order
+/// `RandomState`, and one multiply for the one-word label the folds look
+/// up. The table is only probed, never iterated, so its order
 /// cannot reach an emit.
 #[derive(Default)]
 struct WordHasher(u64);
@@ -798,8 +816,8 @@ impl Hasher for WordHasher {
 /// label looked up last sits in front of the table — a cache, never an
 /// assumption; interleaved labels only cost probes.
 struct Slots {
-    table: HashMap<(u64, u64), u32, BuildHasherDefault<WordHasher>>,
-    last: Option<((u64, u64), Option<u32>)>,
+    table: HashMap<u64, u32, BuildHasherDefault<WordHasher>>,
+    last: Option<(u64, Option<u32>)>,
 }
 
 impl Slots {
@@ -815,9 +833,8 @@ impl Slots {
         self.table.len()
     }
 
-    /// The slot of `v`'s label, a new one when the label has none yet.
-    fn insert(&mut self, v: &MergeVal) -> u32 {
-        let label = (v.j, v.k);
+    /// The slot of `label`, a new one when the label has none yet.
+    fn insert(&mut self, label: u64) -> u32 {
         if let Some((last, Some(slot))) = self.last {
             if last == label {
                 return slot;
@@ -829,9 +846,8 @@ impl Slots {
         slot
     }
 
-    /// The slot of `v`'s label, if the last side holds the label.
-    fn get(&mut self, v: &MergeVal) -> Option<u32> {
-        let label = (v.j, v.k);
+    /// The slot of `label`, if the last side holds the label.
+    fn get(&mut self, label: u64) -> Option<u32> {
         match self.last {
             Some((last, slot)) if last == label => slot,
             _ => {
@@ -892,10 +908,11 @@ impl Partners {
 /// widths[1..]` array — as dense as the output is for dense factors — and
 /// leaves it in index order, whatever order its cells were touched in.
 /// Every `+=` chain runs in the order the values arrive, so the sums are
-/// those of the dataset order.
+/// those of the dataset order. `layout` unpacks each value's tag.
 fn cross_merge_fold(
     i: u64,
     widths: &[u64],
+    layout: &MergeLayout,
     vals: impl ExactSizeIterator<Item = MergeVal>,
     emit: &mut dyn FnMut(Ix4, f64),
 ) {
@@ -905,39 +922,51 @@ fn cross_merge_fold(
     let per_nonzero = widths.len() * widths[usize::from(last)] as usize;
     let mut slots = Slots::with_capacity(vals.len() / per_nonzero.max(1));
     let mut vals = vals.peekable();
+    let (side_of, label, column) = (
+        |v: &MergeVal| layout.side(v.tag),
+        |v: &MergeVal| layout.label(v.tag),
+        |v: &MergeVal| layout.column(v.tag),
+    );
     if last == 0 {
         // An order-2 tensor has one side and nothing to join it with.
         for v in vals.by_ref() {
-            acc[v.d as usize] += v.v;
+            acc[column(&v) as usize] += v.v;
         }
     }
     let (mut slot_of, mut pairs) = (Vec::new(), Vec::new());
-    while let Some(v) = vals.next_if(|v| v.side == last) {
-        slot_of.push(slots.insert(&v));
-        pairs.push((u64::from(v.d), v.v));
+    while let Some(v) = vals.next_if(|v| side_of(v) == last) {
+        slot_of.push(slots.insert(label(&v)));
+        pairs.push((column(&v), v.v));
     }
     let mut partners = Partners::group(&slot_of, pairs, slots.len());
     for side in (1..last).rev() {
         let stride: u64 = widths[usize::from(side) + 1..].iter().product();
         slot_of.clear();
         let mut pairs = Vec::new();
-        while let Some(v) = vals.next_if(|v| v.side == side) {
-            let Some(slot) = slots.get(&v) else { continue };
+        while let Some(v) = vals.next_if(|v| side_of(v) == side) {
+            let Some(slot) = slots.get(label(&v)) else {
+                continue;
+            };
             for &(cols, w) in partners.of(slot) {
                 slot_of.push(slot);
-                pairs.push((u64::from(v.d) * stride + cols, v.v * w));
+                pairs.push((column(&v) * stride + cols, v.v * w));
             }
         }
         partners = Partners::group(&slot_of, pairs, slots.len());
     }
     for v in vals {
-        assert!(v.side == 0, "CrossMerge group {i}: {SIDES_OUT_OF_ORDER}");
-        let Some(slot) = slots.get(&v) else { continue };
+        assert!(
+            side_of(&v) == 0,
+            "CrossMerge group {i}: {SIDES_OUT_OF_ORDER}"
+        );
+        let Some(slot) = slots.get(label(&v)) else {
+            continue;
+        };
         let later = partners.of(slot);
         if later.is_empty() {
             continue;
         }
-        let row = &mut acc[(u64::from(v.d) * columns) as usize..][..columns as usize];
+        let row = &mut acc[(column(&v) * columns) as usize..][..columns as usize];
         for &(cols, w) in later {
             row[cols as usize] += v.v * w;
         }
@@ -950,7 +979,7 @@ fn cross_merge_fold(
 }
 
 /// Column `d` of a PairwiseMerge value as an index into a `rank`-wide row.
-fn rank_column(d: u32, rank: usize) -> usize {
+fn rank_column(d: u64, rank: usize) -> usize {
     let d = d as usize;
     assert!(
         d < rank,
@@ -978,14 +1007,14 @@ impl Cells {
         }
     }
 
-    fn cell(&self, slot: u32, d: u32) -> usize {
+    fn cell(&self, slot: u32, d: u64) -> usize {
         slot as usize * self.rank + rank_column(d, self.rank)
     }
 
     /// Add `x` to cell `(slot, d)`, growing the cells to hold `slot`. A
     /// cell starts at `0.0`, so its first value lands as `0.0 + x` and a
     /// duplicate `(label, d)` sums in arrival order.
-    fn add(&mut self, slot: u32, d: u32, x: f64) {
+    fn add(&mut self, slot: u32, d: u64, x: f64) {
         let cell = self.cell(slot, d);
         if cell >= self.sums.len() {
             let len = (slot as usize + 1) * self.rank;
@@ -997,7 +1026,7 @@ impl Cells {
     }
 
     /// Cell `(slot, d)`, if anything arrived for it.
-    fn get(&self, slot: u32, d: u32) -> Option<f64> {
+    fn get(&self, slot: u32, d: u64) -> Option<f64> {
         let cell = self.cell(slot, d);
         self.held[cell].then(|| self.sums[cell])
     }
@@ -1013,6 +1042,7 @@ fn pairwise_merge_fold(
     i: u64,
     sides: usize,
     rank: u64,
+    layout: &MergeLayout,
     vals: impl ExactSizeIterator<Item = MergeVal>,
     emit: &mut dyn FnMut(Ix4, f64),
 ) {
@@ -1021,31 +1051,43 @@ fn pairwise_merge_fold(
     let mut slots = Slots::with_capacity(vals.len() / (sides * rank).max(1));
     let mut vals = vals.peekable();
     let mut acc = vec![0.0; rank];
+    let (side_of, label, column) = (
+        |v: &MergeVal| usize::from(layout.side(v.tag)),
+        |v: &MergeVal| layout.label(v.tag),
+        |v: &MergeVal| layout.column(v.tag),
+    );
     if last == 0 {
         // An order-2 tensor has one side and nothing to join it with.
         for v in vals.by_ref() {
-            acc[rank_column(v.d, rank)] += v.v;
+            acc[rank_column(column(&v), rank)] += v.v;
         }
     }
     let mut cells = Cells::new(rank, 0);
-    while let Some(v) = vals.next_if(|v| usize::from(v.side) == last) {
-        cells.add(slots.insert(&v), v.d, v.v);
+    while let Some(v) = vals.next_if(|v| side_of(v) == last) {
+        cells.add(slots.insert(label(&v)), column(&v), v.v);
     }
     for side in (1..last).rev() {
         let mut joined = Cells::new(rank, slots.len());
-        while let Some(v) = vals.next_if(|v| usize::from(v.side) == side) {
-            let Some(slot) = slots.get(&v) else { continue };
-            if let Some(w) = cells.get(slot, v.d) {
-                joined.add(slot, v.d, v.v * w);
+        while let Some(v) = vals.next_if(|v| side_of(v) == side) {
+            let Some(slot) = slots.get(label(&v)) else {
+                continue;
+            };
+            if let Some(w) = cells.get(slot, column(&v)) {
+                joined.add(slot, column(&v), v.v * w);
             }
         }
         cells = joined;
     }
     for v in vals {
-        assert!(v.side == 0, "PairwiseMerge group {i}: {SIDES_OUT_OF_ORDER}");
-        let Some(slot) = slots.get(&v) else { continue };
-        if let Some(w) = cells.get(slot, v.d) {
-            acc[v.d as usize] += v.v * w;
+        assert!(
+            side_of(&v) == 0,
+            "PairwiseMerge group {i}: {SIDES_OUT_OF_ORDER}"
+        );
+        let Some(slot) = slots.get(label(&v)) else {
+            continue;
+        };
+        if let Some(w) = cells.get(slot, column(&v)) {
+            acc[column(&v) as usize] += v.v * w;
         }
     }
     for (r, y) in (0u64..).zip(acc) {
@@ -1064,14 +1106,16 @@ fn pairwise_merge_fold(
 ///
 /// Keys on the target-mode index `i`, so the shuffle volume is
 /// `nnz·(Q+R)` — the Table III cost of HaTen2-DRN/DRI. Shards are read in
-/// place (`merge_feed`); written sides are taken and reduced from where
-/// IMHP's reduce tasks bucketed them (`descending`). Both inputs make
-/// the same job: same output bits, same metrics.
+/// place (`merge_feed`), packed by `layout`; written sides are taken and
+/// reduced from where IMHP's reduce tasks bucketed them (`descending`),
+/// and must have been packed by the same `layout`. Both inputs make the
+/// same job: same output bits, same metrics.
 pub fn cross_merge_job(
     site: &impl JobSite,
     name: &str,
     input: MergeInput<'_>,
     widths: &[u64],
+    layout: MergeLayout,
 ) -> Result<Partitions> {
     assert_eq!(input.sides(), widths.len(), "one column count per side");
     let spec = JobSpec::named(name.to_string());
@@ -1079,16 +1123,16 @@ pub fn cross_merge_job(
         MergeInput::Shards(sides) => run_job_collect(
             site,
             spec,
-            &merge_feed(sides),
-            |i: &u64, rec: &MergeVal, emit| emit(*i, rec.clone()),
-            |i, vals, emit| cross_merge_fold(*i, widths, vals, emit),
+            &merge_feed(sides, layout),
+            |i: &u64, rec: &MergeVal, emit| emit(*i, *rec),
+            |i, vals, emit| cross_merge_fold(*i, widths, &layout, vals, emit),
         )?,
         MergeInput::Written(sides) => run_job_written(
             site,
             spec,
-            descending(sides),
+            descending(sides, layout),
             merge_record_bytes(),
-            |i, vals, emit| cross_merge_fold(*i, widths, vals, emit),
+            |i, vals, emit| cross_merge_fold(*i, widths, &layout, vals, emit),
         )?,
     };
     Ok(partitions(out))
@@ -1101,13 +1145,14 @@ pub fn cross_merge_job(
 /// shares, as [`cross_merge_job`] is told its widths: each reduce group
 /// accumulates in an `R`-wide array, and a column index at or past `rank`
 /// is refused. Shuffle volume `2·nnz·R` at two sides — the Table IV cost
-/// of HaTen2-PARAFAC-DRN/DRI. Reads its inputs as [`cross_merge_job`]
-/// does.
+/// of HaTen2-PARAFAC-DRN/DRI. Reads its inputs, packed by `layout`, as
+/// [`cross_merge_job`] does.
 pub fn pairwise_merge_job(
     site: &impl JobSite,
     name: &str,
     input: MergeInput<'_>,
     rank: u64,
+    layout: MergeLayout,
 ) -> Result<Partitions> {
     let sides = input.sides();
     let spec = JobSpec::named(name.to_string());
@@ -1115,16 +1160,16 @@ pub fn pairwise_merge_job(
         MergeInput::Shards(shards) => run_job_collect(
             site,
             spec,
-            &merge_feed(shards),
-            |i: &u64, rec: &MergeVal, emit| emit(*i, rec.clone()),
-            |i, vals, emit| pairwise_merge_fold(*i, sides, rank, vals, emit),
+            &merge_feed(shards, layout),
+            |i: &u64, rec: &MergeVal, emit| emit(*i, *rec),
+            |i, vals, emit| pairwise_merge_fold(*i, sides, rank, &layout, vals, emit),
         )?,
         MergeInput::Written(written) => run_job_written(
             site,
             spec,
-            descending(written),
+            descending(written, layout),
             merge_record_bytes(),
-            |i, vals, emit| pairwise_merge_fold(*i, sides, rank, vals, emit),
+            |i, vals, emit| pairwise_merge_fold(*i, sides, rank, &layout, vals, emit),
         )?,
     };
     Ok(partitions(out))
@@ -1277,32 +1322,40 @@ mod tests {
         }
     }
 
+    /// The layout of the fold tests: labels below 16 x 16, 16 columns
+    /// (wider than any fold's rank, so the folds' own checks are what
+    /// refuse a column), up to four sides.
+    fn layout() -> MergeLayout {
+        MergeLayout::new("test", [16, 16], 16, 4).unwrap()
+    }
+
     fn merge_val(side: u8, (j, k, d): (u64, u64, u64), v: f64) -> MergeVal {
-        merge_record(side, &(7, j, k, d), v).1
+        merge_record(&layout(), side, &(7, j, k, d), v).1
     }
 
     #[test]
     fn merge_record_holds_a_column_up_to_u32_max() {
         let top = u64::from(u32::MAX);
-        let (i, val) = merge_record(1, &(5, 2, 3, top), 0.5);
+        let layout = MergeLayout::new("rank", [4, 4], u32::MAX as usize, 2).unwrap();
+        let (i, val) = merge_record(&layout, 1, &(5, 2, 3, top), 0.5);
         assert_eq!(i, 5);
-        assert_eq!(
-            (val.side, val.j, val.k, val.d, val.v),
-            (1, 2, 3, u32::MAX, 0.5)
-        );
+        assert_eq!((layout.unpack(val.tag), val.v), ((1, 2, 3, top), 0.5));
     }
 
     #[test]
     #[should_panic(expected = "merge side 1: column 4294967296 does not fit a u32 column index")]
     fn merge_record_refuses_a_column_past_u32_max() {
-        merge_record(1, &(5, 2, 3, u64::from(u32::MAX) + 1), 0.5);
+        let layout = MergeLayout::new("rank", [4, 4], u32::MAX as usize, 2).unwrap();
+        merge_record(&layout, 1, &(5, 2, 3, u64::from(u32::MAX) + 1), 0.5);
     }
 
     /// A fold over `sides` sides of `width` columns each.
     type Fold = fn(u64, usize, u64, std::vec::IntoIter<MergeVal>, &mut dyn FnMut(Ix4, f64));
     const FOLDS: [Fold; 2] = [
-        |i, sides, width, vals, emit| cross_merge_fold(i, &vec![width; sides], vals, emit),
-        |i, sides, width, vals, emit| pairwise_merge_fold(i, sides, width, vals, emit),
+        |i, sides, width, vals, emit| {
+            cross_merge_fold(i, &vec![width; sides], &layout(), vals, emit)
+        },
+        |i, sides, width, vals, emit| pairwise_merge_fold(i, sides, width, &layout(), vals, emit),
     ];
 
     fn fold_sides(fold: Fold, sides: usize, width: u64, vals: Vec<MergeVal>) -> Vec<(Ix4, f64)> {
@@ -1489,6 +1542,29 @@ mod tests {
         use crate::records::{Ix4, MergeVal};
         use std::collections::{BTreeMap, HashMap};
 
+        /// A merge value's fields, unpacked by the fold tests' layout.
+        struct Unpacked {
+            side: u8,
+            j: u64,
+            k: u64,
+            d: u64,
+            v: f64,
+        }
+
+        fn unpacked(vals: impl Iterator<Item = MergeVal>) -> impl Iterator<Item = Unpacked> {
+            let layout = super::layout();
+            vals.map(move |val| {
+                let (side, j, k, d) = layout.unpack(val.tag);
+                Unpacked {
+                    side,
+                    j,
+                    k,
+                    d,
+                    v: val.v,
+                }
+            })
+        }
+
         pub fn cross_merge_fold(
             i: u64,
             widths: &[u64],
@@ -1496,7 +1572,7 @@ mod tests {
             emit: &mut dyn FnMut(Ix4, f64),
         ) {
             let last = (widths.len() - 1) as u8;
-            let mut vals = vals.peekable();
+            let mut vals = unpacked(vals).peekable();
             let columns: u64 = widths[1..].iter().product();
             let mut acc = vec![0.0; (widths[0] * columns) as usize];
             if last == 0 {
@@ -1506,10 +1582,7 @@ mod tests {
             }
             let mut table: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
             while let Some(v) = vals.next_if(|v| v.side == last) {
-                table
-                    .entry((v.j, v.k))
-                    .or_default()
-                    .push((u64::from(v.d), v.v));
+                table.entry((v.j, v.k)).or_default().push((v.d, v.v));
             }
             for side in (1..last).rev() {
                 let stride: u64 = widths[usize::from(side) + 1..].iter().product();
@@ -1518,7 +1591,7 @@ mod tests {
                     if let Some(later) = table.get(&(v.j, v.k)) {
                         let extended = later
                             .iter()
-                            .map(|&(cols, w)| (u64::from(v.d) * stride + cols, v.v * w));
+                            .map(|&(cols, w)| (v.d * stride + cols, v.v * w));
                         joined.entry((v.j, v.k)).or_default().extend(extended);
                     }
                 }
@@ -1527,7 +1600,7 @@ mod tests {
             for v in vals {
                 assert!(v.side == 0, "CrossMerge group {i}: {SIDES_OUT_OF_ORDER}");
                 if let Some(partners) = table.get(&(v.j, v.k)) {
-                    let row = &mut acc[(u64::from(v.d) * columns) as usize..][..columns as usize];
+                    let row = &mut acc[(v.d * columns) as usize..][..columns as usize];
                     for &(cols, w) in partners {
                         row[cols as usize] += v.v * w;
                     }
@@ -1548,29 +1621,29 @@ mod tests {
         ) {
             let last = sides - 1;
             let mut table: HashMap<(u64, u64, u64), f64> = HashMap::new();
-            let mut vals = vals.peekable();
+            let mut vals = unpacked(vals).peekable();
             let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
             if last == 0 {
                 for v in vals.by_ref() {
-                    *acc.entry(u64::from(v.d)).or_insert(0.0) += v.v;
+                    *acc.entry(v.d).or_insert(0.0) += v.v;
                 }
             }
             while let Some(v) = vals.next_if(|v| usize::from(v.side) == last) {
-                *table.entry((v.j, v.k, u64::from(v.d))).or_insert(0.0) += v.v;
+                *table.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v;
             }
             for side in (1..last).rev() {
                 let mut joined: HashMap<(u64, u64, u64), f64> = HashMap::new();
                 while let Some(v) = vals.next_if(|v| usize::from(v.side) == side) {
-                    if let Some(&w) = table.get(&(v.j, v.k, u64::from(v.d))) {
-                        *joined.entry((v.j, v.k, u64::from(v.d))).or_insert(0.0) += v.v * w;
+                    if let Some(&w) = table.get(&(v.j, v.k, v.d)) {
+                        *joined.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v * w;
                     }
                 }
                 table = joined;
             }
             for v in vals {
                 assert!(v.side == 0, "PairwiseMerge group {i}: {SIDES_OUT_OF_ORDER}");
-                if let Some(&w) = table.get(&(v.j, v.k, u64::from(v.d))) {
-                    *acc.entry(u64::from(v.d)).or_insert(0.0) += v.v * w;
+                if let Some(&w) = table.get(&(v.j, v.k, v.d)) {
+                    *acc.entry(v.d).or_insert(0.0) += v.v * w;
                 }
             }
             for (r, y) in acc {
@@ -1626,14 +1699,17 @@ mod tests {
                 }
             }
             let sides = widths.len();
-            let cross = bits_of(|emit| cross_merge_fold(7, &widths, stream.clone().into_iter(), emit));
+            let layout = layout();
+            let cross = bits_of(|emit| {
+                cross_merge_fold(7, &widths, &layout, stream.clone().into_iter(), emit)
+            });
             let cross_ref = bits_of(|emit| {
                 reference::cross_merge_fold(7, &widths, stream.clone().into_iter(), emit)
             });
             prop_assert_eq!(cross, cross_ref);
             let rank = *widths.iter().max().expect("at least one side");
             let pairwise = bits_of(|emit| {
-                pairwise_merge_fold(7, sides, rank, stream.clone().into_iter(), emit)
+                pairwise_merge_fold(7, sides, rank, &layout, stream.clone().into_iter(), emit)
             });
             let pairwise_ref = bits_of(|emit| {
                 reference::pairwise_merge_fold(7, sides, stream.clone().into_iter(), emit)

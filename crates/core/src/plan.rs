@@ -39,7 +39,7 @@ use crate::ops::{
     collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots, naive_ttv_job,
     pairwise_merge_job, with_slot, MergeInput, Partitions, Shards, WrittenSide,
 };
-use crate::records::{HadVal, ImhpVal, Ix4, MergeVal, NaiveVal};
+use crate::records::{HadVal, ImhpVal, Ix4, MergeLayout, MergeVal, NaiveVal};
 use crate::Variant;
 use haten2_linalg::Mat;
 use haten2_mapreduce::{
@@ -144,15 +144,7 @@ pub fn imhp_row_elem_bytes() -> u64 {
 
 /// CrossMerge / PairwiseMerge emission: `u64` key + `MergeVal`.
 pub fn merge_bytes() -> u64 {
-    8 + MergeVal {
-        side: 0,
-        j: 0,
-        k: 0,
-        d: 0,
-        v: 0.0,
-    }
-    .est_bytes() as u64
-        + frame()
+    8 + MergeVal { v: 0.0, tag: 0 }.est_bytes() as u64 + frame()
 }
 
 // ---- Expression shorthands -------------------------------------------------
@@ -298,7 +290,7 @@ impl Kernel {
         }
         let shards: Vec<Shards<'_>> = lists.iter().map(Vec::as_slice).collect();
         let published = |partitions: Partitions| vec![Dataset::Shards(partitions)];
-        let widths = bound.widths;
+        let (widths, layout) = (bound.widths, bound.layout);
         let rank = widths[0];
         Ok(match (self, shards.as_slice(), taken.len()) {
             (Kernel::NaiveTtv(side), [entries], 0) => {
@@ -315,7 +307,8 @@ impl Kernel {
                 published(collapse_job(ctx, name, entries, drop, bound.use_combiner)?)
             }
             (Kernel::Imhp, [entries], 0) => {
-                let sides = imhp_job(ctx, name, entries, &[bound.u1, bound.u2], join_on_slots)?;
+                let factors = [bound.u1, bound.u2];
+                let sides = imhp_job(ctx, name, entries, &factors, join_on_slots, layout)?;
                 let written = sides.into_iter();
                 written
                     .map(|side| Dataset::Written(TakeOnce::new(name, side)))
@@ -323,19 +316,19 @@ impl Kernel {
             }
             (Kernel::CrossMerge, sides @ [_, _], 0) => {
                 let input = MergeInput::Shards(sides);
-                published(cross_merge_job(ctx, name, input, &widths)?)
+                published(cross_merge_job(ctx, name, input, &widths, layout)?)
             }
             (Kernel::CrossMerge, [], 2) => {
                 let input = MergeInput::Written(taken);
-                published(cross_merge_job(ctx, name, input, &widths)?)
+                published(cross_merge_job(ctx, name, input, &widths, layout)?)
             }
             (Kernel::PairwiseMerge, sides @ [_, _], 0) => {
                 let input = MergeInput::Shards(sides);
-                published(pairwise_merge_job(ctx, name, input, rank)?)
+                published(pairwise_merge_job(ctx, name, input, rank, layout)?)
             }
             (Kernel::PairwiseMerge, [], 2) => {
                 let input = MergeInput::Written(taken);
-                published(pairwise_merge_job(ctx, name, input, rank)?)
+                published(pairwise_merge_job(ctx, name, input, rank, layout)?)
             }
             (kernel, shards, taken) => {
                 let detail = format!(
@@ -602,6 +595,10 @@ pub struct Bindings<'a> {
     pub u1: &'a Mat,
     /// Factor of canonical mode 2, `K × R`.
     pub u2: &'a Mat,
+    /// How the merge records of DRN and DRI are packed: the front builds
+    /// it from `dims` and the factors' widths
+    /// ([`MergeLayout::new`]), refusing what does not fit.
+    pub layout: MergeLayout,
     /// Map-side combiner in Collapse jobs (an ablation; the paper's cost
     /// model assumes none).
     pub use_combiner: bool,
@@ -617,6 +614,7 @@ struct Bound<'a> {
     u2: &'a Mat,
     /// `[Q, R]`.
     widths: [u64; 2],
+    layout: MergeLayout,
     use_combiner: bool,
 }
 
@@ -809,6 +807,7 @@ pub fn run_pipeline(
         u1,
         u2,
         widths: [q as u64, r as u64],
+        layout: bound.layout,
         use_combiner: bound.use_combiner,
     };
 
@@ -1005,6 +1004,7 @@ mod tests {
             u1: &Mat::zeros(q, 5),
             u2: &Mat::zeros(3, 6),
             widths: [q as u64, 3],
+            layout: MergeLayout::three_way("test", x.dims(), [q, 3]).unwrap(),
             use_combiner: false,
         };
         let env = env_for(x.dims(), x.nnz(), q, 3, 4);
@@ -1074,6 +1074,7 @@ mod tests {
             dims: x.dims(),
             u1: &u1,
             u2: &u2,
+            layout: MergeLayout::three_way("rank", x.dims(), [3, 3])?,
             use_combiner: false,
         };
         let y = run_pipeline(cluster, pipeline, &bound)?;

@@ -151,27 +151,21 @@ impl EstimateSize for ImhpVal {
 /// value with the other sides' values of the same nonzero, and never read
 /// it as an index. Any injective label of the nonzero will do.
 ///
-/// Laid out as the three 8-byte words `j`, `k`, `v`, then the `u32`
-/// column `d` beside the `side` byte: 32 bytes in memory, priced at 33
-/// (`FIXED_BYTES`, the width the cost model and every byte counter use).
-/// A column index never exceeds the rank or a core size, and the fronts
-/// refuse either above `u32::MAX` before a job runs.
-#[derive(Debug, Clone, PartialEq)]
+/// Laid out as the value beside one tag word that packs, high to low, the
+/// label `(j, k)`, the column `d` and the `side`, each field as wide as a
+/// [`MergeLayout`] says: 16 bytes in memory, 24 with its key in a shuffle
+/// bucket. Priced at 33 (`FIXED_BYTES`, the paper's `(side, j, k, d, v)`
+/// record, which the cost model and every byte counter use).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergeVal {
-    /// First half of the nonzero's label (the mode-1 index at N = 3).
-    pub j: u64,
-    /// Second half of the label (the mode-2 index at N = 3).
-    pub k: u64,
     /// Value.
     pub v: f64,
-    /// Factor-column index (q or r).
-    pub d: u32,
-    /// The join side: 0 = `T'` (carries `X`'s values), 1 = `T''`, ….
-    pub side: u8,
+    /// `(j, k, d, side)`, packed by the call's [`MergeLayout`].
+    pub tag: u64,
 }
 
 impl EstimateSize for MergeVal {
-    // side + j + k + d + v, the column priced at the 8 bytes it has on the
+    // side + j + k + d + v, each index priced at the 8 bytes it has on the
     // wire. Declared fixed so the two largest jobs' input splits and reduce
     // groups are sized in O(1), not record by record.
     const FIXED_BYTES: Option<usize> = Some(1 + 8 + 8 + 8 + 8);
@@ -181,16 +175,118 @@ impl EstimateSize for MergeVal {
     }
 }
 
-/// Refuse a factor-column count — a rank, a core size — above `u32::MAX`,
-/// the widest a [`MergeVal`] column index holds. Every kernel front checks
-/// its counts with this before it submits a job.
-pub(crate) fn check_columns(what: &str, columns: usize) -> Result<()> {
-    if u32::try_from(columns).is_err() {
-        return Err(CoreError::InvalidArgument(format!(
-            "{what} {columns} is above u32::MAX, the widest merge column index"
-        )));
+/// How one kernel call packs a [`MergeVal`]'s tag: the bit widths of the
+/// label halves `j` and `k`, the column `d` and the `side`, each the bit
+/// count of the largest value its extent holds. The fronts build one from
+/// the call's extents before a job runs: at N = 3 the canonical dims of
+/// slots 1 and 2, at N > 3 `(nnz, 1)` (the entry's ordinal and 0); the
+/// widest factor-column count; the side count. The default is the
+/// layout of extents of 1, every field 0 bits wide.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MergeLayout {
+    /// The lowest bit of each field in the tag — side, column, `k`, `j`.
+    at: [u32; 4],
+    /// Each field's low-bit mask, in the same order.
+    mask: [u64; 4],
+}
+
+/// Bits of the largest value below `extent`: 0 for an extent of 0 or 1.
+fn bits_below(extent: u64) -> u32 {
+    u64::BITS - extent.saturating_sub(1).leading_zeros()
+}
+
+impl MergeLayout {
+    /// The layout for labels `(j, k)` below `labels`, `columns` factor
+    /// columns and `sides` join sides. Refused with `InvalidArgument`, so
+    /// before any job runs: a column count above `u32::MAX` (`what` names
+    /// it), more than 256 sides, or extents whose widths sum past the
+    /// tag's 64 bits.
+    pub fn new(what: &str, labels: [u64; 2], columns: usize, sides: usize) -> Result<Self> {
+        let refuse = |detail: String| Err(CoreError::InvalidArgument(detail));
+        let Ok(columns) = u32::try_from(columns) else {
+            return refuse(format!(
+                "{what} {columns} is above u32::MAX, the widest merge column index"
+            ));
+        };
+        if sides > 256 {
+            return refuse(format!("{sides} join sides: a merge side is a u8"));
+        }
+        let widths = [
+            bits_below(sides as u64),
+            bits_below(u64::from(columns)),
+            bits_below(labels[1]),
+            bits_below(labels[0]),
+        ];
+        let total: u32 = widths.iter().sum();
+        if total > u64::BITS {
+            return refuse(format!(
+                "labels {} x {}, {columns} columns and {sides} sides need {total} bits, \
+                 past the 64 of a merge record's tag",
+                labels[0], labels[1]
+            ));
+        }
+        let mut at = [0; 4];
+        for f in 1..4 {
+            at[f] = at[f - 1] + widths[f - 1];
+        }
+        Ok(MergeLayout {
+            at,
+            mask: widths.map(|w| u64::MAX.checked_shr(u64::BITS - w).unwrap_or(0)),
+        })
     }
-    Ok(())
+
+    /// The layout of a 3-way kernel call over canonical dims `dims` whose
+    /// two factors are `columns` wide: labels `(j, k)` below the dims of
+    /// slots 1 and 2, the wider factor's columns, two sides.
+    pub(crate) fn three_way(what: &str, dims: [u64; 3], columns: [usize; 2]) -> Result<Self> {
+        Self::new(what, [dims[1], dims[2]], columns[0].max(columns[1]), 2)
+    }
+
+    /// The tag of `(j, k, d)` on side `side`. A field wider than its width
+    /// is a bug in the front that built the layout, and panics.
+    #[inline]
+    pub fn pack(&self, side: u8, j: u64, k: u64, d: u64) -> u64 {
+        let fields = [u64::from(side), d, k, j];
+        let past = (0..4).fold(0, |past, f| past | (fields[f] & !self.mask[f]));
+        if past != 0 {
+            self.misfit(side, j, k, d);
+        }
+        // A field is shifted 64 places only when it is 0 bits wide, so 0.
+        (0..4).fold(0, |tag, f| tag | fields[f].wrapping_shl(self.at[f]))
+    }
+
+    #[cold]
+    fn misfit(&self, side: u8, j: u64, k: u64, d: u64) -> ! {
+        if d > u64::from(u32::MAX) {
+            panic!("merge side {side}: column {d} does not fit a u32 column index");
+        }
+        panic!("merge side {side}: (j {j}, k {k}, column {d}) does not fit {self:?}")
+    }
+
+    /// `(side, j, k, d)` of `tag`.
+    pub fn unpack(&self, tag: u64) -> (u8, u64, u64, u64) {
+        let field = |f: usize| tag.checked_shr(self.at[f]).unwrap_or(0) & self.mask[f];
+        (self.side(tag), field(3), field(2), field(1))
+    }
+
+    /// The label `(j, k)` of `tag` as one word.
+    #[inline]
+    pub fn label(&self, tag: u64) -> u64 {
+        // At most 8 side and 32 column bits lie below it.
+        tag >> self.at[2]
+    }
+
+    /// The column `d` of `tag`.
+    #[inline]
+    pub fn column(&self, tag: u64) -> u64 {
+        (tag >> self.at[1]) & self.mask[1]
+    }
+
+    /// The side of `tag`.
+    #[inline]
+    pub fn side(&self, tag: u64) -> u8 {
+        (tag & self.mask[0]) as u8
+    }
 }
 
 /// Refuse a 3-way target mode other than 0, 1 or 2.
@@ -225,25 +321,20 @@ pub(crate) fn shards_len(shards: &[&[(Ix4, f64)]]) -> usize {
 mod tests {
     use super::*;
     use haten2_tensor::Entry3;
+    use proptest::prelude::*;
 
     #[test]
     fn record_sizes_positive() {
         assert!(TvRec::Ent((0, 0, 0, 0), 1.0).est_bytes() >= 40);
         assert!(TvRec::Coef(0, 1.0).est_bytes() >= 17);
         assert!(ImhpRec::Row(0, 1, 10).est_bytes() >= 80);
-        let merge = MergeVal {
-            side: 0,
-            j: 0,
-            k: 0,
-            d: 0,
-            v: 0.0,
-        };
+        let merge = MergeVal { v: 0.0, tag: 0 };
         assert_eq!(merge.est_bytes(), 33);
         assert_eq!(MergeVal::FIXED_BYTES, Some(33));
         // The key rides beside the value in every shuffle bucket; the
-        // value does not carry a second copy of it, and its column index
-        // is a `u32` beside the side byte.
-        assert_eq!(std::mem::size_of::<MergeVal>(), 32);
+        // value does not carry a second copy of it, and its label, column
+        // and side share one word.
+        assert_eq!(std::mem::size_of::<MergeVal>(), 16);
         // Never wider in memory than on the wire.
         assert!(std::mem::size_of::<MergeVal>() <= MergeVal::FIXED_BYTES.unwrap());
     }
@@ -266,6 +357,86 @@ mod tests {
                 "{width}"
             );
         }
+    }
+
+    /// Extents whose widths sum to at most 64 bits, half of them to
+    /// exactly 64: `(j, k)` label extents, a column count and a side count.
+    fn extents() -> impl Strategy<Value = ([u64; 2], usize, usize)> {
+        let widths = (0u32..=8, 0u32..=32).prop_flat_map(|(s, d)| {
+            let left = 64 - s - d;
+            (0..=left).prop_flat_map(move |j| {
+                let k = (0..=left - j, any::<bool>());
+                k.prop_map(move |(k, exact)| [s, d, j, if exact { left - j } else { k }])
+            })
+        });
+        widths.prop_flat_map(|[s, d, j, k]| {
+            // Every extent in `2^(w-1) + 1 ..= 2^w` needs exactly `w` bits;
+            // at 64 bits the top is `u64::MAX`.
+            let extent = |w: u32| {
+                let lo = if w == 0 { 1 } else { (1u64 << (w - 1)) + 1 };
+                lo..=1u64.checked_shl(w).unwrap_or(u64::MAX)
+            };
+            let columns = extent(d).prop_map(|e| e.min(u64::from(u32::MAX)) as usize);
+            (
+                extent(j),
+                extent(k),
+                columns,
+                extent(s).prop_map(|e| e as usize),
+            )
+                .prop_map(|(j, k, columns, sides)| ([j, k], columns, sides))
+        })
+    }
+
+    proptest! {
+        /// Pack then unpack gives every field back, at random extents up to
+        /// the widest that fit the 64-bit tag exactly; the label, column
+        /// and side read by shift and mask agree with the whole unpack.
+        #[test]
+        fn merge_layout_round_trips_every_field(
+            (labels, columns, sides) in extents(),
+            picks in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        ) {
+            let layout = MergeLayout::new("rank", labels, columns, sides).unwrap();
+            // The largest value of each field, and a random one below it.
+            let pick = |x: u64, extent: u64| match extent {
+                0 | 1 => 0,
+                e => if x.is_multiple_of(4) { e - 1 } else { x % e },
+            };
+            let j = pick(picks.0, labels[0]);
+            let k = pick(picks.1, labels[1]);
+            let d = pick(picks.2, columns as u64);
+            let side = pick(picks.3, sides as u64) as u8;
+            let tag = layout.pack(side, j, k, d);
+            prop_assert_eq!(layout.unpack(tag), (side, j, k, d));
+            prop_assert_eq!(layout.column(tag), d);
+            prop_assert_eq!(layout.side(tag), side);
+            let other = layout.pack(side, j, k ^ u64::from(labels[1] > 1), d);
+            prop_assert_eq!(layout.label(tag) == layout.label(other), labels[1] <= 1);
+        }
+    }
+
+    #[test]
+    fn merge_layout_refuses_extents_one_bit_past_64() {
+        // 23 M x 23 M labels (Freebase's entity modes), rank 10, two
+        // sides: 25 + 25 + 4 + 1 = 55 bits.
+        let freebase = MergeLayout::new("rank", [23_000_000; 2], 10, 2).unwrap();
+        assert_eq!(freebase.at, [0, 1, 5, 30]);
+        // Exactly 64 bits packs, 65 is refused.
+        let full = [1u64 << 31, 1 << 31];
+        MergeLayout::new("rank", full, 1 << 1, 2).unwrap();
+        let past = MergeLayout::new("rank", full, 1 << 2, 2);
+        assert!(
+            matches!(&past, Err(CoreError::InvalidArgument(m)) if m.contains("65 bits")),
+            "{past:?}"
+        );
+        let wide = MergeLayout::new("rank", [1, 1], u32::MAX as usize + 1, 2);
+        assert!(
+            matches!(&wide, Err(CoreError::InvalidArgument(m)) if m.contains("u32::MAX")),
+            "{wide:?}"
+        );
+        // A side is a `u8` in IMHP's records: 256 sides fit, 257 do not.
+        MergeLayout::new("rank", [1, 1], 1, 256).unwrap();
+        assert!(MergeLayout::new("rank", [1, 1], 1, 257).is_err());
     }
 
     #[test]

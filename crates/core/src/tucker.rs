@@ -18,9 +18,9 @@
 //! | DRN     | `nnz·(Q+R)`      | `Q+R+1` | `2`           |
 //! | DRI     | `nnz·(Q+R)`      | `2`     | `2`           |
 
-use crate::canon::canonical_records;
+use crate::canon::{canonical_dims, canonical_records};
 use crate::plan::{pipeline_for, run_pipeline, Bindings, Decomp};
-use crate::records::{check_columns, check_mode};
+use crate::records::{check_mode, MergeLayout};
 use crate::{CoreError, Result, Variant};
 use haten2_linalg::Mat;
 use haten2_mapreduce::Cluster;
@@ -78,8 +78,8 @@ pub fn project(
 ) -> Result<CooTensor3> {
     // Transposed, the core sizes are the rows: refused before a copy is made.
     check_mode(mode)?;
-    check_columns("project: core size", u1.rows())?;
-    check_columns("project: core size", u2.rows())?;
+    let dims = canonical_dims(x.dims(), mode);
+    MergeLayout::three_way("project: core size", dims, [u1.rows(), u2.rows()])?;
     let (u1, u2) = (u1.transpose(), u2.transpose());
     project_rows(cluster, variant, x, mode, &u1, &u2, opts)
 }
@@ -97,9 +97,8 @@ pub(crate) fn project_rows(
     opts: &ProjectOptions,
 ) -> Result<CooTensor3> {
     check_mode(mode)?;
-    check_columns("project: core size", u1.cols())?;
-    check_columns("project: core size", u2.cols())?;
     let (d, records) = canonical_records(x, mode);
+    let layout = MergeLayout::three_way("project: core size", d, [u1.cols(), u2.cols()])?;
     if u1.rows() != d[1] as usize || u2.rows() != d[2] as usize {
         return Err(CoreError::InvalidArgument(format!(
             "project: factors are {}x{} and {}x{} (untransposed) for canonical dims {d:?} (mode {mode})",
@@ -119,6 +118,7 @@ pub(crate) fn project_rows(
             dims: d,
             u1,
             u2,
+            layout,
             use_combiner: opts.use_combiner,
         },
     )?;

@@ -77,6 +77,47 @@ fn a_column_count_above_u32_max_is_refused_before_any_job() {
     assert_eq!(cluster.metrics().total_jobs(), 0);
 }
 
+/// A merge record packs its label, column and side into one 64-bit tag:
+/// every kernel front refuses extents whose widths sum past 64 bits
+/// before it submits a job. The factors have no columns, so they hold no
+/// elements however tall, and nothing but that check refuses them: at
+/// N = 3 the label is `(j, k)`, here 62 + 2 bits, plus the side's 1.
+/// The N-way front labels a nonzero by its ordinal, so it needs more than
+/// 2^24 stored entries to pass 64 bits; with none, one factor wider than
+/// `u32::MAX` columns is the same check's refusal there.
+#[test]
+fn extents_one_bit_past_64_are_refused_before_any_job() {
+    let (tall, short) = (1u64 << 62, 4u64);
+    let x = CooTensor3::new([1, tall, short]);
+    let (f1, f2) = (Mat::zeros(tall as usize, 0), Mat::zeros(short as usize, 0));
+    let x_n = DynTensor::new(vec![0, 0, 0]);
+    let wide = Mat::zeros(0, u32::MAX as usize + 1);
+    let cluster = single_machine();
+    let opts = ProjectOptions::default();
+    let refused = [
+        mttkrp(&cluster, Variant::Dri, &x, 0, &f1, &f2).map(drop),
+        mttkrp(&cluster, Variant::Dnn, &x, 0, &f1, &f2).map(drop),
+        project(
+            &cluster,
+            Variant::Dri,
+            &x,
+            0,
+            &Mat::zeros(0, tall as usize),
+            &Mat::zeros(0, short as usize),
+            &opts,
+        )
+        .map(drop),
+        nway_mttkrp(&cluster, &x_n, 0, &[&wide, &wide, &wide]).map(drop),
+    ];
+    for (call, result) in refused.into_iter().enumerate() {
+        assert!(
+            matches!(&result, Err(CoreError::InvalidArgument(m)) if m.contains("65 bits") || m.contains("u32::MAX")),
+            "call {call}: {result:?}"
+        );
+    }
+    assert_eq!(cluster.metrics().total_jobs(), 0);
+}
+
 #[test]
 fn empty_tensor_decomposition_terminates() {
     let x = CooTensor3::new([3, 3, 3]);

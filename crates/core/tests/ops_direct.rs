@@ -9,7 +9,7 @@ use haten2_core::ops::{
     collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots,
     model_inner_product_job, naive_ttv_job, pairwise_merge_job, MergeInput, WrittenSide,
 };
-use haten2_core::records::tensor_records;
+use haten2_core::records::{tensor_records, MergeLayout};
 use haten2_linalg::Mat;
 use haten2_mapreduce::{concat_partitions, Cluster, ClusterConfig};
 use haten2_tensor::ops as reference;
@@ -21,14 +21,27 @@ fn cluster() -> Cluster {
     Cluster::new(ClusterConfig::with_machines(3))
 }
 
+/// How the merges of [`sample`] pack their records: labels of its modes 1
+/// and 2, up to three columns, two sides.
+fn layout() -> MergeLayout {
+    MergeLayout::new("rank", [6, 4], 3, 2).unwrap()
+}
+
 /// `IMHP(X, B, C)`: the two-sided job of the 3-way pipelines, `T'` and
 /// `T''` as the merge's map output its reduce tasks wrote. The job joins
 /// `B` and `C` themselves, the transposes of `bt` and `ct`.
 fn imhp(cluster: &Cluster, name: &str, x: &CooTensor3, bt: &Mat, ct: &Mat) -> MergeInput<'static> {
     let entries = tensor_records(x);
     let (b, c) = (bt.transpose(), ct.transpose());
-    let written = imhp_job(cluster, name, &[&entries], &[&b, &c], join_on_slots).unwrap();
-    MergeInput::Written(written)
+    let written = imhp_job(
+        cluster,
+        name,
+        &[&entries],
+        &[&b, &c],
+        join_on_slots,
+        layout(),
+    );
+    MergeInput::Written(written.unwrap())
 }
 
 fn sample(seed: u64) -> CooTensor3 {
@@ -130,7 +143,15 @@ fn imhp_job_produces_both_expansions() {
     let ct = Mat::random(2, 4, &mut rng); // R x K
     let entries = tensor_records(&x);
     let (b, c) = (bt.transpose(), ct.transpose());
-    let written = imhp_job(&cluster(), "t", &[&entries], &[&b, &c], join_on_slots).unwrap();
+    let written = imhp_job(
+        &cluster(),
+        "t",
+        &[&entries],
+        &[&b, &c],
+        join_on_slots,
+        layout(),
+    );
+    let written = written.unwrap();
     // Both sides, already mapped for the merge; read back as records they
     // are the expansions.
     let [tp, tdp]: [WrittenSide; 2] = written.try_into().ok().unwrap();
@@ -161,7 +182,8 @@ fn cross_merge_job_matches_reference() {
     let ct = Mat::random(2, 4, &mut rng);
     let c = cluster();
     let written = imhp(&c, "imhp", &x, &bt, &ct);
-    let merged = concat_partitions(cross_merge_job(&c, "merge", written, &[3, 2]).unwrap());
+    let merged = cross_merge_job(&c, "merge", written, &[3, 2], layout()).unwrap();
+    let merged = concat_partitions(merged);
     let want = reference::cross_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -182,7 +204,8 @@ fn pairwise_merge_job_matches_reference() {
     let ct = Mat::random(r, 4, &mut rng);
     let c = cluster();
     let written = imhp(&c, "imhp", &x, &bt, &ct);
-    let merged = concat_partitions(pairwise_merge_job(&c, "merge", written, r as u64).unwrap());
+    let merged = pairwise_merge_job(&c, "merge", written, r as u64, layout()).unwrap();
+    let merged = concat_partitions(merged);
     let want = reference::pairwise_merge(
         &reference::mode_hadamard_mat(&x, 1, &bt).unwrap(),
         &reference::mode_hadamard_mat(&x.bin(), 2, &ct).unwrap(),
@@ -238,14 +261,14 @@ fn merge_jobs_shuffle_exactly_table_costs() {
     let c = cluster();
     let written = imhp(&c, "imhp", &x, &bt, &ct);
     let mark = c.jobs_run();
-    cross_merge_job(&c, "cross", written, &[3, 2]).unwrap();
+    cross_merge_job(&c, "cross", written, &[3, 2], layout()).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, x.nnz() * (q + r));
 
     let bt = Mat::random(r, 6, &mut rng);
     let written = imhp(&c, "imhp2", &x, &bt, &ct);
     let mark = c.jobs_run();
-    pairwise_merge_job(&c, "pair", written, r as u64).unwrap();
+    pairwise_merge_job(&c, "pair", written, r as u64, layout()).unwrap();
     let m = c.metrics_since(mark);
     assert_eq!(m.jobs[0].map_output_records, 2 * x.nnz() * r);
 }

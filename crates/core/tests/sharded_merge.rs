@@ -14,7 +14,7 @@ use haten2_core::ops::{
     collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, join_on_slots, naive_ttv_job,
     pairwise_merge_job, MergeInput, Partitions, Shards, TensorRecords, WrittenSide,
 };
-use haten2_core::records::tensor_records;
+use haten2_core::records::{tensor_records, MergeLayout};
 use haten2_core::Ix4;
 use haten2_linalg::Mat;
 use haten2_mapreduce::{
@@ -25,6 +25,12 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 type Merge = fn(&Cluster, MergeInput<'_>) -> Result<Partitions>;
+
+/// How the merges below pack their records: labels of [`skewed_tensor`]'s
+/// modes 1 and 2, three columns, two sides.
+fn layout() -> MergeLayout {
+    MergeLayout::new("rank", [6, 5], 3, 2).unwrap()
+}
 
 fn bits(records: &[(Ix4, f64)]) -> Vec<(Ix4, u64)> {
     records.iter().map(|&(ix, v)| (ix, v.to_bits())).collect()
@@ -72,7 +78,16 @@ impl Shape {
         let cluster = self.cluster();
         let entries = tensor_records(x);
         let (b, c) = (bt.transpose(), ct.transpose());
-        let written = imhp_job(&cluster, "imhp", &[&entries], &[&b, &c], join_on_slots).unwrap();
+        let sides = [&b, &c];
+        let written = imhp_job(
+            &cluster,
+            "imhp",
+            &[&entries],
+            &sides,
+            join_on_slots,
+            layout(),
+        );
+        let written = written.unwrap();
         (cluster, written)
     }
 
@@ -174,7 +189,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         check(
-            |c, sides| cross_merge_job(c, "crossmerge", sides, &[3, 3]),
+            |c, sides| cross_merge_job(c, "crossmerge", sides, &[3, 3], layout()),
             &x, &shape(machines, threads, faulted, seed), seed,
         );
     }
@@ -188,7 +203,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         check(
-            |c, sides| pairwise_merge_job(c, "pairwisemerge", sides, 3),
+            |c, sides| pairwise_merge_job(c, "pairwisemerge", sides, 3, layout()),
             &x, &shape(machines, threads, faulted, seed), seed,
         );
     }

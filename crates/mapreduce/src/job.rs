@@ -414,7 +414,8 @@ where
             vals.extend(values);
             reducer(key, vals, emit)
         };
-    run_job_inner(site, spec, input, mapper, collecting, concat_partitions)
+    let reduce = (collecting, <Vec<(KO, VO)>>::for_partitions);
+    run_job_inner(site, spec, input, mapper, reduce, concat_partitions)
 }
 
 /// Like [`run_job`], but each key group's values are *streamed* to the
@@ -464,7 +465,8 @@ where
     M: Fn(&KI, &VI, &mut dyn FnMut(KM, VM)) + Sync,
     R: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
 {
-    run_job_inner(site, spec, input, mapper, reducer, concat_partitions)
+    let reduce = (reducer, <Vec<(KO, VO)>>::for_partitions);
+    run_job_inner(site, spec, input, mapper, reduce, concat_partitions)
 }
 
 /// The general entry: [`run_job_streaming`] over any [`MapInput`], with
@@ -549,18 +551,45 @@ where
     R: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
     C: Collect<KO, VO>,
 {
-    run_job_inner(site, spec, input, mapper, reducer, |partitions| partitions)
+    run_job_collect_with(site, spec, input, mapper, reducer, C::for_partitions)
 }
 
-/// The one executor. `assemble` turns the per-partition collectors into
-/// the caller's output inside the job's timed section, so `assemble_s` and
-/// the job's wall time cover it.
-fn run_job_inner<I, KM, VM, KO, VO, M, R, C, T>(
+/// [`run_job_collect`] with each reduce task's collector made by
+/// `collector(partitions)` instead of [`Collect::for_partitions`]: for a
+/// collector that needs state of the call, such as the layout a record
+/// writer packs the next job's map output in. Same job, same metrics.
+pub fn run_job_collect_with<I, KM, VM, KO, VO, M, R, C>(
     site: &impl JobSite,
     spec: JobSpec<'_, KM, VM>,
     input: &I,
     mapper: M,
     reducer: R,
+    collector: impl Fn(usize) -> C + Sync,
+) -> crate::Result<Vec<C>>
+where
+    I: MapInput + ?Sized,
+    KM: Clone + Ord + Hash + Send + EstimateSize + 'static,
+    VM: Send + EstimateSize + 'static,
+    KO: EstimateSize,
+    VO: EstimateSize,
+    M: Fn(&I::Key, &I::Val, &mut dyn FnMut(KM, VM)) + Sync,
+    R: Fn(&KM, &mut GroupValues<'_, KM, VM>, &mut dyn FnMut(KO, VO)) + Sync,
+    C: Collect<KO, VO>,
+{
+    let reduce = (reducer, collector);
+    run_job_inner(site, spec, input, mapper, reduce, |partitions| partitions)
+}
+
+/// The one executor. Each reduce task runs `reducer` into the collector
+/// `collector` makes for the job's partition count, and `assemble` turns
+/// the per-partition collectors into the caller's output inside the job's
+/// timed section, so `assemble_s` and the job's wall time cover it.
+fn run_job_inner<I, KM, VM, KO, VO, M, R, C, T>(
+    site: &impl JobSite,
+    spec: JobSpec<'_, KM, VM>,
+    input: &I,
+    mapper: M,
+    (reducer, collector): (R, impl Fn(usize) -> C + Sync),
     assemble: impl FnOnce(Vec<C>) -> T,
 ) -> crate::Result<T>
 where
@@ -625,7 +654,7 @@ where
         run_map_task(t, scratch)
     });
     let (inputs, outputs) = tasks.into_iter().unzip();
-    finish(job, inputs, outputs, reducer, assemble)
+    finish(job, inputs, outputs, (reducer, collector), assemble)
 }
 
 /// Reduce map output that was written before the job started: the job
@@ -731,7 +760,10 @@ where
             (records, records * (input_record_bytes + FRAMING_BYTES))
         })
         .collect();
-    finish(job, inputs, outputs, reducer, |partitions| partitions)
+    let collector = C::for_partitions;
+    finish(job, inputs, outputs, (reducer, collector), |partitions| {
+        partitions
+    })
 }
 
 /// Run `job`'s tasks `0..tasks` on up to its `threads` pool executors,
@@ -862,14 +894,16 @@ impl<'s, S: JobSite> Started<'s, S> {
 
 /// The rest of the one executor, from the shuffle on: `inputs` are the
 /// map tasks' `(records, bytes)` read, in task order, and `outputs` the
-/// sealed map outputs in the order their runs reach a reducer. `assemble`
-/// turns the per-partition collectors into the caller's output inside the
-/// job's timed section, so `assemble_s` and the job's wall time cover it.
+/// sealed map outputs in the order their runs reach a reducer. Each reduce
+/// task runs `reducer` into the collector `collector` makes for the job's
+/// partition count. `assemble` turns the per-partition collectors into the
+/// caller's output inside the job's timed section, so `assemble_s` and the
+/// job's wall time cover it.
 fn finish<S, KM, VM, KO, VO, R, C, T>(
     job: Started<'_, S>,
     inputs: Vec<(usize, usize)>,
     outputs: Vec<Sealed<KM, VM>>,
-    reducer: R,
+    (reducer, collector): (R, impl Fn(usize) -> C + Sync),
     assemble: impl FnOnce(Vec<C>) -> T,
 ) -> crate::Result<T>
 where
@@ -959,7 +993,7 @@ where
      -> Result<ReduceTaskResult<C>, Option<MrError>> {
         let mut cursors: Vec<RunCursor<KM, VM>> =
             runs.into_iter().map(ColumnRun::into_cursor).collect();
-        let mut out = C::for_partitions(num_reducers);
+        let mut out = collector(num_reducers);
         let mut groups = 0usize;
         let mut output_records = 0usize;
         let mut output_bytes = 0usize;

@@ -80,8 +80,8 @@ pub use dfs::{Block, Dfs, DfsBackend, DurableConfig, SpillStats};
 pub use fault::{FaultPlan, JobFaultSchedule, RetryPolicy, TaskFaults};
 pub use haten2_blockstore::Codec;
 pub use job::{
-    concat_partitions, key_slice, run_job, run_job_collect, run_job_streaming, run_job_written,
-    Combiner, JobSite, JobSpec, MapInput, RECORD_FRAMING_BYTES,
+    concat_partitions, key_slice, run_job, run_job_collect, run_job_collect_with,
+    run_job_streaming, run_job_written, Combiner, JobSite, JobSpec, MapInput, RECORD_FRAMING_BYTES,
 };
 pub use metrics::{BatchReport, JobMetrics, RunMetrics};
 pub use persist::{decode_records, encode_records, parse_records, Persist};
