@@ -26,8 +26,8 @@ pub struct BaselineParafac {
 }
 
 /// Single-machine PARAFAC-ALS with memory accounting, from factors drawn
-/// from `seed`: [`parafac_als_baseline_from`] of `dims[n] × rank` random
-/// factors, drawn mode by mode from one `StdRng`.
+/// from `seed`: `dims[n] × rank` random factors, drawn mode by mode from
+/// one `StdRng` once the working set has been charged.
 pub fn parafac_als_baseline(
     x: &CooTensor3,
     rank: usize,
@@ -36,20 +36,11 @@ pub fn parafac_als_baseline(
     seed: u64,
     memory_budget: Option<usize>,
 ) -> Result<BaselineParafac> {
-    parafac_als_baseline_from(
-        x,
-        random_factors(x, rank, seed),
-        max_iters,
-        tol,
-        memory_budget,
-    )
-}
-
-/// `dims[n] × rank` factors of `x`, drawn mode by mode from one `StdRng`
-/// seeded with `seed`.
-fn random_factors(x: &CooTensor3, rank: usize, seed: u64) -> [Mat; 3] {
-    let mut rng = StdRng::seed_from_u64(seed);
-    x.dims().map(|d| Mat::random(d as usize, rank, &mut rng))
+    let draw = || {
+        let mut rng = StdRng::seed_from_u64(seed);
+        x.dims().map(|d| Mat::random(d as usize, rank, &mut rng))
+    };
+    als(x, rank, draw, max_iters, tol, memory_budget)
 }
 
 /// Single-machine PARAFAC-ALS with memory accounting, starting from
@@ -66,24 +57,28 @@ pub fn parafac_als_baseline_from(
     tol: f64,
     memory_budget: Option<usize>,
 ) -> Result<BaselineParafac> {
-    let rank = init[0].cols();
+    als(x, init[0].cols(), || init, max_iters, tol, memory_budget)
+}
+
+/// The ALS both entry points run. `init` makes the starting factors; it is
+/// called inside the timed section, after the meter has charged the
+/// tensor, the factors and the working set, so a point over budget stops
+/// with [`BaselineError::Oom`] before any factor is allocated.
+fn als(
+    x: &CooTensor3,
+    rank: usize,
+    init: impl FnOnce() -> [Mat; 3],
+    max_iters: usize,
+    tol: f64,
+    memory_budget: Option<usize>,
+) -> Result<BaselineParafac> {
     if rank == 0 {
         return Err(BaselineError::InvalidArgument(
             "rank must be positive".into(),
         ));
     }
-    let dims = x.dims();
-    for (n, f) in init.iter().enumerate() {
-        if (f.rows(), f.cols()) != (dims[n] as usize, rank) {
-            return Err(BaselineError::InvalidArgument(format!(
-                "init factor {n} is {}x{}, expected {}x{rank}",
-                f.rows(),
-                f.cols(),
-                dims[n]
-            )));
-        }
-    }
     let started = std::time::Instant::now();
+    let dims = x.dims();
     let mut meter = MemoryMeter::new(memory_budget);
     meter.charge(coo_bytes(x.nnz()), "input tensor")?;
     for (n, &d) in dims.iter().enumerate() {
@@ -95,7 +90,17 @@ pub fn parafac_als_baseline_from(
         mat_bytes(dims.iter().map(|&d| d as usize).max().unwrap_or(0), rank) + x.nnz() * rank * 8;
     meter.charge(mttkrp_ws, "MTTKRP working set")?;
 
-    let mut factors = init;
+    let mut factors = init();
+    for (n, f) in factors.iter().enumerate() {
+        if (f.rows(), f.cols()) != (dims[n] as usize, rank) {
+            return Err(BaselineError::InvalidArgument(format!(
+                "init factor {n} is {}x{}, expected {}x{rank}",
+                f.rows(),
+                f.cols(),
+                dims[n]
+            )));
+        }
+    }
     let mut lambda = vec![1.0; rank];
     let norm_x_sq = x.fro_norm_sq();
     let norm_x = norm_x_sq.sqrt();

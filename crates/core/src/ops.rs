@@ -568,11 +568,19 @@ fn merge_record_bytes() -> usize {
 /// merge's partitions. What the engine counts and sizes is still the
 /// `((side, ix), v)` record the reducer emitted. [`imhp_job`] makes one
 /// per reduce task, with its layout.
-#[derive(Default)]
 struct MergeWriter {
     partitions: usize,
     layout: MergeLayout,
     sides: Vec<MapOutput<u64, MergeVal>>,
+}
+
+/// [`Collect`] asks for `Default`, but a writer without the call's layout
+/// and partition count would pack nothing right: only [`imhp_job`]'s
+/// collector factory builds one.
+impl Default for MergeWriter {
+    fn default() -> Self {
+        unreachable!("a MergeWriter is built only by imhp_job's collector factory")
+    }
 }
 
 impl Collect<(u8, Ix4), f64> for MergeWriter {

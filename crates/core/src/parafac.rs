@@ -17,7 +17,7 @@
 
 use crate::canon::CanonicalRecords;
 use crate::plan::{pipeline_for, run_pipeline, Bindings, Decomp};
-use crate::records::{check_mode, MergeLayout};
+use crate::records::check_mode;
 use crate::{CoreError, Result, Variant};
 use haten2_linalg::Mat;
 use haten2_mapreduce::Cluster;
@@ -88,7 +88,6 @@ pub(crate) fn mttkrp_into(
         )));
     }
     let (d, records) = canon.build(x, mode);
-    let layout = MergeLayout::three_way("mttkrp: rank", d, [f1.cols(), f2.cols()])?;
     if f1.rows() != d[1] as usize || f2.rows() != d[2] as usize {
         return Err(CoreError::InvalidArgument(format!(
             "mttkrp: factors are {}x{} and {}x{} for canonical dims {d:?}",
@@ -109,7 +108,6 @@ pub(crate) fn mttkrp_into(
             dims: d,
             u1: f1,
             u2: f2,
-            layout,
             use_combiner: false,
         },
     )?;

@@ -595,10 +595,6 @@ pub struct Bindings<'a> {
     pub u1: &'a Mat,
     /// Factor of canonical mode 2, `K × R`.
     pub u2: &'a Mat,
-    /// How the merge records of DRN and DRI are packed: the front builds
-    /// it from `dims` and the factors' widths
-    /// ([`MergeLayout::new`]), refusing what does not fit.
-    pub layout: MergeLayout,
     /// Map-side combiner in Collapse jobs (an ablation; the paper's cost
     /// model assumes none).
     pub use_combiner: bool,
@@ -614,6 +610,8 @@ struct Bound<'a> {
     u2: &'a Mat,
     /// `[Q, R]`.
     widths: [u64; 2],
+    /// How the merge records of DRN and DRI are packed, from `dims` and
+    /// `widths`.
     layout: MergeLayout,
     use_combiner: bool,
 }
@@ -780,11 +778,17 @@ fn submit<'a>(
 /// and maps them in place — except IMHP's sides, which its reduce tasks
 /// write as the merge's map output: the merge takes each side by
 /// ownership, and a second reader of a side is refused.
+///
+/// Extents whose merge records do not fit a [`MergeLayout`] are refused
+/// with `InvalidArgument` before any job is submitted.
 pub fn run_pipeline(
     cluster: &Cluster,
     pipeline: &Pipeline,
     bound: &Bindings<'_>,
 ) -> crate::Result<Partitions> {
+    let (q, r) = (bound.u1.cols(), bound.u2.cols());
+    let what = format!("{}: factor width", pipeline.graph.name);
+    let layout = MergeLayout::three_way(&what, bound.dims, [q, r])?;
     let machines = cluster.config().machines.max(1);
     let x_bin: Option<Vec<(Ix4, f64)>> = pipeline
         .graph
@@ -793,7 +797,6 @@ pub fn run_pipeline(
     let mut datasets = vec![("x", bound.x)];
     datasets.extend(x_bin.as_deref().map(|records| ("x_bin", records)));
 
-    let (q, r) = (bound.u1.cols(), bound.u2.cols());
     let env = env_for(bound.dims, bound.x.len(), q, r, machines);
     // IMHP reads the factors' rows where they lie; the per-column kernels
     // multiply by rows of the transposes.
@@ -807,7 +810,7 @@ pub fn run_pipeline(
         u1,
         u2,
         widths: [q as u64, r as u64],
-        layout: bound.layout,
+        layout,
         use_combiner: bound.use_combiner,
     };
 
@@ -1074,7 +1077,6 @@ mod tests {
             dims: x.dims(),
             u1: &u1,
             u2: &u2,
-            layout: MergeLayout::three_way("rank", x.dims(), [3, 3])?,
             use_combiner: false,
         };
         let y = run_pipeline(cluster, pipeline, &bound)?;

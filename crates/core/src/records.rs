@@ -180,9 +180,8 @@ impl EstimateSize for MergeVal {
 /// count of the largest value its extent holds. The fronts build one from
 /// the call's extents before a job runs: at N = 3 the canonical dims of
 /// slots 1 and 2, at N > 3 `(nnz, 1)` (the entry's ordinal and 0); the
-/// widest factor-column count; the side count. The default is the
-/// layout of extents of 1, every field 0 bits wide.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// widest factor-column count; the side count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeLayout {
     /// The lowest bit of each field in the tag — side, column, `k`, `j`.
     at: [u32; 4],

@@ -98,7 +98,6 @@ pub(crate) fn project_rows(
 ) -> Result<CooTensor3> {
     check_mode(mode)?;
     let (d, records) = canonical_records(x, mode);
-    let layout = MergeLayout::three_way("project: core size", d, [u1.cols(), u2.cols()])?;
     if u1.rows() != d[1] as usize || u2.rows() != d[2] as usize {
         return Err(CoreError::InvalidArgument(format!(
             "project: factors are {}x{} and {}x{} (untransposed) for canonical dims {d:?} (mode {mode})",
@@ -118,7 +117,6 @@ pub(crate) fn project_rows(
             dims: d,
             u1,
             u2,
-            layout,
             use_combiner: opts.use_combiner,
         },
     )?;
